@@ -22,7 +22,6 @@ draw from jointly.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -99,6 +98,54 @@ _SECONDS_PER_EVALUATION = 1.5e-6
 # The TP slice transposes get no discount -- they are latency-dominated
 # and must complete before the layer's dense work can start.
 _OVERLAP_DISCOUNT = 0.5
+
+
+# The pop loop measures the (cost, vertex) order in blocks of this many
+# roots, each block this many times the one before.
+_FIRST_POP_BLOCK = 64
+_POP_BLOCK_GROWTH = 4
+
+
+def _warm_costs(
+    warm_costs: Optional[Dict[int, float]],
+    layer_deps: np.ndarray,
+    num_vertices: int,
+):
+    """Prior ``t_r`` per dependency and the mask of those without one."""
+    costs = np.zeros(len(layer_deps), dtype=np.float64)
+    unknown = np.ones(len(layer_deps), dtype=bool)
+    if warm_costs:
+        prior_ids = np.fromiter(warm_costs.keys(), np.int64, len(warm_costs))
+        prior = np.zeros(num_vertices, dtype=np.float64)
+        known = np.zeros(num_vertices, dtype=bool)
+        prior[prior_ids] = np.fromiter(
+            warm_costs.values(), np.float64, len(warm_costs)
+        )
+        known[prior_ids] = True
+        unknown = ~known[layer_deps]
+        costs = prior[layer_deps]
+    return costs, unknown
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """``total += t`` for each term left to right (``cumsum`` adds
+    sequentially, so the float result matches the scalar loop's)."""
+    if len(terms) == 0:
+        return total
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def _add_evaluations(modeled_seconds: float, new_edge_counts: np.ndarray) -> float:
+    """Charge one modeled subtree measurement per entry, in order."""
+    return _add_in_order(
+        modeled_seconds,
+        _SECONDS_PER_EVALUATION + new_edge_counts * _SECONDS_PER_EDGE_VISIT,
+    )
+
+
+def _first_true(flags: np.ndarray) -> int:
+    """Index of the first set flag, ``len(flags)`` when none is."""
+    return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
 def _select_stale_cached(
@@ -203,7 +250,7 @@ def partition_dependencies(
         # first (cached features cost nothing per epoch), matching the
         # greedy's own preference ordering.
         total_deps = sum(len(d) for d in deps)
-        quota_remaining = int(round(force_cache_fraction * total_deps))
+        quota_remaining = max(0, int(round(force_cache_fraction * total_deps)))
     else:
         quota_remaining = None
 
@@ -231,60 +278,71 @@ def partition_dependencies(
         # so recompute is off the table and the layer is priced on the
         # cached/comm options alone.
         if budget_exhausted or len(layer_deps) == 0 or tp_below:
-            cached.append(np.empty(0, dtype=np.int64))
-            layer_cached = []
+            layer_cached = np.empty(0, dtype=np.int64)
         else:
             # Line 5-7: initial measurement of every dependency (seeded
-            # from the warm start's prior costs when available).
-            heap = []
-            for u in layer_deps:
-                u = int(u)
-                if warm_costs is not None and u in warm_costs:
-                    cost = warm_costs[u]
-                else:
-                    measurement = cost_model.t_r(u, l)
-                    evaluations += 1
-                    modeled_seconds += (
-                        _SECONDS_PER_EVALUATION
-                        + measurement.new_edge_count * _SECONDS_PER_EDGE_VISIT
-                    )
-                    cost = measurement.cost_s
-                layer_costs[u] = cost
-                heapq.heappush(heap, (cost, u))
+            # from the warm start's prior costs when available).  No
+            # commit happens during the sweep, so one independent batch
+            # measures them all.
+            costs, unknown = _warm_costs(warm_costs, layer_deps, graph.num_vertices)
+            sweep = cost_model.measure_independent(layer_deps[unknown], l)
+            costs[unknown] = sweep.cost_s
+            evaluations += len(sweep.cost_s)
+            modeled_seconds = _add_evaluations(
+                modeled_seconds, sweep.new_edge_count
+            )
+            layer_costs = dict(zip(layer_deps.tolist(), costs.tolist()))
 
-            layer_cached = []
-            # Line 8-15: pop cheapest, re-measure, decide.
-            while heap:
-                _, u = heapq.heappop(heap)
-                measurement = cost_model.t_r(u, l)
-                evaluations += 1
-                modeled_seconds += (
-                    _SECONDS_PER_EVALUATION
-                    + measurement.new_edge_count * _SECONDS_PER_EDGE_VISIT
+            # Line 8-15: pop cheapest, re-measure, decide.  The heap only
+            # ever pops in (cost, vertex) order and stops at the first
+            # pop it does not cache, so the pops are an in-order batch
+            # over a prefix of that order.  Blocks grow geometrically: a
+            # layer that stops on its first pop wastes one small block.
+            pop_order = layer_deps[np.lexsort((layer_deps, costs))]
+            taken = []
+            start, size = 0, _FIRST_POP_BLOCK
+            while start < len(pop_order):
+                block = pop_order[start : start + size]
+                batch = cost_model.measure_in_order(block, l)
+                if quota_remaining is not None:
+                    stop = min(quota_remaining, len(block))
+                else:
+                    stop = _first_true(batch.cost_s >= t_c)
+                if tracker is not None:
+                    # Line 14-15: the first closure that does not fit
+                    # ends the whole greedy.
+                    room = tracker.budget_bytes - tracker.used_bytes
+                    full = _first_true(np.cumsum(batch.memory_bytes) > room)
+                    if full < stop:
+                        stop = full
+                        budget_exhausted = True
+                    tracker.allocate(
+                        int(batch.memory_bytes[:stop].sum()), CLOSURE_MEMORY_LABEL
+                    )
+                popped = min(stop + 1, len(block))  # the stopping pop counts
+                evaluations += popped
+                modeled_seconds = _add_evaluations(
+                    modeled_seconds, batch.new_edge_count[:popped]
+                )
+                layer_cached_cost = _add_in_order(
+                    layer_cached_cost, batch.cost_s[:stop]
                 )
                 if quota_remaining is not None:
-                    should_cache = quota_remaining > 0
-                    if not should_cache:
-                        break  # global quota exhausted
-                else:
-                    should_cache = measurement.cost_s < t_c
-                    if not should_cache:
-                        # Costs only grow up the heap; nothing further caches.
-                        break
-                if tracker is not None and not tracker.try_allocate(
-                    measurement.memory_bytes, CLOSURE_MEMORY_LABEL
-                ):
-                    budget_exhausted = True  # Line 14-15: stop immediately.
+                    quota_remaining -= stop
+                cost_model.commit_prefix(batch, stop)
+                taken.append(block[:stop])
+                if stop < len(block):
                     break
-                layer_cached.append(u)
-                layer_cached_cost += measurement.cost_s
-                if quota_remaining is not None:
-                    quota_remaining -= 1
-                cost_model.commit(u, l, measurement)
-
-            cached.append(np.asarray(sorted(layer_cached), dtype=np.int64))
+                start += size
+                size *= _POP_BLOCK_GROWTH
+            layer_cached = np.sort(np.concatenate(taken))
+        cached.append(layer_cached)
         initial_costs.append(layer_costs)
-        remaining = np.setdiff1d(layer_deps, cached[-1])
+        # ``layer_deps`` is sorted unique, so membership-mask splits give
+        # the same sorted arrays as ``setdiff1d`` without its hashing.
+        member = np.zeros(graph.num_vertices, dtype=bool)
+        member[layer_cached] = True
+        remaining = layer_deps[~member[layer_deps]]
         if cache_budget is not None:
             stale = _select_stale_cached(
                 remaining, l, cost_model, cache, cache_budget,
@@ -293,7 +351,8 @@ def partition_dependencies(
         else:
             stale = np.empty(0, dtype=np.int64)
         stale_cached.append(stale)
-        communicated.append(np.setdiff1d(remaining, stale))
+        member[stale] = True
+        communicated.append(layer_deps[~member[layer_deps]])
 
         # Fourth option: flip the whole layer to tensor parallelism
         # when the dense slice transposes undercut the three-way total.

@@ -101,6 +101,13 @@ class EnginePlan:
         return stale / total if total else 0.0
 
 
+def _members(ids: np.ndarray, members: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Boolean mask over ``ids``: which of them are in ``members``."""
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[members] = True
+    return mask[ids]
+
+
 def build_engine_plan(engine) -> EnginePlan:
     """Derive the :class:`EnginePlan` from the engine's R/C/H decisions.
 
@@ -174,22 +181,29 @@ def build_engine_plan(engine) -> EnginePlan:
             remote_inputs = block.input_vertices[
                 engine.assignment[block.input_vertices] != w
             ]
-            stale = np.intersect1d(remote_inputs, stale_decisions[l - 1][w])
+            # ``remote_inputs`` is sorted unique, so membership-mask
+            # splits give the same sorted arrays as the ``intersect1d``
+            # / ``setdiff1d`` / ``union1d`` chain without its hashing.
+            is_stale = _members(
+                remote_inputs, stale_decisions[l - 1][w], graph.num_vertices
+            )
             if any_tp and l >= 2 and tp_layers[l - 2]:
                 # The input layer is tensor-parallel: its outputs exist
                 # full-width only at their owners, so recompute is
                 # impossible and every remote input not served stale is
                 # fetched, regardless of the per-vertex decisions.
-                comm = np.setdiff1d(remote_inputs, stale)
+                is_comm = ~is_stale
             else:
-                comm = np.intersect1d(remote_inputs, decisions[l - 1][w])
-            comm_ids[l - 1][w] = comm
-            stale_ids[l - 1][w] = stale
-            local_remote = np.setdiff1d(
-                np.setdiff1d(remote_inputs, comm), stale
-            )
+                is_comm = _members(
+                    remote_inputs, decisions[l - 1][w], graph.num_vertices
+                )
+            comm_ids[l - 1][w] = remote_inputs[is_comm]
+            stale_ids[l - 1][w] = remote_inputs[is_stale]
             if l > 1:
-                need = np.union1d(owned, local_remote)
+                needed = np.zeros(graph.num_vertices, dtype=bool)
+                needed[owned] = True
+                needed[remote_inputs[~(is_comm | is_stale)]] = True
+                need = np.flatnonzero(needed)
 
     exchanges = [
         MirrorExchange(engine.assignment, comm_ids[l], m) for l in range(L)
