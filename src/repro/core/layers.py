@@ -218,9 +218,7 @@ class GATConv(GNNLayer):
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
         projected = self.linear(h_inputs)
-        z_src = F.index_select(projected, block.edge_src_pos)
-        dst_rows = block.compute_pos_in_inputs[block.edge_dst_pos]
-        z_dst = F.index_select(projected, dst_rows)
+        z_src, z_dst = ops.scatter_to_edge(block, projected, with_dst=True)
         scores = F.leaky_relu(
             z_src @ self.attn_src + z_dst @ self.attn_dst, self.negative_slope
         )

@@ -16,7 +16,7 @@ visible.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,16 +25,21 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
 
-def scatter_to_edge(block: LayerBlock, h_inputs: Tensor) -> Tuple[Tensor, Tensor]:
+def scatter_to_edge(
+    block: LayerBlock, h_inputs: Tensor, with_dst: bool = False
+) -> Tuple[Tensor, Optional[Tensor]]:
     """Scatter input representations onto edges.
 
     Returns ``(f_src, f_dst)``: per-edge source and destination
     representations (the adjoint of this gather is ``GatherBySrc``).
+    ``f_dst`` is an E x d copy only attention-style edge functions
+    read, so it is ``None`` unless ``with_dst`` asks for it.
     """
     f_src = F.index_select(h_inputs, block.edge_src_pos)
+    if not with_dst:
+        return f_src, None
     dst_rows = block.compute_pos_in_inputs[block.edge_dst_pos]
-    f_dst = F.index_select(h_inputs, dst_rows)
-    return f_src, f_dst
+    return f_src, F.index_select(h_inputs, dst_rows)
 
 
 def edge_forward(

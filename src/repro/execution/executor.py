@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.blocks import LayerBlock, build_block
 from repro.execution.plan import EnginePlan, EpochReport
 from repro.tensor import functional as F
+from repro.tensor.scatter import scatter_add_rows
 from repro.tensor.tensor import Tensor, no_grad
 
 
@@ -215,7 +216,9 @@ class LayerExecutor:
                     continue
                 block = plan.blocks[l - 1][w]
                 rows = engine._gather_inputs(plan, h_values, l, w, block)
-                h_in = Tensor(rows, requires_grad=training)
+                # Layer-1 inputs are raw features: nothing routes a
+                # gradient into them, so the tape skips their adjoint.
+                h_in = Tensor(rows, requires_grad=training and l > 1)
                 if training:
                     out = layer_forward(block, h_in)
                 else:
@@ -407,7 +410,7 @@ class LayerExecutor:
             )
             acc = np.zeros(shape, dtype=np.float32)
             grad_acc[layer_idx][worker] = acc
-        np.add.at(acc, positions, rows)
+        scatter_add_rows(acc, positions, rows)
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self, mask: Optional[np.ndarray] = None) -> float:

@@ -22,18 +22,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.blocks import LayerBlock
+from repro.utils.ranges import expand_ranges
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices covering ``[starts[i], starts[i]+lengths[i])`` per group."""
-    total = int(lengths.sum())
-    if total == 0:
-        return _EMPTY
-    cum = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    offsets = np.repeat(starts - cum, lengths)
-    return np.arange(total, dtype=np.int64) + offsets
 
 
 class ReuseState:
@@ -65,7 +56,7 @@ class ReuseState:
         (each of which must satisfy :meth:`contains`)."""
         pos = np.searchsorted(self.vertex_ids, vertices)
         lengths = self.indptr[pos + 1] - self.indptr[pos]
-        idx = _expand_ranges(self.indptr[pos], lengths)
+        idx = expand_ranges(self.indptr[pos], lengths)
         dst = np.repeat(vertices, lengths)
         scales = None if self.scales is None else self.scales[idx]
         return self.srcs[idx], dst, self.eids[idx], scales

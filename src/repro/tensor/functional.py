@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.tensor.scatter import scatter_rows
 from repro.tensor.tensor import Function, Tensor
 
 
@@ -32,9 +33,7 @@ class IndexSelect(Function):
 
     def backward(self, grad):
         (shape,) = self.saved
-        out = np.zeros(shape, dtype=grad.dtype)
-        np.add.at(out, self.indices, grad)
-        return (out,)
+        return (scatter_rows(self.indices, grad, shape[0]),)
 
 
 class SegmentSum(Function):
@@ -46,10 +45,7 @@ class SegmentSum(Function):
         self.num_segments = num_segments
 
     def forward(self, x):
-        out_shape = (self.num_segments,) + x.shape[1:]
-        out = np.zeros(out_shape, dtype=x.dtype)
-        np.add.at(out, self.segments, x)
-        return out
+        return scatter_rows(self.segments, x, self.num_segments)
 
     def backward(self, grad):
         return (grad[self.segments],)
@@ -115,10 +111,7 @@ class FusedGatherScatter(Function):
         # SegmentSum sees in the unfused chain, weight promotion
         # included), not the raw input.
         self.save_for_backward(x.shape, messages.dtype)
-        out = np.zeros(
-            (self.num_segments,) + messages.shape[1:], dtype=messages.dtype
-        )
-        np.add.at(out, self.segments, messages)
+        out = scatter_rows(self.segments, messages, self.num_segments)
         if self.reducer == "mean":
             out = out / self._counts(messages.ndim, messages.dtype)
         return out
@@ -130,9 +123,7 @@ class FusedGatherScatter(Function):
         per_edge = grad[self.segments]
         if self.weights is not None:
             per_edge = per_edge * self.weights.reshape(-1, 1)
-        out = np.zeros(shape, dtype=per_edge.dtype)
-        np.add.at(out, self.src_pos, per_edge)
-        return (out,)
+        return (scatter_rows(self.src_pos, per_edge, shape[0]),)
 
 
 def fused_gather_scatter(

@@ -18,6 +18,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.tensor.scatter import scatter_add_rows
+
 Arrayish = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 _grad_state = threading.local()
@@ -70,11 +72,14 @@ class Function:
 
     Subclasses implement ``forward`` (numpy in, numpy out) and
     ``backward`` (output gradient in, tuple of input gradients out, one
-    entry per input tensor, ``None`` for non-differentiable inputs).
+    entry per input tensor).  ``needs_input_grad[i]`` says whether
+    input ``i`` is on the tape; ``backward`` may return ``None`` for an
+    input that is not, and so skip computing an adjoint nobody reads.
     """
 
     def __init__(self, *inputs: "Tensor"):
         self.inputs = inputs
+        self.needs_input_grad = tuple(t.requires_grad for t in inputs)
         self.saved: Tuple = ()
 
     def save_for_backward(self, *items) -> None:
@@ -190,9 +195,14 @@ class Tensor:
                     f"{type(ctx).__name__}.backward returned {len(input_grads)} "
                     f"gradients for {len(ctx.inputs)} inputs"
                 )
-            for tensor_in, g in zip(ctx.inputs, input_grads):
-                if g is None or not tensor_in.requires_grad and tensor_in._ctx is None:
+            for i, (tensor_in, g) in enumerate(zip(ctx.inputs, input_grads)):
+                if not ctx.needs_input_grad[i]:
                     continue
+                if g is None:
+                    raise RuntimeError(
+                        f"{type(ctx).__name__}.backward returned None for "
+                        f"input {i}, which requires a gradient"
+                    )
                 existing = grads.get(id(tensor_in))
                 grads[id(tensor_in)] = g if existing is None else existing + g
             # Leaves accumulate into .grad.
@@ -342,7 +352,11 @@ class Add(Function):
 
     def backward(self, grad):
         a_shape, b_shape = self.saved
-        return _unbroadcast(grad, a_shape), _unbroadcast(grad, b_shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad, a_shape) if need_a else None,
+            _unbroadcast(grad, b_shape) if need_b else None,
+        )
 
 
 class Sub(Function):
@@ -352,7 +366,11 @@ class Sub(Function):
 
     def backward(self, grad):
         a_shape, b_shape = self.saved
-        return _unbroadcast(grad, a_shape), _unbroadcast(-grad, b_shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad, a_shape) if need_a else None,
+            _unbroadcast(-grad, b_shape) if need_b else None,
+        )
 
 
 class Mul(Function):
@@ -362,7 +380,11 @@ class Mul(Function):
 
     def backward(self, grad):
         a, b = self.saved
-        return _unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad * b, a.shape) if need_a else None,
+            _unbroadcast(grad * a, b.shape) if need_b else None,
+        )
 
 
 class Div(Function):
@@ -372,9 +394,11 @@ class Div(Function):
 
     def backward(self, grad):
         a, b = self.saved
-        grad_a = _unbroadcast(grad / b, a.shape)
-        grad_b = _unbroadcast(-grad * a / (b * b), b.shape)
-        return grad_a, grad_b
+        need_a, need_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad / b, a.shape) if need_a else None,
+            _unbroadcast(-grad * a / (b * b), b.shape) if need_b else None,
+        )
 
 
 class Neg(Function):
@@ -406,9 +430,11 @@ class MatMul(Function):
 
     def backward(self, grad):
         a, b = self.saved
-        grad_a = grad @ b.swapaxes(-1, -2)
-        grad_b = a.swapaxes(-1, -2) @ grad
-        return _unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            _unbroadcast(grad @ b.swapaxes(-1, -2), a.shape) if need_a else None,
+            _unbroadcast(a.swapaxes(-1, -2) @ grad, b.shape) if need_b else None,
+        )
 
 
 class Slice(Function):
@@ -423,7 +449,11 @@ class Slice(Function):
     def backward(self, grad):
         (shape,) = self.saved
         full = np.zeros(shape, dtype=grad.dtype)
-        np.add.at(full, self.index, grad)
+        index = self.index
+        if isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu":
+            scatter_add_rows(full, index, grad)
+        else:
+            np.add.at(full, index, grad)
         return (full,)
 
 

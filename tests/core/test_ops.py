@@ -21,6 +21,7 @@ class TestScatterToEdge:
         g, block = star_block
         h = Tensor(np.arange(8.0).reshape(4, 2))
         f_src, f_dst = ops.scatter_to_edge(block, h)
+        assert f_dst is None  # built only on request
         # Sources are 1, 2, 3 (rows of the input space in edge order).
         src_ids = block.input_vertices[block.edge_src_pos]
         assert np.allclose(f_src.data, h.data[src_ids])
@@ -28,7 +29,7 @@ class TestScatterToEdge:
     def test_f_dst_rows_are_destination(self, star_block):
         g, block = star_block
         h = Tensor(np.arange(8.0).reshape(4, 2))
-        _, f_dst = ops.scatter_to_edge(block, h)
+        _, f_dst = ops.scatter_to_edge(block, h, with_dst=True)
         # All three edges point at vertex 0 (input row 0).
         assert np.allclose(f_dst.data, np.tile(h.data[0], (3, 1)))
 

@@ -219,3 +219,38 @@ class TestNumericalGradHelper:
             gradcheck(
                 lambda a: Broken.apply(a, indices=np.array([0, 1])).sum(), [x]
             )
+
+
+class TestNeedsInputGrad:
+    """Ops skip the adjoint of an operand that is off the tape."""
+
+    @staticmethod
+    def const(shape, seed):
+        return Tensor(np.random.default_rng(seed).standard_normal(shape))
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+        lambda a, b: a / (b * b + 1.0), lambda a, b: a @ b.T,
+    ], ids=["add", "sub", "mul", "div", "matmul"])
+    def test_gradcheck_with_one_constant_operand(self, op):
+        assert gradcheck(lambda a: op(a, self.const((3, 4), 1)).sum(), [t((3, 4))])
+        assert gradcheck(lambda b: op(self.const((3, 4), 1), b).sum(), [t((3, 4))])
+
+    def test_flags_follow_requires_grad(self):
+        out = t((3, 4)) * self.const((3, 1), 1)
+        assert out._ctx.needs_input_grad == (True, False)
+        grad_a, grad_b = out._ctx.backward(np.ones((3, 4)))
+        assert grad_a.shape == (3, 4) and grad_b is None
+
+    def test_constant_only_ops_stay_off_the_tape(self):
+        out = self.const((3, 4), 0) @ self.const((4, 2), 1)
+        assert not out.requires_grad and out._ctx is None
+
+    def test_none_for_a_needed_input_is_an_error(self):
+        class Forgetful(F.IndexSelect):
+            def backward(self, grad):
+                return (None,)
+
+        out = Forgetful.apply(t((3, 2)), indices=np.array([0, 1])).sum()
+        with pytest.raises(RuntimeError, match="Forgetful.backward returned None for input 0"):
+            out.backward()
