@@ -112,9 +112,7 @@ def _space_ref(num_vertices, *pieces):
 
 
 def _sample_layer_ref(self, graph, frontier, fanout, layer, *,
-                      epoch, batch, num_seeds, legacy_rng=None):
-    if legacy_rng is not None:
-        return self._sample_layer_legacy(graph, frontier, fanout, legacy_rng)
+                      epoch, batch, num_seeds):
     dst, src, eids = self._candidates(graph, frontier)
     if len(dst) == 0:
         return S._EMPTY_LAYER

@@ -65,7 +65,8 @@ def _epoch_time(engine_name, cluster, overlap_pass, num_layers=4):
     )
     engine = make_engine(
         engine_name, graph, model, cluster,
-        comm=COMM, overlap_pass=overlap_pass, record_timeline=False,
+        comm=COMM, record_timeline=False,
+        program_passes=("overlap-exchange",) if overlap_pass else (),
     )
     return engine.charge_epoch()
 

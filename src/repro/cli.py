@@ -284,6 +284,7 @@ def cmd_train(args) -> int:
 def _requested_passes(args) -> tuple:
     names = []
     for attr, name in (
+        ("overlap_pass", "overlap-exchange"),
         ("fuse_pass", "fuse-scatter-gather"),
         ("pipeline_pass", "chunk-pipeline"),
         ("ring_pass", "ring-reorder"),
@@ -299,8 +300,6 @@ def cmd_explain_plan(args) -> int:
     from repro.execution import describe_program, render_program
 
     _, _, engine = _build(args, args.engine)
-    if getattr(args, "overlap_pass", False):
-        engine.overlap_pass = True
     engine.program_passes = _requested_passes(args)
     try:
         engine.plan()
@@ -325,8 +324,6 @@ def _explain_sampled(args) -> int:
     _, _, engine = _build(
         args, engine_name, **_sampling_kwargs(args, engine_name)
     )
-    if args.overlap_pass:
-        engine.overlap_pass = True
     engine.program_passes = _requested_passes(args)
     try:
         engine.plan()

@@ -28,7 +28,8 @@ _ENGINES = {
 
 
 def make_engine(name: str, graph, model, cluster, **kwargs):
-    """Build an engine by name (depcache | depcomm | hybrid | roc | distdgl)."""
+    """Build an engine by registered name: depcache | depcomm | hybrid |
+    hybrid4 | tp | roc | distdgl (alias sampling) | sampled."""
     try:
         engine_cls = _ENGINES[name.lower()]
     except KeyError:

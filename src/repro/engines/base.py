@@ -5,16 +5,15 @@ dependencies into cached ``R_i^l`` and communicated ``C_i^l`` sets
 (Section 3); subclasses implement :meth:`BaseEngine.decide_dependencies`
 and everything else is shared.
 
-This class is a thin façade over :mod:`repro.execution`: planning
-compiles the :class:`EnginePlan` into the per-layer dataflow
-:class:`~repro.execution.program.Program` (Section 4), numeric paths
-live on the :class:`~repro.execution.executor.LayerExecutor`, timeline
-charging on the :class:`~repro.execution.accountant.LayerAccountant`,
-and optimization passes (:mod:`repro.execution.passes`) annotate the
-program.  The historical hook methods (``_forward``,
-``_charge_forward_layer``, ...) remain as one-line shims so subclass
-overrides and external callers keep working unchanged.  Numerics are
-real; time is modeled per DESIGN.md section 5.
+An engine is that strategy plus what a run needs: constructor
+validation, ``plan`` / ``replan`` / ``respawn``, resilience and
+cache-lifecycle state, and the public ``run_epoch`` / ``evaluate`` /
+``charge_epoch`` protocol.  Planning compiles the :class:`EnginePlan`
+into the dataflow :class:`~repro.execution.program.Program` (Section
+4); numerics run on ``engine.executor``, timeline charging on
+``engine.accountant``, whose class a baseline with different data
+management replaces via ``accountant_cls``.  Numerics are real; time
+is modeled per DESIGN.md section 5.
 """
 
 from __future__ import annotations
@@ -28,15 +27,12 @@ from repro.cache.historical import HistoricalEmbeddingCache
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import CPU, IDLE, Timeline
 from repro.comm.scheduler import CommOptions, ExchangeStats
-from repro.core.blocks import LayerBlock
 from repro.core.model import GNNModel
 from repro.costmodel.probe import ProbeResult, probe_constants
 from repro.execution.accountant import (
-    BACKWARD_MULTIPLIER,
     HOST_MEMORY_BYTES,
     LayerAccountant,
     account_memory,
-    max_chunk_edges,
 )
 from repro.execution.executor import LayerExecutor
 from repro.execution.passes import run_passes
@@ -56,8 +52,7 @@ from repro.resilience.injector import FaultInjector
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
-    "BACKWARD_MULTIPLIER", "HOST_MEMORY_BYTES",
-    "BaseEngine", "EnginePlan", "EpochReport",
+    "HOST_MEMORY_BYTES", "BaseEngine", "EnginePlan", "EpochReport",
 ]
 
 
@@ -66,9 +61,10 @@ class BaseEngine:
 
     ``graph`` must be prepared (e.g. ``gcn_normalized()``); ``model`` is
     the shared replica; ``partitioning`` defaults to chunk-based;
-    ``comm`` selects the R/L/P optimizations; ``overlap_pass`` enables
-    the Section-5.4 comm/compute overlap program pass (off by default,
-    and off means charging is bit-identical to the pre-pass engine).
+    ``comm`` selects the R/L/P optimizations; ``program_passes`` names
+    the optimization passes to run over the compiled program (none by
+    default, and none means charging is bit-identical to the pre-pass
+    engine).
     """
 
     name = "base"
@@ -77,6 +73,9 @@ class BaseEngine:
     chunked_execution = True
     tape_location = "host"  # autograd tape home (Section 5.8)
     tape_multiplier = 1.0  # extra edge buffers sans free-after-use
+    # What charges this engine's execution to the timeline; baselines
+    # with their own data management register a subclass.
+    accountant_cls = LayerAccountant
 
     def __init__(
         self,
@@ -91,7 +90,6 @@ class BaseEngine:
         update_mode: str = "allreduce",
         retry: Optional[RetryPolicy] = None,
         cache_config: Optional[CacheConfig] = None,
-        overlap_pass: bool = False,
         program_passes: Optional[Tuple[str, ...]] = None,
     ):
         if update_mode not in ("allreduce", "parameter-server"):
@@ -115,7 +113,6 @@ class BaseEngine:
             raise ValueError("partitioning does not match cluster size")
         self.comm = comm
         self.update_mode = update_mode
-        self.overlap_pass = bool(overlap_pass)
         self.program_passes = tuple(program_passes or ())
         # A truthy fault schedule activates the fault-aware charging
         # paths; otherwise charging is bit-identical to fault-free.
@@ -147,7 +144,7 @@ class BaseEngine:
         self.plan_: Optional[EnginePlan] = None
         self.program_: Optional[Program] = None
         self.executor = LayerExecutor(self)
-        self.accountant = LayerAccountant(self)
+        self.accountant = self.accountant_cls(self)
         self._epoch = 0
         # Position lookup of every vertex inside its owner's sorted set.
         self._owner_pos = np.zeros(graph.num_vertices, dtype=np.int64)
@@ -177,21 +174,11 @@ class BaseEngine:
             # artefacts (those cascade into all-cache decisions).
             self.constants = probe_constants(self.cluster, self.model)
         plan = build_engine_plan(self)
-        self._account_memory(plan)
+        account_memory(self, plan)
         self.plan_ = plan
         self.program_ = run_passes(compile_program(self, plan), self)
         self._hist_caches = build_historical_caches(self, plan)
         return plan
-
-    @property
-    def _pos_in_compute(self) -> List[List[np.ndarray]]:
-        """Per (layer, worker) vertex -> compute-set row (-1 if absent)."""
-        return self.program_.pos_in_compute
-
-    @property
-    def _stale_rows(self) -> List[List[Optional[np.ndarray]]]:
-        """Per (layer, worker) block-input row positions of H_i^l."""
-        return self.program_.stale_rows
 
     @property
     def _cache_active(self) -> bool:
@@ -236,7 +223,7 @@ class BaseEngine:
             update_mode=self.update_mode,
             retry=self.retry,
             cache_config=self.cache_config,
-            overlap_pass=self.overlap_pass, program_passes=self.program_passes,
+            program_passes=self.program_passes,
         )
 
     def respawn(
@@ -329,71 +316,16 @@ class BaseEngine:
             self._force_refresh = False
         return self._cache_refreshing
 
-    # -- execution shims: numeric paths on the executor.  Real methods
-    # (not re-exports) so subclass overrides / super() chains compose.
+    # -- the epoch protocol trainers, sweeps and benchmarks call ----
     def run_epoch(self, optimizer=None) -> EpochReport:
         """One full-batch training epoch (forward, loss, backward, update)."""
         return self.executor.run_epoch(optimizer=optimizer)
-
-    def _forward(self, plan: EnginePlan, training: bool):
-        return self.executor.forward(plan, training)
-
-    def _gather_inputs(self, plan, h_values, l, w, block: LayerBlock):
-        return self.executor.gather_inputs(plan, h_values, l, w, block)
-
-    def _apply_historical_cache(self, l, w, block: LayerBlock, rows) -> None:
-        self.executor.apply_historical_cache(l, w, block, rows)
-
-    def _compute_loss(self, plan, out_tensors):
-        return self.executor.compute_loss(plan, out_tensors)
-
-    def _backward(self, plan, in_tensors, out_tensors, loss_tensors) -> None:
-        self.executor.backward(plan, in_tensors, out_tensors, loss_tensors)
-
-    def _route_input_grads(self, plan, grad_acc, l, w, grad_rows) -> None:
-        self.executor.route_input_grads(plan, grad_acc, l, w, grad_rows)
-
-    def _accumulate(self, plan, grad_acc, layer_idx, worker, positions, rows):
-        self.executor.accumulate(plan, grad_acc, layer_idx, worker, positions, rows)
 
     def evaluate(self, mask: Optional[np.ndarray] = None) -> float:
         """Accuracy over ``mask`` (default: test mask), forward-only."""
         return self.executor.evaluate(mask=mask)
 
-    # -- accounting shims: timeline charging on the accountant ----
-    def _layer_compute_split(self, plan: EnginePlan, l: int):
-        return self.accountant.layer_compute_split(plan, l)
-
-    def _forward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
-        return self.accountant.forward_volumes(plan, l)
-
-    def _backward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
-        return self.accountant.backward_volumes(plan, l)
-
-    def _cache_traffic(self, plan: EnginePlan, l: int, backward: bool):
-        return self.accountant.cache_traffic(plan, l, backward)
-
-    def _charge_forward_layer(self, plan: EnginePlan, l: int) -> ExchangeStats:
-        return self.accountant.charge_forward_layer(plan, l)
-
-    def _charge_backward_layer(self, plan: EnginePlan, l: int) -> None:
-        self.accountant.charge_backward_layer(plan, l)
-
-    def _charge_allreduce(self) -> None:
-        self.accountant.charge_allreduce()
-
-    def _account_memory(self, plan: EnginePlan) -> None:
-        account_memory(self, plan)
-
-    def _max_chunk_edges(self, plan: EnginePlan, l: int, w: int) -> int:
-        return max_chunk_edges(self, plan, l, w)
-
     def charge_epoch(self) -> float:
         """Charge one epoch's modeled time WITHOUT numerical execution
-        (one accountant implementation, shared with
-        :meth:`epoch_time_estimate`, so the two cannot drift)."""
-        return self.accountant.charge_epoch()
-
-    def epoch_time_estimate(self) -> float:
-        """Modeled seconds for one epoch (timing-only fast path)."""
+        (the same per-layer accountant charges ``run_epoch`` makes)."""
         return self.accountant.charge_epoch()

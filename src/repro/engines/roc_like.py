@@ -16,9 +16,68 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.scheduler import CommOptions
+from repro.cluster.timeline import CPU
+from repro.comm.scheduler import CommOptions, ExchangeStats
 from repro.engines.base import EnginePlan
 from repro.engines.depcomm import DepCommEngine
+from repro.execution.accountant import LayerAccountant
+
+
+class RocAccountant(LayerAccountant):
+    """ROC's data management: broadcast whole blocks, filter on receipt,
+    keep every received block resident."""
+
+    # CPU rate at which a receiver scans a broadcast block to pick out
+    # the dependencies it actually needs (the paper: "the remote workers
+    # pick the necessary dependencies from the block").
+    _FILTER_BYTES_PER_S = 2.0e9
+
+    def forward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
+        """Every worker broadcasts its whole partition block."""
+        engine = self.engine
+        m = engine.cluster.num_workers
+        volumes = np.zeros((m, m))
+        d = engine.dims[l - 1]
+        for s in range(m):
+            block_bytes = len(engine.partitioning.part(s)) * d * 4
+            for r in range(m):
+                if r != s:
+                    volumes[s, r] = block_bytes
+        return volumes
+
+    def _charge_block_filtering(self, plan: EnginePlan, l: int) -> None:
+        """Receiver-side cost of scanning every peer's broadcast block
+        and staging it over PCIe -- ROC's defining inefficiency."""
+        engine = self.engine
+        volumes = self.forward_volumes(plan, l)
+        for r in range(engine.cluster.num_workers):
+            total = 0.0
+            for block_bytes in volumes[:, r]:
+                total += (
+                    block_bytes / self._FILTER_BYTES_PER_S
+                    + engine.cluster.device.transfer_time(block_bytes)
+                )
+            engine.timeline.advance(r, CPU, float(total))
+
+    def charge_forward_layer(self, plan: EnginePlan, l: int) -> ExchangeStats:
+        self._charge_block_filtering(plan, l)
+        return super().charge_forward_layer(plan, l)
+
+    def charge_backward_layer(self, plan: EnginePlan, l: int) -> None:
+        if l > 1:
+            self._charge_block_filtering(plan, l)
+        super().charge_backward_layer(plan, l)
+
+    def account_resident_extras(self, plan: EnginePlan) -> None:
+        # Received peer blocks stay resident on the device while the
+        # layer executes: (|V| - |V_own|) rows of the widest layer.
+        engine = self.engine
+        widest = max(engine.dims[:-1])
+        for w, tracker in enumerate(plan.device_memory):
+            remote_rows = engine.graph.num_vertices - len(
+                engine.partitioning.part(w)
+            )
+            tracker.allocate(remote_rows * widest * 4, "received_blocks")
 
 
 class RocLikeEngine(DepCommEngine):
@@ -30,65 +89,8 @@ class RocLikeEngine(DepCommEngine):
     # ROC keeps separate forward and backward edge buffers plus receive
     # staging (no free-after-use chunk management).
     tape_multiplier = 2.5
+    accountant_cls = RocAccountant
 
     def __init__(self, *args, **kwargs):
         kwargs["comm"] = CommOptions.none()
         super().__init__(*args, **kwargs)
-
-    def _forward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
-        """Every worker broadcasts its whole partition block."""
-        m = self.cluster.num_workers
-        volumes = np.zeros((m, m))
-        d = self.dims[l - 1]
-        for s in range(m):
-            block_bytes = len(self.partitioning.part(s)) * d * 4
-            for r in range(m):
-                if r != s:
-                    volumes[s, r] = block_bytes
-        return volumes
-
-    def _backward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
-        if l > 1:
-            return self._forward_volumes(plan, l).T
-        return np.zeros((self.cluster.num_workers,) * 2)
-
-    # CPU rate at which a receiver scans a broadcast block to pick out
-    # the dependencies it actually needs (the paper: "the remote workers
-    # pick the necessary dependencies from the block").
-    _FILTER_BYTES_PER_S = 2.0e9
-
-    def _charge_block_filtering(self, l: int) -> None:
-        """Receiver-side cost of scanning every peer's broadcast block
-        and staging it over PCIe -- ROC's defining inefficiency."""
-        from repro.cluster.timeline import CPU
-
-        m = self.cluster.num_workers
-        for r in range(m):
-            total = 0.0
-            for s in range(m):
-                if s == r:
-                    continue
-                block_bytes = len(self.partitioning.part(s)) * self.dims[l - 1] * 4
-                total += (
-                    block_bytes / self._FILTER_BYTES_PER_S
-                    + self.cluster.device.transfer_time(block_bytes)
-                )
-            self.timeline.advance(r, CPU, total)
-
-    def _charge_forward_layer(self, plan: EnginePlan, l: int) -> None:
-        self._charge_block_filtering(l)
-        super()._charge_forward_layer(plan, l)
-
-    def _charge_backward_layer(self, plan: EnginePlan, l: int) -> None:
-        if l > 1:
-            self._charge_block_filtering(l)
-        super()._charge_backward_layer(plan, l)
-
-    def _account_memory(self, plan: EnginePlan) -> None:
-        super()._account_memory(plan)
-        # Received peer blocks stay resident on the device while the
-        # layer executes: (|V| - |V_own|) rows of the widest layer.
-        widest = max(self.dims[:-1])
-        for w, tracker in enumerate(plan.device_memory):
-            remote_rows = self.graph.num_vertices - len(self.partitioning.part(w))
-            tracker.allocate(remote_rows * widest * 4, "received_blocks")

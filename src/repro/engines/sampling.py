@@ -4,8 +4,9 @@ Reproduces the defining behaviours of DistDGL (Section 2.2, 5.3) as
 one configuration of :class:`~repro.sampling.SampledTrainingEngine`:
 
 - uniform neighborhood sampling with a (10, 25) fanout, drawn from the
-  single sequential RNG stream the pre-subsystem engine used
-  (``legacy_rng=True``), so loss trajectories reproduce bit for bit;
+  single sequential RNG stream the pre-subsystem engine used (a
+  :class:`~repro.sampling.samplers.LegacyStreamSampler`), so loss
+  trajectories reproduce bit for bit;
 - mini-batch synchronous SGD over each worker's training vertices;
 - per-batch *sampling RPCs* against the distributed graph store
   (``rpc_accounting=True``): the id-plane round trips and payloads
@@ -33,6 +34,7 @@ from repro.core.model import GNNModel
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
 from repro.sampling.engine import SampledTrainingEngine
+from repro.sampling.samplers import LegacyStreamSampler
 
 
 class SamplingEngine(SampledTrainingEngine):
@@ -53,6 +55,9 @@ class SamplingEngine(SampledTrainingEngine):
         seed: int = 0,
         **kwargs,
     ):
+        # A respawned clone arrives with its predecessor's sampler.
+        kwargs.setdefault("sampler", LegacyStreamSampler(fanouts, seed=seed))
+        kwargs.setdefault("rpc_accounting", True)
         super().__init__(
             graph,
             model,
@@ -63,10 +68,6 @@ class SamplingEngine(SampledTrainingEngine):
             batch_size=batch_size,
             record_timeline=record_timeline,
             seed=seed,
-            sampler="uniform",
-            kappa=kwargs.pop("kappa", 0.0),
-            rpc_accounting=True,
-            legacy_rng=True,
             **kwargs,
         )
 
@@ -78,9 +79,7 @@ class SamplingEngine(SampledTrainingEngine):
         ``blocks[l-1]`` computes layer ``l``; blocks are built top
         (layer L) first, so lower layers cover the expanded frontier.
         """
-        closure = self.sampler.sample_batch(
-            self.graph, seeds, worker=worker, legacy_rng=self.rng
-        )
+        closure = self.sampler.sample_batch(self.graph, seeds, worker=worker)
         owners = self.assignment[closure.blocks[0].input_vertices]
         return (
             closure.blocks,

@@ -23,10 +23,39 @@ import numpy as np
 from repro.cluster.spec import ClusterSpec
 from repro.comm.scheduler import CommOptions
 from repro.engines.base import BaseEngine, EnginePlan
+from repro.execution.accountant import LayerAccountant
 
 # Extra working memory DGL/PyG-style full-graph execution needs beyond
 # the tape (workspace for segment ops and autograd temporaries).
 _FRAMEWORK_OVERHEAD = 1.15
+
+
+class SharedMemoryAccountant(LayerAccountant):
+    """The memory model that tells DGL, PyG and single-node NTS apart."""
+
+    def account_resident_extras(self, plan: EnginePlan) -> None:
+        engine = self.engine
+        tracker = plan.device_memory[0]
+        if engine.variant == "pyg":
+            # PyG stores the graph as a dense |V| x |V| matrix.  The
+            # quadratic term under-scales when vertex counts are scaled
+            # down by s (linear terms shrink by s, quadratic by s^2), so
+            # the scaled stand-in is 4 * V * paper_V bytes -- the same
+            # value relative to the linear terms as at paper scale.
+            n = engine.graph.num_vertices
+            paper_n = max(engine.paper_num_vertices, n)
+            tracker.allocate(4 * n * paper_n, "dense_adjacency")
+        if engine.variant in ("dgl", "pyg"):
+            overhead = int(tracker.used_bytes * (_FRAMEWORK_OVERHEAD - 1.0))
+            tracker.allocate(overhead, "framework_workspace")
+
+    def max_chunk_edges(self, plan: EnginePlan, l: int, w: int) -> int:
+        """NTS single-node splits edges into fixed-size source chunks."""
+        if self.engine.variant != "nts":
+            return super().max_chunk_edges(plan, l, w)
+        block = plan.blocks[l - 1][w]
+        num_chunks = 16
+        return int(np.ceil(block.num_edges / num_chunks))
 
 
 class SharedMemoryEngine(BaseEngine):
@@ -34,6 +63,7 @@ class SharedMemoryEngine(BaseEngine):
 
     name = "shared-memory"
     VARIANTS = ("dgl", "pyg", "nts")
+    accountant_cls = SharedMemoryAccountant
 
     def __init__(
         self,
@@ -66,27 +96,3 @@ class SharedMemoryEngine(BaseEngine):
     ) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
         empty = [np.empty(0, dtype=np.int64) for _ in range(self.num_layers)]
         return empty, [e.copy() for e in empty], 0.0
-
-    def _account_memory(self, plan: EnginePlan) -> None:
-        super()._account_memory(plan)
-        tracker = plan.device_memory[0]
-        if self.variant == "pyg":
-            # PyG stores the graph as a dense |V| x |V| matrix.  The
-            # quadratic term under-scales when vertex counts are scaled
-            # down by s (linear terms shrink by s, quadratic by s^2), so
-            # the scaled stand-in is 4 * V * paper_V bytes -- the same
-            # value relative to the linear terms as at paper scale.
-            n = self.graph.num_vertices
-            paper_n = max(self.paper_num_vertices, n)
-            tracker.allocate(4 * n * paper_n, "dense_adjacency")
-        if self.variant in ("dgl", "pyg"):
-            overhead = int(tracker.used_bytes * (_FRAMEWORK_OVERHEAD - 1.0))
-            tracker.allocate(overhead, "framework_workspace")
-
-    def _max_chunk_edges(self, plan: EnginePlan, l: int, w: int) -> int:
-        """NTS single-node splits edges into fixed-size source chunks."""
-        if self.variant != "nts":
-            return super()._max_chunk_edges(plan, l, w)
-        block = plan.blocks[l - 1][w]
-        num_chunks = 16
-        return int(np.ceil(block.num_edges / num_chunks))

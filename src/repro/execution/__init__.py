@@ -15,7 +15,6 @@ from repro.execution.accountant import (
     HOST_MEMORY_BYTES,
     LayerAccountant,
     account_memory,
-    max_chunk_edges,
 )
 from repro.execution.executor import (
     LayerExecutor,
@@ -30,7 +29,6 @@ from repro.execution.passes import (
     OverlapExchangePass,
     ProgramPass,
     RingReorderPass,
-    default_passes,
     make_pass,
     run_passes,
 )
@@ -93,11 +91,9 @@ __all__ = [
     "build_historical_caches",
     "build_tp_layer_program",
     "compile_program",
-    "default_passes",
     "describe_program",
     "layer_compute_specs",
     "make_pass",
-    "max_chunk_edges",
     "render_program",
     "run_closure_forward",
     "run_passes",

@@ -8,11 +8,11 @@ timing-only epoch fast path.  The executor (:mod:`.executor`) produces
 numbers; the accountant produces time -- the split the unified
 execution layer exists for.
 
-Dispatch still flows through the engine's historical hook methods
-(``_forward_volumes``, ``_layer_compute_split``, ``_cache_traffic``,
-...), which are now one-line shims onto this class: subclasses that
-override a hook (ROC's broadcast volumes, shared-memory chunk sizing)
-keep winning, exactly as before the refactor.
+The accountant dispatches on itself.  A baseline whose data management
+differs from NeutronStar's -- what it ships, what stays resident --
+subclasses :class:`LayerAccountant` and registers the subclass as its
+engine's ``accountant_cls`` (ROC's broadcast volumes and block
+filtering, the shared-memory variants' residency and chunk sizing).
 
 Seconds are evaluated at *charge time* against ``engine._device(w)``
 (the device view under straggler faults), never baked into the IR.
@@ -117,7 +117,7 @@ class LayerAccountant:
     def backward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
         """Byte-volume matrix of layer ``l``'s gradient return."""
         if l > 1:
-            return self.engine._forward_volumes(plan, l).T
+            return self.forward_volumes(plan, l).T
         return np.zeros((self.engine.cluster.num_workers,) * 2)
 
     def cache_traffic(
@@ -153,8 +153,8 @@ class LayerAccountant:
             from repro.execution.tp import tp_charge_forward_layer
 
             return tp_charge_forward_layer(self, plan, l)
-        volumes = engine._forward_volumes(plan, l)
-        chunk_compute, local_compute, dense = engine._layer_compute_split(plan, l)
+        volumes = self.forward_volumes(plan, l)
+        chunk_compute, local_compute, dense = self.layer_compute_split(plan, l)
         depth, staggered = self._exchange_schedule(plan, l)
         stats = run_exchange(
             engine.timeline,
@@ -167,7 +167,7 @@ class LayerAccountant:
             bytes_per_message=engine.dims[l - 1] * 4,
             faults=engine.faults,
             retry=engine.retry,
-            cache=engine._cache_traffic(plan, l, backward=False),
+            cache=self.cache_traffic(plan, l, backward=False),
             pipeline_depth=depth,
             staggered=staggered,
         )
@@ -277,11 +277,11 @@ class LayerAccountant:
 
             tp_charge_backward_layer(self, plan, l)
             return
-        chunk_compute, local_compute, dense = engine._layer_compute_split(plan, l)
+        chunk_compute, local_compute, dense = self.layer_compute_split(plan, l)
         compute = (
             chunk_compute.sum(axis=0) + local_compute + dense
         ) * BACKWARD_MULTIPLIER
-        volumes = engine._backward_volumes(plan, l)
+        volumes = self.backward_volumes(plan, l)
         # The gradient return retraces the forward schedule, so the
         # pass-written ring/pipeline annotations apply symmetrically.
         depth, staggered = self._exchange_schedule(plan, l)
@@ -296,7 +296,7 @@ class LayerAccountant:
             bytes_per_message=engine.dims[l - 1] * 4,
             faults=engine.faults,
             retry=engine.retry,
-            cache=engine._cache_traffic(plan, l, backward=True),
+            cache=self.cache_traffic(plan, l, backward=True),
             pipeline_depth=depth,
             staggered=staggered,
         )
@@ -379,7 +379,7 @@ class LayerAccountant:
         engine._forward_stats = []
         t_start = engine._sync()
         for l in range(1, engine.num_layers + 1):
-            engine._charge_forward_layer(plan, l)
+            self.charge_forward_layer(plan, l)
             engine._sync()
         if engine.graph.train_mask is not None:
             for w in range(engine.cluster.num_workers):
@@ -388,11 +388,26 @@ class LayerAccountant:
                 self.charge_loss(w, mine)
         engine._sync()
         for l in range(engine.num_layers, 0, -1):
-            engine._charge_backward_layer(plan, l)
+            self.charge_backward_layer(plan, l)
             engine._sync()
-        engine._charge_allreduce()
+        self.charge_allreduce()
         engine._epoch += 1
         return engine._sync() - t_start
+
+    # -- memory --------------------------------------------------------
+    def max_chunk_edges(self, plan: EnginePlan, l: int, w: int) -> int:
+        """Largest per-source-worker edge chunk in worker ``w``'s block."""
+        engine = self.engine
+        block = plan.blocks[l - 1][w]
+        if block.num_edges == 0:
+            return 0
+        owners = engine.assignment[block.edge_src_global]
+        counts = np.bincount(owners, minlength=engine.cluster.num_workers)
+        return int(counts.max())
+
+    def account_resident_extras(self, plan: EnginePlan) -> None:
+        """What this engine keeps resident beyond the shared memory
+        model; :func:`account_memory` calls it last.  Nothing here."""
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +472,7 @@ def account_memory(engine, plan: EnginePlan) -> None:
                 # Tape edge tensors live in host memory; the device
                 # holds one source-chunk working set at a time.
                 tape.allocate(edge_bytes, f"edge_tape_l{l}")
-                chunk_edges = engine._max_chunk_edges(plan, l, w)
+                chunk_edges = engine.accountant.max_chunk_edges(plan, l, w)
                 if block.num_edges:
                     chunk_bytes = int(
                         edge_bytes * chunk_edges / block.num_edges
@@ -483,12 +498,4 @@ def account_memory(engine, plan: EnginePlan) -> None:
                 "chunk_working_set",
             )
 
-
-def max_chunk_edges(engine, plan: EnginePlan, l: int, w: int) -> int:
-    """Largest per-source-worker edge chunk in worker ``w``'s block."""
-    block = plan.blocks[l - 1][w]
-    if block.num_edges == 0:
-        return 0
-    owners = engine.assignment[block.edge_src_global]
-    counts = np.bincount(owners, minlength=engine.cluster.num_workers)
-    return int(counts.max())
+    engine.accountant.account_resident_extras(plan)

@@ -8,10 +8,9 @@ staleness-bounded cached-read path.  The accountant
 program into modeled seconds -- so an engine epoch is the executor and
 accountant walking the program together.
 
-As with the accountant, value-affecting calls dispatch through the
-engine's historical hook methods (``_gather_inputs``,
-``_apply_historical_cache``, ``_route_input_grads``, ...), now one-line
-shims onto this class, so subclass overrides keep working.
+Every engine runs these numerics unchanged -- the strategies differ in
+the plan they fill, the baselines in their accountant -- so the executor
+calls its own methods and has no per-engine subclass.
 
 :class:`StalenessBoundedReader` is the one code path for
 bounded-staleness reads: training gathers override rows through it and
@@ -144,18 +143,18 @@ class LayerExecutor:
 
         engine._in_training_forward = True
         try:
-            h_values, in_tensors, out_tensors = engine._forward(
+            h_values, in_tensors, out_tensors = self.forward(
                 plan, training=True
             )
         finally:
             engine._in_training_forward = False
-        loss_value, loss_tensors = engine._compute_loss(plan, out_tensors)
+        loss_value, loss_tensors = self.compute_loss(plan, out_tensors)
         t_forward = engine._sync()
 
-        engine._backward(plan, in_tensors, out_tensors, loss_tensors)
+        self.backward(plan, in_tensors, out_tensors, loss_tensors)
         t_backward = engine._sync()
 
-        engine._charge_allreduce()
+        engine.accountant.charge_allreduce()
         if optimizer is not None:
             optimizer.step()
             optimizer.zero_grad()
@@ -192,7 +191,7 @@ class LayerExecutor:
             [None] * m for _ in range(engine.num_layers)
         ]
         for l in range(1, engine.num_layers + 1):
-            engine._charge_forward_layer(plan, l)
+            engine.accountant.charge_forward_layer(plan, l)
             layer = engine.model.layer(l)
             tp = plan.is_tp_layer(l)
             # FuseScatterGatherPass lowers the layer to the fused
@@ -215,7 +214,7 @@ class LayerExecutor:
                     out_tensors[l - 1][w] = out_tensors[l - 1][0]
                     continue
                 block = plan.blocks[l - 1][w]
-                rows = engine._gather_inputs(plan, h_values, l, w, block)
+                rows = self.gather_inputs(plan, h_values, l, w, block)
                 # Layer-1 inputs are raw features: nothing routes a
                 # gradient into them, so the tape skips their adjoint.
                 h_in = Tensor(rows, requires_grad=training and l > 1)
@@ -251,7 +250,7 @@ class LayerExecutor:
             # bit-identical to a fresh fetch; no override needed.
             return engine.graph.features[ids]
         rows = np.empty((len(ids), engine.dims[l - 1]), dtype=np.float32)
-        pos_local = engine._pos_in_compute[l - 2][w][ids]
+        pos_local = engine.program_.pos_in_compute[l - 2][w][ids]
         local = pos_local >= 0
         if local.any():
             rows[local] = h_values[l - 1][w][pos_local[local]]
@@ -260,13 +259,13 @@ class LayerExecutor:
             owners = engine.assignment[remote_ids]
             for j in np.unique(owners):
                 sel = owners == j
-                pos = engine._pos_in_compute[l - 2][j][remote_ids[sel]]
+                pos = engine.program_.pos_in_compute[l - 2][j][remote_ids[sel]]
                 if (pos < 0).any():
                     raise RuntimeError(
                         "owner did not compute a vertex it owns (plan bug)"
                     )
                 rows[np.where(~local)[0][sel]] = h_values[l - 1][j][pos]
-        engine._apply_historical_cache(l, w, block, rows)
+        self.apply_historical_cache(l, w, block, rows)
         return rows
 
     def apply_historical_cache(
@@ -284,7 +283,7 @@ class LayerExecutor:
         engine = self.engine
         if not engine._cache_active or l < 2:
             return
-        srows = engine._stale_rows[l - 1][w]
+        srows = engine.program_.stale_rows[l - 1][w]
         if srows is None or len(srows) == 0:
             return
         reader = self._reader(w)
@@ -310,7 +309,7 @@ class LayerExecutor:
             if len(mine) == 0:
                 loss_tensors.append(None)
                 continue
-            rows = engine._pos_in_compute[engine.num_layers - 1][w][mine]
+            rows = engine.program_.pos_in_compute[-1][w][mine]
             logits = out_tensors[engine.num_layers - 1][w][rows]
             log_probs = F.log_softmax(logits, axis=-1)
             picked = log_probs[
@@ -345,15 +344,15 @@ class LayerExecutor:
                 if l > 1 and not tp:
                     grad_in = in_tensors[l - 1][w].grad
                     if grad_in is not None:
-                        engine._route_input_grads(plan, grad_acc, l, w, grad_in)
+                        self.route_input_grads(plan, grad_acc, l, w, grad_in)
             if l > 1 and tp:
                 # TP layer: tensors are aliased across workers, so the
                 # shared input grad (all per-worker loss/seed backwards
                 # have accumulated into it by now) routes exactly once.
                 grad_in = in_tensors[l - 1][0].grad
                 if grad_in is not None:
-                    engine._route_input_grads(plan, grad_acc, l, 0, grad_in)
-            engine._charge_backward_layer(plan, l)
+                    self.route_input_grads(plan, grad_acc, l, 0, grad_in)
+            engine.accountant.charge_backward_layer(plan, l)
             engine._sync()
 
     def route_input_grads(self, plan, grad_acc, l, w, grad_rows):
@@ -370,14 +369,14 @@ class LayerExecutor:
         engine = self.engine
         block = plan.blocks[l - 1][w]
         ids = block.input_vertices
-        pos_local = engine._pos_in_compute[l - 2][w][ids]
+        pos_local = engine.program_.pos_in_compute[l - 2][w][ids]
         local = pos_local >= 0
-        engine._accumulate(
+        self.accumulate(
             plan, grad_acc, l - 2, w, pos_local[local], grad_rows[local]
         )
         push = ~local
         if engine._cache_active and not engine._cache_refreshing:
-            srows = engine._stale_rows[l - 1][w]
+            srows = engine.program_.stale_rows[l - 1][w]
             if srows is not None and len(srows):
                 push = push.copy()
                 push[srows] = False
@@ -388,8 +387,8 @@ class LayerExecutor:
         owners = engine.assignment[remote_ids]
         for j in np.unique(owners):
             sel = owners == j
-            pos = engine._pos_in_compute[l - 2][j][remote_ids[sel]]
-            engine._accumulate(plan, grad_acc, l - 2, j, pos, remote_rows[sel])
+            pos = engine.program_.pos_in_compute[l - 2][j][remote_ids[sel]]
+            self.accumulate(plan, grad_acc, l - 2, j, pos, remote_rows[sel])
 
     def accumulate(self, plan, grad_acc, layer_idx, worker, positions, rows):
         engine = self.engine
@@ -421,7 +420,7 @@ class LayerExecutor:
             mask = engine.graph.test_mask
         if mask is None:
             raise ValueError("graph has no test mask; call set_split()")
-        h_values, _, out_tensors = engine._forward(plan, training=False)
+        h_values, _, out_tensors = self.forward(plan, training=False)
         correct = 0
         total = 0
         L = engine.num_layers
@@ -430,7 +429,7 @@ class LayerExecutor:
             mine = owned[mask[owned]]
             if len(mine) == 0:
                 continue
-            rows = engine._pos_in_compute[L - 1][w][mine]
+            rows = engine.program_.pos_in_compute[L - 1][w][mine]
             predictions = h_values[L][w][rows].argmax(axis=1)
             correct += int((predictions == engine.graph.labels[mine]).sum())
             total += len(mine)

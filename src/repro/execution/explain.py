@@ -13,7 +13,8 @@ from typing import Dict, List
 from repro.execution.program import Program
 
 
-def _step_dict(step) -> Dict[str, object]:
+def step_dict(step) -> Dict[str, object]:
+    """One program step as JSON: its ``kind`` plus every field."""
     d = {"kind": step.kind}
     for name, value in vars(step).items():
         d[name] = int(value) if isinstance(value, (int,)) else value
@@ -47,7 +48,7 @@ def describe_program(engine) -> Dict[str, object]:
         for wp in lp.workers:
             workers.append({
                 "worker": wp.worker,
-                "steps": [_step_dict(s) for s in wp.steps],
+                "steps": [step_dict(s) for s in wp.steps],
                 "recv_chunks": fold_ex.recv_chunks(wp.worker),
                 "fold_dense": bool(fold_ex.fold_dense[wp.worker]),
                 "num_stale_rows": (

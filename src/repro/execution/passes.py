@@ -40,8 +40,6 @@ program charges and executes bit-identically to the pre-pass engine.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.execution.program import FusedScatterGatherStep, Program
 
 
@@ -165,9 +163,8 @@ class RingReorderPass(ProgramPass):
                     ex.ring_order = order
 
 
-# Constructors for the optional passes an engine can name in its
-# ``program_passes`` tuple (``overlap_pass=True`` remains the switch
-# for OverlapExchangePass, kept for compatibility).
+# Constructors for the passes an engine can name in its
+# ``program_passes`` tuple.
 PASS_REGISTRY = {
     OverlapExchangePass.name: OverlapExchangePass,
     FuseScatterGatherPass.name: FuseScatterGatherPass,
@@ -187,23 +184,11 @@ def make_pass(name: str) -> ProgramPass:
         ) from None
 
 
-def default_passes(engine) -> List[ProgramPass]:
-    """The pass list an engine's configuration enables."""
-    passes: List[ProgramPass] = []
-    if getattr(engine, "overlap_pass", False):
-        passes.append(OverlapExchangePass())
-    for name in getattr(engine, "program_passes", ()) or ():
-        passes.append(make_pass(name))
-    return passes
-
-
-def run_passes(
-    program: Program, engine, passes: Optional[List[ProgramPass]] = None
-) -> Program:
-    """Apply ``passes`` (default: the engine's) and record their names."""
-    if passes is None:
-        passes = default_passes(engine)
-    for p in passes:
+def run_passes(program: Program, engine) -> Program:
+    """Apply the passes ``engine.program_passes`` names, in order, and
+    record their names on the program."""
+    for name in engine.program_passes:
+        p = make_pass(name)
         p.run(program, engine)
         program.passes.append(p.name)
     return program

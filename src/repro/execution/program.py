@@ -317,7 +317,7 @@ def compile_program(engine, plan: EnginePlan) -> Program:
         refresh_ex = plan.refresh_exchanges[l - 1]
         exchange = ExchangePhase(
             layer=l,
-            volumes=engine._forward_volumes(plan, l),
+            volumes=engine.accountant.forward_volumes(plan, l),
             refresh_volumes=refresh_ex.volume_matrix(engine.dims[l - 1]),
             bytes_per_message=engine.dims[l - 1] * 4,
             refresh_entries=refresh_ex.total_vertices,

@@ -366,7 +366,7 @@ def tp_account_layer_memory(
     tape.allocate(edge_bytes, f"edge_tape_l{l}")
     if not engine.chunked_execution:
         return 0
-    chunk_edges = engine._max_chunk_edges(plan, l, w)
+    chunk_edges = engine.accountant.max_chunk_edges(plan, l, w)
     chunk_bytes = (
         int(edge_bytes * chunk_edges / block.num_edges)
         if block.num_edges

@@ -22,6 +22,7 @@ from repro.sampling.samplers import (
     SAMPLER_NAMES,
     LaborSampler,
     LadiesSampler,
+    LegacyStreamSampler,
     NeighborSampler,
     UniformFanoutSampler,
     make_sampler,
@@ -32,6 +33,7 @@ __all__ = [
     "SAMPLER_NAMES",
     "LaborSampler",
     "LadiesSampler",
+    "LegacyStreamSampler",
     "NeighborSampler",
     "ReuseState",
     "RoundTraffic",

@@ -4,9 +4,9 @@
 sampled round is charged exactly like a full-batch layer sweep: each
 round's closures compile (:mod:`repro.sampling.compile`) to an
 ``EnginePlan`` + ``Program`` installed as the engine's current plan,
-and the inherited accountant shims (``_charge_forward_layer`` and
-friends) price them through ``run_exchange`` — faults, retries, the
-overlap pass, and trace spans included.  Only the sampling phase itself
+and the engine's accountant (``charge_forward_layer`` and friends)
+prices them through ``run_exchange`` — faults, retries, the overlap
+pass, and trace spans included.  Only the sampling phase itself
 (CPU draw time + optional DistDGL-style id-plane RPC rounds) is charged
 by the :class:`~repro.sampling.costs.SamplingCostModel`, whose rates
 are derived from the probed ``T_e`` constants rather than hard-coded.
@@ -14,14 +14,15 @@ are derived from the probed ``T_e`` constants rather than hard-coded.
 Determinism: with the default keyed samplers every draw is a pure
 function of ``(seed, epoch, batch, ids)``, so two engines built with
 the same seed produce bit-identical losses *and* bit-identical charged
-timelines.  ``legacy_rng=True`` switches to the single sequential
-stream the pre-subsystem DistDGL engine used (the ``distdgl`` façade
-sets it to reproduce its golden trajectory bit for bit).
+timelines.  Passing a
+:class:`~repro.sampling.samplers.LegacyStreamSampler` as ``sampler``
+switches to the single sequential stream the pre-subsystem DistDGL
+engine used (the ``distdgl`` façade does, to reproduce its golden
+trajectory bit for bit).
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -42,7 +43,6 @@ from repro.sampling.costs import SamplingCostModel
 from repro.sampling.samplers import NeighborSampler, make_sampler
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
-from repro.utils.rng import derive_rng
 
 
 class SampledTrainingEngine(BaseEngine):
@@ -64,14 +64,13 @@ class SampledTrainingEngine(BaseEngine):
         feature_cache_bytes: int = 0,
         record_timeline: bool = False,
         seed: int = 0,
+        mu: float = 0.8,
+        memory_limit_bytes: Optional[int] = None,
         update_mode: str = "allreduce",
         retry=None,
         cache_config=None,
-        overlap_pass: bool = False,
         program_passes=None,
         rpc_accounting: bool = False,
-        legacy_rng: bool = False,
-        **_ignored,
     ):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) != model.num_layers:
@@ -79,8 +78,6 @@ class SampledTrainingEngine(BaseEngine):
         kappa = float(kappa)
         if not 0.0 <= kappa <= 1.0:
             raise ValueError(f"kappa must be in [0, 1], got {kappa}")
-        if legacy_rng and kappa > 0.0:
-            raise ValueError("legacy_rng cannot express kappa reuse")
         super().__init__(
             graph,
             model,
@@ -88,10 +85,11 @@ class SampledTrainingEngine(BaseEngine):
             partitioning=partitioning,
             comm=comm,
             record_timeline=record_timeline,
+            mu=mu,
+            memory_limit_bytes=memory_limit_bytes,
             update_mode=update_mode,
             retry=retry,
             cache_config=None,
-            overlap_pass=overlap_pass,
             program_passes=program_passes,
         )
         self.fanouts = fanouts
@@ -102,9 +100,6 @@ class SampledTrainingEngine(BaseEngine):
         if isinstance(sampler, str):
             sampler = make_sampler(sampler, fanouts, seed=self.seed)
         self.sampler: NeighborSampler = sampler
-        # Shared sequential stream for the legacy (pre-subsystem) draw
-        # order; None means keyed per-(epoch, batch, id) draws.
-        self.rng = derive_rng(self.seed) if legacy_rng else None
         # ``--cache-mb`` arrives as a CacheConfig; for sampled training
         # the budget pins hot remote *feature* rows instead of
         # historical embeddings.
@@ -122,12 +117,6 @@ class SampledTrainingEngine(BaseEngine):
         self._reuse: List[Optional[ReuseState]] = [None] * cluster.num_workers
         self._cost: Optional[SamplingCostModel] = None
         self.last_epoch_stats: Optional[Dict[str, float]] = None
-        # Legacy-stream rollback support: the sequential RNG's state at
-        # every completed-epoch boundary, so a checkpoint restore can
-        # rewind the draw order along with the weights.  Keyed samplers
-        # need none of this -- their draws are pure in (seed, epoch).
-        self._rng_states: Dict[int, dict] = {}
-        self._save_rng_state()
 
     # -- planning ------------------------------------------------------
     def plan(self):
@@ -151,11 +140,10 @@ class SampledTrainingEngine(BaseEngine):
         kwargs.update(
             fanouts=self.fanouts,
             batch_size=self.batch_size,
-            sampler=self.sampler.name,
+            sampler=self.sampler,
             kappa=self.kappa,
             seed=self.seed,
             rpc_accounting=self.rpc_accounting,
-            legacy_rng=self.rng is not None,
             feature_cache_bytes=(
                 self.feature_cache.capacity_bytes if self.feature_cache else 0
             ),
@@ -163,51 +151,22 @@ class SampledTrainingEngine(BaseEngine):
         return kwargs
 
     # -- sampler state (fault tolerance) -------------------------------
-    def _save_rng_state(self) -> None:
-        if self.rng is not None:
-            self._rng_states[self._epoch] = copy.deepcopy(
-                self.rng.bit_generator.state
-            )
-
     def sampler_state(self) -> Dict[str, object]:
-        """Checkpointable sampler state (epoch + legacy stream position).
-
-        Keyed samplers return ``legacy_rng=None``: their draws are pure
-        functions of ``(seed, epoch, batch, ids)``, so the epoch counter
-        alone pins them.
-        """
+        """Checkpointable sampler state: the epoch counter plus whatever
+        draw state the sampler carries (None for the keyed samplers)."""
         return {
             "epoch": self._epoch,
-            "legacy_rng": (
-                copy.deepcopy(self.rng.bit_generator.state)
-                if self.rng is not None
-                else None
-            ),
+            "sampler": self.sampler.checkpoint(self._epoch),
         }
 
     def load_sampler_state(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`sampler_state` snapshot (checkpoint path)."""
-        legacy = state.get("legacy_rng")
-        if self.rng is not None and legacy is not None:
-            self.rng.bit_generator.state = copy.deepcopy(legacy)
-            self._rng_states[int(state["epoch"])] = copy.deepcopy(legacy)
+        self.sampler.restore(int(state["epoch"]), state["sampler"])
 
     def rollback_to_epoch(self, epoch: int) -> None:
-        """Rewind the epoch counter *and* the legacy sampling stream.
-
-        Without this the sequential stream keeps the draws it made in
-        the epochs being rolled back, so the replay would sample
-        different mini-batches and the recovered trajectory would
-        silently diverge from an uninterrupted run.
-        """
+        """Rewind the epoch counter *and* the sampler's draw state."""
         super().rollback_to_epoch(epoch)
-        if self.rng is not None:
-            state = self._rng_states.get(epoch)
-            if state is not None:
-                self.rng.bit_generator.state = copy.deepcopy(state)
-            self._rng_states = {
-                e: s for e, s in self._rng_states.items() if e <= epoch
-            }
+        self.sampler.restore(epoch)
         self._reuse = [None] * self.cluster.num_workers
 
     # -- batching and sampling -----------------------------------------
@@ -219,12 +178,7 @@ class SampledTrainingEngine(BaseEngine):
             owned = self.partitioning.part(w)
             mine = owned[self.graph.train_mask[owned]]
             if shuffle:
-                rng = (
-                    self.rng
-                    if self.rng is not None
-                    else derive_rng(self.seed, "shuffle", self._epoch, w)
-                )
-                rng.shuffle(mine)
+                self.sampler.shuffle_rng(self._epoch, w).shuffle(mine)
             batches.append(
                 [
                     mine[i: i + self.batch_size]
@@ -244,7 +198,6 @@ class SampledTrainingEngine(BaseEngine):
             batch=batch,
             kappa=self.kappa,
             state=self._reuse[worker],
-            legacy_rng=self.rng,
         )
 
     # -- charging ------------------------------------------------------
@@ -341,11 +294,11 @@ class SampledTrainingEngine(BaseEngine):
                     )
                 loss_terms += len(closures)
                 for l in range(1, self.num_layers + 1):
-                    self._charge_forward_layer(plan, l)
+                    self.accountant.charge_forward_layer(plan, l)
                 for w, closure in closures.items():
                     self.accountant.charge_loss(w, len(closure.seeds))
                 for l in range(self.num_layers, 0, -1):
-                    self._charge_backward_layer(plan, l)
+                    self.accountant.charge_backward_layer(plan, l)
                 stats["num_batches"] += len(closures)
                 stats["remote_rows"] += traffic.remote_rows
                 stats["fetched_rows"] += traffic.fetch_rows
@@ -358,7 +311,7 @@ class SampledTrainingEngine(BaseEngine):
                     unique_remote.append(
                         inputs[self.assignment[inputs] != w]
                     )
-            self._charge_allreduce()
+            self.accountant.charge_allreduce()
             if m == 1:
                 self._sync()
         t_end = self._sync()
@@ -366,7 +319,7 @@ class SampledTrainingEngine(BaseEngine):
         self.plan_ = None
         self.program_ = None
         self._epoch += 1
-        self._save_rng_state()
+        self.sampler.checkpoint(self._epoch)
         stats["comm_bytes"] = comm_bytes
         if unique_remote:
             remote_mask = np.zeros(self.graph.num_vertices, dtype=bool)
@@ -398,9 +351,6 @@ class SampledTrainingEngine(BaseEngine):
         """Timing-only epoch (samples + compiles + charges, no tensors)."""
         return self._run_epoch_impl(None, numeric=False).epoch_time_s
 
-    def epoch_time_estimate(self) -> float:
-        return self.charge_epoch()
-
     # -- evaluation ----------------------------------------------------
     def evaluate(self, mask: Optional[np.ndarray] = None) -> float:
         """Sampled-inference accuracy (the sampling accuracy ceiling)."""
@@ -414,7 +364,7 @@ class SampledTrainingEngine(BaseEngine):
             seeds = targets[i: i + self.batch_size]
             closure = self.sampler.sample_batch(
                 self.graph, seeds, epoch=self._epoch, batch=batch,
-                kappa=0.0, state=None, legacy_rng=self.rng,
+                kappa=0.0, state=None,
             )
             logits = self._forward_closure(closure, training=False)
             rows = np.searchsorted(

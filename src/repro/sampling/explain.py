@@ -10,21 +10,22 @@ show (seed counts, per-layer frontier growth, kappa reuse fraction).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List
 
+from repro.execution.explain import step_dict
 from repro.execution.passes import run_passes
 from repro.sampling.closure import ReuseState
 from repro.sampling.compile import compile_round
-from repro.utils.rng import derive_rng
 
 
 def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
     """JSON-friendly description of the next ``num_batches`` rounds."""
     worker_batches = engine._worker_batches(shuffle=False)
     num_rounds = max((len(b) for b in worker_batches), default=0)
-    # Legacy engines draw from one shared sequential stream; dry-run
-    # with a fresh clone so the engine's own stream is untouched.
-    legacy = derive_rng(engine.seed) if engine.rng is not None else None
+    # A sampler may carry a sequential stream; dry-run on a clone so
+    # the engine's own draw state is untouched.
+    sampler = copy.deepcopy(engine.sampler)
     reuse = [
         ReuseState() if engine.kappa > 0.0 else None
         for _ in range(engine.cluster.num_workers)
@@ -34,7 +35,7 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
         closures = {}
         for w in range(engine.cluster.num_workers):
             if r < len(worker_batches[w]) and len(worker_batches[w][r]):
-                closures[w] = engine.sampler.sample_batch(
+                closures[w] = sampler.sample_batch(
                     engine.graph,
                     worker_batches[w][r],
                     worker=w,
@@ -42,7 +43,6 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
                     batch=r,
                     kappa=engine.kappa,
                     state=reuse[w],
-                    legacy_rng=legacy,
                 )
         if not closures:
             continue
@@ -69,13 +69,7 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
                 "workers": [
                     {
                         "worker": wp.worker,
-                        "steps": [
-                            {"kind": s.kind, **{
-                                k: (int(v) if isinstance(v, (int,)) else v)
-                                for k, v in vars(s).items()
-                            }}
-                            for s in wp.steps
-                        ],
+                        "steps": [step_dict(s) for s in wp.steps],
                         "fold_dense": bool(ex.fold_dense[wp.worker]),
                     }
                     for wp in lp.workers

@@ -5,9 +5,7 @@ growing the frontier down to layer 1) and differ only in how one
 layer's edges are drawn:
 
 - :class:`UniformFanoutSampler` — at most ``fanout`` in-edges per
-  frontier vertex, uniformly without replacement.  Subsumes the old
-  ``engines/sampling.py`` draw (its sequential-RNG order is kept
-  bit-for-bit behind ``legacy_rng``); the default mode keys every draw
+  frontier vertex, uniformly without replacement.  Every draw is keyed
   by edge id, so a batch's sample is a pure function of
   ``(seed, epoch, batch)``.
 - :class:`LaborSampler` — LABOR-style: one shared uniform ``r_u`` per
@@ -20,6 +18,11 @@ layer's edges are drawn:
   ``fanout * |seeds|`` candidate sources drawn over the *union*
   frontier with probability proportional to squared incoming edge
   weight, edges reweighted by ``1 / (budget * p)`` to stay unbiased.
+
+:class:`LegacyStreamSampler` adapts the pre-subsystem
+``engines/sampling.py`` draw -- one sequential stream for shuffles and
+per-vertex choices -- to the same interface for the ``distdgl``
+baseline; it is the only sampler with state to checkpoint.
 
 All draws route through :mod:`repro.utils.rng` (``derive_rng`` for
 sequential streams, ``hashed_uniforms`` for keyed per-id draws); no
@@ -38,7 +41,8 @@ kappa.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import copy
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -102,7 +106,6 @@ class NeighborSampler:
         epoch: int,
         batch: int,
         num_seeds: int,
-        legacy_rng=None,
     ) -> LayerSample:
         """Return ``(src, dst, eids, scale-or-None)`` for one layer,
         with edges grouped by ``dst`` in ``frontier`` order."""
@@ -119,10 +122,7 @@ class NeighborSampler:
         batch: int = 0,
         kappa: float = 0.0,
         state: Optional[ReuseState] = None,
-        legacy_rng=None,
     ) -> SampledClosure:
-        if legacy_rng is not None and kappa > 0.0:
-            raise ValueError("legacy sequential RNG cannot express kappa reuse")
         num_layers = len(self.fanouts)
         seed_mask = np.zeros(graph.num_vertices, dtype=bool)
         seed_mask[np.asarray(seeds, dtype=np.int64)] = True
@@ -143,7 +143,7 @@ class NeighborSampler:
             else:
                 sample = self._sample_layer(
                     graph, frontier, fanout, l, epoch=epoch, batch=batch,
-                    num_seeds=num_seeds, legacy_rng=legacy_rng,
+                    num_seeds=num_seeds,
                 )
             src, dst, eids, scale = sample
             block = build_block_from_edges(graph, frontier, src, dst, eids, l)
@@ -187,7 +187,7 @@ class NeighborSampler:
         if len(fresh_vs):
             src_f, dst_f, eid_f, scale_f = self._sample_layer(
                 graph, fresh_vs, fanout, 1, epoch=epoch, batch=batch,
-                num_seeds=num_seeds, legacy_rng=None,
+                num_seeds=num_seeds,
             )
         else:
             src_f, dst_f, eid_f, scale_f = _EMPTY_LAYER
@@ -211,6 +211,21 @@ class NeighborSampler:
         per destination in frontier order."""
         return graph.csc.select(frontier)
 
+    # -- epoch order and checkpointing ---------------------------------
+    def shuffle_rng(self, epoch: int, worker: int) -> np.random.Generator:
+        """The generator that orders ``worker``'s seeds in ``epoch``."""
+        return derive_rng(self.seed, "shuffle", epoch, worker)
+
+    def checkpoint(self, epoch: int) -> Optional[dict]:
+        """Record and return the draw state after ``epoch`` completed
+        epochs.  None here: keyed draws are pure in ``(seed, epoch,
+        batch, ids)``, so there is nothing to save or restore."""
+        return None
+
+    def restore(self, epoch: int, state: Optional[dict] = None) -> None:
+        """Return to the draw state at ``epoch`` (``state`` if given,
+        else the one :meth:`checkpoint` recorded)."""
+
 
 class UniformFanoutSampler(NeighborSampler):
     """At most ``fanout`` in-neighbors per vertex, uniform w/o replacement."""
@@ -219,10 +234,8 @@ class UniformFanoutSampler(NeighborSampler):
 
     def _sample_layer(
         self, graph, frontier, fanout, layer, *,
-        epoch, batch, num_seeds, legacy_rng=None,
+        epoch, batch, num_seeds,
     ) -> LayerSample:
-        if legacy_rng is not None:
-            return self._sample_layer_legacy(graph, frontier, fanout, legacy_rng)
         dst, src, eids = self._candidates(graph, frontier)
         if len(dst) == 0:
             return _EMPTY_LAYER
@@ -244,32 +257,6 @@ class UniformFanoutSampler(NeighborSampler):
         keep[sel] = _rank_within_group(dst[sel], r) < fanout
         return src[keep], dst[keep], eids[keep], None
 
-    def _sample_layer_legacy(self, graph, frontier, fanout, rng) -> LayerSample:
-        # Bit-for-bit the pre-subsystem DistDGL engine loop: ascending
-        # frontier, one sequential rng.choice per high-degree vertex.
-        csc = graph.csc
-        src_parts, dst_parts, eid_parts = [], [], []
-        for v in frontier:
-            lo, hi = csc.indptr[v], csc.indptr[v + 1]
-            degree = hi - lo
-            if degree == 0:
-                continue
-            if degree <= fanout:
-                take = np.arange(lo, hi)
-            else:
-                take = lo + rng.choice(degree, size=fanout, replace=False)
-            src_parts.append(csc.other[take])
-            dst_parts.append(csc.key[take])
-            eid_parts.append(csc.edge_ids[take])
-        if not src_parts:
-            return _EMPTY_LAYER
-        return (
-            np.concatenate(src_parts),
-            np.concatenate(dst_parts),
-            np.concatenate(eid_parts),
-            None,
-        )
-
 
 class LaborSampler(NeighborSampler):
     """LABOR-style shared per-source uniforms (Balin & Catalyurek).
@@ -286,10 +273,8 @@ class LaborSampler(NeighborSampler):
 
     def _sample_layer(
         self, graph, frontier, fanout, layer, *,
-        epoch, batch, num_seeds, legacy_rng=None,
+        epoch, batch, num_seeds,
     ) -> LayerSample:
-        if legacy_rng is not None:
-            raise ValueError("labor sampler has no legacy sequential mode")
         dst, src, eids = self._candidates(graph, frontier)
         if len(dst) == 0:
             return _EMPTY_LAYER
@@ -338,10 +323,8 @@ class LadiesSampler(NeighborSampler):
 
     def _sample_layer(
         self, graph, frontier, fanout, layer, *,
-        epoch, batch, num_seeds, legacy_rng=None,
+        epoch, batch, num_seeds,
     ) -> LayerSample:
-        if legacy_rng is not None:
-            raise ValueError("ladies sampler has no legacy sequential mode")
         dst, src, eids = self._candidates(graph, frontier)
         if len(dst) == 0:
             return _EMPTY_LAYER
@@ -370,6 +353,83 @@ class LadiesSampler(NeighborSampler):
         keep = chosen_mask[inverse]
         scale = 1.0 / (budget * p[inverse[keep]])
         return src[keep], dst[keep], eids[keep], scale
+
+
+class LegacyStreamSampler(UniformFanoutSampler):
+    """The pre-subsystem DistDGL draw order behind the sampler interface.
+
+    One sequential stream, ``derive_rng(seed)``, feeds every draw in
+    call order -- each epoch's shuffles, then one ``rng.choice`` per
+    over-fanout frontier vertex -- so a draw depends on everything drawn
+    before it.  That reproduces the ``distdgl`` golden trajectory bit
+    for bit, and it is why this sampler, unlike the keyed ones, has
+    state to checkpoint and cannot express kappa reuse.  It is an
+    adapter for that one baseline, so ``make_sampler`` does not list it.
+    """
+
+    def __init__(self, fanouts, seed: int = 0):
+        super().__init__(fanouts, seed=seed)
+        self.rng = derive_rng(self.seed)
+        # Stream position at every completed-epoch boundary, so a
+        # checkpoint restore rewinds the draw order with the weights.
+        self._epoch_states: Dict[int, dict] = {}
+        self.checkpoint(0)
+
+    def sample_batch(self, graph: Graph, seeds: np.ndarray, **kwargs):
+        if kwargs.get("kappa", 0.0) > 0.0:
+            raise ValueError(
+                "the legacy sequential stream cannot express kappa reuse"
+            )
+        return super().sample_batch(graph, seeds, **kwargs)
+
+    def _sample_layer(
+        self, graph, frontier, fanout, layer, *,
+        epoch, batch, num_seeds,
+    ) -> LayerSample:
+        # Bit-for-bit the pre-subsystem DistDGL engine loop: ascending
+        # frontier, one sequential rng.choice per high-degree vertex.
+        csc = graph.csc
+        src_parts, dst_parts, eid_parts = [], [], []
+        for v in frontier:
+            lo, hi = csc.indptr[v], csc.indptr[v + 1]
+            degree = hi - lo
+            if degree == 0:
+                continue
+            if degree <= fanout:
+                take = np.arange(lo, hi)
+            else:
+                take = lo + self.rng.choice(degree, size=fanout, replace=False)
+            src_parts.append(csc.other[take])
+            dst_parts.append(csc.key[take])
+            eid_parts.append(csc.edge_ids[take])
+        if not src_parts:
+            return _EMPTY_LAYER
+        return (
+            np.concatenate(src_parts),
+            np.concatenate(dst_parts),
+            np.concatenate(eid_parts),
+            None,
+        )
+
+    def shuffle_rng(self, epoch: int, worker: int) -> np.random.Generator:
+        return self.rng
+
+    def checkpoint(self, epoch: int) -> dict:
+        # The state getter builds a fresh dict on every read.
+        self._epoch_states[epoch] = self.rng.bit_generator.state
+        return self.rng.bit_generator.state
+
+    def restore(self, epoch: int, state: Optional[dict] = None) -> None:
+        # Without this the stream keeps the draws it made in the epochs
+        # being rolled back, so the replay would sample different
+        # mini-batches and silently diverge from an uninterrupted run.
+        self._epoch_states = {
+            e: s for e, s in self._epoch_states.items() if e <= epoch
+        }
+        if state is not None:
+            self._epoch_states[epoch] = copy.deepcopy(state)
+        if epoch in self._epoch_states:
+            self.rng.bit_generator.state = self._epoch_states[epoch]
 
 
 _SAMPLERS = {

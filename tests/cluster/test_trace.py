@@ -152,7 +152,7 @@ class TestOperationalSpanExport:
             cluster = cluster.with_faults(faults)
         return DepCommEngine(
             graph, model, cluster,
-            record_timeline=True, overlap_pass=True,
+            record_timeline=True, program_passes=("overlap-exchange",),
             # P optimization off => the exchange window is pure comm,
             # so the pass is guaranteed positive slack to fold into.
             comm=CommOptions(ring=True, lock_free=True, overlap=False),

@@ -20,7 +20,7 @@ class TestGatherInputs:
     def test_layer1_inputs_are_features(self, engine):
         plan = engine.plan()
         block = plan.blocks[0][0]
-        rows = engine._gather_inputs(plan, [None] * 3, 1, 0, block)
+        rows = engine.executor.gather_inputs(plan, [None] * 3, 1, 0, block)
         assert np.allclose(rows, engine.graph.features[block.input_vertices])
 
     def test_layer2_remote_rows_from_owner(self, engine):
@@ -34,7 +34,7 @@ class TestGatherInputs:
                 np.full((len(ids), 8), float(w + 1), dtype=np.float32)
             )
         block = plan.blocks[1][0]
-        rows = engine._gather_inputs(plan, h_values, 2, 0, block)
+        rows = engine.executor.gather_inputs(plan, h_values, 2, 0, block)
         owners = engine.assignment[block.input_vertices]
         assert np.allclose(rows[:, 0], owners + 1.0)
 
@@ -42,37 +42,37 @@ class TestGatherInputs:
 class TestVolumeMatrices:
     def test_backward_is_transpose_of_forward(self, engine):
         plan = engine.plan()
-        forward = engine._forward_volumes(plan, 2)
-        backward = engine._backward_volumes(plan, 2)
+        forward = engine.accountant.forward_volumes(plan, 2)
+        backward = engine.accountant.backward_volumes(plan, 2)
         assert np.array_equal(backward, forward.T)
 
     def test_layer1_backward_empty(self, engine):
         plan = engine.plan()
-        assert engine._backward_volumes(plan, 1).sum() == 0
+        assert engine.accountant.backward_volumes(plan, 1).sum() == 0
 
     def test_forward_volumes_match_exchange_counts(self, engine):
         plan = engine.plan()
-        volumes = engine._forward_volumes(plan, 1)
+        volumes = engine.accountant.forward_volumes(plan, 1)
         counts = plan.exchanges[0].counts
         assert np.array_equal(volumes, counts * engine.dims[0] * 4)
 
     def test_diagonal_is_zero(self, engine):
         plan = engine.plan()
-        volumes = engine._forward_volumes(plan, 1)
+        volumes = engine.accountant.forward_volumes(plan, 1)
         assert np.allclose(np.diag(volumes), 0.0)
 
 
 class TestLayerComputeSplit:
     def test_shapes_and_positivity(self, engine):
         plan = engine.plan()
-        chunk, local, dense = engine._layer_compute_split(plan, 1)
+        chunk, local, dense = engine.accountant.layer_compute_split(plan, 1)
         m = engine.cluster.num_workers
         assert chunk.shape == (m, m)
         assert (chunk >= 0).all() and (local >= 0).all() and (dense > 0).all()
 
     def test_chunk_compute_only_where_comm(self, engine):
         plan = engine.plan()
-        chunk, _, _ = engine._layer_compute_split(plan, 1)
+        chunk, _, _ = engine.accountant.layer_compute_split(plan, 1)
         counts = plan.exchanges[0].counts
         # No compute charged for pairs with no received vertices.
         assert (chunk[counts == 0] == 0).all()
@@ -110,6 +110,27 @@ class TestAdversarialSubclass:
         engine = BaseEngine(graph, model, cluster4)
         with pytest.raises(NotImplementedError):
             engine.plan()
+
+
+class TestNoHookShims:
+    def test_engine_has_no_executor_or_accountant_trampolines(self):
+        """Numerics live on ``engine.executor``, charging on
+        ``engine.accountant`` (customised via ``accountant_cls``); the
+        engine itself no longer carries a private alias for either."""
+        removed = (
+            "_forward", "_gather_inputs", "_apply_historical_cache",
+            "_compute_loss", "_backward", "_route_input_grads",
+            "_accumulate", "_layer_compute_split", "_forward_volumes",
+            "_backward_volumes", "_cache_traffic", "_charge_forward_layer",
+            "_charge_backward_layer", "_charge_allreduce",
+            "_account_memory", "_max_chunk_edges", "epoch_time_estimate",
+            "_pos_in_compute", "_stale_rows",
+        )
+        from repro.engines import _ENGINES, SharedMemoryEngine
+
+        for cls in {BaseEngine, SharedMemoryEngine, *_ENGINES.values()}:
+            leftover = [name for name in removed if hasattr(cls, name)]
+            assert not leftover, (cls.__name__, leftover)
 
 
 class TestEpochReportFields:

@@ -86,7 +86,7 @@ def test_forward_values_match_owner_copies(small_graph, cluster4):
     model = GNNModel.gcn(graph.feature_dim, 12, graph.num_classes, seed=11)
     engine = DepCacheEngine(graph, model, cluster4)
     plan = engine.plan()
-    h_values, _, _ = engine._forward(plan, training=False)
+    h_values, _, _ = engine.executor.forward(plan, training=False)
     L = engine.num_layers
     for w in range(4):
         ids = plan.compute_sets[L - 2][w]  # layer-1 values incl. cached
@@ -94,8 +94,8 @@ def test_forward_values_match_owner_copies(small_graph, cluster4):
             owner = engine.assignment[v]
             if owner == w:
                 continue
-            mine = h_values[1][w][engine._pos_in_compute[0][w][v]]
-            theirs = h_values[1][owner][engine._pos_in_compute[0][owner][v]]
+            mine = h_values[1][w][engine.program_.pos_in_compute[0][w][v]]
+            theirs = h_values[1][owner][engine.program_.pos_in_compute[0][owner][v]]
             assert np.allclose(mine, theirs, atol=1e-6)
 
 

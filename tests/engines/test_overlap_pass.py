@@ -33,7 +33,9 @@ def _engine(cls, num_workers, seed, overlap_pass, **kwargs):
     model = GNNModel.gcn(graph.feature_dim, 8, graph.num_classes, seed=2)
     return graph, cls(
         graph, model, ClusterSpec.ecs(num_workers),
-        record_timeline=True, overlap_pass=overlap_pass, **kwargs,
+        record_timeline=True,
+        program_passes=("overlap-exchange",) if overlap_pass else (),
+        **kwargs,
     )
 
 

@@ -43,8 +43,8 @@ class TestSingleWorkerParity:
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_forward_bit_identical_and_loss_matches(self, name):
         tp, ref = _build_pair(name, num_workers=4)
-        h_tp, _, _ = tp._forward(tp.plan(), training=False)
-        h_ref, _, _ = ref._forward(ref.plan(), training=False)
+        h_tp, _, _ = tp.executor.forward(tp.plan(), training=False)
+        h_ref, _, _ = ref.executor.forward(ref.plan(), training=False)
         # TP layers compute on the shared full-graph block, so worker
         # 0's final rows are the full output in vertex order -- same
         # layout as the one-worker reference.
@@ -67,8 +67,8 @@ class TestSingleWorkerParity:
     def test_worker_count_does_not_change_forward(self):
         tp2, _ = _build_pair("pubmed", num_workers=2)
         tp8, _ = _build_pair("pubmed", num_workers=8)
-        h2, _, _ = tp2._forward(tp2.plan(), training=False)
-        h8, _, _ = tp8._forward(tp8.plan(), training=False)
+        h2, _, _ = tp2.executor.forward(tp2.plan(), training=False)
+        h8, _, _ = tp8.executor.forward(tp8.plan(), training=False)
         assert np.array_equal(h2[2][0], h8[2][0])
 
 

@@ -154,8 +154,8 @@ class TestScaling:
         )
         roc_plan, comm_plan = roc.plan(), comm.plan()
         assert (
-            roc._forward_volumes(roc_plan, 1).sum()
-            > comm._forward_volumes(comm_plan, 1).sum()
+            roc.accountant.forward_volumes(roc_plan, 1).sum()
+            > comm.accountant.forward_volumes(comm_plan, 1).sum()
         )
 
 

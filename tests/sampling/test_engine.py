@@ -6,6 +6,7 @@ import pytest
 from repro.core.model import GNNModel
 from repro.engines import make_engine
 from repro.sampling import (
+    LegacyStreamSampler,
     SampledTrainingEngine,
     describe_sampled_batches,
     render_sampled_batches,
@@ -52,7 +53,9 @@ class TestCompiledProgram:
             assert upper["exchange_bytes"] == 0
 
     def test_overlap_pass_applies_to_sampled_programs(self, graph, cluster2):
-        engine = _engine(graph, cluster2, overlap_pass=True)
+        engine = _engine(
+            graph, cluster2, program_passes=("overlap-exchange",)
+        )
         desc = describe_sampled_batches(engine, num_batches=1)
         assert "overlap-exchange" in desc["rounds"][0]["passes"]
 
@@ -132,8 +135,31 @@ class TestEngineSurface:
             _engine(graph, cluster2, kappa=1.5)
 
     def test_legacy_rng_excludes_kappa(self, graph, cluster2):
+        engine = _engine(
+            graph, cluster2, kappa=0.5,
+            sampler=LegacyStreamSampler((3, 5), seed=0),
+        )
         with pytest.raises(ValueError, match="kappa"):
-            _engine(graph, cluster2, kappa=0.5, legacy_rng=True)
+            engine.charge_epoch()
+
+    def test_misspelt_kwargs_are_rejected(self, graph, cluster2):
+        # ``fanout`` / ``batchsize`` used to vanish into ``**_ignored``
+        # and the run trained with the defaults instead.
+        model = GNNModel.gcn(graph.feature_dim, 12, graph.num_classes, seed=1)
+        with pytest.raises(TypeError, match="fanout"):
+            make_engine("sampled", graph, model, cluster2, fanout=(3, 5))
+        with pytest.raises(TypeError, match="batchsize"):
+            make_engine("sampled", graph, model, cluster2, batchsize=7)
+
+    def test_respawn_accepts_the_inherited_kwargs(self, graph, cluster2):
+        for name in ("sampled", "distdgl"):
+            model = GNNModel.gcn(
+                graph.feature_dim, 12, graph.num_classes, seed=1
+            )
+            engine = make_engine(name, graph, model, cluster2)
+            clone = engine.respawn(cluster2, engine.partitioning)
+            assert type(clone.sampler) is type(engine.sampler)
+            assert clone.rpc_accounting == engine.rpc_accounting
 
     def test_training_reduces_loss_and_evaluates(self, graph, cluster2):
         engine = _engine(graph, cluster2)

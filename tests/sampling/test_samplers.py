@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sampling import SAMPLER_NAMES, make_sampler
-from repro.sampling.samplers import LadiesSampler
+from repro.sampling.samplers import LadiesSampler, LegacyStreamSampler
 from repro.training.prep import prepare_graph
 
 
@@ -138,17 +138,6 @@ class TestValidation:
             make_sampler("uniform", ())
 
     def test_legacy_rng_excludes_kappa(self, graph):
-        sampler = make_sampler("uniform", (3, 5))
+        sampler = LegacyStreamSampler((3, 5))
         with pytest.raises(ValueError, match="kappa"):
-            sampler.sample_batch(
-                graph, np.arange(4), kappa=0.5,
-                legacy_rng=np.random.default_rng(0),
-            )
-
-    @pytest.mark.parametrize("name", ["labor", "ladies"])
-    def test_only_uniform_has_legacy_mode(self, graph, name):
-        sampler = make_sampler(name, (3, 5))
-        with pytest.raises(ValueError, match="legacy"):
-            sampler.sample_batch(
-                graph, np.arange(4), legacy_rng=np.random.default_rng(0)
-            )
+            sampler.sample_batch(graph, np.arange(4), kappa=0.5)

@@ -108,7 +108,7 @@ class TestNumericalAgreement:
         graph, partitioning = figure1
         engine = build(DepCommEngine, graph, partitioning)
         plan = engine.plan()
-        h_values, _, _ = engine._forward(plan, training=False)
+        h_values, _, _ = engine.executor.forward(plan, training=False)
         dense = np.zeros((6, 6), dtype=np.float32)
         dense[graph.dst, graph.src] = graph.edge_weight
         layer = engine.model.layer(1)
@@ -117,7 +117,7 @@ class TestNumericalAgreement:
             + layer.linear.bias.data,
             0.0,
         )
-        pos = engine._pos_in_compute[0][1][2]  # vertex 2 on worker 1
+        pos = engine.program_.pos_in_compute[0][1][2]  # vertex 2 on worker 1
         assert np.allclose(h_values[1][1][pos], expected[2], atol=1e-5)
 
 

@@ -58,7 +58,7 @@ def test_custom_partitioner_with_engine():
             "depcomm", graph, model, cluster, partitioning=partitioning
         )
         plan = engine.plan()
-        volumes[method] = engine._forward_volumes(plan, 1).sum()
+        volumes[method] = engine.accountant.forward_volumes(plan, 1).sum()
     # Metis finds reddit's interleaved communities; chunking cannot.
     # (At this scale distinct-vertex dedup caps the gap: even a low edge
     # cut still references most remote vertices once, so the volume win
