@@ -143,36 +143,6 @@ def _bottom_fetch_ref(engine, closure):
     return fetch, counts
 
 
-def _worker_spec_ref(engine, block, l, w, fetch, exchange):
-    m = engine.cluster.num_workers
-    w_layer = engine.model.layer(l)
-    chunk_edges = np.zeros(m, dtype=np.int64)
-    chunk_vertices = np.zeros(m, dtype=np.int64)
-    local_edges = 0
-    sparse_flops = 0.0
-    if block.num_edges:
-        sparse_flops = float(w_layer.sparse_flops(block))
-        if l == 1 and len(fetch):
-            received = np.isin(block.edge_src_global, fetch)
-            owners = engine.assignment[block.edge_src_global]
-            for j in range(m):
-                sel = received & (owners == j)
-                chunk_edges[j] = int(sel.sum())
-                chunk_vertices[j] = len(exchange.recv_ids.get((j, w), ()))
-            local_edges = int((~received).sum())
-        else:
-            local_edges = block.num_edges
-    return C.ComputeSpec(
-        sparse_flops=sparse_flops,
-        dense_flops=float(w_layer.dense_flops(block)),
-        num_edges=block.num_edges,
-        d_in=engine.dims[l - 1],
-        chunk_edges=chunk_edges,
-        chunk_vertices=chunk_vertices,
-        local_edges=local_edges,
-    )
-
-
 def _replace_ref(self, src, dst, eids, scales):
     order = np.argsort(dst, kind="stable")
     dst_sorted = dst[order]
@@ -190,7 +160,6 @@ _PATCHES = [
     (B, "_space", _space_ref),
     (S.UniformFanoutSampler, "_sample_layer", _sample_layer_ref),
     (C, "_bottom_fetch", _bottom_fetch_ref),
-    (C, "_worker_spec", _worker_spec_ref),
     (CL.ReuseState, "replace", _replace_ref),
     # Algorithm 4 as one scalar ``t_r`` walk per measurement and per pop;
     # patched where the hybrid engine imported it by name.

@@ -191,7 +191,7 @@ class BaseEngine:
 
     def replan(
         self, constants_overrides: Optional[Dict[int, ProbeResult]] = None
-    ) -> EnginePlan:
+    ) -> Optional[EnginePlan]:
         """Re-run dependency planning mid-training (online re-planning).
 
         Discards plan and program, re-decides R/C/H sets, charges the
@@ -203,8 +203,8 @@ class BaseEngine:
             self.constants_overrides = dict(constants_overrides)
         self.plan_ = None
         self.program_ = None
-        plan = self.plan()
-        if plan.preprocessing_s > 0:
+        plan = self.plan()  # None for per-round-compiled engines
+        if plan is not None and plan.preprocessing_s > 0:
             for w in range(self.cluster.num_workers):
                 self.timeline.advance(w, CPU, plan.preprocessing_s)
         self.timeline.barrier()

@@ -45,11 +45,11 @@ class RocAccountant(LayerAccountant):
                     volumes[s, r] = block_bytes
         return volumes
 
-    def _charge_block_filtering(self, plan: EnginePlan, l: int) -> None:
+    def _charge_block_filtering(self, l: int) -> None:
         """Receiver-side cost of scanning every peer's broadcast block
         and staging it over PCIe -- ROC's defining inefficiency."""
         engine = self.engine
-        volumes = self.forward_volumes(plan, l)
+        volumes = self._layer(l).exchange.volumes
         for r in range(engine.cluster.num_workers):
             total = 0.0
             for block_bytes in volumes[:, r]:
@@ -59,14 +59,14 @@ class RocAccountant(LayerAccountant):
                 )
             engine.timeline.advance(r, CPU, float(total))
 
-    def charge_forward_layer(self, plan: EnginePlan, l: int) -> ExchangeStats:
-        self._charge_block_filtering(plan, l)
-        return super().charge_forward_layer(plan, l)
+    def charge_forward_layer(self, l: int) -> ExchangeStats:
+        self._charge_block_filtering(l)
+        return super().charge_forward_layer(l)
 
-    def charge_backward_layer(self, plan: EnginePlan, l: int) -> None:
+    def charge_backward_layer(self, l: int) -> None:
         if l > 1:
-            self._charge_block_filtering(plan, l)
-        super().charge_backward_layer(plan, l)
+            self._charge_block_filtering(l)
+        super().charge_backward_layer(l)
 
     def account_resident_extras(self, plan: EnginePlan) -> None:
         # Received peer blocks stay resident on the device while the

@@ -16,20 +16,17 @@ one configuration of :class:`~repro.sampling.SampledTrainingEngine`:
 - an accuracy ceiling below full-batch training (Figure 14), because
   only a sampled subset of neighbors participates.
 
-The old private charging formulas are gone: every mini-batch now
-compiles to the typed Program IR and is charged by the accountant.
-``_sample_blocks`` survives for callers that want raw blocks.
+This module holds only the constructor defaults that *are* the
+baseline; every mini-batch compiles to the typed Program IR and is
+charged by the accountant like any other engine's layer.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from repro.cluster.spec import ClusterSpec
 from repro.comm.scheduler import CommOptions
-from repro.core.blocks import LayerBlock
 from repro.core.model import GNNModel
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
@@ -69,20 +66,4 @@ class SamplingEngine(SampledTrainingEngine):
             record_timeline=record_timeline,
             seed=seed,
             **kwargs,
-        )
-
-    def _sample_blocks(
-        self, seeds: np.ndarray, worker: int = 0
-    ) -> Tuple[List[LayerBlock], int, int]:
-        """Top-down sampled blocks; returns (blocks, edges, remote rows).
-
-        ``blocks[l-1]`` computes layer ``l``; blocks are built top
-        (layer L) first, so lower layers cover the expanded frontier.
-        """
-        closure = self.sampler.sample_batch(self.graph, seeds, worker=worker)
-        owners = self.assignment[closure.blocks[0].input_vertices]
-        return (
-            closure.blocks,
-            closure.num_sampled_edges,
-            int((owners != worker).sum()),
         )

@@ -50,8 +50,8 @@ from repro.execution.program import (
     ScatterToEdgeStep,
     VertexForwardStep,
     WorkerLayerProgram,
+    compile_layers,
     compile_program,
-    layer_compute_specs,
 )
 from repro.execution.tp import (
     FeatureSliceAllToAllStep,
@@ -90,9 +90,9 @@ __all__ = [
     "build_engine_plan",
     "build_historical_caches",
     "build_tp_layer_program",
+    "compile_layers",
     "compile_program",
     "describe_program",
-    "layer_compute_specs",
     "make_pass",
     "render_program",
     "run_closure_forward",

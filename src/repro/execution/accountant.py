@@ -14,8 +14,15 @@ subclasses :class:`LayerAccountant` and registers the subclass as its
 engine's ``accountant_cls`` (ROC's broadcast volumes and block
 filtering, the shared-memory variants' residency and chunk sizing).
 
-Seconds are evaluated at *charge time* against ``engine._device(w)``
-(the device view under straggler faults), never baked into the IR.
+The compiled :class:`~repro.execution.program.Program` is the one
+description the charges read: charge-time methods take a layer index
+and look up ``engine.program_.layers[l - 1]`` (exchange volumes, refresh
+share, pass annotations, ``post_exchange``, the ``ComputeSpec``).  Only
+the plan-time hooks (``forward_volumes``, ``max_chunk_edges``,
+``account_resident_extras``, :func:`account_memory`) take the plan --
+they run before a Program exists.  Seconds are evaluated at *charge
+time* against ``engine._device(w)`` (the device view under straggler
+faults), never baked into the IR.
 
 The one optimization pass (paper Section 5.4) surfaces here: when
 :class:`.passes.OverlapExchangePass` marked a worker's exchange as
@@ -28,7 +35,7 @@ trace as a GPU interval inside the window plus an ``overlap`` span.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +43,6 @@ from repro.cache.budget import CACHE_MEMORY_LABEL
 from repro.cluster.timeline import GPU, NET_SEND
 from repro.comm.scheduler import CacheTraffic, ExchangeStats, run_exchange
 from repro.execution.plan import EnginePlan
-from repro.execution.program import ComputeSpec, layer_compute_specs
 
 # Host (DRAM) budget per worker, scaled like device memory (the paper's
 # nodes have 62 GB).  DepCache keeps its closure tape in host memory.
@@ -53,36 +59,25 @@ class LayerAccountant:
         self.engine = engine
 
     # -- compute split -------------------------------------------------
-    def _specs_for(self, plan: EnginePlan, l: int) -> List[ComputeSpec]:
-        program = self.engine.program_
-        if program is not None and plan is self.engine.plan_:
-            return program.layers[l - 1].compute_specs
-        return layer_compute_specs(self.engine, plan, l)
+    def _layer(self, l: int):
+        """The compiled :class:`LayerProgram` being charged."""
+        return self.engine.program_.layers[l - 1]
 
-    def _program_layer(self, plan: EnginePlan, l: int):
-        """The compiled LayerProgram for ``l`` when ``plan`` is current
-        (pass annotations live there); None otherwise."""
-        program = self.engine.program_
-        if program is None or plan is not self.engine.plan_:
-            return None
-        return program.layers[l - 1]
-
-    def layer_compute_split(self, plan: EnginePlan, l: int):
+    def layer_compute_split(self, l: int):
         """Per-worker (chunk_compute, local_compute, dense) seconds."""
         engine = self.engine
         m = engine.cluster.num_workers
         chunk_compute = np.zeros((m, m))
         local_compute = np.zeros(m)
         dense = np.zeros(m)
-        d_in = engine.dims[l - 1]
-        specs = self._specs_for(plan, l)
+        lp = self._layer(l)
+        specs = lp.compute_specs
         # Fused layers skip the materialised per-edge intermediate, so
         # the charged sparse time shrinks by the layer's declared factor
         # (the counts in the IR stay untouched).
-        lp = self._program_layer(plan, l)
         sparse_factor = (
             engine.model.layer(l).fused_flops_factor()
-            if lp is not None and lp.fused_reducer is not None
+            if lp.fused_reducer is not None
             else 1.0
         )
         for w in range(m):
@@ -97,7 +92,9 @@ class LayerAccountant:
                 if count == 0:
                     continue
                 vertices = int(spec.chunk_vertices[j])
-                h2d = device.transfer_time(vertices * d_in * 4 + count * 12)
+                h2d = device.transfer_time(
+                    vertices * spec.d_in * 4 + count * 12
+                )
                 chunk_compute[j, w] = device.sparse_time(per_edge * count) + h2d
             local_edges = int(spec.local_edges)
             if local_edges:
@@ -111,26 +108,24 @@ class LayerAccountant:
 
     # -- volumes -------------------------------------------------------
     def forward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
-        """Byte-volume matrix of layer ``l``'s forward exchange."""
+        """Byte-volume matrix of layer ``l``'s forward exchange, asked
+        for once, at lowering; charges read ``ExchangePhase.volumes``."""
         return plan.exchanges[l - 1].volume_matrix(self.engine.dims[l - 1])
 
-    def backward_volumes(self, plan: EnginePlan, l: int) -> np.ndarray:
+    def backward_volumes(self, l: int) -> np.ndarray:
         """Byte-volume matrix of layer ``l``'s gradient return."""
         if l > 1:
-            return self.forward_volumes(plan, l).T
+            return self._layer(l).exchange.volumes.T
         return np.zeros((self.engine.cluster.num_workers,) * 2)
 
-    def cache_traffic(
-        self, plan: EnginePlan, l: int, backward: bool
-    ) -> Optional[CacheTraffic]:
+    def cache_traffic(self, l: int, backward: bool) -> Optional[CacheTraffic]:
         """The stale-cached share of layer ``l``'s exchange, if any."""
         engine = self.engine
         if not engine._cache_active:
             return None
-        exchange = plan.refresh_exchanges[l - 1]
-        if exchange.total_vertices == 0:
+        exchange = self._layer(l).exchange
+        if exchange.refresh_entries == 0:
             return None
-        volumes = exchange.volume_matrix(engine.dims[l - 1])
         if backward:
             # Gradient return happens only when the fetch happened; no
             # grads flow into layer-1 inputs (features), matching
@@ -138,68 +133,72 @@ class LayerAccountant:
             if l == 1:
                 return None
             return CacheTraffic(
-                volumes=volumes.T, refresh=engine._cache_refreshing, entries=0
+                volumes=exchange.refresh_volumes.T,
+                refresh=engine._cache_refreshing,
+                entries=0,
             )
         return CacheTraffic(
-            volumes=volumes,
+            volumes=exchange.refresh_volumes,
             refresh=engine._cache_refreshing,
-            entries=exchange.total_vertices,
+            entries=exchange.refresh_entries,
         )
 
     # -- layer charges -------------------------------------------------
-    def charge_forward_layer(self, plan: EnginePlan, l: int) -> ExchangeStats:
+    def _exchange(
+        self, volumes: np.ndarray, bytes_per_message: float, **compute
+    ) -> ExchangeStats:
+        """One exchange superstep on this engine's network, under its
+        comm options, faults and retry policy."""
         engine = self.engine
-        if plan.is_tp_layer(l):
-            from repro.execution.tp import tp_charge_forward_layer
-
-            return tp_charge_forward_layer(self, plan, l)
-        volumes = self.forward_volumes(plan, l)
-        chunk_compute, local_compute, dense = self.layer_compute_split(plan, l)
-        depth, staggered = self._exchange_schedule(plan, l)
-        stats = run_exchange(
+        return run_exchange(
             engine.timeline,
             engine.cluster.network,
             volumes,
-            chunk_compute=chunk_compute,
-            local_compute=local_compute,
             options=engine.comm,
             barrier=False,
-            bytes_per_message=engine.dims[l - 1] * 4,
+            bytes_per_message=bytes_per_message,
             faults=engine.faults,
             retry=engine.retry,
-            cache=self.cache_traffic(plan, l, backward=False),
+            **compute,
+        )
+
+    def charge_forward_layer(self, l: int) -> ExchangeStats:
+        lp = self._layer(l)
+        if lp.is_tp:
+            from repro.execution.tp import tp_charge_forward_layer
+
+            return tp_charge_forward_layer(self, l)
+        chunk_compute, local_compute, dense = self.layer_compute_split(l)
+        depth, staggered = self._exchange_schedule(l)
+        stats = self._exchange(
+            lp.exchange.volumes,
+            lp.exchange.bytes_per_message,
+            chunk_compute=chunk_compute,
+            local_compute=local_compute,
+            cache=self.cache_traffic(l, backward=False),
             pipeline_depth=depth,
             staggered=staggered,
         )
-        engine._forward_stats.append(stats)
-        self._charge_dense(plan, l, dense, stats, volumes)
+        self.engine._forward_stats.append(stats)
+        self._charge_dense(l, dense, stats, lp.exchange.volumes)
         return stats
 
-    def _exchange_schedule(self, plan: EnginePlan, l: int):
+    def _exchange_schedule(self, l: int):
         """Pass-written (pipeline_depth, staggered) for layer ``l``'s
         exchange; (1, False) charges bit-identically to no pass."""
-        lp = self._program_layer(plan, l)
-        if lp is None:
-            return 1, False
-        ex = lp.exchange
+        ex = self._layer(l).exchange
         return int(ex.pipeline_depth), ex.ring_order is not None
 
-    def _fold_flags(self, plan: EnginePlan, l: int) -> Optional[np.ndarray]:
+    def _fold_flags(self, l: int) -> Optional[np.ndarray]:
         """Pass-written fold markers for this layer (None = charge as-is)."""
-        lp = self._program_layer(plan, l)
-        if lp is None:
-            return None
+        lp = self._layer(l)
         # TP layers fold the dense into the unslice (post) exchange --
         # the phase whose window precedes the owned-rows VertexForward.
-        ex = lp.post_exchange if lp.post_exchange is not None else lp.exchange
-        fold = ex.fold_dense
-        if fold is None or not fold.any():
-            return None
-        return fold
+        fold = (lp.post_exchange if lp.is_tp else lp.exchange).fold_dense
+        return fold if fold.any() else None
 
     def _charge_dense(
         self,
-        plan: EnginePlan,
         l: int,
         dense: np.ndarray,
         stats: ExchangeStats,
@@ -207,8 +206,8 @@ class LayerAccountant:
     ) -> None:
         engine = self.engine
         timeline = engine.timeline
-        fold = self._fold_flags(plan, l)
-        depth, staggered = self._exchange_schedule(plan, l)
+        fold = self._fold_flags(l)
+        depth, staggered = self._exchange_schedule(l)
         for w in range(engine.cluster.num_workers):
             d = dense[w]
             saved = 0.0
@@ -270,33 +269,25 @@ class LayerAccountant:
         busy = float(stats.compute_s[w]) if engine.comm.overlap else 0.0
         return min(float(dense_w), max(0.0, comm - fill - busy))
 
-    def charge_backward_layer(self, plan: EnginePlan, l: int) -> None:
-        engine = self.engine
-        if plan.is_tp_layer(l):
+    def charge_backward_layer(self, l: int) -> None:
+        lp = self._layer(l)
+        if lp.is_tp:
             from repro.execution.tp import tp_charge_backward_layer
 
-            tp_charge_backward_layer(self, plan, l)
+            tp_charge_backward_layer(self, l)
             return
-        chunk_compute, local_compute, dense = self.layer_compute_split(plan, l)
+        chunk_compute, local_compute, dense = self.layer_compute_split(l)
         compute = (
             chunk_compute.sum(axis=0) + local_compute + dense
         ) * BACKWARD_MULTIPLIER
-        volumes = self.backward_volumes(plan, l)
         # The gradient return retraces the forward schedule, so the
         # pass-written ring/pipeline annotations apply symmetrically.
-        depth, staggered = self._exchange_schedule(plan, l)
-        run_exchange(
-            engine.timeline,
-            engine.cluster.network,
-            volumes,
-            chunk_compute=None,
+        depth, staggered = self._exchange_schedule(l)
+        self._exchange(
+            self.backward_volumes(l),
+            lp.exchange.bytes_per_message,
             local_compute=compute,
-            options=engine.comm,
-            barrier=False,
-            bytes_per_message=engine.dims[l - 1] * 4,
-            faults=engine.faults,
-            retry=engine.retry,
-            cache=self.cache_traffic(plan, l, backward=True),
+            cache=self.cache_traffic(l, backward=True),
             pipeline_depth=depth,
             staggered=staggered,
         )
@@ -374,12 +365,12 @@ class LayerAccountant:
         Returns the epoch's modeled seconds.
         """
         engine = self.engine
-        plan = engine.plan()
+        engine.plan()
         engine._begin_epoch_cache()
         engine._forward_stats = []
         t_start = engine._sync()
         for l in range(1, engine.num_layers + 1):
-            self.charge_forward_layer(plan, l)
+            self.charge_forward_layer(l)
             engine._sync()
         if engine.graph.train_mask is not None:
             for w in range(engine.cluster.num_workers):
@@ -388,7 +379,7 @@ class LayerAccountant:
                 self.charge_loss(w, mine)
         engine._sync()
         for l in range(engine.num_layers, 0, -1):
-            self.charge_backward_layer(plan, l)
+            self.charge_backward_layer(l)
             engine._sync()
         self.charge_allreduce()
         engine._epoch += 1

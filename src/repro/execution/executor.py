@@ -191,16 +191,12 @@ class LayerExecutor:
             [None] * m for _ in range(engine.num_layers)
         ]
         for l in range(1, engine.num_layers + 1):
-            engine.accountant.charge_forward_layer(plan, l)
+            engine.accountant.charge_forward_layer(l)
             layer = engine.model.layer(l)
             tp = plan.is_tp_layer(l)
             # FuseScatterGatherPass lowers the layer to the fused
             # segment kernel (bit-identical; see passes.py).
-            program = engine.program_
-            fused = (
-                program is not None
-                and program.layers[l - 1].fused_reducer is not None
-            )
+            fused = engine.program_.layers[l - 1].fused_reducer is not None
             layer_forward = layer.forward_fused if fused else layer.forward
             for w in range(m):
                 if tp and w > 0:
@@ -283,7 +279,7 @@ class LayerExecutor:
         engine = self.engine
         if not engine._cache_active or l < 2:
             return
-        srows = engine.program_.stale_rows[l - 1][w]
+        srows = engine.program_.layers[l - 1].workers[w].stale_rows
         if srows is None or len(srows) == 0:
             return
         reader = self._reader(w)
@@ -352,7 +348,7 @@ class LayerExecutor:
                 grad_in = in_tensors[l - 1][0].grad
                 if grad_in is not None:
                     self.route_input_grads(plan, grad_acc, l, 0, grad_in)
-            engine.accountant.charge_backward_layer(plan, l)
+            engine.accountant.charge_backward_layer(l)
             engine._sync()
 
     def route_input_grads(self, plan, grad_acc, l, w, grad_rows):
@@ -376,7 +372,7 @@ class LayerExecutor:
         )
         push = ~local
         if engine._cache_active and not engine._cache_refreshing:
-            srows = engine.program_.stale_rows[l - 1][w]
+            srows = engine.program_.layers[l - 1].workers[w].stale_rows
             if srows is not None and len(srows):
                 push = push.copy()
                 push[srows] = False

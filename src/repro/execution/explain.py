@@ -34,10 +34,10 @@ def _edge_step(wk: Dict[str, object]) -> Dict[str, object]:
     raise ValueError("worker program has no sparse step")
 
 
-def describe_program(engine) -> Dict[str, object]:
-    """The compiled program as a JSON-friendly dict."""
-    engine.plan()
-    program: Program = engine.program_
+def describe_layers(program: Program) -> List[Dict[str, object]]:
+    """Every layer of ``program`` -- exchange, pass annotations and the
+    per-worker steps -- as JSON-friendly dicts (full-batch plans and
+    sampled rounds render through this one description)."""
     layers = []
     for lp in program.layers:
         ex = lp.exchange
@@ -73,13 +73,20 @@ def describe_program(engine) -> Dict[str, object]:
             ),
             "workers": workers,
         })
+    return layers
+
+
+def describe_program(engine) -> Dict[str, object]:
+    """The compiled program as a JSON-friendly dict."""
+    engine.plan()
+    program: Program = engine.program_
     return {
         "engine": engine.name,
         "num_workers": program.num_workers,
         "num_layers": program.num_layers,
         "dims": list(program.dims),
         "passes": list(program.passes),
-        "layers": layers,
+        "layers": describe_layers(program),
     }
 
 

@@ -7,16 +7,19 @@ NN ops decouple into an explicit dataflow::
                   -> VertexForward
 
 whose backward is auto-generated (``PostToDepNbr`` mirrors the gather).
-:func:`compile_program` makes that flow first-class: every (layer,
-worker) pair gets a tuple of typed steps recording *where* each input
-row comes from (local read, DepComm fetch over the wire, staleness-
-bounded cached read, DepCache recompute) and how much graph/NN work the
-layer does, plus one :class:`ExchangePhase` per layer for the mirror
+:func:`compile_layers` makes that flow first-class, and is the only
+place a :class:`LayerProgram` is built (full-batch plans, sampled
+rounds and tensor-parallel layers alike): every (layer, worker) pair
+gets a tuple of typed steps recording *where* each input row comes from
+(local read, DepComm fetch over the wire, staleness-bounded cached
+read, DepCache recompute) and how much graph/NN work the layer does,
+plus one :class:`ExchangePhase` per layer for the mirror
 synchronisation.  The IR holds time-invariant quantities only (counts,
-flops, byte volumes); the accountant evaluates them against the device
-profile *at charge time*, so straggler faults and online re-planning
-see current hardware, and optimization passes (:mod:`.passes`) annotate
-the IR instead of patching engine code.
+flops, byte volumes); the accountant reads them from the compiled
+program and evaluates them against the device profile *at charge
+time*, so straggler faults and online re-planning see current hardware,
+and optimization passes (:mod:`.passes`) annotate the IR instead of
+patching engine code.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ class ComputeSpec:
     ``chunk_edges[j]`` / ``chunk_vertices[j]`` describe the work tied to
     the chunk arriving from source worker ``j`` (edges whose sources are
     received, vertices crossing the wire including refresh traffic);
-    ``local_edges`` is the communication-independent share.  The
+    ``local_edges`` is the communication-independent share; ``d_in`` is
+    the column count a received row is staged at (the layer's input
+    width, or the worker's slice of it in a tensor-parallel layer).  The
     accountant turns these into seconds with the *current* device
     profile, preserving the pre-IR arithmetic bit for bit.
     """
@@ -129,7 +134,9 @@ class ExchangePhase:
     """One layer's mirror-synchronisation superstep.
 
     ``volumes[s, r]`` are the forward fetch bytes, ``refresh_volumes``
-    the staleness-bounded share (moved only on refresh epochs).
+    the staleness-bounded share (moved only on refresh epochs); the
+    accountant charges these matrices (the backward pass their
+    transposes) -- nothing re-derives them from the plan.
     ``fold_dense[w]`` is pass-written metadata: when set, the accountant
     may fold worker ``w``'s VertexForward time into this exchange's
     communication window (see :class:`.passes.OverlapExchangePass`).
@@ -216,13 +223,9 @@ class Program:
     pos_in_compute: List[List[np.ndarray]]
     passes: List[str] = field(default_factory=list)
 
-    @property
-    def stale_rows(self) -> List[List[Optional[np.ndarray]]]:
-        return [[wp.stale_rows for wp in lp.workers] for lp in self.layers]
 
-
-def layer_compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
-    """Extract layer ``l``'s static timing quantities, one per worker."""
+def _compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
+    """Layer ``l``'s static timing quantities, one per worker."""
     m = engine.cluster.num_workers
     layer = engine.model.layer(l)
     d_in = engine.dims[l - 1]
@@ -238,6 +241,7 @@ def layer_compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
             sparse_flops = float(layer.sparse_flops(block))
             comm_set = plan.comm_ids[l - 1][w]
             stale_set = plan.stale_deps[l - 1][w]
+            local_edges = block.num_edges
             # Stale-cached sources count as received: their rows arrive
             # over the wire on refresh epochs and are staged from the
             # host-resident cache otherwise, paying the same H2D copy.
@@ -245,17 +249,19 @@ def layer_compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
                 received = np.zeros(engine.graph.num_vertices, dtype=bool)
                 received[comm_set] = True
                 received[stale_set] = True
-                from_comm = received[block.edge_src_global]
-            else:
-                from_comm = np.zeros(block.num_edges, dtype=bool)
-            owners = engine.assignment[block.edge_src_global]
-            for j in range(m):
-                sel = from_comm & (owners == j)
-                chunk_edges[j] = int(sel.sum())
-                chunk_vertices[j] = len(
-                    plan.exchanges[l - 1].recv_ids.get((j, w), ())
-                ) + len(plan.refresh_exchanges[l - 1].recv_ids.get((j, w), ()))
-            local_edges = int((~from_comm).sum())
+                recv_src = block.edge_src_global[
+                    received[block.edge_src_global]
+                ]
+                chunk_edges = np.bincount(
+                    engine.assignment[recv_src], minlength=m
+                )
+                local_edges -= len(recv_src)
+                for j in range(m):
+                    chunk_vertices[j] = len(
+                        plan.exchanges[l - 1].recv_ids.get((j, w), ())
+                    ) + len(
+                        plan.refresh_exchanges[l - 1].recv_ids.get((j, w), ())
+                    )
         specs.append(ComputeSpec(
             sparse_flops=sparse_flops,
             dense_flops=dense_flops,
@@ -285,35 +291,24 @@ def _gather_step(engine, plan: EnginePlan, l: int, w: int) -> GetFromDepNbrStep:
     )
 
 
-def compile_program(engine, plan: EnginePlan) -> Program:
-    """Compile ``plan`` into the explicit per-layer dataflow program.
+def compile_layers(engine, plan: EnginePlan) -> List[LayerProgram]:
+    """Lower every layer of ``plan`` to its :class:`LayerProgram` --
+    full-batch plans, sampled rounds' plans and (through
+    :func:`.tp.build_tp_layer_program`) tensor-parallel layers alike.
 
-    Byte volumes go through the engine's ``_forward_volumes`` hook so
-    subclasses redefining the communication pattern (ROC's whole-block
-    broadcast) compile their own exchanges.  Optimization passes are
-    applied separately (:func:`.passes.run_passes`).
+    Forward byte volumes come from ``engine.accountant.forward_volumes``
+    -- the hook through which a baseline says what it ships (ROC's
+    whole-block broadcast) -- and are compiled in.
     """
-    n = engine.graph.num_vertices
     m = engine.cluster.num_workers
-    L = engine.num_layers
-
-    pos_in_compute: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
-    for l in range(L):
-        for w in range(m):
-            pos = np.full(n, -1, dtype=np.int64)
-            ids = plan.compute_sets[l][w]
-            pos[ids] = np.arange(len(ids))
-            pos_in_compute[l][w] = pos
-
     layers: List[LayerProgram] = []
-    for l in range(1, L + 1):
+    for l in range(1, engine.num_layers + 1):
         if plan.is_tp_layer(l):
             from repro.execution.tp import build_tp_layer_program
 
             layers.append(build_tp_layer_program(engine, plan, l))
             continue
-        layer = engine.model.layer(l)
-        specs = layer_compute_specs(engine, plan, l)
+        specs = _compute_specs(engine, plan, l)
         refresh_ex = plan.refresh_exchanges[l - 1]
         exchange = ExchangePhase(
             layer=l,
@@ -327,7 +322,7 @@ def compile_program(engine, plan: EnginePlan) -> Program:
             block = plan.blocks[l - 1][w]
             stale = plan.stale_deps[l - 1][w]
             stale_rows = None
-            if stale is not None and len(stale):
+            if len(stale):
                 stale_rows = np.flatnonzero(
                     np.isin(block.input_vertices, stale)
                 )
@@ -344,7 +339,7 @@ def compile_program(engine, plan: EnginePlan) -> Program:
                 ),
                 VertexForwardStep(
                     num_outputs=block.num_outputs,
-                    dense_flops=float(layer.dense_flops(block)),
+                    dense_flops=specs[w].dense_flops,
                 ),
             )
             workers.append(WorkerLayerProgram(
@@ -355,11 +350,31 @@ def compile_program(engine, plan: EnginePlan) -> Program:
                 stale_rows=stale_rows,
             ))
         layers.append(LayerProgram(layer=l, exchange=exchange, workers=workers))
+    return layers
+
+
+def compile_program(engine, plan: EnginePlan) -> Program:
+    """Compile ``plan`` into the explicit per-layer dataflow program:
+    :func:`compile_layers` plus the executor's dense gather index.
+    Optimization passes are applied separately
+    (:func:`.passes.run_passes`).
+    """
+    n = engine.graph.num_vertices
+    m = engine.cluster.num_workers
+    L = engine.num_layers
+
+    pos_in_compute: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
+    for l in range(L):
+        for w in range(m):
+            pos = np.full(n, -1, dtype=np.int64)
+            ids = plan.compute_sets[l][w]
+            pos[ids] = np.arange(len(ids))
+            pos_in_compute[l][w] = pos
 
     return Program(
         num_layers=L,
         num_workers=m,
         dims=list(engine.dims),
-        layers=layers,
+        layers=compile_layers(engine, plan),
         pos_in_compute=pos_in_compute,
     )

@@ -13,9 +13,14 @@ two dense slice transposes per layer:
 - phase A (``slice``):   ``volumes[s, r] = n_own[s] * widths[r] * 4``
 - phase B (``unslice``): ``volumes[s, r] = n_own[r] * widths[s] * 4``
 
-i.e. phase B is exactly phase A transposed.  Both are charged through
-:func:`repro.comm.scheduler.run_exchange` like every mirror exchange,
-so faults, retry, ring scheduling, and the overlap pass all apply.
+i.e. phase B is exactly phase A transposed.  Both are compiled into the
+layer's ``exchange`` / ``post_exchange`` phases and charged from there
+through :func:`repro.comm.scheduler.run_exchange` like every mirror
+exchange, so faults, retry, ring scheduling, and the overlap pass all
+apply.  Compute goes through the accountant's one
+``layer_compute_split``: a TP ``ComputeSpec`` carries the column share
+of the sparse flops and ``d_in`` = the worker's slice width, the only
+cost-relevant difference from a mirror-exchange layer.
 
 Numerically the recombined slices are the full-width rows, so the
 executor computes a TP layer *once* on the shared full-graph block and
@@ -25,11 +30,12 @@ reference forward by construction.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.comm.scheduler import ExchangeStats, run_exchange
+from repro.comm.scheduler import ExchangeStats
 from repro.execution.plan import EnginePlan
 from repro.execution.program import (
     ComputeSpec,
@@ -58,6 +64,7 @@ def slice_widths(dim: int, num_workers: int) -> np.ndarray:
     return widths
 
 
+@dataclass(frozen=True)
 class FeatureSliceAllToAllStep:
     """One slice-transpose all-to-all (the TP replacement for
     GetFromDepNbr/mirror exchange).
@@ -69,22 +76,12 @@ class FeatureSliceAllToAllStep:
     """
 
     kind = "feature_slice_all_to_all"
-
-    def __init__(
-        self,
-        direction: str,
-        num_vertices: int,
-        dim: int,
-        slice_dim: int,
-        send_bytes: int,
-        recv_bytes: int,
-    ):
-        self.direction = direction
-        self.num_vertices = num_vertices
-        self.dim = dim
-        self.slice_dim = slice_dim
-        self.send_bytes = send_bytes
-        self.recv_bytes = recv_bytes
+    direction: str
+    num_vertices: int
+    dim: int
+    slice_dim: int
+    send_bytes: int
+    recv_bytes: int
 
 
 def _owned_counts(engine) -> np.ndarray:
@@ -114,57 +111,6 @@ def tp_exchange_volumes(
     # This is NeutronTP's structural advantage over the per-vertex
     # mirror exchange, whose chunks pay one enqueue per vertex row.
     return volumes, volumes.T.copy(), 0.0
-
-
-def tp_layer_compute_split(engine, plan: EnginePlan, l: int):
-    """Per-worker (chunk_compute, local_compute, dense) seconds.
-
-    The sparse aggregation is sliced by columns, so worker ``w``'s
-    share of the full edge set costs ``widths[w] / d_in`` of the full
-    sparse time; chunks are keyed by the *owner* of each edge's source
-    (whose slice rows arrive in phase A).  The dense op runs full-width
-    on owned rows only, after the unslice.
-    """
-    m = engine.cluster.num_workers
-    d_in = engine.dims[l - 1]
-    layer = engine.model.layer(l)
-    block = plan.blocks[l - 1][0]  # full-graph block, shared object
-    counts = _owned_counts(engine)
-    widths = slice_widths(d_in, m)
-    chunk_compute = np.zeros((m, m))
-    local_compute = np.zeros(m)
-    dense = np.zeros(m)
-    num_edges = block.num_edges
-    sparse_full = float(layer.sparse_flops(block)) if num_edges else 0.0
-    per_out_dense = float(layer.dense_flops(block)) / max(block.num_outputs, 1)
-    if num_edges:
-        owners = engine.assignment[block.edge_src_global]
-        edge_counts = np.bincount(owners, minlength=m)
-    else:
-        edge_counts = np.zeros(m, dtype=np.int64)
-    for w in range(m):
-        device = engine._device(w)
-        dense[w] = device.dense_time(per_out_dense * counts[w])
-        if num_edges == 0:
-            continue
-        per_edge = sparse_full * (widths[w] / d_in) / num_edges if d_in else 0.0
-        for j in range(m):
-            if j == w:
-                continue
-            count = int(edge_counts[j])
-            if count == 0:
-                continue
-            h2d = device.transfer_time(counts[j] * widths[w] * 4 + count * 12)
-            chunk_compute[j, w] = device.sparse_time(per_edge * count) + h2d
-        local_edges = int(edge_counts[w])
-        if local_edges:
-            h2d = (
-                device.transfer_time(local_edges * 12)
-                if engine.chunked_execution
-                else 0.0
-            )
-            local_compute[w] = device.sparse_time(per_edge * local_edges) + h2d
-    return chunk_compute, local_compute, dense
 
 
 def build_tp_layer_program(engine, plan: EnginePlan, l: int) -> LayerProgram:
@@ -209,7 +155,9 @@ def build_tp_layer_program(engine, plan: EnginePlan, l: int) -> LayerProgram:
             sparse_flops=sparse_full * frac,
             dense_flops=per_out_dense * counts[w],
             num_edges=block.num_edges,
-            d_in=d_in,
+            # Received rows cross PCIe at slice width -- the one thing
+            # that prices a TP chunk differently from a mirror chunk.
+            d_in=int(widths[w]),
             chunk_edges=chunk_edges,
             chunk_vertices=chunk_vertices,
             local_edges=int(edge_counts[w]),
@@ -258,47 +206,27 @@ def build_tp_layer_program(engine, plan: EnginePlan, l: int) -> LayerProgram:
     )
 
 
-def tp_charge_forward_layer(
-    accountant, plan: EnginePlan, l: int
-) -> ExchangeStats:
+def tp_charge_forward_layer(accountant, l: int) -> ExchangeStats:
     """Charge one TP layer's forward: phase A + sliced aggregation,
     phase B, then the owned-rows dense (fold-aware via the shared
     ``_charge_dense``, so :class:`OverlapExchangePass` composes)."""
     engine = accountant.engine
     timeline = engine.timeline
     m = engine.cluster.num_workers
-    volumes_a, volumes_b, msg_bytes = tp_exchange_volumes(engine, l)
-    chunk_compute, local_compute, dense = tp_layer_compute_split(
-        engine, plan, l
-    )
+    lp = accountant._layer(l)
+    chunk_compute, local_compute, dense = accountant.layer_compute_split(l)
     starts = [timeline.now(w) for w in range(m)]
-    stats_a = run_exchange(
-        timeline,
-        engine.cluster.network,
-        volumes_a,
+    stats_a = accountant._exchange(
+        lp.exchange.volumes,
+        lp.exchange.bytes_per_message,
         chunk_compute=chunk_compute,
         local_compute=local_compute,
-        options=engine.comm,
-        barrier=False,
-        bytes_per_message=msg_bytes,
-        faults=engine.faults,
-        retry=engine.retry,
     )
     engine._forward_stats.append(stats_a)
-    stats_b = run_exchange(
-        timeline,
-        engine.cluster.network,
-        volumes_b,
-        chunk_compute=None,
-        local_compute=None,
-        options=engine.comm,
-        barrier=False,
-        bytes_per_message=msg_bytes,
-        faults=engine.faults,
-        retry=engine.retry,
-    )
+    post = lp.post_exchange
+    stats_b = accountant._exchange(post.volumes, post.bytes_per_message)
     engine._forward_stats.append(stats_b)
-    accountant._charge_dense(plan, l, dense, stats_b, volumes_b)
+    accountant._charge_dense(l, dense, stats_b, post.volumes)
     for w in range(m):
         timeline.record_span(
             w, "tp-slice-exchange", starts[w], timeline.now(w), layer=l
@@ -306,32 +234,20 @@ def tp_charge_forward_layer(
     return stats_b
 
 
-def tp_charge_backward_layer(accountant, plan: EnginePlan, l: int) -> None:
+def tp_charge_backward_layer(accountant, l: int) -> None:
     """Charge one TP layer's backward: the reverse transposes (B then A,
     each the forward phase transposed) with the layer's backward
     compute overlapped, mirroring the mirror-exchange backward."""
     from repro.execution.accountant import BACKWARD_MULTIPLIER
 
-    engine = accountant.engine
-    volumes_a, volumes_b, msg_bytes = tp_exchange_volumes(engine, l)
-    chunk_compute, local_compute, dense = tp_layer_compute_split(
-        engine, plan, l
-    )
+    lp = accountant._layer(l)
+    chunk_compute, local_compute, dense = accountant.layer_compute_split(l)
     compute = (
         chunk_compute.sum(axis=0) + local_compute + dense
     ) * BACKWARD_MULTIPLIER
-    for volumes in (volumes_b.T, volumes_a.T):
-        run_exchange(
-            engine.timeline,
-            engine.cluster.network,
-            volumes,
-            chunk_compute=None,
-            local_compute=compute,
-            options=engine.comm,
-            barrier=False,
-            bytes_per_message=msg_bytes,
-            faults=engine.faults,
-            retry=engine.retry,
+    for phase in (lp.post_exchange, lp.exchange):
+        accountant._exchange(
+            phase.volumes.T, phase.bytes_per_message, local_compute=compute
         )
         compute = None
 

@@ -31,6 +31,7 @@ from repro.resilience.injector import FaultInjector, TransferPlan
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 from repro.resilience.chaos import ChaosReport, run_chaos
 from repro.resilience.elastic import (
+    CrashRecovery,
     MigrationReport,
     ShrinkRecord,
     rejoin_engine,
@@ -53,6 +54,7 @@ __all__ = [
     "RecoveryEvent",
     "ChaosReport",
     "run_chaos",
+    "CrashRecovery",
     "MigrationReport",
     "ShrinkRecord",
     "shrink_engine",

@@ -29,12 +29,8 @@ from typing import Callable, List, Optional
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import IDLE
 from repro.comm.scheduler import CommOptions
-from repro.resilience.elastic import ShrinkRecord, rejoin_engine, shrink_engine
-from repro.resilience.faults import (
-    FaultSchedule,
-    RecoveryExhaustedError,
-    WorkerCrashError,
-)
+from repro.resilience.elastic import CrashRecovery
+from repro.resilience.faults import FaultSchedule, WorkerCrashError
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 from repro.resilience.retry import RetryPolicy
 
@@ -155,72 +151,28 @@ def run_chaos(
     if mode == "timing":
         completed = 0
         last_checkpoint = 0
-        crash_count = 0
-        shrink_records: List[ShrinkRecord] = []
-        epochs_since_shrink = 0
+        recovery = CrashRecovery(policy)
         while completed < epochs:
+            # A shrink or rejoin retires the running engine: its stats
+            # are drained before the replacement takes over.
+            running = engine
             try:
                 engine.charge_epoch()
             except WorkerCrashError as crash:
-                if crash_count >= policy.max_recoveries:
-                    raise RecoveryExhaustedError(
-                        crash.fault, crash.detected_at_s, crash_count
-                    ) from crash
-                crash_count += 1
-                fault = crash.fault
-                if (
-                    policy.should_shrink(fault.permanent)
-                    and engine.cluster.num_workers >= 2
-                ):
-                    _drain_stats(engine, acc)
-                    engine, record, report = shrink_engine(engine, crash)
-                    shrink_records.append(record)
-                    epochs_since_shrink = 0
-                    recovery_s = report.seconds
-                    refetch = report.migrated_bytes + report.closure_bytes
-                    strategy = "shrink"
-                else:
-                    recovery_s, refetch = engine.recover_from_crash(
-                        crash, provision_s=policy.provision_s
-                    )
-                    strategy = "restart"
-                recoveries.append(
-                    RecoveryEvent(
-                        epoch=completed + 1,
-                        worker=fault.worker,
-                        detected_at_s=crash.detected_at_s,
-                        recovery_s=recovery_s,
-                        refetch_bytes=refetch,
-                        rolled_back_to_epoch=last_checkpoint,
-                        strategy=strategy,
-                        num_workers_after=engine.cluster.num_workers,
-                    )
+                engine, event = recovery.on_crash(
+                    running, crash, completed + 1, last_checkpoint
                 )
+                if engine is not running:
+                    _drain_stats(running, acc)
+                recoveries.append(event)
                 engine.rollback_to_epoch(last_checkpoint)
                 completed = last_checkpoint
                 continue
             completed += 1
-            if shrink_records and policy.rejoin_after_epochs is not None:
-                epochs_since_shrink += 1
-                if epochs_since_shrink >= policy.rejoin_after_epochs:
-                    record = shrink_records.pop()
-                    epochs_since_shrink = 0
-                    _drain_stats(engine, acc)
-                    engine, report = rejoin_engine(
-                        engine, record, provision_s=policy.provision_s
-                    )
-                    recoveries.append(
-                        RecoveryEvent(
-                            epoch=completed,
-                            worker=record.crash.worker,
-                            detected_at_s=engine.timeline.makespan,
-                            recovery_s=report.seconds,
-                            refetch_bytes=report.migrated_bytes,
-                            rolled_back_to_epoch=completed,
-                            strategy="rejoin",
-                            num_workers_after=engine.cluster.num_workers,
-                        )
-                    )
+            engine, event = recovery.on_epoch_completed(running, completed)
+            if event is not None:
+                _drain_stats(running, acc)
+                recoveries.append(event)
             if completed % policy.checkpoint_every == 0:
                 last_checkpoint = completed
     else:

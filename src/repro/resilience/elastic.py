@@ -41,7 +41,7 @@ original shape -- no rollback needed, the shared model is current.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,9 +51,11 @@ from repro.comm.scheduler import run_exchange
 from repro.partition.base import Partitioning
 from repro.partition.vertex_cut import ReassignmentPlan, absorb_partition
 from repro.resilience.faults import (
+    RecoveryExhaustedError,
     WorkerCrashError,
     WorkerCrashFault,
 )
+from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 
 #: Bytes per replicated adjacency entry (src, dst, weight) -- matches
 #: :meth:`repro.engines.base.BaseEngine.reprovision_bytes`.
@@ -339,8 +341,90 @@ def rejoin_engine(
     return new_engine, report
 
 
+class CrashRecovery:
+    """What a training loop does about crashes, decided in one place.
+
+    What :class:`repro.training.resilient.ResilientTrainer` and the
+    chaos harness's timing loop share: the recovery budget, the
+    restart-or-shrink choice, the shrinks not yet grown back and the
+    rejoin countdown.  Both methods return the engine to continue with
+    (swapped after a shrink or rejoin) and the :class:`RecoveryEvent`;
+    rolling state back to the checkpoint stays with the loop.
+    """
+
+    def __init__(self, policy: RecoveryPolicy):
+        self.policy = policy
+        self.crash_count = 0
+        self.shrink_stack: List[ShrinkRecord] = []
+        self.epochs_since_shrink = 0
+
+    def on_crash(
+        self, engine, crash: WorkerCrashError, epoch: int, checkpoint_epoch: int
+    ) -> Tuple[object, RecoveryEvent]:
+        """Restart ``crash``'s worker or shrink it away, per the policy."""
+        policy = self.policy
+        if self.crash_count >= policy.max_recoveries:
+            raise RecoveryExhaustedError(
+                crash.fault, crash.detected_at_s, self.crash_count
+            ) from crash
+        self.crash_count += 1
+        fault = crash.fault
+        if (
+            policy.should_shrink(fault.permanent)
+            and engine.cluster.num_workers >= 2
+        ):
+            engine, record, report = shrink_engine(engine, crash)
+            self.shrink_stack.append(record)
+            self.epochs_since_shrink = 0
+            recovery_s = report.seconds
+            refetch = report.migrated_bytes + report.closure_bytes
+            strategy = "shrink"
+        else:
+            recovery_s, refetch = engine.recover_from_crash(
+                crash, provision_s=policy.provision_s
+            )
+            strategy = "restart"
+        return engine, RecoveryEvent(
+            epoch=epoch,
+            worker=fault.worker,
+            detected_at_s=crash.detected_at_s,
+            recovery_s=recovery_s,
+            refetch_bytes=refetch,
+            rolled_back_to_epoch=checkpoint_epoch,
+            strategy=strategy,
+            num_workers_after=engine.cluster.num_workers,
+        )
+
+    def on_epoch_completed(
+        self, engine, epoch: int
+    ) -> Tuple[object, Optional[RecoveryEvent]]:
+        """Grow back to the pre-shrink cluster when the policy says so."""
+        policy = self.policy
+        if not self.shrink_stack or policy.rejoin_after_epochs is None:
+            return engine, None
+        self.epochs_since_shrink += 1
+        if self.epochs_since_shrink < policy.rejoin_after_epochs:
+            return engine, None
+        record = self.shrink_stack.pop()
+        self.epochs_since_shrink = 0
+        engine, report = rejoin_engine(
+            engine, record, provision_s=policy.provision_s
+        )
+        return engine, RecoveryEvent(
+            epoch=epoch,
+            worker=record.crash.worker,
+            detected_at_s=engine.timeline.makespan,
+            recovery_s=report.seconds,
+            refetch_bytes=report.migrated_bytes,
+            rolled_back_to_epoch=epoch,  # no rollback: model is current
+            strategy="rejoin",
+            num_workers_after=engine.cluster.num_workers,
+        )
+
+
 __all__ = [
     "ADJ_BYTES_PER_EDGE",
+    "CrashRecovery",
     "MigrationReport",
     "ShrinkRecord",
     "shrink_engine",

@@ -1,26 +1,31 @@
-"""Lower one round of sampled mini-batches onto the typed Program IR.
+"""Compile one round of sampled mini-batches onto the typed Program IR.
 
 :func:`compile_round` takes the closures every worker sampled for the
 current round and produces the same ``(EnginePlan, Program)`` pair a
-full-batch engine builds once at plan time — which is the whole point
-of the subsystem: the accountant's exchange superstep (faults, retry,
-overlap), the pass pipeline (``OverlapExchangePass``), chrome-trace
-spans, and ops signals all price sampled rounds through the exact code
-path full-batch training uses, instead of a private RPC formula.
+full-batch engine builds once at plan time: it splits each worker's
+bottom-layer remote inputs into fetched / reuse-covered / pinned rows,
+fills the round's ``EnginePlan`` with the sampled blocks and that fetch
+list, and hands the plan to the shared lowering
+(:func:`repro.execution.program.compile_layers`).  There is no sampled
+step, ``ExchangePhase`` or ``ComputeSpec`` constructor -- which is the
+whole point of the subsystem: the accountant's exchange superstep
+(faults, retry, overlap), the pass pipeline, chrome-trace spans, and
+ops signals all price sampled rounds through the exact code path
+full-batch training uses, instead of a private RPC formula.
 
-The sampled dataflow differs from full-batch in one structural way:
-only layer 1 moves data (remote *feature* rows for the bottom block's
-inputs); upper layers compute on activations produced locally by the
-layer below, so their exchanges are empty.  The layer-1 fetch list is
-the remote frontier minus rows credited to the batch-dependency reuse
-(kappa: sources covered by re-served neighbor lists are still resident
-from the previous round) and minus rows pinned in the static feature
-cache.
+The sampled dataflow differs from full-batch in one structural way,
+and the plan says so: only layer 1 moves data (remote *feature* rows
+for the bottom block's inputs); upper layers compute on activations
+produced locally by the layer below, so their ``comm_ids`` and
+exchanges are empty.  The layer-1 fetch list is the remote frontier
+minus rows credited to the batch-dependency reuse (kappa: sources
+covered by re-served neighbor lists are still resident from the
+previous round) and minus rows pinned in the static feature cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,18 +33,7 @@ import numpy as np
 from repro.core.blocks import build_block_from_edges
 from repro.core.mirror import MirrorExchange
 from repro.execution.plan import EnginePlan
-from repro.execution.program import (
-    ComputeSpec,
-    EdgeForwardStep,
-    ExchangePhase,
-    GatherByDstStep,
-    GetFromDepNbrStep,
-    LayerProgram,
-    Program,
-    ScatterToEdgeStep,
-    VertexForwardStep,
-    WorkerLayerProgram,
-)
+from repro.execution.program import Program, compile_layers
 from repro.sampling.closure import SampledClosure
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -49,7 +43,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class RoundTraffic:
     """Feature-plane bookkeeping for one compiled round."""
 
-    fetch_ids: List[np.ndarray]  # [worker] -> remote rows on the wire
     remote_rows: int = 0  # unique remote bottom inputs, all workers
     fetch_rows: int = 0  # rows actually exchanged
     reused_rows: int = 0  # rows credited to kappa reuse
@@ -110,7 +103,7 @@ def compile_round(
     graph = engine.graph
 
     fetch_lists: List[np.ndarray] = [_EMPTY] * m
-    traffic = RoundTraffic(fetch_ids=fetch_lists)
+    traffic = RoundTraffic()
     d0 = engine.dims[0]
     for w, closure in closures.items():
         fetch, counts = _bottom_fetch(engine, closure)
@@ -152,54 +145,21 @@ def compile_round(
         refresh_exchanges=[no_exchange] * L,
     )
 
-    layers: List[LayerProgram] = []
-    for l in range(1, L + 1):
-        ex = exchanges[l - 1]
-        phase = ExchangePhase(
-            layer=l,
-            volumes=ex.volume_matrix(engine.dims[l - 1]),
-            refresh_volumes=no_exchange.volume_matrix(engine.dims[l - 1]),
-            bytes_per_message=engine.dims[l - 1] * 4,
-            refresh_entries=0,
-        )
-        workers = []
-        for w in range(m):
-            block = blocks[l - 1][w]
-            fetch = fetch_lists[w] if l == 1 else _EMPTY
-            spec = _worker_spec(engine, block, l, w, fetch, ex)
-            remote = int((engine.assignment[block.input_vertices] != w).sum())
-            num_fetch = len(fetch)
-            steps = (
-                GetFromDepNbrStep(
-                    num_inputs=block.num_inputs,
-                    num_local=block.num_inputs - remote,
-                    num_fetch=num_fetch,
-                    num_cached=remote - num_fetch,
-                    num_recompute=0,
-                    fetch_bytes=num_fetch * engine.dims[l - 1] * 4,
-                    cached_bytes=(remote - num_fetch) * engine.dims[l - 1] * 4,
-                ),
-                ScatterToEdgeStep(num_edges=block.num_edges),
-                EdgeForwardStep(
-                    num_edges=block.num_edges,
-                    sparse_flops=spec.sparse_flops,
-                ),
-                GatherByDstStep(
-                    num_edges=block.num_edges,
-                    num_outputs=block.num_outputs,
-                ),
-                VertexForwardStep(
-                    num_outputs=block.num_outputs,
-                    dense_flops=spec.dense_flops,
-                ),
-            )
-            workers.append(
-                WorkerLayerProgram(
-                    worker=w, layer=l, steps=steps, compute=spec,
-                    stale_rows=None,
-                )
-            )
-        layers.append(LayerProgram(layer=l, exchange=phase, workers=workers))
+    layers = compile_layers(engine, plan)
+    # Nothing is recomputed in a sampled round: a remote input row that
+    # is not on the wire is already resident (reuse-covered, pinned, or
+    # produced by the layer below), so the gather step books what the
+    # full-batch lowering calls a recompute as a cached read.
+    for lp in layers:
+        row_bytes = engine.dims[lp.layer - 1] * 4
+        for wp in lp.workers:
+            gather = wp.steps[0]
+            wp.steps = (replace(
+                gather,
+                num_cached=gather.num_recompute,
+                num_recompute=0,
+                cached_bytes=gather.num_recompute * row_bytes,
+            ),) + wp.steps[1:]
 
     program = Program(
         num_layers=L,
@@ -209,44 +169,3 @@ def compile_round(
         pos_in_compute=[],
     )
     return plan, program, traffic
-
-
-def _worker_spec(engine, block, l, w, fetch, exchange) -> ComputeSpec:
-    """Timing split for worker ``w``: chunk work from each sender for
-    the bottom layer, purely local work above it.
-
-    For layers above the bottom every input row is produced locally by
-    the layer below (``num_cached`` in the gather step counts those
-    already-resident remote-owned activations), so ``chunk_edges`` is
-    zero and the whole edge set is communication-independent.
-    """
-    m = engine.cluster.num_workers
-    w_layer = engine.model.layer(l)
-    chunk_edges = np.zeros(m, dtype=np.int64)
-    chunk_vertices = np.zeros(m, dtype=np.int64)
-    local_edges = 0
-    sparse_flops = 0.0
-    if block.num_edges:
-        sparse_flops = float(w_layer.sparse_flops(block))
-        if l == 1 and len(fetch):
-            fetch_mask = np.zeros(engine.graph.num_vertices, dtype=bool)
-            fetch_mask[fetch] = True
-            received = fetch_mask[block.edge_src_global]
-            recv_src = block.edge_src_global[received]
-            chunk_edges = np.bincount(
-                engine.assignment[recv_src], minlength=m
-            ).astype(np.int64)
-            for j in range(m):
-                chunk_vertices[j] = len(exchange.recv_ids.get((j, w), ()))
-            local_edges = block.num_edges - len(recv_src)
-        else:
-            local_edges = block.num_edges
-    return ComputeSpec(
-        sparse_flops=sparse_flops,
-        dense_flops=float(w_layer.dense_flops(block)),
-        num_edges=block.num_edges,
-        d_in=engine.dims[l - 1],
-        chunk_edges=chunk_edges,
-        chunk_vertices=chunk_vertices,
-        local_edges=local_edges,
-    )

@@ -75,6 +75,9 @@ class SampledTrainingEngine(BaseEngine):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) != model.num_layers:
             raise ValueError("need one fanout per layer")
+        batch_size = int(batch_size)
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         kappa = float(kappa)
         if not 0.0 <= kappa <= 1.0:
             raise ValueError(f"kappa must be in [0, 1], got {kappa}")
@@ -93,7 +96,7 @@ class SampledTrainingEngine(BaseEngine):
             program_passes=program_passes,
         )
         self.fanouts = fanouts
-        self.batch_size = int(batch_size)
+        self.batch_size = batch_size
         self.kappa = kappa
         self.seed = int(seed)
         self.rpc_accounting = bool(rpc_accounting)
@@ -128,8 +131,7 @@ class SampledTrainingEngine(BaseEngine):
 
     def _cost_model(self) -> SamplingCostModel:
         if self._cost is None:
-            if self.constants is None:
-                self.constants = probe_constants(self.cluster, self.model)
+            self.plan()  # probes the constants
             self._cost = SamplingCostModel.from_probe(
                 self.constants, self.cluster.network
             )
@@ -294,11 +296,11 @@ class SampledTrainingEngine(BaseEngine):
                     )
                 loss_terms += len(closures)
                 for l in range(1, self.num_layers + 1):
-                    self.accountant.charge_forward_layer(plan, l)
+                    self.accountant.charge_forward_layer(l)
                 for w, closure in closures.items():
                     self.accountant.charge_loss(w, len(closure.seeds))
                 for l in range(self.num_layers, 0, -1):
-                    self.accountant.charge_backward_layer(plan, l)
+                    self.accountant.charge_backward_layer(l)
                 stats["num_batches"] += len(closures)
                 stats["remote_rows"] += traffic.remote_rows
                 stats["fetched_rows"] += traffic.fetch_rows

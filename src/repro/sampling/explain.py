@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 from typing import Dict, List
 
-from repro.execution.explain import step_dict
+from repro.execution.explain import describe_layers
 from repro.execution.passes import run_passes
 from repro.sampling.closure import ReuseState
 from repro.sampling.compile import compile_round
@@ -60,26 +60,11 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
                 "reuse_fraction": float(closure.reuse_fraction),
                 "fetch_rows": int(traffic.per_worker_fetch.get(w, 0)),
             })
-        layers = []
-        for lp in program.layers:
-            ex = lp.exchange
-            layers.append({
-                "layer": lp.layer,
-                "exchange_bytes": ex.total_bytes(),
-                "workers": [
-                    {
-                        "worker": wp.worker,
-                        "steps": [step_dict(s) for s in wp.steps],
-                        "fold_dense": bool(ex.fold_dense[wp.worker]),
-                    }
-                    for wp in lp.workers
-                ],
-            })
         rounds.append({
             "round": r,
             "workers": workers,
             "passes": list(program.passes),
-            "layers": layers,
+            "layers": describe_layers(program),
             "traffic": {
                 "remote_rows": traffic.remote_rows,
                 "fetch_rows": traffic.fetch_rows,

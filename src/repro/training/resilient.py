@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.resilience.elastic import ShrinkRecord, rejoin_engine, shrink_engine
-from repro.resilience.faults import RecoveryExhaustedError, WorkerCrashError
+from repro.resilience.elastic import CrashRecovery
+from repro.resilience.faults import WorkerCrashError
 from repro.resilience.health import ClusterHealthMonitor
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 from repro.training.checkpoint import save_checkpoint
@@ -90,9 +90,7 @@ class ResilientTrainer(DistributedTrainer):
         self.health_monitor = health_monitor
         self.recoveries: List[RecoveryEvent] = []
         self.replans = 0
-        self._crash_count = 0
-        self._shrink_stack: List[ShrinkRecord] = []
-        self._epochs_since_shrink = 0
+        self._recovery = CrashRecovery(self.policy)
 
     @property
     def total_recovery_s(self) -> float:
@@ -143,29 +141,9 @@ class ResilientTrainer(DistributedTrainer):
         history: TrainingHistory,
     ) -> int:
         """Recover, roll back, and return the epoch to resume from."""
-        if self._crash_count >= self.policy.max_recoveries:
-            raise RecoveryExhaustedError(
-                crash.fault, crash.detected_at_s, self._crash_count
-            ) from crash
-        self._crash_count += 1
-        fault = crash.fault
-        shrink = (
-            self.policy.should_shrink(fault.permanent)
-            and self.engine.cluster.num_workers >= 2
+        self.engine, event = self._recovery.on_crash(
+            self.engine, crash, epoch, snapshot[0]
         )
-        if shrink:
-            new_engine, record, report = shrink_engine(self.engine, crash)
-            self._shrink_stack.append(record)
-            self._epochs_since_shrink = 0
-            self.engine = new_engine
-            recovery_s = report.seconds
-            refetch = report.migrated_bytes + report.closure_bytes
-            strategy = "shrink"
-        else:
-            recovery_s, refetch = self.engine.recover_from_crash(
-                crash, provision_s=self.policy.provision_s
-            )
-            strategy = "restart"
         ckpt_epoch = self._restore(snapshot)
         # The epochs past the checkpoint will be replayed; drop their
         # records so the history reflects one consistent trajectory.
@@ -173,45 +151,16 @@ class ResilientTrainer(DistributedTrainer):
         history.convergence = [
             p for p in history.convergence if p.epoch <= ckpt_epoch
         ]
-        self.recoveries.append(
-            RecoveryEvent(
-                epoch=epoch,
-                worker=fault.worker,
-                detected_at_s=crash.detected_at_s,
-                recovery_s=recovery_s,
-                refetch_bytes=refetch,
-                rolled_back_to_epoch=ckpt_epoch,
-                strategy=strategy,
-                num_workers_after=self.engine.cluster.num_workers,
-            )
-        )
+        self.recoveries.append(event)
         return ckpt_epoch + 1
 
     def _maybe_rejoin(self, epoch: int) -> None:
         """Grow back to the pre-shrink cluster when the policy says so."""
-        if not self._shrink_stack or self.policy.rejoin_after_epochs is None:
-            return
-        self._epochs_since_shrink += 1
-        if self._epochs_since_shrink < self.policy.rejoin_after_epochs:
-            return
-        record = self._shrink_stack.pop()
-        self._epochs_since_shrink = 0
-        new_engine, report = rejoin_engine(
-            self.engine, record, provision_s=self.policy.provision_s
+        self.engine, event = self._recovery.on_epoch_completed(
+            self.engine, epoch
         )
-        self.engine = new_engine
-        self.recoveries.append(
-            RecoveryEvent(
-                epoch=epoch,
-                worker=record.crash.worker,
-                detected_at_s=self.engine.timeline.makespan,
-                recovery_s=report.seconds,
-                refetch_bytes=report.migrated_bytes,
-                rolled_back_to_epoch=epoch,  # no rollback: model is current
-                strategy="rejoin",
-                num_workers_after=self.engine.cluster.num_workers,
-            )
-        )
+        if event is not None:
+            self.recoveries.append(event)
 
     def _observe_health(self) -> None:
         """Feed the health monitor; re-plan when it reports drift."""

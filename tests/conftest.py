@@ -65,3 +65,35 @@ def make_model(arch: str, graph: Graph, hidden: int = 12, seed: int = 7) -> GNNM
 @pytest.fixture
 def gcn_model(small_graph):
     return make_model("gcn", small_graph)
+
+
+def _check_layer_program(lp, bytes_balance: bool = True):
+    """Structural invariants of one compiled ``LayerProgram``.
+
+    Every input row has exactly one provenance, every edge is either
+    tied to an incoming chunk or local, and -- for a mirror-exchange
+    layer of an engine that ships what its plan fetches
+    (``bytes_balance``; ROC broadcasts more) -- bytes sent over the
+    exchange equal the bytes the gather steps receive.
+    """
+    for wp in lp.workers:
+        spec = wp.compute
+        assert int(spec.chunk_edges.sum()) + spec.local_edges == spec.num_edges
+        if lp.is_tp:
+            continue
+        gather = wp.steps[0]
+        assert gather.kind == "get_from_dep_nbr"
+        assert (
+            gather.num_local + gather.num_fetch
+            + gather.num_cached + gather.num_recompute
+            == gather.num_inputs
+        )
+    if bytes_balance and not lp.is_tp:
+        assert lp.exchange.total_bytes() == sum(
+            wp.steps[0].fetch_bytes for wp in lp.workers
+        )
+
+
+@pytest.fixture
+def check_layer_program():
+    return _check_layer_program

@@ -43,12 +43,12 @@ class TestVolumeMatrices:
     def test_backward_is_transpose_of_forward(self, engine):
         plan = engine.plan()
         forward = engine.accountant.forward_volumes(plan, 2)
-        backward = engine.accountant.backward_volumes(plan, 2)
+        backward = engine.accountant.backward_volumes(2)
         assert np.array_equal(backward, forward.T)
 
     def test_layer1_backward_empty(self, engine):
-        plan = engine.plan()
-        assert engine.accountant.backward_volumes(plan, 1).sum() == 0
+        engine.plan()
+        assert engine.accountant.backward_volumes(1).sum() == 0
 
     def test_forward_volumes_match_exchange_counts(self, engine):
         plan = engine.plan()
@@ -64,15 +64,15 @@ class TestVolumeMatrices:
 
 class TestLayerComputeSplit:
     def test_shapes_and_positivity(self, engine):
-        plan = engine.plan()
-        chunk, local, dense = engine.accountant.layer_compute_split(plan, 1)
+        engine.plan()
+        chunk, local, dense = engine.accountant.layer_compute_split(1)
         m = engine.cluster.num_workers
         assert chunk.shape == (m, m)
         assert (chunk >= 0).all() and (local >= 0).all() and (dense > 0).all()
 
     def test_chunk_compute_only_where_comm(self, engine):
         plan = engine.plan()
-        chunk, _, _ = engine.accountant.layer_compute_split(plan, 1)
+        chunk, _, _ = engine.accountant.layer_compute_split(1)
         counts = plan.exchanges[0].counts
         # No compute charged for pairs with no received vertices.
         assert (chunk[counts == 0] == 0).all()

@@ -21,9 +21,9 @@ def engine(small_graph, cluster2):
 class TestSampling:
     def test_fanout_bound_respected(self, engine):
         seeds = np.arange(10)
-        blocks, edges, remote = engine._sample_blocks(seeds, worker=0)
+        closure = engine.sampler.sample_batch(engine.graph, seeds, worker=0)
         csc = engine.graph.csc
-        top = blocks[-1]
+        top = closure.blocks[-1]
         # Each seed keeps at most fanout[0]=3 in-edges.
         counts = np.bincount(top.edge_dst_pos, minlength=top.num_outputs)
         assert counts.max() <= 3
@@ -31,7 +31,9 @@ class TestSampling:
             assert c == min(3, csc.degree(int(v)))
 
     def test_blocks_chain(self, engine):
-        blocks, _, _ = engine._sample_blocks(np.arange(8), worker=0)
+        blocks = engine.sampler.sample_batch(
+            engine.graph, np.arange(8), worker=0
+        ).blocks
         assert np.array_equal(
             blocks[0].compute_vertices, blocks[1].input_vertices
         )
@@ -43,10 +45,11 @@ class TestSampling:
             SamplingEngine(graph, model, cluster2, fanouts=(10,))
 
     def test_remote_rows_counted(self, engine):
-        _, _, remote = engine._sample_blocks(
-            engine.partitioning.part(0)[:8], worker=0
+        closure = engine.sampler.sample_batch(
+            engine.graph, engine.partitioning.part(0)[:8], worker=0
         )
-        assert remote >= 0
+        owners = engine.assignment[closure.blocks[0].input_vertices]
+        assert int((owners != 0).sum()) >= 0
 
     def test_epoch_runs_and_reports(self, engine):
         opt = optim.Adam(engine.model.parameters(), lr=0.01)
@@ -70,8 +73,9 @@ class TestSampling:
         assert t > 0
 
     def test_sampling_nondeterministic_across_epochs(self, engine):
-        a = engine._sample_blocks(np.arange(8), worker=0)[0][0].edge_ids
-        b = engine._sample_blocks(np.arange(8), worker=0)[0][0].edge_ids
+        draw = engine.sampler.sample_batch
+        a = draw(engine.graph, np.arange(8), worker=0).blocks[0].edge_ids
+        b = draw(engine.graph, np.arange(8), worker=0).blocks[0].edge_ids
         # rng advances; high-degree community graph should differ.
         assert not np.array_equal(a, b)
 

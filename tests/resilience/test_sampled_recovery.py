@@ -15,8 +15,10 @@ import pytest
 from repro.core.model import GNNModel
 from repro.engines import make_engine
 from repro.resilience import (
+    ClusterHealthMonitor,
     FaultSchedule,
     RecoveryPolicy,
+    StragglerFault,
     WorkerCrashFault,
     run_chaos,
 )
@@ -142,3 +144,24 @@ class TestSampledChaos:
             + engine.model.parameter_bytes()
         )
         assert refetch == expected
+
+
+def test_sampled_engine_replans_under_health_monitor(small_graph, cluster2):
+    """A sampled engine has no static plan (``plan()`` is None); drift
+    reported by the monitor must still re-plan -- store the overrides,
+    barrier -- instead of dereferencing the missing plan."""
+    engine = build(
+        small_graph, cluster2, "sampled",
+        faults=FaultSchedule([
+            StragglerFault(worker=0, gpu_factor=8.0, cpu_factor=8.0)
+        ]),
+    )
+    trainer = ResilientTrainer(
+        engine, lr=0.05,
+        health_monitor=ClusterHealthMonitor(2, alpha=0.8, drift_threshold=0.1),
+    )
+    history = trainer.train(4)
+    assert len(history.reports) == 4
+    assert trainer.replans >= 1
+    assert set(engine.constants_overrides) == {0, 1}
+    assert engine.replan() is None

@@ -8,6 +8,7 @@ from repro.engines import make_engine
 from repro.sampling import (
     LegacyStreamSampler,
     SampledTrainingEngine,
+    compile_round,
     describe_sampled_batches,
     render_sampled_batches,
 )
@@ -29,20 +30,20 @@ def _engine(graph, cluster, **kwargs):
 
 
 class TestCompiledProgram:
-    def test_gather_step_accounts_every_input(self, graph, cluster2):
+    def test_gather_step_accounts_every_input(
+        self, graph, cluster2, check_layer_program
+    ):
         engine = _engine(graph, cluster2)
-        desc = describe_sampled_batches(engine, num_batches=2)
-        assert desc["rounds"], "no rounds compiled"
-        for rnd in desc["rounds"]:
-            for layer in rnd["layers"]:
-                for worker in layer["workers"]:
-                    gather = worker["steps"][0]
-                    assert gather["kind"] == "get_from_dep_nbr"
-                    assert (
-                        gather["num_local"] + gather["num_fetch"]
-                        + gather["num_cached"] + gather["num_recompute"]
-                        == gather["num_inputs"]
-                    )
+        worker_batches = engine._worker_batches(shuffle=False)
+        for r in range(2):
+            closures = {
+                w: engine._sample_batch(w, batches[r], r)
+                for w, batches in enumerate(worker_batches)
+            }
+            _, program, _ = compile_round(engine, closures)
+            assert program.layers, "no layers compiled"
+            for lp in program.layers:
+                check_layer_program(lp)
 
     def test_only_bottom_layer_exchanges(self, graph, cluster2):
         engine = _engine(graph, cluster2)
@@ -133,6 +134,13 @@ class TestEngineSurface:
     def test_kappa_range_checked(self, graph, cluster2):
         with pytest.raises(ValueError, match="kappa"):
             _engine(graph, cluster2, kappa=1.5)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_checked(self, graph, cluster2, batch_size):
+        # 0 used to die inside range(); -1 trained on zero batches and
+        # reported a 0.0 s epoch with loss 0.0.
+        with pytest.raises(ValueError, match="batch_size"):
+            _engine(graph, cluster2, batch_size=batch_size)
 
     def test_legacy_rng_excludes_kappa(self, graph, cluster2):
         engine = _engine(
