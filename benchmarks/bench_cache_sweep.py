@@ -15,13 +15,11 @@ Headline shapes this module asserts:
 - comm volume is monotonically non-increasing in ``tau``.
 """
 
-import numpy as np
-
-from common import paper_row, parse_json_flag, print_table, write_json
-from repro.cache.sweep import run_cache_sweep
+from common import paper_row, parse_json_flag, write_json
 from repro.cluster.spec import ClusterSpec
 from repro.core.model import GNNModel
-from repro.graph.datasets import load_dataset, spec_of
+from repro.graph.datasets import load_dataset
+from repro.sweeps import CACHE_COLUMNS, best_cache_point, render, run_cache_sweep
 from repro.training.prep import prepare_graph
 
 DATASET = "pubmed"
@@ -34,7 +32,6 @@ TAUS = (0.0, 2.0, 4.0, 8.0)
 
 def run_experiment(seed=1):
     graph = prepare_graph(load_dataset(DATASET, scale=SCALE), "gcn")
-    spec = spec_of(DATASET)
 
     def model_factory():
         return GNNModel.build(
@@ -45,25 +42,12 @@ def run_experiment(seed=1):
         graph, model_factory, ClusterSpec.ecs(NODES),
         taus=TAUS, epochs=EPOCHS, engine_name="depcomm",
     )
-    rows = [[
-        "baseline", f"{result.baseline_comm_bytes / 1e3:.1f}", "0.0%",
-        f"{result.baseline_accuracy * 100:.2f}%", "-", "-",
-    ]]
-    for p in result.points:
-        rows.append([
-            f"tau={p.tau:g}",
-            f"{p.avg_comm_bytes / 1e3:.1f}",
-            f"{p.comm_reduction * 100:.1f}%",
-            f"{p.accuracy * 100:.2f}%",
-            f"{p.accuracy_delta * 100:+.2f}%",
-            f"{p.hit_rate() * 100:.0f}%",
-        ])
-    print_table(
-        f"HybridCache sweep: DepComm + historical cache on {DATASET} "
-        f"(scale {SCALE}, {NODES} workers, {EPOCHS} epochs)",
-        ["point", "KB/epoch", "comm saved", "accuracy", "delta", "hit rate"],
-        rows,
-    )
+    base = result["baseline"]
+    print(f"\n### HybridCache sweep: DepComm + historical cache on {DATASET} "
+          f"(scale {SCALE}, {NODES} workers, {EPOCHS} epochs)")
+    print(f"baseline: {base['comm_bytes_per_epoch'] / 1e3:.1f} KB/epoch, "
+          f"accuracy {base['accuracy'] * 100:.2f}%")
+    print(render(CACHE_COLUMNS, result["points"]))
     paper_row(
         "historical-embedding caching trades bounded staleness for "
         "amortized communication (cf. Kaler et al.; not in NeutronStar)"
@@ -71,27 +55,34 @@ def run_experiment(seed=1):
     return result
 
 
-def test_cache_sweep(benchmark):
-    result = run_experiment()
-    by_tau = {p.tau: p for p in result.points}
+def check(result):
+    """The headline shapes; run by pytest and by ``__main__``."""
+    base = result["baseline"]
+    by_tau = {p["tau"]: p for p in result["points"]}
 
     # tau=0 refreshes every epoch: bit-identical to the cache-free run.
-    assert by_tau[0.0].avg_comm_bytes == result.baseline_comm_bytes
-    assert by_tau[0.0].accuracy == result.baseline_accuracy
+    assert by_tau[0.0]["comm_bytes_per_epoch"] == base["comm_bytes_per_epoch"]
+    assert by_tau[0.0]["accuracy"] == base["accuracy"]
 
     # Comm volume is monotonically non-increasing in tau.
-    volumes = [by_tau[t].avg_comm_bytes for t in sorted(by_tau)]
+    volumes = [by_tau[t]["comm_bytes_per_epoch"] for t in sorted(by_tau)]
     assert all(a >= b - 1e-9 for a, b in zip(volumes, volumes[1:]))
 
     # Headline: >= 30% comm saved with accuracy within 1% somewhere.
-    best = result.best(accuracy_tolerance=0.01)
+    best = best_cache_point(result, accuracy_tolerance=0.01)
     assert best is not None
-    assert best.comm_reduction >= 0.30, best
-    assert best.accuracy_delta >= -0.01, best
+    assert best["comm_reduction"] >= 0.30, best
+    assert best["accuracy_delta"] >= -0.01, best
 
-    benchmark(lambda: np.sum(volumes))
+
+def test_cache_sweep(benchmark):
+    result = run_experiment()
+    check(result)
+    benchmark(lambda: best_cache_point(result))
 
 
 if __name__ == "__main__":
     json_path = parse_json_flag("HybridCache tau sweep vs pure DepComm")
-    write_json(json_path, run_experiment().to_dict())
+    result = run_experiment()
+    write_json(json_path, result)
+    check(result)

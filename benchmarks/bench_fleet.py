@@ -216,9 +216,8 @@ def run_experiment():
     }
 
 
-def test_fleet(benchmark):
-    result = run_experiment()
-
+def check(result):
+    """The headline shapes; run by pytest and by ``__main__`` (CI)."""
     # Replication must not perturb answers: bit-identical at 1 and N.
     assert result["predictions_identical"]
 
@@ -236,9 +235,15 @@ def test_fleet(benchmark):
     assert hedging["fraction"] <= MAX_HEDGE_FRACTION, hedging
     assert hedging["clean_launched"] == 0
 
+
+def test_fleet(benchmark):
+    result = run_experiment()
+    check(result)
     benchmark(lambda: result["crash"]["recovery_ratio"])
 
 
 if __name__ == "__main__":
     json_path = parse_json_flag("serving fleet benchmark")
-    write_json(json_path, run_experiment())
+    result = run_experiment()
+    write_json(json_path, result)
+    check(result)

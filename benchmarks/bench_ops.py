@@ -82,8 +82,8 @@ def run_experiment():
     return result
 
 
-def test_ops(benchmark):
-    result = run_experiment()
+def check(result):
+    """The headline shapes; run by pytest and by ``__main__`` (CI)."""
     problems = result["problems"]
     assert len(problems) >= 5
 
@@ -103,9 +103,15 @@ def test_ops(benchmark):
     # The unmitigated permanent crash kills the run outright.
     assert problems["train-crash-permanent"]["unmitigated_aborted"]
 
-    benchmark(lambda: len(problems))
+
+def test_ops(benchmark):
+    result = run_experiment()
+    check(result)
+    benchmark(lambda: len(result["problems"]))
 
 
 if __name__ == "__main__":
     json_path = parse_json_flag("operations benchmark")
-    write_json(json_path, run_experiment())
+    result = run_experiment()
+    write_json(json_path, result)
+    check(result)

@@ -179,9 +179,8 @@ def run_experiment():
     }
 
 
-def test_sampling_pipeline(benchmark):
-    result = run_experiment()
-
+def check(result):
+    """The headline shapes; run by pytest and by ``__main__`` (CI)."""
     # Sampling is the headline: >= 5x cheaper epochs, <= 2 point gap.
     assert result["speedup"] >= 5.0, result["speedup"]
     assert result["accuracy_gap"] <= 0.02, result["accuracy_gap"]
@@ -194,9 +193,15 @@ def test_sampling_pipeline(benchmark):
     assert all(a >= b for a, b in zip(volumes, volumes[1:])), volumes
     assert volumes[-1] < volumes[0], volumes
 
+
+def test_sampling_pipeline(benchmark):
+    result = run_experiment()
+    check(result)
     benchmark(lambda: result["speedup"])
 
 
 if __name__ == "__main__":
     json_path = parse_json_flag("sampled mini-batch training benchmark")
-    write_json(json_path, run_experiment())
+    result = run_experiment()
+    write_json(json_path, result)
+    check(result)

@@ -21,7 +21,7 @@ Headline shapes this module asserts:
   workload twice gives bit-identical ledgers.
 """
 
-from common import paper_row, parse_json_flag, print_table, write_json
+from common import paper_row, parse_json_flag, write_json
 from repro.cluster.spec import ClusterSpec
 from repro.core.model import GNNModel
 from repro.graph import generators
@@ -32,6 +32,7 @@ from repro.serving import (
     WorkloadConfig,
     generate_workload,
 )
+from repro.sweeps import BATCHING_COLUMNS, TAU_COLUMNS, render, run_serve_bench
 
 NUM_VERTICES = 500
 NUM_EDGES = 4000
@@ -82,56 +83,20 @@ def _serve(parts, workload, window_s, max_batch, tau_s, mode):
 
 def run_experiment():
     parts = _setup()
-    saturating = _workload(NUM_VERTICES, RATE_RPS)
     spread = _workload(NUM_VERTICES, SWEEP_RATE_RPS)
 
-    # -- micro-batching vs one request at a time -----------------------
-    unbatched = _serve(parts, saturating, 0.0, 1, 0.0, "local")
-    batched = _serve(parts, saturating, BATCH_WINDOW_S, MAX_BATCH, 0.0, "local")
-    speedup = (
-        batched.ledger.throughput_rps() / unbatched.ledger.throughput_rps()
+    # Micro-batching vs one request at a time on the saturating stream,
+    # then staleness bound vs remote-serving traffic on the spread one.
+    result = run_serve_bench(
+        *parts, _workload(NUM_VERTICES, RATE_RPS), spread,
+        taus=TAUS, batch_window_s=BATCH_WINDOW_S, max_batch=MAX_BATCH,
     )
-    identical = batched.predictions == unbatched.predictions
-    print_table(
-        f"micro-batching on erdos_renyi({NUM_VERTICES}, {NUM_EDGES}), "
-        f"3-layer GCN, {NODES} workers, {NUM_REQUESTS} reqs (saturating)",
-        ["serving", "batches", "rps", "p99 ms", "speedup"],
-        [
-            ["unbatched", str(unbatched.num_batches),
-             f"{unbatched.ledger.throughput_rps():.0f}",
-             f"{unbatched.ledger.p99_s * 1e3:.2f}", "-"],
-            ["batched", str(batched.num_batches),
-             f"{batched.ledger.throughput_rps():.0f}",
-             f"{batched.ledger.p99_s * 1e3:.2f}", f"{speedup:.2f}x"],
-        ],
-    )
-    print(f"predictions identical: {identical}")
-
-    # -- staleness bound vs remote-serving traffic ---------------------
-    sweep = []
-    rows = []
-    for tau in TAUS:
-        result = _serve(parts, spread, BATCH_WINDOW_S, MAX_BATCH, tau, "remote")
-        ledger = result.ledger
-        sweep.append({
-            "tau_s": tau,
-            "comm_bytes": ledger.total_comm_bytes,
-            "p99_ms": ledger.p99_s * 1e3,
-            "mean_staleness_s": ledger.mean_staleness_s(),
-            "cache_hits": result.cache.counters.hits,
-        })
-        rows.append([
-            f"{tau:g}",
-            f"{ledger.total_comm_bytes / 1e3:.1f}",
-            f"{ledger.p99_s * 1e3:.2f}",
-            f"{ledger.mean_staleness_s() * 1e3:.2f}",
-            str(result.cache.counters.hits),
-        ])
-    print_table(
-        "staleness bound vs remote-serving traffic",
-        ["tau s", "comm KB", "p99 ms", "staleness ms", "cache hits"],
-        rows,
-    )
+    print(f"\n### micro-batching on erdos_renyi({NUM_VERTICES}, {NUM_EDGES}), "
+          f"3-layer GCN, {NODES} workers, {NUM_REQUESTS} reqs (saturating)")
+    print(render(BATCHING_COLUMNS, result.pop("batching")))
+    print(f"predictions identical: {result['predictions_identical']}")
+    print("\n### staleness bound vs remote-serving traffic")
+    print(render(TAU_COLUMNS, result["tau_sweep"]))
 
     # -- determinism ---------------------------------------------------
     a = _serve(parts, spread, BATCH_WINDOW_S, MAX_BATCH, TAUS[-1], "remote")
@@ -144,14 +109,7 @@ def run_experiment():
         "forwards and staleness-bounded caching reuse the training-time "
         "hybrid dependency machinery (not a NeutronStar experiment)"
     )
-    return {
-        "unbatched_rps": unbatched.ledger.throughput_rps(),
-        "batched_rps": batched.ledger.throughput_rps(),
-        "batching_speedup": speedup,
-        "predictions_identical": identical,
-        "tau_sweep": sweep,
-        "deterministic": deterministic,
-    }
+    return {**result, "deterministic": deterministic}
 
 
 def test_serving(benchmark):

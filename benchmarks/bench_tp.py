@@ -12,39 +12,23 @@ automatically -- while on the flattest configuration the all-to-all's
 per-peer latency floor loses to the overlappable sparse exchange.
 """
 
-from common import parse_json_flag, print_table, write_json
+from common import parse_json_flag, write_json
 from repro.cluster.spec import ClusterSpec
-from repro.engines.tp_sweep import PURE_THREE_WAY, run_tp_sweep
+from repro.sweeps import TP_COLUMNS, render, run_tp_sweep
 
 NUM_WORKERS = 16
 
 
 def run_experiment():
     result = run_tp_sweep(cluster=ClusterSpec.ecs(NUM_WORKERS))
-    rows = []
-    for r in result["rows"]:
-        times = r["times_s"]
-        rows.append([
-            f"{r['hub_exponent']:g}", str(r["hidden"]),
-            *(f"{times[name] * 1e3:.3f}" for name in PURE_THREE_WAY),
-            f"{times['tp'] * 1e3:.3f}",
-            f"{times['hybrid4'] * 1e3:.3f}",
-            "".join("T" if flag else "." for flag in r["tp_layers"]),
-            "hybrid4" if r["four_way_wins"]
-            else ("tp" if r["tp_wins"] else "three-way"),
-        ])
-    print_table(
-        f"Tensor-parallel crossover, GCN on scaled-social "
-        f"({NUM_WORKERS}-node ECS)",
-        ["skew", "hidden", "depcache ms", "depcomm ms", "hybrid ms",
-         "tp ms", "hybrid4 ms", "tp layers", "winner"],
-        rows,
-    )
+    print(f"\n### Tensor-parallel crossover, GCN on scaled-social "
+          f"({NUM_WORKERS}-node ECS)")
+    print(render(TP_COLUMNS, result["rows"]))
     return result
 
 
-def test_tp_crossover(benchmark):
-    result = run_experiment()
+def check(result):
+    """The headline shapes; run by pytest and by ``__main__`` (CI)."""
     cells = {
         (r["hub_exponent"], r["hidden"]): r for r in result["rows"]
     }
@@ -88,11 +72,15 @@ def test_tp_crossover(benchmark):
     assert crossover["four_way_win_cells"], crossover
     assert all(h == widest for _, h in crossover["four_way_win_cells"])
 
+
+def test_tp_crossover(benchmark):
+    result = run_experiment()
+    check(result)
     benchmark(lambda: None)
 
 
 if __name__ == "__main__":
     json_path = parse_json_flag(__doc__.splitlines()[0])
-    results = run_experiment()
-    if json_path:
-        write_json(json_path, results)
+    result = run_experiment()
+    write_json(json_path, result)
+    check(result)

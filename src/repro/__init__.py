@@ -29,7 +29,11 @@ The package is organised as the paper's system diagram (Figure 4):
   strategy recommendation.
 - :mod:`repro.experiments` -- every paper table/figure and ablation as
   a library call (``run_all`` writes one JSON of results).
-- :mod:`repro.cli` -- the ``python -m repro`` command line.
+- :mod:`repro.sweeps` -- ``run_grid`` + ``Column``: every parameter
+  grid (cache / sample / tp / serve-bench / compare / chaos) and its
+  table.
+- :mod:`repro.cli` -- the ``python -m repro`` command line, one table of
+  ``Command`` rows.
 """
 
 from repro.graph.datasets import load_dataset

@@ -10,9 +10,11 @@ of slightly stale inputs (exact again after every refresh).
 - :mod:`repro.cache.historical` -- the per-layer, epoch-stamped store;
 - :mod:`repro.cache.policies` -- admission/eviction rankings;
 - :mod:`repro.cache.budget` -- the memory budget shared with DepCache
-  closures, plus :class:`CacheConfig`;
-- :mod:`repro.cache.sweep` -- the tau/capacity sweep harness behind
-  ``repro cache-sweep`` and ``benchmarks/bench_cache_sweep.py``.
+  closures, plus :class:`CacheConfig`.
+
+The tau/capacity grid behind ``repro cache-sweep`` and
+``benchmarks/bench_cache_sweep.py`` is
+:func:`repro.sweeps.run_cache_sweep`.
 
 Engines opt in via ``cache_config=CacheConfig(...)``; with no config
 every code path is bit-identical to the cache-free implementation.

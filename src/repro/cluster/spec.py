@@ -19,6 +19,10 @@ if TYPE_CHECKING:  # avoid a runtime cluster -> resilience import cycle
     from repro.resilience.faults import FaultSchedule
 
 
+class FaultTargetError(ValueError):
+    """A fault names a worker or link endpoint the cluster does not have."""
+
+
 @dataclass
 class ClusterSpec:
     """A homogeneous cluster of ``num_workers`` nodes.
@@ -69,13 +73,19 @@ class ClusterSpec:
         return replace(self, num_workers=num_workers)
 
     def with_faults(self, schedule: "FaultSchedule") -> "ClusterSpec":
-        """Same cluster, with a fault schedule injected (chaos runs)."""
-        for crash in schedule.crashes() if schedule else ():
-            if not 0 <= crash.worker < self.num_workers:
-                raise ValueError(
-                    f"crash fault targets worker {crash.worker}, but the "
-                    f"cluster has {self.num_workers} workers"
-                )
+        """Same cluster, with a fault schedule injected (chaos runs).
+
+        Every fault's worker and link endpoints must exist: a fault on
+        a worker the cluster lacks would silently never fire.
+        """
+        for fault in schedule.faults if schedule else ():
+            for end in ("worker", "src", "dst"):
+                target = getattr(fault, end, None)
+                if target is not None and not 0 <= target < self.num_workers:
+                    raise FaultTargetError(
+                        f"{type(fault).__name__} {end}={target} is outside "
+                        f"the cluster's workers 0..{self.num_workers - 1}"
+                    )
         return replace(self, faults=schedule)
 
     def healthy(self) -> "ClusterSpec":

@@ -11,7 +11,6 @@ from repro.engines.tensor_parallel import (
     FourWayHybridEngine,
     TensorParallelEngine,
 )
-from repro.engines.tp_sweep import run_tp_sweep
 from repro.sampling.engine import SampledTrainingEngine
 
 _ENGINES = {
@@ -52,5 +51,4 @@ __all__ = [
     "SharedMemoryEngine",
     "TensorParallelEngine",
     "make_engine",
-    "run_tp_sweep",
 ]

@@ -19,6 +19,8 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro.utils import jsonable
+
 _BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 # experiment id -> (bench module filename, description)
@@ -93,23 +95,6 @@ def run_experiment(experiment_id: str):
     return module.run_experiment()
 
 
-def _jsonable(value):
-    """Coerce numpy scalars/arrays and tuple keys for JSON output."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and value != value:
-        return "OOM"
-    return value
-
-
 def run_all(
     output_path: Optional[Union[str, Path]] = None,
     only: Optional[List[str]] = None,
@@ -131,7 +116,7 @@ def run_all(
         results[experiment_id] = {
             "description": description,
             "wall_seconds": round(time.time() - started, 2),
-            "result": _jsonable(raw),
+            "result": jsonable(raw),
         }
     if output_path is not None:
         path = Path(output_path)

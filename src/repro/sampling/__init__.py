@@ -27,7 +27,6 @@ from repro.sampling.samplers import (
     UniformFanoutSampler,
     make_sampler,
 )
-from repro.sampling.sweep import run_sample_sweep
 
 __all__ = [
     "SAMPLER_NAMES",
@@ -46,5 +45,4 @@ __all__ = [
     "describe_sampled_batches",
     "make_sampler",
     "render_sampled_batches",
-    "run_sample_sweep",
 ]

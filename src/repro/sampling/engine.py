@@ -117,7 +117,6 @@ class SampledTrainingEngine(BaseEngine):
             if feature_cache_bytes
             else None
         )
-        self._reuse: List[Optional[ReuseState]] = [None] * cluster.num_workers
         self._cost: Optional[SamplingCostModel] = None
         self.last_epoch_stats: Optional[Dict[str, float]] = None
 
@@ -169,7 +168,6 @@ class SampledTrainingEngine(BaseEngine):
         """Rewind the epoch counter *and* the sampler's draw state."""
         super().rollback_to_epoch(epoch)
         self.sampler.restore(epoch)
-        self._reuse = [None] * self.cluster.num_workers
 
     # -- batching and sampling -----------------------------------------
     def _worker_batches(self, shuffle: bool) -> List[List[np.ndarray]]:
@@ -189,18 +187,28 @@ class SampledTrainingEngine(BaseEngine):
             )
         return batches
 
-    def _sample_batch(
-        self, worker: int, seeds: np.ndarray, batch: int
-    ) -> SampledClosure:
-        return self.sampler.sample_batch(
-            self.graph,
-            seeds,
-            worker=worker,
-            epoch=self._epoch,
-            batch=batch,
-            kappa=self.kappa,
-            state=self._reuse[worker],
-        )
+    def rounds(self, sampler: NeighborSampler, shuffle: bool):
+        """The next epoch, one mini-batch round at a time: sample every
+        worker's batch with ``sampler``, compile the round, run the
+        program passes.  Yields ``(round, closures, plan, program,
+        traffic)`` and touches no engine state, so the epoch loop runs
+        it on the engine's own sampler and ``explain-plan --sampled``
+        dry-runs it on a clone."""
+        worker_batches = self._worker_batches(shuffle)
+        reuse = [
+            ReuseState() if self.kappa > 0.0 else None for _ in worker_batches
+        ]
+        for r in range(max((len(b) for b in worker_batches), default=0)):
+            closures = {
+                w: sampler.sample_batch(
+                    self.graph, batches[r], worker=w, epoch=self._epoch,
+                    batch=r, kappa=self.kappa, state=reuse[w],
+                )
+                for w, batches in enumerate(worker_batches)
+                if r < len(batches)
+            }
+            plan, program, traffic = compile_round(self, closures)
+            yield r, closures, plan, run_passes(program, self), traffic
 
     # -- charging ------------------------------------------------------
     def _charge_sampling(self, closures, traffic) -> None:
@@ -264,12 +272,6 @@ class SampledTrainingEngine(BaseEngine):
 
     # -- the epoch loop ------------------------------------------------
     def _run_epoch_impl(self, optimizer, numeric: bool) -> EpochReport:
-        m = self.cluster.num_workers
-        worker_batches = self._worker_batches(shuffle=numeric)
-        self._reuse = [
-            ReuseState() if self.kappa > 0.0 else None for _ in range(m)
-        ]
-        num_rounds = max((len(b) for b in worker_batches), default=0)
         self._forward_stats = []
         total_loss = 0.0
         loss_terms = 0
@@ -280,41 +282,33 @@ class SampledTrainingEngine(BaseEngine):
         }
         unique_remote: List[np.ndarray] = []
         t_start = self._sync()
-        for r in range(num_rounds):
-            closures = {}
-            for w in range(m):
-                if r < len(worker_batches[w]) and len(worker_batches[w][r]):
-                    closures[w] = self._sample_batch(w, worker_batches[w][r], r)
-            if closures:
-                plan, program, traffic = compile_round(self, closures)
-                self.plan_ = plan
-                self.program_ = run_passes(program, self)
-                self._charge_sampling(closures, traffic)
-                if numeric:
-                    total_loss = self._train_round(
-                        closures, optimizer, total_loss
-                    )
-                loss_terms += len(closures)
-                for l in range(1, self.num_layers + 1):
-                    self.accountant.charge_forward_layer(l)
-                for w, closure in closures.items():
-                    self.accountant.charge_loss(w, len(closure.seeds))
-                for l in range(self.num_layers, 0, -1):
-                    self.accountant.charge_backward_layer(l)
-                stats["num_batches"] += len(closures)
-                stats["remote_rows"] += traffic.remote_rows
-                stats["fetched_rows"] += traffic.fetch_rows
-                stats["reused_rows"] += traffic.reused_rows
-                stats["pinned_rows"] += traffic.pinned_rows
-                stats["saved_bytes"] += traffic.saved_bytes
-                for w, closure in closures.items():
-                    stats["sampled_edges"] += closure.num_sampled_edges
-                    inputs = closure.blocks[0].input_vertices
-                    unique_remote.append(
-                        inputs[self.assignment[inputs] != w]
-                    )
+        for _, closures, plan, program, traffic in self.rounds(
+            self.sampler, shuffle=numeric
+        ):
+            self.plan_ = plan
+            self.program_ = program
+            self._charge_sampling(closures, traffic)
+            if numeric:
+                total_loss = self._train_round(closures, optimizer, total_loss)
+            loss_terms += len(closures)
+            for l in range(1, self.num_layers + 1):
+                self.accountant.charge_forward_layer(l)
+            for w, closure in closures.items():
+                self.accountant.charge_loss(w, len(closure.seeds))
+            for l in range(self.num_layers, 0, -1):
+                self.accountant.charge_backward_layer(l)
+            stats["num_batches"] += len(closures)
+            stats["remote_rows"] += traffic.remote_rows
+            stats["fetched_rows"] += traffic.fetch_rows
+            stats["reused_rows"] += traffic.reused_rows
+            stats["pinned_rows"] += traffic.pinned_rows
+            stats["saved_bytes"] += traffic.saved_bytes
+            for w, closure in closures.items():
+                stats["sampled_edges"] += closure.num_sampled_edges
+                inputs = closure.blocks[0].input_vertices
+                unique_remote.append(inputs[self.assignment[inputs] != w])
             self.accountant.charge_allreduce()
-            if m == 1:
+            if self.cluster.num_workers == 1:
                 self._sync()
         t_end = self._sync()
         comm_bytes = int(sum(s.total_bytes for s in self._forward_stats))

@@ -11,43 +11,19 @@ show (seed counts, per-layer frontier growth, kappa reuse fraction).
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Dict, List
 
 from repro.execution.explain import describe_layers
-from repro.execution.passes import run_passes
-from repro.sampling.closure import ReuseState
-from repro.sampling.compile import compile_round
 
 
 def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
     """JSON-friendly description of the next ``num_batches`` rounds."""
-    worker_batches = engine._worker_batches(shuffle=False)
-    num_rounds = max((len(b) for b in worker_batches), default=0)
     # A sampler may carry a sequential stream; dry-run on a clone so
     # the engine's own draw state is untouched.
-    sampler = copy.deepcopy(engine.sampler)
-    reuse = [
-        ReuseState() if engine.kappa > 0.0 else None
-        for _ in range(engine.cluster.num_workers)
-    ]
+    dry_run = engine.rounds(copy.deepcopy(engine.sampler), shuffle=False)
     rounds: List[Dict[str, object]] = []
-    for r in range(min(num_batches, num_rounds)):
-        closures = {}
-        for w in range(engine.cluster.num_workers):
-            if r < len(worker_batches[w]) and len(worker_batches[w][r]):
-                closures[w] = sampler.sample_batch(
-                    engine.graph,
-                    worker_batches[w][r],
-                    worker=w,
-                    epoch=engine._epoch,
-                    batch=r,
-                    kappa=engine.kappa,
-                    state=reuse[w],
-                )
-        if not closures:
-            continue
-        plan, program, traffic = compile_round(engine, closures)
-        program = run_passes(program, engine)
+    for r, closures, _, program, traffic in itertools.islice(dry_run, num_batches):
         workers = []
         for w in sorted(closures):
             closure = closures[w]

@@ -140,6 +140,7 @@ class InferenceServer:
             raise ValueError("serving needs a graph with features")
         if len(partitioning.assignment) != graph.num_vertices:
             raise ValueError("partitioning does not match the graph")
+        cluster.with_faults(faults)  # a fault on a worker we lack is an error
         self.graph = graph
         self.model = model
         self.cluster = cluster

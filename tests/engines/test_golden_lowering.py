@@ -13,6 +13,7 @@ and no charged second.  The explain dicts may *gain* keys; a recorded
 key may not move.
 """
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -147,16 +148,10 @@ def _layer_programs(case: str):
     """Every LayerProgram ``case`` lowers: the compiled plan, or the
     first two rounds of a sampled epoch."""
     if case in SAMPLED_CASES:
-        from repro.sampling import compile_round
-
         engine = _sampled_engine(case)
-        worker_batches = engine._worker_batches(shuffle=False)
-        for r in range(2):
-            closures = {
-                w: engine._sample_batch(w, batches[r], r)
-                for w, batches in enumerate(worker_batches)
-            }
-            yield from compile_round(engine, closures)[1].layers
+        rounds = engine.rounds(engine.sampler, shuffle=False)
+        for _, _, _, program, _ in itertools.islice(rounds, 2):
+            yield from program.layers
         return
     if case == "depcomm-cached":
         from repro.cache import CacheConfig

@@ -1,5 +1,7 @@
 """SampledTrainingEngine: IR compilation, determinism, caching."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.engines import make_engine
 from repro.sampling import (
     LegacyStreamSampler,
     SampledTrainingEngine,
-    compile_round,
     describe_sampled_batches,
     render_sampled_batches,
 )
@@ -34,13 +35,8 @@ class TestCompiledProgram:
         self, graph, cluster2, check_layer_program
     ):
         engine = _engine(graph, cluster2)
-        worker_batches = engine._worker_batches(shuffle=False)
-        for r in range(2):
-            closures = {
-                w: engine._sample_batch(w, batches[r], r)
-                for w, batches in enumerate(worker_batches)
-            }
-            _, program, _ = compile_round(engine, closures)
+        rounds = engine.rounds(engine.sampler, shuffle=False)
+        for _, _, _, program, _ in itertools.islice(rounds, 2):
             assert program.layers, "no layers compiled"
             for lp in program.layers:
                 check_layer_program(lp)

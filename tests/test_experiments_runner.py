@@ -39,3 +39,21 @@ class TestRunner:
         assert loaded["table5"]["wall_seconds"] >= 0
         # NaN OOM entries serialise as the string "OOM".
         assert "OOM" in json.dumps(loaded)
+
+    def test_numpy_nan_cells_write_valid_json(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        import repro.experiments as experiments
+
+        monkeypatch.setattr(
+            experiments, "run_experiment",
+            lambda _id: {"oom_cell": np.float64("nan"), "ok": np.float32(1.5)},
+        )
+        out = tmp_path / "results.json"
+        run_all(output_path=out, only=["table5"], progress=lambda msg: None)
+
+        def reject(constant):
+            raise AssertionError(f"bare {constant} is not JSON")
+
+        loaded = json.loads(out.read_text(), parse_constant=reject)
+        assert loaded["table5"]["result"] == {"oom_cell": "OOM", "ok": 1.5}
