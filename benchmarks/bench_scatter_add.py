@@ -15,7 +15,7 @@ operations) plus a Zipf-hub index whose hub rows outlive the rounds:
 - ``serve_closure_small`` / ``serve_closure_large``: ``serve_social``
   float64 closures, the most common one (below the cut-over, so this
   measures what the early exit costs) and the largest bucket;
-- ``zipf_hub``: a power-law index with a non-empty ``np.add.at`` tail.
+- ``zipf_hub``: a power-law index with a non-empty hub tail.
 
 The before/after comparison is built in, PR 10's convention: both
 implementations run in this process on the same arrays, interleaved
@@ -25,6 +25,14 @@ equal as raw bits on every shape, no shape is more than 10 % slower
 than ``np.add.at``, and the sampled layer-0 forward shape is at least
 5x faster.
 
+A second table decides ``MIN_ELEMENTS``: three-way ``np.add.at`` / flat
+(``_add_at``'s 1-D indexed form) / ranked rounds (the kernel forced to
+run its rounds to the last edge) on the serve-shaped blocks either side
+of the cut-over, on ``zipf_hub``'s tail (what is left of the hub rows
+once the rounds stop) and on a size sweep around the break-even.  All
+three results are bit-equal on every row, and the flat form is at least
+2x faster than ``np.add.at`` on the 93 x 64 block.
+
 Run ``python benchmarks/bench_scatter_add.py --json BENCH_tensor.json``
 for the committed numbers, ``--smoke`` for the CI configuration (fewer
 samples, same asserts).
@@ -32,15 +40,19 @@ samples, same asserts).
 
 import argparse
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from common import write_json
+from repro.tensor import scatter
 from repro.tensor.scatter import scatter_add_rows
 
 FLOOR_SHAPE = "sampled_l0_forward"
 MIN_FLOOR_SPEEDUP = 5.0
 MAX_SLOWDOWN = 1.10
+FLAT_FLOOR_SHAPE = "serve_93x64"
+MIN_FLAT_SPEEDUP = 2.0
 # One timing sample loops the call until it has run about this long, so
 # microsecond-sized shapes are not measuring the clock.
 SAMPLE_SECONDS = 0.005
@@ -58,9 +70,42 @@ SHAPES = {
 }
 
 
+# name -> the same columns: the blocks that decide MIN_ELEMENTS.  The
+# serve rows are serve_social's median and 99th-percentile closures; the
+# sweep doubles a sampled-shaped block (fan-in 13) through the break-even.
+CUTOVER_SHAPES = {
+    "serve_93x64": (93, 30, 64, "sorted", "f8", "f8"),
+    "serve_400x64": (400, 22, 64, "sorted", "f8", "f8"),
+    "zipf_hub_tail": (20000, 2000, 64, "zipf-tail", "f4", "f4"),
+    **{
+        f"sweep_{edges}x64": (edges, edges // 13, 64, "unsorted", "f4", "f4")
+        for edges in (200, 400, 800, 1600)
+    },
+}
+
+
+def _hub_tail():
+    """What ``zipf_hub``'s rounds leave for the small-call helper: the
+    helper's own arguments, captured from one kernel call."""
+    index, values, out = _case("zipf_hub")
+    captured = []
+    helper = scatter._add_at
+    scatter._add_at = lambda out, index, values: captured.append((index, values))
+    try:
+        scatter_add_rows(out.copy(), index, values)
+    finally:
+        scatter._add_at = helper
+    ((tail_index, tail_values),) = captured
+    return tail_index, tail_values, out
+
+
 def _case(name):
-    num_edges, num_rows, width, kind, out_dtype, values_dtype = SHAPES[name]
+    num_edges, num_rows, width, kind, out_dtype, values_dtype = {
+        **SHAPES, **CUTOVER_SHAPES
+    }[name]
     rng = np.random.default_rng(0)
+    if kind == "zipf-tail":
+        return _hub_tail()
     if kind == "zipf":
         index = np.minimum(rng.zipf(1.3, size=num_edges) - 1, num_rows - 1)
     elif kind == "permutation":
@@ -86,23 +131,65 @@ def _stats(runs):
     return {"min_s": runs[0], "median_s": runs[len(runs) // 2], "runs": runs}
 
 
+def _bit_equal(a, b):
+    bits = {4: np.uint32, 8: np.uint64}[a.dtype.itemsize]
+    return bool(np.array_equal(a.view(bits), b.view(bits)))
+
+
+def _interleaved(sides, out, index, values, repeats):
+    """Per-call seconds of each ``fn`` in ``sides``, sampled in turn
+    with the order reversing every round."""
+    calls = max(1, int(SAMPLE_SECONDS / _sample(sides[-1], out, index, values, 1)))
+    runs = [[] for _ in sides]
+    turn = list(range(len(sides)))
+    for _ in range(repeats):
+        for i in turn:
+            runs[i].append(_sample(sides[i], out, index, values, calls))
+        turn.reverse()
+    return [_stats(r) for r in runs]
+
+
 def measure_pair(name, repeats):
     """Interleaved kernel / ``np.add.at`` per-call seconds on one shape."""
     index, values, out = _case(name)
     expected, got = out.copy(), out.copy()
     np.add.at(expected, index, values)
     scatter_add_rows(got, index, values)
-    bits = {4: np.uint32, 8: np.uint64}[out.dtype.itemsize]
-    bit_equal = bool(np.array_equal(got.view(bits), expected.view(bits)))
+    kernel, plain = _interleaved(
+        [scatter_add_rows, np.add.at], out, index, values, repeats
+    )
+    return _bit_equal(got, expected), kernel, plain
 
-    calls = max(1, int(SAMPLE_SECONDS / _sample(np.add.at, out, index, values, 1)))
-    kernel, plain = [], []
-    pair = [(scatter_add_rows, kernel), (np.add.at, plain)]
-    for _ in range(repeats):
-        for fn, runs in pair:
-            runs.append(_sample(fn, out, index, values, calls))
-        pair.reverse()
-    return bit_equal, _stats(kernel), _stats(plain)
+
+@contextmanager
+def _rounds_to_the_last_edge():
+    saved = scatter.MIN_ELEMENTS, scatter.ROUND_ELEMENTS
+    scatter.MIN_ELEMENTS, scatter.ROUND_ELEMENTS = 0, 1
+    try:
+        yield
+    finally:
+        scatter.MIN_ELEMENTS, scatter.ROUND_ELEMENTS = saved
+
+
+def _rounds(out, index, values):
+    with _rounds_to_the_last_edge():
+        scatter_add_rows(out, index, values)
+
+
+def measure_cutover(name, repeats):
+    """Three-way flat / rounds / ``np.add.at`` per-call seconds, and
+    the number of edges the case really has (the tail's is derived)."""
+    index, values, out = _case(name)
+    results = []
+    for fn in (np.add.at, scatter._add_at, _rounds):
+        result = out.copy()
+        fn(result, index, values)
+        results.append(result)
+    bit_equal = all(_bit_equal(results[0], other) for other in results[1:])
+    flat, rounds, plain = _interleaved(
+        [scatter._add_at, _rounds, np.add.at], out, index, values, repeats
+    )
+    return bit_equal, len(index), flat, rounds, plain
 
 
 def run_experiment(repeats=15):
@@ -128,25 +215,63 @@ def run_experiment(repeats=15):
             f"(np.add.at {plain['min_s']*1e3:8.3f} ms, {row['speedup']:.2f}x)"
             f"{'' if bit_equal else '  BITS DIFFER'}"
         )
+
+    cutover = []
+    for name, (_, num_rows, width, kind, out_dtype, _) in CUTOVER_SHAPES.items():
+        bit_equal, num_edges, flat, ranked, plain = measure_cutover(name, repeats)
+        cutover.append({
+            "shape": name,
+            "num_edges": num_edges,
+            "num_rows": num_rows,
+            "width": width,
+            "elements": num_edges * width,
+            "index": kind,
+            "dtype": out_dtype,
+            "bit_equal": bit_equal,
+            "flat_s": flat,
+            "rounds_s": ranked,
+            "add_at_s": plain,
+            "flat_speedup": plain["min_s"] / flat["min_s"],
+            "faster": "flat" if flat["min_s"] <= ranked["min_s"] else "rounds",
+        })
+        print(
+            f"{name:>20}: flat {flat['min_s']*1e6:8.1f} us, rounds "
+            f"{ranked['min_s']*1e6:8.1f} us, np.add.at {plain['min_s']*1e6:8.1f} us "
+            f"({num_edges * width} elements)"
+            f"{'' if bit_equal else '  BITS DIFFER'}"
+        )
+
     by_name = {row["shape"]: row for row in rows}
     floor_speedup = by_name[FLOOR_SHAPE]["speedup"]
+    flat_speedup = {row["shape"]: row for row in cutover}[FLAT_FLOOR_SHAPE]["flat_speedup"]
     print(
-        f"{FLOOR_SHAPE}: {floor_speedup:.2f}x (floor {MIN_FLOOR_SPEEDUP:.1f}x)"
+        f"{FLOOR_SHAPE}: {floor_speedup:.2f}x (floor {MIN_FLOOR_SPEEDUP:.1f}x); "
+        f"{FLAT_FLOOR_SHAPE} flat: {flat_speedup:.2f}x (floor {MIN_FLAT_SPEEDUP:.1f}x)"
     )
+    for row in rows + cutover:
+        assert row["bit_equal"], f"{row['shape']}: result differs from the reference"
     for row in rows:
-        assert row["bit_equal"], f"{row['shape']}: result differs from np.add.at"
         assert row["speedup"] * MAX_SLOWDOWN >= 1.0, (
-            f"{row['shape']}: {1.0 / row['speedup']:.2f}x slower than np.add.at"
+            f"{row['shape']}: {1.0 / row['speedup']:.2f}x slower than before"
         )
     assert floor_speedup >= MIN_FLOOR_SPEEDUP, (
         f"{FLOOR_SHAPE} speedup {floor_speedup:.2f}x is below the "
         f"{MIN_FLOOR_SPEEDUP:.1f}x floor"
     )
+    assert flat_speedup >= MIN_FLAT_SPEEDUP, (
+        f"{FLAT_FLOOR_SHAPE} flat form is {flat_speedup:.2f}x np.add.at, below "
+        f"the {MIN_FLAT_SPEEDUP:.1f}x floor"
+    )
     return {
         "shapes": rows,
+        "cutover": cutover,
+        "min_elements": scatter.MIN_ELEMENTS,
         "floor_shape": FLOOR_SHAPE,
         "floor_speedup": floor_speedup,
         "min_floor_speedup": MIN_FLOOR_SPEEDUP,
+        "flat_floor_shape": FLAT_FLOOR_SHAPE,
+        "flat_speedup": flat_speedup,
+        "min_flat_speedup": MIN_FLAT_SPEEDUP,
         "max_slowdown": MAX_SLOWDOWN,
         "repeats": repeats,
     }

@@ -184,6 +184,42 @@ def build_block(
 _BLOCK_CACHE_CAP = 256
 
 
+def closure_block(
+    graph: Graph,
+    compute_vertices: np.ndarray,
+    input_vertices: np.ndarray,
+    layer_index: int,
+) -> LayerBlock:
+    """The block between two consecutive layers of a k-hop closure.
+
+    ``compute_vertices`` and ``input_vertices`` are sorted unique, and
+    ``input_vertices`` is ``compute_vertices`` plus the sources of its
+    in-edges -- consecutive ``vertex_layers`` of
+    :func:`~repro.graph.khop.khop_closure`.  That *is* the input space
+    :func:`build_block` derives, so the block is field for field the
+    same (same CSC edge order, hence the same per-row summation order)
+    with positions read off the two sorted arrays instead of
+    vertex-space tables.
+    """
+    dsts, srcs, eids = graph.csc.select(compute_vertices)
+    return LayerBlock(
+        layer_index=layer_index,
+        compute_vertices=compute_vertices,
+        input_vertices=input_vertices,
+        edge_src_pos=np.searchsorted(input_vertices, srcs),
+        edge_dst_pos=np.searchsorted(compute_vertices, dsts),
+        edge_weight=graph.edge_weight[eids],
+        compute_pos_in_inputs=np.searchsorted(input_vertices, compute_vertices),
+        edge_src_global=srcs,
+        edge_ids=eids,
+        edge_features=(
+            graph.edge_features[eids]
+            if graph.edge_features is not None
+            else None
+        ),
+    )
+
+
 def build_block_from_edges(
     graph: Graph,
     compute_vertices: np.ndarray,

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocks import LayerBlock, build_block
+from repro.core.blocks import LayerBlock, closure_block
 from repro.execution.plan import EnginePlan, EpochReport
 from repro.tensor import functional as F
 from repro.tensor.scatter import scatter_add_rows
@@ -101,19 +101,25 @@ def run_closure_forward(model, graph, vertex_layers) -> np.ndarray:
     values are needed; ``vertex_layers[L]`` the layer-0 (feature) set.
     This is the serving/replay execution path: the same top-down closure
     the training program compiles, shrunk to one batch's footprint.
+    Layer ``l`` reads exactly ``vertex_layers[L - l + 1]``, the rows the
+    previous layer produced, so each block comes straight from two
+    consecutive closure layers and nothing is re-gathered in between.
     Returns the final-layer rows aligned with ``vertex_layers[0]``.
     """
     L = model.num_layers
-    prev_ids = vertex_layers[L]
-    prev = graph.features[prev_ids].astype(np.float64)
-    for l in range(1, L + 1):
-        compute_ids = vertex_layers[L - l]
-        block = build_block(graph, compute_ids, l)
-        pos = np.searchsorted(prev_ids, block.input_vertices)
-        with no_grad():
-            out = model.layer(l).forward(block, Tensor(prev[pos]))
-        prev = out.data
-        prev_ids = compute_ids
+    input_ids = vertex_layers[L]
+    prev = graph.features[input_ids].astype(np.float64)
+    with no_grad():
+        for l in range(1, L + 1):
+            compute_ids = vertex_layers[L - l]
+            block = closure_block(graph, compute_ids, input_ids, l)
+            layer = model.layer(l)
+            # The fused segment kernel is bit-identical (see passes.py);
+            # attention layers declare no reducer and keep forward().
+            fused = layer.fused_reducer() is not None
+            layer_forward = layer.forward_fused if fused else layer.forward
+            prev = layer_forward(block, Tensor(prev)).data
+            input_ids = compute_ids
     return prev
 
 

@@ -6,12 +6,15 @@ the per-layer in-edge sets.  These helpers compute that closure and the
 derived quantities the cost model needs (per-dependency subtree sizes,
 replication factors).
 
-All frontier bookkeeping runs on boolean masks over the vertex space:
-each hop selects only the *new* frontier (never the cumulative set) and
-merges it into a ``seen`` mask, so a closure costs O(edges reached)
-instead of the old ``union1d``-chain's O(hops x closure size).  The
-mask-derived layers (``np.flatnonzero`` of a monotone mask) are sorted
-unique arrays, element-identical to the ``union1d`` results.
+A hop costs what it reaches: the frontier's *unseen* sources are
+deduplicated by a sort and merged into the cumulative layer.  The one
+vertex-sized array a small closure allocates is the zeroed ``seen``
+mask, which it only touches at the vertices it reaches; no hop scans
+it.  Once a hop reaches a number of sources comparable to the vertex
+count (a partition's closure, or one seed on a dense graph) the sort
+loses to a few passes over boolean masks, so ``khop_closure`` switches
+per hop on the size it observes.  Both forms yield the same sorted
+unique arrays, element-identical to the old ``union1d`` chain.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.utils.ranges import sorted_unique
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -42,9 +46,10 @@ def khop_closure(
     vertex_layers = [seeds]
     edge_layers: List[np.ndarray] = []
     csc = graph.csc
-    seen = np.zeros(graph.num_vertices, dtype=bool)
+    num_vertices = graph.num_vertices
+    seen = np.zeros(num_vertices, dtype=bool)
     seen[seeds] = True
-    frontier = seeds
+    frontier = layer = seeds
     edges_so_far = _EMPTY
     for _ in range(hops):
         # Only the new frontier needs expanding: the cumulative set's
@@ -52,12 +57,25 @@ def khop_closure(
         _, sources, eids = csc.select(frontier)
         edges_so_far = np.sort(np.concatenate([edges_so_far, eids]))
         edge_layers.append(edges_so_far)
-        new_mask = np.zeros(graph.num_vertices, dtype=bool)
-        new_mask[sources] = True
-        new_mask &= ~seen
-        frontier = np.flatnonzero(new_mask)
-        seen |= new_mask
-        vertex_layers.append(np.flatnonzero(seen))
+        if 8 * len(sources) < num_vertices:
+            # Sorting the reached sources beats the mask scans below up
+            # to V/8..V/5 of them (V = 41k and 400k).  Either form alone
+            # loses where the other is used: one seed on social-large
+            # (every serve_social hop is on this side) 75 vs 110 us with
+            # masks only; sort only, a partition's closure there 13.3 vs
+            # 10.3 ms (`repro analyze` 146 vs 113 ms) and one seed on
+            # reddit, V = 600, 270 vs 186 us (docs/performance.md).
+            frontier = sorted_unique(sources[~seen[sources]])
+            seen[frontier] = True
+            layer = np.sort(np.concatenate([layer, frontier]))
+        else:
+            fresh = np.zeros(num_vertices, dtype=bool)
+            fresh[sources] = True
+            fresh &= ~seen
+            frontier = np.flatnonzero(fresh)
+            seen |= fresh
+            layer = np.flatnonzero(seen)
+        vertex_layers.append(layer)
     return vertex_layers, edge_layers
 
 

@@ -11,13 +11,18 @@ compute on the hot worker, cross-worker traffic priced at ``T_c``).
 The :class:`RequestPlanner` prices both from the same
 :class:`~repro.costmodel.probe.ProbeResult` the training planner uses
 and memoizes the per-vertex closure profile, since Zipfian workloads
-hit the same hot vertices over and over.
+hit the same hot vertices over and over.  It is also the only place a
+serving closure is built: :meth:`RequestPlanner.plan_batch` answers a
+micro-batch with its mode *and* its union closure, merged from the
+memoized per-vertex closures, so the server never walks the graph for
+a vertex twice (the paper's DepCache retrieves a dependency's k-hop
+closure once and recomputes from the replica).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from repro.costmodel.probe import ProbeResult
 from repro.graph.graph import Graph
 from repro.graph.khop import khop_closure
 from repro.partition.base import Partitioning
+from repro.utils.ranges import sorted_unique
 
 MODES = ("auto", "local", "remote", "cached")
 
@@ -54,6 +60,31 @@ class ClosureProfile:
 
     def preferred_mode(self) -> str:
         return "local" if self.local_cost_s <= self.remote_cost_s else "remote"
+
+
+class BatchPlan(NamedTuple):
+    """How one deduped micro-batch executes, and over what.
+
+    ``vertex_layers`` / ``edge_layers`` are the batch's union closure,
+    array for array what ``khop_closure(graph, vertices, L)`` returns.
+    The arrays are read-only: a one-vertex batch is handed the
+    planner's memoized layers themselves.
+    """
+
+    mode: str
+    vertex_layers: Sequence[np.ndarray]
+    edge_layers: Sequence[np.ndarray]
+
+
+def _merged(layers: List[np.ndarray]) -> np.ndarray:
+    """Union of sorted unique id arrays (one per seed), sorted unique."""
+    if len(layers) == 1:  # most coordinator groups hold one distinct vertex
+        return layers[0]
+    if not layers:
+        return np.empty(0, dtype=np.int64)
+    merged = sorted_unique(np.concatenate(layers))
+    merged.flags.writeable = False
+    return merged
 
 
 class RequestPlanner:
@@ -89,6 +120,8 @@ class RequestPlanner:
 
         L = self.num_layers
         vertex_layers, edge_layers = khop_closure(self.graph, [vertex], L)
+        for layer in vertex_layers + edge_layers:
+            layer.flags.writeable = False  # shared with every BatchPlan
         owner = self.partitioning.owner(vertex)
         assignment = self.partitioning.assignment
 
@@ -110,16 +143,18 @@ class RequestPlanner:
             owners = assignment[compute]
             shares = np.bincount(owners, minlength=self.partitioning.num_parts)
             remote += self.constants.vertex_cost(l) * int(shares.max())
-            edge_owners = assignment[self.graph.dst[edges]]
+            src = self.graph.src[edges]
+            dst_owner = assignment[self.graph.dst[edges]]
             edge_shares = np.bincount(
-                edge_owners, minlength=self.partitioning.num_parts
+                dst_owner, minlength=self.partitioning.num_parts
             )
             remote += self.constants.edge_cost(l) * int(edge_shares.max())
             # Inputs crossing an ownership boundary at this layer.
-            src = self.graph.src[edges]
-            dst_owner = assignment[self.graph.dst[edges]]
             crossing = assignment[src] != dst_owner
-            cross = len(np.unique(src[crossing] * np.int64(self.partitioning.num_parts) + dst_owner[crossing]))
+            cross = len(sorted_unique(
+                src[crossing] * np.int64(self.partitioning.num_parts)
+                + dst_owner[crossing]
+            ))
             cross_total += cross
             remote += self.constants.comm_cost(l) * cross
             remote += 2.0 * self.network.latency_s
@@ -146,17 +181,43 @@ class RequestPlanner:
             pass
         return self.profile(vertex).preferred_mode()
 
-    def choose_batch(self, vertices: List[int]) -> str:
-        """Mode for a deduped micro-batch: cheaper summed estimate wins.
+    def plan_batch(self, vertices: Sequence[int]) -> BatchPlan:
+        """Mode and union closure of a deduped micro-batch.
 
         A batch executes one way or the other as a unit (its union
         closure shares frontiers), so the decision sums the memoized
         per-vertex estimates rather than re-profiling the union -- an
         upper bound on both sides that errs identically, which is what
         a relative comparison needs.
+
+        The closure is merged, not walked: ``vertex_layers[t]`` of a
+        union of seeds is the union of the seeds' ``vertex_layers[t]``,
+        and ``edge_layers[t]`` is the in-edge set of ``vertex_layers[t]``
+        so it merges the same way.
+
+        Every mode profiles (and memoizes) each distinct vertex: a
+        forced ``local`` / ``remote`` planner ignores the prices but
+        needs the closures.  An empty batch plans to empty layers.
         """
+        profiles = [self.profile(v) for v in vertices]
         if self.mode in ("local", "remote"):
-            return self.mode
-        local = sum(self.profile(v).local_cost_s for v in vertices)
-        remote = sum(self.profile(v).remote_cost_s for v in vertices)
-        return "local" if local <= remote else "remote"
+            mode = self.mode
+        else:
+            local = sum(p.local_cost_s for p in profiles)
+            remote = sum(p.remote_cost_s for p in profiles)
+            mode = "local" if local <= remote else "remote"
+        return BatchPlan(
+            mode,
+            [
+                _merged([p.vertex_layers[t] for p in profiles])
+                for t in range(self.num_layers + 1)
+            ],
+            [
+                _merged([p.edge_layers[t] for p in profiles])
+                for t in range(self.num_layers)
+            ],
+        )
+
+    def choose_batch(self, vertices: List[int]) -> str:
+        """Mode for a deduped micro-batch: cheaper summed estimate wins."""
+        return self.plan_batch(vertices).mode

@@ -40,6 +40,7 @@ answers carry ``degraded=True`` in the ledger.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -53,7 +54,11 @@ from repro.core.model import GNNModel
 from repro.costmodel.probe import ProbeResult, probe_constants
 from repro.execution.executor import StalenessBoundedReader, run_closure_forward
 from repro.graph.graph import Graph
-from repro.graph.khop import khop_closure
+# Not called here: every serving closure comes from the planner.  The
+# name stays bound because benchmarks/e2e/test_tracer.py uses it as its
+# example of a from-import the tracer must re-bind; delete this line
+# once that test points at repro.serving.planner.
+from repro.graph.khop import khop_closure  # noqa: F401
 from repro.partition.base import Partitioning
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.injector import FaultInjector
@@ -187,6 +192,9 @@ class InferenceServer:
         ops harness) can serve a stream in segments, observe the ledger
         between segments, and retune ``self.config`` mid-stream (e.g.
         tighten admission control) without forking the simulated clock.
+        ``inflight`` (finish times of admitted requests) is kept sorted,
+        so admission counts the still-pending ones by bisection whatever
+        order the segments' arrivals come in.
         """
         cfg = self.config
         network = self.cluster.network
@@ -201,7 +209,7 @@ class InferenceServer:
         if predictions is None:
             predictions = {}
         if inflight is None:
-            inflight = []  # finish times of admitted requests
+            inflight = []
 
         for batch in batches:
             self._serve_batch(
@@ -247,7 +255,9 @@ class InferenceServer:
         # -- admission -------------------------------------------------
         admitted: List[Request] = []
         for r in batch.requests:
-            pending = sum(1 for f in inflight if f > r.arrival_s) + len(admitted)
+            pending = (
+                len(inflight) - bisect_right(inflight, r.arrival_s) + len(admitted)
+            )
             overloaded = (
                 cfg.slo.max_pending is not None and pending >= cfg.slo.max_pending
             )
@@ -292,7 +302,6 @@ class InferenceServer:
         inflight: List[float],
     ) -> None:
         cfg = self.config
-        L = self.num_layers
         coord_degraded = any(
             self.partitioning.owner(r.vertex) != coordinator for r in admitted
         )
@@ -344,10 +353,7 @@ class InferenceServer:
         mode = "cached"
         t_compute_start = timeline.now(coordinator)
         if computed:
-            mode = self.planner.choose_batch(computed)
-            vertex_layers, edge_layers = khop_closure(
-                self.graph, np.array(computed, dtype=np.int64), L
-            )
+            mode, vertex_layers, edge_layers = self.planner.plan_batch(computed)
             if mode == "local":
                 self._charge_local(
                     timeline, coordinator, vertex_layers, edge_layers
@@ -411,7 +417,7 @@ class InferenceServer:
                 degraded=coord_degraded or stale_if_error.get(r.vertex, False),
             )
             ledger.add(record)
-            inflight.append(finish)
+            insort(inflight, finish)
             timeline.record_span(
                 coordinator, "request", r.arrival_s, finish,
                 req_id=r.req_id, vertex=r.vertex, mode=record.mode,

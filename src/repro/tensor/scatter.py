@@ -4,7 +4,8 @@
 per-element ufunc loop (7-15 ns per element), and every gather/scatter
 adjoint in :mod:`repro.tensor` used to bottom out in it.
 :func:`scatter_add_rows` computes the same result -- the same bits --
-from whole-row numpy operations.
+from whole-row numpy operations on large blocks, and through
+``np.add.at``'s own indexed 1-D loop (:func:`_add_at`) on small ones.
 
 Why the bits match.  ``np.add.at(out, index, values)`` applies
 ``out[index[e]] += values[e]`` for ``e = 0, 1, ...``, so each output
@@ -32,14 +33,16 @@ import numpy as np
 from repro.utils.ranges import expand_ranges
 
 # A round costs ~2 us of Python and numpy dispatch however few rows are
-# still active, and np.add.at ~7.5 ns per element: below this many
-# elements (active rows x width) a round loses to the loop it replaces,
-# so the rounds stop there and the remaining hub edges go to np.add.at.
+# still active: below this many elements (active rows x width) it loses
+# to a per-element loop, so the rounds stop there and the remaining hub
+# edges go to ``_add_at``.
 ROUND_ELEMENTS = 512
-# Grouping and ranking cost ~30 us of fixed-size numpy calls, which the
-# rounds win back at ~6 ns per element: measured break-even is 8-12k
-# elements, so the rounds must cover at least this many.
-MIN_ELEMENTS = 16384
+# Grouping and ranking cost ~30 us of fixed-size numpy calls plus ~2 us
+# per round, which the rounds win back against ``_add_at``'s flat loop
+# (~2.5 ns per element): measured break-even is 26-51k elements
+# (docs/performance.md, "Small-call path"), so the rounds must cover at
+# least this many.
+MIN_ELEMENTS = 32768
 
 
 def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -53,6 +56,10 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 def _validated(index: np.ndarray, num_rows: int) -> np.ndarray:
     """``index`` with in-range negatives normalised, as np.add.at
     reads them; out-of-range entries raise with the cause named."""
+    # Read as unsigned a negative row is huge, so one reduction settles
+    # the usual case of every row in [0, num_rows).
+    if index.itemsize == 8 and int(index.view(np.uint64).max()) < num_rows:
+        return index
     low, high = int(index.min()), int(index.max())
     if low < -num_rows or high >= num_rows:
         bad = low if low < -num_rows else high
@@ -64,15 +71,62 @@ def _validated(index: np.ndarray, num_rows: int) -> np.ndarray:
     return index
 
 
+def _flat_operands(out: np.ndarray, values: np.ndarray) -> bool:
+    """Whether ``out`` and ``values`` allow :func:`_add_at`'s flat form."""
+    return (
+        out.dtype.kind == "f"
+        and out.dtype == values.dtype
+        and out.flags.c_contiguous
+    )
+
+
+def _add_at(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(out, index, values)``, through numpy's indexed 1-D
+    loop when the operands allow it.
+
+    ``np.add.at`` has a fast path only for a 1-D operand, so a block of
+    rows is issued flattened: element ``(e, c)`` goes to
+    ``out.flat[index[e] * width + c]``, e-major.  Every ``(row, col)``
+    cell still receives its addends in edge order from the same start
+    value, so the bits match.  The rows are validated before they are
+    multiplied: ``rows * width`` wraps silently in int64 (row 2**58 at
+    width 64 would land on row 0), so a bad row raises here, naming the
+    row, with ``out`` untouched.  Anything that is not a 1-D integer
+    index over C-contiguous float rows of ``values``' own dtype (a
+    mask, a broadcast, float64 into float32) stays with plain
+    ``np.add.at``.
+    """
+    if (
+        values.ndim == 2
+        and isinstance(index, np.ndarray)
+        and index.ndim == 1
+        and index.dtype.kind in "iu"
+        and _flat_operands(out, values)
+        and values.shape == (index.size,) + out.shape[1:]
+    ):
+        if index.size == 0:
+            return
+        width = values.shape[1]
+        rows = _validated(index, out.shape[0]).astype(np.intp, copy=False)
+        cells = (rows * width)[:, None] + np.arange(width)
+        np.add.at(out.reshape(-1), cells.reshape(-1), values.reshape(-1))
+        return
+    np.add.at(out, index, values)
+
+
 def scatter_add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     """``np.add.at(out, index, values)`` for an integer ``index`` over
     axis 0, in place and bit-identical, without the per-element loop
-    when ``index`` is 1-D and ``values`` a large 2-D block of rows."""
+    when ``index`` is 1-D and ``values`` a 2-D block of rows."""
     values = np.asarray(values)
-    if values.ndim != 2 or values.size < MIN_ELEMENTS:
-        # 1-D operands have numpy's own indexed fast path, and a small
-        # block is done before the rows could be grouped.
-        np.add.at(out, index, values)
+    # The rounds must beat what the block would get instead: the flat
+    # loop or, where that cannot run (float64 into float32, a strided
+    # ``out``), numpy's own -- 3x to 19x slower per element, so a third
+    # of the size already breaks even.
+    min_elements = MIN_ELEMENTS if _flat_operands(out, values) else MIN_ELEMENTS // 3
+    if values.ndim != 2 or values.size < min_elements:
+        # A small block is done before its rows could be grouped.
+        _add_at(out, index, values)
         return
     index = np.asarray(index)
     num_edges = index.size
@@ -84,7 +138,7 @@ def scatter_add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> 
         or out.dtype.kind != "f"
     ):
         # A mask, a broadcast or a non-float cast: np.add.at's to resolve.
-        np.add.at(out, index, values)
+        _add_at(out, index, values)
         return
     if num_edges == 0:
         return
@@ -113,8 +167,8 @@ def scatter_add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> 
     tail_rows = -(-ROUND_ELEMENTS // width)
     rounds = int(degree[tail_rows - 1]) if len(rows) >= tail_rows else 0
     in_rounds = np.minimum(degree, rounds)
-    if rounds == 0 or int(in_rounds.sum()) * width < MIN_ELEMENTS:
-        np.add.at(out, index, values)
+    if rounds == 0 or int(in_rounds.sum()) * width < min_elements:
+        _add_at(out, index, values)
         return
 
     # active[k] = number of rows with degree > k (a prefix of the rank).
@@ -140,7 +194,7 @@ def scatter_add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> 
         left = expand_ranges(starts[:hubs] + rounds, tail[:hubs])
         if order is not None:
             left = order[left]
-        np.add.at(out, index[left], values[left])
+        _add_at(out, index[left], values[left])
 
 
 def scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
