@@ -33,6 +33,18 @@ once the rounds stop) and on a size sweep around the break-even.  All
 three results are bit-equal on every row, and the flat form is at least
 2x faster than ``np.add.at`` on the 93 x 64 block.
 
+A third table is the fused aggregation: ``gather_scatter_rows`` against
+the chain it replaced (``x[gather] * weights[:, None]`` built whole,
+then ``scatter_rows``) on the calls the layers make --
+``aggregate_reddit_forward`` / ``aggregate_reddit_adjoint``
+(``fullbatch_reddit`` layer 1 forward and the layer-2 adjoint, float64
+gradients against float32 weights), ``aggregate_sampled_bottom``
+(``sampled_social``'s bottom block) and ``aggregate_serve_closure``
+(``serve_social``'s most common closure, under the cut-over, where the
+kernel *is* the chain plus two index checks).  Bits are equal on every
+row, the reddit forward shape is at least 1.3x faster, and no row is
+more than 10 % slower.
+
 Run ``python benchmarks/bench_scatter_add.py --json BENCH_tensor.json``
 for the committed numbers, ``--smoke`` for the CI configuration (fewer
 samples, same asserts).
@@ -46,13 +58,15 @@ import numpy as np
 
 from common import write_json
 from repro.tensor import scatter
-from repro.tensor.scatter import scatter_add_rows
+from repro.tensor.scatter import gather_scatter_rows, scatter_add_rows, scatter_rows
 
 FLOOR_SHAPE = "sampled_l0_forward"
 MIN_FLOOR_SPEEDUP = 5.0
 MAX_SLOWDOWN = 1.10
 FLAT_FLOOR_SHAPE = "serve_93x64"
 MIN_FLAT_SPEEDUP = 2.0
+AGGREGATE_FLOOR_SHAPE = "aggregate_reddit_forward"
+MIN_AGGREGATE_SPEEDUP = 1.3
 # One timing sample loops the call until it has run about this long, so
 # microsecond-sized shapes are not measuring the clock.
 SAMPLE_SECONDS = 0.005
@@ -81,6 +95,18 @@ CUTOVER_SHAPES = {
         f"sweep_{edges}x64": (edges, edges // 13, 64, "unsorted", "f4", "f4")
         for edges in (200, 400, 800, 1600)
     },
+}
+
+
+# Seed-0 calls of FusedGatherScatter.forward / .backward.
+AGGREGATE_COLUMNS = (
+    "num_edges", "num_inputs", "num_rows", "width", "index", "x_dtype", "weights_dtype"
+)
+AGGREGATE_SHAPES = {
+    "aggregate_reddit_forward": (6641, 600, 75, 602, "sorted", "f4", "f4"),
+    "aggregate_reddit_adjoint": (6641, 75, 600, 256, "unsorted", "f8", "f4"),
+    "aggregate_sampled_bottom": (19515, 9902, 1161, 64, "sorted", "f4", "f4"),
+    "aggregate_serve_closure": (17, 17, 1, 64, "sorted", "f8", "f4"),
 }
 
 
@@ -118,11 +144,10 @@ def _case(name):
     return index.astype(np.int64), values, np.zeros((num_rows, width), out_dtype)
 
 
-def _sample(fn, out, index, values, calls):
-    out[:] = 0.0
+def _sample(fn, args, calls):
     t0 = time.perf_counter()
     for _ in range(calls):
-        fn(out, index, values)
+        fn(*args)
     return (time.perf_counter() - t0) / calls
 
 
@@ -136,15 +161,15 @@ def _bit_equal(a, b):
     return bool(np.array_equal(a.view(bits), b.view(bits)))
 
 
-def _interleaved(sides, out, index, values, repeats):
-    """Per-call seconds of each ``fn`` in ``sides``, sampled in turn
-    with the order reversing every round."""
-    calls = max(1, int(SAMPLE_SECONDS / _sample(sides[-1], out, index, values, 1)))
+def _interleaved(sides, args, repeats):
+    """Per-call seconds of each ``fn(*args)`` in ``sides``, sampled in
+    turn with the order reversing every round."""
+    calls = max(1, int(SAMPLE_SECONDS / _sample(sides[-1], args, 1)))
     runs = [[] for _ in sides]
     turn = list(range(len(sides)))
     for _ in range(repeats):
         for i in turn:
-            runs[i].append(_sample(sides[i], out, index, values, calls))
+            runs[i].append(_sample(sides[i], args, calls))
         turn.reverse()
     return [_stats(r) for r in runs]
 
@@ -156,7 +181,7 @@ def measure_pair(name, repeats):
     np.add.at(expected, index, values)
     scatter_add_rows(got, index, values)
     kernel, plain = _interleaved(
-        [scatter_add_rows, np.add.at], out, index, values, repeats
+        [scatter_add_rows, np.add.at], (out, index, values), repeats
     )
     return _bit_equal(got, expected), kernel, plain
 
@@ -187,9 +212,34 @@ def measure_cutover(name, repeats):
         results.append(result)
     bit_equal = all(_bit_equal(results[0], other) for other in results[1:])
     flat, rounds, plain = _interleaved(
-        [scatter._add_at, _rounds, np.add.at], out, index, values, repeats
+        [scatter._add_at, _rounds, np.add.at], (out, index, values), repeats
     )
     return bit_equal, len(index), flat, rounds, plain
+
+
+def _chain(x, gather, index, weights, num_rows):
+    """The aggregation before the kernel: the E x d message array built
+    whole, then summed by destination."""
+    return scatter_rows(index, x[gather] * weights.reshape(-1, 1), num_rows)
+
+
+def measure_aggregate(name, repeats):
+    """Interleaved kernel / chain per-call seconds on one layer call."""
+    num_edges, num_inputs, num_rows, width, kind, x_dtype, w_dtype = (
+        AGGREGATE_SHAPES[name]
+    )
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((num_inputs, width)).astype(x_dtype)
+    gather = rng.integers(0, num_inputs, size=num_edges)
+    index = rng.integers(0, num_rows, size=num_edges)
+    if kind == "sorted":
+        index = np.sort(index)
+    weights = rng.random(num_edges).astype(w_dtype)
+    args = (x, gather, index, weights, num_rows)
+    got, expected = gather_scatter_rows(*args), _chain(*args)
+    bit_equal = got.dtype == expected.dtype and _bit_equal(got, expected)
+    kernel, chain = _interleaved([gather_scatter_rows, _chain], args, repeats)
+    return bit_equal, kernel, chain
 
 
 def run_experiment(repeats=15):
@@ -241,19 +291,44 @@ def run_experiment(repeats=15):
             f"{'' if bit_equal else '  BITS DIFFER'}"
         )
 
-    by_name = {row["shape"]: row for row in rows}
+    aggregate = []
+    for name, shape in AGGREGATE_SHAPES.items():
+        bit_equal, kernel, chain = measure_aggregate(name, repeats)
+        row = {
+            "shape": name,
+            **dict(zip(AGGREGATE_COLUMNS, shape)),
+            "bit_equal": bit_equal,
+            "kernel_s": kernel,
+            "chain_s": chain,
+            "speedup": chain["min_s"] / kernel["min_s"],
+        }
+        aggregate.append(row)
+        print(
+            f"{name:>26}: kernel {kernel['min_s']*1e3:8.3f} ms "
+            f"(chain {chain['min_s']*1e3:8.3f} ms, {row['speedup']:.2f}x)"
+            f"{'' if bit_equal else '  BITS DIFFER'}"
+        )
+
+    by_name = {row["shape"]: row for row in rows + aggregate}
+    aggregate_speedup = by_name[AGGREGATE_FLOOR_SHAPE]["speedup"]
     floor_speedup = by_name[FLOOR_SHAPE]["speedup"]
     flat_speedup = {row["shape"]: row for row in cutover}[FLAT_FLOOR_SHAPE]["flat_speedup"]
     print(
         f"{FLOOR_SHAPE}: {floor_speedup:.2f}x (floor {MIN_FLOOR_SPEEDUP:.1f}x); "
-        f"{FLAT_FLOOR_SHAPE} flat: {flat_speedup:.2f}x (floor {MIN_FLAT_SPEEDUP:.1f}x)"
+        f"{FLAT_FLOOR_SHAPE} flat: {flat_speedup:.2f}x (floor {MIN_FLAT_SPEEDUP:.1f}x); "
+        f"{AGGREGATE_FLOOR_SHAPE}: {aggregate_speedup:.2f}x "
+        f"(floor {MIN_AGGREGATE_SPEEDUP:.1f}x)"
     )
-    for row in rows + cutover:
+    for row in rows + cutover + aggregate:
         assert row["bit_equal"], f"{row['shape']}: result differs from the reference"
-    for row in rows:
+    for row in rows + aggregate:
         assert row["speedup"] * MAX_SLOWDOWN >= 1.0, (
             f"{row['shape']}: {1.0 / row['speedup']:.2f}x slower than before"
         )
+    assert aggregate_speedup >= MIN_AGGREGATE_SPEEDUP, (
+        f"{AGGREGATE_FLOOR_SHAPE} speedup {aggregate_speedup:.2f}x is below the "
+        f"{MIN_AGGREGATE_SPEEDUP:.1f}x floor"
+    )
     assert floor_speedup >= MIN_FLOOR_SPEEDUP, (
         f"{FLOOR_SHAPE} speedup {floor_speedup:.2f}x is below the "
         f"{MIN_FLOOR_SPEEDUP:.1f}x floor"
@@ -265,6 +340,10 @@ def run_experiment(repeats=15):
     return {
         "shapes": rows,
         "cutover": cutover,
+        "aggregate": aggregate,
+        "aggregate_floor_shape": AGGREGATE_FLOOR_SHAPE,
+        "aggregate_speedup": aggregate_speedup,
+        "min_aggregate_speedup": MIN_AGGREGATE_SPEEDUP,
         "min_elements": scatter.MIN_ELEMENTS,
         "floor_shape": FLOOR_SHAPE,
         "floor_speedup": floor_speedup,

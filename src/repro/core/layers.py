@@ -3,6 +3,11 @@
 Each layer implements the paper's per-layer pattern (Figure 6): an
 edge-associated parameterised function and a vertex-associated
 parameterised function, glued by ``ScatterToEdge``/``GatherByDst``.
+Where the edge function is a plain weighting (GCN, GIN, SAGE -- the
+layers with a :meth:`GNNLayer.fused_reducer`), the triple runs as the
+single ``ops.fused_scatter_gather`` kernel and no per-edge tensor is
+built; layers with edge-associated NN computation (GAT, EdgeGated)
+spell the three ops out.
 Layers also *account* for their work -- dense FLOPs (NN ops), sparse
 FLOPs (graph ops), and resident edge-tensor bytes -- which is what the
 cluster simulator charges to the timeline and the memory model.
@@ -53,23 +58,20 @@ class GNNLayer(nn.Module):
         """Backward pass cost relative to forward (standard ~2x)."""
         return 2.0
 
-    # -- fusion (FuseScatterGatherPass) -------------------------------
+    # -- fusion -------------------------------------------------------
     def fused_reducer(self) -> Optional[str]:
         """Reducer name when this layer's Scatter/Edge/Gather triple is
-        a plain segment reduction (``"weighted_sum"`` / ``"mean"``);
-        ``None`` means the pass must leave the layer unfused (edge-
-        associated NN computation, e.g. attention)."""
+        a plain segment reduction (``"weighted_sum"`` / ``"mean"``), which
+        ``forward`` then runs as one kernel; ``None`` for edge-associated
+        NN computation (e.g. attention), which FuseScatterGatherPass must
+        leave unfused on the charged clock too."""
         return None
 
     def fused_flops_factor(self) -> float:
-        """Charged sparse-flops multiplier once fused (skipping the
-        materialised per-edge intermediate); 1.0 when not fusable."""
+        """Charged sparse-flops multiplier once the pass fuses the layer
+        (skipping the materialised per-edge intermediate); 1.0 when not
+        fusable."""
         return 1.0
-
-    def forward_fused(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        """Fused-kernel forward; only valid when :meth:`fused_reducer`
-        returns a reducer name."""
-        raise NotImplementedError(f"{type(self).__name__} is not fusable")
 
 
 class GCNConv(GNNLayer):
@@ -92,13 +94,10 @@ class GCNConv(GNNLayer):
         self.activation = activation
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        f_src, _ = ops.scatter_to_edge(block, h_inputs)
-        messages = ops.edge_forward(
-            block, f_src, None, lambda src, dst, w: src * Tensor(w.reshape(-1, 1))
-        )
-        aggregated = ops.gather_by_dst(block, messages, agg="sum")
+        aggregated = ops.fused_scatter_gather(block, h_inputs, "weighted_sum")
         return ops.vertex_forward(
-            block, h_inputs, aggregated, lambda h_dst, agg: self._vertex(agg)
+            block, h_inputs, aggregated,
+            lambda h_dst, agg: self._vertex(agg), with_dst=False,
         )
 
     def _vertex(self, aggregated: Tensor) -> Tensor:
@@ -114,12 +113,6 @@ class GCNConv(GNNLayer):
         # The E x d weighted message is never materialised: 3 of the 4
         # per-edge/dim ops remain (gather, multiply, scatter-add).
         return 0.75
-
-    def forward_fused(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        aggregated = ops.fused_scatter_gather(block, h_inputs, "weighted_sum")
-        return ops.vertex_forward(
-            block, h_inputs, aggregated, lambda h_dst, agg: self._vertex(agg)
-        )
 
     def dense_flops(self, block: LayerBlock) -> float:
         return float(self.linear.flops(block.num_outputs))
@@ -156,11 +149,7 @@ class GINConv(GNNLayer):
         self.activation = activation
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        f_src, _ = ops.scatter_to_edge(block, h_inputs)
-        messages = ops.edge_forward(
-            block, f_src, None, lambda src, dst, w: src * Tensor(w.reshape(-1, 1))
-        )
-        aggregated = ops.gather_by_dst(block, messages, agg="sum")
+        aggregated = ops.fused_scatter_gather(block, h_inputs, "weighted_sum")
         return ops.vertex_forward(block, h_inputs, aggregated, self._vertex)
 
     def _vertex(self, h_dst: Tensor, agg: Tensor) -> Tensor:
@@ -175,10 +164,6 @@ class GINConv(GNNLayer):
 
     def fused_flops_factor(self) -> float:
         return 0.75
-
-    def forward_fused(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        aggregated = ops.fused_scatter_gather(block, h_inputs, "weighted_sum")
-        return ops.vertex_forward(block, h_inputs, aggregated, self._vertex)
 
     def dense_flops(self, block: LayerBlock) -> float:
         n = block.num_outputs
@@ -272,11 +257,7 @@ class SAGEConv(GNNLayer):
         self.activation = activation
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        f_src, _ = ops.scatter_to_edge(block, h_inputs)
-        messages = ops.edge_forward(
-            block, f_src, None, lambda src, dst, w: src
-        )
-        aggregated = ops.gather_by_dst(block, messages, agg="mean")
+        aggregated = ops.fused_scatter_gather(block, h_inputs, "mean")
         return ops.vertex_forward(block, h_inputs, aggregated, self._vertex)
 
     def _vertex(self, h_dst: Tensor, agg: Tensor) -> Tensor:
@@ -292,10 +273,6 @@ class SAGEConv(GNNLayer):
         # Gather and scatter-add collapse around the never-written
         # message copy: 2 of ~3 per-edge/dim ops remain.
         return 0.75
-
-    def forward_fused(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        aggregated = ops.fused_scatter_gather(block, h_inputs, "mean")
-        return ops.vertex_forward(block, h_inputs, aggregated, self._vertex)
 
     def dense_flops(self, block: LayerBlock) -> float:
         return float(self.linear.flops(block.num_outputs))
@@ -408,7 +385,9 @@ class EdgeGatedConv(GNNLayer):
                 out = out.relu()
             return out
 
-        return ops.vertex_forward(block, h_inputs, aggregated, vertex_fn)
+        return ops.vertex_forward(
+            block, h_inputs, aggregated, vertex_fn, with_dst=False
+        )
 
     def dense_flops(self, block: LayerBlock) -> float:
         # Per-edge gate NN is a dense op over the edge set.

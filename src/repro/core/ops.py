@@ -70,11 +70,12 @@ def fused_scatter_gather(
 ) -> Tensor:
     """ScatterToEdge + EdgeForward + GatherByDst as one segment kernel.
 
-    The lowered form :class:`~repro.execution.passes.FuseScatterGatherPass`
-    dispatches for simple reducers: ``"weighted_sum"`` multiplies each
-    source row by the edge weight before the sum (GCN/GIN message),
-    ``"mean"`` averages the raw source rows (SAGE).  Bit-identical to
-    the three-op chain -- see
+    What every simple-reducer layer runs (and what
+    :class:`~repro.execution.passes.FuseScatterGatherPass` prices):
+    ``"weighted_sum"`` multiplies each source row by the edge weight
+    before the sum (GCN/GIN message), ``"mean"`` averages the raw
+    source rows (SAGE).  Bit-identical to the three-op chain, without
+    its E x d message tensor -- see
     :class:`repro.tensor.functional.FusedGatherScatter`.
     """
     return F.fused_gather_scatter(
@@ -91,12 +92,17 @@ def vertex_forward(
     block: LayerBlock,
     h_inputs: Tensor,
     aggregated: Tensor,
-    fn: Callable[[Tensor, Tensor], Tensor],
+    fn: Callable[[Optional[Tensor], Tensor], Tensor],
+    with_dst: bool = True,
 ) -> Tensor:
     """Apply the vertex-associated parameterised function.
 
     ``fn`` receives the destination's previous representation and the
-    aggregated neighborhood representation.
+    aggregated neighborhood representation.  A vertex function that
+    reads only the aggregate (GCN) passes ``with_dst=False`` and gets
+    ``None`` in place of the num_outputs x d gather.
     """
-    h_dst = F.index_select(h_inputs, block.compute_pos_in_inputs)
+    h_dst = (
+        F.index_select(h_inputs, block.compute_pos_in_inputs) if with_dst else None
+    )
     return fn(h_dst, aggregated)

@@ -113,12 +113,7 @@ def run_closure_forward(model, graph, vertex_layers) -> np.ndarray:
         for l in range(1, L + 1):
             compute_ids = vertex_layers[L - l]
             block = closure_block(graph, compute_ids, input_ids, l)
-            layer = model.layer(l)
-            # The fused segment kernel is bit-identical (see passes.py);
-            # attention layers declare no reducer and keep forward().
-            fused = layer.fused_reducer() is not None
-            layer_forward = layer.forward_fused if fused else layer.forward
-            prev = layer_forward(block, Tensor(prev)).data
+            prev = model.layer(l).forward(block, Tensor(prev)).data
             input_ids = compute_ids
     return prev
 
@@ -200,10 +195,6 @@ class LayerExecutor:
             engine.accountant.charge_forward_layer(l)
             layer = engine.model.layer(l)
             tp = plan.is_tp_layer(l)
-            # FuseScatterGatherPass lowers the layer to the fused
-            # segment kernel (bit-identical; see passes.py).
-            fused = engine.program_.layers[l - 1].fused_reducer is not None
-            layer_forward = layer.forward_fused if fused else layer.forward
             for w in range(m):
                 if tp and w > 0:
                     # Tensor-parallel layer: the recombined slices ARE
@@ -221,10 +212,10 @@ class LayerExecutor:
                 # gradient into them, so the tape skips their adjoint.
                 h_in = Tensor(rows, requires_grad=training and l > 1)
                 if training:
-                    out = layer_forward(block, h_in)
+                    out = layer.forward(block, h_in)
                 else:
                     with no_grad():
-                        out = layer_forward(block, h_in)
+                        out = layer.forward(block, h_in)
                 h_values[l][w] = out.data
                 in_tensors[l - 1][w] = h_in
                 out_tensors[l - 1][w] = out

@@ -21,10 +21,12 @@ Three further passes grow the pipeline into a real optimizer:
 - :class:`FuseScatterGatherPass` lowers a layer's ScatterToEdge +
   EdgeForward + GatherByDst triple to one
   :class:`~repro.execution.program.FusedScatterGatherStep` when the
-  layer declares a fusable reducer (simple weighted-sum or mean).  The
-  numeric kernel replays the exact unfused numpy op sequence, so the
-  fusion is bit-identical; only the charged sparse time shrinks (the
-  materialised per-edge intermediate is skipped).
+  layer declares a fusable reducer (simple weighted-sum or mean).  It
+  is a lowering on the charged clock only: such a layer's ``forward``
+  always runs the one gather-weight-reduce kernel, pass or no pass, so
+  the numbers cannot move; what the pass changes is the step tuple and
+  the charged sparse time (the materialised per-edge intermediate is
+  skipped).
 - :class:`ChunkPipelinePass` annotates exchanges with a cross-layer
   chunk ``pipeline_depth``: each sender splits its chunk into sub-
   chunks so the receiver's overlapped compute starts after ``1/depth``
@@ -83,9 +85,9 @@ class FuseScatterGatherPass(ProgramPass):
     ``"weighted_sum"``; SAGE: ``"mean"``; attention layers return
     ``None`` -- their edge function is not a plain reduction).  The
     worker step tuple ``(Get, Scatter, Edge, Gather, Vertex)`` becomes
-    ``(Get, Fused, Vertex)`` and the layer is marked so the executor
-    dispatches the fused kernel and the accountant discounts the
-    charged sparse time.  Tensor-parallel layers are left untouched.
+    ``(Get, Fused, Vertex)`` and the layer is marked so the accountant
+    discounts the charged sparse time (the executor runs the same
+    kernel either way).  Tensor-parallel layers are left untouched.
     """
 
     name = "fuse-scatter-gather"

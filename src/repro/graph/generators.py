@@ -25,13 +25,31 @@ from repro.graph.graph import Graph
 
 
 def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Remove duplicate edges and self loops."""
+    """Remove duplicate edges and self loops; the first copy of every
+    edge stays, in input order."""
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    combined = src.astype(np.int64) * (dst.max() + 1 if len(dst) else 1) + dst
-    _, unique_idx = np.unique(combined, return_index=True)
-    unique_idx.sort()
-    return src[unique_idx], dst[unique_idx]
+    num_edges = len(src)
+    if num_edges == 0:
+        return src, dst
+    key = src.astype(np.int64) * (int(dst.max()) + 1) + dst
+    # ``key << bits | position`` sorts by key, then position, as plain
+    # int64 -- several times faster than the stable argsort behind
+    # ``np.unique(return_index=True)`` -- and the head of every key run
+    # carries the first position.
+    bits = num_edges.bit_length()
+    if int(key.max()).bit_length() + bits > 62:
+        _, first = np.unique(key, return_index=True)
+    else:
+        packed = (key << bits) | np.arange(num_edges)
+        packed.sort()
+        run = packed >> bits
+        is_head = np.empty(num_edges, dtype=bool)
+        is_head[0] = True
+        np.not_equal(run[1:], run[:-1], out=is_head[1:])
+        first = packed[is_head] & ((1 << bits) - 1)
+    first.sort()
+    return src[first], dst[first]
 
 
 def rmat(

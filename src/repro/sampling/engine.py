@@ -233,21 +233,13 @@ class SampledTrainingEngine(BaseEngine):
             self.graph.features[closure.blocks[0].input_vertices],
             requires_grad=False,
         )
-        program = self.program_
         for l in range(1, self.num_layers + 1):
             layer = self.model.layer(l)
-            # The fuse pass (when this round's program is compiled and
-            # annotated) dispatches the bit-identical fused kernel.
-            fused = (
-                program is not None
-                and program.layers[l - 1].fused_reducer is not None
-            )
-            fwd = layer.forward_fused if fused else layer.forward
             if training:
-                out = fwd(closure.blocks[l - 1], out)
+                out = layer.forward(closure.blocks[l - 1], out)
             else:
                 with no_grad():
-                    out = fwd(closure.blocks[l - 1], out)
+                    out = layer.forward(closure.blocks[l - 1], out)
         return out
 
     def _train_round(self, closures, optimizer, total: float) -> float:

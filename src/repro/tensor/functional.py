@@ -4,7 +4,10 @@ Besides the usual NN nonlinearities, this module provides the gather /
 scatter / segment primitives that GNN message passing needs: they are
 the numpy equivalents of the sparse kernels the paper offloads to the
 GPU (``ScatterToEdge`` and ``GatherByDst`` in Section 4.1 are expressed
-with :func:`index_select` and :func:`segment_sum`).
+with :func:`index_select` and :func:`segment_sum`).  A layer whose
+edge function is a plain weighting runs the whole
+``ScatterToEdge -> EdgeForward -> GatherByDst`` triple, forward and
+adjoint, as :func:`fused_gather_scatter`: one kernel, no E x d tensor.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.tensor.scatter import scatter_rows
+from repro.tensor.scatter import gather_scatter_rows, scatter_rows
 from repro.tensor.tensor import Function, Tensor
 
 
@@ -71,11 +74,13 @@ class FusedGatherScatter(Function):
     """Gather-by-src + (optional weight) + segment-sum as one kernel.
 
     The fused form of ``IndexSelect -> Mul -> SegmentSum`` (and the
-    trailing count division for ``"mean"``): forward and backward
-    replay the unfused chain's numpy operations in the same order, so
-    the result -- value and gradient -- is bit-identical to the op
-    chain while skipping the intermediate ``Function`` nodes and the
-    per-edge tape tensor.
+    trailing count division for ``"mean"``).  Forward is
+    :func:`~repro.tensor.scatter.gather_scatter_rows` over ``(src_pos,
+    segments)`` and backward the same kernel with the roles swapped,
+    so neither direction builds the per-edge tensor and the tape saves
+    only a shape and a dtype.  Every output cell receives the additions
+    the op chain performs, in edge order, so value and gradient are
+    bit-identical to it.
     """
 
     def __init__(
@@ -104,26 +109,25 @@ class FusedGatherScatter(Function):
         )
 
     def forward(self, x):
-        messages = x[self.src_pos]
-        if self.weights is not None:
-            messages = messages * self.weights.reshape(-1, 1)
-        # Allocation dtype follows the *message* rows (matching what
-        # SegmentSum sees in the unfused chain, weight promotion
-        # included), not the raw input.
-        self.save_for_backward(x.shape, messages.dtype)
-        out = scatter_rows(self.segments, messages, self.num_segments)
+        out = gather_scatter_rows(
+            x, self.src_pos, self.segments, self.weights, self.num_segments
+        )
+        # The divisor's dtype follows the *message* rows (what SegmentSum
+        # sees in the op chain, weight promotion included), not the input.
+        self.save_for_backward(x.shape, out.dtype)
         if self.reducer == "mean":
-            out = out / self._counts(messages.ndim, messages.dtype)
+            out = out / self._counts(out.ndim, out.dtype)
         return out
 
     def backward(self, grad):
         shape, dtype = self.saved
         if self.reducer == "mean":
             grad = grad / self._counts(len(shape), dtype)
-        per_edge = grad[self.segments]
-        if self.weights is not None:
-            per_edge = per_edge * self.weights.reshape(-1, 1)
-        return (scatter_rows(self.src_pos, per_edge, shape[0]),)
+        return (
+            gather_scatter_rows(
+                grad, self.segments, self.src_pos, self.weights, shape[0]
+            ),
+        )
 
 
 def fused_gather_scatter(
@@ -140,12 +144,24 @@ def fused_gather_scatter(
         raise ValueError(f"unsupported fused reducer {reducer!r}")
     if reducer == "weighted_sum" and weights is None:
         raise ValueError("weighted_sum fusion needs edge weights")
+    src_pos = np.asarray(src_pos, dtype=np.int64)
+    segments = np.asarray(segments, dtype=np.int64)
+    if len(src_pos) != len(segments):
+        raise ValueError(
+            f"src_pos has {len(src_pos)} entries for {len(segments)} segments"
+        )
+    if reducer != "weighted_sum":
+        weights = None
+    elif len(weights) != len(segments):
+        raise ValueError(
+            f"weights has {len(weights)} entries for {len(segments)} edges"
+        )
     return FusedGatherScatter.apply(
         x,
-        src_pos=np.asarray(src_pos, dtype=np.int64),
-        segments=np.asarray(segments, dtype=np.int64),
+        src_pos=src_pos,
+        segments=segments,
         num_segments=num_segments,
-        weights=weights if reducer == "weighted_sum" else None,
+        weights=weights,
         reducer=reducer,
     )
 

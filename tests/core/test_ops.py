@@ -69,6 +69,19 @@ class TestEdgeAndVertexForward:
         out = ops.vertex_forward(block, h, agg, lambda h_dst, a: h_dst + a)
         assert np.allclose(out.data, h.data[[0]])
 
+    def test_vertex_forward_without_dst_gathers_nothing(self, star_block, monkeypatch):
+        g, block = star_block
+        gathers = []
+        monkeypatch.setattr(
+            ops.F, "index_select", lambda *args: gathers.append(args)
+        )
+        agg = Tensor(np.ones((1, 2)))
+        out = ops.vertex_forward(
+            block, Tensor(np.zeros((4, 2))), agg,
+            lambda h_dst, a: a if h_dst is None else None, with_dst=False,
+        )
+        assert out is agg and not gathers
+
     def test_full_pipeline_matches_dense(self):
         """ScatterToEdge -> EdgeForward -> GatherByDst == A @ H."""
         g = generators.erdos_renyi(12, 40, seed=3).gcn_normalized()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import generators
 from repro.partition.chunk import chunk_partition
@@ -39,6 +40,86 @@ class TestCleanliness:
         assert (g.src != g.dst).all()
         pairs = set(zip(g.src.tolist(), g.dst.tolist()))
         assert len(pairs) == g.num_edges
+
+
+def _dedup_by_unique(src, dst):
+    """``generators._dedup`` as it was: the ``np.unique`` form, kept as
+    the reference for the packed-key sort that replaced it."""
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    combined = src.astype(np.int64) * (dst.max() + 1 if len(dst) else 1) + dst
+    _, unique_idx = np.unique(combined, return_index=True)
+    unique_idx.sort()
+    return src[unique_idx], dst[unique_idx]
+
+
+class TestDedup:
+    @staticmethod
+    def _same(src, dst):
+        got = generators._dedup(src, dst)
+        expected = _dedup_by_unique(src, dst)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            assert np.array_equal(g, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        num_vertices=st.integers(1, 60),
+        num_edges=st.integers(0, 400),
+    )
+    def test_random_coo(self, seed, num_vertices, num_edges):
+        rng = np.random.default_rng(seed)
+        self._same(
+            rng.integers(0, num_vertices, size=num_edges),
+            rng.integers(0, num_vertices, size=num_edges),
+        )
+
+    def test_empty_input(self):
+        empty = np.zeros(0, dtype=np.int64)
+        self._same(empty, empty)
+
+    def test_all_self_loops(self):
+        ids = np.arange(50)
+        self._same(ids, ids.copy())
+        assert len(generators._dedup(ids, ids.copy())[0]) == 0
+
+    def test_all_duplicates_keep_the_first(self):
+        src, dst = np.full(40, 3), np.full(40, 9)
+        self._same(src, dst)
+        assert generators._dedup(src, dst)[0].tolist() == [3]
+
+    def test_first_copy_stays_in_input_order(self):
+        src = np.array([5, 1, 5, 0, 1, 5])
+        dst = np.array([2, 4, 2, 3, 4, 0])
+        kept_src, kept_dst = generators._dedup(src, dst)
+        assert kept_src.tolist() == [5, 1, 0, 5]
+        assert kept_dst.tolist() == [2, 4, 3, 0]
+
+    def test_keys_too_wide_to_pack_fall_back(self, monkeypatch):
+        # Vertex ids near 2**28 make a 56-bit key: with the position's
+        # bits it no longer fits, so the np.unique form must run.
+        calls = []
+        real = np.unique
+        monkeypatch.setattr(
+            generators.np, "unique",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+        )
+        rng = np.random.default_rng(0)
+        src = rng.integers(2**28 - 50, 2**28, size=300)
+        dst = rng.integers(2**28 - 50, 2**28, size=300)
+        got = generators._dedup(src, dst)
+        assert calls == [1]
+        monkeypatch.undo()
+        expected = _dedup_by_unique(src, dst)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        # ... and a graph-sized input does not.
+        monkeypatch.setattr(
+            generators.np, "unique",
+            lambda *args, **kwargs: calls.append(2) or real(*args, **kwargs),
+        )
+        generators._dedup(src % 1000, dst % 1000)
+        assert calls == [1]
 
 
 class TestShapes:

@@ -29,15 +29,6 @@ def _assert_same_bits(index, values, out):
     assert np.array_equal(_bits(got), _bits(expected))
 
 
-@pytest.fixture(params=[(0, 1), (0, 16), (64, 48), (10**9, 512)], ids=str)
-def constants(request, monkeypatch):
-    """(MIN_ELEMENTS, ROUND_ELEMENTS): rounds to the last edge, rounds
-    plus tail, a cut-over inside the generated sizes, never."""
-    min_elements, round_elements = request.param
-    monkeypatch.setattr(scatter, "MIN_ELEMENTS", min_elements)
-    monkeypatch.setattr(scatter, "ROUND_ELEMENTS", round_elements)
-
-
 def _index(rng, kind, num_edges, num_rows):
     if kind == "zipf":  # hub skew: a few rows hold most edges
         index = np.minimum(rng.zipf(1.3, size=num_edges) - 1, num_rows - 1)
