@@ -94,10 +94,6 @@ class _LookupRef:
         return pos.astype(np.int64)
 
 
-def _position_lookup_ref(sorted_ids):
-    return _LookupRef(sorted_ids)
-
-
 def _mask_union_ref(num_vertices, *pieces):
     if not pieces:
         return np.empty(0, dtype=np.int64)
@@ -155,7 +151,6 @@ def _replace_ref(self, src, dst, eids, scales):
 
 _PATCHES = [
     (Adjacency, "select", _select_ref),
-    (B, "_position_lookup", _position_lookup_ref),
     (B, "_mask_union", _mask_union_ref),
     (B, "_space", _space_ref),
     (S.UniformFanoutSampler, "_sample_layer", _sample_layer_ref),

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.cluster.memory import MemoryTracker
 
 #: MemoryTracker label under which cache entries are accounted.
@@ -140,6 +142,16 @@ class CacheBudget:
         self.entries += 1
         self.bytes += int(nbytes)
         return True
+
+    def admit_prefix(self, ranked, nbytes: int) -> np.ndarray:
+        """Admit ``ranked`` ids in order, ``nbytes`` each, until a bound
+        refuses one; the admitted ids, sorted."""
+        taken = []
+        for u in ranked:
+            if not self.admit(nbytes):
+                break
+            taken.append(int(u))
+        return np.asarray(sorted(taken), dtype=np.int64)
 
     def release_all(self) -> None:
         if self.tracker is not None:

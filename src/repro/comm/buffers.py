@@ -4,10 +4,15 @@ The paper's trick: because each layer's messages have a regular
 pattern, the send buffer can be laid out ahead of time by parsing the
 destination vertex ids into a write-position index; worker threads then
 write their messages at disjoint precomputed offsets, so no mutex is
-needed.  :class:`PositionIndexedBuffer` is a working implementation of
-that layout (it also performs the real data routing in the engines);
-the *cost* difference between the lock-free and mutex designs is
-modeled by :class:`repro.cluster.network.NetworkProfile.pack_time`.
+needed.  :class:`PositionIndexedBuffer` is that layout -- one stable
+sort of the message rows by the worker on the other end -- and it is
+built once, never per epoch: :class:`repro.core.mirror.MirrorExchange`
+packs each mirror worker's pull list by master with it, and the
+compiled program keys one on the producing worker of every block input
+row (:class:`repro.execution.program.InputRoute`), which is the index
+the executor's ``GetFromDepNbr`` / ``PostToDepNbr`` follow.  The *cost*
+difference between the lock-free and mutex designs is modeled by
+:class:`repro.cluster.network.NetworkProfile.pack_time`.
 """
 
 from __future__ import annotations
@@ -20,30 +25,24 @@ import numpy as np
 class PositionIndexedBuffer:
     """A fixed-layout send buffer with precomputed write positions.
 
-    Built once per layer from the destination-worker assignment of each
-    message row; ``scatter`` then writes rows into a single contiguous
-    buffer at conflict-free positions, and ``chunk_for`` slices out one
-    destination worker's chunk.
+    Built once per layer from the worker each message row is exchanged
+    with; ``scatter`` then writes rows into a single contiguous buffer
+    at conflict-free positions, ``chunk_for`` slices out one worker's
+    chunk and ``source_rows`` names the rows it came from (ascending).
     """
 
     def __init__(self, dest_workers: np.ndarray, num_workers: int):
         dest_workers = np.asarray(dest_workers, dtype=np.int64)
-        if len(dest_workers) and (
-            dest_workers.min() < 0 or dest_workers.max() >= num_workers
-        ):
-            raise ValueError("destination worker out of range")
         self.num_workers = num_workers
         self.num_messages = len(dest_workers)
         # Stable sort groups rows by destination while preserving the
-        # per-destination order (the "write position index").
-        self.positions = np.empty(self.num_messages, dtype=np.int64)
-        order = np.argsort(dest_workers, kind="stable")
-        self.positions[order] = np.arange(self.num_messages)
-        counts = np.bincount(dest_workers, minlength=num_workers)
-        self.offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-        )
-        self._order = order
+        # per-destination order: row ``_order[k]`` is written at buffer
+        # position ``k`` (the "write position index").
+        self._order = np.argsort(dest_workers, kind="stable")
+        grouped = dest_workers[self._order]
+        if len(grouped) and (grouped[0] < 0 or grouped[-1] >= num_workers):
+            raise ValueError("destination worker out of range")
+        self.offsets = np.searchsorted(grouped, np.arange(num_workers + 1))
 
     def scatter(self, rows: np.ndarray) -> np.ndarray:
         """Write ``rows`` into the buffer at their precomputed positions."""
@@ -52,9 +51,7 @@ class PositionIndexedBuffer:
             raise ValueError(
                 f"buffer laid out for {self.num_messages} messages, got {len(rows)}"
             )
-        out = np.empty_like(rows)
-        out[self.positions] = rows
-        return out
+        return rows.take(self._order, axis=0)
 
     def chunk_slice(self, worker: int) -> slice:
         """Slice of the packed buffer holding ``worker``'s chunk."""

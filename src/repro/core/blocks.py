@@ -260,46 +260,3 @@ def build_block_from_edges(
             else None
         ),
     )
-
-
-def _position_lookup(sorted_ids: np.ndarray) -> "_Lookup":
-    return _Lookup(sorted_ids)
-
-
-class _Lookup:
-    """Maps global vertex ids to rows of a sorted id array.
-
-    Dense inverse table (id -> row, -1 for absent) when the id range is
-    comparable to the id count; ``searchsorted`` otherwise.  Both paths
-    return the same positions and raise the same ``KeyError``.
-    """
-
-    def __init__(self, sorted_ids: np.ndarray):
-        self.sorted_ids = sorted_ids
-        n = len(sorted_ids)
-        span = int(sorted_ids[-1]) + 1 if n else 0
-        if n and 0 <= int(sorted_ids[0]) and span <= max(4 * n, 65536):
-            self._table = np.full(span, -1, dtype=np.int64)
-            self._table[sorted_ids] = np.arange(n, dtype=np.int64)
-        else:
-            self._table = None
-
-    def __getitem__(self, ids: np.ndarray) -> np.ndarray:
-        table = self._table
-        if table is not None:
-            if len(ids) == 0:
-                return np.empty(0, dtype=np.int64)
-            ids = np.asarray(ids)
-            if int(ids.min()) < 0 or int(ids.max()) >= len(table):
-                raise KeyError("id not present in block space")
-            pos = table[ids]
-            if (pos < 0).any():
-                raise KeyError("id not present in block space")
-            return pos
-        pos = np.searchsorted(self.sorted_ids, ids)
-        if len(ids) and (
-            pos.max(initial=0) >= len(self.sorted_ids)
-            or not np.array_equal(self.sorted_ids[pos], ids)
-        ):
-            raise KeyError("id not present in block space")
-        return pos.astype(np.int64)

@@ -5,10 +5,14 @@ worker and *mirrors* exist on every worker that consumes it remotely.
 Forward: each mirror pulls the master's representation
 (synchronize-compute).  Backward: each mirror pushes its partial
 gradient to the master, where contributions are aggregated
-(compute-synchronize).  :class:`MirrorExchange` precomputes, for one
-layer, who sends what to whom -- the counts feed the byte-volume matrix
-of :func:`repro.comm.scheduler.run_exchange` and the id lists drive the
-real data routing in the engines.
+(compute-synchronize).  :class:`MirrorExchange` sets up, once per plan
+and layer, who sends what to whom: the counts are what gets charged
+(the byte-volume matrix of :func:`repro.comm.scheduler.run_exchange`,
+the per-chunk staging work of a ``ComputeSpec``); the id lists are the
+plan's statement of the exchange, which the row index the executor
+follows (:class:`repro.execution.program.InputRoute`, compiled from the
+blocks) must reproduce pair for pair wherever values really cross
+workers.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.comm.buffers import pack_by_destination
 
 
 class MirrorExchange:
@@ -39,21 +45,22 @@ class MirrorExchange:
         num_workers: int,
     ):
         self.num_workers = num_workers
-        self.assignment = assignment
-        # recv_ids[(j, i)] = masters on j whose data mirror-worker i pulls.
+        # recv_ids[(j, i)] = masters on j whose data mirror-worker i
+        # pulls: i's list packed by master, order kept within a master.
         self.recv_ids: Dict[Tuple[int, int], np.ndarray] = {}
         counts = np.zeros((num_workers, num_workers), dtype=np.int64)
         for i, vertices in enumerate(comm_vertices):
             vertices = np.asarray(vertices, dtype=np.int64)
             if len(vertices) == 0:
                 continue
-            owners = assignment[vertices]
-            if (owners == i).any():
+            _, chunks = pack_by_destination(
+                vertices, assignment[vertices], num_workers
+            )
+            if len(chunks[i]):
                 raise ValueError(
                     f"worker {i} lists its own vertices as remote mirrors"
                 )
-            for j in range(num_workers):
-                mine = vertices[owners == j]
+            for j, mine in enumerate(chunks):
                 if len(mine):
                     self.recv_ids[(j, i)] = mine
                     counts[j, i] = len(mine)

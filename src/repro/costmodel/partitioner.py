@@ -165,13 +165,9 @@ def _select_stale_cached(
     if not cost_model.t_cached(layer, cache.tau) < cost_model.t_c(layer):
         return np.empty(0, dtype=np.int64)
     policy = make_policy(cache, graph, partitioning, worker)
-    entry_bytes = cost_model.cache_entry_bytes(layer)
-    taken: List[int] = []
-    for u in policy.rank(candidates, layer):
-        if not cache_budget.admit(entry_bytes):
-            break
-        taken.append(int(u))
-    return np.asarray(sorted(taken), dtype=np.int64)
+    return cache_budget.admit_prefix(
+        policy.rank(candidates, layer), cost_model.cache_entry_bytes(layer)
+    )
 
 
 def partition_dependencies(

@@ -51,12 +51,8 @@ class DepCommEngine(BaseEngine):
                 self.cache_config, self.graph, self.partitioning, worker
             )
             for l in range(1, self.num_layers + 1):
-                entry_bytes = self.dims[l - 1] * 4
-                taken: List[int] = []
-                for u in policy.rank(deps[l - 1], l):
-                    if not budget.admit(entry_bytes):
-                        break
-                    taken.append(int(u))
-                stale[l - 1] = np.asarray(sorted(taken), dtype=np.int64)
+                stale[l - 1] = budget.admit_prefix(
+                    policy.rank(deps[l - 1], l), self.dims[l - 1] * 4
+                )
                 communicated[l - 1] = np.setdiff1d(deps[l - 1], stale[l - 1])
         return cached, communicated, stale, 0.0

@@ -45,6 +45,7 @@ from repro.execution.program import (
     FusedScatterGatherStep,
     GatherByDstStep,
     GetFromDepNbrStep,
+    InputRoute,
     LayerProgram,
     Program,
     ScatterToEdgeStep,
@@ -74,6 +75,7 @@ __all__ = [
     "FusedScatterGatherStep",
     "GatherByDstStep",
     "GetFromDepNbrStep",
+    "InputRoute",
     "LayerAccountant",
     "LayerExecutor",
     "LayerProgram",

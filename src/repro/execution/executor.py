@@ -12,6 +12,12 @@ Every engine runs these numerics unchanged -- the strategies differ in
 the plan they fill, the baselines in their accountant -- so the executor
 calls its own methods and has no per-engine subclass.
 
+Who produces which input row is not worked out here: ``gather_inputs``
+and ``route_input_grads`` follow the block's compiled
+:class:`~repro.execution.program.InputRoute` (Section 4.3's position
+index, built once by ``compile_program``), one chunk per source worker,
+forward to read and backward to post.
+
 :class:`StalenessBoundedReader` is the one code path for
 bounded-staleness reads: training gathers override rows through it and
 the inference server probes per-vertex entries through it, so the
@@ -234,7 +240,8 @@ class LayerExecutor:
 
         Numerically, rows come from the feature matrix (layer 1) or from
         the producing worker's stored output (redundant copies are
-        bit-identical, so reading the owner's copy is exact).
+        bit-identical, so reading the owner's copy is exact), one chunk
+        per source worker of the block's compiled route.
         """
         engine = self.engine
         ids = block.input_vertices
@@ -243,21 +250,10 @@ class LayerExecutor:
             # bit-identical to a fresh fetch; no override needed.
             return engine.graph.features[ids]
         rows = np.empty((len(ids), engine.dims[l - 1]), dtype=np.float32)
-        pos_local = engine.program_.pos_in_compute[l - 2][w][ids]
-        local = pos_local >= 0
-        if local.any():
-            rows[local] = h_values[l - 1][w][pos_local[local]]
-        remote_ids = ids[~local]
-        if len(remote_ids):
-            owners = engine.assignment[remote_ids]
-            for j in np.unique(owners):
-                sel = owners == j
-                pos = engine.program_.pos_in_compute[l - 2][j][remote_ids[sel]]
-                if (pos < 0).any():
-                    raise RuntimeError(
-                        "owner did not compute a vertex it owns (plan bug)"
-                    )
-                rows[np.where(~local)[0][sel]] = h_values[l - 1][j][pos]
+        route = engine.program_.layers[l - 1].workers[w].route
+        for j in route.sources:
+            src_rows = route.src_rows[route.buffer.chunk_slice(j)]
+            rows[route.buffer.source_rows(j)] = h_values[l - 1][j][src_rows]
         self.apply_historical_cache(l, w, block, rows)
         return rows
 
@@ -302,7 +298,7 @@ class LayerExecutor:
             if len(mine) == 0:
                 loss_tensors.append(None)
                 continue
-            rows = engine.program_.pos_in_compute[-1][w][mine]
+            rows = np.searchsorted(plan.blocks[-1][w].compute_vertices, mine)
             logits = out_tensors[engine.num_layers - 1][w][rows]
             log_probs = F.log_softmax(logits, axis=-1)
             picked = log_probs[
@@ -351,6 +347,10 @@ class LayerExecutor:
     def route_input_grads(self, plan, grad_acc, l, w, grad_rows):
         """PostToDepNbr: push input grads to whoever computed the value.
 
+        The gradient rows are written into the route's send buffer and
+        each source worker's chunk is accumulated in turn -- own rows
+        first, then source workers ascending, ids ascending within each.
+
         Rows served from the historical cache on a non-refresh epoch are
         treated as constants: their value was not produced by the owner
         this epoch, so no gradient flows back (the standard historical-
@@ -360,28 +360,22 @@ class LayerExecutor:
         DepComm.
         """
         engine = self.engine
-        block = plan.blocks[l - 1][w]
-        ids = block.input_vertices
-        pos_local = engine.program_.pos_in_compute[l - 2][w][ids]
-        local = pos_local >= 0
-        self.accumulate(
-            plan, grad_acc, l - 2, w, pos_local[local], grad_rows[local]
-        )
-        push = ~local
+        wp = engine.program_.layers[l - 1].workers[w]
+        route = wp.route
+        packed = route.buffer.scatter(grad_rows)
+        posted = None
         if engine._cache_active and not engine._cache_refreshing:
-            srows = engine.program_.layers[l - 1].workers[w].stale_rows
-            if srows is not None and len(srows):
-                push = push.copy()
-                push[srows] = False
-        remote_ids = ids[push]
-        if len(remote_ids) == 0:
-            return
-        remote_rows = grad_rows[push]
-        owners = engine.assignment[remote_ids]
-        for j in np.unique(owners):
-            sel = owners == j
-            pos = engine.program_.pos_in_compute[l - 2][j][remote_ids[sel]]
-            self.accumulate(plan, grad_acc, l - 2, j, pos, remote_rows[sel])
+            if wp.stale_rows is not None and len(wp.stale_rows):
+                posted = np.ones(len(grad_rows), dtype=bool)
+                posted[wp.stale_rows] = False
+                posted = route.buffer.scatter(posted)
+        for j in route.sources:
+            chunk = route.buffer.chunk_slice(j)
+            positions, rows = route.src_rows[chunk], packed[chunk]
+            if posted is not None and j != w:
+                keep = posted[chunk]
+                positions, rows = positions[keep], rows[keep]
+            self.accumulate(plan, grad_acc, l - 2, j, positions, rows)
 
     def accumulate(self, plan, grad_acc, layer_idx, worker, positions, rows):
         engine = self.engine
@@ -397,7 +391,7 @@ class LayerExecutor:
         acc = grad_acc[layer_idx][worker]
         if acc is None:
             shape = (
-                len(plan.compute_sets[layer_idx][worker]),
+                plan.blocks[layer_idx][worker].num_outputs,
                 engine.dims[layer_idx + 1],
             )
             acc = np.zeros(shape, dtype=np.float32)
@@ -422,7 +416,7 @@ class LayerExecutor:
             mine = owned[mask[owned]]
             if len(mine) == 0:
                 continue
-            rows = engine.program_.pos_in_compute[L - 1][w][mine]
+            rows = np.searchsorted(plan.blocks[-1][w].compute_vertices, mine)
             predictions = h_values[L][w][rows].argmax(axis=1)
             correct += int((predictions == engine.graph.labels[mine]).sum())
             total += len(mine)

@@ -58,7 +58,6 @@ class EpochReport:
 class EnginePlan:
     """Per-worker, per-layer execution plan (built once, reused)."""
 
-    compute_sets: List[List[np.ndarray]]  # [l-1][worker] -> global ids
     blocks: List[List[LayerBlock]]  # [l-1][worker]
     comm_ids: List[List[np.ndarray]]  # [l-1][worker] -> received ids
     exchanges: List[MirrorExchange]  # [l-1]
@@ -149,7 +148,6 @@ def build_engine_plan(engine) -> EnginePlan:
         )
     any_tp = any(tp_layers)
 
-    compute_sets: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
     comm_ids: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
     stale_ids: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
     blocks: List[List[LayerBlock]] = [[None] * m for _ in range(L)]
@@ -169,13 +167,11 @@ def build_engine_plan(engine) -> EnginePlan:
                 # and resets the downward closure to the owned set.
                 if l not in full_blocks:
                     full_blocks[l] = build_block(graph, all_vertices, l)
-                compute_sets[l - 1][w] = all_vertices
                 blocks[l - 1][w] = full_blocks[l]
                 comm_ids[l - 1][w] = empty
                 stale_ids[l - 1][w] = empty
                 need = owned
                 continue
-            compute_sets[l - 1][w] = need
             block = build_block(graph, need, l)
             blocks[l - 1][w] = block
             remote_inputs = block.input_vertices[
@@ -212,7 +208,6 @@ def build_engine_plan(engine) -> EnginePlan:
         MirrorExchange(engine.assignment, stale_ids[l], m) for l in range(L)
     ]
     return EnginePlan(
-        compute_sets=compute_sets,
         blocks=blocks,
         comm_ids=comm_ids,
         exchanges=exchanges,

@@ -20,6 +20,11 @@ program and evaluates them against the device profile *at charge
 time*, so straggler faults and online re-planning see current hardware,
 and optimization passes (:mod:`.passes`) annotate the IR instead of
 patching engine code.
+
+:func:`compile_program` adds the one thing only the full-batch executor
+reads: every block's :class:`InputRoute`, the (source worker, source
+row) of each input row, compiled once.  ``GetFromDepNbr`` and
+``PostToDepNbr`` follow that index and derive nothing at run time.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.buffers import PositionIndexedBuffer
 from repro.execution.plan import EnginePlan
 
 
@@ -171,6 +177,24 @@ class ExchangePhase:
         return int(self.volumes[off].sum())
 
 
+@dataclass(frozen=True)
+class InputRoute:
+    """Where a block's input rows are read and their gradients posted.
+
+    ``buffer`` is Section 4.3's position index over the block's input
+    rows, keyed by the worker whose layer-``l-1`` output holds each row:
+    ``buffer.source_rows(j)`` are the input rows read from worker ``j``
+    (ascending) and ``src_rows[buffer.chunk_slice(j)]`` their rows in
+    ``j``'s output.  ``sources`` lists the workers with a non-empty
+    chunk in the order gradients are posted: the block's own worker
+    first, then ascending.
+    """
+
+    buffer: PositionIndexedBuffer
+    src_rows: np.ndarray
+    sources: Tuple[int, ...]
+
+
 @dataclass
 class WorkerLayerProgram:
     """The typed steps one worker runs for one layer."""
@@ -180,6 +204,9 @@ class WorkerLayerProgram:
     steps: Tuple
     compute: ComputeSpec
     stale_rows: Optional[np.ndarray]  # block-input row positions of H_i^l
+    # Set by compile_program for every block the full-batch executor
+    # gathers (layer >= 2; worker 0 only in a tensor-parallel layer).
+    route: Optional[InputRoute] = None
 
 
 @dataclass
@@ -218,9 +245,6 @@ class Program:
     num_workers: int
     dims: List[int]
     layers: List[LayerProgram]
-    # Runtime gather lookup: pos_in_compute[l][w][v] is vertex v's row
-    # inside worker w's layer-(l+1) compute set, -1 if absent.
-    pos_in_compute: List[List[np.ndarray]]
     passes: List[str] = field(default_factory=list)
 
 
@@ -256,12 +280,10 @@ def _compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
                     engine.assignment[recv_src], minlength=m
                 )
                 local_edges -= len(recv_src)
-                for j in range(m):
-                    chunk_vertices[j] = len(
-                        plan.exchanges[l - 1].recv_ids.get((j, w), ())
-                    ) + len(
-                        plan.refresh_exchanges[l - 1].recv_ids.get((j, w), ())
-                    )
+                chunk_vertices = (
+                    plan.exchanges[l - 1].counts[:, w]
+                    + plan.refresh_exchanges[l - 1].counts[:, w]
+                )
         specs.append(ComputeSpec(
             sparse_flops=sparse_flops,
             dense_flops=dense_flops,
@@ -353,28 +375,51 @@ def compile_layers(engine, plan: EnginePlan) -> List[LayerProgram]:
     return layers
 
 
+def _input_routes(engine, plan: EnginePlan, l: int):
+    """``(worker, InputRoute)`` of every layer-``l`` block the executor
+    gathers: a row the worker produced itself at layer ``l - 1`` (owned,
+    recomputed, or aliased from a tensor-parallel layer's full-graph
+    output) is read in place, any other row from its owner."""
+    m = engine.cluster.num_workers
+    # row_of[j, v]: vertex v's row in worker j's layer-(l-1) output, -1
+    # where j does not compute v.  Lives for this call only.
+    row_of = np.full((m, engine.graph.num_vertices), -1, dtype=np.int64)
+    for j, block in enumerate(plan.blocks[l - 2]):
+        row_of[j, block.compute_vertices] = np.arange(block.num_outputs)
+    # A tensor-parallel layer runs once, on worker 0's copy of the
+    # shared full-graph block; the other workers alias its output.
+    for w in range(1 if plan.is_tp_layer(l) else m):
+        ids = plan.blocks[l - 1][w].input_vertices
+        source = np.where(row_of[w, ids] >= 0, w, engine.assignment[ids])
+        buffer = PositionIndexedBuffer(source, m)
+        packed_source, packed_ids = buffer.scatter(source), buffer.scatter(ids)
+        src_rows = row_of[packed_source, packed_ids]
+        if (src_rows < 0).any():
+            k = int(np.argmax(src_rows < 0))
+            raise RuntimeError(
+                f"layer {l}, worker {w}: worker {packed_source[k]} owns "
+                f"input vertex {packed_ids[k]} but does not compute it at "
+                f"layer {l - 1} (plan bug)"
+            )
+        sources = [int(j) for j in np.flatnonzero(buffer.chunk_sizes())]
+        # Posting order: own rows first, then source workers ascending.
+        sources.sort(key=lambda j: j != w)
+        yield w, InputRoute(buffer, src_rows, tuple(sources))
+
+
 def compile_program(engine, plan: EnginePlan) -> Program:
     """Compile ``plan`` into the explicit per-layer dataflow program:
-    :func:`compile_layers` plus the executor's dense gather index.
-    Optimization passes are applied separately
+    :func:`compile_layers` plus the :class:`InputRoute` of every block
+    the executor gathers.  Optimization passes are applied separately
     (:func:`.passes.run_passes`).
     """
-    n = engine.graph.num_vertices
-    m = engine.cluster.num_workers
-    L = engine.num_layers
-
-    pos_in_compute: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
-    for l in range(L):
-        for w in range(m):
-            pos = np.full(n, -1, dtype=np.int64)
-            ids = plan.compute_sets[l][w]
-            pos[ids] = np.arange(len(ids))
-            pos_in_compute[l][w] = pos
-
+    layers = compile_layers(engine, plan)
+    for lp in layers[1:]:
+        for w, route in _input_routes(engine, plan, lp.layer):
+            lp.workers[w].route = route
     return Program(
-        num_layers=L,
-        num_workers=m,
+        num_layers=engine.num_layers,
+        num_workers=engine.cluster.num_workers,
         dims=list(engine.dims),
-        layers=compile_layers(engine, plan),
-        pos_in_compute=pos_in_compute,
+        layers=layers,
     )

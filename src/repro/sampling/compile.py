@@ -121,22 +121,17 @@ def compile_round(
     exchanges = [bottom_exchange] + [no_exchange] * (L - 1)
 
     blocks: List[List] = []
-    compute_sets: List[List[np.ndarray]] = []
     for l in range(1, L + 1):
         row = []
-        sets = []
         for w in range(m):
             closure = closures.get(w)
             if closure is None:
                 row.append(_empty_closure_block(graph, l))
             else:
                 row.append(closure.blocks[l - 1])
-            sets.append(row[-1].compute_vertices)
         blocks.append(row)
-        compute_sets.append(sets)
 
     plan = EnginePlan(
-        compute_sets=compute_sets,
         blocks=blocks,
         comm_ids=[list(fetch_lists)] + [list(empty_lists) for _ in range(L - 1)],
         exchanges=exchanges,
@@ -166,6 +161,5 @@ def compile_round(
         num_workers=m,
         dims=list(engine.dims),
         layers=layers,
-        pos_in_compute=[],
     )
     return plan, program, traffic

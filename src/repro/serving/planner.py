@@ -33,7 +33,7 @@ from repro.graph.khop import khop_closure
 from repro.partition.base import Partitioning
 from repro.utils.ranges import sorted_unique
 
-MODES = ("auto", "local", "remote", "cached")
+MODES = ("auto", "local", "remote")
 
 
 @dataclass(frozen=True)
@@ -170,16 +170,6 @@ class RequestPlanner:
         )
         self._profiles[vertex] = profile
         return profile
-
-    def choose(self, vertex: int) -> str:
-        """``"local"`` or ``"remote"`` for one request."""
-        if self.mode in ("local", "remote"):
-            return self.mode
-        if self.mode == "cached":
-            # Forced-cache mode still needs a recompute path on miss;
-            # fall through to the cost comparison.
-            pass
-        return self.profile(vertex).preferred_mode()
 
     def plan_batch(self, vertices: Sequence[int]) -> BatchPlan:
         """Mode and union closure of a deduped micro-batch.

@@ -43,11 +43,7 @@ from repro.resilience.faults import WorkerCrashError
 from repro.resilience.health import ClusterHealthMonitor
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 from repro.training.checkpoint import save_checkpoint
-from repro.training.trainer import (
-    ConvergencePoint,
-    DistributedTrainer,
-    TrainingHistory,
-)
+from repro.training.trainer import DistributedTrainer, TrainingHistory
 
 _Snapshot = Tuple[int, Dict[str, np.ndarray], dict, Optional[dict]]
 
@@ -133,18 +129,16 @@ class ResilientTrainer(DistributedTrainer):
                 loader(sampler_state)
         return epoch
 
-    def _handle_crash(
-        self,
-        crash: WorkerCrashError,
-        epoch: int,
-        snapshot: _Snapshot,
-        history: TrainingHistory,
+    recoverable = (WorkerCrashError,)
+
+    def _recover(
+        self, crash: WorkerCrashError, epoch: int, history: TrainingHistory
     ) -> int:
         """Recover, roll back, and return the epoch to resume from."""
         self.engine, event = self._recovery.on_crash(
-            self.engine, crash, epoch, snapshot[0]
+            self.engine, crash, epoch, self._last_snapshot[0]
         )
-        ckpt_epoch = self._restore(snapshot)
+        ckpt_epoch = self._restore(self._last_snapshot)
         # The epochs past the checkpoint will be replayed; drop their
         # records so the history reflects one consistent trajectory.
         del history.reports[ckpt_epoch:]
@@ -153,14 +147,6 @@ class ResilientTrainer(DistributedTrainer):
         ]
         self.recoveries.append(event)
         return ckpt_epoch + 1
-
-    def _maybe_rejoin(self, epoch: int) -> None:
-        """Grow back to the pre-shrink cluster when the policy says so."""
-        self.engine, event = self._recovery.on_epoch_completed(
-            self.engine, epoch
-        )
-        if event is not None:
-            self.recoveries.append(event)
 
     def _observe_health(self) -> None:
         """Feed the health monitor; re-plan when it reports drift."""
@@ -182,64 +168,31 @@ class ResilientTrainer(DistributedTrainer):
         if monitor.maybe_replan(self.engine):
             self.replans += 1
 
+    def _after_epoch(self, epoch: int) -> None:
+        """Rejoin when the policy says so, watch health, checkpoint."""
+        self.engine, event = self._recovery.on_epoch_completed(
+            self.engine, epoch
+        )
+        if event is not None:
+            self.recoveries.append(event)
+        self._observe_health()
+        if epoch % self.policy.checkpoint_every == 0:
+            self._last_snapshot = self._snapshot(epoch)
+
+    def _time_s(self, elapsed: float) -> float:
+        """Makespan since ``train()`` began: recovery, rejoin and
+        re-planning included, unlike the parent's sum of epoch times."""
+        return self.engine.timeline.makespan - self._t_origin
+
     # ------------------------------------------------------------------
-    def train(
-        self,
-        epochs: int,
-        eval_every: int = 0,
-        eval_mask=None,
-        target_accuracy: Optional[float] = None,
-        patience: Optional[int] = None,
-    ) -> TrainingHistory:
-        """Run ``epochs`` epochs, surviving scheduled worker crashes.
+    def train(self, *args, **kwargs) -> TrainingHistory:
+        """Run the parent's loop, surviving scheduled worker crashes.
 
         Semantics match :meth:`DistributedTrainer.train`; additionally
         every crash episode is appended to :attr:`recoveries` and the
         modeled recovery time is visible on the engine's timeline (the
         convergence points' ``time_s`` axis includes it).
         """
-        if epochs < 1:
-            raise ValueError("epochs must be positive")
-        if patience is not None and patience < 1:
-            raise ValueError("patience must be positive")
-        history = TrainingHistory(engine_name=self.engine.name)
-        t_origin = self.engine.timeline.makespan
-        snapshot = self._snapshot(0)
-        best_accuracy = -1.0
-        stale_evals = 0
-        epoch = 1
-        while epoch <= epochs:
-            try:
-                report = self.engine.run_epoch(optimizer=self.optimizer)
-                accuracy = None
-                if eval_every and (epoch % eval_every == 0 or epoch == epochs):
-                    accuracy = self.engine.evaluate(mask=eval_mask)
-            except WorkerCrashError as crash:
-                epoch = self._handle_crash(crash, epoch, snapshot, history)
-                continue
-            history.reports.append(report)
-            self._maybe_rejoin(epoch)
-            self._observe_health()
-            if accuracy is not None:
-                history.convergence.append(
-                    ConvergencePoint(
-                        epoch=epoch,
-                        time_s=self.engine.timeline.makespan - t_origin,
-                        accuracy=accuracy,
-                        loss=report.loss,
-                    )
-                )
-                if target_accuracy is not None and accuracy >= target_accuracy:
-                    break
-                if patience is not None:
-                    if accuracy > best_accuracy + 1e-9:
-                        best_accuracy = accuracy
-                        stale_evals = 0
-                    else:
-                        stale_evals += 1
-                        if stale_evals >= patience:
-                            break
-            if epoch % self.policy.checkpoint_every == 0:
-                snapshot = self._snapshot(epoch)
-            epoch += 1
-        return history
+        self._t_origin = self.engine.timeline.makespan
+        self._last_snapshot = self._snapshot(0)
+        return super().train(*args, **kwargs)

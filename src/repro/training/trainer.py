@@ -8,7 +8,7 @@ times are *modeled* cluster seconds read off the engine's timeline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.engines.base import EpochReport
 from repro.tensor import optim
@@ -110,26 +110,32 @@ class DistributedTrainer:
             getattr(self.engine, "cache_config", None) is not None
             and self.engine.cache_config.refresh_on_regression
         )
-        prev_loss: Optional[float] = None
-        for epoch in range(1, epochs + 1):
-            report = self.engine.run_epoch(optimizer=self.optimizer)
+        epoch = 1
+        while epoch <= epochs:
+            evaluate = eval_every and (epoch % eval_every == 0 or epoch == epochs)
+            try:
+                report = self.engine.run_epoch(optimizer=self.optimizer)
+                accuracy = (
+                    self.engine.evaluate(mask=eval_mask) if evaluate else None
+                )
+            except self.recoverable as failure:
+                epoch = self._recover(failure, epoch, history)
+                continue
             elapsed += report.epoch_time_s
             history.reports.append(report)
-            if guard_active:
+            if guard_active and len(history.reports) > 1:
                 if (
-                    prev_loss is not None
-                    and not report.cache_refreshed
-                    and report.loss > prev_loss
+                    not report.cache_refreshed
+                    and report.loss > history.reports[-2].loss
                 ):
                     self.engine.force_refresh()
                     history.forced_refreshes += 1
-                prev_loss = report.loss
-            if eval_every and (epoch % eval_every == 0 or epoch == epochs):
-                accuracy = self.engine.evaluate(mask=eval_mask)
+            self._after_epoch(epoch)
+            if accuracy is not None:
                 history.convergence.append(
                     ConvergencePoint(
                         epoch=epoch,
-                        time_s=elapsed,
+                        time_s=self._time_s(elapsed),
                         accuracy=accuracy,
                         loss=report.loss,
                     )
@@ -144,4 +150,22 @@ class DistributedTrainer:
                         stale_evals += 1
                         if stale_evals >= patience:
                             break
+            epoch += 1
         return history
+
+    # -- per-epoch steps a subclass may replace ------------------------
+    # Exceptions ``train`` answers with ``_recover`` instead of raising.
+    recoverable: Tuple[type, ...] = ()
+
+    def _recover(self, failure, epoch: int, history: TrainingHistory) -> int:
+        """Handle a ``recoverable`` failure of ``epoch``; returns the
+        epoch to run next."""
+        raise NotImplementedError
+
+    def _after_epoch(self, epoch: int) -> None:
+        """Runs after every completed epoch, before its time is read."""
+
+    def _time_s(self, elapsed: float) -> float:
+        """A convergence point's ``time_s``, given the summed
+        ``epoch_time_s`` of the epochs in the history."""
+        return elapsed

@@ -1,5 +1,7 @@
 """Engine integration: refresh cadence, accounting, budget, the guard."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.model import GNNModel
 from repro.engines import DepCommEngine, HybridEngine
 from repro.engines.base import EpochReport
 from repro.graph import generators
+from repro.training.resilient import ResilientTrainer
 from repro.training.trainer import DistributedTrainer
 
 
@@ -168,6 +171,7 @@ class _ScriptedEngine:
 
     def __init__(self, losses, refreshed, cache_config):
         self.model = GNNModel.gcn(4, 4, 2, seed=0)
+        self.timeline = SimpleNamespace(makespan=0.0)  # ResilientTrainer's clock
         self._script = list(zip(losses, refreshed))
         self._i = 0
         self.cache_config = cache_config
@@ -187,13 +191,17 @@ class _ScriptedEngine:
 
 
 class TestStalenessGuard:
+    """Run for both trainers: the resilient one drives the same loop."""
+
+    trainer_cls = DistributedTrainer
+
     def test_regression_on_stale_epoch_forces_refresh(self):
         engine = _ScriptedEngine(
             losses=[1.0, 0.9, 1.1, 0.8],
             refreshed=[True, False, False, False],
             cache_config=CacheConfig(tau=8.0, refresh_on_regression=True),
         )
-        history = DistributedTrainer(engine, lr=0.01).train(4)
+        history = self.trainer_cls(engine, lr=0.01).train(4)
         # Only epoch 3 (0.9 -> 1.1, stale) regresses.
         assert engine.forced == 1
         assert history.forced_refreshes == 1
@@ -204,7 +212,7 @@ class TestStalenessGuard:
             refreshed=[True, True],
             cache_config=CacheConfig(tau=8.0, refresh_on_regression=True),
         )
-        DistributedTrainer(engine, lr=0.01).train(2)
+        self.trainer_cls(engine, lr=0.01).train(2)
         assert engine.forced == 0  # the inputs were already exact
 
     def test_guard_disabled_by_config(self):
@@ -213,15 +221,22 @@ class TestStalenessGuard:
             refreshed=[True, False, False],
             cache_config=CacheConfig(tau=8.0, refresh_on_regression=False),
         )
-        history = DistributedTrainer(engine, lr=0.01).train(3)
+        history = self.trainer_cls(engine, lr=0.01).train(3)
         assert engine.forced == 0
         assert history.forced_refreshes == 0
 
     def test_guard_end_to_end(self, graph):
         """A real training run under the guard still converges."""
         _, engine = make(graph, CacheConfig(tau=6.0))
-        history = DistributedTrainer(engine, lr=0.05).train(8)
+        history = self.trainer_cls(engine, lr=0.05).train(8)
         assert history.reports[-1].loss < history.reports[0].loss
+
+
+class TestStalenessGuardResilient(TestStalenessGuard):
+    """``ResilientTrainer.train`` used to be a copy of the loop without
+    the guard: ``chaos --mode train`` with a cache never forced a refresh."""
+
+    trainer_cls = ResilientTrainer
 
 
 class TestCrashInvalidation:

@@ -1,4 +1,5 @@
-"""Lock-free position-indexed buffers (the real data routing)."""
+"""Lock-free position-indexed buffers: the one stable sort behind the
+``MirrorExchange`` lists and every compiled ``InputRoute``."""
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ class TestPositionIndexedBuffer:
     def test_positions_are_a_permutation(self):
         dest = np.array([1, 1, 0, 2, 0])
         buf = PositionIndexedBuffer(dest, num_workers=3)
-        assert sorted(buf.positions.tolist()) == list(range(5))
+        # Scattering the row numbers shows which row each position holds.
+        holds = buf.scatter(np.arange(5))
+        assert sorted(holds.tolist()) == list(range(5))
+        assert holds.tolist() == [2, 4, 0, 1, 3]
 
     def test_preserves_per_destination_order(self):
         dest = np.array([0, 1, 0, 1])
@@ -88,6 +92,10 @@ def test_property_scatter_is_a_permutation(data):
     buf = PositionIndexedBuffer(dest, num_workers=m)
     packed = buf.scatter(rows)
     assert sorted(packed.tolist()) == rows.tolist()
+    # Inside a chunk the rows keep their original order.
+    for w in range(m):
+        assert buf.chunk_for(packed, w).tolist() == rows[dest == w].tolist()
+        assert buf.source_rows(w).tolist() == np.flatnonzero(dest == w).tolist()
     # Chunks exactly partition the packed buffer.
     assert buf.chunk_sizes().sum() == n
     for w in range(m):

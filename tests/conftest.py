@@ -67,7 +67,7 @@ def gcn_model(small_graph):
     return make_model("gcn", small_graph)
 
 
-def _check_layer_program(lp, bytes_balance: bool = True):
+def _check_layer_program(lp, bytes_balance: bool = True, below=None):
     """Structural invariants of one compiled ``LayerProgram``.
 
     Every input row has exactly one provenance, every edge is either
@@ -75,10 +75,20 @@ def _check_layer_program(lp, bytes_balance: bool = True):
     layer of an engine that ships what its plan fetches
     (``bytes_balance``; ROC broadcasts more) -- bytes sent over the
     exchange equal the bytes the gather steps receive.
+
+    Where ``compile_program`` attached an :class:`InputRoute`, every
+    input row has exactly one producer, and the rows read from each
+    other worker are as many as the exchange (fetch + refresh) charges
+    for that pair.  ``below`` is the ``LayerProgram`` of the layer
+    underneath: when that one is tensor-parallel its full-graph output
+    is aliased on every worker, so the route reads everything in place
+    although the exchange still charges the rows as fetched.
     """
     for wp in lp.workers:
         spec = wp.compute
         assert int(spec.chunk_edges.sum()) + spec.local_edges == spec.num_edges
+        if wp.route is not None:
+            _check_input_route(lp, wp, bytes_balance, below)
         if lp.is_tp:
             continue
         gather = wp.steps[0]
@@ -91,6 +101,35 @@ def _check_layer_program(lp, bytes_balance: bool = True):
     if bytes_balance and not lp.is_tp:
         assert lp.exchange.total_bytes() == sum(
             wp.steps[0].fetch_bytes for wp in lp.workers
+        )
+
+
+def _check_input_route(lp, wp, bytes_balance, below):
+    route, w = wp.route, wp.worker
+    sizes = route.buffer.chunk_sizes()
+    num_inputs = len(route.src_rows)
+    # Exactly one producer per input row: the chunks partition the rows.
+    read = np.concatenate(
+        [route.buffer.source_rows(j) for j in range(len(sizes))]
+    )
+    assert np.array_equal(np.sort(read), np.arange(num_inputs))
+    assert sorted(route.sources) == np.flatnonzero(sizes).tolist()
+    assert route.sources[:1] == (w,) or sizes[w] == 0
+    assert list(route.sources[1:]) == sorted(route.sources[1:])
+    if lp.is_tp:
+        return
+    gather = wp.steps[0]
+    assert num_inputs == gather.num_inputs
+    if below is not None and below.is_tp:
+        assert sizes[w] == num_inputs
+        return
+    assert sizes[w] == gather.num_local + gather.num_recompute
+    assert sizes.sum() - sizes[w] == gather.num_fetch + gather.num_cached
+    if bytes_balance:
+        charged = lp.exchange.volumes + lp.exchange.refresh_volumes
+        others = np.arange(len(sizes)) != w
+        assert np.array_equal(
+            sizes[others] * lp.exchange.bytes_per_message, charged[others, w]
         )
 
 

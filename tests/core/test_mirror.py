@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mirror import MirrorExchange
 
@@ -64,3 +65,40 @@ class TestIdLists:
         ex = MirrorExchange(assignment, [np.array([], dtype=np.int64)] * 2, 2)
         assert ex.total_vertices == 0
         assert ex.volume_matrix(16).sum() == 0
+
+
+def _mask_loop_lists(assignment, comm_vertices, num_workers):
+    """The m x m boolean-mask construction ``MirrorExchange`` used
+    before its lists came from one stable sort per receiver."""
+    recv_ids = {}
+    for i, vertices in enumerate(comm_vertices):
+        owners = assignment[vertices]
+        for j in range(num_workers):
+            mine = vertices[owners == j]
+            if len(mine):
+                recv_ids[(j, i)] = mine
+    return recv_ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_property_pair_lists_equal_the_mask_loop(data):
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(m, 40))
+    assignment = np.asarray(
+        data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    comm = []
+    for i in range(m):
+        remote = np.flatnonzero(assignment != i)
+        picked = data.draw(st.lists(st.sampled_from(remote.tolist()), unique=True)
+                           if len(remote) else st.just([]))
+        comm.append(np.asarray(picked, dtype=np.int64))  # any order
+    exchange = MirrorExchange(assignment, comm, m)
+    want = _mask_loop_lists(assignment, comm, m)
+    assert list(exchange.recv_ids) == list(want)  # same pairs, same order
+    for pair, ids in want.items():
+        assert exchange.recv_ids[pair].tolist() == ids.tolist()
+        assert exchange.counts[pair] == len(ids)
+    assert exchange.total_vertices == sum(len(c) for c in comm)

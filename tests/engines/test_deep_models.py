@@ -51,9 +51,9 @@ def test_depcache_compute_sets_match_closure(graph3, cluster4):
     plan = engine.plan()
     owned = engine.partitioning.part(1)
     layers, _ = khop_closure(graph3, owned, 2)
-    assert np.array_equal(plan.compute_sets[2][1], owned)
-    assert np.array_equal(plan.compute_sets[1][1], layers[1])
-    assert np.array_equal(plan.compute_sets[0][1], layers[2])
+    assert np.array_equal(plan.blocks[2][1].compute_vertices, owned)
+    assert np.array_equal(plan.blocks[1][1].compute_vertices, layers[1])
+    assert np.array_equal(plan.blocks[0][1].compute_vertices, layers[2])
 
 
 def test_hybrid_deep_subtree_costs_increase_with_level(graph3, cluster4):

@@ -29,7 +29,7 @@ class TestGatherInputs:
         # are all equal to w + 1.
         h_values = [None, [], None]
         for w in range(4):
-            ids = plan.compute_sets[0][w]
+            ids = plan.blocks[0][w].compute_vertices
             h_values[1].append(
                 np.full((len(ids), 8), float(w + 1), dtype=np.float32)
             )

@@ -89,14 +89,16 @@ def test_forward_values_match_owner_copies(small_graph, cluster4):
     h_values, _, _ = engine.executor.forward(plan, training=False)
     L = engine.num_layers
     for w in range(4):
-        ids = plan.compute_sets[L - 2][w]  # layer-1 values incl. cached
-        for v in ids[:10]:
+        ids = plan.blocks[L - 2][w].compute_vertices  # layer-1 values incl. cached
+        for row, v in enumerate(ids[:10]):
             owner = engine.assignment[v]
             if owner == w:
                 continue
-            mine = h_values[1][w][engine.program_.pos_in_compute[0][w][v]]
-            theirs = h_values[1][owner][engine.program_.pos_in_compute[0][owner][v]]
-            assert np.allclose(mine, theirs, atol=1e-6)
+            theirs = np.searchsorted(plan.blocks[0][owner].compute_vertices, v)
+            assert plan.blocks[0][owner].compute_vertices[theirs] == v
+            assert np.allclose(
+                h_values[1][w][row], h_values[1][owner][theirs], atol=1e-6
+            )
 
 
 def test_training_improves_accuracy_all_engines(small_graph, cluster4):

@@ -145,13 +145,13 @@ def test_hybrid4_case_mixes_mirror_and_tensor_parallel_layers(golden):
 
 
 def _layer_programs(case: str):
-    """Every LayerProgram ``case`` lowers: the compiled plan, or the
-    first two rounds of a sampled epoch."""
+    """Every ``(LayerProgram, the one below it)`` ``case`` lowers: the
+    compiled plan, or the first two rounds of a sampled epoch."""
     if case in SAMPLED_CASES:
         engine = _sampled_engine(case)
         rounds = engine.rounds(engine.sampler, shuffle=False)
         for _, _, _, program, _ in itertools.islice(rounds, 2):
-            yield from program.layers
+            yield from zip(program.layers, [None] + program.layers)
         return
     if case == "depcomm-cached":
         from repro.cache import CacheConfig
@@ -160,7 +160,7 @@ def _layer_programs(case: str):
     else:
         engine = _fullbatch_engine(case)
     engine.plan()
-    yield from engine.program_.layers
+    yield from zip(engine.program_.layers, [None] + engine.program_.layers)
 
 
 @pytest.mark.parametrize("case", [
@@ -170,9 +170,9 @@ def _layer_programs(case: str):
 def test_every_layer_program_is_structurally_sound(case, check_layer_program):
     layers = list(_layer_programs(case))
     assert layers
-    for lp in layers:
+    for lp, below in layers:
         # ROC broadcasts whole blocks: it ships more than it fetches.
-        check_layer_program(lp, bytes_balance=case != "roc")
+        check_layer_program(lp, bytes_balance=case != "roc", below=below)
 
 
 if __name__ == "__main__":

@@ -37,8 +37,8 @@ class TestDepCachePlan:
             owned = engine.partitioning.part(w)
             layers, _ = khop_closure(prepared, owned, 1)
             # Layer-1 compute set = 1-hop in-closure of owned vertices.
-            assert np.array_equal(plan.compute_sets[0][w], layers[1])
-            assert np.array_equal(plan.compute_sets[1][w], owned)
+            assert np.array_equal(plan.blocks[0][w].compute_vertices, layers[1])
+            assert np.array_equal(plan.blocks[1][w].compute_vertices, owned)
 
     def test_epoch_has_zero_comm_bytes(self, prepared):
         engine = build(DepCacheEngine, prepared)
@@ -53,7 +53,7 @@ class TestDepCommPlan:
         for l in range(2):
             for w in range(4):
                 assert np.array_equal(
-                    plan.compute_sets[l][w], engine.partitioning.part(w)
+                    plan.blocks[l][w].compute_vertices, engine.partitioning.part(w)
                 )
 
     def test_comm_ids_are_remote_deps(self, prepared):
@@ -85,7 +85,7 @@ class TestHybridPlan:
         plan = engine.plan()
         for w in range(4):
             cached_l2 = plan.cached_deps[1][w]
-            assert np.isin(cached_l2, plan.compute_sets[0][w]).all()
+            assert np.isin(cached_l2, plan.blocks[0][w].compute_vertices).all()
 
     def test_comm_plus_cached_covers_remote_inputs(self, prepared):
         engine = build(HybridEngine, prepared)
@@ -96,7 +96,7 @@ class TestHybridPlan:
                 engine.assignment[block.input_vertices] != w
             ]
             available = np.union1d(
-                plan.comm_ids[1][w], plan.compute_sets[0][w]
+                plan.comm_ids[1][w], plan.blocks[0][w].compute_vertices
             )
             assert np.isin(remote, available).all()
 
@@ -117,7 +117,7 @@ class TestPlanGeneralInvariants:
         for l in range(2):
             for w in range(4):
                 owned = engine.partitioning.part(w)
-                assert np.isin(owned, plan.compute_sets[l][w]).all()
+                assert np.isin(owned, plan.blocks[l][w].compute_vertices).all()
 
     @pytest.mark.parametrize("engine_cls", [DepCacheEngine, DepCommEngine, HybridEngine])
     def test_plan_idempotent(self, prepared, engine_cls):

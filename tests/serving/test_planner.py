@@ -57,14 +57,14 @@ class TestProfiles:
 
 class TestChoice:
     def test_forced_modes_override_costs(self, planner_parts):
-        assert build(planner_parts, mode="local").choose(2) == "local"
-        assert build(planner_parts, mode="remote").choose(2) == "remote"
+        assert build(planner_parts, mode="local").choose_batch([2]) == "local"
+        assert build(planner_parts, mode="remote").choose_batch([2]) == "remote"
         assert build(planner_parts, mode="local").choose_batch([1, 2]) == "local"
 
     def test_auto_matches_preferred_mode(self, planner_parts):
         planner = build(planner_parts)
         for v in range(8):
-            assert planner.choose(v) == planner.profile(v).preferred_mode()
+            assert planner.choose_batch([v]) == planner.profile(v).preferred_mode()
 
     def test_choose_batch_sums_estimates(self, planner_parts):
         planner = build(planner_parts)
@@ -77,6 +77,12 @@ class TestChoice:
     def test_rejects_unknown_mode(self, planner_parts):
         with pytest.raises(ValueError):
             build(planner_parts, mode="psychic")
+
+    def test_rejects_cached_mode(self, planner_parts):
+        """"cached" is how a request was served, never how one is planned
+        (``ServingConfig`` rejects it too)."""
+        with pytest.raises(ValueError, match="mode must be one of"):
+            build(planner_parts, mode="cached")
 
     def test_rejects_zero_layers(self, planner_parts):
         graph, _, constants, partitioning, cluster = planner_parts

@@ -53,7 +53,7 @@ class TestDepCachePlan:
         engine = build(DepCacheEngine, graph, partitioning)
         plan = engine.plan()
         # Layer-1 compute set on worker 1: own {2,4,5} plus cached 1, 0.
-        layer1 = set(plan.compute_sets[0][1].tolist())
+        layer1 = set(plan.blocks[0][1].compute_vertices.tolist())
         assert {1, 2, 4, 5} <= layer1
         assert 1 in layer1  # the cached dependency
         # No communication at any layer.
@@ -76,7 +76,7 @@ class TestDepCommPlan:
         # Layer 2 input: vertex 1's layer-1 value comes over the wire.
         assert 1 in plan.comm_ids[1][1].tolist()
         # Compute sets stay exactly the owned vertices.
-        assert plan.compute_sets[0][1].tolist() == [2, 4, 5]
+        assert plan.blocks[0][1].compute_vertices.tolist() == [2, 4, 5]
 
     def test_exchange_routes_master_to_mirror(self, figure1):
         graph, partitioning = figure1
@@ -117,7 +117,8 @@ class TestNumericalAgreement:
             + layer.linear.bias.data,
             0.0,
         )
-        pos = engine.program_.pos_in_compute[0][1][2]  # vertex 2 on worker 1
+        # Vertex 2 on worker 1.
+        pos = plan.blocks[0][1].compute_vertices.tolist().index(2)
         assert np.allclose(h_values[1][1][pos], expected[2], atol=1e-5)
 
 
