@@ -250,3 +250,24 @@ class Timeline:
         return {
             kind: float(self.totals[kind].mean() / span) for kind in KINDS
         }
+
+
+class TotalsDiff:
+    """Per-kind deltas of a timeline's cumulative ``totals``.
+
+    Holds a snapshot taken at construction; every :meth:`deltas` call
+    returns what each activity kind accumulated per worker since the
+    previous call (or the snapshot) and re-anchors.  The one differ
+    behind the health monitor's EWMA factors and the ops epoch
+    observations.
+    """
+
+    def __init__(self, timeline: Timeline):
+        self._last = {k: v.copy() for k, v in timeline.totals.items()}
+
+    def deltas(self, timeline: Timeline) -> Dict[str, np.ndarray]:
+        out = {}
+        for kind, current in timeline.totals.items():
+            out[kind] = current - self._last[kind]
+            self._last[kind] = current.copy()
+        return out

@@ -46,7 +46,6 @@ from repro.execution.program import Program, compile_program
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
 from repro.partition.chunk import chunk_partition
-from repro.resilience import engine_recovery
 from repro.resilience.faults import WorkerCrashError
 from repro.resilience.injector import FaultInjector
 from repro.resilience.retry import RetryPolicy
@@ -269,19 +268,6 @@ class BaseEngine:
             for w in range(self.cluster.num_workers):
                 self.timeline.advance(w, IDLE, fault.detection_timeout_s)
         raise WorkerCrashError(fault, self.timeline.barrier())
-
-    def reprovision_bytes(self, worker: int) -> int:
-        """Dependency state a replacement for ``worker`` must re-fetch."""
-        return engine_recovery.reprovision_bytes(self, worker)
-
-    def recover_from_crash(
-        self, crash, provision_s: float = 0.05
-    ) -> Tuple[float, int]:
-        """Charge a rollback-restart re-provision; ``(seconds, bytes)``.
-
-        See :func:`repro.resilience.engine_recovery.recover_from_crash`.
-        """
-        return engine_recovery.recover_from_crash(self, crash, provision_s)
 
     def rollback_to_epoch(self, epoch: int) -> None:
         """Reset the epoch counter after a checkpoint restore (the

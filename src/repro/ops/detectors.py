@@ -28,15 +28,16 @@ detect and localize.  Checks are ordered by evidence specificity:
    ``hot_threshold``); blame the replica whose mean latency stands out
    against the replica median.
 
-All thresholds live in :meth:`DetectionPipeline.params`, so a recorded
-bundle can rebuild an identical pipeline and the replayer can re-derive
-the recorded verdict bit-for-bit from the stored observations.
+All thresholds are :class:`DetectionPipeline` fields (``params()`` is
+those fields), so a recorded bundle can rebuild an identical pipeline
+and the replayer can re-derive the recorded verdict bit-for-bit from
+the stored observations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -46,10 +47,11 @@ from repro.ops.signals import (
     FleetWindowObservation,
     WindowObservation,
 )
+from repro.utils.jsonio import Record
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """One detection outcome: what, when, and who is to blame."""
 
     kind: str
@@ -60,79 +62,37 @@ class Verdict:
     layer: Optional[int] = None
     evidence: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "detected_at_s": self.detected_at_s,
-            "unit": self.unit,
-            "worker": self.worker,
-            "link": list(self.link) if self.link is not None else None,
-            "layer": self.layer,
-            "evidence": dict(self.evidence),
-        }
 
-    @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "Verdict":
-        link = payload.get("link")
-        return Verdict(
-            kind=str(payload["kind"]),
-            detected_at_s=float(payload["detected_at_s"]),
-            unit=int(payload["unit"]),
-            worker=payload.get("worker"),
-            link=tuple(link) if link is not None else None,
-            layer=payload.get("layer"),
-            evidence={
-                str(k): float(v)
-                for k, v in dict(payload.get("evidence") or {}).items()
-            },
-        )
-
-
+@dataclass(eq=False)
 class DetectionPipeline:
     """Stateful detector fed one observation per epoch/window.
 
-    Parameters mirror :meth:`params` exactly; construct a replayed
-    pipeline via ``DetectionPipeline(**bundle["pipeline"])``.
+    The fields are the thresholds, and :meth:`params` is exactly them;
+    construct a replayed pipeline via
+    ``DetectionPipeline(**bundle["pipeline"])``.
     """
 
-    def __init__(
-        self,
-        warmup_epochs: int = 0,
-        baseline_windows: int = 3,
-        compute_threshold: float = 1.6,
-        comm_threshold: float = 1.3,
-        recv_threshold: float = 1.25,
-        refresh_threshold: float = 0.5,
-        burn_factor: float = 1.5,
-        worker_ratio: float = 1.8,
-        hot_threshold: float = 0.2,
-    ):
-        self.warmup_epochs = int(warmup_epochs)
-        self.baseline_windows = int(baseline_windows)
-        self.compute_threshold = float(compute_threshold)
-        self.comm_threshold = float(comm_threshold)
-        self.recv_threshold = float(recv_threshold)
-        self.refresh_threshold = float(refresh_threshold)
-        self.burn_factor = float(burn_factor)
-        self.worker_ratio = float(worker_ratio)
-        self.hot_threshold = float(hot_threshold)
-        self._window_p95s: List[float] = []
-        self._fleet_p95s: List[float] = []
+    warmup_epochs: int = 0
+    baseline_windows: int = 3
+    compute_threshold: float = 1.6
+    comm_threshold: float = 1.3
+    recv_threshold: float = 1.25
+    refresh_threshold: float = 0.5
+    burn_factor: float = 1.5
+    worker_ratio: float = 1.8
+    hot_threshold: float = 0.2
+
+    def __post_init__(self):
+        # Coerce to the declared int / float so ``params()`` records the
+        # same JSON whether a threshold came from a spec or a bundle.
+        for name, kind in get_type_hints(type(self)).items():
+            setattr(self, name, kind(getattr(self, name)))
+        self._baseline_p95s: List[float] = []
         self._fleet_serving: set = set()
 
     def params(self) -> Dict[str, float]:
         """Constructor kwargs for an identical pipeline (bundled)."""
-        return {
-            "warmup_epochs": self.warmup_epochs,
-            "baseline_windows": self.baseline_windows,
-            "compute_threshold": self.compute_threshold,
-            "comm_threshold": self.comm_threshold,
-            "recv_threshold": self.recv_threshold,
-            "refresh_threshold": self.refresh_threshold,
-            "burn_factor": self.burn_factor,
-            "worker_ratio": self.worker_ratio,
-            "hot_threshold": self.hot_threshold,
-        }
+        return asdict(self)
 
     # ------------------------------------------------------------------
     def observe(self, obs) -> Optional[Verdict]:
@@ -222,45 +182,55 @@ class DetectionPipeline:
                 )
         return None
 
-    # -- serving windows -----------------------------------------------
-    def _observe_window(self, obs: WindowObservation) -> Optional[Verdict]:
-        if len(self._window_p95s) < self.baseline_windows:
-            self._window_p95s.append(obs.p95_s)
-            return None
-        baseline = float(np.mean(self._window_p95s))
+    # -- serving and fleet windows ---------------------------------------
+    def _burn_evidence(self, obs) -> Optional[Dict[str, float]]:
+        """The p95 burn past the baseline windows' mean, if there is one."""
+        baseline = float(np.mean(self._baseline_p95s))
         if baseline <= 0 or obs.p95_s < self.burn_factor * baseline:
             return None
-        worker: Optional[int] = None
-        ratio = 0.0
-        means = [obs.worker_mean_s.get(w, 0.0) for w in range(obs.num_workers)]
-        positive = [m for m in means if m > 0]
-        if positive:
-            med = float(np.median(positive))
-            if med > 0:
-                cand = int(np.argmax(means))
-                ratio = float(means[cand] / med)
-                if ratio >= self.worker_ratio:
-                    worker = cand
+        return {
+            "p95_s": obs.p95_s,
+            "baseline_p95_s": baseline,
+            "burn": obs.p95_s / baseline,
+        }
+
+    def _stand_out(self, means: Dict[int, float]):
+        """``(blamed, ratio)``: whose mean latency towers over the median.
+
+        ``blamed`` is ``None`` unless the largest mean reaches
+        ``worker_ratio`` times the median of the positive ones.
+        """
+        positive = [m for m in means.values() if m > 0]
+        if not positive:
+            return None, 0.0
+        med = float(np.median(positive))
+        cand = max(means, key=lambda k: means[k])
+        ratio = float(means[cand] / med)
+        return (int(cand) if ratio >= self.worker_ratio else None), ratio
+
+    def _observe_window(self, obs: WindowObservation) -> Optional[Verdict]:
+        if len(self._baseline_p95s) < self.baseline_windows:
+            self._baseline_p95s.append(obs.p95_s)
+            return None
+        evidence = self._burn_evidence(obs)
+        if evidence is None:
+            return None
+        worker, evidence["worker_ratio"] = self._stand_out({
+            w: obs.worker_mean_s.get(w, 0.0) for w in range(obs.num_workers)
+        })
         return Verdict(
             kind="slo-burn",
             detected_at_s=obs.t_end,
             unit=obs.window,
             worker=worker,
-            evidence={
-                "p95_s": obs.p95_s,
-                "baseline_p95_s": baseline,
-                "burn": obs.p95_s / baseline,
-                "worker_ratio": ratio,
-            },
+            evidence=evidence,
         )
 
-
-    # -- fleet windows ---------------------------------------------------
     def _observe_fleet_window(
         self, obs: FleetWindowObservation
     ) -> Optional[Verdict]:
-        if len(self._fleet_p95s) < self.baseline_windows:
-            self._fleet_p95s.append(obs.p95_s)
+        if len(self._baseline_p95s) < self.baseline_windows:
+            self._baseline_p95s.append(obs.p95_s)
             self._fleet_serving.update(
                 r for r, n in obs.replica_served.items() if n > 0
             )
@@ -288,34 +258,17 @@ class DetectionPipeline:
 
         # Hotspot burn: the fleet p95 burns past baseline while one
         # vertex dominates the offered window.
-        baseline = float(np.mean(self._fleet_p95s))
-        if baseline <= 0 or obs.p95_s < self.burn_factor * baseline:
+        evidence = self._burn_evidence(obs)
+        if evidence is None or obs.hot_share < self.hot_threshold:
             return None
-        if obs.hot_share < self.hot_threshold:
-            return None
-        worker: Optional[int] = None
-        ratio = 0.0
-        means = obs.replica_mean_s
-        positive = [m for m in means.values() if m > 0]
-        if positive:
-            med = float(np.median(positive))
-            if med > 0:
-                cand = max(means, key=lambda r: means[r])
-                ratio = float(means[cand] / med)
-                if ratio >= self.worker_ratio:
-                    worker = int(cand)
+        evidence["hot_share"] = float(obs.hot_share)
+        worker, evidence["replica_ratio"] = self._stand_out(obs.replica_mean_s)
         return Verdict(
             kind="hotspot-burn",
             detected_at_s=obs.t_end,
             unit=obs.window,
             worker=worker,
-            evidence={
-                "p95_s": obs.p95_s,
-                "baseline_p95_s": baseline,
-                "burn": obs.p95_s / baseline,
-                "hot_share": float(obs.hot_share),
-                "replica_ratio": ratio,
-            },
+            evidence=evidence,
         )
 
 

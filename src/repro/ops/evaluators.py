@@ -37,18 +37,15 @@ import numpy as np
 
 from repro.ops.detectors import Verdict
 from repro.ops.problem import GroundTruth
-from repro.ops.signals import (
-    EpochObservation,
-    FleetWindowObservation,
-    WindowObservation,
-)
+from repro.ops.signals import CrashObservation
+from repro.utils.jsonio import Record
 
 _DETECTION_WEIGHTS = (0.4, 0.4, 0.2)  # kind, blame, ttd
 _MITIGATION_WEIGHTS = (0.6, 0.4)  # recovery, regression
 
 
 @dataclass(frozen=True)
-class DetectionGrade:
+class DetectionGrade(Record):
     detected: bool
     kind_correct: bool
     blame_score: float
@@ -57,20 +54,10 @@ class DetectionGrade:
     ttd_score: float
     score: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "detected": self.detected,
-            "kind_correct": self.kind_correct,
-            "blame_score": self.blame_score,
-            "ttd_s": self.ttd_s,
-            "ttd_budget_s": self.ttd_budget_s,
-            "ttd_score": self.ttd_score,
-            "score": self.score,
-        }
 
 
 @dataclass(frozen=True)
-class MitigationGrade:
+class MitigationGrade(Record):
     applied: bool
     recovered: bool
     recovery_s: float
@@ -80,33 +67,15 @@ class MitigationGrade:
     regression_score: float
     score: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "applied": self.applied,
-            "recovered": self.recovered,
-            "recovery_s": self.recovery_s,
-            "recovery_budget_s": self.recovery_budget_s,
-            "recovery_score": self.recovery_score,
-            "regression": self.regression,
-            "regression_score": self.regression_score,
-            "score": self.score,
-        }
 
 
 @dataclass(frozen=True)
-class ProblemGrade:
+class ProblemGrade(Record):
     detection: DetectionGrade
     mitigation: MitigationGrade
     aborted: bool
     overall: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "detection": self.detection.to_dict(),
-            "mitigation": self.mitigation.to_dict(),
-            "aborted": self.aborted,
-            "overall": self.overall,
-        }
 
 
 def blame_score(verdict: Verdict, truth: GroundTruth) -> float:
@@ -223,10 +192,7 @@ def grade_mitigation(
     # Units after the detecting one, in stream order.
     post: List = [
         o for o in observations
-        if isinstance(
-            o, (EpochObservation, WindowObservation, FleetWindowObservation)
-        )
-        and _unit_of(o) > verdict.unit
+        if not isinstance(o, CrashObservation) and o.unit > verdict.unit
     ]
     recovery_s = math.inf
     steady: List[float] = []
@@ -264,10 +230,6 @@ def grade_mitigation(
         regression_score=regression_score,
         score=w_rec * recovery_score + w_reg * regression_score,
     )
-
-
-def _unit_of(obs) -> int:
-    return obs.epoch if isinstance(obs, EpochObservation) else obs.window
 
 
 def grade_problem(

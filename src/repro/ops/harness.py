@@ -15,14 +15,19 @@ seconds with it.  The monitored run then feeds per-epoch
 :class:`~repro.ops.signals.EpochObservation` deltas through the
 detection pipeline, applies the problem's mitigation when a verdict
 lands, and keeps charging epochs so the evaluator can observe the
-recovery.  Serving problems segment the workload into fixed-size
-request windows served against harness-owned continuation state.
+recovery.  Serving and fleet problems segment the workload into
+fixed-size request windows; each served window is one unit.
+
+Whatever the unit, the monitored half is one :class:`_Monitor` step --
+append the observation, feed the pipeline until its first verdict,
+apply the problem's mitigation once -- and one grading builder and one
+:class:`OpsRunResult` constructor close every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -45,9 +50,10 @@ from repro.ops.mitigations import (
 )
 from repro.ops.problem import GroundTruth, OpsProblem
 from repro.ops.signals import (
+    FleetWindowObservation,
     TimelineObserver,
-    fleet_window_observations_from_records,
-    window_observations_from_records,
+    WindowObservation,
+    summarise_windows,
 )
 from repro.partition import get_partitioner
 from repro.resilience.faults import (
@@ -129,15 +135,107 @@ def _pipeline_for(problem: OpsProblem) -> DetectionPipeline:
     return DetectionPipeline(**params)
 
 
+def _wrong_lever(problem: OpsProblem) -> ValueError:
+    return ValueError(
+        f"mitigation {problem.mitigation!r} needs a "
+        f"{problem.workload} workload"
+    )
+
+
+class _Monitor:
+    """The watched half of a run: stream, first verdict, one mitigation."""
+
+    def __init__(self, problem: OpsProblem, mitigate: bool):
+        self.pipeline = _pipeline_for(problem)
+        self.mitigate = mitigate
+        self.observations: List[object] = []
+        self.verdict: Optional[Verdict] = None
+        self.mitigation: Optional[MitigationRecord] = None
+
+    def step(
+        self, obs, apply: Callable[[Verdict], MitigationRecord]
+    ) -> bool:
+        """Record one unit; on the first verdict pull ``apply`` once.
+
+        Returns whether this very step applied the mitigation.
+        """
+        self.observations.append(obs)
+        if self.verdict is None:
+            self.verdict = self.pipeline.observe(obs)
+            if self.verdict is not None and self.mitigate:
+                self.mitigation = apply(self.verdict)
+                return True
+        return False
+
+
+@dataclass
+class _Outcome:
+    """What a workload driver hands back besides the monitored stream."""
+
+    truth: GroundTruth
+    timeline: Timeline
+    unit_s: float  # healthy epoch / window duration
+    aborted: bool = False
+    ledger: List[object] = field(default_factory=list)
+
+
+def _grading(
+    problem: OpsProblem, observations: List[object], unit_s: float
+) -> Dict[str, object]:
+    """The grading parameters a bundle records, budgets in seconds."""
+    training = problem.workload == "training"
+    # Epochs count from 1 (after the warm-up), windows from 0.
+    first = problem.warmup_epochs + 1 if training else 0
+    baseline = [
+        o for o in observations
+        if hasattr(o, "duration")
+        and first <= o.unit < first + problem.baseline_epochs
+    ]
+    baseline_duration, baseline_p95 = unit_s, None
+    if training:
+        criterion = "refresh" if problem.kind == "cache-thrash" else "duration"
+        if baseline:
+            baseline_duration = float(np.mean([o.duration for o in baseline]))
+    else:
+        criterion = "shed" if problem.kind == "replica-crash" else "p95"
+        if baseline:
+            baseline_p95 = float(np.mean([o.p95_s for o in baseline]))
+    return {
+        "criterion": criterion,
+        "baseline_duration": baseline_duration,
+        "baseline_p95": baseline_p95,
+        "recovered_factor": problem.recovered_factor,
+        "ttd_budget_s": problem.ttd_budget_epochs * unit_s,
+        "recovery_budget_s": problem.recovery_budget_epochs * unit_s,
+        "regression_allowance": problem.regression_allowance,
+        "refresh_threshold": problem.refresh_recovery_threshold,
+    }
+
+
 def run_problem(
     problem: OpsProblem, seed: int = 0, mitigate: bool = True
 ) -> OpsRunResult:
     """Run one registered problem; see the module docstring."""
-    if problem.workload == "serving":
-        return _run_serving(problem, seed, mitigate)
-    if problem.workload == "fleet":
-        return _run_fleet(problem, seed, mitigate)
-    return _run_training(problem, seed, mitigate)
+    monitor = _Monitor(problem, mitigate)
+    out = _DRIVERS[problem.workload](problem, seed, monitor)
+    grading = _grading(problem, monitor.observations, out.unit_s)
+    grade = grade_run(
+        monitor.observations, monitor.verdict, out.truth,
+        applied=monitor.mitigation is not None,
+        grading=grading, aborted=out.aborted,
+    )
+    return OpsRunResult(
+        problem=problem, seed=seed, mitigate=mitigate,
+        ground_truth=out.truth,
+        pipeline_params=monitor.pipeline.params(),
+        observations=monitor.observations,
+        verdict=monitor.verdict, mitigation=monitor.mitigation,
+        aborted=out.aborted, grading=grading, grade=grade,
+        timeline=out.timeline, clean_unit_s=out.unit_s,
+        ledger_records=[
+            asdict(r) for r in sorted(out.ledger, key=lambda r: r.req_id)
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +244,7 @@ def _fault_schedule(
     problem: OpsProblem, start_s: float, seed: int, unit_s: float
 ) -> Optional[FaultSchedule]:
     fault_seed = derive_sub_seed(seed, "faults")
-    if problem.kind == "straggler":
+    if problem.kind in ("straggler", "slo-burn"):
         return FaultSchedule([StragglerFault(
             worker=problem.fault_worker,
             gpu_factor=problem.gpu_factor,
@@ -198,8 +296,8 @@ def _cached_layer(engine) -> Optional[int]:
 
 
 def _run_training(
-    problem: OpsProblem, seed: int, mitigate: bool
-) -> OpsRunResult:
+    problem: OpsProblem, seed: int, monitor: _Monitor
+) -> _Outcome:
     graph = _build_graph(problem, seed)
     cluster = ClusterSpec.ecs(problem.nodes)
     engine_kwargs: Dict[str, object] = {}
@@ -230,18 +328,24 @@ def _run_training(
         problem.engine, graph, _build_model(problem, graph, seed),
         run_cluster, record_timeline=True, **engine_kwargs,
     )
-
-    pipeline = _pipeline_for(problem)
     observer = TimelineObserver(engine)
     truth = _ground_truth(problem, inject_t)
-    observations: List[object] = []
-    verdict: Optional[Verdict] = None
-    mitigation: Optional[MitigationRecord] = None
     aborted = False
 
-    epoch = 0
-    while epoch < problem.epochs:
-        epoch += 1
+    def apply(verdict, crash=None):
+        """Dispatch the spec'd mitigation (a crash always shrinks)."""
+        nonlocal engine
+        if crash is not None or problem.mitigation == "shrink":
+            engine, record = mitigate_shrink(engine, verdict, crash=crash)
+            observer.rebind(engine)
+            return record
+        if problem.mitigation == "replan":
+            return mitigate_replan(engine, verdict)
+        if problem.mitigation == "cache-refresh":
+            return mitigate_cache_refresh(engine, verdict, problem)
+        raise _wrong_lever(problem)
+
+    for epoch in range(1, problem.epochs + 1):
         if problem.kind == "cache-thrash" and epoch == problem.inject_epoch:
             truth = GroundTruth(
                 kind="cache-thrash",
@@ -252,205 +356,65 @@ def _run_training(
         try:
             engine.charge_epoch()
         except WorkerCrashError as crash:
-            obs = observer.crash_observation(epoch, crash)
-            observations.append(obs)
-            if verdict is None:
-                verdict = pipeline.observe(obs)
-            if not mitigate:
+            # The epoch is lost either way; the run survives only if
+            # this very crash is what gets mitigated (with the real
+            # error), not when unmitigated or with the lever spent.
+            if not monitor.step(
+                observer.crash_observation(epoch, crash),
+                lambda verdict: apply(verdict, crash),
+            ):
                 aborted = True
                 break
-            if mitigation is None and verdict is not None:
-                engine, mitigation = mitigate_shrink(
-                    engine, verdict, crash=crash
-                )
-                observer.rebind(engine)
-                continue
-            aborted = True  # crash with no mitigation lever left
-            break
-        obs = observer.observe(epoch)
-        observations.append(obs)
-        if verdict is None:
-            verdict = pipeline.observe(obs)
-            if verdict is not None and mitigate:
-                engine, mitigation = _apply_training_mitigation(
-                    problem, engine, verdict, observer
-                )
+            continue
+        monitor.step(observer.observe(epoch), apply)
 
-    baseline = [
-        o.duration for o in observations
-        if hasattr(o, "duration")
-        and problem.warmup_epochs
-        < o.epoch <= problem.warmup_epochs + problem.baseline_epochs
-    ]
-    grading: Dict[str, object] = {
-        "criterion": "refresh" if problem.kind == "cache-thrash"
-        else "duration",
-        "baseline_duration": float(np.mean(baseline)) if baseline
-        else clean_epoch_s,
-        "baseline_p95": None,
-        "recovered_factor": problem.recovered_factor,
-        "ttd_budget_s": problem.ttd_budget_epochs * clean_epoch_s,
-        "recovery_budget_s": problem.recovery_budget_epochs * clean_epoch_s,
-        "regression_allowance": problem.regression_allowance,
-        "refresh_threshold": problem.refresh_recovery_threshold,
-    }
-    grade = grade_run(
-        observations, verdict, truth,
-        applied=mitigation is not None,
-        grading=grading, aborted=aborted,
-    )
-    return OpsRunResult(
-        problem=problem, seed=seed, mitigate=mitigate,
-        ground_truth=truth,
-        pipeline_params=pipeline.params(),
-        observations=observations,
-        verdict=verdict, mitigation=mitigation, aborted=aborted,
-        grading=grading, grade=grade,
-        timeline=engine.timeline, clean_unit_s=clean_epoch_s,
-    )
-
-
-def _apply_training_mitigation(problem, engine, verdict, observer):
-    """Dispatch the spec'd mitigation; returns (engine, record)."""
-    if problem.mitigation == "shrink":
-        engine, record = mitigate_shrink(engine, verdict)
-        observer.rebind(engine)
-        return engine, record
-    if problem.mitigation == "replan":
-        return engine, mitigate_replan(engine, verdict)
-    if problem.mitigation == "cache-refresh":
-        return engine, mitigate_cache_refresh(engine, verdict, problem)
-    raise ValueError(
-        f"mitigation {problem.mitigation!r} needs a training workload"
-    )
+    return _Outcome(truth, engine.timeline, clean_epoch_s, aborted)
 
 
 # ----------------------------------------------------------------------
-# Serving problems.
-def _run_serving(
-    problem: OpsProblem, seed: int, mitigate: bool
-) -> OpsRunResult:
-    from repro.serving import (
-        InferenceServer,
-        ServingConfig,
-        WorkloadConfig,
-        generate_workload,
-    )
-    from repro.serving.slo import LatencyLedger
+# Serving and fleet problems: one unit per served request window.
+def _serve_windows(
+    problem: OpsProblem, workload, serve, records, cls,
+    monitor: _Monitor, apply,
+) -> None:
+    """Serve ``workload`` window by window, observing each one served.
 
+    ``serve`` takes the window's requests; ``records`` returns the
+    ledger so far, from which the window just served is summarised as a
+    ``cls`` observation (a window with no ledger row yields none).
+    """
+    width = problem.window_requests
+    for wi in range(len(workload) // width):
+        serve(workload[wi * width:(wi + 1) * width])
+        for obs in summarise_windows(
+            records(), width, cls, problem.nodes, window=wi
+        ):
+            monitor.step(obs, apply)
+
+
+def _serving_setup(problem: OpsProblem, seed: int):
+    """The ``(graph, model, cluster, partitioning)`` a server is built on."""
     graph = _build_graph(problem, seed)
-    model = _build_model(problem, graph, seed)
-    cluster = ClusterSpec.ecs(problem.nodes)
-    partitioning = get_partitioner("chunk")(graph, problem.nodes)
-    workload = generate_workload(
-        WorkloadConfig(
-            num_requests=problem.requests,
-            rate_rps=problem.rate_rps,
-            zipf_exponent=problem.zipf,
-            seed=derive_sub_seed(seed, "workload"),
-        ),
-        graph.num_vertices,
+    return (
+        graph,
+        _build_model(problem, graph, seed),
+        ClusterSpec.ecs(problem.nodes),
+        get_partitioner("chunk")(graph, problem.nodes),
     )
-    inject_t = workload[problem.inject_request].arrival_s
-    schedule = FaultSchedule(
-        [StragglerFault(
-            worker=problem.fault_worker,
-            gpu_factor=problem.gpu_factor,
-            cpu_factor=1.0,
-            start=inject_t,
-        )],
-        seed=derive_sub_seed(seed, "faults"),
-    )
-    config = ServingConfig(
+
+
+def _serving_config(problem: OpsProblem):
+    from repro.serving import ServingConfig
+
+    return ServingConfig(
         batch_window_s=problem.batch_window_s,
         max_batch=problem.max_batch,
         tau_s=0.0,
         mode="local",
     )
-    server = InferenceServer(
-        graph, model, cluster, partitioning, config=config, faults=schedule,
-    )
-
-    pipeline = _pipeline_for(problem)
-    truth = GroundTruth(
-        kind="slo-burn", start_s=inject_t, worker=problem.fault_worker,
-    )
-    # Continuation state the harness owns across window segments; the
-    # server mutates these in place (see InferenceServer.serve).
-    timeline = Timeline(problem.nodes)
-    ledger = LatencyLedger()
-    predictions: Dict[int, object] = {}
-    inflight: List[object] = []
-
-    observations: List[object] = []
-    verdict: Optional[Verdict] = None
-    mitigation: Optional[MitigationRecord] = None
-    width = problem.window_requests
-    num_windows = len(workload) // width
-    for wi in range(num_windows):
-        segment = workload[wi * width:(wi + 1) * width]
-        server.serve(
-            segment,
-            timeline=timeline, ledger=ledger,
-            predictions=predictions, inflight=inflight,
-        )
-        window_records = [
-            r for r in ledger.records
-            if wi * width <= r.req_id < (wi + 1) * width
-        ]
-        window_obs = [
-            o for o in window_observations_from_records(
-                window_records, width, problem.nodes
-            )
-            if o.window == wi
-        ]
-        if not window_obs:
-            continue
-        obs = window_obs[0]
-        observations.append(obs)
-        if verdict is None:
-            verdict = pipeline.observe(obs)
-            if verdict is not None and mitigate:
-                mitigation = mitigate_shed(server, verdict, problem)
-
-    window_s = problem.window_requests / problem.rate_rps
-    baseline_p95s = [
-        o.p95_s for o in observations if o.window < problem.baseline_epochs
-    ]
-    grading: Dict[str, object] = {
-        "criterion": "p95",
-        "baseline_duration": window_s,
-        "baseline_p95": float(np.mean(baseline_p95s))
-        if baseline_p95s else None,
-        "recovered_factor": problem.recovered_factor,
-        "ttd_budget_s": problem.ttd_budget_epochs * window_s,
-        "recovery_budget_s": problem.recovery_budget_epochs * window_s,
-        "regression_allowance": problem.regression_allowance,
-        "refresh_threshold": problem.refresh_recovery_threshold,
-    }
-    grade = grade_run(
-        observations, verdict, truth,
-        applied=mitigation is not None,
-        grading=grading, aborted=False,
-    )
-    records = [
-        asdict(r) for r in sorted(ledger.records, key=lambda r: r.req_id)
-    ]
-    return OpsRunResult(
-        problem=problem, seed=seed, mitigate=mitigate,
-        ground_truth=truth,
-        pipeline_params=pipeline.params(),
-        observations=observations,
-        verdict=verdict, mitigation=mitigation, aborted=False,
-        grading=grading, grade=grade,
-        timeline=timeline, clean_unit_s=window_s,
-        ledger_records=records,
-    )
 
 
-# ----------------------------------------------------------------------
-# Fleet problems (replicated serving groups).
-def _fleet_workload(problem: OpsProblem, seed: int):
+def _workload(problem: OpsProblem, seed: int):
     """Workload plus the injection time, both pure in ``(problem, seed)``.
 
     For hotspot-burn the stream is generated twice: a burst-free pass
@@ -477,18 +441,45 @@ def _fleet_workload(problem: OpsProblem, seed: int):
             rate_multiplier=problem.burst_multiplier,
         )
         workload = generate_workload(
-            WorkloadConfig(
-                num_requests=base.num_requests,
-                rate_rps=base.rate_rps,
-                zipf_exponent=base.zipf_exponent,
-                seed=base.seed,
-                bursts=(burst,),
-            ),
-            problem.graph_vertices,
+            replace(base, bursts=(burst,)), problem.graph_vertices
         )
     return workload, inject_t
 
 
+def _run_serving(
+    problem: OpsProblem, seed: int, monitor: _Monitor
+) -> _Outcome:
+    from repro.serving import InferenceServer
+    from repro.serving.slo import LatencyLedger
+
+    workload, inject_t = _workload(problem, seed)
+    window_s = problem.window_requests / problem.rate_rps
+    server = InferenceServer(
+        *_serving_setup(problem, seed),
+        config=_serving_config(problem),
+        faults=_fault_schedule(problem, inject_t, seed, window_s),
+    )
+    # Continuation state the harness owns across window segments; the
+    # server mutates these in place (see InferenceServer.serve).
+    timeline = Timeline(problem.nodes)
+    ledger = LatencyLedger()
+    state = dict(
+        timeline=timeline, ledger=ledger, predictions={}, inflight=[],
+    )
+    _serve_windows(
+        problem, workload,
+        lambda segment: server.serve(segment, **state),
+        lambda: ledger.records, WindowObservation, monitor,
+        lambda verdict: mitigate_shed(server, verdict, problem),
+    )
+    return _Outcome(
+        _ground_truth(problem, inject_t), timeline, window_s,
+        ledger=ledger.records,
+    )
+
+
+# ----------------------------------------------------------------------
+# Fleet problems (replicated serving groups).
 def _fleet_truth(
     problem: OpsProblem, workload, inject_t: float, fleet_seed: int
 ) -> GroundTruth:
@@ -515,16 +506,11 @@ def _fleet_truth(
 
 
 def _run_fleet(
-    problem: OpsProblem, seed: int, mitigate: bool
-) -> OpsRunResult:
-    from repro.resilience.faults import WorkerCrashFault as _Crash
-    from repro.serving import FleetConfig, ServingConfig, ServingFleet
+    problem: OpsProblem, seed: int, monitor: _Monitor
+) -> _Outcome:
+    from repro.serving import FleetConfig, ServingFleet
 
-    graph = _build_graph(problem, seed)
-    model = _build_model(problem, graph, seed)
-    cluster = ClusterSpec.ecs(problem.nodes)
-    partitioning = get_partitioner("chunk")(graph, problem.nodes)
-    workload, inject_t = _fleet_workload(problem, seed)
+    workload, inject_t = _workload(problem, seed)
     window_s = problem.window_requests / problem.rate_rps
 
     replica_faults = None
@@ -534,7 +520,7 @@ def _run_fleet(
         replica_faults = {
             problem.fault_replica: FaultSchedule(
                 [
-                    _Crash(
+                    WorkerCrashFault(
                         worker=w, at_time=inject_t,
                         detection_timeout_s=window_s, permanent=True,
                     )
@@ -547,88 +533,40 @@ def _run_fleet(
     fleet_seed = derive_sub_seed(seed, "fleet")
     config = FleetConfig(
         replicas=problem.replicas,
-        serving=ServingConfig(
-            batch_window_s=problem.batch_window_s,
-            max_batch=problem.max_batch,
-            tau_s=0.0,
-            mode="local",
-        ),
+        serving=_serving_config(problem),
         seed=fleet_seed,
         health_every=problem.window_requests,
         baseline_segments=problem.baseline_epochs,
         self_heal=False,  # the graded pipeline + mitigation respond
     )
     fleet = ServingFleet(
-        graph, model, cluster, partitioning,
+        *_serving_setup(problem, seed),
         config=config, replica_faults=replica_faults,
     )
 
-    pipeline = _pipeline_for(problem)
-    truth = _fleet_truth(problem, workload, inject_t, fleet_seed)
-    observations: List[object] = []
-    verdict: Optional[Verdict] = None
-    mitigation: Optional[MitigationRecord] = None
-    width = problem.window_requests
-    num_windows = len(workload) // width
-    for wi in range(num_windows):
-        fleet.serve(workload[wi * width:(wi + 1) * width])
-        window_records = [
-            r for r in fleet.final_records()
-            if wi * width <= r.req_id < (wi + 1) * width
-        ]
-        window_obs = [
-            o for o in fleet_window_observations_from_records(
-                window_records, width
-            )
-            if o.window == wi
-        ]
-        if not window_obs:
-            continue
-        obs = window_obs[0]
-        observations.append(obs)
-        if verdict is None:
-            verdict = pipeline.observe(obs)
-            if verdict is not None and mitigate:
-                if problem.mitigation == "failover":
-                    mitigation = mitigate_failover(fleet, verdict)
-                elif problem.mitigation == "scale-out":
-                    mitigation = mitigate_scale_out(fleet, verdict)
-                else:
-                    raise ValueError(
-                        f"mitigation {problem.mitigation!r} needs a "
-                        "fleet workload"
-                    )
+    def apply(verdict):
+        if problem.mitigation == "failover":
+            return mitigate_failover(fleet, verdict)
+        if problem.mitigation == "scale-out":
+            return mitigate_scale_out(fleet, verdict)
+        raise _wrong_lever(problem)
 
-    baseline_p95s = [
-        o.p95_s for o in observations if o.window < problem.baseline_epochs
-    ]
-    grading: Dict[str, object] = {
-        "criterion": "shed" if problem.kind == "replica-crash" else "p95",
-        "baseline_duration": window_s,
-        "baseline_p95": float(np.mean(baseline_p95s))
-        if baseline_p95s else None,
-        "recovered_factor": problem.recovered_factor,
-        "ttd_budget_s": problem.ttd_budget_epochs * window_s,
-        "recovery_budget_s": problem.recovery_budget_epochs * window_s,
-        "regression_allowance": problem.regression_allowance,
-        "refresh_threshold": problem.refresh_recovery_threshold,
-    }
-    grade = grade_run(
-        observations, verdict, truth,
-        applied=mitigation is not None,
-        grading=grading, aborted=False,
+    _serve_windows(
+        problem, workload, fleet.serve, fleet.final_records,
+        FleetWindowObservation, monitor, apply,
     )
-    records = [asdict(r) for r in fleet.final_records()]
-    return OpsRunResult(
-        problem=problem, seed=seed, mitigate=mitigate,
-        ground_truth=truth,
-        pipeline_params=pipeline.params(),
-        observations=observations,
-        verdict=verdict, mitigation=mitigation, aborted=False,
-        grading=grading, grade=grade,
-        timeline=fleet.groups[0].timeline, clean_unit_s=window_s,
-        ledger_records=records,
+    return _Outcome(
+        truth=_fleet_truth(problem, workload, inject_t, fleet_seed),
+        timeline=fleet.groups[0].timeline,
+        unit_s=window_s,
+        ledger=fleet.final_records(),
     )
 
+
+_DRIVERS = {
+    "training": _run_training,
+    "serving": _run_serving,
+    "fleet": _run_fleet,
+}
 
 __all__ = ["OpsRunResult", "run_problem", "derive_sub_seed"]

@@ -40,10 +40,11 @@ from repro.ops.problem import OpsProblem
 from repro.resilience.elastic import shrink_engine
 from repro.resilience.faults import WorkerCrashError, WorkerCrashFault
 from repro.serving.slo import SLOConfig
+from repro.utils.jsonio import Record
 
 
 @dataclass(frozen=True)
-class MitigationRecord:
+class MitigationRecord(Record):
     """What was done, when, and with which parameters."""
 
     name: str
@@ -51,22 +52,10 @@ class MitigationRecord:
     unit: int  # epoch / window the triggering verdict landed on
     detail: Dict[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "applied_at_s": self.applied_at_s,
-            "unit": self.unit,
-            "detail": dict(self.detail),
-        }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "MitigationRecord":
-        return MitigationRecord(
-            name=str(payload["name"]),
-            applied_at_s=float(payload["applied_at_s"]),
-            unit=int(payload["unit"]),
-            detail=dict(payload.get("detail") or {}),
-        )
+    @classmethod
+    def of(cls, name: str, verdict: Verdict, **detail) -> "MitigationRecord":
+        """A record stamped with the triggering verdict's time and unit."""
+        return cls(name, verdict.detected_at_s, verdict.unit, detail)
 
 
 # ----------------------------------------------------------------------
@@ -95,19 +84,14 @@ def mitigate_shrink(
     else:
         synthetic = False
     new_engine, _record, report = shrink_engine(engine, crash)
-    record = MitigationRecord(
-        name="shrink",
-        applied_at_s=verdict.detected_at_s,
-        unit=verdict.unit,
-        detail={
-            "evicted_worker": crash.fault.worker,
-            "synthetic_crash": synthetic,
-            "transition_s": report.seconds,
-            "migrated_bytes": report.migrated_bytes,
-            "num_workers_after": report.num_workers,
-        },
+    return new_engine, MitigationRecord.of(
+        "shrink", verdict,
+        evicted_worker=crash.fault.worker,
+        synthetic_crash=synthetic,
+        transition_s=report.seconds,
+        migrated_bytes=report.migrated_bytes,
+        num_workers_after=report.num_workers,
     )
-    return new_engine, record
 
 
 def mitigate_replan(engine, verdict: Verdict) -> MitigationRecord:
@@ -134,11 +118,8 @@ def mitigate_replan(engine, verdict: Verdict) -> MitigationRecord:
         for w in range(engine.cluster.num_workers)
     }
     engine.replan(overrides)
-    return MitigationRecord(
-        name="replan",
-        applied_at_s=verdict.detected_at_s,
-        unit=verdict.unit,
-        detail={"comm_factor": factor, "send_ratio": ratio},
+    return MitigationRecord.of(
+        "replan", verdict, comm_factor=factor, send_ratio=ratio
     )
 
 
@@ -148,11 +129,8 @@ def mitigate_cache_refresh(
     """Restore the healthy staleness bound; refresh traffic stops."""
     healthy = CacheConfig(tau=problem.tau if problem.tau is not None else 2.0)
     engine.cache_config = healthy
-    return MitigationRecord(
-        name="cache-refresh",
-        applied_at_s=verdict.detected_at_s,
-        unit=verdict.unit,
-        detail={"restored_tau": healthy.tau},
+    return MitigationRecord.of(
+        "cache-refresh", verdict, restored_tau=healthy.tau
     )
 
 
@@ -169,11 +147,8 @@ def mitigate_shed(
             max_pending=problem.shed_max_pending,
         ),
     )
-    return MitigationRecord(
-        name="shed",
-        applied_at_s=verdict.detected_at_s,
-        unit=verdict.unit,
-        detail={"max_pending": problem.shed_max_pending},
+    return MitigationRecord.of(
+        "shed", verdict, max_pending=problem.shed_max_pending
     )
 
 
@@ -182,11 +157,8 @@ def mitigate_failover(fleet, verdict: Verdict) -> MitigationRecord:
     if verdict.worker is None:
         raise ValueError("failover mitigation needs a blamed replica")
     fleet.quarantine(verdict.worker)
-    return MitigationRecord(
-        name="failover",
-        applied_at_s=verdict.detected_at_s,
-        unit=verdict.unit,
-        detail={"quarantined_replica": verdict.worker},
+    return MitigationRecord.of(
+        "failover", verdict, quarantined_replica=verdict.worker
     )
 
 
@@ -203,12 +175,7 @@ def mitigate_scale_out(fleet, verdict: Verdict) -> MitigationRecord:
             "transition_s": event.transition_s,
             "migrated_bytes": event.migrated_bytes,
         })
-    return MitigationRecord(
-        name="scale-out",
-        applied_at_s=verdict.detected_at_s,
-        unit=verdict.unit,
-        detail=detail,
-    )
+    return MitigationRecord.of("scale-out", verdict, **detail)
 
 
 __all__ = [

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.utils.jsonio import Record
+
 #: Problem kinds the registry covers (ISSUE 6's required scenarios
 #: plus ISSUE 8's fleet-serving failures).
 KINDS = (
@@ -32,7 +34,7 @@ MITIGATIONS = (
 
 
 @dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(Record):
     """The injected degradation, as the grader knows it.
 
     ``link`` is ``(src, dst)`` with ``None`` meaning wildcard, matching
@@ -45,26 +47,6 @@ class GroundTruth:
     worker: Optional[int] = None
     link: Optional[Tuple[Optional[int], Optional[int]]] = None
     layer: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "start_s": self.start_s,
-            "worker": self.worker,
-            "link": list(self.link) if self.link is not None else None,
-            "layer": self.layer,
-        }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "GroundTruth":
-        link = payload.get("link")
-        return GroundTruth(
-            kind=str(payload["kind"]),
-            start_s=float(payload["start_s"]),
-            worker=payload.get("worker"),
-            link=tuple(link) if link is not None else None,
-            layer=payload.get("layer"),
-        )
 
 
 @dataclass(frozen=True)

@@ -25,26 +25,14 @@ from repro.ops.harness import OpsRunResult
 SCHEMA_VERSION = 1
 
 
-def _plain(value):
-    """Coerce numpy scalars so ``json.dump`` round-trips exactly."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    return value
-
-
 def bundle_from_result(result: OpsRunResult) -> Dict[str, object]:
-    """Flatten one run into the schema-1 bundle dict."""
-    return _plain({
+    """Flatten one run into the schema-1 bundle dict.
+
+    Every part is already plain JSON data: the records' ``to_dict``
+    payloads, the spec, and the ledger rows hold builtin scalars only
+    (``test_bundle_is_json_stable`` pins that).
+    """
+    return {
         "schema": SCHEMA_VERSION,
         "problem": result.problem.spec_dict(),
         "seed": result.seed,
@@ -62,7 +50,7 @@ def bundle_from_result(result: OpsRunResult) -> Dict[str, object]:
         "clean_unit_s": result.clean_unit_s,
         "ledger": result.ledger_records,
         "trace": timeline_to_chrome_trace(result.timeline),
-    })
+    }
 
 
 def save_bundle(result: OpsRunResult, path: str) -> str:

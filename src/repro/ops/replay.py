@@ -21,25 +21,28 @@ Three bit-identity checks prove the reconstruction is faithful:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.ops.detectors import DetectionPipeline, Verdict
 from repro.ops.evaluators import ProblemGrade, grade_run
 from repro.ops.problem import GroundTruth
 from repro.ops.signals import (
-    fleet_window_observations_from_records,
+    FleetWindowObservation,
+    WindowObservation,
     observation_from_dict,
-    window_observations_from_records,
+    summarise_windows,
 )
+from repro.utils.jsonio import Record
 
 
 @dataclass
-class ReplayReport:
+class ReplayReport(Record):
     """Outcome of one offline replay."""
 
     name: str
     seed: int
+    identical: bool = field(init=False)  # all three checks below hold
     observations_match: bool
     verdict_match: bool
     grade_match: bool
@@ -47,26 +50,12 @@ class ReplayReport:
     grade: ProblemGrade
     mismatches: List[str]
 
-    @property
-    def identical(self) -> bool:
-        return (
+    def __post_init__(self):
+        self.identical = (
             self.observations_match
             and self.verdict_match
             and self.grade_match
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "identical": self.identical,
-            "observations_match": self.observations_match,
-            "verdict_match": self.verdict_match,
-            "grade_match": self.grade_match,
-            "verdict": self.verdict.to_dict() if self.verdict else None,
-            "grade": self.grade.to_dict(),
-            "mismatches": list(self.mismatches),
-        }
 
 
 def replay_bundle(bundle: Dict[str, object]) -> ReplayReport:
@@ -83,20 +72,20 @@ def replay_bundle(bundle: Dict[str, object]) -> ReplayReport:
         mismatches.append("observation round-trip diverged")
     ledger = list(bundle.get("ledger") or [])
     if ledger:
-        if spec.get("workload") == "fleet":
-            derived = fleet_window_observations_from_records(
-                ledger, int(spec["window_requests"])
-            )
-            stored_windows = [
-                p for p in stored_obs if p.get("type") == "fleet-window"
-            ]
-        else:
-            derived = window_observations_from_records(
-                ledger, int(spec["window_requests"]), int(spec["nodes"])
-            )
-            stored_windows = [
-                p for p in stored_obs if p.get("type") == "window"
-            ]
+        # The stored windows say which summary they are: per-replica
+        # (fleet) or per-worker.
+        kinds = {p.get("type") for p in stored_obs}
+        cls = (
+            FleetWindowObservation
+            if FleetWindowObservation.type_tag in kinds
+            else WindowObservation
+        )
+        derived = summarise_windows(
+            ledger, int(spec["window_requests"]), cls, int(spec["nodes"])
+        )
+        stored_windows = [
+            p for p in stored_obs if p.get("type") == cls.type_tag
+        ]
         if [w.to_dict() for w in derived] != stored_windows:
             observations_match = False
             mismatches.append("ledger-derived windows diverged")

@@ -20,27 +20,33 @@ actually see).  Everything in this module is on the observation side:
   function of the window slice alone (replicas added by a later
   scale-out cannot retroactively change earlier windows on replay).
 
-Every observation round-trips through ``to_dict``/``from_dict`` with
-floats preserved exactly (JSON serialises them via ``repr``), which is
-what lets the trace replayer re-run detection offline and reproduce the
-recorded verdicts bit-identically.
+Every observation is a :class:`~repro.utils.jsonio.Record`: its
+dataclass fields *are* the bundle payload layout (``type_tag`` first),
+and ``to_dict``/``from_dict`` round-trip them with floats preserved
+exactly (JSON serialises them via ``repr``), which is what lets the
+trace replayer re-run detection offline and reproduce the recorded
+verdicts bit-identically.  Every observation also exposes ``unit`` --
+the epoch or window index graders and verdicts count in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.timeline import CPU, GPU, IDLE, NET_RECV, NET_SEND
-
-_KINDS = (GPU, CPU, NET_SEND, NET_RECV, IDLE)
+from repro.cluster.timeline import (
+    CPU, GPU, IDLE, NET_RECV, NET_SEND, TotalsDiff,
+)
+from repro.utils.jsonio import Record
 
 
 @dataclass(frozen=True)
-class EpochObservation:
+class EpochObservation(Record):
     """Per-worker activity deltas of one completed training epoch."""
+
+    type_tag = "epoch"
 
     epoch: int
     t_start: float
@@ -55,6 +61,10 @@ class EpochObservation:
     layer_refresh_bytes: Tuple[float, ...] = ()
     cache_hits: int = 0
     cache_misses: int = 0
+
+    @property
+    def unit(self) -> int:
+        return self.epoch
 
     @property
     def duration(self) -> float:
@@ -72,28 +82,12 @@ class EpochObservation:
         """GPU + host CPU seconds per worker (the straggler signal)."""
         return tuple(g + c for g, c in zip(self.gpu_s, self.cpu_s))
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "type": "epoch",
-            "epoch": self.epoch,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "num_workers": self.num_workers,
-            "gpu_s": list(self.gpu_s),
-            "cpu_s": list(self.cpu_s),
-            "net_send_s": list(self.net_send_s),
-            "net_recv_s": list(self.net_recv_s),
-            "idle_s": list(self.idle_s),
-            "layer_bytes": list(self.layer_bytes),
-            "layer_refresh_bytes": list(self.layer_refresh_bytes),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
 
 @dataclass(frozen=True)
-class CrashObservation:
+class CrashObservation(Record):
     """A worker crash surfacing at a barrier (the observable event)."""
+
+    type_tag = "crash"
 
     epoch: int
     detected_at_s: float
@@ -101,22 +95,26 @@ class CrashObservation:
     permanent: bool = False
 
     @property
+    def unit(self) -> int:
+        return self.epoch
+
+    @property
     def t_end(self) -> float:
         return self.detected_at_s
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "type": "crash",
-            "epoch": self.epoch,
-            "detected_at_s": self.detected_at_s,
-            "worker": self.worker,
-            "permanent": self.permanent,
-        }
+
+def _get(row, name, default=None):
+    """A ledger field off a live ``RequestRecord`` or a bundle dict."""
+    if isinstance(row, dict):
+        return row.get(name, default)
+    return getattr(row, name, default)
 
 
 @dataclass(frozen=True)
-class WindowObservation:
+class WindowObservation(Record):
     """Latency statistics of one serving window (a req_id slice)."""
+
+    type_tag = "window"
 
     window: int
     t_start: float
@@ -132,30 +130,36 @@ class WindowObservation:
     worker_served: Dict[int, int] = field(default_factory=dict)
 
     @property
+    def unit(self) -> int:
+        return self.window
+
+    @property
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    def to_dict(self) -> Dict[str, object]:
+    @staticmethod
+    def breakdown(rows, latencies, num_workers) -> Dict[str, object]:
+        """Per-worker latency split of one window's rows."""
+        per_worker: Dict[int, List[float]] = {}
+        for r, lat in zip(rows, latencies):
+            if lat is not None:
+                per_worker.setdefault(int(_get(r, "worker")), []).append(lat)
         return {
-            "type": "window",
-            "window": self.window,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "num_workers": self.num_workers,
-            "offered": self.offered,
-            "served": self.served,
-            "shed": self.shed,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "mean_s": self.mean_s,
-            "worker_mean_s": {str(k): v for k, v in self.worker_mean_s.items()},
-            "worker_served": {str(k): v for k, v in self.worker_served.items()},
+            "num_workers": num_workers,
+            "worker_mean_s": {
+                w: float(np.mean(v)) for w, v in sorted(per_worker.items())
+            },
+            "worker_served": {
+                w: len(v) for w, v in sorted(per_worker.items())
+            },
         }
 
 
 @dataclass(frozen=True)
-class FleetWindowObservation:
+class FleetWindowObservation(Record):
     """Latency + replica breakdown of one fleet-serving window."""
+
+    type_tag = "fleet-window"
 
     window: int
     t_start: float
@@ -175,6 +179,10 @@ class FleetWindowObservation:
     replica_mean_s: Dict[int, float] = field(default_factory=dict)
 
     @property
+    def unit(self) -> int:
+        return self.window
+
+    @property
     def duration(self) -> float:
         return self.t_end - self.t_start
 
@@ -182,110 +190,56 @@ class FleetWindowObservation:
     def shed_fraction(self) -> float:
         return self.shed / self.offered if self.offered else 0.0
 
-    def to_dict(self) -> Dict[str, object]:
+    @staticmethod
+    def breakdown(rows, latencies, num_workers) -> Dict[str, object]:
+        """Per-replica split, hottest vertex and duplicate counters."""
+        per_replica: Dict[int, List[float]] = {}
+        replica_shed: Dict[int, int] = {}
+        vertex_counts: Dict[int, int] = {}
+        hedged = failover = 0
+        for r, lat in zip(rows, latencies):
+            v = int(_get(r, "vertex"))
+            vertex_counts[v] = vertex_counts.get(v, 0) + 1
+            hedged += bool(_get(r, "hedged", False))
+            failover += bool(_get(r, "failover", False))
+            replica = int(_get(r, "replica", -1))
+            if replica < 0:
+                continue
+            if lat is None:
+                replica_shed[replica] = replica_shed.get(replica, 0) + 1
+            else:
+                per_replica.setdefault(replica, []).append(lat)
+        hot_vertex = min(vertex_counts, key=lambda v: (-vertex_counts[v], v))
         return {
-            "type": "fleet-window",
-            "window": self.window,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "offered": self.offered,
-            "served": self.served,
-            "shed": self.shed,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "mean_s": self.mean_s,
-            "hot_vertex": self.hot_vertex,
-            "hot_share": self.hot_share,
-            "hedged": self.hedged,
-            "failover": self.failover,
+            "hot_vertex": int(hot_vertex),
+            "hot_share": vertex_counts[hot_vertex] / len(rows),
+            "hedged": hedged,
+            "failover": failover,
             "replica_served": {
-                str(k): v for k, v in self.replica_served.items()
+                k: len(v) for k, v in sorted(per_replica.items())
             },
-            "replica_shed": {
-                str(k): v for k, v in self.replica_shed.items()
-            },
+            "replica_shed": dict(sorted(replica_shed.items())),
             "replica_mean_s": {
-                str(k): v for k, v in self.replica_mean_s.items()
+                k: float(np.mean(v)) for k, v in sorted(per_replica.items())
             },
         }
+
+
+#: Observation class per bundle ``"type"`` tag.
+_OBSERVATION_TYPES = {
+    cls.type_tag: cls for cls in (
+        EpochObservation, CrashObservation,
+        WindowObservation, FleetWindowObservation,
+    )
+}
 
 
 def observation_from_dict(payload: Dict[str, object]):
     """Inverse of ``to_dict`` for any observation type."""
     kind = payload.get("type")
-    if kind == "epoch":
-        return EpochObservation(
-            epoch=int(payload["epoch"]),
-            t_start=float(payload["t_start"]),
-            t_end=float(payload["t_end"]),
-            num_workers=int(payload["num_workers"]),
-            gpu_s=tuple(payload["gpu_s"]),
-            cpu_s=tuple(payload["cpu_s"]),
-            net_send_s=tuple(payload["net_send_s"]),
-            net_recv_s=tuple(payload["net_recv_s"]),
-            idle_s=tuple(payload["idle_s"]),
-            layer_bytes=tuple(payload["layer_bytes"]),
-            layer_refresh_bytes=tuple(payload["layer_refresh_bytes"]),
-            cache_hits=int(payload["cache_hits"]),
-            cache_misses=int(payload["cache_misses"]),
-        )
-    if kind == "crash":
-        return CrashObservation(
-            epoch=int(payload["epoch"]),
-            detected_at_s=float(payload["detected_at_s"]),
-            worker=int(payload["worker"]),
-            permanent=bool(payload["permanent"]),
-        )
-    if kind == "window":
-        return WindowObservation(
-            window=int(payload["window"]),
-            t_start=float(payload["t_start"]),
-            t_end=float(payload["t_end"]),
-            num_workers=int(payload["num_workers"]),
-            offered=int(payload["offered"]),
-            served=int(payload["served"]),
-            shed=int(payload["shed"]),
-            p50_s=float(payload["p50_s"]),
-            p95_s=float(payload["p95_s"]),
-            mean_s=float(payload["mean_s"]),
-            worker_mean_s={
-                int(k): float(v)
-                for k, v in dict(payload["worker_mean_s"]).items()
-            },
-            worker_served={
-                int(k): int(v)
-                for k, v in dict(payload["worker_served"]).items()
-            },
-        )
-    if kind == "fleet-window":
-        return FleetWindowObservation(
-            window=int(payload["window"]),
-            t_start=float(payload["t_start"]),
-            t_end=float(payload["t_end"]),
-            offered=int(payload["offered"]),
-            served=int(payload["served"]),
-            shed=int(payload["shed"]),
-            p50_s=float(payload["p50_s"]),
-            p95_s=float(payload["p95_s"]),
-            mean_s=float(payload["mean_s"]),
-            hot_vertex=int(payload["hot_vertex"]),
-            hot_share=float(payload["hot_share"]),
-            hedged=int(payload["hedged"]),
-            failover=int(payload["failover"]),
-            replica_served={
-                int(k): int(v)
-                for k, v in dict(payload["replica_served"]).items()
-            },
-            replica_shed={
-                int(k): int(v)
-                for k, v in dict(payload["replica_shed"]).items()
-            },
-            replica_mean_s={
-                int(k): float(v)
-                for k, v in dict(payload["replica_mean_s"]).items()
-            },
-        )
-    raise ValueError(f"unknown observation type {kind!r}")
+    if kind not in _OBSERVATION_TYPES:
+        raise ValueError(f"unknown observation type {kind!r}")
+    return _OBSERVATION_TYPES[kind].from_dict(payload)
 
 
 class TimelineObserver:
@@ -303,9 +257,8 @@ class TimelineObserver:
 
     def rebind(self, engine) -> None:
         self.engine = engine
-        timeline = engine.timeline
-        self._last = {k: timeline.totals[k].copy() for k in _KINDS}
-        self._t = timeline.makespan
+        self._totals = TotalsDiff(engine.timeline)
+        self._t = engine.timeline.makespan
 
     def crash_observation(self, epoch: int, crash) -> CrashObservation:
         """Fold a :class:`WorkerCrashError` into an observation."""
@@ -319,13 +272,10 @@ class TimelineObserver:
     def observe(self, epoch: int) -> EpochObservation:
         """Fold everything since the last observation into one record."""
         timeline = self.engine.timeline
-        deltas = {}
-        for kind in _KINDS:
-            current = timeline.totals[kind]
-            deltas[kind] = tuple(
-                float(v) for v in (current - self._last[kind])
-            )
-            self._last[kind] = current.copy()
+        deltas = {
+            kind: tuple(float(v) for v in delta)
+            for kind, delta in self._totals.deltas(timeline).items()
+        }
         stats = getattr(self.engine, "_forward_stats", []) or []
         obs = EpochObservation(
             epoch=epoch,
@@ -348,148 +298,75 @@ class TimelineObserver:
         return obs
 
 
-def window_observations_from_records(
-    records: Sequence, window_requests: int, num_workers: int
-) -> List[WindowObservation]:
-    """Slice ledger records into fixed-size req_id windows and summarise.
+def summarise_windows(
+    records: Sequence,
+    window_requests: int,
+    cls,
+    num_workers: int = 0,
+    window: Optional[int] = None,
+) -> List:
+    """Group ledger rows into ``req_id`` windows and summarise each.
 
     ``records`` may be live :class:`~repro.serving.slo.RequestRecord`
-    objects or the plain dicts a recorded bundle stores -- both carry
-    ``req_id`` / ``arrival_s`` / ``finish_s`` / ``worker`` / ``shed``.
-    Records are sorted by ``req_id`` within each window before any
-    statistic is computed, so a replay from stored records reproduces
-    the live run's floats bit-identically (``np.mean`` is
-    order-sensitive).
+    objects or the plain dicts a recorded bundle stores.  ``cls`` is the
+    observation to build -- :class:`WindowObservation` (per-worker
+    breakdown) or :class:`FleetWindowObservation` (per-replica, hot
+    vertex, duplicates); everything else is shared.  ``window`` keeps
+    only that window (the harness asks for the one it just served).
+
+    Rows sort by ``req_id`` within each window before any statistic is
+    computed (``np.mean`` is order-sensitive), and every statistic of
+    window ``i`` depends only on window ``i``'s rows, so a replay from
+    the stored ledger reproduces the live floats bit-identically.
     """
-
-    def get(r, name):
-        return r[name] if isinstance(r, dict) else getattr(r, name)
-
-    rows = sorted(records, key=lambda r: get(r, "req_id"))
-    if not rows:
-        return []
-    num_windows = (get(rows[-1], "req_id") // window_requests) + 1
-    out: List[WindowObservation] = []
-    for wi in range(num_windows):
-        lo, hi = wi * window_requests, (wi + 1) * window_requests
-        win = [r for r in rows if lo <= get(r, "req_id") < hi]
-        if not win:
-            continue
-        latencies: List[float] = []
-        per_worker: Dict[int, List[float]] = {}
-        shed = 0
-        t_start = min(get(r, "arrival_s") for r in win)
+    groups: Dict[int, List] = {}
+    for r in records:
+        wi = _get(r, "req_id") // window_requests
+        if window is None or wi == window:
+            groups.setdefault(wi, []).append(r)
+    out = []
+    for wi in sorted(groups):
+        rows = sorted(groups[wi], key=lambda r: _get(r, "req_id"))
+        t_start = min(_get(r, "arrival_s") for r in rows)
         t_end = t_start
-        for r in win:
-            if get(r, "shed") or get(r, "finish_s") is None:
-                shed += 1
+        latencies: List[Optional[float]] = []
+        for r in rows:
+            if _get(r, "shed") or _get(r, "finish_s") is None:
+                latencies.append(None)
                 continue
-            lat = get(r, "finish_s") - get(r, "arrival_s")
-            latencies.append(lat)
-            per_worker.setdefault(int(get(r, "worker")), []).append(lat)
-            t_end = max(t_end, float(get(r, "finish_s")))
-        lat_arr = np.array(latencies) if latencies else np.zeros(0)
-        out.append(WindowObservation(
+            latencies.append(_get(r, "finish_s") - _get(r, "arrival_s"))
+            t_end = max(t_end, float(_get(r, "finish_s")))
+        lat_arr = np.array([lat for lat in latencies if lat is not None])
+        served = len(lat_arr)
+        out.append(cls(
             window=wi,
             t_start=float(t_start),
             t_end=float(t_end),
-            num_workers=num_workers,
-            offered=len(win),
-            served=len(latencies),
-            shed=shed,
-            p50_s=float(np.percentile(lat_arr, 50)) if len(lat_arr) else 0.0,
-            p95_s=float(np.percentile(lat_arr, 95)) if len(lat_arr) else 0.0,
-            mean_s=float(lat_arr.mean()) if len(lat_arr) else 0.0,
-            worker_mean_s={
-                w: float(np.mean(v)) for w, v in sorted(per_worker.items())
-            },
-            worker_served={
-                w: len(v) for w, v in sorted(per_worker.items())
-            },
+            offered=len(rows),
+            served=served,
+            shed=len(rows) - served,
+            p50_s=float(np.percentile(lat_arr, 50)) if served else 0.0,
+            p95_s=float(np.percentile(lat_arr, 95)) if served else 0.0,
+            mean_s=float(lat_arr.mean()) if served else 0.0,
+            **cls.breakdown(rows, latencies, num_workers),
         ))
     return out
+
+
+def window_observations_from_records(
+    records: Sequence, window_requests: int, num_workers: int
+) -> List[WindowObservation]:
+    """Every single-server window of a ledger (see :func:`summarise_windows`)."""
+    return summarise_windows(
+        records, window_requests, WindowObservation, num_workers
+    )
 
 
 def fleet_window_observations_from_records(
     records: Sequence, window_requests: int
 ) -> List[FleetWindowObservation]:
-    """Slice a merged fleet ledger into req_id windows and summarise.
-
-    Pure over the record rows alone (live ``RequestRecord`` objects or
-    bundle dicts), mirroring :func:`window_observations_from_records`:
-    rows sort by ``req_id`` before any order-sensitive float is
-    computed, and every statistic of window ``i`` depends only on
-    window ``i``'s rows, so offline replay from the stored ledger
-    reproduces the live observation stream bit-identically.
-    """
-
-    def get(r, name, default=None):
-        if isinstance(r, dict):
-            return r.get(name, default)
-        return getattr(r, name, default)
-
-    rows = sorted(records, key=lambda r: get(r, "req_id"))
-    if not rows:
-        return []
-    num_windows = (get(rows[-1], "req_id") // window_requests) + 1
-    out: List[FleetWindowObservation] = []
-    for wi in range(num_windows):
-        lo, hi = wi * window_requests, (wi + 1) * window_requests
-        win = [r for r in rows if lo <= get(r, "req_id") < hi]
-        if not win:
-            continue
-        latencies: List[float] = []
-        per_replica: Dict[int, List[float]] = {}
-        replica_served: Dict[int, int] = {}
-        replica_shed: Dict[int, int] = {}
-        vertex_counts: Dict[int, int] = {}
-        shed = hedged = failover = 0
-        t_start = min(get(r, "arrival_s") for r in win)
-        t_end = t_start
-        for r in win:
-            v = int(get(r, "vertex"))
-            vertex_counts[v] = vertex_counts.get(v, 0) + 1
-            replica = int(get(r, "replica", -1))
-            if get(r, "hedged", False):
-                hedged += 1
-            if get(r, "failover", False):
-                failover += 1
-            if get(r, "shed") or get(r, "finish_s") is None:
-                shed += 1
-                if replica >= 0:
-                    replica_shed[replica] = replica_shed.get(replica, 0) + 1
-                continue
-            lat = get(r, "finish_s") - get(r, "arrival_s")
-            latencies.append(lat)
-            t_end = max(t_end, float(get(r, "finish_s")))
-            if replica >= 0:
-                per_replica.setdefault(replica, []).append(lat)
-                replica_served[replica] = replica_served.get(replica, 0) + 1
-        hot_vertex = min(
-            vertex_counts, key=lambda v: (-vertex_counts[v], v)
-        )
-        lat_arr = np.array(latencies) if latencies else np.zeros(0)
-        out.append(FleetWindowObservation(
-            window=wi,
-            t_start=float(t_start),
-            t_end=float(t_end),
-            offered=len(win),
-            served=len(latencies),
-            shed=shed,
-            p50_s=float(np.percentile(lat_arr, 50)) if len(lat_arr) else 0.0,
-            p95_s=float(np.percentile(lat_arr, 95)) if len(lat_arr) else 0.0,
-            mean_s=float(lat_arr.mean()) if len(lat_arr) else 0.0,
-            hot_vertex=int(hot_vertex),
-            hot_share=vertex_counts[hot_vertex] / len(win),
-            hedged=hedged,
-            failover=failover,
-            replica_served=dict(sorted(replica_served.items())),
-            replica_shed=dict(sorted(replica_shed.items())),
-            replica_mean_s={
-                k: float(np.mean(v)) for k, v in sorted(per_replica.items())
-            },
-        ))
-    return out
+    """Every fleet window of a merged ledger (see :func:`summarise_windows`)."""
+    return summarise_windows(records, window_requests, FleetWindowObservation)
 
 
 __all__ = [
@@ -499,6 +376,7 @@ __all__ = [
     "FleetWindowObservation",
     "TimelineObserver",
     "observation_from_dict",
+    "summarise_windows",
     "window_observations_from_records",
     "fleet_window_observations_from_records",
 ]

@@ -50,6 +50,7 @@ from repro.cluster.timeline import CPU
 from repro.comm.scheduler import run_exchange
 from repro.partition.base import Partitioning
 from repro.partition.vertex_cut import ReassignmentPlan, absorb_partition
+from repro.resilience.engine_recovery import recover_from_crash
 from repro.resilience.faults import (
     RecoveryExhaustedError,
     WorkerCrashError,
@@ -58,7 +59,7 @@ from repro.resilience.faults import (
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 
 #: Bytes per replicated adjacency entry (src, dst, weight) -- matches
-#: :meth:`repro.engines.base.BaseEngine.reprovision_bytes`.
+#: :func:`repro.resilience.engine_recovery.reprovision_bytes`.
 ADJ_BYTES_PER_EDGE = 12
 
 
@@ -380,8 +381,8 @@ class CrashRecovery:
             refetch = report.migrated_bytes + report.closure_bytes
             strategy = "shrink"
         else:
-            recovery_s, refetch = engine.recover_from_crash(
-                crash, provision_s=policy.provision_s
+            recovery_s, refetch = recover_from_crash(
+                engine, crash, provision_s=policy.provision_s
             )
             strategy = "restart"
         return engine, RecoveryEvent(

@@ -1,10 +1,9 @@
 """Engine-side crash recovery: re-provisioning a replacement worker.
 
-Split out of ``engines/base.py`` by the unified-execution refactor; the
-engine keeps :meth:`~repro.engines.base.BaseEngine.reprovision_bytes`
-and :meth:`~repro.engines.base.BaseEngine.recover_from_crash` as thin
-shims onto these functions, so the recovery policy
-(:mod:`repro.training.resilient`) and the elastic layer are unchanged.
+Functions over an engine rather than engine methods: the restart half
+of :class:`repro.resilience.elastic.CrashRecovery` calls
+:func:`recover_from_crash`, and :func:`reprovision_bytes` is the
+churn-side number the chaos tables compare across engines.
 """
 
 from __future__ import annotations

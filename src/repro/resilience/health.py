@@ -6,11 +6,12 @@ straggler or a degraded link silently invalidates them: the probed
 ``T_c`` says communication is cheap while the real link crawls.  The
 :class:`ClusterHealthMonitor` closes the loop:
 
-1. After every epoch it diffs each worker's cumulative
-   :class:`~repro.cluster.timeline.Timeline` totals -- compute is
-   ``gpu + cpu`` seconds, communication is ``net_send + net_recv`` --
-   and normalises by the cluster *median*, so a slow worker stands out
-   relative to its peers without needing a healthy baseline run.
+1. After every epoch it reads each worker's per-kind activity deltas
+   off the timeline's :class:`~repro.cluster.timeline.TotalsDiff` (the
+   differ the ops observer shares) -- compute is ``gpu + cpu`` seconds,
+   communication is ``net_send + net_recv`` -- and normalises by the
+   cluster *median*, so a slow worker stands out relative to its peers
+   without needing a healthy baseline run.
 2. The per-worker ratios are smoothed with an EWMA into effective
    slowdown factors.
 3. When a factor drifts past ``drift_threshold`` relative to the last
@@ -39,7 +40,9 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.timeline import CPU, GPU, NET_RECV, NET_SEND, Timeline
+from repro.cluster.timeline import (
+    CPU, GPU, NET_RECV, NET_SEND, Timeline, TotalsDiff,
+)
 from repro.comm.scheduler import CommOptions
 from repro.costmodel.probe import ProbeResult
 from repro.resilience.faults import FaultSchedule
@@ -88,8 +91,7 @@ class ClusterHealthMonitor:
         self.compute_factors = np.ones(num_workers)
         self.comm_factors = np.ones(num_workers)
         self.observations = 0
-        self._last_compute: Optional[np.ndarray] = None
-        self._last_comm: Optional[np.ndarray] = None
+        self._totals: Optional[TotalsDiff] = None
         # Factors at the last re-plan; drift is measured against these.
         self._ref_compute = np.ones(num_workers)
         self._ref_comm = np.ones(num_workers)
@@ -102,16 +104,13 @@ class ClusterHealthMonitor:
                 f"timeline has {timeline.num_workers} workers, monitor "
                 f"expects {self.num_workers}"
             )
-        compute = (timeline.totals[GPU] + timeline.totals[CPU]).copy()
-        comm = (timeline.totals[NET_SEND] + timeline.totals[NET_RECV]).copy()
-        if self._last_compute is not None:
-            d_compute = compute - self._last_compute
-            d_comm = comm - self._last_comm
-            self._fold(self.compute_factors, d_compute)
-            self._fold(self.comm_factors, d_comm)
-            self.observations += 1
-        self._last_compute = compute
-        self._last_comm = comm
+        if self._totals is None:  # first sight: anchor, nothing to fold
+            self._totals = TotalsDiff(timeline)
+            return
+        d = self._totals.deltas(timeline)
+        self._fold(self.compute_factors, d[GPU] + d[CPU])
+        self._fold(self.comm_factors, d[NET_SEND] + d[NET_RECV])
+        self.observations += 1
 
     def _fold(self, factors: np.ndarray, deltas: np.ndarray) -> None:
         median = float(np.median(deltas))

@@ -32,6 +32,7 @@ import numpy as np
 from repro.cluster.timeline import Timeline
 from repro.comm.scheduler import CommOptions, run_exchange
 from repro.resilience.elastic import ADJ_BYTES_PER_EDGE
+from repro.utils.jsonio import Record
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class AutoscalerConfig:
 
 
 @dataclass(frozen=True)
-class ScalingEvent:
+class ScalingEvent(Record):
     """One applied scaling decision (recorded by the fleet)."""
 
     action: str  # "scale-out" | "scale-in"
@@ -65,16 +66,6 @@ class ScalingEvent:
     reason: str
     transition_s: float = 0.0
     migrated_bytes: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "action": self.action,
-            "at_s": self.at_s,
-            "replica": self.replica,
-            "reason": self.reason,
-            "transition_s": self.transition_s,
-            "migrated_bytes": self.migrated_bytes,
-        }
 
 
 class SLOAutoscaler:

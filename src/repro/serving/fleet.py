@@ -153,6 +153,11 @@ class ReplicaGroup:
         return self.ledger.records[start:]
 
     @property
+    def live(self) -> bool:
+        """Neither declared dead nor retired by a scale-in."""
+        return self.healthy and not self.retired
+
+    @property
     def served_count(self) -> int:
         return sum(1 for r in self.ledger.records if not r.shed)
 
@@ -175,9 +180,7 @@ class FleetResult:
         out = self.ledger.to_dict()
         del out["records"]
         out["num_replicas_started"] = len(self.replicas)
-        out["num_replicas_final"] = sum(
-            1 for g in self.replicas if g.healthy and not g.retired
-        )
+        out["num_replicas_final"] = sum(1 for g in self.replicas if g.live)
         out["num_segments"] = self.num_segments
         out["hedges_launched"] = self.hedges_launched
         out["hedges_won"] = self.hedges_won
@@ -255,9 +258,11 @@ class ServingFleet:
     def active_replicas(self, at_s: float) -> List[int]:
         """Replicas eligible for routing at simulated time ``at_s``."""
         return [
-            g.replica_id for g in self.groups
-            if g.healthy and not g.retired and g.ready_at_s <= at_s
+            g.replica_id for g in self._live() if g.ready_at_s <= at_s
         ]
+
+    def _live(self) -> List[ReplicaGroup]:
+        return [g for g in self.groups if g.live]
 
     def final_records(self) -> List[RequestRecord]:
         """One winning record per request, in req_id order."""
@@ -265,11 +270,7 @@ class ServingFleet:
 
     def fleet_clock_s(self) -> float:
         """The latest makespan across every live replica's timeline."""
-        live = [
-            g.timeline.makespan for g in self.groups
-            if g.healthy and not g.retired
-        ]
-        return max(live) if live else 0.0
+        return max((g.timeline.makespan for g in self._live()), default=0.0)
 
     # -- baseline / timers ---------------------------------------------
     def _baseline_p99(self) -> Optional[float]:
@@ -405,8 +406,7 @@ class ServingFleet:
                     )
             for replica_id, lats in sorted(by_replica.items()):
                 mean = float(np.mean(lats))
-                group = self.group(replica_id)
-                if not group.healthy or group.retired:
+                if not self.group(replica_id).live:
                     self.suspects.discard(replica_id)
                 elif mean > cfg.hedge_factor * baseline:
                     self.suspects.add(replica_id)
@@ -439,8 +439,7 @@ class ServingFleet:
         request from the crash onward, so a long trailing all-shed run
         is the observable crash signal.
         """
-        group = self.group(replica_id)
-        if not group.healthy or group.retired:
+        if not self.group(replica_id).live:
             return False
         trailing = 0
         for r in reversed(records):
@@ -486,34 +485,52 @@ class ServingFleet:
             pending.append(Request(rec.req_id, rec.vertex, rec.arrival_s))
         if not pending:
             return
-        survivors = [
-            g.replica_id for g in self.groups
-            if g.healthy and not g.retired
-        ]
+        survivors = [g.replica_id for g in self._live()]
         if not survivors:
             return  # nothing to fail over to; sheds stand
-        retry: Dict[int, List[Request]] = {}
-        for req in pending:
-            target = self.router.rendezvous(req.vertex, survivors)
-            delay = self._timer_s(req.req_id, "failover")
-            retry.setdefault(target, []).append(
+        self.failovers += self._serve_duplicates(
+            "failover",
+            [(self.router.rendezvous(r.vertex, survivors), r) for r in pending],
+            winners, arrival_of,
+            wins=lambda rec, current: True,
+            failover=True, degraded=True,
+        )
+
+    def _serve_duplicates(
+        self, stream: str, duplicates, winners, arrival_of, wins, **marks
+    ) -> int:
+        """Serve delayed copies on their target replicas; count the wins.
+
+        ``duplicates`` is ``(target replica, request)`` pairs.  Each copy
+        arrives a ``stream``-seeded :meth:`_timer_s` after its original;
+        targets serve in replica-id order, each its copies by arrival.
+        An answered copy for which ``wins(record, current winner)`` holds
+        takes the ledger slot, keeping the *original* arrival and
+        carrying ``marks`` (``hedged`` / ``failover`` / ``degraded``).
+        """
+        per_target: Dict[int, List[Request]] = {}
+        for target, req in duplicates:
+            delay = self._timer_s(req.req_id, stream)
+            per_target.setdefault(target, []).append(
                 Request(req.req_id, req.vertex, req.arrival_s + delay)
             )
-        for target in sorted(retry):
-            dups = sorted(retry[target], key=lambda r: r.arrival_s)
-            served = self.group(target).serve(dups)
-            self.predictions.update(self.group(target).predictions)
+        won = 0
+        for target in sorted(per_target):
+            group = self.group(target)
+            served = group.serve(
+                sorted(per_target[target], key=lambda r: r.arrival_s)
+            )
+            self.predictions.update(group.predictions)
             for rec in served:
-                if rec.shed:
+                if rec.shed or rec.finish_s is None:
                     continue
-                winners[rec.req_id] = replace(
-                    rec,
-                    arrival_s=arrival_of[rec.req_id],
-                    replica=target,
-                    failover=True,
-                    degraded=True,
-                )
-                self.failovers += 1
+                if wins(rec, winners.get(rec.req_id)):
+                    winners[rec.req_id] = replace(
+                        rec, arrival_s=arrival_of[rec.req_id],
+                        replica=target, **marks,
+                    )
+                    won += 1
+        return won
 
     # -- hedging ---------------------------------------------------------
     def _hedge(
@@ -522,46 +539,27 @@ class ServingFleet:
         winners: Dict[int, RequestRecord],
         arrival_of: Dict[int, float],
     ) -> None:
-        healthy = [
-            g.replica_id for g in self.groups
-            if g.healthy and not g.retired
-        ]
+        healthy = [g.replica_id for g in self._live()]
         if len(healthy) < 2:
             return
-        hedges: Dict[int, List[Request]] = {}
+        hedges = []
         for replica_id in sorted(assignment):
             if replica_id not in self.suspects:
                 continue
             for req in assignment[replica_id]:
                 alt = self.router.alternate(req.vertex, replica_id, healthy)
-                if alt is None:
-                    continue
-                delay = self._timer_s(req.req_id, "hedge")
-                hedges.setdefault(alt, []).append(
-                    Request(req.req_id, req.vertex, req.arrival_s + delay)
-                )
-                self.hedges_launched += 1
-        for alt in sorted(hedges):
-            dups = sorted(hedges[alt], key=lambda r: r.arrival_s)
-            served = self.group(alt).serve(dups)
-            self.predictions.update(self.group(alt).predictions)
-            for rec in served:
-                if rec.shed or rec.finish_s is None:
-                    continue
-                current = winners.get(rec.req_id)
-                beaten = (
-                    current is None or current.shed
-                    or current.finish_s is None
-                    or rec.finish_s < current.finish_s
-                )
-                if beaten:
-                    winners[rec.req_id] = replace(
-                        rec,
-                        arrival_s=arrival_of[rec.req_id],
-                        replica=alt,
-                        hedged=True,
-                    )
-                    self.hedges_won += 1
+                if alt is not None:
+                    hedges.append((alt, req))
+        self.hedges_launched += len(hedges)
+        self.hedges_won += self._serve_duplicates(
+            "hedge", hedges, winners, arrival_of,
+            wins=lambda rec, current: (
+                current is None or current.shed
+                or current.finish_s is None
+                or rec.finish_s < current.finish_s
+            ),
+            hedged=True,
+        )
 
     # -- scaling ---------------------------------------------------------
     def quarantine(self, replica_id: int) -> None:
@@ -569,53 +567,51 @@ class ServingFleet:
         self._declare_dead(replica_id, self.fleet_clock_s())
         self.health_events[-1]["event"] = "replica-quarantined"
 
-    def scale_out(self, at_s: float, reason: str = "slo-burn") -> ScalingEvent:
-        """Start a new replica; spin-up charged through ``run_exchange``."""
-        replica_id = len(self.groups)
-        group = self._spawn_group(replica_id)
-        handover = max(float(at_s), self.fleet_clock_s())
+    def _transition(
+        self, action: str, group: ReplicaGroup, at_s: float,
+        handover: float, reason: str,
+    ) -> ScalingEvent:
+        """Charge ``group``'s spin-up / teardown and record the event."""
         transition_s, migrated = charge_replica_transition(
             group.timeline, self.cluster.network,
             self.graph, self.partitioning,
-            handover, direction="scale-out", comm=self.comm,
+            handover, direction=action, comm=self.comm,
         )
-        group.ready_at_s = group.timeline.makespan
-        self.groups.append(group)
-        # Spread the hot head over the grown fleet: the hotspot that
-        # forced the scale-out is a few pinned vertices by definition.
-        self.router.enable_spread()
         event = ScalingEvent(
-            action="scale-out", at_s=float(at_s), replica=replica_id,
+            action=action, at_s=float(at_s), replica=group.replica_id,
             reason=reason, transition_s=transition_s,
             migrated_bytes=migrated,
         )
         self.scaling_events.append(event)
         return event
 
+    def scale_out(self, at_s: float, reason: str = "slo-burn") -> ScalingEvent:
+        """Start a new replica; spin-up charged through ``run_exchange``."""
+        group = self._spawn_group(len(self.groups))
+        event = self._transition(
+            "scale-out", group, at_s,
+            max(float(at_s), self.fleet_clock_s()), reason,
+        )
+        group.ready_at_s = group.timeline.makespan
+        self.groups.append(group)
+        # Spread the hot head over the grown fleet: the hotspot that
+        # forced the scale-out is a few pinned vertices by definition.
+        self.router.enable_spread()
+        return event
+
     def scale_in(self, at_s: float, reason: str = "idle"):
         """Retire the youngest active replica; teardown is charged too."""
-        candidates = [
-            g for g in self.groups
-            if g.healthy and not g.retired and g.replica_id > 0
-        ]
+        candidates = [g for g in self._live() if g.replica_id > 0]
         if not candidates:
             return None
         group = max(candidates, key=lambda g: g.replica_id)
-        transition_s, migrated = charge_replica_transition(
-            group.timeline, self.cluster.network,
-            self.graph, self.partitioning,
-            max(float(at_s), group.timeline.makespan),
-            direction="scale-in", comm=self.comm,
+        event = self._transition(
+            "scale-in", group, at_s,
+            max(float(at_s), group.timeline.makespan), reason,
         )
         group.retired = True
         self.suspects.discard(group.replica_id)
         self.router.drop_replica(group.replica_id)
-        event = ScalingEvent(
-            action="scale-in", at_s=float(at_s), replica=group.replica_id,
-            reason=reason, transition_s=transition_s,
-            migrated_bytes=migrated,
-        )
-        self.scaling_events.append(event)
         return event
 
 

@@ -145,6 +145,9 @@ class ResilientTrainer(DistributedTrainer):
         history.convergence = [
             p for p in history.convergence if p.epoch <= ckpt_epoch
         ]
+        history.forced_refresh_epochs = [
+            e for e in history.forced_refresh_epochs if e <= ckpt_epoch
+        ]
         self.recoveries.append(event)
         return ckpt_epoch + 1
 

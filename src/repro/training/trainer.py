@@ -31,8 +31,13 @@ class TrainingHistory:
     engine_name: str
     reports: List[EpochReport] = field(default_factory=list)
     convergence: List[ConvergencePoint] = field(default_factory=list)
-    # Refresh epochs forced by the staleness-vs-accuracy guard.
-    forced_refreshes: int = 0
+    # Epochs whose loss regression made the staleness-vs-accuracy guard
+    # force a refresh (a crash rollback drops the ones it replays).
+    forced_refresh_epochs: List[int] = field(default_factory=list)
+
+    @property
+    def forced_refreshes(self) -> int:
+        return len(self.forced_refresh_epochs)
 
     @property
     def total_time_s(self) -> float:
@@ -129,7 +134,7 @@ class DistributedTrainer:
                     and report.loss > history.reports[-2].loss
                 ):
                     self.engine.force_refresh()
-                    history.forced_refreshes += 1
+                    history.forced_refresh_epochs.append(epoch)
             self._after_epoch(epoch)
             if accuracy is not None:
                 history.convergence.append(

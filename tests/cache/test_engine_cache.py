@@ -11,6 +11,9 @@ from repro.core.model import GNNModel
 from repro.engines import DepCommEngine, HybridEngine
 from repro.engines.base import EpochReport
 from repro.graph import generators
+from repro.resilience.engine_recovery import recover_from_crash
+from repro.resilience.faults import WorkerCrashError, WorkerCrashFault
+from repro.resilience.recovery import RecoveryPolicy
 from repro.training.resilient import ResilientTrainer
 from repro.training.trainer import DistributedTrainer
 
@@ -169,15 +172,22 @@ class _ScriptedEngine:
 
     name = "scripted"
 
-    def __init__(self, losses, refreshed, cache_config):
+    def __init__(self, losses, refreshed, cache_config, crash_at=None):
         self.model = GNNModel.gcn(4, 4, 2, seed=0)
         self.timeline = SimpleNamespace(makespan=0.0)  # ResilientTrainer's clock
         self._script = list(zip(losses, refreshed))
         self._i = 0
         self.cache_config = cache_config
         self.forced = 0
+        self._crash_at = crash_at  # epoch whose first attempt crashes
+
+    def rollback_to_epoch(self, epoch):
+        self._i = epoch  # the replay re-reads the same script
 
     def run_epoch(self, optimizer=None):
+        if self._i + 1 == self._crash_at:
+            self._crash_at = None
+            raise WorkerCrashError(WorkerCrashFault(worker=0, at_time=0.0), 0.0)
         loss, refreshed = self._script[self._i]
         self._i += 1
         return EpochReport(
@@ -238,6 +248,31 @@ class TestStalenessGuardResilient(TestStalenessGuard):
 
     trainer_cls = ResilientTrainer
 
+    def test_rolled_back_forced_refresh_is_counted_once(self):
+        # Epoch 3 regresses on stale inputs (forces a refresh), epoch 4
+        # crashes, the checkpoint is at epoch 2: epochs 3-4 replay, the
+        # guard fires again on the replayed epoch 3, and the history
+        # must count the one surviving forced refresh, not both.
+        engine = _ScriptedEngine(
+            losses=[1.0, 0.9, 1.1, 0.8],
+            refreshed=[True, False, False, False],
+            cache_config=CacheConfig(tau=8.0, refresh_on_regression=True),
+            crash_at=4,
+        )
+        trainer = ResilientTrainer(
+            engine, policy=RecoveryPolicy(checkpoint_every=2), lr=0.01
+        )
+        # Recovery itself (re-provisioning charges) is not under test.
+        trainer._recovery = SimpleNamespace(
+            on_crash=lambda engine, *_: (engine, "restarted"),
+            on_epoch_completed=lambda engine, _: (engine, None),
+        )
+        history = trainer.train(4)
+        assert trainer.recoveries == ["restarted"]
+        assert [r.loss for r in history.reports] == [1.0, 0.9, 1.1, 0.8]
+        assert engine.forced == 2  # the engine was asked twice ...
+        assert history.forced_refreshes == 1  # ... for one surviving epoch
+
 
 class TestCrashInvalidation:
     def test_recover_invalidates_and_forces_refresh(self, graph):
@@ -252,6 +287,6 @@ class TestCrashInvalidation:
         engine.run_epoch()
         engine.run_epoch()
         assert len(engine._hist_caches[1]) > 0
-        engine.recover_from_crash(fault)
+        recover_from_crash(engine, fault)
         assert len(engine._hist_caches[1]) == 0
         assert engine.run_epoch().cache_refreshed

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.timeline import CPU, GPU, IDLE, NET_RECV, Timeline
 from repro.cluster.trace import _COLORS, save_chrome_trace, timeline_to_chrome_trace
+from repro.resilience.engine_recovery import recover_from_crash
 
 
 def busy_timeline():
@@ -199,7 +200,7 @@ class TestOperationalSpanExport:
 
     def test_recovery_span_round_trip(self, tmp_path):
         engine, crash = self._crashed_engine()
-        recovery_s, refetch = engine.recover_from_crash(crash)
+        recovery_s, refetch = recover_from_crash(engine, crash)
         exported = self._spans(engine.timeline, "recovery", tmp_path, "rec")
         assert len(exported) == 1
         event = exported[0]

@@ -5,17 +5,13 @@ these tests pin the decision rules themselves: which signal trips
 which verdict, and that healthy streams stay quiet.
 """
 
-import json
-
 import pytest
 
 from repro.ops import (
     CrashObservation,
     DetectionPipeline,
     EpochObservation,
-    Verdict,
     WindowObservation,
-    observation_from_dict,
 )
 
 N = 4
@@ -169,34 +165,3 @@ class TestSerialization:
         vb = [b.observe(o) for o in stream][-1]
         assert va is not None and vb is not None
         assert va.to_dict() == vb.to_dict()
-
-    def test_observation_dict_round_trip(self):
-        for obs in (
-            make_epoch(3),
-            make_window(2),
-            CrashObservation(epoch=5, detected_at_s=1.0, worker=2,
-                             permanent=False),
-        ):
-            clone = observation_from_dict(
-                json.loads(json.dumps(obs.to_dict()))
-            )
-            assert clone == obs
-            assert clone.to_dict() == obs.to_dict()
-
-    def test_verdict_dict_round_trip(self):
-        verdict = Verdict(
-            kind="link", detected_at_s=0.0123456789, unit=4,
-            worker=1, link=(1, None),
-            evidence={"send_ratio": 2.5, "recv_ratio": 1.0},
-        )
-        clone = Verdict.from_dict(json.loads(json.dumps(verdict.to_dict())))
-        assert clone == verdict
-        assert clone.to_dict() == verdict.to_dict()
-
-    def test_float_round_trip_is_exact(self):
-        # JSON floats serialise via repr, so irrational-looking values
-        # must survive a dump/load cycle bit-for-bit.
-        vals = (0.1 + 0.2, 1.0 / 3.0, 2.0 ** -40, 0.1)
-        obs = make_epoch(1, gpu=vals)
-        clone = observation_from_dict(json.loads(json.dumps(obs.to_dict())))
-        assert clone.gpu_s == vals

@@ -11,6 +11,10 @@ from repro.resilience import (
     WorkerCrashError,
     WorkerCrashFault,
 )
+from repro.resilience.engine_recovery import (
+    recover_from_crash,
+    reprovision_bytes,
+)
 from repro.training import DistributedTrainer, ResilientTrainer
 
 EPOCHS = 6
@@ -48,7 +52,7 @@ class TestCrashDetection:
         with pytest.raises(WorkerCrashError) as excinfo:
             engine.run_epoch()
         t_before = engine.timeline.makespan
-        recovery_s, refetch = engine.recover_from_crash(excinfo.value)
+        recovery_s, refetch = recover_from_crash(engine, excinfo.value)
         assert recovery_s > 0
         assert refetch > 0
         assert engine.timeline.makespan == pytest.approx(
@@ -62,7 +66,7 @@ class TestCrashDetection:
         for name in ("depcache", "depcomm"):
             engine = build(small_graph, cluster2, engine_name=name)
             engine.plan()
-            refetch[name] = engine.reprovision_bytes(0)
+            refetch[name] = reprovision_bytes(engine, 0)
         assert refetch["depcache"] > refetch["depcomm"]
 
 

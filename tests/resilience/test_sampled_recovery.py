@@ -22,6 +22,7 @@ from repro.resilience import (
     WorkerCrashFault,
     run_chaos,
 )
+from repro.resilience.engine_recovery import reprovision_bytes
 from repro.training import DistributedTrainer, ResilientTrainer
 
 EPOCHS = 6
@@ -137,7 +138,7 @@ class TestSampledChaos:
     ):
         engine = build(small_graph, cluster2, "sampled")
         assert engine.plan() is None
-        refetch = engine.reprovision_bytes(0)
+        refetch = reprovision_bytes(engine, 0)
         owned = len(engine.partitioning.part(0))
         expected = (
             owned * small_graph.feature_dim * 4
