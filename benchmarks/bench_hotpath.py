@@ -136,7 +136,7 @@ def _bottom_fetch_ref(engine, closure):
         fetch = rest
     counts = {"remote": len(remote), "reused": len(covered),
               "pinned": len(pinned), "fetch": len(fetch)}
-    return fetch, counts
+    return remote, fetch, counts
 
 
 def _replace_ref(self, src, dst, eids, scales):

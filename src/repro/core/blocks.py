@@ -43,6 +43,11 @@ class LayerBlock:
     compute_pos_in_inputs:
         For each compute vertex, its row in the input space (used for
         self terms and attention destinations).
+    edge_weight_rescaled:
+        Set by whoever folds a per-edge factor into ``edge_weight`` (the
+        samplers' LADIES rescale): the weights are then no longer
+        ``graph.edge_weight[edge_ids]``, so nothing aggregated with them
+        is a constant of the graph.
     """
 
     layer_index: int
@@ -55,6 +60,7 @@ class LayerBlock:
     edge_src_global: np.ndarray
     edge_ids: np.ndarray
     edge_features: Optional[np.ndarray] = None
+    edge_weight_rescaled: bool = False
 
     @property
     def num_edges(self) -> int:

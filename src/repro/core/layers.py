@@ -6,8 +6,12 @@ parameterised function, glued by ``ScatterToEdge``/``GatherByDst``.
 Where the edge function is a plain weighting (GCN, GIN, SAGE -- the
 layers with a :meth:`GNNLayer.fused_reducer`), the triple runs as the
 single ``ops.fused_scatter_gather`` kernel and no per-edge tensor is
-built; layers with edge-associated NN computation (GAT, EdgeGated)
-spell the three ops out.
+built: such a layer *is* :meth:`GNNLayer.forward` -- that aggregate,
+then the layer's :meth:`GNNLayer.vertex` half -- and at layer 1, where
+the aggregate is a constant of the graph, engines enter at ``vertex``
+with the memoised rows (:mod:`repro.core.feature_aggregate`).  Layers
+with edge-associated NN computation (GAT, EdgeGated) spell the three
+ops out.
 Layers also *account* for their work -- dense FLOPs (NN ops), sparse
 FLOPs (graph ops), and resident edge-tensor bytes -- which is what the
 cluster simulator charges to the timeline and the memory model.
@@ -38,7 +42,27 @@ class GNNLayer(nn.Module):
         self.out_dim = out_dim
 
     # -- numerical execution ------------------------------------------
+    # Whether :meth:`vertex` reads the destination's own previous row.
+    vertex_reads_dst = True
+
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
+        """A fused-reducer layer is its aggregate, then :meth:`vertex`;
+        layers with edge-associated NN computation override this."""
+        reducer = self.fused_reducer()
+        if reducer is None:
+            raise NotImplementedError
+        aggregated = ops.fused_scatter_gather(block, h_inputs, reducer)
+        return ops.vertex_forward(
+            block, h_inputs, aggregated, self.vertex,
+            with_dst=self.vertex_reads_dst,
+        )
+
+    def vertex(self, h_dst: Optional[Tensor], aggregated: Tensor) -> Tensor:
+        """The vertex-associated half of a fused-reducer layer: from the
+        destinations' previous rows (``None`` unless
+        ``vertex_reads_dst``) and their aggregated neighborhood to
+        ``h^l``.  Layer 1 enters here with the memoised aggregate
+        (:mod:`repro.core.feature_aggregate`)."""
         raise NotImplementedError
 
     # -- cost accounting ----------------------------------------------
@@ -93,14 +117,9 @@ class GCNConv(GNNLayer):
         self.linear = nn.Linear(in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        aggregated = ops.fused_scatter_gather(block, h_inputs, "weighted_sum")
-        return ops.vertex_forward(
-            block, h_inputs, aggregated,
-            lambda h_dst, agg: self._vertex(agg), with_dst=False,
-        )
+    vertex_reads_dst = False
 
-    def _vertex(self, aggregated: Tensor) -> Tensor:
+    def vertex(self, h_dst: Optional[Tensor], aggregated: Tensor) -> Tensor:
         out = self.linear(aggregated)
         if self.activation == "relu":
             out = out.relu()
@@ -148,12 +167,8 @@ class GINConv(GNNLayer):
         self.mlp2 = nn.Linear(out_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        aggregated = ops.fused_scatter_gather(block, h_inputs, "weighted_sum")
-        return ops.vertex_forward(block, h_inputs, aggregated, self._vertex)
-
-    def _vertex(self, h_dst: Tensor, agg: Tensor) -> Tensor:
-        combined = h_dst * (1.0 + self.eps) + agg
+    def vertex(self, h_dst: Tensor, aggregated: Tensor) -> Tensor:
+        combined = h_dst * (1.0 + self.eps) + aggregated
         out = self.mlp2(self.mlp1(combined).relu())
         if self.activation == "relu":
             out = out.relu()
@@ -256,12 +271,8 @@ class SAGEConv(GNNLayer):
         self.linear = nn.Linear(2 * in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        aggregated = ops.fused_scatter_gather(block, h_inputs, "mean")
-        return ops.vertex_forward(block, h_inputs, aggregated, self._vertex)
-
-    def _vertex(self, h_dst: Tensor, agg: Tensor) -> Tensor:
-        out = self.linear(F.concat([h_dst, agg], axis=1))
+    def vertex(self, h_dst: Tensor, aggregated: Tensor) -> Tensor:
+        out = self.linear(F.concat([h_dst, aggregated], axis=1))
         if self.activation == "relu":
             out = out.relu()
         return out

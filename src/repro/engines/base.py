@@ -27,6 +27,7 @@ from repro.cache.historical import HistoricalEmbeddingCache
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import CPU, IDLE, Timeline
 from repro.comm.scheduler import CommOptions, ExchangeStats
+from repro.core.feature_aggregate import FeatureAggregateStore
 from repro.core.model import GNNModel
 from repro.costmodel.probe import ProbeResult, probe_constants
 from repro.execution.accountant import (
@@ -144,6 +145,7 @@ class BaseEngine:
         self.program_: Optional[Program] = None
         self.executor = LayerExecutor(self)
         self.accountant = self.accountant_cls(self)
+        self._feature_aggregates: Optional[FeatureAggregateStore] = None
         self._epoch = 0
         # Position lookup of every vertex inside its owner's sorted set.
         self._owner_pos = np.zeros(graph.num_vertices, dtype=np.int64)
@@ -182,6 +184,14 @@ class BaseEngine:
     @property
     def _cache_active(self) -> bool:
         return self._hist_caches is not None
+
+    @property
+    def feature_aggregates(self) -> FeatureAggregateStore:
+        """The layer-1 feature-aggregate memo, created by the first
+        forward that asks for it (set-up builds nothing)."""
+        if self._feature_aggregates is None:
+            self._feature_aggregates = FeatureAggregateStore(self.graph)
+        return self._feature_aggregates
 
     def _constants_for(self, worker: int) -> Optional[ProbeResult]:
         """Effective cost-model constants for ``worker``'s planning

@@ -16,7 +16,10 @@ Who produces which input row is not worked out here: ``gather_inputs``
 and ``route_input_grads`` follow the block's compiled
 :class:`~repro.execution.program.InputRoute` (Section 4.3's position
 index, built once by ``compile_program``), one chunk per source worker,
-forward to read and backward to post.
+forward to read and backward to post.  Layer 1 of a fused-reducer
+model gathers nothing: its aggregate of raw features is a constant of
+the graph, read from the engine's
+:class:`~repro.core.feature_aggregate.FeatureAggregateStore`.
 
 :class:`StalenessBoundedReader` is the one code path for
 bounded-staleness reads: training gathers override rows through it and
@@ -28,6 +31,7 @@ union-closure forward the serving layer executes batches with.
 
 from __future__ import annotations
 
+import contextlib
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -191,7 +195,7 @@ class LayerExecutor:
         h_values: List[List[np.ndarray]] = [
             [None] * m for _ in range(engine.num_layers + 1)
         ]
-        in_tensors: List[List[Tensor]] = [
+        in_tensors: List[List[Optional[Tensor]]] = [
             [None] * m for _ in range(engine.num_layers)
         ]
         out_tensors: List[List[Tensor]] = [
@@ -213,14 +217,18 @@ class LayerExecutor:
                     out_tensors[l - 1][w] = out_tensors[l - 1][0]
                     continue
                 block = plan.blocks[l - 1][w]
-                rows = self.gather_inputs(plan, h_values, l, w, block)
-                # Layer-1 inputs are raw features: nothing routes a
-                # gradient into them, so the tape skips their adjoint.
-                h_in = Tensor(rows, requires_grad=training and l > 1)
-                if training:
-                    out = layer.forward(block, h_in)
-                else:
-                    with no_grad():
+                with contextlib.nullcontext() if training else no_grad():
+                    if l == 1 and layer.fused_reducer():
+                        # A constant of the graph: memoised per vertex,
+                        # with no input tensor on the tape at all.
+                        h_in = None
+                        out = engine.feature_aggregates.forward(layer, block)
+                    else:
+                        rows = self.gather_inputs(plan, h_values, l, w, block)
+                        # Layer-1 inputs are raw features: nothing routes
+                        # a gradient into them, so the tape skips their
+                        # adjoint.
+                        h_in = Tensor(rows, requires_grad=training and l > 1)
                         out = layer.forward(block, h_in)
                 h_values[l][w] = out.data
                 in_tensors[l - 1][w] = h_in
@@ -238,7 +246,8 @@ class LayerExecutor:
     ) -> np.ndarray:
         """Assemble h^{l-1} rows for a block (GetFromDepNbr).
 
-        Numerically, rows come from the feature matrix (layer 1) or from
+        Numerically, rows come from the feature matrix (layer 1 of a
+        layer without a fused reducer; the others never ask) or from
         the producing worker's stored output (redundant copies are
         bit-identical, so reading the owner's copy is exact), one chunk
         per source worker of the block's compiled route.

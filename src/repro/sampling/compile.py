@@ -49,15 +49,21 @@ class RoundTraffic:
     pinned_rows: int = 0  # rows served by the static feature cache
     saved_bytes: int = 0  # feature bytes reuse + cache kept off the wire
     per_worker_fetch: Dict[int, int] = field(default_factory=dict)
+    # Each worker's remote bottom inputs (sorted unique ids), so the
+    # epoch loop's unique-remote count does not split them again.
+    per_worker_remote: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def _empty_closure_block(graph, layer: int):
     return build_block_from_edges(graph, _EMPTY, _EMPTY, _EMPTY, _EMPTY, layer)
 
 
-def _bottom_fetch(engine, closure: SampledClosure) -> Tuple[np.ndarray, dict]:
+def _bottom_fetch(
+    engine, closure: SampledClosure
+) -> Tuple[np.ndarray, np.ndarray, dict]:
     """Split one worker's bottom-layer remote inputs into fetched /
-    reuse-covered / cache-pinned rows."""
+    reuse-covered / cache-pinned rows; returns ``(remote, fetch,
+    counts)``."""
     w = closure.worker
     inputs = closure.blocks[0].input_vertices
     remote = inputs[engine.assignment[inputs] != w]
@@ -87,7 +93,7 @@ def _bottom_fetch(engine, closure: SampledClosure) -> Tuple[np.ndarray, dict]:
         "pinned": len(pinned),
         "fetch": len(fetch),
     }
-    return fetch, counts
+    return remote, fetch, counts
 
 
 def compile_round(
@@ -106,8 +112,9 @@ def compile_round(
     traffic = RoundTraffic()
     d0 = engine.dims[0]
     for w, closure in closures.items():
-        fetch, counts = _bottom_fetch(engine, closure)
+        remote, fetch, counts = _bottom_fetch(engine, closure)
         fetch_lists[w] = fetch
+        traffic.per_worker_remote[w] = remote
         traffic.remote_rows += counts["remote"]
         traffic.reused_rows += counts["reused"]
         traffic.pinned_rows += counts["pinned"]

@@ -23,6 +23,7 @@ trajectory bit for bit).
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -229,17 +230,17 @@ class SampledTrainingEngine(BaseEngine):
 
     # -- numerics ------------------------------------------------------
     def _forward_closure(self, closure: SampledClosure, training: bool) -> Tensor:
-        out = Tensor(
-            self.graph.features[closure.blocks[0].input_vertices],
-            requires_grad=False,
-        )
-        for l in range(1, self.num_layers + 1):
-            layer = self.model.layer(l)
-            if training:
-                out = layer.forward(closure.blocks[l - 1], out)
+        with contextlib.nullcontext() if training else no_grad():
+            layer, block = self.model.layer(1), closure.blocks[0]
+            if layer.fused_reducer():
+                out = self.feature_aggregates.forward(layer, block)
             else:
-                with no_grad():
-                    out = layer.forward(closure.blocks[l - 1], out)
+                rows = self.executor.gather_inputs(
+                    self.plan_, None, 1, closure.worker, block
+                )
+                out = layer.forward(block, Tensor(rows))
+            for l in range(2, self.num_layers + 1):
+                out = self.model.layer(l).forward(closure.blocks[l - 1], out)
         return out
 
     def _train_round(self, closures, optimizer, total: float) -> float:
@@ -272,7 +273,9 @@ class SampledTrainingEngine(BaseEngine):
             "reused_rows": 0, "pinned_rows": 0, "saved_bytes": 0,
             "num_batches": 0,
         }
-        unique_remote: List[np.ndarray] = []
+        memo = self.feature_aggregates
+        bottom_rows, memoised = memo.rows_served, memo.rows_memoised
+        remote_mask = np.zeros(self.graph.num_vertices, dtype=bool)
         t_start = self._sync()
         for _, closures, plan, program, traffic in self.rounds(
             self.sampler, shuffle=numeric
@@ -297,8 +300,7 @@ class SampledTrainingEngine(BaseEngine):
             stats["saved_bytes"] += traffic.saved_bytes
             for w, closure in closures.items():
                 stats["sampled_edges"] += closure.num_sampled_edges
-                inputs = closure.blocks[0].input_vertices
-                unique_remote.append(inputs[self.assignment[inputs] != w])
+                remote_mask[traffic.per_worker_remote[w]] = True
             self.accountant.charge_allreduce()
             if self.cluster.num_workers == 1:
                 self._sync()
@@ -309,13 +311,9 @@ class SampledTrainingEngine(BaseEngine):
         self._epoch += 1
         self.sampler.checkpoint(self._epoch)
         stats["comm_bytes"] = comm_bytes
-        if unique_remote:
-            remote_mask = np.zeros(self.graph.num_vertices, dtype=bool)
-            for ids in unique_remote:
-                remote_mask[ids] = True
-            stats["unique_remote"] = int(remote_mask.sum())
-        else:
-            stats["unique_remote"] = 0
+        stats["unique_remote"] = int(remote_mask.sum())
+        stats["bottom_rows"] = memo.rows_served - bottom_rows
+        stats["bottom_rows_memoised"] = memo.rows_memoised - memoised
         stats["epoch_time_s"] = t_end - t_start
         self.last_epoch_stats = stats
         return EpochReport(

@@ -149,6 +149,7 @@ class NeighborSampler:
             block = build_block_from_edges(graph, frontier, src, dst, eids, l)
             if scale is not None and block.num_edges:
                 block.edge_weight = block.edge_weight * scale
+                block.edge_weight_rescaled = True
             blocks[l - 1] = block
             total_edges += block.num_edges
             if l == 1 and state is not None:

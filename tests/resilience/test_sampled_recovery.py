@@ -73,6 +73,44 @@ class TestSampledCrashRecovery:
             r.loss for r in clean_history.reports
         ]
 
+    def test_recovery_keeps_the_feature_aggregates_warm(
+        self, small_graph, cluster2, engine_name
+    ):
+        """The layer-1 memo depends on neither weights, epoch nor
+        sampler state: rollback must not empty it, and the replay over
+        the warm store stays bit-identical to a clean run."""
+        clean = DistributedTrainer(
+            build(small_graph, cluster2, engine_name), lr=0.05
+        ).train(EPOCHS)
+        engine = build(
+            small_graph, cluster2, engine_name,
+            faults=FaultSchedule([WorkerCrashFault(
+                worker=1, at_time=clean.avg_epoch_time_s * 2.5
+            )]),
+        )
+        store = engine.feature_aggregates
+        known_at_rollback = []
+        rollback = engine.rollback_to_epoch
+
+        def spy(epoch):
+            known_at_rollback.append(int(store._known.sum()))
+            rollback(epoch)
+
+        engine.rollback_to_epoch = spy
+        trainer = ResilientTrainer(
+            engine, policy=RecoveryPolicy(checkpoint_every=2), lr=0.05
+        )
+        history = trainer.train(EPOCHS)
+
+        assert len(trainer.recoveries) == 1
+        assert len(known_at_rollback) == 1 and known_at_rollback[0] > 0
+        assert engine.feature_aggregates is store
+        assert int(store._known.sum()) >= known_at_rollback[0]
+        assert store.rows_memoised > 0
+        assert [r.loss.hex() for r in history.reports] == [
+            r.loss.hex() for r in clean.reports
+        ]
+
     def test_sampler_state_round_trips(
         self, small_graph, cluster2, engine_name
     ):

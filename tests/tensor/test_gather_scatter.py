@@ -350,10 +350,7 @@ def _unfused_forward(layer, block: LayerBlock, h_inputs: Tensor) -> Tensor:
             block, f_src, None, lambda src, dst, w: src * Tensor(w.reshape(-1, 1))
         )
         aggregated = ops.gather_by_dst(block, messages, agg="sum")
-    vertex = layer._vertex
-    if isinstance(layer, GCNConv):
-        vertex = lambda h_dst, agg: layer._vertex(agg)  # noqa: E731
-    return ops.vertex_forward(block, h_inputs, aggregated, vertex)
+    return ops.vertex_forward(block, h_inputs, aggregated, layer.vertex)
 
 
 def _layer_grads(forward, layer, block, rows, seed):
