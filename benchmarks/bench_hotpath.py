@@ -1,6 +1,6 @@
 """Hot-path wall-clock trajectory: vectorized sparse path vs the seed.
 
-Unlike the ``bench_fig*`` modules (which report *modeled* cluster
+Unlike ``bench_paper.py``'s experiments (which report *modeled* cluster
 seconds), this one measures **real host wall-clock** of the two hot
 loops the vectorization PR rewrote:
 

@@ -1,15 +1,8 @@
-"""Shared helpers for the per-table/per-figure benchmark harnesses.
+"""Shared helpers for the benchmark scripts.
 
-Every ``bench_*.py`` module regenerates one table or figure of the
-paper's evaluation section: it prints the same rows/series the paper
-reports and asserts the headline *shape* (who wins, by roughly what
-factor).  Each module is runnable directly (``python
-benchmarks/bench_fig10_overall.py``) and through
-``pytest benchmarks/ --benchmark-only``.
-
-Modules that support it accept ``--json PATH`` when run directly and
-write their result dictionary to ``PATH`` (OOM entries serialise as
-the string ``"OOM"``, since JSON has no NaN).
+``bench_paper.py`` builds the paper's evaluation on :func:`build_engine`
+/ :func:`epoch_time`.  Scripts that take ``--json PATH`` write their
+result there (OOM entries as the string ``"OOM"``: JSON has no NaN).
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ from repro.engines import SharedMemoryEngine, make_engine
 from repro.graph.datasets import load_dataset, spec_of
 from repro.training.prep import prepare_graph
 from repro.utils import render_table
-from repro.utils.jsonio import jsonable as _jsonable  # noqa: F401 (re-export)
 from repro.utils.jsonio import write_json  # noqa: F401 (re-export)
 
 OOM = float("nan")
@@ -41,6 +33,7 @@ def build_engine(
     hidden: Optional[int] = None,
     scale: float = 1.0,
     seed: int = 1,
+    num_layers: int = 2,
     **kwargs,
 ):
     """Construct an engine on a prepared catalog dataset."""
@@ -48,7 +41,7 @@ def build_engine(
     spec = spec_of(dataset)
     model = GNNModel.build(
         arch, graph.feature_dim, hidden or spec.hidden_dim,
-        graph.num_classes, seed=seed,
+        graph.num_classes, num_layers=num_layers, seed=seed,
     )
     cluster = cluster or ClusterSpec.ecs(16)
     if engine_name in SharedMemoryEngine.VARIANTS:
@@ -98,16 +91,9 @@ def wallclock(fn: Callable[[], object], repeats: int = 3,
     }
 
 
-def fmt_time(seconds: float, unit: str = "ms") -> str:
-    if is_oom(seconds):
-        return "OOM"
-    if unit == "ms":
-        return f"{seconds * 1e3:.2f}"
-    return f"{seconds:.2f}"
-
-
-def fmt_ratio(value: float) -> str:
-    return "-" if is_oom(value) else f"{value:.2f}x"
+def fmt_time(seconds: float) -> str:
+    """Milliseconds, or ``OOM``."""
+    return "OOM" if is_oom(seconds) else f"{seconds * 1e3:.2f}"
 
 
 def print_table(title: str, headers, rows) -> None:
@@ -126,8 +112,3 @@ def parse_json_flag(description: str) -> Optional[str]:
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result dictionary to PATH as JSON")
     return parser.parse_args().json
-
-
-# ``_jsonable`` / ``write_json`` live in ``repro.utils.jsonio`` so the
-# CLI shares the same serialisation rules; re-exported above for the
-# existing bench modules.

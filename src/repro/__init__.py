@@ -27,8 +27,6 @@ The package is organised as the paper's system diagram (Figure 4):
   the convergence (time-to-accuracy) runner.
 - :mod:`repro.analysis` -- structural and dependency reports with a
   strategy recommendation.
-- :mod:`repro.experiments` -- every paper table/figure and ablation as
-  a library call (``run_all`` writes one JSON of results).
 - :mod:`repro.sweeps` -- ``run_grid`` + ``Column``: every parameter
   grid (cache / sample / tp / serve-bench / compare / chaos) and its
   table.

@@ -22,7 +22,6 @@ import numpy as np
 from repro.cache.historical import HistoricalEmbeddingCache
 from repro.cache.policies import get_policy
 from repro.cluster.memory import MemoryTracker
-from repro.comm.scheduler import ExchangeStats  # noqa: F401  (re-export surface)
 from repro.core.blocks import LayerBlock, build_block
 from repro.core.mirror import MirrorExchange
 
