@@ -112,9 +112,8 @@ def run_experiment():
     return {**result, "deterministic": deterministic}
 
 
-def test_serving(benchmark):
-    result = run_experiment()
-
+def check(result):
+    """The headline shapes; run by pytest and by ``__main__`` (CI)."""
     # Micro-batching is the headline: >= 2x at identical answers.
     assert result["batching_speedup"] >= 2.0, result["batching_speedup"]
     assert result["predictions_identical"]
@@ -130,9 +129,15 @@ def test_serving(benchmark):
     # Same seed, same ledger -- bit for bit.
     assert result["deterministic"]
 
+
+def test_serving(benchmark):
+    result = run_experiment()
+    check(result)
     benchmark(lambda: result["batching_speedup"])
 
 
 if __name__ == "__main__":
     json_path = parse_json_flag("online serving benchmark")
-    write_json(json_path, run_experiment())
+    result = run_experiment()
+    write_json(json_path, result)
+    check(result)

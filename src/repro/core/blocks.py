@@ -13,7 +13,7 @@ itself -- and therefore the numerical result -- is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -195,6 +195,7 @@ def closure_block(
     compute_vertices: np.ndarray,
     input_vertices: np.ndarray,
     layer_index: int,
+    in_edges: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> LayerBlock:
     """The block between two consecutive layers of a k-hop closure.
 
@@ -205,9 +206,12 @@ def closure_block(
     :func:`build_block` derives, so the block is field for field the
     same (same CSC edge order, hence the same per-row summation order)
     with positions read off the two sorted arrays instead of
-    vertex-space tables.
+    vertex-space tables.  ``in_edges`` is
+    ``graph.csc.select(compute_vertices)``, passed in so that a walk
+    which selected the edges to find ``input_vertices`` does not select
+    them twice.
     """
-    dsts, srcs, eids = graph.csc.select(compute_vertices)
+    dsts, srcs, eids = in_edges
     return LayerBlock(
         layer_index=layer_index,
         compute_vertices=compute_vertices,

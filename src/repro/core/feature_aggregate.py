@@ -42,6 +42,17 @@ from repro.tensor.scatter import gather_scatter_rows
 from repro.tensor.tensor import Tensor
 
 
+def same_objects(filled_from: Optional[tuple], sources: tuple) -> bool:
+    """Whether a memo filled from ``filled_from`` still holds for
+    ``sources``: the same objects, position by position.  Identity, not
+    equality: a new array empties a memo, an in-place edit goes unseen."""
+    return (
+        filled_from is not None
+        and len(filled_from) == len(sources)
+        and all(a is b for a, b in zip(filled_from, sources))
+    )
+
+
 class FeatureAggregateStore:
     """Layer-1 aggregates of one graph's raw features, filled on use."""
 
@@ -50,6 +61,7 @@ class FeatureAggregateStore:
         self.rows_served = 0  # layer-1 rows returned so far
         self.rows_memoised = 0  # of them, read from the store
         self._filled_from: Optional[tuple] = None
+        self._reducer: Optional[str] = None
         self._rows: Optional[np.ndarray] = None
         self._known: Optional[np.ndarray] = None
 
@@ -120,19 +132,15 @@ class FeatureAggregateStore:
         """Start empty on first use, and again whenever the arrays (or
         the reducer) the rows were computed from are not today's."""
         graph = self.graph
-        filled = self._filled_from
-        if (
-            filled is not None
-            and filled[0] is graph.features
-            and filled[1] is graph.edge_weight
-            and filled[2] == reducer
-        ):
+        sources = (graph.features, graph.edge_weight)
+        if same_objects(self._filled_from, sources) and self._reducer == reducer:
             return
         dtype = (
             np.result_type(graph.features.dtype, graph.edge_weight.dtype)
             if reducer == "weighted_sum"
             else graph.features.dtype
         )
-        self._filled_from = (graph.features, graph.edge_weight, reducer)
+        self._filled_from = sources
+        self._reducer = reducer
         self._rows = np.empty(graph.features.shape, dtype=dtype)
         self._known = np.zeros(graph.num_vertices, dtype=bool)

@@ -17,6 +17,7 @@ from repro.execution.accountant import (
     account_memory,
 )
 from repro.execution.executor import (
+    ClosureMemo,
     LayerExecutor,
     StalenessBoundedReader,
     run_closure_forward,
@@ -65,6 +66,7 @@ __all__ = [
     "BACKWARD_MULTIPLIER",
     "HOST_MEMORY_BYTES",
     "ChunkPipelinePass",
+    "ClosureMemo",
     "ComputeSpec",
     "EdgeForwardStep",
     "EnginePlan",

@@ -26,7 +26,10 @@ bounded-staleness reads: training gathers override rows through it and
 the inference server probes per-vertex entries through it, so the
 freshness rule (serve within ``tau``, exact value on miss) cannot fork
 between the two.  :func:`run_closure_forward` is the shared
-union-closure forward the serving layer executes batches with.
+union-closure forward; the serving layer executes batches through a
+:class:`ClosureMemo`, which returns the same rows while computing each
+(layer, vertex) row of its frozen model below the top once, wherever a
+probe shows that BLAS multiplies the layer's weights row by row.
 """
 
 from __future__ import annotations
@@ -36,11 +39,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import ops
 from repro.core.blocks import LayerBlock, closure_block
+from repro.core.feature_aggregate import same_objects
 from repro.execution.plan import EnginePlan, EpochReport
 from repro.tensor import functional as F
 from repro.tensor.scatter import scatter_add_rows
 from repro.tensor.tensor import Tensor, no_grad
+from repro.utils.ranges import sorted_unique
 
 
 class StalenessBoundedReader:
@@ -122,10 +128,216 @@ def run_closure_forward(model, graph, vertex_layers) -> np.ndarray:
     with no_grad():
         for l in range(1, L + 1):
             compute_ids = vertex_layers[L - l]
-            block = closure_block(graph, compute_ids, input_ids, l)
+            block = closure_block(
+                graph, compute_ids, input_ids, l, graph.csc.select(compute_ids)
+            )
             prev = model.layer(l).forward(block, Tensor(prev)).data
             input_ids = compute_ids
     return prev
+
+
+class _RowStore:
+    """One layer's memoised rows, packed in the order they were computed.
+
+    ``slot[v]`` is vertex ``v``'s row in ``rows`` (-1: not known).
+    ``rows`` doubles when full, so the store holds at most twice the
+    rows written, in allocations small enough to reuse memory the
+    process has already freed.
+    """
+
+    def __init__(self, num_vertices: int, width: int):
+        self.slot = np.full(num_vertices, -1, dtype=np.int32)
+        self.rows = np.empty((64, width), dtype=np.float64)
+        self.used = 0
+
+    def known(self, ids: np.ndarray) -> np.ndarray:
+        return self.slot.take(ids) >= 0
+
+    def read(self, ids: np.ndarray) -> np.ndarray:
+        return self.rows.take(self.slot.take(ids), axis=0)
+
+    def write(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        end = self.used + len(ids)
+        if end > len(self.rows):
+            grown = np.empty((max(end, 2 * len(self.rows)), self.rows.shape[1]))
+            grown[:self.used] = self.rows[:self.used]
+            self.rows = grown
+        self.slot[ids] = np.arange(self.used, end)
+        self.rows[self.used:end] = rows
+        self.used = end
+
+
+def _layer_rows(layer, block: LayerBlock, h: np.ndarray) -> np.ndarray:
+    """``layer.forward(block, Tensor(h)).data``, except that a one-row
+    block runs its vertex half over the row twice: the gemm value, not
+    the one-row product."""
+    if block.num_outputs > 1:
+        return layer.forward(block, Tensor(h)).data
+    aggregated = ops.fused_scatter_gather(block, Tensor(h), layer.fused_reducer())
+    h_dst = (
+        Tensor(h.take(block.compute_pos_in_inputs.repeat(2), axis=0))
+        if layer.vertex_reads_dst
+        else None
+    )
+    return layer.vertex(h_dst, Tensor(aggregated.data.repeat(2, axis=0))).data[:1]
+
+
+# ClosureMemo serves a batch only if every closure layer below the top
+# is at most this tall, and probes each weight at every height up to it.
+_PROBED_HEIGHT = 128
+
+
+def _row_exact_to(weight: np.ndarray) -> int:
+    """How tall a product ``rows @ weight`` stays row by row on this
+    machine's BLAS: the largest ``n <= _PROBED_HEIGHT`` such that at
+    every height from 2 to ``n`` each row comes out the same bytes as in
+    a two-row product, whatever its position (1 if none).  The rows are
+    float64 from a fixed seed, as the closure forward multiplies them; a
+    height or position that takes another BLAS path rounds differently."""
+    rows = np.random.default_rng(0).standard_normal((_PROBED_HEIGHT, weight.shape[0]))
+    pairs = np.concatenate([
+        rows[i:i + 2] @ weight for i in range(0, _PROBED_HEIGHT, 2)
+    ])
+    if (rows[[1, 0]] @ weight).tobytes() != pairs[[1, 0]].tobytes():
+        return 1
+    for n in range(3, _PROBED_HEIGHT + 1):
+        if (rows[:n] @ weight).tobytes() != pairs[:n].tobytes():
+            return n - 1
+    return _PROBED_HEIGHT
+
+
+class ClosureMemo:
+    """Exact per-(layer, vertex) rows of a frozen model, filled on use.
+
+    :meth:`forward` returns what :func:`run_closure_forward` returns for
+    the same closure, byte for byte, but below the top layer it
+    computes only the rows that no earlier call produced.  It walks the
+    closure top-down from the layer under the seeds and stops at known
+    rows.  Each layer with unknown rows gets one ``csc.select`` over
+    them, which yields both their block and the rows they read one
+    layer down.  Then it computes bottom-up, writes the new rows back,
+    and runs the top layer over all seeds as the reference does.
+
+    Why the bytes match.  A fused aggregate row is the row's own
+    in-edges summed in CSC order, whatever else the block holds (the
+    argument of :mod:`repro.core.feature_aggregate`).  The vertex half
+    of GCN, GIN and SAGE is row-wise apart from its products with the
+    layer's 2-D parameters, and a product row is row-wise only where
+    BLAS takes the same path at every height and position.  That is
+    machine- and shape-dependent, so the memo measures it: when it
+    fills, :func:`_row_exact_to` finds, per layer below the top, the
+    tallest product up to ``_PROBED_HEIGHT`` rows that every weight of
+    the layer computes row by row.  A one-row product goes through gemv
+    and rounds differently from any taller one, so a block with one
+    unknown row runs its vertex half over the row twice.  The top layer
+    needs no premise: it is the reference's own block.  A batch runs
+    :func:`run_closure_forward` and writes nothing when
+
+    - the model has a layer without a fused reducer (GAT, EdgeGated);
+    - its closure has a one-row layer below the top (an isolated seed);
+    - a closure layer below the top is taller than its probed height
+      (on OpenBLAS 0.3.31 Haswell kernels a 602 -> 128 weight stops at
+      12 rows and a 64 -> 41 one at 3; 64 -> 64 holds to 128).
+
+    Rows are invalidated by identity, like
+    :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: the
+    memo remembers the ``graph.features`` / ``graph.edge_weight`` arrays
+    and every parameter's ``.data`` it was filled from, and empties
+    itself (and probes again) when any of them is a different object
+    (``Adam.step`` and ``load_state_dict`` rebind ``.data``).  Mutating
+    those arrays in place, or swapping a layer or parameter object of
+    the model, is unsupported.  Nothing is allocated before the first
+    batch of a fused-reducer model that is not an isolated seed.
+
+    ``rows_served[l - 1]`` counts the layer-``l`` rows the closure
+    forward computes, ``rows_memoised[l - 1]`` how many of them the memo
+    spared (none at the top), and ``bypassed`` the batches run by
+    :func:`run_closure_forward`.
+    """
+
+    def __init__(self, model, graph):
+        self.model = model
+        self.graph = graph
+        L = model.num_layers
+        self.rows_served = [0] * L
+        self.rows_memoised = [0] * L
+        self.bypassed = 0
+        self._fused = all(
+            model.layer(l).fused_reducer() is not None for l in range(1, L + 1)
+        )
+        self._params = model.parameters()
+        self._filled_from: Optional[tuple] = None
+        self._stores: Optional[List[_RowStore]] = None
+        self._exact_to: List[int] = []
+
+    def forward(self, vertex_layers) -> np.ndarray:
+        """``run_closure_forward(model, graph, vertex_layers)``."""
+        model, graph = self.model, self.graph
+        L = model.num_layers
+        heights = [len(vertex_layers[L - l]) for l in range(1, L + 1)]
+        for l in range(L):
+            self.rows_served[l] += heights[l]
+        below_top = heights[:-1]
+        if not self._fused or 1 in below_top or max(below_top, default=0) > _PROBED_HEIGHT:
+            self.bypassed += 1
+            return run_closure_forward(model, graph, vertex_layers)
+        stores = self._attach()
+        if any(h > top for h, top in zip(heights, self._exact_to)):
+            self.bypassed += 1
+            return run_closure_forward(model, graph, vertex_layers)
+        seeds = vertex_layers[0]
+        # Top-down: each layer's unknown rows, the rows they read one
+        # layer down, and their in-edges.  The top layer (no store)
+        # computes every seed.
+        steps = [(L, None, seeds, vertex_layers[1], graph.csc.select(seeds))]
+        need = vertex_layers[1]
+        for l in range(L - 1, 0, -1):
+            store = stores[l - 1]
+            compute = need[~store.known(need)]
+            self.rows_memoised[l - 1] += heights[l - 1] - len(compute)
+            if not len(compute):
+                need = compute  # nothing below is read either
+                continue
+            in_edges = graph.csc.select(compute)
+            if len(compute) == heights[l - 1]:
+                # The whole closure layer: its inputs are the next one.
+                need = vertex_layers[L - l + 1]
+            else:
+                need = sorted_unique(np.concatenate([in_edges[1], compute]))
+            steps.append((l, store, compute, need, in_edges))
+        with no_grad():
+            for l, store, compute, inputs, in_edges in reversed(steps):
+                h = (
+                    graph.features[inputs].astype(np.float64)
+                    if l == 1
+                    else stores[l - 2].read(inputs)
+                )
+                block = closure_block(graph, compute, inputs, l, in_edges)
+                if store is None:
+                    return model.layer(l).forward(block, Tensor(h)).data
+                store.write(compute, _layer_rows(model.layer(l), block, h))
+
+    def _attach(self) -> List[_RowStore]:
+        """Start empty, and probe each layer, on first use and again
+        whenever an array the rows were computed from is not today's."""
+        model, graph = self.model, self.graph
+        sources = (graph.features, graph.edge_weight, *(p.data for p in self._params))
+        if same_objects(self._filled_from, sources):
+            return self._stores
+        below_top = range(1, model.num_layers)
+        self._stores = [
+            _RowStore(graph.num_vertices, model.layer(l).out_dim) for l in below_top
+        ]
+        self._exact_to = [
+            min(
+                (_row_exact_to(p.data) for p in model.layer(l).parameters()
+                 if p.data.ndim == 2),
+                default=_PROBED_HEIGHT,
+            )
+            for l in below_top
+        ]
+        self._filled_from = sources
+        return self._stores
 
 
 class LayerExecutor:

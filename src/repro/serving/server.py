@@ -27,7 +27,13 @@ Numerically every answer is exact: computed answers run the real model
 forward over the union closure, and cached answers replay previously
 computed rows bit-for-bit (embeddings are static after training), so
 batching and caching change *when* and *where* work happens -- never
-the predictions.
+the predictions.  On the host, the forward goes through a
+:class:`~repro.execution.executor.ClosureMemo`: the model is frozen, so
+each (layer, vertex) row below the top layer is computed once and
+returned byte-identical afterwards, while the modeled clock still
+charges the whole closure.
+Where the memo cannot show that its rows are the closure forward's
+bytes, it runs that forward instead.
 
 When a :class:`~repro.resilience.faults.FaultSchedule` marks workers
 crashed, serving degrades instead of failing: a dead coordinator is
@@ -52,7 +58,7 @@ from repro.cluster.timeline import CPU, GPU, NET_RECV, NET_SEND, Timeline
 from repro.comm.scheduler import CommOptions, run_exchange
 from repro.core.model import GNNModel
 from repro.costmodel.probe import ProbeResult, probe_constants
-from repro.execution.executor import StalenessBoundedReader, run_closure_forward
+from repro.execution.executor import ClosureMemo, StalenessBoundedReader
 from repro.graph.graph import Graph
 # Not called here: every serving closure comes from the planner.  The
 # name stays bound because benchmarks/e2e/test_tracer.py uses it as its
@@ -173,6 +179,9 @@ class InferenceServer:
             num_layers=1, tau=self.config.tau_s * 1e6
         )
         self.reader = StalenessBoundedReader(self.cache)
+        # Host-side and exact, unlike the modeled cache above: the frozen
+        # model's rows, computed once and charged as if recomputed.
+        self.closure_memo = ClosureMemo(model, graph)
 
     # ------------------------------------------------------------------
     def serve(
@@ -363,7 +372,7 @@ class InferenceServer:
                     timeline, network, injector, coordinator, alive, dead,
                     vertex_layers, edge_layers,
                 )
-            rows = run_closure_forward(self.model, self.graph, vertex_layers)
+            rows = self.closure_memo.forward(vertex_layers)
             seed_ids = vertex_layers[0]
             pos = np.searchsorted(seed_ids, np.array(computed, dtype=np.int64))
             for v, p in zip(computed, pos):

@@ -208,7 +208,10 @@ class TestClosureBlocks:
         vertex_layers, _ = khop_closure(graph, seeds, hops)
         for l in range(1, hops + 1):
             compute = vertex_layers[hops - l]
-            got = closure_block(graph, compute, vertex_layers[hops - l + 1], l)
+            got = closure_block(
+                graph, compute, vertex_layers[hops - l + 1], l,
+                graph.csc.select(compute),
+            )
             expected = build_block(graph, compute, l)
             assert got.layer_index == expected.layer_index
             for name in BLOCK_FIELDS:
