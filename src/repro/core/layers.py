@@ -272,7 +272,7 @@ class SAGEConv(GNNLayer):
         self.activation = activation
 
     def vertex(self, h_dst: Tensor, aggregated: Tensor) -> Tensor:
-        out = self.linear(F.concat([h_dst, aggregated], axis=1))
+        out = self.linear(F.concat([h_dst, aggregated], axis=-1))
         if self.activation == "relu":
             out = out.relu()
         return out

@@ -27,15 +27,16 @@ the inference server probes per-vertex entries through it, so the
 freshness rule (serve within ``tau``, exact value on miss) cannot fork
 between the two.  :func:`run_closure_forward` is the shared
 union-closure forward; the serving layer executes batches through a
-:class:`ClosureMemo`, which returns the same rows while computing each
-(layer, vertex) row of its frozen model below the top once, wherever a
-probe shows that BLAS multiplies the layer's weights row by row.
+:class:`ClosureMemo`, which returns the same rows by lookup after
+computing, once per request stream, each (layer, vertex) row of its
+frozen model that the stream's closures need, wherever a probe shows
+that BLAS multiplies the layer's weights row by row.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,15 +140,14 @@ def run_closure_forward(model, graph, vertex_layers) -> np.ndarray:
 class _RowStore:
     """One layer's memoised rows, packed in the order they were computed.
 
-    ``slot[v]`` is vertex ``v``'s row in ``rows`` (-1: not known).
-    ``rows`` doubles when full, so the store holds at most twice the
-    rows written, in allocations small enough to reuse memory the
-    process has already freed.
+    ``slot[v]`` is vertex ``v``'s row in ``rows`` (-1: not known).  A
+    fill reserves room for all its rows before writing them, so the
+    buffer grows once per fill.
     """
 
     def __init__(self, num_vertices: int, width: int):
         self.slot = np.full(num_vertices, -1, dtype=np.int32)
-        self.rows = np.empty((64, width), dtype=np.float64)
+        self.rows = np.empty((0, width), dtype=np.float64)
         self.used = 0
 
     def known(self, ids: np.ndarray) -> np.ndarray:
@@ -156,35 +156,64 @@ class _RowStore:
     def read(self, ids: np.ndarray) -> np.ndarray:
         return self.rows.take(self.slot.take(ids), axis=0)
 
-    def write(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        end = self.used + len(ids)
-        if end > len(self.rows):
-            grown = np.empty((max(end, 2 * len(self.rows)), self.rows.shape[1]))
+    def reserve(self, count: int) -> None:
+        """Room for ``count`` more rows."""
+        if self.used + count > len(self.rows):
+            grown = np.empty((self.used + count, self.rows.shape[1]))
             grown[:self.used] = self.rows[:self.used]
             self.rows = grown
+
+    def write(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        end = self.used + len(ids)
         self.slot[ids] = np.arange(self.used, end)
         self.rows[self.used:end] = rows
         self.used = end
 
 
-def _layer_rows(layer, block: LayerBlock, h: np.ndarray) -> np.ndarray:
-    """``layer.forward(block, Tensor(h)).data``, except that a one-row
-    block runs its vertex half over the row twice: the gemm value, not
-    the one-row product."""
-    if block.num_outputs > 1:
-        return layer.forward(block, Tensor(h)).data
-    aggregated = ops.fused_scatter_gather(block, Tensor(h), layer.fused_reducer())
-    h_dst = (
-        Tensor(h.take(block.compute_pos_in_inputs.repeat(2), axis=0))
-        if layer.vertex_reads_dst
-        else None
-    )
-    return layer.vertex(h_dst, Tensor(aggregated.data.repeat(2, axis=0))).data[:1]
+def _chunks(count: int, height: int) -> List[np.ndarray]:
+    """``0..count-1`` in even runs of at most ``height``."""
+    pieces = -(-count // height)
+    bounds = (np.arange(pieces + 1) * count // pieces).tolist()
+    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-# ClosureMemo serves a batch only if every closure layer below the top
-# is at most this tall, and probes each weight at every height up to it.
+def _gemm_rows(
+    layer, h_dst: Optional[np.ndarray], aggregated: np.ndarray, height: int
+) -> np.ndarray:
+    """``layer.vertex`` over the rows, each row the bytes any product of
+    2 to ``height`` rows gives it: the rows run in products of at most
+    ``height``, and a lone row runs twice (a one-row product rounds
+    differently)."""
+    out = np.empty((len(aggregated), layer.out_dim))
+    for run in _chunks(len(aggregated), height):
+        rows = run.repeat(2) if len(run) == 1 else run
+        out[run] = layer.vertex(
+            None if h_dst is None else Tensor(h_dst.take(rows, axis=0)),
+            Tensor(aggregated.take(rows, axis=0)),
+        ).data[:len(run)]
+    return out
+
+
+def _one_row_rows(
+    layer, h_dst: Optional[np.ndarray], aggregated: np.ndarray
+) -> np.ndarray:
+    """``layer.vertex`` over each row alone, as a one-seed batch's top
+    layer runs it: every row's one-row product, stacked into one
+    ``(n, 1, d)`` product."""
+    count = len(aggregated)
+    stacked = layer.vertex(
+        None if h_dst is None else Tensor(h_dst.reshape(count, 1, -1)),
+        Tensor(aggregated.reshape(count, 1, -1)),
+    ).data
+    return stacked.reshape(count, -1)
+
+
+# ClosureMemo keeps a seed only if every layer of its closure below the
+# top is at most this tall, and probes each weight at every height up to it.
 _PROBED_HEIGHT = 128
+# Rows per fill block: bounds a block's float64 input rows to a few MB
+# while each array call still covers many rows.
+_FILL_ROWS = 1024
 
 
 def _row_exact_to(weight: np.ndarray) -> int:
@@ -206,53 +235,62 @@ def _row_exact_to(weight: np.ndarray) -> int:
     return _PROBED_HEIGHT
 
 
+def _stacks_rows(weight: np.ndarray) -> bool:
+    """Whether a stacked ``(n, 1, d) @ weight`` gives each row the bytes
+    of its own one-row product on this machine's BLAS."""
+    rows = np.random.default_rng(0).standard_normal((_PROBED_HEIGHT, 1, weight.shape[0]))
+    stacked = rows @ weight
+    return all(
+        (rows[i] @ weight).tobytes() == stacked[i].tobytes()
+        for i in range(_PROBED_HEIGHT)
+    )
+
+
 class ClosureMemo:
-    """Exact per-(layer, vertex) rows of a frozen model, filled on use.
+    """Exact per-(layer, vertex) rows of a frozen model, filled per stream.
 
-    :meth:`forward` returns what :func:`run_closure_forward` returns for
-    the same closure, byte for byte, but below the top layer it
-    computes only the rows that no earlier call produced.  It walks the
-    closure top-down from the layer under the seeds and stops at known
-    rows.  Each layer with unknown rows gets one ``csc.select`` over
-    them, which yields both their block and the rows they read one
-    layer down.  Then it computes bottom-up, writes the new rows back,
-    and runs the top layer over all seeds as the reference does.
+    :meth:`fill` computes, bottom-up, every (layer, vertex) row that the
+    given one-seed closures need and no earlier fill made (the server
+    calls it once per ``serve()`` with every requested vertex), in
+    blocks of ``_FILL_ROWS``, each vertex half in products no taller
+    than the layer's probed height.  :meth:`forward` then returns
+    :func:`run_closure_forward`'s rows for a batch, byte for byte, by
+    lookup.  The top layer's product height is the batch's seed count,
+    so its rows are kept twice: the gemm row a batch of 2 up to the
+    top's probed height of seeds gets, and the one-row-product row a
+    one-seed batch gets, made for every seed by one stacked ``(n, 1,
+    d)`` product.  A taller batch runs the top layer over the kept rows
+    below, as the reference does.
 
-    Why the bytes match.  A fused aggregate row is the row's own
-    in-edges summed in CSC order, whatever else the block holds (the
-    argument of :mod:`repro.core.feature_aggregate`).  The vertex half
-    of GCN, GIN and SAGE is row-wise apart from its products with the
-    layer's 2-D parameters, and a product row is row-wise only where
-    BLAS takes the same path at every height and position.  That is
-    machine- and shape-dependent, so the memo measures it: when it
-    fills, :func:`_row_exact_to` finds, per layer below the top, the
-    tallest product up to ``_PROBED_HEIGHT`` rows that every weight of
-    the layer computes row by row.  A one-row product goes through gemv
-    and rounds differently from any taller one, so a block with one
-    unknown row runs its vertex half over the row twice.  The top layer
-    needs no premise: it is the reference's own block.  A batch runs
-    :func:`run_closure_forward` and writes nothing when
-
-    - the model has a layer without a fused reducer (GAT, EdgeGated);
-    - its closure has a one-row layer below the top (an isolated seed);
-    - a closure layer below the top is taller than its probed height
-      (on OpenBLAS 0.3.31 Haswell kernels a 602 -> 128 weight stops at
-      12 rows and a 64 -> 41 one at 3; 64 -> 64 holds to 128).
+    Why the bytes match (docs/serving.md, "Frozen weights"): a fused
+    aggregate row is the row's own in-edges summed in CSC order,
+    whatever else the block holds; the rest of a GCN / GIN / SAGE layer
+    is row-wise apart from its products with 2-D parameters; and a
+    product row is row-wise where BLAS takes one path at every height
+    and position.  That depends on the machine and the shape, so the
+    first fill probes every weight: :func:`_row_exact_to` gives each
+    layer's probed height, :func:`_stacks_rows` whether stacking the
+    top's one-row products is exact (if not, a one-seed batch runs its
+    top layer too).  The fill skips a seed whose own closure has a layer
+    below the top one row tall (an isolated seed: its one-seed batch
+    runs that layer as a one-row product) or taller than its probed
+    height.  A batch runs :func:`run_closure_forward` if the model has a
+    layer without a fused reducer (GAT, EdgeGated: the fill keeps
+    nothing), if a seed was not filled, or if its union closure has a
+    layer below the top taller than its probed height.
 
     Rows are invalidated by identity, like
-    :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: the
-    memo remembers the ``graph.features`` / ``graph.edge_weight`` arrays
-    and every parameter's ``.data`` it was filled from, and empties
-    itself (and probes again) when any of them is a different object
-    (``Adam.step`` and ``load_state_dict`` rebind ``.data``).  Mutating
-    those arrays in place, or swapping a layer or parameter object of
-    the model, is unsupported.  Nothing is allocated before the first
-    batch of a fused-reducer model that is not an isolated seed.
+    :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: while
+    ``graph.features`` / ``graph.edge_weight`` or a parameter's ``.data``
+    is not the object the rows were computed from, every batch bypasses,
+    and the next fill starts empty and probes again.  In-place mutation
+    is unsupported.  Nothing is allocated before the first fill with a
+    seed it can keep.
 
     ``rows_served[l - 1]`` counts the layer-``l`` rows the closure
-    forward computes, ``rows_memoised[l - 1]`` how many of them the memo
-    spared (none at the top), and ``bypassed`` the batches run by
-    :func:`run_closure_forward`.
+    forward computes for the batches served, ``rows_memoised[l - 1]``
+    how many of them were read from the memo instead, and ``bypassed``
+    the batches run by :func:`run_closure_forward`.
     """
 
     def __init__(self, model, graph):
@@ -267,8 +305,70 @@ class ClosureMemo:
         )
         self._params = model.parameters()
         self._filled_from: Optional[tuple] = None
+        # Per layer, its gemm rows; then the top's one-row-product rows.
         self._stores: Optional[List[_RowStore]] = None
+        self._filled: Optional[np.ndarray] = None
         self._exact_to: List[int] = []
+        self._stacks = False
+
+    def fill(self, closures: Iterable[Sequence[np.ndarray]]) -> None:
+        """Compute every row the given one-seed closures need.
+
+        ``closures`` holds each seed's ``vertex_layers``, what
+        ``khop_closure(graph, [seed], L)[0]`` returns.
+        """
+        if not self._fused:
+            return
+        model, graph = self.model, self.graph
+        L = model.num_layers
+        below_top = range(1, L)
+        fits = [
+            c for c in closures
+            if all(1 < len(c[L - l]) <= _PROBED_HEIGHT for l in below_top)
+        ]
+        if not fits:
+            return
+        self._attach()
+        fits = [
+            c for c in fits
+            if not self._filled[c[0][0]]
+            and all(len(c[L - l]) <= self._exact_to[l - 1] for l in below_top)
+        ]
+        if not fits:
+            return
+        with no_grad():
+            for l in range(1, L + 1):
+                store = self._stores[l - 1]
+                compute = sorted_unique(np.concatenate([c[L - l] for c in fits]))
+                compute = compute[~store.known(compute)]
+                for kept in [store, self._stores[L]] if l == L else [store]:
+                    kept.reserve(len(compute))
+                for start in range(0, len(compute), _FILL_ROWS):
+                    self._fill_rows(l, compute[start:start + _FILL_ROWS])
+            self._filled[np.concatenate([c[0] for c in fits])] = True
+
+    def _fill_rows(self, l: int, compute: np.ndarray) -> None:
+        """Compute and keep layer ``l``'s rows of ``compute``, sorted
+        unique, whose inputs are kept (or are features)."""
+        model, graph = self.model, self.graph
+        L = model.num_layers
+        in_edges = graph.csc.select(compute)
+        inputs = sorted_unique(np.concatenate([in_edges[1], compute]))
+        x = (
+            graph.features[inputs].astype(np.float64)
+            if l == 1
+            else self._stores[l - 2].read(inputs)
+        )
+        block = closure_block(graph, compute, inputs, l, in_edges)
+        layer = model.layer(l)
+        aggregated = ops.fused_scatter_gather(block, Tensor(x), layer.fused_reducer()).data
+        h_dst = x.take(block.compute_pos_in_inputs, axis=0) if layer.vertex_reads_dst else None
+        if l < L or self._exact_to[-1] > 1:
+            self._stores[l - 1].write(
+                compute, _gemm_rows(layer, h_dst, aggregated, self._exact_to[l - 1])
+            )
+        if l == L and self._stacks:
+            self._stores[L].write(compute, _one_row_rows(layer, h_dst, aggregated))
 
     def forward(self, vertex_layers) -> np.ndarray:
         """``run_closure_forward(model, graph, vertex_layers)``."""
@@ -277,67 +377,67 @@ class ClosureMemo:
         heights = [len(vertex_layers[L - l]) for l in range(1, L + 1)]
         for l in range(L):
             self.rows_served[l] += heights[l]
-        below_top = heights[:-1]
-        if not self._fused or 1 in below_top or max(below_top, default=0) > _PROBED_HEIGHT:
-            self.bypassed += 1
-            return run_closure_forward(model, graph, vertex_layers)
-        stores = self._attach()
-        if any(h > top for h, top in zip(heights, self._exact_to)):
-            self.bypassed += 1
-            return run_closure_forward(model, graph, vertex_layers)
         seeds = vertex_layers[0]
-        # Top-down: each layer's unknown rows, the rows they read one
-        # layer down, and their in-edges.  The top layer (no store)
-        # computes every seed.
-        steps = [(L, None, seeds, vertex_layers[1], graph.csc.select(seeds))]
-        need = vertex_layers[1]
-        for l in range(L - 1, 0, -1):
-            store = stores[l - 1]
-            compute = need[~store.known(need)]
-            self.rows_memoised[l - 1] += heights[l - 1] - len(compute)
-            if not len(compute):
-                need = compute  # nothing below is read either
-                continue
-            in_edges = graph.csc.select(compute)
-            if len(compute) == heights[l - 1]:
-                # The whole closure layer: its inputs are the next one.
-                need = vertex_layers[L - l + 1]
-            else:
-                need = sorted_unique(np.concatenate([in_edges[1], compute]))
-            steps.append((l, store, compute, need, in_edges))
-        with no_grad():
-            for l, store, compute, inputs, in_edges in reversed(steps):
-                h = (
-                    graph.features[inputs].astype(np.float64)
-                    if l == 1
-                    else stores[l - 2].read(inputs)
-                )
-                block = closure_block(graph, compute, inputs, l, in_edges)
-                if store is None:
-                    return model.layer(l).forward(block, Tensor(h)).data
-                store.write(compute, _layer_rows(model.layer(l), block, h))
+        if not self._holds(seeds) or any(
+            h > top for h, top in zip(heights[:-1], self._exact_to)
+        ):
+            self.bypassed += 1
+            return run_closure_forward(model, graph, vertex_layers)
+        for l in range(L - 1):
+            self.rows_memoised[l] += heights[l]
+        count = heights[-1]
+        if count == 1 and self._stacks:
+            rows = self._stores[L].read(seeds)
+        elif 1 < count <= self._exact_to[-1]:
+            rows = self._stores[L - 1].read(seeds)
+        else:
+            # The reference's own top block, over the kept rows below.
+            inputs = vertex_layers[1]
+            x = (
+                graph.features[inputs].astype(np.float64)
+                if L == 1
+                else self._stores[L - 2].read(inputs)
+            )
+            block = closure_block(graph, seeds, inputs, L, graph.csc.select(seeds))
+            with no_grad():
+                return model.layer(L).forward(block, Tensor(x)).data
+        self.rows_memoised[-1] += count
+        return rows
 
-    def _attach(self) -> List[_RowStore]:
+    def _sources(self) -> tuple:
+        graph = self.graph
+        return (graph.features, graph.edge_weight, *(p.data for p in self._params))
+
+    def _holds(self, seeds: np.ndarray) -> bool:
+        """Whether every seed was filled from today's arrays."""
+        return (
+            same_objects(self._filled_from, self._sources())
+            and bool(self._filled[seeds].all())
+        )
+
+    def _attach(self) -> None:
         """Start empty, and probe each layer, on first use and again
         whenever an array the rows were computed from is not today's."""
         model, graph = self.model, self.graph
-        sources = (graph.features, graph.edge_weight, *(p.data for p in self._params))
+        sources = self._sources()
         if same_objects(self._filled_from, sources):
-            return self._stores
-        below_top = range(1, model.num_layers)
+            return
+        L = model.num_layers
         self._stores = [
-            _RowStore(graph.num_vertices, model.layer(l).out_dim) for l in below_top
+            _RowStore(graph.num_vertices, model.layer(l).out_dim)
+            for l in (*range(1, L + 1), L)
         ]
+        self._filled = np.zeros(graph.num_vertices, dtype=bool)
+
+        def weights(l):
+            return [p.data for p in model.layer(l).parameters() if p.data.ndim == 2]
+
         self._exact_to = [
-            min(
-                (_row_exact_to(p.data) for p in model.layer(l).parameters()
-                 if p.data.ndim == 2),
-                default=_PROBED_HEIGHT,
-            )
-            for l in below_top
+            min(map(_row_exact_to, weights(l)), default=_PROBED_HEIGHT)
+            for l in range(1, L + 1)
         ]
+        self._stacks = all(map(_stacks_rows, weights(L)))
         self._filled_from = sources
-        return self._stores
 
 
 class LayerExecutor:

@@ -6,20 +6,16 @@ the per-layer in-edge sets.  These helpers compute that closure and the
 derived quantities the cost model needs (per-dependency subtree sizes,
 replication factors).
 
-A hop costs what it reaches: the frontier's *unseen* sources are
-deduplicated by a sort and merged into the cumulative layer.  The one
-vertex-sized array a small closure allocates is the zeroed ``seen``
-mask, which it only touches at the vertices it reaches; no hop scans
-it.  Once a hop reaches a number of sources comparable to the vertex
-count (a partition's closure, or one seed on a dense graph) the sort
-loses to a few passes over boolean masks, so ``khop_closure`` switches
-per hop on the size it observes.  Both forms yield the same sorted
-unique arrays, element-identical to the old ``union1d`` chain.
+Two walks.  :func:`khop_closure` walks one vertex set (a partition)
+with boolean masks over the vertex space.  :func:`khop_closures` walks
+many seeds at once, each on its own: its frontiers are (seed, vertex)
+keys, deduplicated by one sort per hop, so a stream of requests costs a
+few array calls per hop instead of a few per seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +45,7 @@ def khop_closure(
     num_vertices = graph.num_vertices
     seen = np.zeros(num_vertices, dtype=bool)
     seen[seeds] = True
-    frontier = layer = seeds
+    frontier = seeds
     edges_so_far = _EMPTY
     for _ in range(hops):
         # Only the new frontier needs expanding: the cumulative set's
@@ -57,26 +53,92 @@ def khop_closure(
         _, sources, eids = csc.select(frontier)
         edges_so_far = np.sort(np.concatenate([edges_so_far, eids]))
         edge_layers.append(edges_so_far)
-        if 8 * len(sources) < num_vertices:
-            # Sorting the reached sources beats the mask scans below up
-            # to V/8..V/5 of them (V = 41k and 400k).  Either form alone
-            # loses where the other is used: one seed on social-large
-            # (every serve_social hop is on this side) 75 vs 110 us with
-            # masks only; sort only, a partition's closure there 13.3 vs
-            # 10.3 ms (`repro analyze` 146 vs 113 ms) and one seed on
-            # reddit, V = 600, 270 vs 186 us (docs/performance.md).
-            frontier = sorted_unique(sources[~seen[sources]])
-            seen[frontier] = True
-            layer = np.sort(np.concatenate([layer, frontier]))
-        else:
-            fresh = np.zeros(num_vertices, dtype=bool)
-            fresh[sources] = True
-            fresh &= ~seen
-            frontier = np.flatnonzero(fresh)
-            seen |= fresh
-            layer = np.flatnonzero(seen)
-        vertex_layers.append(layer)
+        fresh = np.zeros(num_vertices, dtype=bool)
+        fresh[sources] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
+        seen |= fresh
+        vertex_layers.append(np.flatnonzero(seen))
     return vertex_layers, edge_layers
+
+
+class Closures(NamedTuple):
+    """Every seed's :func:`khop_closure`, packed hop by hop.
+
+    ``seeds`` is sorted unique.  Seed ``seeds[i]``'s ``vertex_layers[t]``
+    is ``vertex_ids[t][vertex_ptr[t][i]:vertex_ptr[t][i + 1]]``, and its
+    ``edge_layers[t]`` the same run of ``edge_ids[t]`` by ``edge_ptr[t]``.
+    The id arrays are read-only, so every run is too.
+    """
+
+    seeds: np.ndarray
+    vertex_ptr: List[np.ndarray]
+    vertex_ids: List[np.ndarray]
+    edge_ptr: List[np.ndarray]
+    edge_ids: List[np.ndarray]
+
+    def layers(self) -> Iterator[Tuple[List[np.ndarray], List[np.ndarray]]]:
+        """``khop_closure(graph, [seed], hops)`` of each seed, in order."""
+        vertex_runs = [_runs(ids, ptr) for ids, ptr in zip(self.vertex_ids, self.vertex_ptr)]
+        edge_runs = [_runs(ids, ptr) for ids, ptr in zip(self.edge_ids, self.edge_ptr)]
+        for i in range(len(self.seeds)):
+            yield [runs[i] for runs in vertex_runs], [runs[i] for runs in edge_runs]
+
+
+def _runs(ids: np.ndarray, ptr: np.ndarray) -> List[np.ndarray]:
+    bounds = ptr.tolist()
+    return [ids[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _packed(keys: np.ndarray, space: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Seed-major ``seed * space + id`` keys as (per-seed offsets, ids)."""
+    ids = keys % space
+    ids.flags.writeable = False
+    return np.searchsorted(keys, np.arange(count + 1) * space), ids
+
+
+def khop_closures(graph: Graph, seeds: np.ndarray, hops: int) -> Closures:
+    """:func:`khop_closure` of each seed on its own, all walked at once.
+
+    A frontier entry is a key ``i * V + v``: vertex ``v``, reached from
+    ``seeds[i]``.  One ``csc.select`` per hop expands every seed's
+    frontier, and one sort merges the (seed, source) keys it reaches
+    into the layer so far; the keys the layer did not hold are the next
+    frontier.  Keys sort seed-major, so each layer is every seed's
+    sorted run in seed order, element for element what the one-seed
+    walk returns.
+    """
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    count = len(seeds)
+    num_vertices = max(graph.num_vertices, 1)
+    num_edges = max(graph.num_edges, 1)
+    indptr = graph.csc.indptr
+    origin = np.arange(count, dtype=np.int64)
+    frontier = seeds
+    layer = origin * num_vertices + seeds
+    vertex_keys = [layer]
+    edge_keys: List[np.ndarray] = []
+    edges = _EMPTY
+    for _ in range(hops):
+        _, sources, eids = graph.csc.select(frontier)
+        by = np.repeat(origin, indptr[frontier + 1] - indptr[frontier])
+        # A seed's new edges are the in-edges of vertices it had not
+        # reached, so none is in its earlier layer.
+        edges = np.sort(np.concatenate([edges, by * num_edges + eids]))
+        edge_keys.append(edges)
+        grown = sorted_unique(np.concatenate([layer, by * num_vertices + sources]))
+        fresh = np.ones(len(grown), dtype=bool)
+        fresh[np.searchsorted(grown, layer)] = False
+        layer = grown
+        vertex_keys.append(layer)
+        origin, frontier = np.divmod(layer[fresh], num_vertices)
+    vertex_ptr, vertex_ids = zip(*(_packed(k, num_vertices, count) for k in vertex_keys))
+    edge_ptr, edge_ids = (
+        zip(*(_packed(k, num_edges, count) for k in edge_keys)) if hops else ((), ())
+    )
+    return Closures(seeds, list(vertex_ptr), list(vertex_ids), list(edge_ptr), list(edge_ids))
 
 
 def dependency_layers(

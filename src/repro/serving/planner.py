@@ -11,12 +11,15 @@ compute on the hot worker, cross-worker traffic priced at ``T_c``).
 The :class:`RequestPlanner` prices both from the same
 :class:`~repro.costmodel.probe.ProbeResult` the training planner uses
 and memoizes the per-vertex closure profile, since Zipfian workloads
-hit the same hot vertices over and over.  It is also the only place a
-serving closure is built: :meth:`RequestPlanner.plan_batch` answers a
-micro-batch with its mode *and* its union closure, merged from the
-memoized per-vertex closures, so the server never walks the graph for
-a vertex twice (the paper's DepCache retrieves a dependency's k-hop
-closure once and recomputes from the replica).
+hit the same hot vertices over and over.  :meth:`~RequestPlanner.profiles`
+walks and prices many vertices in one vectorised pass, which is how the
+server profiles a whole request stream up front.  The planner is also
+the only place a serving closure is built:
+:meth:`RequestPlanner.plan_batch` answers a micro-batch with its mode
+*and* its union closure, merged from the memoized per-vertex closures,
+so the server never walks the graph for a vertex twice (the paper's
+DepCache retrieves a dependency's k-hop closure once and recomputes
+from the replica).
 """
 
 from __future__ import annotations
@@ -29,11 +32,15 @@ import numpy as np
 from repro.cluster.network import NetworkProfile
 from repro.costmodel.probe import ProbeResult
 from repro.graph.graph import Graph
-from repro.graph.khop import khop_closure
+from repro.graph.khop import khop_closures
 from repro.partition.base import Partitioning
 from repro.utils.ranges import sorted_unique
 
 MODES = ("auto", "local", "remote")
+# Vertices walked and priced per pass: a pass's arrays grow with the
+# closures it holds, and a few hundred keep them to a few MB while each
+# array call still covers many vertices.
+_PROFILE_GROUP = 256
 
 
 @dataclass(frozen=True)
@@ -114,62 +121,88 @@ class RequestPlanner:
     # ------------------------------------------------------------------
     def profile(self, vertex: int) -> ClosureProfile:
         """The (memoized) priced closure of ``vertex``."""
-        cached = self._profiles.get(vertex)
-        if cached is not None:
-            return cached
+        return self.profiles([vertex])[0]
 
+    def profiles(self, vertices: Sequence[int]) -> List[ClosureProfile]:
+        """The (memoized) priced closures of ``vertices``, in order.
+
+        Every vertex not profiled before is walked and priced in one
+        vectorised pass (:func:`~repro.graph.khop.khop_closures`), so a
+        caller that knows its requests up front -- the server, at the
+        top of ``serve()`` -- pays a few array calls per hop, not a few
+        per vertex.
+        """
+        new = [v for v in dict.fromkeys(map(int, vertices)) if v not in self._profiles]
+        for start in range(0, len(new), _PROFILE_GROUP):
+            self._profile_new(new[start:start + _PROFILE_GROUP])
+        return [self._profiles[int(v)] for v in vertices]
+
+    def _profile_new(self, vertices: List[int]) -> None:
         L = self.num_layers
-        vertex_layers, edge_layers = khop_closure(self.graph, [vertex], L)
-        for layer in vertex_layers + edge_layers:
-            layer.flags.writeable = False  # shared with every BatchPlan
-        owner = self.partitioning.owner(vertex)
+        closures = khop_closures(self.graph, vertices, L)
+        seeds = closures.seeds
+        count = len(seeds)
+        parts = self.partitioning.num_parts
         assignment = self.partitioning.assignment
+        by_seed = np.arange(count, dtype=np.int64)
 
-        # Local: the owner recomputes the whole closure serially.
-        local = 0.0
-        for l in range(1, L + 1):
-            local += self.constants.vertex_cost(l) * len(vertex_layers[L - l])
-            local += self.constants.edge_cost(l) * len(edge_layers[L - l])
+        def largest_share(owners_by_seed: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            """Per seed, the most of its entries one part owns."""
+            shares = np.bincount(
+                owners_by_seed * parts + owners, minlength=count * parts
+            )
+            return shares.reshape(count, parts).max(axis=1)
 
-        # Remote: each layer's compute set splits across its owners (the
-        # critical path is the largest share), boundary inputs travel at
-        # T_c, and each of the L exchange rounds pays a request+reply
-        # latency.
-        remote = 0.0
-        cross_total = 0
+        # Local: the owner recomputes the whole closure serially.  Remote:
+        # each layer's compute set splits across its owners (the critical
+        # path is the largest share), boundary inputs travel at T_c, and
+        # each of the L exchange rounds pays a request+reply latency.
+        # Per seed, the sums run in the order of the one-vertex formula.
+        local = np.zeros(count)
+        remote = np.zeros(count)
+        cross_total = np.zeros(count, dtype=np.int64)
         for l in range(1, L + 1):
-            compute = vertex_layers[L - l]
-            edges = edge_layers[L - l]
-            owners = assignment[compute]
-            shares = np.bincount(owners, minlength=self.partitioning.num_parts)
-            remote += self.constants.vertex_cost(l) * int(shares.max())
+            compute = closures.vertex_ids[L - l]
+            edges = closures.edge_ids[L - l]
+            compute_sizes = np.diff(closures.vertex_ptr[L - l])
+            edge_sizes = np.diff(closures.edge_ptr[L - l])
+            local += self.constants.vertex_cost(l) * compute_sizes
+            local += self.constants.edge_cost(l) * edge_sizes
+
+            compute_seed = np.repeat(by_seed, compute_sizes)
+            remote += self.constants.vertex_cost(l) * largest_share(
+                compute_seed, assignment[compute]
+            )
+            edge_seed = np.repeat(by_seed, edge_sizes)
             src = self.graph.src[edges]
             dst_owner = assignment[self.graph.dst[edges]]
-            edge_shares = np.bincount(
-                dst_owner, minlength=self.partitioning.num_parts
-            )
-            remote += self.constants.edge_cost(l) * int(edge_shares.max())
-            # Inputs crossing an ownership boundary at this layer.
+            remote += self.constants.edge_cost(l) * largest_share(edge_seed, dst_owner)
+            # Inputs crossing an ownership boundary at this layer: unique
+            # (source, destination owner) pairs per seed.
             crossing = assignment[src] != dst_owner
-            cross = len(sorted_unique(
-                src[crossing] * np.int64(self.partitioning.num_parts)
+            pair_space = np.int64(self.graph.num_vertices) * parts
+            pairs = sorted_unique(
+                edge_seed[crossing] * pair_space
+                + src[crossing] * np.int64(parts)
                 + dst_owner[crossing]
-            ))
+            )
+            cross = np.bincount(pairs // pair_space, minlength=count)
             cross_total += cross
             remote += self.constants.comm_cost(l) * cross
             remote += 2.0 * self.network.latency_s
 
-        profile = ClosureProfile(
-            vertex=int(vertex),
-            owner=owner,
-            vertex_layers=tuple(vertex_layers),
-            edge_layers=tuple(edge_layers),
-            local_cost_s=local,
-            remote_cost_s=remote,
-            cross_inputs=cross_total,
-        )
-        self._profiles[vertex] = profile
-        return profile
+        owners = assignment[seeds].tolist()
+        for i, (vertex_layers, edge_layers) in enumerate(closures.layers()):
+            vertex = int(seeds[i])
+            self._profiles[vertex] = ClosureProfile(
+                vertex=vertex,
+                owner=owners[i],
+                vertex_layers=tuple(vertex_layers),
+                edge_layers=tuple(edge_layers),
+                local_cost_s=float(local[i]),
+                remote_cost_s=float(remote[i]),
+                cross_inputs=int(cross_total[i]),
+            )
 
     def plan_batch(self, vertices: Sequence[int]) -> BatchPlan:
         """Mode and union closure of a deduped micro-batch.
@@ -189,7 +222,7 @@ class RequestPlanner:
         forced ``local`` / ``remote`` planner ignores the prices but
         needs the closures.  An empty batch plans to empty layers.
         """
-        profiles = [self.profile(v) for v in vertices]
+        profiles = self.profiles(vertices)
         if self.mode in ("local", "remote"):
             mode = self.mode
         else:

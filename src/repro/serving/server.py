@@ -27,13 +27,14 @@ Numerically every answer is exact: computed answers run the real model
 forward over the union closure, and cached answers replay previously
 computed rows bit-for-bit (embeddings are static after training), so
 batching and caching change *when* and *where* work happens -- never
-the predictions.  On the host, the forward goes through a
-:class:`~repro.execution.executor.ClosureMemo`: the model is frozen, so
-each (layer, vertex) row below the top layer is computed once and
-returned byte-identical afterwards, while the modeled clock still
-charges the whole closure.
-Where the memo cannot show that its rows are the closure forward's
-bytes, it runs that forward instead.
+the predictions.  On the host, ``serve()`` sees its whole
+request stream before the first batch, so it prices every requested
+vertex's closure up front (:meth:`RequestPlanner.profiles`) and has a
+:class:`~repro.execution.executor.ClosureMemo` compute every row those
+closures need once: the model is frozen, so a batch's forward becomes a
+lookup of byte-identical rows, while the modeled clock still charges
+the whole closure.  Where the memo cannot show that its rows are the
+closure forward's bytes, it runs that forward instead.
 
 When a :class:`~repro.resilience.faults.FaultSchedule` marks workers
 crashed, serving degrades instead of failing: a dead coordinator is
@@ -217,6 +218,12 @@ class InferenceServer:
         if inflight is None:
             inflight = []
 
+        # The whole stream is known before the first batch runs, so every
+        # requested vertex's closure and price, and every row the memo can
+        # keep for those closures, are computed here in a few vectorised
+        # calls; a batch then only merges closures and looks rows up.
+        profiles = self.planner.profiles(sorted({r.vertex for r in requests}))
+        self.closure_memo.fill([p.vertex_layers for p in profiles])
         for batch in batches:
             self._serve_batch(
                 batch, timeline, network, injector, ledger, predictions, inflight

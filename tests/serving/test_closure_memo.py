@@ -2,13 +2,14 @@
 
 :class:`~repro.execution.executor.ClosureMemo` must return what
 :func:`~repro.execution.executor.run_closure_forward` returns for the
-same closure, byte for byte, whatever batches came before: GCN / GIN /
-SAGE at 2-3 layers are memoised below the top, GAT and EdgeGated run
-the reference.  The memo's exactness rests on a BLAS premise that it
-probes per weight (a row of a gemm does not depend on the matmul's
-height or on the row's position in it); weights that break it on
-purpose are exercised here, and the premise itself is pinned by name at
-serving's shapes.
+same closure, byte for byte, whatever was filled and served before:
+GCN / GIN / SAGE at 1-3 layers are filled and looked up, GAT and
+EdgeGated run the reference.  The memo's exactness rests on two BLAS
+premises that it probes per weight (a row of a gemm does not depend on
+the matmul's height or on the row's position in it; a stacked one-row
+product gives each row its own one-row product's bytes); weights that
+break them on purpose are exercised here, and both premises are pinned
+by name at serving's shapes.
 """
 
 import dataclasses
@@ -51,6 +52,15 @@ def _model(arch, layers, seed=1):
     return GNNModel.build(arch, FEATURES, 16, 5, num_layers=layers, seed=seed)
 
 
+def _closure(memo, v):
+    return khop_closure(memo.graph, [v], memo.model.num_layers)[0]
+
+
+def _fill(memo, batches):
+    """What ``serve()`` does first: fill every requested vertex."""
+    memo.fill([_closure(memo, v) for v in sorted({v for b in batches for v in b})])
+
+
 def _serve(memo, seeds):
     """One batch through the memo, checked against the reference."""
     vertex_layers, _ = khop_closure(memo.graph, seeds, memo.model.num_layers)
@@ -62,8 +72,8 @@ def _serve(memo, seeds):
     return got
 
 
-# v alone, then inside groups, then alone again: hits on each, and
-# groups that overlap earlier ones only in part.
+# v alone, then inside groups, then alone again: one-seed and gemm top
+# rows of the same vertex, and groups that overlap earlier ones in part.
 SEQUENCE = [[3], [3, 7], [7], [3, 7, 11], [11], [3], [2, 3, 5, 7, 11, 13], [3, 7]]
 
 
@@ -72,60 +82,64 @@ class TestMatchesReference:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_fused_reducer_models_are_memoised(self, arch, layers):
         memo = ClosureMemo(_model(arch, layers), _graph(0))
+        _fill(memo, SEQUENCE)
         for seeds in SEQUENCE:
             _serve(memo, seeds)
         assert memo.bypassed == 0
-        assert memo.rows_memoised[-1] == 0  # the top runs as the reference
-        assert all(m > 0 for m in memo.rows_memoised[:-1])
+        # Every row is looked up, the top's included.
+        assert memo.rows_memoised == memo.rows_served
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_one_unknown_row(self, arch, monkeypatch):
-        """A batch whose layer below the top has exactly one unknown row
+        """A fill whose layer below the top has exactly one unknown row
         runs its vertex half over the row twice, and still matches."""
         graph = _graph(2)
         memo = ClosureMemo(_model(arch, 2), graph)
         calls = []
-        layer_rows = executor._layer_rows
+        gemm_rows = executor._gemm_rows
 
-        def spy(layer, block, h):
-            calls.append((block.layer_index, block.num_outputs))
-            return layer_rows(layer, block, h)
+        def spy(layer, h_dst, aggregated, height):
+            calls.append((layer, len(aggregated)))
+            return gemm_rows(layer, h_dst, aggregated, height)
 
-        monkeypatch.setattr(executor, "_layer_rows", spy)
-        _serve(memo, [3, 7, 11])
+        monkeypatch.setattr(executor, "_gemm_rows", spy)
+        _fill(memo, [[3, 7, 11]])
         # A seed whose closure adds exactly one unknown layer-1 row.
         known = set(khop_closure(graph, [3, 7, 11], 2)[0][1].tolist())
         lone = next(
             v for v in range(graph.num_vertices)
-            if len(set(khop_closure(graph, [v], 2)[0][1].tolist()) - known) == 1
-            and len(khop_closure(graph, [v], 2)[0][1]) > 1
+            if len(set(_closure(memo, v)[1].tolist()) - known) == 1
+            and len(_closure(memo, v)[1]) > 1
         )
         calls.clear()
+        _fill(memo, [[lone]])
+        # Its one new layer-1 row, then its own gemm top row: both alone.
+        assert calls == [(memo.model.layer(1), 1), (memo.model.layer(2), 1)]
         _serve(memo, [lone, 3])
-        assert calls == [(1, 1)]
-        calls.clear()
-        _serve(memo, [lone])  # alone: the top is one row, as in the reference
-        assert calls == []
+        _serve(memo, [lone])  # alone: the one-row-product top row
+        assert memo.bypassed == 0
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_isolated_seed_bypasses(self, arch):
         graph = _graph(3, isolated=1)
         isolated = graph.num_vertices - 1
         memo = ClosureMemo(_model(arch, 2), graph)
-        _serve(memo, [isolated])  # its layer below the top has one row
-        assert memo.bypassed == 1
-        assert memo._stores is None  # and nothing was written
-        _serve(memo, [isolated, 3])
-        _serve(memo, [isolated, 3])  # with two seeds it is memoised
-        assert memo.bypassed == 1
-        assert memo.rows_memoised[0] == len(khop_closure(graph, [isolated, 3], 2)[0][1])
-        # A one-layer model has no layer below the top: nothing to keep.
+        _fill(memo, [[isolated]])  # its layer below the top has one row
+        assert memo._stores is None  # nothing probed or allocated
+        _serve(memo, [isolated])
+        _fill(memo, [[isolated, 3]])
+        _serve(memo, [isolated, 3])  # a batch holding it bypasses too
+        assert memo.bypassed == 2
+        _serve(memo, [3])
+        assert memo.bypassed == 2
+        assert not memo._filled[isolated] and memo._filled[3]
+        # A one-layer model has no layer below the top: everything is kept.
         one_layer = ClosureMemo(_model(arch, 1), graph)
+        _fill(one_layer, [[isolated, 3]])
         _serve(one_layer, [isolated])
         _serve(one_layer, [isolated, 3])
         assert one_layer.bypassed == 0
-        assert one_layer.rows_memoised == [0]
-        assert one_layer._stores == []
+        assert one_layer.rows_memoised == one_layer.rows_served == [3]
 
     def test_layers_without_a_fused_reducer_bypass(self):
         graph = _graph(4)
@@ -136,6 +150,7 @@ class TestMatchesReference:
         ])
         for model in (_model("gat", 2), edge_gated):
             memo = ClosureMemo(model, graph)
+            _fill(memo, SEQUENCE)
             for seeds in SEQUENCE:
                 _serve(memo, seeds)
             assert memo.bypassed == len(SEQUENCE)
@@ -145,15 +160,20 @@ class TestMatchesReference:
     def test_counters(self):
         graph = _graph(5)
         memo = ClosureMemo(_model("gcn", 2), graph)
+        # 13 is never filled: the one batch requesting it bypasses.
+        _fill(memo, [[2, 3, 5, 7, 11]])
         served = [0, 0]
+        memoised = [0, 0]
         for seeds in SEQUENCE:
             vertex_layers, _ = khop_closure(graph, seeds, 2)
-            served[0] += len(vertex_layers[1])
-            served[1] += len(vertex_layers[0])
+            heights = [len(vertex_layers[1]), len(vertex_layers[0])]
+            served = [a + b for a, b in zip(served, heights)]
+            if 13 not in seeds:
+                memoised = [a + b for a, b in zip(memoised, heights)]
             _serve(memo, seeds)
         assert memo.rows_served == served
-        assert 0 < memo.rows_memoised[0] < served[0]
-        assert memo.rows_memoised[1] == 0
+        assert memo.rows_memoised == memoised
+        assert memo.bypassed == 1
 
 
 @st.composite
@@ -181,10 +201,16 @@ def histories(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(history=histories())
-def test_every_row_matches_the_reference(history):
+@given(history=histories(), split=st.integers(0, 8))
+def test_every_row_matches_the_reference(history, split):
+    """Filled in two segments, as a stream served in parts is; a batch
+    before the second fill bypasses for its unfilled seeds."""
     graph, model, batches = history
     memo = ClosureMemo(model, graph)
+    _fill(memo, batches[:split])
+    for seeds in batches[:split]:
+        _serve(memo, seeds)
+    _fill(memo, batches[split:])
     for seeds in batches:
         _serve(memo, seeds)
 
@@ -252,11 +278,12 @@ def test_a_new_array_empties_the_memo(change):
 
 class _TallProductsDiffer(np.ndarray):
     """A weight whose products taller than 3 rows round differently, as
-    under a BLAS that changes path at that height."""
+    under a BLAS that changes path at that height (a stacked one-row
+    product is one row tall)."""
 
     def __rmatmul__(self, rows):
         out = rows @ self.view(np.ndarray)
-        return out * 1.5 if len(rows) > 3 else out
+        return out * 1.5 if rows.shape[-2] > 3 else out
 
 
 class _LastRowDiffers(np.ndarray):
@@ -270,23 +297,36 @@ class _LastRowDiffers(np.ndarray):
 
 
 def _count_bypasses(memo, batches):
-    """How many of ``batches`` the memo's rule sends to the reference:
-    an isolated seed, or a closure layer taller than its probed height."""
+    """How many of ``batches`` the memo's rule sends to the reference: a
+    seed whose own closure has a layer below the top one row tall or
+    taller than its probed height, or a union closure layer below the
+    top taller than its probed height."""
     L = memo.model.num_layers
-    count = 0
-    for seeds in batches:
-        vertex_layers, _ = khop_closure(memo.graph, seeds, L)
-        heights = [len(vertex_layers[L - l]) for l in range(1, L + 1)]
-        count += 1 in heights[:-1] or any(
-            h > top for h, top in zip(heights, memo._exact_to)
+
+    def too_tall(vertex_layers, lowest):
+        heights = [len(vertex_layers[L - l]) for l in range(1, L)]
+        return any(
+            not lowest <= h <= top for h, top in zip(heights, memo._exact_to)
         )
-    return count
+
+    return sum(
+        too_tall(khop_closure(memo.graph, seeds, L)[0], 1)
+        or any(too_tall(_closure(memo, v), 2) for v in seeds)
+        for seeds in batches
+    )
+
+
+def _break_last_weight(model, l, weight_cls):
+    weights = [p for p in model.layer(l).parameters() if p.data.ndim == 2]
+    weights[-1].data = weights[-1].data.view(weight_cls)
 
 
 class TestProbedHeights:
-    """The memo serves a batch only where every weight of each layer
-    below the top was probed row-exact at the closure's heights;
-    elsewhere it bypasses."""
+    """The memo keeps a seed only where every weight of each layer below
+    the top was probed row-exact at its closure's heights, and serves a
+    batch only where the union's heights were probed too; elsewhere it
+    bypasses.  The top's probed height decides which batches look up
+    their top rows."""
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("weight_cls,exact_to", [
@@ -295,16 +335,41 @@ class TestProbedHeights:
     ])
     def test_weights_that_are_not_row_exact_bypass(self, arch, weight_cls, exact_to):
         model = _model(arch, 2)
-        weights = [p for p in model.layer(1).parameters() if p.data.ndim == 2]
-        weights[-1].data = weights[-1].data.view(weight_cls)
+        _break_last_weight(model, 1, weight_cls)
         memo = ClosureMemo(model, _graph(7, num_edges=60))
+        _fill(memo, SEQUENCE)
         for seeds in SEQUENCE:
             _serve(memo, seeds)
-        assert memo._exact_to == [exact_to]
+        assert memo._exact_to[0] == exact_to
         assert memo.bypassed == _count_bypasses(memo, SEQUENCE) > 0
         if exact_to > 1:  # small closures are still memoised
             assert memo.bypassed < len(SEQUENCE)
             assert memo.rows_memoised[0] > 0
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_top_weight_that_is_not_row_exact(self, arch):
+        """A top weight exact to 3 rows: batches of up to 3 seeds look
+        their top rows up, taller ones run the top layer, and all match."""
+        model = _model(arch, 2)
+        _break_last_weight(model, 2, _TallProductsDiffer)
+        memo = ClosureMemo(model, _graph(0))
+        _fill(memo, SEQUENCE)
+        for seeds in SEQUENCE:
+            _serve(memo, seeds)
+        assert memo._exact_to[1] == 3 and memo._stacks
+        assert memo.bypassed == 0
+        assert memo.rows_memoised[0] == memo.rows_served[0]
+        assert memo.rows_memoised[1] == sum(len(b) for b in SEQUENCE if len(b) <= 3)
+        assert memo.rows_memoised[1] < memo.rows_served[1]
+        # Where stacking is not exact either, one-seed batches run it too.
+        _break_last_weight(model, 2, _LastRowDiffers)
+        memo = ClosureMemo(model, _graph(0))
+        _fill(memo, SEQUENCE)
+        for seeds in SEQUENCE:
+            _serve(memo, seeds)
+        assert memo._exact_to[1] == 1 and not memo._stacks
+        assert memo.bypassed == 0
+        assert memo.rows_memoised[1] == 0
 
     def test_reddit_dimensions(self):
         """``repro serve --dataset reddit --hidden 128`` runs a 602 -> 128
@@ -315,6 +380,7 @@ class TestProbedHeights:
         graph.features = rng.standard_normal((120, 602)).astype(np.float32)
         memo = ClosureMemo(GNNModel.build("gcn", 602, 128, 41, num_layers=2, seed=1), graph)
         batches = SEQUENCE + [[v, v + 1, v + 2, v + 3] for v in range(0, 40, 4)]
+        _fill(memo, batches)
         for seeds in batches:
             _serve(memo, seeds)
         assert memo.bypassed == _count_bypasses(memo, batches)
@@ -322,13 +388,16 @@ class TestProbedHeights:
     def test_closures_taller_than_the_probe_bypass(self, monkeypatch):
         monkeypatch.setattr(executor, "_PROBED_HEIGHT", 6)
         memo = ClosureMemo(_model("gcn", 2), _graph(9))
-        _serve(memo, SEQUENCE[-2])  # too tall: nothing probed or allocated
+        tall = [v for v in sorted(set(sum(SEQUENCE, []))) if len(_closure(memo, v)[1]) > 6]
+        _fill(memo, [tall])  # too tall: nothing probed or allocated
+        _serve(memo, tall)
         assert memo.bypassed == 1
         assert memo._stores is None
         memo.bypassed = 0
+        _fill(memo, SEQUENCE)
         for seeds in SEQUENCE:
             _serve(memo, seeds)
-        assert memo._exact_to == [6]
+        assert memo._exact_to == [6, 6]
         assert 0 < memo.bypassed == _count_bypasses(memo, SEQUENCE) < len(SEQUENCE)
 
 
@@ -351,3 +420,109 @@ def test_gemm_rows_do_not_depend_on_height(d_in, d_out):
         tail = rows[height_cap - height:] @ weight
         assert tail.tobytes() == full[height_cap - height:].tobytes(), height
     assert executor._row_exact_to(weight) == height_cap
+
+
+@pytest.mark.parametrize("d_in,d_out", [(64, 16), (64, 64), (602, 128), (64, 41)])
+def test_stacked_one_row_products_match_single_rows(d_in, d_out):
+    """The premise behind one-seed batches' top rows: a stacked
+    ``(n, 1, d) @ weight`` gives each row the bytes of its own one-row
+    product (float64 rows, float32 weight), so the fill makes every
+    seed's one-row top row in one call.  Where a BLAS breaks it the
+    memo runs a one-seed batch's top layer and stays exact, but this
+    test fails by name."""
+    rng = np.random.default_rng(d_in * 1000 + d_out)
+    weight = rng.standard_normal((d_in, d_out)).astype(np.float32)
+    rows = rng.standard_normal((executor._PROBED_HEIGHT, 1, d_in))
+    stacked = rows @ weight
+    for i, row in enumerate(rows):
+        assert (row.copy() @ weight).tobytes() == stacked[i].tobytes(), i
+    assert executor._stacks_rows(weight)
+
+
+# -- whole streams --------------------------------------------------------
+def _stream_server(graph, arch, layers):
+    cluster = ClusterSpec.ecs(4)
+    return InferenceServer(
+        graph, _model(arch, layers), cluster, chunk_partition(graph, 4),
+        config=ServingConfig(tau_s=0.002),
+    )
+
+
+def _checked_forwards(monkeypatch):
+    """Compare every batch the memo answers with the reference."""
+    forwards = []
+    forward = ClosureMemo.forward
+
+    def checked(memo, vertex_layers):
+        got = forward(memo, vertex_layers)
+        expected = run_closure_forward(memo.model, memo.graph, vertex_layers)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        forwards.append(len(vertex_layers[0]))
+        return got
+
+    monkeypatch.setattr(ClosureMemo, "forward", checked)
+    return forwards
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_zipf_stream_whole_and_in_segments(arch, layers, monkeypatch):
+    """Every batch of a Zipf stream equals the closure forward, and a
+    stream served in segments (as the ops harness serves one) answers
+    and records exactly what the whole stream does."""
+    forwards = _checked_forwards(monkeypatch)
+    graph = _graph(10, num_vertices=90, num_edges=300)
+    requests = generate_workload(
+        WorkloadConfig(num_requests=400, rate_rps=2000.0, seed=layers),
+        graph.num_vertices,
+    )
+    whole_server = _stream_server(graph, arch, layers)
+    whole = whole_server.serve(requests)
+    assert 1 in forwards and max(forwards) > 1  # both top-row forms ran
+    assert whole_server.closure_memo.bypassed == 0
+
+    # Segments end where no batch window spans the cut, so they batch
+    # the stream as the whole call does.
+    window = whole_server.config.batch_window_s
+    cuts = [
+        i for i in range(1, len(requests))
+        if requests[i].arrival_s - requests[i - 1].arrival_s > window
+    ]
+    assert len(cuts) > 2
+    server = _stream_server(graph, arch, layers)
+    state = dict(timeline=None, ledger=None, predictions=None, inflight=[])
+    for lo, hi in zip([0] + cuts, cuts + [len(requests)]):
+        result = server.serve(requests[lo:hi], **state)
+        state.update(
+            timeline=result.timeline, ledger=result.ledger,
+            predictions=result.predictions,
+        )
+    assert result.predictions == whole.predictions
+    assert result.ledger.records == whole.ledger.records
+    assert server.closure_memo.rows_served == whole_server.closure_memo.rows_served
+
+
+def test_closures_taller_than_the_probe_fill_nothing(monkeypatch):
+    """``bench_serving``'s shape: every requested closure is taller than
+    the probed height, so the fill writes no row and every batch runs
+    the reference."""
+    forwards = _checked_forwards(monkeypatch)
+    rng = np.random.default_rng(11)
+    n, fan_in = 200, executor._PROBED_HEIGHT + 10
+    src = np.concatenate([rng.choice(n, fan_in, replace=False) for _ in range(n)])
+    dst = np.repeat(np.arange(n), fan_in)
+    graph = Graph(
+        n, src, dst,
+        features=rng.standard_normal((n, FEATURES)).astype(np.float32),
+        edge_weight=rng.random(len(dst)).astype(np.float32),
+    )
+    server = _stream_server(graph, "gcn", 2)
+    requests = generate_workload(
+        WorkloadConfig(num_requests=60, rate_rps=4000.0, seed=0), n
+    )
+    server.serve(requests)
+    memo = server.closure_memo
+    assert memo._stores is None
+    assert memo.bypassed == len(forwards) > 0
+    assert memo.rows_memoised == [0, 0]

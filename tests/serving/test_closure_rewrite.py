@@ -1,12 +1,16 @@
 """Fences around the serving closure rewrite.
 
-Three things were replaced, each by something that must be *equal*,
+Four things were replaced, each by something that must be *equal*,
 not close:
 
-- ``khop_closure`` dedupes the frontier's unseen sources instead of
-  scanning vertex-space masks.  ``mask_khop_closure`` below is the
-  mask implementation exactly as it stood before, kept once as the
-  reference (the ``tests/costmodel/seed_greedy.py`` pattern).
+- ``khop_closure`` must equal ``mask_khop_closure`` below, the
+  vertex-space mask walk kept once as the reference (the
+  ``tests/costmodel/seed_greedy.py`` pattern), and the per-seed
+  ``khop_closures`` must equal ``khop_closure`` seed by seed.
+- ``RequestPlanner.profiles`` walks and prices many vertices in one
+  vectorised pass: each profile must equal ``reference_profile`` below,
+  the one-vertex walk and pricing loop it replaced, prices compared by
+  ``float.hex()``.
 - ``RequestPlanner.plan_batch`` merges memoized per-vertex closures
   instead of walking the union: it must equal ``khop_closure`` on the
   union, array for array.
@@ -23,9 +27,10 @@ from repro.core.blocks import build_block, closure_block
 from repro.core.model import GNNModel
 from repro.costmodel.probe import probe_constants
 from repro.graph.graph import Graph
-from repro.graph.khop import khop_closure
+from repro.graph.khop import khop_closure, khop_closures
 from repro.partition.chunk import chunk_partition
 from repro.serving.planner import RequestPlanner
+from repro.utils.ranges import sorted_unique
 
 BLOCK_FIELDS = (
     "input_vertices", "edge_src_pos", "edge_dst_pos", "edge_weight",
@@ -57,6 +62,36 @@ def mask_khop_closure(graph, seeds, hops):
     return vertex_layers, edge_layers
 
 
+def reference_profile(planner, vertex):
+    """``RequestPlanner.profile`` before the vectorised pass: one BFS and
+    one pricing loop per vertex.  Returns the closure and the prices."""
+    L = planner.num_layers
+    vertex_layers, edge_layers = khop_closure(planner.graph, [vertex], L)
+    parts = planner.partitioning.num_parts
+    assignment = planner.partitioning.assignment
+    local = 0.0
+    for l in range(1, L + 1):
+        local += planner.constants.vertex_cost(l) * len(vertex_layers[L - l])
+        local += planner.constants.edge_cost(l) * len(edge_layers[L - l])
+    remote = 0.0
+    cross_total = 0
+    for l in range(1, L + 1):
+        compute = vertex_layers[L - l]
+        edges = edge_layers[L - l]
+        shares = np.bincount(assignment[compute], minlength=parts)
+        remote += planner.constants.vertex_cost(l) * int(shares.max())
+        src = planner.graph.src[edges]
+        dst_owner = assignment[planner.graph.dst[edges]]
+        edge_shares = np.bincount(dst_owner, minlength=parts)
+        remote += planner.constants.edge_cost(l) * int(edge_shares.max())
+        crossing = assignment[src] != dst_owner
+        cross = len(sorted_unique(src[crossing] * np.int64(parts) + dst_owner[crossing]))
+        cross_total += cross
+        remote += planner.constants.comm_cost(l) * cross
+        remote += 2.0 * planner.network.latency_s
+    return (vertex_layers, edge_layers), local, remote, cross_total
+
+
 def _assert_same_closure(got, expected):
     for got_layers, expected_layers in zip(got, expected):
         assert len(got_layers) == len(expected_layers)
@@ -68,8 +103,7 @@ def _assert_same_closure(got, expected):
 @st.composite
 def graphs(draw):
     """Random COO graphs: zero-edge, isolated vertices, self loops and
-    parallel edges included; sparse enough for the sort path on single
-    seeds and dense enough for the mask path on partitions."""
+    parallel edges included, from sparse to dense."""
     num_vertices = draw(st.integers(1, 120))
     num_edges = draw(st.integers(0, 4 * num_vertices))
     rng = np.random.default_rng(draw(st.integers(0, 100_000)))
@@ -102,8 +136,24 @@ def batches(draw):
     return graph, hops, [int(v) for v in seeds]
 
 
-def _planner(graph, hops, mode="auto"):
-    workers = min(4, graph.num_vertices)
+@st.composite
+def hub_graphs(draw):
+    """:func:`graphs` plus one hub: a vertex with in- and out-edges to
+    a third of the others, duplicates included."""
+    graph, rng = draw(graphs())
+    n = graph.num_vertices
+    hub = draw(st.integers(0, n - 1))
+    spokes = rng.integers(0, n, size=max(1, n // 3))
+    src = np.concatenate([graph.src, spokes, np.full(len(spokes), hub)])
+    dst = np.concatenate([graph.dst, np.full(len(spokes), hub), spokes])
+    return Graph(
+        n, src, dst, features=graph.features,
+        edge_weight=rng.random(len(src)).astype(np.float32),
+    ), rng
+
+
+def _planner(graph, hops, mode="auto", parts=4):
+    workers = min(parts, graph.num_vertices)
     cluster = ClusterSpec.ecs(workers)
     model = GNNModel.build("gcn", graph.feature_dim, 6, 3, num_layers=hops, seed=1)
     return RequestPlanner(
@@ -133,20 +183,19 @@ class TestKhopAgainstMaskReference:
                 mask_khop_closure(graph, part, hops),
             )
 
-    @pytest.mark.parametrize("avg_degree, expect_sorted_hop", [(2, True), (80, False)])
-    def test_both_hop_forms_run(self, avg_degree, expect_sorted_hop):
-        # 400 vertices: a degree-2 seed reaches < V/8 sources per hop
-        # (sort + merge); a degree-80 one does not (mask scan).
-        rng = np.random.default_rng(avg_degree)
-        n = 400
-        graph = Graph(
-            n, rng.integers(0, n, avg_degree * n), rng.integers(0, n, avg_degree * n)
-        )
-        _, sources, _ = graph.csc.select(np.array([7]))
-        assert (8 * len(sources) < n) == expect_sorted_hop
-        _assert_same_closure(
-            khop_closure(graph, [7], 2), mask_khop_closure(graph, [7], 2)
-        )
+    @settings(max_examples=100, deadline=None)
+    @given(case=hub_graphs(), hops=st.integers(0, 3), data=st.data())
+    def test_per_seed_walk(self, case, hops, data):
+        graph, rng = case
+        seeds = rng.integers(0, graph.num_vertices, size=data.draw(st.integers(0, 12)))
+        closures = khop_closures(graph, seeds, hops)
+        assert np.array_equal(closures.seeds, np.unique(seeds))
+        for seed, (vertex_layers, edge_layers) in zip(closures.seeds, closures.layers()):
+            expected = khop_closure(graph, [seed], hops)
+            _assert_same_closure((vertex_layers, edge_layers), expected)
+            assert len(vertex_layers) == hops + 1 and len(edge_layers) == hops
+            for layer in vertex_layers + edge_layers:
+                assert not layer.flags.writeable
 
 
 class TestPlannerClosure:
@@ -168,17 +217,41 @@ class TestPlannerClosure:
     def test_one_bfs_per_distinct_vertex(self, small_graph, monkeypatch):
         from repro.serving import planner as planner_module
 
-        calls = []
-        real = planner_module.khop_closure
+        walked = []
+        real = planner_module.khop_closures
         monkeypatch.setattr(
-            planner_module, "khop_closure",
-            lambda *a: calls.append(1) or real(*a),
+            planner_module, "khop_closures",
+            lambda graph, seeds, hops: walked.extend(seeds) or real(graph, seeds, hops),
         )
         planner = _planner(small_graph, 2)
         planner.plan_batch([3, 5, 8])
         planner.plan_batch([5, 8, 13])
         planner.plan_batch([3])
-        assert len(calls) == 4  # vertices 3, 5, 8, 13: once each
+        planner.profiles([13, 21, 3, 21])
+        assert sorted(walked) == [3, 5, 8, 13, 21]  # once each
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=hub_graphs(), hops=st.integers(1, 3), parts=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_profiles_equal_the_per_vertex_reference(self, case, hops, parts, data):
+        graph, rng = case
+        planner = _planner(graph, hops, parts=parts)
+        vertices = st.lists(st.integers(0, graph.num_vertices - 1), max_size=10)
+        # Unsorted, with duplicates, and a second call repeating the first.
+        for query in (data.draw(vertices), data.draw(vertices)):
+            for vertex, profile in zip(query, planner.profiles(query)):
+                closure, local, remote, cross = reference_profile(planner, vertex)
+                assert profile.vertex == vertex
+                assert profile.owner == planner.partitioning.owner(vertex)
+                _assert_same_closure(
+                    (profile.vertex_layers, profile.edge_layers), closure
+                )
+                assert profile.local_cost_s.hex() == float(local).hex()
+                assert profile.remote_cost_s.hex() == float(remote).hex()
+                assert profile.cross_inputs == cross
+                assert profile is planner.profile(vertex)
 
     @pytest.mark.parametrize("mode", ["auto", "local", "remote"])
     def test_empty_batch_plans_to_empty_layers(self, small_graph, mode):
