@@ -14,7 +14,7 @@ the natural stress test of its central trade-off.  Two experiments:
    re-materialise the cached L-hop closures) than DepComm.
 """
 
-from common import paper_row, print_table
+from common import paper_row, parse_json_flag, print_table, write_json
 from repro.cluster.spec import ClusterSpec
 from repro.core.model import GNNModel
 from repro.graph.datasets import load_dataset, spec_of
@@ -123,8 +123,8 @@ def run_crash_recovery(dataset: str = DATASET):
     return results
 
 
-def test_chaos_straggler_degrades_depcomm_most(benchmark):
-    degradation = run_straggler_sweep()
+def check_straggler_sweep(degradation):
+    """The straggler shapes; run by pytest and by ``__main__``."""
     for i, cpu_factor in enumerate(CPU_FACTORS):
         # (a) a straggling host hurts DepComm more than DepCache.
         assert degradation["depcomm"][i] > degradation["depcache"][i], (
@@ -137,16 +137,9 @@ def test_chaos_straggler_degrades_depcomm_most(benchmark):
     # Degradation grows with fault intensity for the comm-bound engine.
     assert degradation["depcomm"] == sorted(degradation["depcomm"])
 
-    graph, model_factory = _workload()
-    benchmark(lambda: run_chaos(
-        "hybrid", graph, model_factory, ClusterSpec.ecs(NODES),
-        FaultSchedule([StragglerFault(worker=0, gpu_factor=2.0)]),
-        epochs=1,
-    ))
 
-
-def test_chaos_crash_recovers_from_checkpoint(benchmark):
-    results = run_crash_recovery()
+def check_crash_recovery(results):
+    """The crash shapes; run by pytest and by ``__main__``."""
     for name, report in results.items():
         # (b) the crash is detected and recovered exactly once ...
         assert len(report.recoveries) == 1, name
@@ -163,6 +156,21 @@ def test_chaos_crash_recovers_from_checkpoint(benchmark):
         > results["depcomm"].recoveries[0].refetch_bytes
     )
 
+
+def test_chaos_straggler_degrades_depcomm_most(benchmark):
+    check_straggler_sweep(run_straggler_sweep())
+
+    graph, model_factory = _workload()
+    benchmark(lambda: run_chaos(
+        "hybrid", graph, model_factory, ClusterSpec.ecs(NODES),
+        FaultSchedule([StragglerFault(worker=0, gpu_factor=2.0)]),
+        epochs=1,
+    ))
+
+
+def test_chaos_crash_recovers_from_checkpoint(benchmark):
+    check_crash_recovery(run_crash_recovery())
+
     graph, model_factory = _workload()
     benchmark(lambda: run_chaos(
         "depcomm", graph, model_factory, ClusterSpec.ecs(NODES),
@@ -172,5 +180,23 @@ def test_chaos_crash_recovers_from_checkpoint(benchmark):
 
 
 if __name__ == "__main__":
-    run_straggler_sweep()
-    run_crash_recovery()
+    json_path = parse_json_flag(__doc__.splitlines()[0])
+    degradation = run_straggler_sweep()
+    crashes = run_crash_recovery()
+    write_json(json_path, {
+        "straggler_degradation": {
+            f"{factor:g}x": {name: degradation[name][i] for name in ENGINES}
+            for i, factor in enumerate(CPU_FACTORS)
+        },
+        "crash_recovery": {
+            name: {
+                "makespan_s": r.makespan_s,
+                "recovery_s": r.total_recovery_s,
+                "refetch_bytes": r.recoveries[0].refetch_bytes,
+                "rolled_back_to_epoch": r.recoveries[0].rolled_back_to_epoch,
+            }
+            for name, r in crashes.items()
+        },
+    })
+    check_straggler_sweep(degradation)
+    check_crash_recovery(crashes)

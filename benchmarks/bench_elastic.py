@@ -139,8 +139,8 @@ def run_churn_comparison(dataset: str = DATASET):
     return results
 
 
-def test_elastic_shrink_beats_slow_provisioning(benchmark):
-    results = run_provision_sweep()
+def check_provision_sweep(results):
+    """The provisioning shapes; run by pytest and by ``__main__``."""
     restart, shrink = results["restart"], results["shrink"]
     # (a) shrink never provisions, so its makespan ignores the delay ...
     assert max(shrink) - min(shrink) < 1e-9
@@ -152,19 +152,9 @@ def test_elastic_shrink_beats_slow_provisioning(benchmark):
     assert shrink[-1] < restart[-1]
     assert restart[0] < shrink[0]
 
-    graph, model_factory = _workload()
-    benchmark(lambda: run_chaos(
-        "hybrid", graph, model_factory, ClusterSpec.ecs(NODES),
-        FaultSchedule([
-            WorkerCrashFault(worker=1, at_time=1e-5, permanent=True)
-        ]),
-        epochs=1,
-        policy=RecoveryPolicy(checkpoint_every=1, strategy="shrink"),
-    ))
 
-
-def test_elastic_depcache_pays_more_to_shrink(benchmark):
-    results = run_churn_comparison()
+def check_churn_comparison(results):
+    """The churn shapes; run by pytest and by ``__main__``."""
     for name, report in results.items():
         # Exactly one shrink, and the cluster really got smaller.
         assert len(report.recoveries) == 1, name
@@ -180,6 +170,24 @@ def test_elastic_depcache_pays_more_to_shrink(benchmark):
         results["depcache"].recoveries[0].refetch_bytes
         > results["depcomm"].recoveries[0].refetch_bytes
     )
+
+
+def test_elastic_shrink_beats_slow_provisioning(benchmark):
+    check_provision_sweep(run_provision_sweep())
+
+    graph, model_factory = _workload()
+    benchmark(lambda: run_chaos(
+        "hybrid", graph, model_factory, ClusterSpec.ecs(NODES),
+        FaultSchedule([
+            WorkerCrashFault(worker=1, at_time=1e-5, permanent=True)
+        ]),
+        epochs=1,
+        policy=RecoveryPolicy(checkpoint_every=1, strategy="shrink"),
+    ))
+
+
+def test_elastic_depcache_pays_more_to_shrink(benchmark):
+    check_churn_comparison(run_churn_comparison())
 
     graph, model_factory = _workload()
     benchmark(lambda: run_chaos(
@@ -207,3 +215,5 @@ if __name__ == "__main__":
             for name, r in churn.items()
         },
     })
+    check_provision_sweep(sweep)
+    check_churn_comparison(churn)

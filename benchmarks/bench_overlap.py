@@ -100,8 +100,8 @@ def run_experiment():
     return results
 
 
-def test_overlap_pass_gain(benchmark):
-    results = run_experiment()
+def check(results):
+    """The headline shape; run by pytest and by ``__main__``."""
     headline = results["DepComm / comm-bound"]
     # The acceptance bar: >= 10% lower charged epoch time on the
     # comm-bound 4-worker configuration.
@@ -109,6 +109,10 @@ def test_overlap_pass_gain(benchmark):
     # The pass never makes any configuration slower.
     for label, r in results.items():
         assert r["on_s"] <= r["off_s"] + 1e-12, label
+
+
+def test_overlap_pass_gain(benchmark):
+    check(run_experiment())
     benchmark(lambda: _epoch_time("depcomm", ClusterSpec(
         NUM_WORKERS, device=BENCH_DEVICE, network=STARVED_NETWORK,
         name="comm-bound",
@@ -118,5 +122,5 @@ def test_overlap_pass_gain(benchmark):
 if __name__ == "__main__":
     json_path = parse_json_flag(__doc__.splitlines()[0])
     results = run_experiment()
-    if json_path:
-        write_json(json_path, results)
+    write_json(json_path, results)
+    check(results)

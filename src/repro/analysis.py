@@ -9,7 +9,7 @@ Section 2.3 identifies as deciding DepCache vs DepComm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -28,9 +28,6 @@ class GraphReport:
     max_in_degree: int
     degree_gini: float
     chunk_locality: float  # fraction of edges within +-5% id distance
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(vars(self))
 
 
 def gini(values: np.ndarray) -> float:
@@ -72,9 +69,6 @@ class DependencyReport:
     closure_vertices_per_worker: List[int]
     replication_factor: float
     comm_bytes_per_layer: int  # one direction, for a given dim
-
-    def as_dict(self) -> Dict[str, object]:
-        return dict(vars(self))
 
 
 def analyze_dependencies(

@@ -11,7 +11,6 @@ gatekeeper for the cache's side of that split, with an optional
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,15 +56,6 @@ class CacheConfig:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
         if self.capacity_bytes is not None and self.capacity_bytes < 0:
             raise ValueError("capacity_bytes must be non-negative")
-
-    @property
-    def amortization(self) -> float:
-        """Fetches per epoch per entry in steady state (``1/tau``-ish)."""
-        if self.tau <= 1:
-            return 1.0
-        if math.isinf(self.tau):
-            return 0.0
-        return 1.0 / float(self.tau)
 
     def strictly_amortizes(self) -> bool:
         """Whether CACHED can ever beat DepComm on comm volume."""

@@ -36,32 +36,15 @@ class MemoryTracker:
         self.worker = worker
         self.budget_bytes = int(budget_bytes)
         self._used = 0
-        self._peak = 0
         self._by_label: Dict[str, int] = {}
 
     @property
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def peak_bytes(self) -> int:
-        return self._peak
-
     def fits(self, num_bytes: int) -> bool:
         """Whether ``num_bytes`` more would stay within the budget."""
         return self._used + int(num_bytes) <= self.budget_bytes
-
-    def try_allocate(self, num_bytes: int, label: str) -> bool:
-        """Like :meth:`allocate` but returns False instead of raising.
-
-        Budget-sharing consumers (the historical-embedding cache versus
-        DepCache closures) probe with this instead of catching
-        :class:`OutOfMemoryError` in a loop.
-        """
-        if not self.fits(num_bytes):
-            return False
-        self.allocate(num_bytes, label)
-        return True
 
     def allocate(self, num_bytes: int, label: str) -> None:
         """Reserve ``num_bytes``; raises :class:`OutOfMemoryError` if over."""
@@ -73,7 +56,6 @@ class MemoryTracker:
                 self.worker, num_bytes, self._used, self.budget_bytes, label
             )
         self._used += num_bytes
-        self._peak = max(self._peak, self._used)
         self._by_label[label] = self._by_label.get(label, 0) + num_bytes
 
     def snapshot(self) -> tuple:
@@ -81,8 +63,7 @@ class MemoryTracker:
 
         The four-way greedy tentatively runs a layer's three-way pass,
         then rolls the allocations back wholesale when the layer flips
-        to tensor parallelism; peak tracking is deliberately left
-        untouched (the tentative allocations really were resident).
+        to tensor parallelism.
         """
         return (self._used, dict(self._by_label))
 
@@ -92,25 +73,5 @@ class MemoryTracker:
         self._used = int(used)
         self._by_label = dict(by_label)
 
-    def free(self, num_bytes: int, label: str) -> None:
-        """Release ``num_bytes`` previously allocated under ``label``."""
-        num_bytes = int(num_bytes)
-        held = self._by_label.get(label, 0)
-        if num_bytes > held:
-            raise ValueError(
-                f"freeing {num_bytes} bytes of {label!r} but only {held} held"
-            )
-        self._by_label[label] = held - num_bytes
-        self._used -= num_bytes
-
-    def free_all(self, label: str) -> None:
-        """Release everything held under ``label``."""
-        held = self._by_label.pop(label, 0)
-        self._used -= held
-
     def breakdown(self) -> Dict[str, int]:
         return {k: v for k, v in self._by_label.items() if v}
-
-    def reset(self) -> None:
-        self._used = 0
-        self._by_label.clear()

@@ -8,10 +8,9 @@ connects them.  Factory methods mirror the paper's two testbeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.cluster.device import CPU_XEON, DeviceProfile, T4, V100
-from repro.cluster.memory import MemoryTracker
 from repro.cluster.network import ECS_NETWORK, IBV_NETWORK, LOOPBACK, NetworkProfile
 from repro.cluster.timeline import Timeline
 
@@ -68,10 +67,6 @@ class ClusterSpec:
         return cls(num_workers, device=CPU_XEON, network=LOOPBACK, name="cpu")
 
     # ------------------------------------------------------------------
-    def with_workers(self, num_workers: int) -> "ClusterSpec":
-        """Same hardware, different node count (Figure 12 scaling)."""
-        return replace(self, num_workers=num_workers)
-
     def with_faults(self, schedule: "FaultSchedule") -> "ClusterSpec":
         """Same cluster, with a fault schedule injected (chaos runs).
 
@@ -115,9 +110,3 @@ class ClusterSpec:
 
     def make_timeline(self, record: bool = True) -> Timeline:
         return Timeline(self.num_workers, record=record)
-
-    def make_memory_trackers(self) -> List[MemoryTracker]:
-        return [
-            MemoryTracker(i, self.device.memory_bytes)
-            for i in range(self.num_workers)
-        ]

@@ -185,25 +185,6 @@ class Timeline:
     # ------------------------------------------------------------------
     # Figure 13: utilization traces
     # ------------------------------------------------------------------
-    def busy_fraction(
-        self, kind: str, window: float, horizon: Optional[float] = None
-    ) -> np.ndarray:
-        """Average busy fraction of ``kind`` per window across workers.
-
-        Returns an array of per-window utilizations in [0, 1] (averaged
-        over workers), the quantity Figure 13(a)/(b) plots.
-        """
-        horizon = horizon or self.makespan
-        if horizon <= 0:
-            return np.zeros(0)
-        num_windows = int(np.ceil(horizon / window))
-        busy = np.zeros((self.num_workers, num_windows))
-        for interval in self.intervals:
-            if interval.kind != kind:
-                continue
-            self._splat(busy[interval.worker], interval, window, horizon)
-        return busy.mean(axis=0) / window
-
     def bytes_per_window(
         self, window: float, horizon: Optional[float] = None
     ) -> np.ndarray:
@@ -228,19 +209,6 @@ class Timeline:
                 if hi > lo and w < num_windows:
                     received[w] += interval.num_bytes * (hi - lo) / span
         return received
-
-    @staticmethod
-    def _splat(row: np.ndarray, interval: Interval, window: float, horizon: float):
-        """Distribute an interval's duration over the windows it spans."""
-        start = min(interval.start, horizon)
-        end = min(interval.end, horizon)
-        w0 = int(start / window)
-        w1 = min(int(np.ceil(end / window)), len(row))
-        for w in range(w0, w1):
-            lo = max(start, w * window)
-            hi = min(end, (w + 1) * window)
-            if hi > lo:
-                row[w] += hi - lo
 
     def utilization_summary(self) -> Dict[str, float]:
         """Average busy fraction per kind over the whole run."""

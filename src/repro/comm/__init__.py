@@ -1,8 +1,9 @@
-"""Communication layer: chunked buffers, ring schedule, exchange model.
+"""Communication layer: chunked buffers and the exchange model.
 
 Implements Section 4.3's three communication optimizations:
 
-- **R** -- ring-based task scheduling (:mod:`repro.comm.ring`);
+- **R** -- ring-based task scheduling (:class:`repro.comm.scheduler.CommOptions`'s
+  ``ring`` option, which charges receives uncongested);
 - **L** -- lock-free parallel message enqueuing
   (:class:`repro.comm.buffers.PositionIndexedBuffer`);
 - **P** -- communication/computation overlapping
@@ -10,7 +11,6 @@ Implements Section 4.3's three communication optimizations:
 """
 
 from repro.comm.buffers import PositionIndexedBuffer, pack_by_destination
-from repro.comm.ring import ring_rounds, ring_partner
 from repro.comm.scheduler import (
     CacheTraffic,
     CommOptions,
@@ -21,8 +21,6 @@ from repro.comm.scheduler import (
 __all__ = [
     "PositionIndexedBuffer",
     "pack_by_destination",
-    "ring_rounds",
-    "ring_partner",
     "CacheTraffic",
     "CommOptions",
     "ExchangeStats",

@@ -26,7 +26,6 @@ from repro.cluster.timeline import CPU, GPU, IDLE, NET_RECV, NET_SEND, Timeline
 
 if TYPE_CHECKING:  # comm stays below resilience in the layering
     from repro.resilience.injector import FaultInjector
-    from repro.resilience.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,6 @@ def run_exchange(
     barrier: bool = True,
     bytes_per_message: float = 0.0,
     faults: Optional["FaultInjector"] = None,
-    retry: Optional["RetryPolicy"] = None,
     cache: Optional[CacheTraffic] = None,
     participants: Optional[Sequence[int]] = None,
     pipeline_depth: int = 1,
@@ -144,12 +142,10 @@ def run_exchange(
         Optional :class:`repro.resilience.injector.FaultInjector`.  When
         given, link bandwidth/latency degradations, straggler CPU
         slowdowns (packing and link serving), and message drops apply;
-        dropped chunks are retransmitted under ``retry`` with the
-        timeout + backoff stall charged to the timeline as ``idle``.
-        ``None`` (the default) is the bit-identical fault-free path.
-    retry:
-        Retransmission policy for lost chunks (only meaningful with
-        ``faults``); ``None`` disables loss handling.
+        dropped chunks are retransmitted (:mod:`repro.resilience.retry`)
+        with the timeout + backoff stall charged to the timeline as
+        ``idle``.  ``None`` (the default) is the bit-identical
+        fault-free path.
     cache:
         Optional :class:`CacheTraffic` for the staleness-bounded cached
         share of this exchange: fetched (and charged) on refresh steps,
@@ -276,7 +272,7 @@ def run_exchange(
                     )
                     pack_s[i] += pack * cpu_slow
                     plan = faults.plan_transfer(
-                        network, i, j, b, t_i, False, retry, phase
+                        network, i, j, b, t_i, False, phase
                     )
                     send_s[i] += plan.send_s
                     wait_i += plan.wait_s

@@ -6,9 +6,7 @@ from repro.core.layers import (
     GCNConv,
     GINConv,
     GNNLayer,
-    MultiHeadGATConv,
     SAGEConv,
-    EdgeGatedConv,
 )
 from repro.core.model import GNNModel
 from repro.core import ops
@@ -21,8 +19,6 @@ __all__ = [
     "GINConv",
     "GATConv",
     "SAGEConv",
-    "MultiHeadGATConv",
-    "EdgeGatedConv",
     "GNNModel",
     "ops",
 ]

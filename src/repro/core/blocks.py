@@ -59,7 +59,6 @@ class LayerBlock:
     compute_pos_in_inputs: np.ndarray
     edge_src_global: np.ndarray
     edge_ids: np.ndarray
-    edge_features: Optional[np.ndarray] = None
     edge_weight_rescaled: bool = False
 
     @property
@@ -175,11 +174,6 @@ def build_block(
         compute_pos_in_inputs=input_rows[compute_vertices],
         edge_src_global=srcs,
         edge_ids=eids,
-        edge_features=(
-            graph.edge_features[eids]
-            if graph.edge_features is not None
-            else None
-        ),
     )
     if len(cache) >= _BLOCK_CACHE_CAP:
         cache.pop(next(iter(cache)))
@@ -222,11 +216,6 @@ def closure_block(
         compute_pos_in_inputs=np.searchsorted(input_vertices, compute_vertices),
         edge_src_global=srcs,
         edge_ids=eids,
-        edge_features=(
-            graph.edge_features[eids]
-            if graph.edge_features is not None
-            else None
-        ),
     )
 
 
@@ -264,9 +253,4 @@ def build_block_from_edges(
         compute_pos_in_inputs=input_rows[compute_vertices],
         edge_src_global=src,
         edge_ids=edge_ids,
-        edge_features=(
-            graph.edge_features[edge_ids]
-            if graph.edge_features is not None
-            else None
-        ),
     )

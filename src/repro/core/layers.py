@@ -10,8 +10,7 @@ built: such a layer *is* :meth:`GNNLayer.forward` -- that aggregate,
 then the layer's :meth:`GNNLayer.vertex` half -- and at layer 1, where
 the aggregate is a constant of the graph, engines enter at ``vertex``
 with the memoised rows (:mod:`repro.core.feature_aggregate`).  Layers
-with edge-associated NN computation (GAT, EdgeGated) spell the three
-ops out.
+with edge-associated NN computation (GAT) spell the three ops out.
 Layers also *account* for their work -- dense FLOPs (NN ops), sparse
 FLOPs (graph ops), and resident edge-tensor bytes -- which is what the
 cluster simulator charges to the timeline and the memory model.
@@ -77,10 +76,6 @@ class GNNLayer(nn.Module):
     def edge_tensor_bytes(self, block: LayerBlock) -> int:
         """Bytes of edge-sized intermediates resident during the layer."""
         raise NotImplementedError
-
-    def backward_flops_multiplier(self) -> float:
-        """Backward pass cost relative to forward (standard ~2x)."""
-        return 2.0
 
     # -- fusion -------------------------------------------------------
     def fused_reducer(self) -> Optional[str]:
@@ -246,9 +241,6 @@ class GATConv(GNNLayer):
         # plain convolution, which is why GAT is the paper's OOM driver.
         return (8 * self.out_dim + 10) * block.num_edges * 4
 
-    def backward_flops_multiplier(self) -> float:
-        return 2.2  # softmax backward is slightly heavier
-
 
 class SAGEConv(GNNLayer):
     """GraphSAGE layer (Hamilton et al. 2017), mean aggregator.
@@ -294,123 +286,6 @@ class SAGEConv(GNNLayer):
 
     def edge_tensor_bytes(self, block: LayerBlock) -> int:
         return block.num_edges * self.in_dim * 4
-
-
-class MultiHeadGATConv(GNNLayer):
-    """Multi-head graph attention with concatenated heads.
-
-    ``out_dim`` must divide evenly into ``num_heads`` slices; each head
-    runs an independent single-head attention over its slice and the
-    results are concatenated (Velickovic et al.'s standard formulation).
-    """
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        num_heads: int = 4,
-        negative_slope: float = 0.2,
-        activation: str = "relu",
-        rng: Optional[np.random.Generator] = None,
-    ):
-        super().__init__(in_dim, out_dim)
-        if out_dim % num_heads:
-            raise ValueError(
-                f"out_dim {out_dim} not divisible by {num_heads} heads"
-            )
-        rng = rng or np.random.default_rng()
-        self.num_heads = num_heads
-        head_dim = out_dim // num_heads
-        self.heads = [
-            GATConv(in_dim, head_dim, negative_slope, activation="none", rng=rng)
-            for _ in range(num_heads)
-        ]
-        self.activation = activation
-
-    def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        outputs = [head.forward(block, h_inputs) for head in self.heads]
-        out = F.concat(outputs, axis=1)
-        if self.activation == "relu":
-            out = out.relu()
-        return out
-
-    def dense_flops(self, block: LayerBlock) -> float:
-        return sum(head.dense_flops(block) for head in self.heads)
-
-    def sparse_flops(self, block: LayerBlock) -> float:
-        return sum(head.sparse_flops(block) for head in self.heads)
-
-    def edge_tensor_bytes(self, block: LayerBlock) -> int:
-        return sum(head.edge_tensor_bytes(block) for head in self.heads)
-
-    def backward_flops_multiplier(self) -> float:
-        return self.heads[0].backward_flops_multiplier()
-
-
-class EdgeGatedConv(GNNLayer):
-    """Edge-feature-conditioned convolution.
-
-    Exercises Algorithm 1's full edge-associated signature: the
-    parameterised edge function takes the *edge properties* ``e_{u,v}``
-    (block.edge_features) and gates the source message with
-    ``sigmoid(W_e @ e_uv)`` before aggregation.  Blocks without edge
-    features fall back to plain weighted messages (gate = edge weight).
-    """
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        edge_dim: int,
-        activation: str = "relu",
-        rng: Optional[np.random.Generator] = None,
-    ):
-        super().__init__(in_dim, out_dim)
-        if edge_dim <= 0:
-            raise ValueError("edge_dim must be positive")
-        self.edge_dim = edge_dim
-        self.edge_gate = nn.Linear(edge_dim, in_dim, rng=rng)
-        self.linear = nn.Linear(in_dim, out_dim, rng=rng)
-        self.activation = activation
-
-    def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-        f_src, _ = ops.scatter_to_edge(block, h_inputs)
-
-        def edge_fn(src: Tensor, dst: Tensor, weights: np.ndarray) -> Tensor:
-            if block.edge_features is not None:
-                if block.edge_features.shape[1] != self.edge_dim:
-                    raise ValueError(
-                        f"edge features are {block.edge_features.shape[1]}-dim, "
-                        f"layer expects {self.edge_dim}"
-                    )
-                gate = self.edge_gate(Tensor(block.edge_features)).sigmoid()
-                return src * gate
-            return src * Tensor(weights.reshape(-1, 1))
-
-        messages = ops.edge_forward(block, f_src, None, edge_fn)
-        aggregated = ops.gather_by_dst(block, messages, agg="sum")
-
-        def vertex_fn(h_dst: Tensor, agg: Tensor) -> Tensor:
-            out = self.linear(agg)
-            if self.activation == "relu":
-                out = out.relu()
-            return out
-
-        return ops.vertex_forward(
-            block, h_inputs, aggregated, vertex_fn, with_dst=False
-        )
-
-    def dense_flops(self, block: LayerBlock) -> float:
-        # Per-edge gate NN is a dense op over the edge set.
-        gate_flops = 2.0 * block.num_edges * self.edge_dim * self.in_dim
-        return gate_flops + float(self.linear.flops(block.num_outputs))
-
-    def sparse_flops(self, block: LayerBlock) -> float:
-        return 5.0 * block.num_edges * self.in_dim
-
-    def edge_tensor_bytes(self, block: LayerBlock) -> int:
-        # Gate + gated message, each E x in_dim.
-        return 2 * block.num_edges * self.in_dim * 4
 
 
 LAYER_TYPES = {

@@ -17,7 +17,7 @@ workers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -70,22 +70,6 @@ class MirrorExchange:
         """Byte volumes ``[sender, receiver]`` for a ``dim``-wide tensor."""
         return self.counts.astype(np.float64) * dim * bytes_per_value
 
-    def sends_from(self, worker: int) -> List[Tuple[int, np.ndarray]]:
-        """(receiver, ids) pairs for one sender (forward direction)."""
-        return [
-            (i, ids) for (j, i), ids in self.recv_ids.items() if j == worker
-        ]
-
-    def recvs_to(self, worker: int) -> List[Tuple[int, np.ndarray]]:
-        """(sender, ids) pairs for one receiver."""
-        return [
-            (j, ids) for (j, i), ids in self.recv_ids.items() if i == worker
-        ]
-
     @property
     def total_vertices(self) -> int:
         return int(self.counts.sum())
-
-    def reversed_counts(self) -> np.ndarray:
-        """Backward direction: mirrors push gradients back to masters."""
-        return self.counts.T

@@ -95,13 +95,5 @@ class GNNModel(nn.Module):
         return cls.build("gcn", in_dim, hidden_dim, num_classes, num_layers, seed)
 
     @classmethod
-    def gin(cls, in_dim, hidden_dim, num_classes, num_layers=2, seed=0):
-        return cls.build("gin", in_dim, hidden_dim, num_classes, num_layers, seed)
-
-    @classmethod
     def gat(cls, in_dim, hidden_dim, num_classes, num_layers=2, seed=0):
         return cls.build("gat", in_dim, hidden_dim, num_classes, num_layers, seed)
-
-    @classmethod
-    def sage(cls, in_dim, hidden_dim, num_classes, num_layers=2, seed=0):
-        return cls.build("sage", in_dim, hidden_dim, num_classes, num_layers, seed)

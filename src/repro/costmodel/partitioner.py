@@ -82,10 +82,6 @@ class DependencyPartition:
         total = self._total()
         return sum(len(r) for r in self.cached) / total if total else 1.0
 
-    def stale_ratio(self) -> float:
-        total = self._total()
-        return sum(len(h) for h in self.stale_cached) / total if total else 0.0
-
 
 # Modeled cost of one subtree measurement during preprocessing: a BFS
 # visit is a few memory accesses per edge on the CPU.

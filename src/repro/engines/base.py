@@ -49,7 +49,6 @@ from repro.partition.base import Partitioning
 from repro.partition.chunk import chunk_partition
 from repro.resilience.faults import WorkerCrashError
 from repro.resilience.injector import FaultInjector
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "HOST_MEMORY_BYTES", "BaseEngine", "EnginePlan", "EpochReport",
@@ -108,12 +107,9 @@ class BaseEngine:
         self.program_passes = tuple(program_passes or ())
         # A truthy fault schedule activates the fault-aware charging
         # paths; otherwise charging is bit-identical to fault-free.
-        if cluster.faults:
-            self.faults: Optional[FaultInjector] = FaultInjector(cluster.faults)
-            self.retry: Optional[RetryPolicy] = RetryPolicy()
-        else:
-            self.faults = None
-            self.retry = None
+        self.faults: Optional[FaultInjector] = (
+            FaultInjector(cluster.faults) if cluster.faults else None
+        )
         self.timeline: Timeline = cluster.make_timeline(record=record_timeline)
         self.mu = mu
         self.memory_limit_bytes = memory_limit_bytes

@@ -148,7 +148,7 @@ class LayerAccountant:
         self, volumes: np.ndarray, bytes_per_message: float, **compute
     ) -> ExchangeStats:
         """One exchange superstep on this engine's network, under its
-        comm options, faults and retry policy."""
+        comm options and faults."""
         engine = self.engine
         return run_exchange(
             engine.timeline,
@@ -158,7 +158,6 @@ class LayerAccountant:
             barrier=False,
             bytes_per_message=bytes_per_message,
             faults=engine.faults,
-            retry=engine.retry,
             **compute,
         )
 

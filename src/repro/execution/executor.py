@@ -275,9 +275,9 @@ class ClosureMemo:
     below the top one row tall (an isolated seed: its one-seed batch
     runs that layer as a one-row product) or taller than its probed
     height.  A batch runs :func:`run_closure_forward` if the model has a
-    layer without a fused reducer (GAT, EdgeGated: the fill keeps
-    nothing), if a seed was not filled, or if its union closure has a
-    layer below the top taller than its probed height.
+    layer without a fused reducer (GAT: the fill keeps nothing), if a
+    seed was not filled, or if its union closure has a layer below the
+    top taller than its probed height.
 
     Rows are invalidated by identity, like
     :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: while

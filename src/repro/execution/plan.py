@@ -77,9 +77,6 @@ class EnginePlan:
         """Whether layer ``l`` (1-based) runs tensor-parallel."""
         return bool(self.tp_layers) and self.tp_layers[l - 1]
 
-    def total_comm_vertices(self) -> int:
-        return sum(ex.total_vertices for ex in self.exchanges)
-
     def total_stale_vertices(self) -> int:
         return sum(ex.total_vertices for ex in self.refresh_exchanges)
 
@@ -89,13 +86,6 @@ class EnginePlan:
         stale = sum(len(h) for per_l in self.stale_deps for h in per_l)
         total = cached + comm + stale
         return cached / total if total else 1.0
-
-    def stale_ratio(self) -> float:
-        cached = sum(len(r) for per_l in self.cached_deps for r in per_l)
-        comm = sum(len(c) for per_l in self.comm_ids for c in per_l)
-        stale = sum(len(h) for per_l in self.stale_deps for h in per_l)
-        total = cached + comm + stale
-        return stale / total if total else 0.0
 
 
 def _members(ids: np.ndarray, members: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -55,11 +55,6 @@ class Adjacency:
         lo, hi = self.indptr[vertex], self.indptr[vertex + 1]
         return self.other[lo:hi]
 
-    def edges_of(self, vertex: int) -> np.ndarray:
-        """Original edge ids of ``vertex``'s grouped edges."""
-        lo, hi = self.indptr[vertex], self.indptr[vertex + 1]
-        return self.edge_ids[lo:hi]
-
     def neighbors_of_set(self, vertices: np.ndarray) -> np.ndarray:
         """Unique opposite endpoints over a vertex set (BFS frontier step)."""
         if len(vertices) == 0:

@@ -9,7 +9,7 @@ backward scatter, ``GatherBySrc``); CSC groups them by destination
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class Graph:
         labels: Optional[np.ndarray] = None,
         num_classes: Optional[int] = None,
         edge_weight: Optional[np.ndarray] = None,
-        edge_features: Optional[np.ndarray] = None,
         name: str = "graph",
     ):
         src = np.asarray(src, dtype=np.int64)
@@ -56,9 +55,6 @@ class Graph:
             if edge_weight is not None
             else np.ones(len(src), dtype=np.float32)
         )
-        if edge_features is not None and len(edge_features) != len(src):
-            raise ValueError("edge_features must have one row per edge")
-        self.edge_features = edge_features
         self.train_mask: Optional[np.ndarray] = None
         self.val_mask: Optional[np.ndarray] = None
         self.test_mask: Optional[np.ndarray] = None
@@ -97,9 +93,6 @@ class Graph:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.dst, minlength=self.num_vertices)
 
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.src, minlength=self.num_vertices)
-
     def __repr__(self) -> str:
         return (
             f"Graph(name={self.name!r}, |V|={self.num_vertices}, "
@@ -124,14 +117,6 @@ class Graph:
         weight = np.concatenate(
             [self.edge_weight, np.ones(len(new_loops), dtype=np.float32)]
         )
-        edge_features = None
-        if self.edge_features is not None:
-            # Self loops carry zero edge features.
-            pad = np.zeros(
-                (len(new_loops), self.edge_features.shape[1]),
-                dtype=self.edge_features.dtype,
-            )
-            edge_features = np.concatenate([self.edge_features, pad])
         out = Graph(
             self.num_vertices,
             src,
@@ -140,7 +125,6 @@ class Graph:
             labels=self.labels,
             num_classes=self.num_classes,
             edge_weight=weight,
-            edge_features=edge_features,
             name=self.name,
         )
         out.train_mask = self.train_mask
@@ -182,44 +166,6 @@ class Graph:
         self.train_mask[order[:n_train]] = True
         self.val_mask[order[n_train : n_train + n_val]] = True
         self.test_mask[order[n_train + n_val :]] = True
-
-    def induced_subgraph(self, vertices: np.ndarray) -> Tuple["Graph", np.ndarray]:
-        """Subgraph on ``vertices`` with relabelled ids.
-
-        Returns the subgraph and the old-id array such that new id ``i``
-        corresponds to old id ``vertices_sorted[i]``.
-        """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        lookup = np.full(self.num_vertices, -1, dtype=np.int64)
-        lookup[vertices] = np.arange(len(vertices))
-        keep = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)
-        sub = Graph(
-            len(vertices),
-            lookup[self.src[keep]],
-            lookup[self.dst[keep]],
-            features=self.features[vertices] if self.features is not None else None,
-            labels=self.labels[vertices] if self.labels is not None else None,
-            num_classes=self.num_classes,
-            edge_weight=self.edge_weight[keep],
-            edge_features=(
-                self.edge_features[keep]
-                if self.edge_features is not None
-                else None
-            ),
-            name=f"{self.name}[sub]",
-        )
-        return sub, vertices
-
-    # ------------------------------------------------------------------
-    # Size accounting (memory model, Section 3's constraint S)
-    # ------------------------------------------------------------------
-    def feature_bytes(self) -> int:
-        if self.features is None:
-            return 0
-        return int(self.features.nbytes)
-
-    def structure_bytes(self) -> int:
-        return int(self.src.nbytes + self.dst.nbytes + self.edge_weight.nbytes)
 
     def stats(self) -> Dict[str, float]:
         """Summary statistics used by reports and tests."""

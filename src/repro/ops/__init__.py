@@ -46,9 +46,7 @@ from repro.ops.signals import (
     FleetWindowObservation,
     TimelineObserver,
     WindowObservation,
-    fleet_window_observations_from_records,
     observation_from_dict,
-    window_observations_from_records,
 )
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "WindowObservation",
     "bundle_from_result",
     "derive_sub_seed",
-    "fleet_window_observations_from_records",
     "get_problem",
     "grade_detection",
     "grade_mitigation",
@@ -91,5 +88,4 @@ __all__ = [
     "replay_bundle",
     "run_problem",
     "save_bundle",
-    "window_observations_from_records",
 ]

@@ -353,22 +353,6 @@ def summarise_windows(
     return out
 
 
-def window_observations_from_records(
-    records: Sequence, window_requests: int, num_workers: int
-) -> List[WindowObservation]:
-    """Every single-server window of a ledger (see :func:`summarise_windows`)."""
-    return summarise_windows(
-        records, window_requests, WindowObservation, num_workers
-    )
-
-
-def fleet_window_observations_from_records(
-    records: Sequence, window_requests: int
-) -> List[FleetWindowObservation]:
-    """Every fleet window of a merged ledger (see :func:`summarise_windows`)."""
-    return summarise_windows(records, window_requests, FleetWindowObservation)
-
-
 __all__ = [
     "EpochObservation",
     "CrashObservation",
@@ -377,6 +361,4 @@ __all__ = [
     "TimelineObserver",
     "observation_from_dict",
     "summarise_windows",
-    "window_observations_from_records",
-    "fleet_window_observations_from_records",
 ]

@@ -5,13 +5,7 @@ from repro.partition.chunk import chunk_partition
 from repro.partition.hashing import hash_partition
 from repro.partition.fennel import fennel_partition
 from repro.partition.metis_like import metis_like_partition
-from repro.partition.vertex_cut import (
-    ReassignmentPlan,
-    VertexCut,
-    absorb_partition,
-    destination_vertex_cut,
-    greedy_vertex_cut,
-)
+from repro.partition.vertex_cut import ReassignmentPlan, absorb_partition
 
 _PARTITIONERS = {
     "chunk": chunk_partition,
@@ -36,10 +30,7 @@ __all__ = [
     "hash_partition",
     "fennel_partition",
     "metis_like_partition",
-    "VertexCut",
     "ReassignmentPlan",
     "absorb_partition",
-    "greedy_vertex_cut",
-    "destination_vertex_cut",
     "get_partitioner",
 ]

@@ -85,13 +85,6 @@ class Partitioning:
         ideal = graph.num_edges / self.num_parts
         return float(loads.max() / ideal) if ideal else 1.0
 
-    def remote_in_neighbors(self, graph: Graph, worker: int) -> np.ndarray:
-        """Distinct remote sources feeding worker ``worker``'s vertices."""
-        mine = self.assignment[graph.dst] == worker
-        sources = graph.src[mine]
-        remote = sources[self.assignment[sources] != worker]
-        return np.unique(remote)
-
     def summary(self, graph: Graph) -> Dict[str, float]:
         return {
             "method": self.method,
@@ -100,13 +93,3 @@ class Partitioning:
             "vertex_balance": self.vertex_balance(),
             "edge_balance": self.edge_balance(graph),
         }
-
-
-def from_parts(parts: List[np.ndarray], num_vertices: int, method: str) -> Partitioning:
-    """Build a :class:`Partitioning` from explicit per-worker vertex lists."""
-    assignment = np.full(num_vertices, -1, dtype=np.int64)
-    for i, part in enumerate(parts):
-        assignment[np.asarray(part, dtype=np.int64)] = i
-    if (assignment < 0).any():
-        raise ValueError("parts do not cover every vertex")
-    return Partitioning(assignment, num_parts=len(parts), method=method)

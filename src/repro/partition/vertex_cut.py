@@ -1,12 +1,9 @@
-"""Greedy vertex-cut (edge) partitioning, PowerGraph-style.
+"""Elastic shrink of a vertex partitioning.
 
-NeutronStar's master-mirror design (Section 4.2) comes from the
-vertex-cut world: edges are assigned to workers and a vertex spanning
-several workers has one *master* plus *mirrors*.  The main engines use
-edge-follows-destination placement (a special vertex-cut), but this
-module provides the general greedy heuristic for analysis and as a
-quality baseline: it picks, per edge, the worker that already hosts
-both endpoints, then one endpoint, then the least-loaded worker.
+When a worker leaves the cluster permanently, the survivors absorb its
+vertices (:func:`absorb_partition`); edges keep following their
+destination, whose owner is the master (Section 4.2's master-mirror
+design with edge-follows-destination placement).
 """
 
 from __future__ import annotations
@@ -16,90 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
-
-
-@dataclass
-class VertexCut:
-    """An edge assignment with master/mirror bookkeeping.
-
-    Attributes
-    ----------
-    edge_assignment:
-        ``edge_assignment[e]`` = worker executing edge ``e``.
-    masters:
-        ``masters[v]`` = the worker holding vertex ``v``'s master copy.
-    num_parts:
-        Worker count ``m``.
-    """
-
-    edge_assignment: np.ndarray
-    masters: np.ndarray
-    num_parts: int
-
-    def replication_factor(self, graph: Graph) -> float:
-        """Average number of workers hosting a copy of each vertex."""
-        total_copies = 0
-        for v in range(graph.num_vertices):
-            total_copies += len(self.workers_of(graph, v))
-        return total_copies / max(graph.num_vertices, 1)
-
-    def workers_of(self, graph: Graph, vertex: int) -> np.ndarray:
-        """All workers holding a copy (master or mirror) of ``vertex``."""
-        touching = np.concatenate([
-            self.edge_assignment[graph.csr.edges_of(vertex)],
-            self.edge_assignment[graph.csc.edges_of(vertex)],
-        ])
-        if len(touching) == 0:
-            return np.asarray([self.masters[vertex]])
-        return np.unique(np.append(touching, self.masters[vertex]))
-
-    def edge_balance(self) -> float:
-        loads = np.bincount(self.edge_assignment, minlength=self.num_parts)
-        ideal = len(self.edge_assignment) / self.num_parts
-        return float(loads.max() / ideal) if ideal else 1.0
-
-
-def greedy_vertex_cut(
-    graph: Graph, num_parts: int, seed: int = 0
-) -> VertexCut:
-    """PowerGraph's greedy heuristic over a random edge stream."""
-    if num_parts < 1:
-        raise ValueError("num_parts must be positive")
-    rng = np.random.default_rng(seed)
-    m = num_parts
-    # replicas[v] = bitmask of workers already hosting v.
-    replicas = np.zeros((graph.num_vertices, m), dtype=bool)
-    loads = np.zeros(m, dtype=np.int64)
-    assignment = np.empty(graph.num_edges, dtype=np.int64)
-    order = rng.permutation(graph.num_edges)
-    for e in order:
-        u, v = int(graph.src[e]), int(graph.dst[e])
-        both = replicas[u] & replicas[v]
-        either = replicas[u] | replicas[v]
-        if both.any():
-            candidates = np.where(both)[0]
-        elif either.any():
-            candidates = np.where(either)[0]
-        else:
-            candidates = np.arange(m)
-        target = int(candidates[np.argmin(loads[candidates])])
-        assignment[e] = target
-        replicas[u, target] = True
-        replicas[v, target] = True
-        loads[target] += 1
-    # Master = the hosting worker with the fewest masters so far
-    # (ties by lowest id); isolated vertices go to the least loaded.
-    masters = np.empty(graph.num_vertices, dtype=np.int64)
-    master_loads = np.zeros(m, dtype=np.int64)
-    for v in range(graph.num_vertices):
-        hosts = np.where(replicas[v])[0]
-        if len(hosts) == 0:
-            hosts = np.arange(m)
-        masters[v] = int(hosts[np.argmin(master_loads[hosts])])
-        master_loads[masters[v]] += 1
-    return VertexCut(assignment, masters, m)
 
 
 @dataclass(frozen=True)
@@ -115,8 +29,8 @@ class ReassignmentPlan:
     ----------
     dead_worker:
         The departing worker, in the *old* numbering.
-    old_num_workers / new_num_workers:
-        Cluster sizes before and after the shrink.
+    old_num_workers:
+        Cluster size before the shrink.
     worker_map:
         ``{old_id: new_id}`` for every survivor (the dead worker is
         absent; survivors keep their relative order).
@@ -131,14 +45,6 @@ class ReassignmentPlan:
     worker_map: Dict[int, int]
     moved: np.ndarray
     targets: np.ndarray
-
-    @property
-    def new_num_workers(self) -> int:
-        return self.old_num_workers - 1
-
-    def new_id(self, old_worker: int) -> int:
-        """Map a surviving worker's old id to its new id."""
-        return self.worker_map[old_worker]
 
     def old_id(self, new_worker: int) -> int:
         """Map a new worker id back to the old numbering."""
@@ -194,19 +100,3 @@ def absorb_partition(
         method=f"{partitioning.method}-absorb{dead_worker}",
     )
     return plan, reshaped
-
-
-def destination_vertex_cut(graph: Graph, assignment: np.ndarray) -> VertexCut:
-    """The engines' implicit vertex-cut: edges follow their destination.
-
-    ``assignment`` is a vertex-to-worker map (a
-    :class:`~repro.partition.base.Partitioning` assignment); the
-    returned cut places every edge on its destination's worker with the
-    destination as master.
-    """
-    assignment = np.asarray(assignment, dtype=np.int64)
-    return VertexCut(
-        edge_assignment=assignment[graph.dst],
-        masters=assignment.copy(),
-        num_parts=int(assignment.max()) + 1 if len(assignment) else 1,
-    )

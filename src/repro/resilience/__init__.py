@@ -26,7 +26,6 @@ from repro.resilience.faults import (
     WorkerCrashError,
     WorkerCrashFault,
 )
-from repro.resilience.retry import RetryPolicy
 from repro.resilience.injector import FaultInjector, TransferPlan
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 from repro.resilience.chaos import ChaosReport, run_chaos
@@ -47,7 +46,6 @@ __all__ = [
     "WorkerCrashFault",
     "WorkerCrashError",
     "RecoveryExhaustedError",
-    "RetryPolicy",
     "FaultInjector",
     "TransferPlan",
     "RecoveryPolicy",

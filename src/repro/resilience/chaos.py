@@ -115,8 +115,8 @@ def run_chaos(
     run -- its crash bookkeeping mutates -- so pass a fresh one per call.
     Both engines run with every communication optimisation on
     (``CommOptions.all()``), whatever the engine's own default.  The
-    faulty engine handles message loss with the default
-    :class:`~repro.resilience.retry.RetryPolicy`; ``train`` mode trains
+    faulty engine retransmits lost messages
+    (:mod:`repro.resilience.retry`); ``train`` mode trains
     with the trainer's default optimizer and learning rate.
     """
     # Engines sit *above* resilience in the layering; import lazily.

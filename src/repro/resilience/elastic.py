@@ -170,7 +170,7 @@ def _closure_delta_volumes(
 def charge_reshape(
     timeline, network, volumes: np.ndarray, handover_s: float,
     direction: str, options, bytes_per_message: float,
-    faults=None, retry=None, prep_s: float = 0.0,
+    faults=None, prep_s: float = 0.0,
 ) -> Tuple[float, float]:
     """Charge one cluster reshape's state migration on ``timeline``.
 
@@ -191,7 +191,6 @@ def charge_reshape(
         barrier=True,
         bytes_per_message=bytes_per_message,
         faults=faults,
-        retry=retry,
     )
     if prep_s > 0:
         for w in range(m):
@@ -219,7 +218,7 @@ def _charge_transition(
         handover_t, direction,
         options=new_engine.comm,
         bytes_per_message=new_engine.graph.feature_dim * 4,
-        faults=new_engine.faults, retry=new_engine.retry, prep_s=prep_s,
+        faults=new_engine.faults, prep_s=prep_s,
     )
     return seconds, int(migrated), prep_s
 

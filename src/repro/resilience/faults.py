@@ -13,8 +13,8 @@ so the DepCache/DepComm trade-off can be measured *off* the happy path:
 - :class:`LinkDegradationFault` -- a link (or all links of a worker)
   loses bandwidth and/or gains latency over a window.
 - :class:`MessageLossFault` -- a fraction of sends on matching links is
-  dropped; with retry semantics enabled each drop costs a timeout plus
-  exponential backoff (see :mod:`repro.resilience.retry`).
+  dropped; each drop costs a timeout plus exponential backoff and a
+  re-send (see :mod:`repro.resilience.retry`).
 - :class:`WorkerCrashFault` -- a worker dies at a simulated time; the
   crash is detected at the next layer barrier and surfaced as a
   :class:`WorkerCrashError` for the recovery policy to handle.
@@ -278,9 +278,6 @@ class FaultSchedule:
             if f.applies(src, dst, t):
                 keep *= 1.0 - f.drop_fraction
         return 1.0 - keep
-
-    def lossy(self) -> bool:
-        return any(True for _ in self._of(MessageLossFault))
 
     # -- crash queries -------------------------------------------------
     def crashes(self) -> List[WorkerCrashFault]:

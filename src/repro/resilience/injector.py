@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from repro.cluster.device import DeviceProfile
 from repro.cluster.network import NetworkProfile
 from repro.resilience.faults import FaultSchedule
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import MAX_RETRIES, TIMEOUT_S, backoff_s
 from repro.utils.rng import derive_uniform
 
 
@@ -137,19 +137,20 @@ class FaultInjector:
         num_bytes: float,
         t: float,
         congested: bool,
-        retry: RetryPolicy,
         phase: int,
     ) -> TransferPlan:
-        """Wire/wait accounting for one chunk send, retries included."""
+        """Wire/wait accounting for one chunk send: a dropped attempt
+        costs its wire time, ``TIMEOUT_S`` and a backoff, then re-sends
+        (:mod:`repro.resilience.retry`)."""
         wire = self.wire_time(network, src, dst, num_bytes, t, congested)
         p = self.schedule.loss_fraction(src, dst, t)
         attempts = 1
         wait = 0.0
-        if p > 0.0 and retry is not None:
-            for k in range(retry.max_attempts - 1):
+        if p > 0.0:
+            for k in range(MAX_RETRIES):
                 if self.draw(phase, src, dst, k) >= p:
                     break  # delivered on attempt k
-                wait += retry.TIMEOUT_S + retry.backoff_s(k)
+                wait += TIMEOUT_S + backoff_s(k)
                 attempts += 1
         plan = TransferPlan(wire_s=wire, attempts=attempts, wait_s=wait)
         if plan.retries:

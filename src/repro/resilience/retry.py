@@ -5,44 +5,23 @@ send, the sender notices after ``TIMEOUT_S`` (no ACK), backs off
 exponentially, and re-sends.  The whole sequence -- wasted wire time for
 the dropped copy, the timeout, the backoff, the retransmission -- is
 charged to the timeline, so Fig-13-style utilization traces show the
-stall instead of silently losing it.
+stall instead of silently losing it.  Loss handling is on wherever a
+:class:`~repro.resilience.injector.FaultInjector` is: every exchange
+charged under faults retransmits what its schedule drops.
 """
 
-from __future__ import annotations
+# How long the sender waits for an ACK before declaring a chunk lost.
+TIMEOUT_S = 5.0e-4
+# Sleep before the first retransmission; multiplied by BACKOFF_FACTOR on
+# every further attempt.
+BACKOFF_BASE_S = 1.0e-4
+BACKOFF_FACTOR = 2.0
+# Retransmissions after the first attempt.  The final attempt is modeled
+# as delivered (a reliable-fallback path), so a transfer never hangs
+# forever; the pain is the accumulated waiting.
+MAX_RETRIES = 5
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retransmission with fixed constants.
-
-    Passing a policy turns loss handling on (``run_exchange(retry=None)``
-    delivers every chunk on its first attempt).
-
-    Attributes
-    ----------
-    TIMEOUT_S:
-        How long the sender waits for an ACK before declaring a chunk
-        lost.
-    BACKOFF_BASE_S:
-        Sleep before the first retransmission; multiplied by
-        ``BACKOFF_FACTOR`` on every further attempt.
-    MAX_RETRIES:
-        Retransmissions after the first attempt.  The final attempt is
-        modeled as delivered (a reliable-fallback path), so a transfer
-        never hangs forever; the pain is the accumulated waiting.
-    """
-
-    TIMEOUT_S = 5.0e-4
-    BACKOFF_BASE_S = 1.0e-4
-    BACKOFF_FACTOR = 2.0
-    MAX_RETRIES = 5
-
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff slept before retransmission number ``attempt + 1``."""
-        return self.BACKOFF_BASE_S * self.BACKOFF_FACTOR**attempt
-
-    @property
-    def max_attempts(self) -> int:
-        return self.MAX_RETRIES + 1
+def backoff_s(attempt: int) -> float:
+    """Backoff slept before retransmission number ``attempt + 1``."""
+    return BACKOFF_BASE_S * BACKOFF_FACTOR**attempt

@@ -49,12 +49,6 @@ class MicroBatch:
                 seen[r.vertex] = r
         return list(seen)
 
-    def first_arrival_of(self, vertex: int) -> float:
-        for r in self.requests:
-            if r.vertex == vertex:
-                return r.arrival_s
-        raise KeyError(f"vertex {vertex} not in batch")
-
 
 class MicroBatcher:
     """Window + size-capped batcher over a time-ordered request stream.

@@ -61,13 +61,6 @@ class ClosureProfile:
     remote_cost_s: float
     cross_inputs: int  # closure inputs not owned by ``owner``
 
-    @property
-    def closure_size(self) -> int:
-        return len(self.vertex_layers[-1])
-
-    def preferred_mode(self) -> str:
-        return "local" if self.local_cost_s <= self.remote_cost_s else "remote"
-
 
 class BatchPlan(NamedTuple):
     """How one deduped micro-batch executes, and over what.

@@ -123,10 +123,5 @@ class PopularityRouter:
         self.spread_hot = True
         self.pins.clear()
 
-    def hot_vertices(self) -> List[int]:
-        """Vertices past the pin threshold, hottest first."""
-        hot = [v for v, c in self.counts.items() if c >= self.pin_after]
-        return sorted(hot, key=lambda v: (-self.counts[v], v))
-
 
 __all__ = ["PopularityRouter"]

@@ -1,8 +1,6 @@
-"""Classification metrics for evaluation beyond plain accuracy."""
+"""Classification accuracy."""
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -18,62 +16,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         return 0.0
     return float((predictions == labels).mean())
-
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """``C[i, j]`` = count of true class ``i`` predicted as ``j``."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(predictions) != len(labels):
-        raise ValueError("predictions and labels must align")
-    if len(labels) and (
-        labels.min() < 0 or labels.max() >= num_classes
-        or predictions.min() < 0 or predictions.max() >= num_classes
-    ):
-        raise ValueError("class id out of range")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
-
-
-def per_class_f1(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """F1 per class; classes absent from both pred and truth score 0."""
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    tp = np.diag(matrix).astype(np.float64)
-    predicted = matrix.sum(axis=0).astype(np.float64)
-    actual = matrix.sum(axis=1).astype(np.float64)
-    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
-    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
-    denom = precision + recall
-    return np.divide(
-        2 * precision * recall, denom, out=np.zeros_like(tp), where=denom > 0
-    )
-
-
-def macro_f1(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    return float(per_class_f1(predictions, labels, num_classes).mean())
-
-
-def micro_f1(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> float:
-    """Micro-averaged F1 (equals accuracy for single-label problems)."""
-    return accuracy(predictions, labels)
-
-
-def classification_report(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int
-) -> Dict[str, float]:
-    """Accuracy + macro/micro F1 in one dict (engine.evaluate companion)."""
-    return {
-        "accuracy": accuracy(predictions, labels),
-        "macro_f1": macro_f1(predictions, labels, num_classes),
-        "micro_f1": micro_f1(predictions, labels, num_classes),
-    }

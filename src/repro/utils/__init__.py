@@ -1,6 +1,6 @@
 """Small shared utilities."""
 
-from repro.utils.formatting import format_seconds, format_bytes, render_table
+from repro.utils.formatting import render_table
 from repro.utils.jsonio import (
     Record,
     from_payload,
@@ -11,8 +11,6 @@ from repro.utils.jsonio import (
 from repro.utils.rng import derive_rng, derive_seed_sequence, derive_uniform
 
 __all__ = [
-    "format_seconds",
-    "format_bytes",
     "render_table",
     "Record",
     "from_payload",

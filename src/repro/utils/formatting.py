@@ -5,29 +5,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 
-def format_seconds(seconds: float) -> str:
-    """Compact duration: us / ms / s as appropriate."""
-    if seconds != seconds:  # NaN
-        return "-"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f}ms"
-    if seconds < 120.0:
-        return f"{seconds:.2f}s"
-    return f"{seconds / 60.0:.1f}min"
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Compact byte count: B / KB / MB / GB."""
-    value = float(num_bytes)
-    for unit in ("B", "KB", "MB", "GB"):
-        if abs(value) < 1024.0 or unit == "GB":
-            return f"{value:.1f}{unit}"
-        value /= 1024.0
-    return f"{value:.1f}GB"
-
-
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """Render an aligned plain-text table (benchmark output)."""
     columns = [list(map(str, col)) for col in zip(headers, *rows)] if rows else [

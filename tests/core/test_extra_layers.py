@@ -1,10 +1,10 @@
-"""SAGEConv and MultiHeadGATConv."""
+"""SAGEConv."""
 
 import numpy as np
 import pytest
 
 from repro.core.blocks import build_block
-from repro.core.layers import GATConv, MultiHeadGATConv, SAGEConv
+from repro.core.layers import SAGEConv
 from repro.core.model import GNNModel
 from repro.graph import generators
 from repro.tensor.gradcheck import gradcheck
@@ -55,7 +55,9 @@ class TestSAGEConv:
         graph = prepare_graph(small_graph, "sage")
         losses = []
         for engine_cls in [DepCacheEngine, DepCommEngine]:
-            model = GNNModel.sage(graph.feature_dim, 8, graph.num_classes, seed=5)
+            model = GNNModel.build(
+                "sage", graph.feature_dim, 8, graph.num_classes, seed=5
+            )
             losses.append(engine_cls(graph, model, cluster2).run_epoch().loss)
         assert losses[0] == pytest.approx(losses[1], rel=1e-5)
 
@@ -65,53 +67,3 @@ class TestSAGEConv:
         assert layer.dense_flops(block) > 0
         assert layer.sparse_flops(block) > 0
         assert layer.edge_tensor_bytes(block) > 0
-
-
-class TestMultiHeadGAT:
-    def test_output_concatenates_heads(self, block_setup):
-        g, block = block_setup
-        layer = MultiHeadGATConv(4, 8, num_heads=4, rng=np.random.default_rng(0))
-        out = layer.forward(block, Tensor(np.ones((10, 4))))
-        assert out.shape == (10, 8)
-        assert len(layer.heads) == 4
-
-    def test_head_divisibility_checked(self):
-        with pytest.raises(ValueError, match="divisible"):
-            MultiHeadGATConv(4, 10, num_heads=4)
-
-    def test_single_head_matches_gatconv(self, block_setup):
-        g, block = block_setup
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        single = GATConv(4, 6, activation="none", rng=rng_a)
-        multi = MultiHeadGATConv(4, 6, num_heads=1, activation="none", rng=rng_b)
-        h = Tensor(np.random.default_rng(1).standard_normal((10, 4)))
-        assert np.allclose(
-            single.forward(block, h).data, multi.forward(block, h).data,
-            atol=1e-6,
-        )
-
-    def test_parameters_discovered_per_head(self):
-        layer = MultiHeadGATConv(4, 8, num_heads=2)
-        names = dict(layer.named_parameters())
-        assert any("heads.0" in n for n in names)
-        assert any("heads.1" in n for n in names)
-
-    def test_gradients(self, block_setup):
-        g, block = block_setup
-        layer = MultiHeadGATConv(3, 4, num_heads=2, rng=np.random.default_rng(0))
-        h = Tensor(
-            np.random.default_rng(2).standard_normal((10, 3)), requires_grad=True
-        )
-        assert gradcheck(
-            lambda h: (layer.forward(block, h) ** 2).sum(), [h],
-            atol=3e-2, rtol=3e-2,
-        )
-
-    def test_accounting_sums_heads(self, block_setup):
-        g, block = block_setup
-        multi = MultiHeadGATConv(4, 8, num_heads=4)
-        single_equiv = GATConv(4, 2)
-        assert multi.sparse_flops(block) == pytest.approx(
-            4 * single_equiv.sparse_flops(block)
-        )

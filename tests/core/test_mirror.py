@@ -36,24 +36,11 @@ class TestCounts:
         assert v[1, 0] == 8 * 4
         assert v.sum() == 3 * 8 * 4
 
-    def test_reversed_counts_is_transpose(self, exchange):
-        assert np.array_equal(exchange.reversed_counts(), exchange.counts.T)
-
-
 class TestIdLists:
     def test_recv_ids(self, exchange):
         assert exchange.recv_ids[(1, 0)].tolist() == [2]
         assert exchange.recv_ids[(2, 0)].tolist() == [4]
         assert exchange.recv_ids[(0, 1)].tolist() == [0]
-
-    def test_sends_from(self, exchange):
-        sends = dict(exchange.sends_from(0))
-        assert sends[1].tolist() == [0]
-
-    def test_recvs_to(self, exchange):
-        recvs = dict(exchange.recvs_to(0))
-        assert recvs[1].tolist() == [2]
-        assert recvs[2].tolist() == [4]
 
     def test_own_vertex_as_mirror_rejected(self):
         assignment = np.array([0, 1])

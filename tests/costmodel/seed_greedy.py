@@ -183,11 +183,13 @@ def seed_partition_dependencies(
                     should_cache = measurement.cost_s < t_c
                     if not should_cache:
                         break
-                if tracker is not None and not tracker.try_allocate(
-                    measurement.memory_bytes, CLOSURE_MEMORY_LABEL
-                ):
-                    budget_exhausted = True
-                    break
+                if tracker is not None:
+                    if not tracker.fits(measurement.memory_bytes):
+                        budget_exhausted = True
+                        break
+                    tracker.allocate(
+                        measurement.memory_bytes, CLOSURE_MEMORY_LABEL
+                    )
                 layer_cached.append(u)
                 layer_cached_cost += measurement.cost_s
                 if quota_remaining is not None:

@@ -90,6 +90,6 @@ class TestSingleWorkerDegeneracy:
                                  seed=1)
             plan = engine_cls(graph, model, single).plan()
             plans.append(plan)
-            assert plan.total_comm_vertices() == 0
+            assert sum(ex.total_vertices for ex in plan.exchanges) == 0
         sizes = {p.blocks[0][0].num_edges for p in plans}
         assert len(sizes) == 1

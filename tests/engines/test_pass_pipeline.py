@@ -29,8 +29,7 @@ def _engine(arch, passes, cls=HybridEngine, num_workers=2, **kwargs):
     g = generators.community(64, 4, avg_degree=8.0, seed=3)
     generators.attach_features(g, 16, 4, seed=4, class_signal=2.0)
     graph = prepare_graph(g, arch)
-    factory = getattr(GNNModel, arch)
-    model = factory(graph.feature_dim, 8, graph.num_classes, seed=2)
+    model = GNNModel.build(arch, graph.feature_dim, 8, graph.num_classes, seed=2)
     return cls(
         graph, model, ClusterSpec.ecs(num_workers),
         program_passes=passes, **kwargs,

@@ -24,7 +24,7 @@ class TestDepCachePlan:
     def test_no_communication(self, prepared):
         engine = build(DepCacheEngine, prepared)
         plan = engine.plan()
-        assert plan.total_comm_vertices() == 0
+        assert sum(ex.total_vertices for ex in plan.exchanges) == 0
         assert all(
             len(c) == 0 for per_l in plan.comm_ids for c in per_l
         )

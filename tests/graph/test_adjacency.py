@@ -17,12 +17,6 @@ class TestBasics:
         assert sorted(adj.neighbors(0).tolist()) == [5, 6]
         assert adj.num_edges == 4
 
-    def test_edges_of_returns_original_ids(self):
-        key = np.array([1, 0, 1])
-        other = np.array([9, 9, 9])
-        adj = Adjacency(key, other, 2)
-        assert sorted(adj.edges_of(1).tolist()) == [0, 2]
-
     def test_empty_vertex(self):
         adj = Adjacency(np.array([0]), np.array([1]), 4)
         assert adj.degree(3) == 0

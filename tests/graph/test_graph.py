@@ -47,10 +47,6 @@ class TestDegrees:
         assert deg[2] == 3  # edges from 1, 4, 0
         assert deg.sum() == tiny_graph.num_edges
 
-    def test_out_degrees_sum(self, tiny_graph):
-        assert tiny_graph.out_degrees().sum() == tiny_graph.num_edges
-
-
 class TestCsrCsc:
     def test_csc_groups_by_destination(self, tiny_graph):
         csc = tiny_graph.csc
@@ -114,20 +110,3 @@ class TestSplit:
         first = tiny_graph.train_mask.copy()
         tiny_graph.set_split(rng=np.random.default_rng(5))
         assert np.array_equal(first, tiny_graph.train_mask)
-
-
-class TestSubgraph:
-    def test_induced_subgraph_keeps_internal_edges(self, tiny_graph):
-        sub, old_ids = tiny_graph.induced_subgraph(np.array([0, 1, 3, 5]))
-        assert sub.num_vertices == 4
-        # Edges among {0,1,3,5}: (0,1), (3,1), (5,1), (1,5).
-        assert sub.num_edges == 4
-        assert np.array_equal(old_ids, [0, 1, 3, 5])
-
-    def test_subgraph_features_follow(self, tiny_graph):
-        sub, old_ids = tiny_graph.induced_subgraph(np.array([2, 4]))
-        assert np.allclose(sub.features, tiny_graph.features[[2, 4]])
-
-    def test_byte_accounting(self, tiny_graph):
-        assert tiny_graph.feature_bytes() == 6 * 8 * 4
-        assert tiny_graph.structure_bytes() > 0

@@ -1,9 +1,9 @@
 """The one window summariser against the two functions it replaced.
 
-``reference_windows`` / ``reference_fleet_windows`` are the parent
-commit's ``window_observations_from_records`` and
-``fleet_window_observations_from_records``, kept verbatim as the
-reference: the single pass in :func:`repro.ops.signals.summarise_windows`
+``reference_windows`` / ``reference_fleet_windows`` are the single-server
+and the fleet window summarisers that
+:func:`~repro.ops.signals.summarise_windows` replaced, kept verbatim as
+the reference: the single pass in :func:`repro.ops.signals.summarise_windows`
 must return exactly what they return -- on the degenerate ledgers below
 (an empty window, an all-shed window, a window whose only rows are
 sheds on one replica) and on every registered serving / fleet run.
@@ -15,12 +15,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 import pytest
 
-from repro.ops import (
-    FleetWindowObservation,
-    WindowObservation,
-    fleet_window_observations_from_records,
-    window_observations_from_records,
-)
+from repro.ops import FleetWindowObservation, WindowObservation
 from repro.ops.signals import summarise_windows
 from repro.serving.slo import RequestRecord
 
@@ -93,7 +88,7 @@ def reference_fleet_windows(
     """Slice a merged fleet ledger into req_id windows and summarise.
 
     Pure over the record rows alone (live ``RequestRecord`` objects or
-    bundle dicts), mirroring :func:`window_observations_from_records`:
+    bundle dicts), mirroring :func:`reference_windows`:
     rows sort by ``req_id`` before any order-sensitive float is
     computed, and every statistic of window ``i`` depends only on
     window ``i``'s rows, so offline replay from the stored ledger
@@ -207,8 +202,8 @@ LEDGER = [
 @pytest.mark.parametrize("as_dicts", [False, True], ids=["records", "dicts"])
 def test_degenerate_windows_match_the_parent_functions(as_dicts):
     ledger = [asdict(r) for r in LEDGER] if as_dicts else LEDGER
-    single = window_observations_from_records(ledger, WIDTH, 2)
-    fleet = fleet_window_observations_from_records(ledger, WIDTH)
+    single = summarise_windows(ledger, WIDTH, WindowObservation, 2)
+    fleet = summarise_windows(ledger, WIDTH, FleetWindowObservation)
     assert single == reference_windows(ledger, WIDTH, 2)
     assert fleet == reference_fleet_windows(ledger, WIDTH)
     assert [o.to_dict() for o in fleet] == [
@@ -240,9 +235,9 @@ def test_recorded_ledgers_match_the_parent_functions(mitigated_runs):
         run = mitigated_runs[name]
         width, nodes = run.problem.window_requests, run.problem.nodes
         ledger = run.ledger_records
-        assert window_observations_from_records(
-            ledger, width, nodes
+        assert summarise_windows(
+            ledger, width, WindowObservation, nodes
         ) == reference_windows(ledger, width, nodes)
-        assert fleet_window_observations_from_records(
-            ledger, width
+        assert summarise_windows(
+            ledger, width, FleetWindowObservation
         ) == reference_fleet_windows(ledger, width)

@@ -13,7 +13,6 @@ from repro.partition import (
     hash_partition,
     metis_like_partition,
 )
-from repro.partition.base import from_parts
 
 ALL = [chunk_partition, hash_partition, fennel_partition, metis_like_partition]
 
@@ -27,45 +26,53 @@ def graph():
 
 class TestCommonInvariants:
     @pytest.mark.parametrize("partition", ALL)
+
     def test_covers_every_vertex(self, graph, partition):
         p = partition(graph, 4)
         assert len(p.assignment) == graph.num_vertices
         assert set(np.unique(p.assignment)) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_parts_disjoint_and_complete(self, graph, partition):
         p = partition(graph, 4)
         combined = np.concatenate(p.parts())
         assert sorted(combined.tolist()) == list(range(graph.num_vertices))
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_no_empty_part(self, graph, partition):
         p = partition(graph, 4)
         assert all(len(part) > 0 for part in p.parts())
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_single_part(self, graph, partition):
         p = partition(graph, 1)
         assert (p.assignment == 0).all()
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_rejects_zero_parts(self, graph, partition):
         with pytest.raises(ValueError):
             partition(graph, 0)
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_rejects_more_parts_than_vertices(self, partition):
         g = generators.ring(3)
         with pytest.raises(ValueError):
             partition(g, 5)
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_deterministic(self, graph, partition):
         a = partition(graph, 4)
         b = partition(graph, 4)
         assert np.array_equal(a.assignment, b.assignment)
 
     @pytest.mark.parametrize("partition", ALL)
+
     def test_reasonable_balance(self, graph, partition):
         assert partition(graph, 4).vertex_balance() <= 1.25
 
@@ -154,23 +161,9 @@ class TestPartitioningApi:
             for v in p.part(w)[:3]:
                 assert p.owner(int(v)) == w
 
-    def test_remote_in_neighbors(self, graph):
-        p = chunk_partition(graph, 4)
-        remote = p.remote_in_neighbors(graph, 0)
-        assert all(p.owner(int(v)) != 0 for v in remote)
-
     def test_summary_keys(self, graph):
         s = chunk_partition(graph, 4).summary(graph)
         assert {"method", "edge_cut_fraction", "vertex_balance"} <= set(s)
-
-    def test_from_parts_roundtrip(self, graph):
-        p = chunk_partition(graph, 4)
-        rebuilt = from_parts(p.parts(), graph.num_vertices, "chunk")
-        assert np.array_equal(rebuilt.assignment, p.assignment)
-
-    def test_from_parts_incomplete_raises(self):
-        with pytest.raises(ValueError, match="cover"):
-            from_parts([np.array([0, 1])], 4, "x")
 
     def test_invalid_assignment_raises(self):
         with pytest.raises(ValueError):

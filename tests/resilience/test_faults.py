@@ -5,15 +5,16 @@ import math
 import pytest
 
 from repro.cluster.device import T4
+from repro.cluster.network import ECS_NETWORK
 from repro.resilience import (
     FaultInjector,
     FaultSchedule,
     LinkDegradationFault,
     MessageLossFault,
-    RetryPolicy,
     StragglerFault,
     WorkerCrashFault,
 )
+from repro.resilience.retry import MAX_RETRIES, backoff_s
 
 
 class TestFaultValidation:
@@ -103,7 +104,6 @@ class TestScheduleQueries:
         ])
         assert s.loss_fraction(0, 1, 0.0) == pytest.approx(0.75)
         assert s.loss_fraction(1, 0, 0.0) == pytest.approx(0.5)
-        assert s.lossy()
 
     def test_pending_crash_and_recovery(self):
         early = WorkerCrashFault(worker=0, at_time=1.0)
@@ -152,10 +152,13 @@ class TestInjector:
 
 class TestRetryPolicy:
     def test_backoff_is_exponential(self):
-        r = RetryPolicy()
-        assert r.backoff_s(0) == 1e-4
-        assert r.backoff_s(1) == 2e-4
-        assert r.backoff_s(2) == 4e-4
+        assert backoff_s(0) == 1e-4
+        assert backoff_s(1) == 2e-4
+        assert backoff_s(2) == 4e-4
 
     def test_max_attempts(self):
-        assert RetryPolicy().max_attempts == 6
+        """A chunk every attempt of which drops hits the wire
+        ``MAX_RETRIES + 1`` times: the last attempt is delivered."""
+        inj = FaultInjector(FaultSchedule([MessageLossFault(1.0)]))
+        plan = inj.plan_transfer(ECS_NETWORK, 0, 1, 1e6, 0.0, False, 1)
+        assert plan.attempts == MAX_RETRIES + 1 == 6

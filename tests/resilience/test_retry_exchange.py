@@ -10,9 +10,9 @@ from repro.resilience import (
     FaultSchedule,
     LinkDegradationFault,
     MessageLossFault,
-    RetryPolicy,
     StragglerFault,
 )
+from repro.resilience.retry import MAX_RETRIES
 
 
 def volumes(m=2, bytes_each=1e6):
@@ -21,10 +21,10 @@ def volumes(m=2, bytes_each=1e6):
     return v
 
 
-def run(faults=None, retry=None, m=2, **kwargs):
+def run(faults=None, m=2, **kwargs):
     tl = Timeline(m)
     stats = run_exchange(
-        tl, ECS_NETWORK, volumes(m), faults=faults, retry=retry, **kwargs
+        tl, ECS_NETWORK, volumes(m), faults=faults, **kwargs
     )
     return tl, stats
 
@@ -33,9 +33,7 @@ class TestEmptyScheduleEquivalence:
     def test_empty_injector_matches_no_injector_bitwise(self):
         """An injector over an *empty* schedule is the identity."""
         tl_none, s_none = run(faults=None)
-        tl_empty, s_empty = run(
-            faults=FaultInjector(FaultSchedule()), retry=RetryPolicy()
-        )
+        tl_empty, s_empty = run(faults=FaultInjector(FaultSchedule()))
         assert tl_none.makespan == tl_empty.makespan  # bit-identical
         np.testing.assert_array_equal(s_none.pack_s, s_empty.pack_s)
         np.testing.assert_array_equal(s_none.send_s, s_empty.send_s)
@@ -70,7 +68,7 @@ class TestLossAndRetry:
         inj = FaultInjector(FaultSchedule([
             MessageLossFault(drop_fraction=0.9)
         ], seed=7))
-        tl, stats = run(faults=inj, retry=RetryPolicy())
+        tl, stats = run(faults=inj)
         _, clean = run()
         assert stats.retries > 0
         assert inj.total_retries == stats.retries
@@ -84,25 +82,17 @@ class TestLossAndRetry:
         inj = FaultInjector(FaultSchedule([
             MessageLossFault(drop_fraction=1.0)  # every attempt dropped
         ]))
-        _, stats = run(faults=inj, retry=RetryPolicy())
+        _, stats = run(faults=inj)
         # 2 workers x 1 chunk each, all attempts dropped -> exactly
         # MAX_RETRIES retransmissions per chunk (last one delivered).
-        assert stats.retries == 2 * RetryPolicy.MAX_RETRIES
+        assert stats.retries == 2 * MAX_RETRIES
 
     def test_loss_draws_replay_deterministically(self):
         def once():
             inj = FaultInjector(FaultSchedule([
                 MessageLossFault(drop_fraction=0.5)
             ], seed=11))
-            tl, stats = run(faults=inj, retry=RetryPolicy(), m=4)
+            tl, stats = run(faults=inj, m=4)
             return tl.makespan, stats.retries
 
         assert once() == once()
-
-    def test_no_retry_policy_means_no_retries(self):
-        inj = FaultInjector(FaultSchedule([
-            MessageLossFault(drop_fraction=1.0)
-        ]))
-        _, stats = run(faults=inj, retry=None)
-        assert stats.retries == 0
-

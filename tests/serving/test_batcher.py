@@ -64,10 +64,6 @@ class TestMicroBatch:
             [req(0, 9, 0.0), req(1, 4, 0.001), req(2, 9, 0.002)]
         )[0]
         assert batch.vertices() == [9, 4]
-        assert batch.first_arrival_of(9) == 0.0
-        assert batch.first_arrival_of(4) == 0.001
-        with pytest.raises(KeyError):
-            batch.first_arrival_of(123)
 
 
 class TestValidation:

@@ -3,8 +3,8 @@
 :class:`~repro.execution.executor.ClosureMemo` must return what
 :func:`~repro.execution.executor.run_closure_forward` returns for the
 same closure, byte for byte, whatever was filled and served before:
-GCN / GIN / SAGE at 1-3 layers are filled and looked up, GAT and
-EdgeGated run the reference.  The memo's exactness rests on two BLAS
+GCN / GIN / SAGE at 1-3 layers are filled and looked up, and a model
+with a GAT layer runs the reference.  The memo's exactness rests on two BLAS
 premises that it probes per weight (a row of a gemm does not depend on
 the matmul's height or on the row's position in it; a stacked one-row
 product gives each row its own one-row product's bytes); weights that
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.spec import ClusterSpec
-from repro.core.layers import EdgeGatedConv
+from repro.core.layers import GATConv, GCNConv
 from repro.core.model import GNNModel
 from repro.execution import executor
 from repro.execution.executor import ClosureMemo, run_closure_forward
@@ -143,12 +143,12 @@ class TestMatchesReference:
 
     def test_layers_without_a_fused_reducer_bypass(self):
         graph = _graph(4)
-        edge_gated = GNNModel([
-            EdgeGatedConv(FEATURES, 16, edge_dim=3, rng=np.random.default_rng(0)),
-            EdgeGatedConv(16, 5, edge_dim=3, activation="none",
-                          rng=np.random.default_rng(1)),
+        # Attention on top of a fused layer: one unfused layer is enough.
+        gcn_then_gat = GNNModel([
+            GCNConv(FEATURES, 16, rng=np.random.default_rng(0)),
+            GATConv(16, 5, activation="none", rng=np.random.default_rng(1)),
         ])
-        for model in (_model("gat", 2), edge_gated):
+        for model in (_model("gat", 2), gcn_then_gat):
             memo = ClosureMemo(model, graph)
             _fill(memo, SEQUENCE)
             for seeds in SEQUENCE:

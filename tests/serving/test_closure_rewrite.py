@@ -34,8 +34,8 @@ from repro.utils.ranges import sorted_unique
 
 BLOCK_FIELDS = (
     "input_vertices", "edge_src_pos", "edge_dst_pos", "edge_weight",
-    "compute_pos_in_inputs", "edge_ids", "edge_features",
-    "compute_vertices", "edge_src_global",
+    "compute_pos_in_inputs", "edge_ids", "compute_vertices",
+    "edge_src_global",
 )
 
 
@@ -117,10 +117,6 @@ def graphs(draw):
         num_vertices, src, dst,
         features=rng.standard_normal((num_vertices, 5)).astype(np.float32),
         edge_weight=rng.random(num_edges).astype(np.float32),
-        edge_features=(
-            rng.standard_normal((num_edges, 3)).astype(np.float32)
-            if draw(st.booleans()) else None
-        ),
     )
     return graph, rng
 

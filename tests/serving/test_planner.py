@@ -44,7 +44,7 @@ class TestProfiles:
         assert list(p.vertex_layers[0]) == [5]
         assert p.local_cost_s > 0
         assert p.remote_cost_s > 0
-        assert p.closure_size >= 1
+        assert len(p.vertex_layers[-1]) >= 1
 
     def test_single_partition_prefers_local(self, planner_parts):
         """With one owner there is no compute to spread and no boundary
@@ -52,7 +52,7 @@ class TestProfiles:
         planner = build(planner_parts, num_parts=1)
         p = planner.profile(0)
         assert p.cross_inputs == 0
-        assert p.preferred_mode() == "local"
+        assert p.local_cost_s <= p.remote_cost_s
 
 
 class TestChoice:
@@ -64,7 +64,9 @@ class TestChoice:
     def test_auto_matches_preferred_mode(self, planner_parts):
         planner = build(planner_parts)
         for v in range(8):
-            assert planner.choose_batch([v]) == planner.profile(v).preferred_mode()
+            p = planner.profile(v)
+            cheaper = "local" if p.local_cost_s <= p.remote_cost_s else "remote"
+            assert planner.choose_batch([v]) == cheaper
 
     def test_choose_batch_sums_estimates(self, planner_parts):
         planner = build(planner_parts)

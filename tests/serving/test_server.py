@@ -6,7 +6,12 @@ import pytest
 from repro.core.blocks import build_block
 from repro.core.model import GNNModel
 from repro.partition.hashing import hash_partition
-from repro.resilience.faults import FaultSchedule, WorkerCrashFault
+from repro.resilience.faults import (
+    FaultSchedule,
+    MessageLossFault,
+    WorkerCrashFault,
+)
+from repro.resilience.injector import FaultInjector
 from repro.serving import (
     InferenceServer,
     ServingConfig,
@@ -285,6 +290,29 @@ class TestDegradedServing:
         assert len(result.ledger.served()) == 60
         # Worker 2's clock never moves: it took part in nothing.
         assert result.timeline.now(2) == 0.0
+
+    def test_message_loss_is_retransmitted(self, serving_parts, monkeypatch):
+        """A lossy network costs a served request what it costs an
+        epoch: dropped chunks are re-sent after a timeout and backoff."""
+        made = []
+
+        class Recording(FaultInjector):
+            def __init__(self, schedule):
+                super().__init__(schedule)
+                made.append(self)
+
+        monkeypatch.setattr("repro.serving.server.FaultInjector", Recording)
+        graph = serving_parts[0]
+        config = ServingConfig(mode="remote")
+        clean = make_server(serving_parts, config).serve(workload(graph))
+        faults = FaultSchedule([MessageLossFault(drop_fraction=0.5)], seed=3)
+        lossy = make_server(serving_parts, config, faults=faults).serve(
+            workload(graph)
+        )
+        (injector,) = made
+        assert injector.total_retries > 0
+        assert lossy.timeline.makespan > clean.timeline.makespan
+        assert len(lossy.ledger.served()) == 60
 
     def test_all_dead_sheds_everything(self, serving_parts):
         graph = serving_parts[0]

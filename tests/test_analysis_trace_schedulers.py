@@ -1,4 +1,4 @@
-"""Analysis reports, Chrome trace export, LR schedulers, vertex cuts."""
+"""Analysis reports, Chrome trace export, LR schedulers."""
 
 import json
 
@@ -15,10 +15,6 @@ from repro.cluster.timeline import Timeline
 from repro.cluster.trace import save_chrome_trace, timeline_to_chrome_trace
 from repro.graph import generators
 from repro.partition.chunk import chunk_partition
-from repro.partition.vertex_cut import (
-    destination_vertex_cut,
-    greedy_vertex_cut,
-)
 from repro.tensor.optim import SGD
 from repro.tensor.schedulers import CosineAnnealingLR, StepLR, WarmupLR
 from repro.tensor.tensor import Tensor
@@ -53,11 +49,6 @@ class TestGraphReport:
         star = generators.star(100, inward=True)
         flat = generators.ring(100)
         assert analyze_graph(star).degree_gini > analyze_graph(flat).degree_gini
-
-    def test_as_dict(self):
-        report = analyze_graph(generators.ring(8))
-        assert "avg_degree" in report.as_dict()
-
 
 class TestDependencyReport:
     def test_fields_consistent(self, medium_graph):
@@ -151,49 +142,3 @@ class TestSchedulers:
             CosineAnnealingLR(self.make_opt(), t_max=0)
         with pytest.raises(ValueError):
             WarmupLR(self.make_opt(), warmup_epochs=0)
-
-
-class TestVertexCut:
-    def test_greedy_assigns_every_edge(self, medium_graph):
-        cut = greedy_vertex_cut(medium_graph, 4, seed=1)
-        assert len(cut.edge_assignment) == medium_graph.num_edges
-        assert cut.edge_assignment.min() >= 0
-        assert cut.edge_assignment.max() < 4
-
-    def test_replication_bounds(self, medium_graph):
-        cut = greedy_vertex_cut(medium_graph, 4, seed=1)
-        rf = cut.replication_factor(medium_graph)
-        assert 1.0 <= rf <= 4.0
-
-    def test_greedy_beats_random_replication(self, medium_graph):
-        greedy = greedy_vertex_cut(medium_graph, 4, seed=1)
-        rng = np.random.default_rng(0)
-        random_cut = greedy_vertex_cut(medium_graph, 4, seed=2)
-        random_cut.edge_assignment = rng.integers(
-            0, 4, medium_graph.num_edges
-        )
-        assert (
-            greedy.replication_factor(medium_graph)
-            <= random_cut.replication_factor(medium_graph) + 1e-9
-        )
-
-    def test_edge_balance(self, medium_graph):
-        cut = greedy_vertex_cut(medium_graph, 4, seed=1)
-        assert cut.edge_balance() < 1.5
-
-    def test_destination_cut_matches_partitioning(self, medium_graph):
-        p = chunk_partition(medium_graph, 4)
-        cut = destination_vertex_cut(medium_graph, p.assignment)
-        assert np.array_equal(
-            cut.edge_assignment, p.assignment[medium_graph.dst]
-        )
-        # The engines' mirror count equals distinct remote sources.
-        v = int(medium_graph.dst[0])
-        assert p.owner(v) in cut.workers_of(medium_graph, v)
-
-    def test_isolated_vertex_handled(self):
-        from repro.graph.graph import Graph
-        g = Graph(5, np.array([0]), np.array([1]))  # 2,3,4 isolated
-        cut = greedy_vertex_cut(g, 2, seed=0)
-        assert len(cut.masters) == 5
-        assert cut.replication_factor(g) >= 1.0

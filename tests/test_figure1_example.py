@@ -57,7 +57,7 @@ class TestDepCachePlan:
         assert {1, 2, 4, 5} <= layer1
         assert 1 in layer1  # the cached dependency
         # No communication at any layer.
-        assert plan.total_comm_vertices() == 0
+        assert sum(ex.total_vertices for ex in plan.exchanges) == 0
 
     def test_worker1_layer1_inputs_include_subtree_leaves(self, figure1):
         graph, partitioning = figure1

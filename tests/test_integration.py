@@ -94,5 +94,6 @@ def test_utilization_trace_records():
     summary = engine.timeline.utilization_summary()
     assert 0 < summary["gpu"] <= 1.0
     window = engine.timeline.makespan / 10
-    trace = engine.timeline.busy_fraction("gpu", window=window)
+    trace = engine.timeline.bytes_per_window(window)
     assert len(trace) == 10
+    assert trace.sum() > 0

@@ -42,9 +42,9 @@ class TestCheckpoint:
             load_checkpoint(GNNModel.gcn(8, 32, 3), path)
 
     def test_no_metadata(self, tmp_path):
-        model = GNNModel.gin(4, 4, 2, seed=3)
+        model = GNNModel.build("gin", 4, 4, 2, seed=3)
         path = save_checkpoint(model, tmp_path / "m")
-        meta = load_checkpoint(GNNModel.gin(4, 4, 2, seed=4), path)
+        meta = load_checkpoint(GNNModel.build("gin", 4, 4, 2, seed=4), path)
         assert meta == {}
 
 

@@ -1,16 +1,9 @@
-"""Classification metrics."""
+"""Classification accuracy."""
 
 import numpy as np
 import pytest
 
-from repro.training.metrics import (
-    accuracy,
-    classification_report,
-    confusion_matrix,
-    macro_f1,
-    micro_f1,
-    per_class_f1,
-)
+from repro.training.metrics import accuracy
 
 
 class TestAccuracy:
@@ -26,51 +19,3 @@ class TestAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0]), np.array([0, 1]))
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        m = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), 3)
-        assert m[0, 0] == 1
-        assert m[1, 1] == 1
-        assert m[2, 1] == 1  # true 2 predicted 1
-        assert m[2, 2] == 1
-        assert m.sum() == 4
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([5]), np.array([0]), 3)
-
-    def test_alignment_checked(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([0]), np.array([0, 1]), 2)
-
-
-class TestF1:
-    def test_perfect_macro(self):
-        p = np.array([0, 1, 2, 0, 1, 2])
-        assert macro_f1(p, p, 3) == pytest.approx(1.0)
-
-    def test_known_value(self):
-        # Class 0: tp=1 fp=1 fn=0 -> P=0.5 R=1 F1=2/3.
-        # Class 1: tp=0 -> F1=0.
-        predictions = np.array([0, 0])
-        labels = np.array([0, 1])
-        f1 = per_class_f1(predictions, labels, 2)
-        assert f1[0] == pytest.approx(2 / 3)
-        assert f1[1] == 0.0
-
-    def test_absent_class_scores_zero(self):
-        f1 = per_class_f1(np.array([0]), np.array([0]), 3)
-        assert f1[0] == 1.0 and f1[1] == 0.0 and f1[2] == 0.0
-
-    def test_micro_equals_accuracy(self):
-        rng = np.random.default_rng(0)
-        p = rng.integers(0, 4, 50)
-        t = rng.integers(0, 4, 50)
-        assert micro_f1(p, t, 4) == accuracy(p, t)
-
-    def test_report_keys(self):
-        r = classification_report(np.array([0, 1]), np.array([0, 1]), 2)
-        assert set(r) == {"accuracy", "macro_f1", "micro_f1"}
-        assert all(v == 1.0 for v in r.values())

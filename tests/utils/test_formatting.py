@@ -1,42 +1,6 @@
-"""Formatting helpers used by benchmark reports."""
+"""Plain-text tables for benchmark reports."""
 
-import math
-
-from repro.utils import format_bytes, format_seconds, render_table
-
-
-class TestFormatSeconds:
-    def test_microseconds(self):
-        assert format_seconds(5e-6) == "5.0us"
-
-    def test_milliseconds(self):
-        assert format_seconds(0.0123) == "12.3ms"
-
-    def test_seconds(self):
-        assert format_seconds(1.5) == "1.50s"
-
-    def test_minutes(self):
-        assert format_seconds(180.0) == "3.0min"
-
-    def test_nan(self):
-        assert format_seconds(math.nan) == "-"
-
-
-class TestFormatBytes:
-    def test_bytes(self):
-        assert format_bytes(512) == "512.0B"
-
-    def test_kilobytes(self):
-        assert format_bytes(2048) == "2.0KB"
-
-    def test_megabytes(self):
-        assert format_bytes(3 * 1024 * 1024) == "3.0MB"
-
-    def test_gigabytes(self):
-        assert format_bytes(5 * 1024 ** 3) == "5.0GB"
-
-    def test_huge_stays_gb(self):
-        assert format_bytes(5000 * 1024 ** 3).endswith("GB")
+from repro.utils import render_table
 
 
 class TestRenderTable:
