@@ -1,6 +1,6 @@
 """The overlap-exchange program pass on a comm-bound cluster.
 
-The :class:`~repro.execution.passes.OverlapExchangePass` folds each
+The :func:`~repro.execution.passes.overlap_exchange` pass folds each
 worker's VertexForward (dense) time into the idle slack of the layer's
 chunked exchange window (paper Section 5.4).  This harness measures the
 charged-epoch gain on a 4-worker *comm-bound* configuration: a

@@ -152,8 +152,6 @@ def analyze(args) -> Report:
 PASS_FLAGS = (
     ("overlap_pass", "overlap-exchange"),
     ("fuse_pass", "fuse-scatter-gather"),
-    ("pipeline_pass", "chunk-pipeline"),
-    ("ring_pass", "ring-reorder"),
 )
 
 PASSES = tuple(

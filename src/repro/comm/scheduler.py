@@ -16,7 +16,7 @@ optimizations map to :class:`CommOptions` flags:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -77,7 +77,8 @@ class ExchangeStats:
 
     ``send_s`` includes retransmitted copies when message-loss faults
     are active; ``retry_wait_s`` is the per-sender timeout + backoff
-    stall, and ``retries`` counts retransmissions across the phase.
+    stall (zeros without faults), and ``retries`` counts retransmissions
+    across the phase.
 
     With a :class:`CacheTraffic` attached, ``cache_hits`` /
     ``cache_misses`` count entries served stale / re-fetched this phase,
@@ -92,7 +93,7 @@ class ExchangeStats:
     compute_s: np.ndarray
     phase_s: np.ndarray
     total_bytes: int
-    retry_wait_s: Optional[np.ndarray] = field(default=None)
+    retry_wait_s: np.ndarray
     retries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -116,8 +117,6 @@ def run_exchange(
     faults: Optional["FaultInjector"] = None,
     cache: Optional[CacheTraffic] = None,
     participants: Optional[Sequence[int]] = None,
-    pipeline_depth: int = 1,
-    staggered: bool = False,
 ) -> ExchangeStats:
     """Charge one exchange-and-compute superstep to the timeline.
 
@@ -144,8 +143,9 @@ def run_exchange(
         slowdowns (packing and link serving), and message drops apply;
         dropped chunks are retransmitted (:mod:`repro.resilience.retry`)
         with the timeout + backoff stall charged to the timeline as
-        ``idle``.  ``None`` (the default) is the bit-identical
-        fault-free path.
+        ``idle``.  ``None`` (the default) charges every link at its
+        nominal rate, bit-identically to an injector over an empty
+        schedule.
     cache:
         Optional :class:`CacheTraffic` for the staleness-bounded cached
         share of this exchange: fetched (and charged) on refresh steps,
@@ -158,18 +158,6 @@ def run_exchange(
         columns naming them are ignored (callers must route around dead
         or idle workers themselves).  ``None`` (the default) means all
         workers, bit-identical to the historical behaviour.
-    pipeline_depth:
-        Sub-chunks each sender splits its chunk into
-        (:class:`~repro.execution.passes.ChunkPipelinePass`): under the
-        P optimization the receiver's compute starts after the first
-        *sub*-chunk, so the pipeline fill term divides by this.  1 (the
-        default) is bit-identical to unsplit chunks.
-    staggered:
-        A pass-scheduled ring send order
-        (:class:`~repro.execution.passes.RingReorderPass`): each round
-        has distinct receivers, so receive wire time is charged
-        uncongested even when ``options.ring`` is off.  False (the
-        default) is bit-identical to the unordered schedule.
     """
     m = timeline.num_workers
     volumes = np.asarray(volumes, dtype=np.float64)
@@ -200,10 +188,8 @@ def run_exchange(
     recv_s = np.zeros(m)
     compute_s = np.zeros(m)
     phase_s = np.zeros(m)
-    congested = not (options.ring or staggered)
-    pipeline_depth = max(int(pipeline_depth), 1)
-
-    retry_wait = np.zeros(m) if faults is not None else None
+    retry_wait = np.zeros(m)
+    congested = not options.ring
     retries = 0
     phase = faults.next_phase() if faults is not None else 0
 
@@ -218,74 +204,52 @@ def run_exchange(
             raise ValueError("participants must name at least one worker")
 
     for i in members:
-        if faults is None:
-            sends = [
-                volumes[i, j]
-                for j in members
-                if j != i and volumes[i, j] > 0
-            ]
-            recvs = [
-                volumes[j, i]
-                for j in members
-                if j != i and volumes[j, i] > 0
-            ]
-            pack_s[i] = sum(
-                network.pack_time(
+        # Degraded links, slow packing on straggler CPUs and dropped
+        # chunks retransmitted with timeout + backoff, when faulted.
+        t_i = timeline.now(i)
+        cpu_slow = 1.0 if faults is None else faults.cpu_factor(i, t_i)
+        pack_i = send_i = recv_i = wait_i = recv_bytes = 0.0
+        recv_wires = []
+        for j in members:
+            if j == i:
+                continue
+            b = volumes[i, j]
+            if b > 0:
+                pack = network.pack_time(
                     b,
                     num_messages=(
-                        int(round(b / bytes_per_message)) if bytes_per_message else 1
+                        int(round(b / bytes_per_message))
+                        if bytes_per_message
+                        else 1
                     ),
                     lock_free=options.lock_free,
                 )
-                for b in sends
-            )
-            send_s[i] = sum(network.wire_time(b) for b in sends)
-            recv_s[i] = sum(
-                network.wire_time(b, congested=congested) for b in recvs
-            )
-            wait_i = 0.0
-            recv_bytes = int(sum(recvs))
-            recv_wires = [
-                network.wire_time(b, congested=congested) for b in recvs
-            ]
-        else:
-            # Fault-aware path: degraded links, slow packing on straggler
-            # CPUs, dropped chunks retransmitted with timeout + backoff.
-            t_i = timeline.now(i)
-            cpu_slow = faults.cpu_factor(i, t_i)
-            wait_i = 0.0
-            recv_bytes = 0
-            recv_wires = []
-            for j in members:
-                if j == i:
-                    continue
-                b = volumes[i, j]
-                if b > 0:
-                    pack = network.pack_time(
-                        b,
-                        num_messages=(
-                            int(round(b / bytes_per_message))
-                            if bytes_per_message
-                            else 1
-                        ),
-                        lock_free=options.lock_free,
-                    )
-                    pack_s[i] += pack * cpu_slow
+                pack_i += pack * cpu_slow
+                if faults is None:
+                    send_i += network.wire_time(b)
+                else:
                     plan = faults.plan_transfer(
                         network, i, j, b, t_i, False, phase
                     )
-                    send_s[i] += plan.send_s
+                    send_i += plan.send_s
                     wait_i += plan.wait_s
                     retries += plan.retries
-                b = volumes[j, i]
-                if b > 0:
-                    wire = faults.wire_time(
+            b = volumes[j, i]
+            if b > 0:
+                wire = (
+                    network.wire_time(b, congested=congested)
+                    if faults is None
+                    else faults.wire_time(
                         network, j, i, b, t_i, congested=congested
                     )
-                    recv_s[i] += wire
-                    recv_wires.append(wire)
-                    recv_bytes += int(b)
-            retry_wait[i] = wait_i
+                )
+                recv_i += wire
+                recv_wires.append(wire)
+                recv_bytes += b
+        pack_s[i] = pack_i
+        send_s[i] = send_i
+        recv_s[i] = recv_i
+        retry_wait[i] = wait_i
         compute_s[i] = local_compute[i] + sum(
             chunk_compute[j, i] for j in members if j != i
         )
@@ -298,10 +262,9 @@ def run_exchange(
         # phase open even if its receive side finished.
         comm = max(send_s[i] + wait_i, recv_s[i])
         if options.overlap and compute_s[i] > 0 and comm > 0:
-            # Pipeline: first chunk (or first sub-chunk, when the
-            # chunk-pipeline pass split senders) must arrive before
-            # compute starts.
-            fill = min(recv_wires, default=0.0) / pipeline_depth
+            # Pipeline: the first chunk must arrive before compute
+            # starts.
+            fill = min(recv_wires, default=0.0)
             span = max(comm, fill + compute_s[i])
             timeline.record_interval(i, NET_SEND, t_comm_start, send_s[i])
             if wait_i > 0:
@@ -309,7 +272,8 @@ def run_exchange(
                     i, IDLE, t_comm_start + send_s[i], wait_i
                 )
             timeline.record_interval(
-                i, NET_RECV, t_comm_start, recv_s[i], num_bytes=recv_bytes
+                i, NET_RECV, t_comm_start, recv_s[i],
+                num_bytes=int(recv_bytes),
             )
             timeline.record_interval(i, GPU, t_comm_start + fill, compute_s[i])
             timeline.advance_at_least_until(i, t_comm_start + span)
@@ -320,7 +284,8 @@ def run_exchange(
                     i, IDLE, t_comm_start + send_s[i], wait_i
                 )
             timeline.record_interval(
-                i, NET_RECV, t_comm_start, recv_s[i], num_bytes=recv_bytes
+                i, NET_RECV, t_comm_start, recv_s[i],
+                num_bytes=int(recv_bytes),
             )
             timeline.advance_at_least_until(i, t_comm_start + comm)
             timeline.advance(i, GPU, compute_s[i])

@@ -82,15 +82,9 @@ class GNNLayer(nn.Module):
         """Reducer name when this layer's Scatter/Edge/Gather triple is
         a plain segment reduction (``"weighted_sum"`` / ``"mean"``), which
         ``forward`` then runs as one kernel; ``None`` for edge-associated
-        NN computation (e.g. attention), which FuseScatterGatherPass must
-        leave unfused on the charged clock too."""
+        NN computation (e.g. attention), which the fuse-scatter-gather
+        pass must leave unfused on the charged clock too."""
         return None
-
-    def fused_flops_factor(self) -> float:
-        """Charged sparse-flops multiplier once the pass fuses the layer
-        (skipping the materialised per-edge intermediate); 1.0 when not
-        fusable."""
-        return 1.0
 
 
 class GCNConv(GNNLayer):
@@ -122,11 +116,6 @@ class GCNConv(GNNLayer):
 
     def fused_reducer(self) -> Optional[str]:
         return "weighted_sum"
-
-    def fused_flops_factor(self) -> float:
-        # The E x d weighted message is never materialised: 3 of the 4
-        # per-edge/dim ops remain (gather, multiply, scatter-add).
-        return 0.75
 
     def dense_flops(self, block: LayerBlock) -> float:
         return float(self.linear.flops(block.num_outputs))
@@ -171,9 +160,6 @@ class GINConv(GNNLayer):
 
     def fused_reducer(self) -> Optional[str]:
         return "weighted_sum"
-
-    def fused_flops_factor(self) -> float:
-        return 0.75
 
     def dense_flops(self, block: LayerBlock) -> float:
         n = block.num_outputs
@@ -271,11 +257,6 @@ class SAGEConv(GNNLayer):
 
     def fused_reducer(self) -> Optional[str]:
         return "mean"
-
-    def fused_flops_factor(self) -> float:
-        # Gather and scatter-add collapse around the never-written
-        # message copy: 2 of ~3 per-edge/dim ops remain.
-        return 0.75
 
     def dense_flops(self, block: LayerBlock) -> float:
         return float(self.linear.flops(block.num_outputs))

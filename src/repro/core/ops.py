@@ -71,7 +71,7 @@ def fused_scatter_gather(
     """ScatterToEdge + EdgeForward + GatherByDst as one segment kernel.
 
     What every simple-reducer layer runs (and what
-    :class:`~repro.execution.passes.FuseScatterGatherPass` prices):
+    :func:`~repro.execution.passes.fuse_scatter_gather` prices):
     ``"weighted_sum"`` multiplies each source row by the edge weight
     before the sum (GCN/GIN message), ``"mean"`` averages the raw
     source rows (SAGE).  Bit-identical to the three-op chain, without

@@ -25,12 +25,6 @@ from repro.execution.executor import (
 from repro.execution.explain import describe_program, render_program
 from repro.execution.passes import (
     PASS_REGISTRY,
-    ChunkPipelinePass,
-    FuseScatterGatherPass,
-    OverlapExchangePass,
-    ProgramPass,
-    RingReorderPass,
-    make_pass,
     run_passes,
 )
 from repro.execution.plan import (
@@ -65,7 +59,6 @@ from repro.execution.tp import (
 __all__ = [
     "BACKWARD_MULTIPLIER",
     "HOST_MEMORY_BYTES",
-    "ChunkPipelinePass",
     "ClosureMemo",
     "ComputeSpec",
     "EdgeForwardStep",
@@ -73,7 +66,6 @@ __all__ = [
     "EpochReport",
     "ExchangePhase",
     "FeatureSliceAllToAllStep",
-    "FuseScatterGatherPass",
     "FusedScatterGatherStep",
     "GatherByDstStep",
     "GetFromDepNbrStep",
@@ -81,11 +73,8 @@ __all__ = [
     "LayerAccountant",
     "LayerExecutor",
     "LayerProgram",
-    "OverlapExchangePass",
     "PASS_REGISTRY",
     "Program",
-    "ProgramPass",
-    "RingReorderPass",
     "ScatterToEdgeStep",
     "StalenessBoundedReader",
     "VertexForwardStep",
@@ -97,7 +86,6 @@ __all__ = [
     "compile_layers",
     "compile_program",
     "describe_program",
-    "make_pass",
     "render_program",
     "run_closure_forward",
     "run_passes",

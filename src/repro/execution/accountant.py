@@ -24,8 +24,8 @@ they run before a Program exists.  Seconds are evaluated at *charge
 time* against ``engine._device(w)`` (the device view under straggler
 faults), never baked into the IR.
 
-The one optimization pass (paper Section 5.4) surfaces here: when
-:class:`.passes.OverlapExchangePass` marked a worker's exchange as
+The overlap pass (paper Section 5.4) surfaces here: when
+:func:`.passes.overlap_exchange` marked a worker's exchange as
 foldable, :meth:`LayerAccountant.charge_forward_layer` overlaps that
 worker's VertexForward (dense) time with the exchange's communication
 window -- the GPU total charged is unchanged, the wall-clock shrinks by
@@ -51,6 +51,12 @@ HOST_MEMORY_BYTES = 230 * 1024 * 1024
 # Fraction of a layer's forward compute charged again during backward.
 BACKWARD_MULTIPLIER = 2.0
 
+# Charged sparse-flops multiplier of a layer the fuse-scatter-gather
+# pass fused (GCN, GIN and SAGE alike): the E x d per-edge message is
+# never materialised, so 3 of GCN's 4 per-edge/dim ops remain (gather,
+# multiply, scatter-add).
+FUSED_FLOPS_FACTOR = 0.75
+
 
 class LayerAccountant:
     """Charges one engine's execution to its cluster timeline."""
@@ -73,12 +79,9 @@ class LayerAccountant:
         lp = self._layer(l)
         specs = lp.compute_specs
         # Fused layers skip the materialised per-edge intermediate, so
-        # the charged sparse time shrinks by the layer's declared factor
-        # (the counts in the IR stay untouched).
+        # the charged sparse time shrinks (the IR's counts stay as-is).
         sparse_factor = (
-            engine.model.layer(l).fused_flops_factor()
-            if lp.fused_reducer is not None
-            else 1.0
+            FUSED_FLOPS_FACTOR if lp.fused_reducer is not None else 1.0
         )
         for w in range(m):
             device = engine._device(w)
@@ -168,25 +171,16 @@ class LayerAccountant:
 
             return tp_charge_forward_layer(self, l)
         chunk_compute, local_compute, dense = self.layer_compute_split(l)
-        depth, staggered = self._exchange_schedule(l)
         stats = self._exchange(
             lp.exchange.volumes,
             lp.exchange.bytes_per_message,
             chunk_compute=chunk_compute,
             local_compute=local_compute,
             cache=self.cache_traffic(l, backward=False),
-            pipeline_depth=depth,
-            staggered=staggered,
         )
         self.engine._forward_stats.append(stats)
         self._charge_dense(l, dense, stats, lp.exchange.volumes)
         return stats
-
-    def _exchange_schedule(self, l: int):
-        """Pass-written (pipeline_depth, staggered) for layer ``l``'s
-        exchange; (1, False) charges bit-identically to no pass."""
-        ex = self._layer(l).exchange
-        return int(ex.pipeline_depth), ex.ring_order is not None
 
     def _fold_flags(self, l: int) -> Optional[np.ndarray]:
         """Pass-written fold markers for this layer (None = charge as-is)."""
@@ -206,14 +200,11 @@ class LayerAccountant:
         engine = self.engine
         timeline = engine.timeline
         fold = self._fold_flags(l)
-        depth, staggered = self._exchange_schedule(l)
         for w in range(engine.cluster.num_workers):
             d = dense[w]
             saved = 0.0
             if fold is not None and fold[w] and d > 0:
-                saved = self._overlap_saving(
-                    stats, volumes, w, d, depth, staggered
-                )
+                saved = self._overlap_saving(stats, volumes, w, d)
             if saved <= 0:
                 timeline.advance(w, GPU, d)
                 continue
@@ -233,14 +224,11 @@ class LayerAccountant:
         volumes: np.ndarray,
         w: int,
         dense_w: float,
-        pipeline_depth: int = 1,
-        staggered: bool = False,
     ) -> float:
         """Dense seconds the exchange window can absorb for worker ``w``.
 
         The window's idle slack is ``comm - fill - busy``: after the
-        first chunk lands (``fill``, divided by the chunk-pipeline
-        depth when that pass split senders) and the already-overlapped
+        first chunk lands (``fill``) and the already-overlapped
         chunk compute (``busy``, only when the P optimization pipelines
         it), the GPU sits idle until the last byte arrives.  Clamped to
         ``[0, dense_w]``, so folding can never increase wall-clock, and
@@ -250,7 +238,7 @@ class LayerAccountant:
         engine = self.engine
         network = engine.cluster.network
         m = volumes.shape[0]
-        congested = not (engine.comm.ring or staggered)
+        congested = not engine.comm.ring
         wires = [
             network.wire_time(volumes[j, w], congested=congested)
             for j in range(m)
@@ -258,13 +246,11 @@ class LayerAccountant:
         ]
         if len(wires) < 2:
             return 0.0
-        wait = (
-            float(stats.retry_wait_s[w])
-            if stats.retry_wait_s is not None
-            else 0.0
+        comm = max(
+            float(stats.send_s[w]) + float(stats.retry_wait_s[w]),
+            float(stats.recv_s[w]),
         )
-        comm = max(float(stats.send_s[w]) + wait, float(stats.recv_s[w]))
-        fill = min(wires) / max(int(pipeline_depth), 1)
+        fill = min(wires)
         busy = float(stats.compute_s[w]) if engine.comm.overlap else 0.0
         return min(float(dense_w), max(0.0, comm - fill - busy))
 
@@ -279,16 +265,11 @@ class LayerAccountant:
         compute = (
             chunk_compute.sum(axis=0) + local_compute + dense
         ) * BACKWARD_MULTIPLIER
-        # The gradient return retraces the forward schedule, so the
-        # pass-written ring/pipeline annotations apply symmetrically.
-        depth, staggered = self._exchange_schedule(l)
         self._exchange(
             self.backward_volumes(l),
             lp.exchange.bytes_per_message,
             local_compute=compute,
             cache=self.cache_traffic(l, backward=True),
-            pipeline_depth=depth,
-            staggered=staggered,
         )
 
     # -- loss / parameter sync -----------------------------------------

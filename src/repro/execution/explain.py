@@ -42,7 +42,7 @@ def describe_layers(program: Program) -> List[Dict[str, object]]:
     for lp in program.layers:
         ex = lp.exchange
         # Tensor-parallel layers place the dense work after the unslice
-        # transpose, so fold/chunk metadata lives on ``post_exchange``.
+        # transpose, so the fold metadata lives on ``post_exchange``.
         fold_ex = lp.post_exchange if lp.post_exchange is not None else ex
         workers = []
         for wp in lp.workers:
@@ -65,12 +65,6 @@ def describe_layers(program: Program) -> List[Dict[str, object]]:
             "refresh_entries": int(ex.refresh_entries),
             "bytes_per_message": float(ex.bytes_per_message),
             "fused_reducer": lp.fused_reducer,
-            "pipeline_depth": int(fold_ex.pipeline_depth),
-            "ring_order": (
-                list(fold_ex.ring_order)
-                if fold_ex.ring_order is not None
-                else None
-            ),
             "workers": workers,
         })
     return layers
@@ -102,19 +96,11 @@ def render_program(engine) -> str:
         "passes: " + (", ".join(desc["passes"]) if desc["passes"] else "(none)")
     )
     for layer in desc["layers"]:
-        notes = []
-        if layer["pipeline_depth"] > 1:
-            notes.append(f"pipeline-depth={layer['pipeline_depth']}")
-        if layer["ring_order"] is not None:
-            order = "-".join(str(o) for o in layer["ring_order"])
-            notes.append(f"ring-order={order}")
-        annot = f"  [{', '.join(notes)}]" if notes else ""
         if layer.get("tensor_parallel"):
             lines.append(
                 f"layer {layer['layer']}: tensor-parallel, "
                 f"slice exchange {layer['exchange_bytes']} B, "
                 f"unslice exchange {layer['post_exchange_bytes']} B"
-                + annot
             )
             for wk in layer["workers"]:
                 sl = wk["steps"][0]
@@ -139,7 +125,6 @@ def render_program(engine) -> str:
                 if layer["refresh_entries"]
                 else ""
             )
-            + annot
         )
         for wk in layer["workers"]:
             gather = wk["steps"][0]

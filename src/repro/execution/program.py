@@ -89,7 +89,7 @@ class GatherByDstStep:
 class FusedScatterGatherStep:
     """Scatter + EdgeForward + GatherByDst lowered to one segment kernel.
 
-    Written by :class:`.passes.FuseScatterGatherPass` for layers whose
+    Written by :func:`.passes.fuse_scatter_gather` for layers whose
     edge function is a simple (weighted-)sum or mean reducer: the three
     edge-sized steps collapse into a single segment reduction, skipping
     the materialised per-edge intermediate.  ``reducer`` names the
@@ -145,13 +145,7 @@ class ExchangePhase:
     transposes) -- nothing re-derives them from the plan.
     ``fold_dense[w]`` is pass-written metadata: when set, the accountant
     may fold worker ``w``'s VertexForward time into this exchange's
-    communication window (see :class:`.passes.OverlapExchangePass`).
-    ``pipeline_depth`` (:class:`.passes.ChunkPipelinePass`) splits each
-    incoming chunk into that many sub-chunks, shrinking the pipeline
-    fill; ``ring_order`` (:class:`.passes.RingReorderPass`) is the
-    staggered round-offset schedule senders follow, which keeps every
-    receiver's NIC uncongested.  Defaults (1 / ``None``) charge
-    bit-identically to the pre-pass engine.
+    communication window (see :func:`.passes.overlap_exchange`).
     """
 
     layer: int
@@ -160,8 +154,6 @@ class ExchangePhase:
     bytes_per_message: float
     refresh_entries: int
     fold_dense: np.ndarray = field(default=None)
-    pipeline_depth: int = 1
-    ring_order: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.fold_dense is None:

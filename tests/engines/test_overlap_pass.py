@@ -1,6 +1,6 @@
 """Properties of the Section-5.4 comm/compute overlap pass.
 
-The :class:`~repro.execution.passes.OverlapExchangePass` may only fold
+The :func:`~repro.execution.passes.overlap_exchange` pass may only fold
 VertexForward (dense) time into an exchange's communication window; it
 must never invent or destroy charged work.  Three properties pin this:
 
@@ -21,7 +21,8 @@ from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import GPU
 from repro.core.model import GNNModel
 from repro.engines import DepCommEngine, HybridEngine
-from repro.execution import OverlapExchangePass, compile_program
+from repro.execution import compile_program
+from repro.execution.passes import overlap_exchange
 from repro.graph import generators
 from repro.training.prep import prepare_graph
 
@@ -125,8 +126,8 @@ class TestSingleChunkNoOp:
         _, on = _engine(DepCommEngine, 4, seed=3, overlap_pass=True)
         plan = on.plan()
         program = compile_program(on, plan)
-        OverlapExchangePass().run(program, on)
+        overlap_exchange(program, on)
         first = [lp.exchange.fold_dense.copy() for lp in program.layers]
-        OverlapExchangePass().run(program, on)
+        overlap_exchange(program, on)
         for before, lp in zip(first, program.layers):
             assert np.array_equal(before, lp.exchange.fold_dense)

@@ -1,12 +1,12 @@
 """Golden-parity and cost properties of the optimizer pass pipeline.
 
-Each of the three new passes (:class:`FuseScatterGatherPass`,
-:class:`ChunkPipelinePass`, :class:`RingReorderPass`) is annotation-only
-IR surgery: with a pass enabled the trained losses and predictions must
-stay **bit-identical** to the pass-off run of the same seeded scenario,
-while the charged wall-clock never increases.  The fuse pass addition-
-ally rewires the worker step tuples, so its structural effect on the IR
-is pinned too.
+Every registered pass is annotation-only IR surgery: with a pass
+enabled the trained losses and predictions must stay **bit-identical**
+to the pass-off run of the same seeded scenario, while the charged
+wall-clock never increases.  The fuse-scatter-gather pass additionally
+rewires the worker step tuples, so its structural effect on the IR is
+pinned too (the overlap pass has its own properties in
+``test_overlap_pass.py``).
 """
 
 import numpy as np
@@ -15,13 +15,13 @@ import pytest
 from repro.cluster.spec import ClusterSpec
 from repro.core.model import GNNModel
 from repro.engines import HybridEngine
-from repro.execution import make_pass
+from repro.execution import PASS_REGISTRY
 from repro.graph import generators
 from repro.sampling.engine import SampledTrainingEngine
 from repro.tensor import optim
 from repro.training.prep import prepare_graph
 
-PASSES = ["fuse-scatter-gather", "chunk-pipeline", "ring-reorder"]
+PASSES = ["fuse-scatter-gather"]
 ARCHS = ["gcn", "gin", "sage"]
 
 
@@ -55,7 +55,7 @@ class TestPassParity:
 
     def test_all_passes_together_bit_identical(self):
         losses_off, params_off = _train(_engine("gcn", None))
-        losses_on, params_on = _train(_engine("gcn", tuple(PASSES)))
+        losses_on, params_on = _train(_engine("gcn", tuple(PASS_REGISTRY)))
         assert losses_on == losses_off
         for a, b in zip(params_on, params_off):
             assert np.array_equal(a, b)
@@ -65,7 +65,9 @@ class TestPassParity:
             _engine("sage", None, cls=SampledTrainingEngine, seed=5)
         )
         losses_on, _ = _train(
-            _engine("sage", tuple(PASSES), cls=SampledTrainingEngine, seed=5)
+            _engine(
+                "sage", tuple(PASS_REGISTRY), cls=SampledTrainingEngine, seed=5
+            )
         )
         assert losses_on == losses_off
 
@@ -81,16 +83,6 @@ class TestPassCost:
         t_off = _engine("gcn", None, num_workers=4).charge_epoch()
         t_on = _engine(
             "gcn", ("fuse-scatter-gather",), num_workers=4
-        ).charge_epoch()
-        assert t_on < t_off
-
-    def test_ring_saves_when_engine_r_is_off(self):
-        from repro.comm.scheduler import CommOptions
-
-        raw = CommOptions(ring=False, lock_free=True, overlap=True)
-        t_off = _engine("gcn", None, num_workers=4, comm=raw).charge_epoch()
-        t_on = _engine(
-            "gcn", ("ring-reorder",), num_workers=4, comm=raw
         ).charge_epoch()
         assert t_on < t_off
 
@@ -118,30 +110,6 @@ class TestPassStructure:
             assert lp.fused_reducer is None
             assert len(lp.workers[0].steps) == 5
 
-    def test_pipeline_and_ring_annotations(self):
-        engine = _engine(
-            "gcn", ("chunk-pipeline", "ring-reorder"), num_workers=4
-        )
-        engine.plan()
-        program = engine.program_
-        assert "chunk-pipeline" in program.passes
-        assert "ring-reorder" in program.passes
-        annotated = [
-            lp.exchange for lp in program.layers
-            if lp.exchange.total_bytes() > 0
-        ]
-        assert annotated
-        for ex in annotated:
-            assert ex.pipeline_depth == 4
-            assert ex.ring_order == (1, 2, 3)
-        # Phases without traffic stay at their bit-identical defaults.
-        for lp in program.layers:
-            if lp.exchange.total_bytes() == 0:
-                assert lp.exchange.pipeline_depth == 1
-                assert lp.exchange.ring_order is None
-
     def test_unknown_pass_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown program pass"):
-            make_pass("loop-unroll")
         with pytest.raises(ValueError, match="unknown program pass"):
             _engine("gcn", ("loop-unroll",)).plan()

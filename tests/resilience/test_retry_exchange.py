@@ -1,10 +1,11 @@
 """run_exchange under faults: degraded links, losses, retries."""
 
 import numpy as np
+import pytest
 
 from repro.cluster.network import ECS_NETWORK
 from repro.cluster.timeline import IDLE, Timeline
-from repro.comm.scheduler import run_exchange
+from repro.comm.scheduler import CacheTraffic, CommOptions, run_exchange
 from repro.resilience import (
     FaultInjector,
     FaultSchedule,
@@ -29,16 +30,59 @@ def run(faults=None, m=2, **kwargs):
     return tl, stats
 
 
+def skewed_volumes(m=4):
+    """Distinct byte counts per pair, so every sum has several terms."""
+    v = np.arange(1.0, m * m + 1.0).reshape(m, m) * 1.5e5
+    np.fill_diagonal(v, 0.0)
+    return v
+
+
+EQUIVALENCE_CASES = {
+    "all-pairs": dict(m=2),
+    "participants": dict(
+        m=4, vols=skewed_volumes(), participants=[0, 2, 3],
+        chunk_compute=np.full((4, 4), 2e-4), options=CommOptions.all(),
+    ),
+    "cache-refresh": dict(
+        m=4, vols=skewed_volumes(), bytes_per_message=64,
+        cache=CacheTraffic(skewed_volumes() / 3, refresh=True, entries=7),
+    ),
+    "cache-hit": dict(
+        m=4, vols=skewed_volumes(),
+        cache=CacheTraffic(skewed_volumes() / 3, refresh=False, entries=5),
+    ),
+}
+
+
 class TestEmptyScheduleEquivalence:
-    def test_empty_injector_matches_no_injector_bitwise(self):
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_empty_injector_matches_no_injector_bitwise(self, case):
         """An injector over an *empty* schedule is the identity."""
-        tl_none, s_none = run(faults=None)
-        tl_empty, s_empty = run(faults=FaultInjector(FaultSchedule()))
+        kwargs = dict(EQUIVALENCE_CASES[case])
+        m = kwargs.pop("m")
+        vols = kwargs.pop("vols", volumes(m))
+
+        def once(faults):
+            tl = Timeline(m)
+            stats = run_exchange(
+                tl, ECS_NETWORK, vols, faults=faults, **kwargs
+            )
+            return tl, stats
+
+        tl_none, s_none = once(None)
+        tl_empty, s_empty = once(FaultInjector(FaultSchedule()))
         assert tl_none.makespan == tl_empty.makespan  # bit-identical
-        np.testing.assert_array_equal(s_none.pack_s, s_empty.pack_s)
-        np.testing.assert_array_equal(s_none.send_s, s_empty.send_s)
-        np.testing.assert_array_equal(s_none.recv_s, s_empty.recv_s)
-        np.testing.assert_array_equal(s_none.phase_s, s_empty.phase_s)
+        np.testing.assert_array_equal(tl_none.clocks, tl_empty.clocks)
+        assert tl_none.intervals == tl_empty.intervals  # bytes included
+        for name in ("pack_s", "send_s", "recv_s", "compute_s", "phase_s",
+                     "retry_wait_s"):
+            np.testing.assert_array_equal(
+                getattr(s_none, name), getattr(s_empty, name), err_msg=name
+            )
+        assert not s_none.retry_wait_s.any()
+        for name in ("total_bytes", "retries", "cache_hits", "cache_misses",
+                     "refresh_bytes", "saved_bytes"):
+            assert getattr(s_none, name) == getattr(s_empty, name), name
         assert s_empty.retries == 0
 
 

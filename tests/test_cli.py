@@ -375,16 +375,11 @@ class TestExplainPassFlagsCli:
             "--nodes", "2"]
 
     def test_renders_pass_annotations(self, capsys):
-        assert main(self.BASE + [
-            "--fuse-pass", "--pipeline-pass", "--ring-pass",
-        ]) == 0
+        assert main(self.BASE + ["--fuse-pass", "--overlap-pass"]) == 0
         out = capsys.readouterr().out
-        assert "passes: fuse-scatter-gather, chunk-pipeline, ring-reorder" \
-            in out
+        assert "passes: overlap-exchange, fuse-scatter-gather" in out
         assert "FusedScatterGather(" in out
         assert "reducer=weighted_sum" in out
-        assert "pipeline-depth=4" in out
-        assert "ring-order=1" in out
         assert "Scatter/Edge/Gather" not in out
 
     def test_json_carries_pass_annotations(self, capsys, tmp_path):
@@ -392,20 +387,12 @@ class TestExplainPassFlagsCli:
 
         target = tmp_path / "program.json"
         assert main(self.BASE + [
-            "--fuse-pass", "--pipeline-pass", "--ring-pass",
-            "--json", str(target),
+            "--fuse-pass", "--overlap-pass", "--json", str(target),
         ]) == 0
         payload = json.loads(target.read_text())
-        assert payload["passes"] == [
-            "fuse-scatter-gather", "chunk-pipeline", "ring-reorder",
-        ]
+        assert payload["passes"] == ["overlap-exchange", "fuse-scatter-gather"]
         layers = payload["layers"]
         assert all(l["fused_reducer"] == "weighted_sum" for l in layers)
-        annotated = [l for l in layers if l["exchange_bytes"] > 0]
-        assert annotated
-        for l in annotated:
-            assert l["pipeline_depth"] == 4
-            assert l["ring_order"] == [1]
         kinds = [s["kind"] for s in layers[0]["workers"][0]["steps"]]
         assert "fused_scatter_gather" in kinds
 
@@ -415,7 +402,6 @@ class TestExplainPassFlagsCli:
         assert "passes: (none)" in out
         assert "Scatter/Edge/Gather" in out
         assert "FusedScatterGather(" not in out
-        assert "pipeline-depth" not in out
 
 
 class TestExplainSampledCli:

@@ -85,8 +85,7 @@ CASES = {
     ],
     "explain-plan": [
         "explain-plan", "--dataset", "cora", "--scale", "0.2",
-        "--nodes", "2", "--tau", "2", "--fuse-pass", "--pipeline-pass",
-        "--ring-pass",
+        "--nodes", "2", "--tau", "2", "--fuse-pass",
     ],
     "explain-plan-json": [
         "explain-plan", "--dataset", "cora", "--scale", "0.2",
