@@ -10,7 +10,12 @@ comparison is on bits, not on a printed rounding.
 Pinned per scenario: every :class:`RequestRecord` field, the
 predictions, the cache counters, a digest of the embedding rows the
 cache holds (the numeric forward's raw bytes), ``num_batches`` and the
-makespan.  Scenarios: mode {auto, local, remote} x ``tau_s`` {0, 0.05}
+makespan.  ``tests/data/golden_serving_clock.json``, recorded by the
+same ``--write`` before the per-request charging moved to per-group
+vectors, pins the rest of the charged clock: the per-kind, per-worker
+``timeline.totals``, ``timeline.clocks``, a digest of every interval
+and span, and the closure memo's ``rows_served`` / ``rows_memoised`` /
+``bypassed`` counters.  Scenarios: mode {auto, local, remote} x ``tau_s`` {0, 0.05}
 on a small skewed social graph over 4 workers, plus a crashed worker
 (ring fallback + stale-if-error), ``max_pending`` shedding, a
 two-segment continuation (in order, and with the earlier arrivals
@@ -19,16 +24,19 @@ model (the layer without a fused kernel).
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.serving.slo import RequestRecord
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "golden_serving_paths.json"
+GOLDEN_CLOCK = GOLDEN.with_name("golden_serving_clock.json")
 NODES = 4
 
 
@@ -86,6 +94,48 @@ def _server_payload(server, ledger, predictions, makespan, num_batches, requests
     }
 
 
+def _canonical(obj):
+    """JSON-ready copy: numpy scalars as Python ones, floats as ``float.hex()``."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    raise TypeError(f"not pinnable: {type(obj)}")
+
+
+def _sha256(obj):
+    text = json.dumps(_canonical(obj), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _clock_payload(server, timeline):
+    """The charged clock beyond the makespan, and the memo's counters."""
+    memo = server.closure_memo
+    return {
+        "totals": {kind: timeline.totals[kind].tolist() for kind in sorted(timeline.totals)},
+        "clocks": timeline.clocks.tolist(),
+        "intervals_sha256": _sha256([
+            [i.worker, i.kind, i.start, i.end, i.num_bytes] for i in timeline.intervals
+        ]),
+        "spans_sha256": _sha256([
+            [s.worker, s.name, s.start, s.end, s.args] for s in timeline.spans
+        ]),
+        "memo": {
+            "rows_served": list(memo.rows_served),
+            "rows_memoised": list(memo.rows_memoised),
+            "bypassed": memo.bypassed,
+        },
+    }
+
+
 def _serve(config=None, faults=None, arch="gcn", segments=1, reverse=False):
     from repro.cluster.timeline import Timeline
     from repro.serving import InferenceServer
@@ -107,10 +157,12 @@ def _serve(config=None, faults=None, arch="gcn", segments=1, reverse=False):
     starts = list(range(0, len(requests), width))
     for lo in reversed(starts) if reverse else starts:
         num_batches += server.serve(requests[lo:lo + width], **state).num_batches
-    return _server_payload(
+    payload = _server_payload(
         server, state["ledger"], state["predictions"],
         state["timeline"].makespan, num_batches, requests,
     )
+    payload["clock"] = [_clock_payload(server, state["timeline"])]
+    return payload
 
 
 def _mode_tau(mode, tau_s):
@@ -186,6 +238,7 @@ def _fleet():
             for k in ("num_segments", "hedges_launched", "hedges_won",
                       "failovers", "replica_served")
         },
+        "clock": [_clock_payload(g.server, g.timeline) for g in result.replicas],
     }
 
 
@@ -217,13 +270,33 @@ def _hexed(obj):
     raise TypeError(f"not pinnable: {type(obj)}")
 
 
+@functools.lru_cache(maxsize=None)
+def _built(name):
+    """``(paths payload, clock payloads)`` of one scenario, JSON-ready;
+    the clock has one payload per server (a fleet has one per replica)."""
+    payload = SCENARIOS[name]()
+    clock = payload.pop("clock")
+    return _hexed(payload), _canonical(clock)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_serving_path_matches_parent_recording(name):
     golden = json.loads(GOLDEN.read_text())[name]
-    fresh = _hexed(SCENARIOS[name]())
+    fresh = _built(name)[0]
     assert fresh.keys() == golden.keys()
     for key in golden:
         assert fresh[key] == golden[key], f"{name}: {key!r} drifted from the pin"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_serving_clock_matches_parent_recording(name):
+    golden = json.loads(GOLDEN_CLOCK.read_text())[name]
+    fresh = _built(name)[1]
+    assert len(fresh) == len(golden)
+    for i, (got, want) in enumerate(zip(fresh, golden)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], f"{name}[{i}]: {key!r} drifted from the pin"
 
 
 def test_scenarios_exercise_what_they_name():
@@ -253,9 +326,11 @@ def main(argv):
     if "--write" not in argv:
         print("usage: python tests/serving/test_serving_pin.py --write")
         return 1
-    payload = {name: _hexed(build()) for name, build in SCENARIOS.items()}
-    GOLDEN.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    built = {name: _built(name) for name in SCENARIOS}
+    for path, part in ((GOLDEN, 0), (GOLDEN_CLOCK, 1)):
+        payload = {name: pair[part] for name, pair in built.items()}
+        path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+        print(f"wrote {path}")
     return 0
 
 
