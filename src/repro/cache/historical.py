@@ -25,8 +25,8 @@ unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,14 +47,21 @@ class CacheCounters:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     row: np.ndarray
     stamp: int
-    nbytes: int = field(init=False)
 
-    def __post_init__(self):
-        self.nbytes = int(self.row.nbytes)
+
+def _listed(values) -> list:
+    """``values`` (an array or a sequence) as a list of Python scalars."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def _per_id(epoch, count: int) -> list:
+    """``epoch`` for each of ``count`` ids: one given per id, or one for all."""
+    if isinstance(epoch, (np.ndarray, list, tuple)):
+        return _listed(epoch)
+    return [epoch] * count
 
 
 class HistoricalEmbeddingCache:
@@ -92,63 +99,69 @@ class HistoricalEmbeddingCache:
             raise ValueError(f"layer must be in 1..{self.num_layers}, got {layer}")
 
     # ------------------------------------------------------------------
-    def store(self, layer: int, ids: np.ndarray, rows: np.ndarray, epoch: int) -> None:
-        """Insert/refresh ``rows`` (one per id) stamped with ``epoch``."""
+    def store(self, layer: int, ids: np.ndarray, rows: np.ndarray, epoch) -> None:
+        """Insert/refresh ``rows`` (one per id) stamped with ``epoch``
+        (one for all ids, or one per id)."""
         self._check_layer(layer)
         ids = np.asarray(ids, dtype=np.int64)
         rows = np.asarray(rows)
         if len(ids) != len(rows):
             raise ValueError(f"{len(ids)} ids but {len(rows)} rows")
-        for u, row in zip(ids, rows):
-            key = (layer, int(u))
+        counters = self.counters
+        for u, row, e in zip(ids.tolist(), rows, _per_id(epoch, len(ids))):
+            key = (layer, u)
             old = self._entries.pop(key, None)
             if old is not None:
-                self.counters.resident_bytes -= old.nbytes
-            entry = _Entry(row=np.array(row, copy=True), stamp=int(epoch))
-            self._entries[key] = entry
-            self.counters.resident_bytes += entry.nbytes
-            self.counters.stores += 1
+                counters.resident_bytes -= old.row.nbytes
+            row = np.array(row, copy=True)
+            self._entries[key] = _Entry(row, int(e))
+            counters.resident_bytes += row.nbytes
+            counters.stores += 1
 
     def lookup(
-        self, layer: int, ids: np.ndarray, epoch: int
+        self, layer: int, ids: np.ndarray, epoch
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Fresh entries for ``ids`` at ``epoch``.
+        """Fresh entries for ``ids`` at ``epoch`` (one for all ids, or
+        one per id).
 
         Returns ``(fresh_mask, rows)`` where ``rows`` has one row per
         fresh id (``None`` when nothing is fresh).  Expired or missing
         ids are the caller's responsibility to fetch exactly.
         """
         self._check_layer(layer)
-        ids = np.asarray(ids, dtype=np.int64)
-        fresh = np.zeros(len(ids), dtype=bool)
+        ids = _listed(ids)
+        fresh = [False] * len(ids)
         rows = []
-        for i, u in enumerate(ids):
-            key = (layer, int(u))
-            entry = self._entries.get(key)
+        counters = self.counters
+        for i, (u, e) in enumerate(zip(ids, _per_id(epoch, len(ids)))):
+            entry = self._entries.get((layer, u))
             if entry is None:
-                self.counters.misses += 1
+                counters.misses += 1
                 continue
-            if not (epoch - entry.stamp < self.tau):
-                self.counters.expirations += 1
+            if not (e - entry.stamp < self.tau):
+                counters.expirations += 1
                 continue
             fresh[i] = True
             rows.append(entry.row)
-            self.counters.hits += 1
-        return fresh, (np.stack(rows) if rows else None)
+            counters.hits += 1
+        # np.array stacks equal-width rows as np.stack does, at less overhead.
+        return np.array(fresh, dtype=bool), (np.array(rows) if rows else None)
 
-    def stamp_of(self, layer: int, vertex: int) -> Optional[int]:
-        entry = self._entries.get((layer, int(vertex)))
-        return None if entry is None else entry.stamp
-
-    def peek(self, layer: int, vertex: int) -> Optional[np.ndarray]:
-        """The stored row regardless of freshness (``None`` if absent).
+    def peek(
+        self, layer: int, ids: np.ndarray
+    ) -> Tuple[List[Optional[np.ndarray]], List[Optional[int]]]:
+        """Every stored row of ``ids`` and its stamp, regardless of
+        freshness (``None`` where absent).
 
         Bypasses the staleness bound and the hit/miss counters: the
-        degraded-serving path uses it to answer from an *expired* entry
-        when the owner is dead ("stale-if-error").
+        serving probe reads stamps through it, and answers from an
+        *expired* entry when the owner is dead ("stale-if-error").
         """
-        entry = self._entries.get((layer, int(vertex)))
-        return None if entry is None else entry.row
+        entries = [self._entries.get((layer, u)) for u in _listed(ids)]
+        return (
+            [None if e is None else e.row for e in entries],
+            [None if e is None else e.stamp for e in entries],
+        )
 
     def contains(self, layer: int, vertex: int) -> bool:
         return (layer, int(vertex)) in self._entries

@@ -8,8 +8,7 @@ Barriers synchronise clocks (BSP layer boundaries, all-reduce).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +21,11 @@ IDLE = "idle"
 KINDS = (GPU, CPU, NET_SEND, NET_RECV, IDLE)
 
 
-@dataclass(frozen=True)
-class Interval:
+# Interval and Span are named tuples, not dataclasses: a run records
+# tens of thousands of them, and a tuple of plain values is built several
+# times faster and, being untracked by the garbage collector, costs its
+# collections nothing.
+class Interval(NamedTuple):
     """One recorded activity: worker spent [start, end) doing ``kind``."""
 
     worker: int
@@ -37,8 +39,7 @@ class Interval:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A named logical period on one worker's row (serving lifecycle).
 
     Unlike an :class:`Interval`, a span does not charge time or occupy
@@ -95,6 +96,37 @@ class Timeline:
             self.intervals.append(
                 Interval(worker, kind, float(start), float(start + duration), num_bytes)
             )
+
+    def advance_repeated(
+        self, worker: int, kind: str, duration: float, count: int,
+        num_bytes: int = 0,
+    ) -> List[float]:
+        """``count`` back-to-back ``advance(worker, kind, duration,
+        num_bytes)`` calls in one; returns the clock after each.
+
+        The clock and the kind's total add ``duration`` one step at a
+        time, left to right, exactly as the calls would, so every value
+        (and every recorded interval) is bit-equal to the loop's.
+        """
+        if duration < 0:
+            raise ValueError("cannot advance time backwards")
+        if kind not in KINDS:
+            raise ValueError(f"unknown activity kind {kind!r}")
+        clock = float(self.clocks[worker])
+        if duration == 0 or count == 0:
+            return [clock] * count
+        total = float(self.totals[kind][worker])
+        ends = []
+        for _ in range(count):
+            start = clock
+            clock += duration
+            total += duration
+            ends.append(clock)
+            if self.record:
+                self.intervals.append(Interval(worker, kind, start, clock, num_bytes))
+        self.clocks[worker] = clock
+        self.totals[kind][worker] = total
+        return ends
 
     def advance_at_least_until(
         self, worker: int, time: float, record_idle: bool = False
@@ -160,6 +192,24 @@ class Timeline:
         if self.record:
             self.spans.append(
                 Span(worker, name, float(start), float(end), args or None)
+            )
+
+    def record_spans(
+        self,
+        worker: int,
+        spans: Sequence[Tuple[str, float, float, Optional[Dict[str, object]]]],
+    ) -> None:
+        """``record_span(worker, name, start, end, **args)`` for each
+        ``(name, start, end, args)`` in turn, in one call."""
+        if not 0 <= worker < self.num_workers:
+            raise ValueError(f"worker {worker} not in 0..{self.num_workers - 1}")
+        for _, start, end, _ in spans:
+            if end < start:
+                raise ValueError(f"span must have end >= start, got [{start}, {end})")
+        if self.record:
+            self.spans.extend(
+                Span(worker, name, float(start), float(end), args or None)
+                for name, start, end, args in spans
             )
 
     def barrier(self, workers: Optional[Sequence[int]] = None) -> float:

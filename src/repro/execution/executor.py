@@ -87,28 +87,34 @@ class StalenessBoundedReader:
             rows[row_positions[fresh]] = cached_rows
 
     def probe(
-        self, layer: int, vertex: int, key, allow_expired: bool = False
-    ) -> Tuple[Optional[np.ndarray], Optional[float], bool]:
-        """One-vertex read: ``(row | None, stamp, served_expired)``.
+        self, layer: int, ids: Sequence[int], keys: Sequence[int],
+        allow_expired: Optional[Sequence[bool]] = None,
+    ) -> Tuple[List[Optional[np.ndarray]], List[Optional[int]], List[bool]]:
+        """Per-id reads, each at its own key: ``(rows, stamps,
+        served_expired)``, one entry per id.
 
-        A fresh entry is served with its stamp (the caller derives the
-        staleness it is accepting).  With ``allow_expired`` -- the
-        serve-stale-if-error degraded mode -- an expired entry is still
-        returned, flagged, when one exists.  Counter effects match the
-        training path: the lookup records the hit or miss; the expired
-        fallback reads via ``peek`` and stays invisible to counters.
+        A fresh entry is served (its row) with its stamp, from which the
+        caller derives the staleness it is accepting.  Where
+        ``allow_expired`` is set -- the serve-stale-if-error degraded
+        mode -- an expired entry is still served, flagged.  Otherwise
+        the row is ``None``.  Counter effects match the training path:
+        the lookup records each hit, miss or expiration; stamps and the
+        expired fallback read via ``peek`` and stay invisible to
+        counters.
         """
-        stamp = self.cache.stamp_of(layer, vertex)
-        fresh, rows = self.cache.lookup(
-            layer, np.array([vertex], dtype=np.int64), key
-        )
-        if rows is not None and fresh[0]:
-            return rows[0], stamp, False
-        if allow_expired and stamp is not None:
-            row = self.cache.peek(layer, vertex)
-            if row is not None:
-                return row, stamp, True
-        return None, stamp, False
+        fresh = self.cache.lookup(layer, ids, keys)[0].tolist()
+        served_expired = [False] * len(fresh)
+        if not any(fresh) and not any(allow_expired or ()):
+            return [None] * len(fresh), [None] * len(fresh), served_expired
+        rows, stamps = self.cache.peek(layer, ids)
+        for i, (row, f) in enumerate(zip(rows, fresh)):
+            if f:
+                continue
+            if allow_expired is not None and allow_expired[i] and row is not None:
+                served_expired[i] = True
+            else:
+                rows[i] = None
+        return rows, stamps, served_expired
 
 
 def run_closure_forward(model, graph, vertex_layers) -> np.ndarray:
@@ -403,6 +409,38 @@ class ClosureMemo:
                 return model.layer(L).forward(block, Tensor(x)).data
         self.rows_memoised[-1] += count
         return rows
+
+    def seed_rows(
+        self, seeds: np.ndarray, heights: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows :meth:`forward` reads from the memo for one-seed
+        closures, in one call.
+
+        ``heights[i, l - 1]`` is the layer-``l`` height of ``seeds[i]``'s
+        closure.  Returns ``(kept, rows)``: ``kept[i]`` whether
+        ``forward`` of that closure reads its answer from the memo (the
+        seed was filled from today's arrays, no layer below the top is
+        taller than its probed height, and the top's one-row products
+        stack exactly), and ``rows`` those answers, byte for byte, in
+        seed order.  Nothing is counted; :meth:`count_reads` does that
+        for the closures actually answered from these rows.
+        """
+        L = self.model.num_layers
+        seeds = np.asarray(seeds, dtype=np.int64)
+        if not (self._stacks and same_objects(self._filled_from, self._sources())):
+            return np.zeros(len(seeds), dtype=bool), np.empty((0, self.model.layer(L).out_dim))
+        kept = self._filled[seeds] & (
+            heights[:, :-1] <= np.asarray(self._exact_to[:-1])
+        ).all(axis=1)
+        return kept, self._stores[L].read(seeds[kept])
+
+    def count_reads(self, heights: np.ndarray) -> None:
+        """Count one-seed closures answered from :meth:`seed_rows` as
+        :meth:`forward` would have: ``heights`` is their per-layer
+        heights summed, every row of them served and memoised."""
+        for l, height in enumerate(np.asarray(heights).tolist()):
+            self.rows_served[l] += height
+            self.rows_memoised[l] += height
 
     def _sources(self) -> tuple:
         graph = self.graph

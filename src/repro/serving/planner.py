@@ -216,14 +216,11 @@ class RequestPlanner:
         needs the closures.  An empty batch plans to empty layers.
         """
         profiles = self.profiles(vertices)
-        if self.mode in ("local", "remote"):
-            mode = self.mode
-        else:
-            local = sum(p.local_cost_s for p in profiles)
-            remote = sum(p.remote_cost_s for p in profiles)
-            mode = "local" if local <= remote else "remote"
         return BatchPlan(
-            mode,
+            self._mode(
+                sum(p.local_cost_s for p in profiles),
+                sum(p.remote_cost_s for p in profiles),
+            ),
             [
                 _merged([p.vertex_layers[t] for p in profiles])
                 for t in range(self.num_layers + 1)
@@ -233,6 +230,17 @@ class RequestPlanner:
                 for t in range(self.num_layers)
             ],
         )
+
+    def modes(self, profiles: Sequence[ClosureProfile]) -> List[str]:
+        """``plan_batch([p.vertex]).mode`` for each profile: the mode a
+        one-vertex batch runs in."""
+        return [self._mode(p.local_cost_s, p.remote_cost_s) for p in profiles]
+
+    def _mode(self, local_s: float, remote_s: float) -> str:
+        """The forced mode, or the cheaper of the two summed estimates."""
+        if self.mode in ("local", "remote"):
+            return self.mode
+        return "local" if local_s <= remote_s else "remote"
 
     def choose_batch(self, vertices: List[int]) -> str:
         """Mode for a deduped micro-batch: cheaper summed estimate wins."""

@@ -21,7 +21,7 @@ Per micro-batch the server:
    (DepCache-style closure recompute, zero traffic) or **remotely**
    as a distributed layer-by-layer forward (DepComm-style exchanges);
 4. replies, appending one :class:`~repro.serving.slo.RequestRecord`
-   per request to the ledger.
+   row per request to the ledger.
 
 Numerically every answer is exact: computed answers run the real model
 forward over the union closure, and cached answers replay previously
@@ -34,7 +34,15 @@ vertex's closure up front (:meth:`RequestPlanner.profiles`) and has a
 closures need once: the model is frozen, so a batch's forward becomes a
 lookup of byte-identical rows, while the modeled clock still charges
 the whole closure.  Where the memo cannot show that its rows are the
-closure forward's bytes, it runs that forward instead.
+closure forward's bytes, it runs that forward instead.  Everything else
+a group computes without the clock is also done up front: each
+requested vertex's answer as a group's only computed vertex (its mode,
+local GPU seconds, row and prediction), so such a group -- most of
+them, on a Zipf stream -- plans and runs nothing.  The clock is then
+charged per group: one cache probe and one store per batch, one bulk
+advance for a group's replies, and one ledger append per ``serve()``
+call, each bit-equal to the per-request loop it replaced
+(docs/serving.md, "Request lifecycle").
 
 When a :class:`~repro.resilience.faults.FaultSchedule` marks workers
 crashed, serving degrades instead of failing: a dead coordinator is
@@ -47,9 +55,9 @@ answers carry ``degraded=True`` in the ledger.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,8 +78,8 @@ from repro.partition.base import Partitioning
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.injector import FaultInjector
 from repro.serving.batcher import MicroBatch, MicroBatcher
-from repro.serving.planner import RequestPlanner
-from repro.serving.slo import LatencyLedger, RequestRecord, SLOConfig
+from repro.serving.planner import ClosureProfile, RequestPlanner
+from repro.serving.slo import LatencyLedger, SLOConfig
 from repro.serving.workload import Request
 
 _SERVE_MODES = ("auto", "local", "remote")
@@ -130,6 +138,37 @@ class ServingResult:
         out["cache_expirations"] = self.cache.counters.expirations
         out["makespan_s"] = self.makespan_s
         return out
+
+
+class _OneVertex(NamedTuple):
+    """A vertex's answer as the only computed vertex of a group."""
+
+    mode: str
+    gpu_s: float  # the local recompute, before any fault slow-down
+    row: np.ndarray
+    prediction: int
+    profile: ClosureProfile
+    index: int  # row of the stream's heights table, for the memo's counters
+
+
+@dataclass
+class _Stream:
+    """One ``serve()`` call's state, shared by its batches.
+
+    ``replies`` holds the call's ledger rows, shed ones included, in
+    ledger order (tuples of :class:`RequestRecord`'s leading fields);
+    ``answered`` the heights-table row of each group answered from
+    ``answers``.
+    """
+
+    timeline: Timeline
+    injector: Optional[FaultInjector]
+    predictions: Dict[int, int]
+    inflight: List[float]
+    owners: Dict[int, int]
+    answers: Dict[int, _OneVertex]
+    replies: List[tuple] = field(default_factory=list)
+    answered: List[int] = field(default_factory=list)
 
 
 class InferenceServer:
@@ -204,37 +243,76 @@ class InferenceServer:
         order the segments' arrivals come in.
         """
         cfg = self.config
-        network = self.cluster.network
         m = self.cluster.num_workers
         if timeline is None:
             timeline = Timeline(m, record=self.record_timeline)
-        injector = FaultInjector(self.faults) if self.faults else None
         batcher = MicroBatcher(cfg.batch_window_s, cfg.max_batch)
         batches = batcher.batches(requests)
-        if ledger is None:
-            ledger = LatencyLedger()
-        if predictions is None:
-            predictions = {}
-        if inflight is None:
-            inflight = []
 
         # The whole stream is known before the first batch runs, so every
-        # requested vertex's closure and price, and every row the memo can
-        # keep for those closures, are computed here in a few vectorised
-        # calls; a batch then only merges closures and looks rows up.
+        # requested vertex's closure and price, every row the memo can
+        # keep for those closures, and each vertex's answer as a group's
+        # only computed vertex are computed here in a few vectorised
+        # calls; a batch then only charges the clock and looks rows up.
         profiles = self.planner.profiles(sorted({r.vertex for r in requests}))
         self.closure_memo.fill([p.vertex_layers for p in profiles])
+        answers, heights = self._one_vertex_answers(profiles)
+        if ledger is None:
+            ledger = LatencyLedger()
+        stream = _Stream(
+            timeline=timeline,
+            injector=FaultInjector(self.faults) if self.faults else None,
+            predictions={} if predictions is None else predictions,
+            inflight=[] if inflight is None else inflight,
+            owners={p.vertex: p.owner for p in profiles},
+            answers=answers,
+        )
         for batch in batches:
-            self._serve_batch(
-                batch, timeline, network, injector, ledger, predictions, inflight
-            )
+            self._serve_batch(batch, stream)
+        ledger.extend(stream.replies)
+        if stream.answered:
+            self.closure_memo.count_reads(heights[stream.answered].sum(axis=0))
         return ServingResult(
             ledger=ledger,
-            predictions=predictions,
+            predictions=stream.predictions,
             timeline=timeline,
             num_batches=len(batches),
             cache=self.cache,
         )
+
+    def _one_vertex_answers(self, profiles):
+        """Each profiled vertex's clock-independent answer as the only
+        computed vertex of a group, and its closure's per-layer heights.
+
+        For a vertex whose one-seed forward the memo answers by lookup,
+        the answer holds what ``plan_batch([v])``, ``_local_gpu_s`` and
+        ``closure_memo.forward`` would return for it, value for value,
+        and the row's argmax.  Other vertices get no answer: their
+        groups plan and run as any larger group does.
+        """
+        L = self.num_layers
+
+        def sizes(layers):
+            return np.array(
+                [[len(p_layers[L - l]) for l in range(1, L + 1)] for p_layers in layers],
+                dtype=np.int64,
+            ).reshape(-1, L)
+
+        seeds = np.array([p.vertex for p in profiles], dtype=np.int64)
+        vertex_sizes = sizes([p.vertex_layers for p in profiles])
+        edge_sizes = sizes([p.edge_layers for p in profiles])
+        kept, rows = self.closure_memo.seed_rows(seeds, vertex_sizes)
+        modes = self.planner.modes(profiles)
+        gpu_s = self._local_gpu_s(vertex_sizes.T, edge_sizes.T).tolist()
+        answers = {
+            int(seeds[i]): _OneVertex(
+                modes[i], gpu_s[i], row, prediction, profiles[i], i
+            )
+            for i, row, prediction in zip(
+                np.flatnonzero(kept).tolist(), rows, np.argmax(rows, axis=1).tolist()
+            )
+        }
+        return answers, vertex_sizes
 
     # ------------------------------------------------------------------
     def _dead_workers(self, t: float) -> set:
@@ -250,38 +328,32 @@ class InferenceServer:
                 return candidate
         raise RuntimeError("no alive worker to serve on")
 
-    def _serve_batch(
-        self,
-        batch: MicroBatch,
-        timeline: Timeline,
-        network,
-        injector: Optional[FaultInjector],
-        ledger: LatencyLedger,
-        predictions: Dict[int, int],
-        inflight: List[float],
-    ) -> None:
+    def _serve_batch(self, batch: MicroBatch, stream: "_Stream") -> None:
         cfg = self.config
         m = self.cluster.num_workers
         dead = self._dead_workers(batch.dispatch_s)
         alive = [w for w in range(m) if w not in dead]
+        inflight = stream.inflight
 
         # -- admission -------------------------------------------------
-        admitted: List[Request] = []
-        for r in batch.requests:
-            pending = (
-                len(inflight) - bisect_right(inflight, r.arrival_s) + len(admitted)
-            )
-            overloaded = (
-                cfg.slo.max_pending is not None and pending >= cfg.slo.max_pending
-            )
-            if overloaded or not alive:
-                ledger.add(RequestRecord(
-                    req_id=r.req_id, vertex=r.vertex, arrival_s=r.arrival_s,
-                    dispatch_s=batch.dispatch_s, finish_s=None, mode="shed",
-                    worker=-1, shed=True,
-                ))
-                continue
-            admitted.append(r)
+        if cfg.slo.max_pending is None and alive:
+            admitted: List[Request] = batch.requests
+        else:
+            admitted = []
+            for r in batch.requests:
+                pending = (
+                    len(inflight) - bisect_right(inflight, r.arrival_s) + len(admitted)
+                )
+                overloaded = (
+                    cfg.slo.max_pending is not None and pending >= cfg.slo.max_pending
+                )
+                if overloaded or not alive:
+                    stream.replies.append((
+                        r.req_id, r.vertex, r.arrival_s, batch.dispatch_s,
+                        None, "shed", -1, 0.0, 0.0, True, False,
+                    ))
+                    continue
+                admitted.append(r)
         if not admitted:
             return
 
@@ -290,15 +362,44 @@ class InferenceServer:
         # the cluster (dedup happens within a group; unrelated vertices
         # on other workers never wait on it).
         groups: Dict[int, List[Request]] = {}
+        key_us: Dict[int, int] = {}
         for r in admitted:
-            owner = self.partitioning.owner(r.vertex)
-            coordinator = self._fallback(owner, dead, m)
+            owner = stream.owners[r.vertex]
+            coordinator = self._fallback(owner, dead, m) if dead else owner
             groups.setdefault(coordinator, []).append(r)
+            if r.vertex not in key_us:
+                key_us[r.vertex] = int(round(r.arrival_s * 1e6))
+
+        # -- staleness-bounded cache probe, keyed per vertex to the ----
+        # -- arrival of the batch's oldest request for that vertex -----
+        # A vertex belongs to one group, so no group's store changes what
+        # another group of the batch reads: one probe before the groups
+        # and one store after them read and write what a probe and a
+        # store per group would.  Serving an expired entry stale beats
+        # failing the request outright when the owner is down
+        # ("stale-if-error").
+        rows, stamps, served_expired = self.reader.probe(
+            1, list(key_us), list(key_us.values()),
+            allow_expired=[stream.owners[v] in dead for v in key_us] if dead else None,
+        )
+        hits = {
+            v: (row, (key_us[v] - stamp) / 1e6, expired)
+            for v, row, stamp, expired in zip(key_us, rows, stamps, served_expired)
+            if row is not None
+        }
+        refreshed: List[tuple] = []
+        finishes: List[float] = []
         for coordinator, group in groups.items():
-            self._serve_group(
-                batch, group, coordinator, dead, alive,
-                timeline, network, injector, ledger, predictions, inflight,
+            finishes += self._serve_group(
+                batch, group, coordinator, dead, alive, stream, hits, refreshed
             )
+        if refreshed:
+            ids, computed_rows = zip(*refreshed)
+            self.reader.refresh(1, ids, computed_rows, [key_us[v] for v in ids])
+        # Admission only reads ``inflight`` before a batch's groups run,
+        # so the batch's finish times join it once, in sorted place.
+        cut = bisect_right(inflight, min(finishes))
+        inflight[cut:] = sorted(inflight[cut:] + finishes)
 
     def _serve_group(
         self,
@@ -307,148 +408,152 @@ class InferenceServer:
         coordinator: int,
         dead: set,
         alive: List[int],
-        timeline: Timeline,
-        network,
-        injector: Optional[FaultInjector],
-        ledger: LatencyLedger,
-        predictions: Dict[int, int],
-        inflight: List[float],
-    ) -> None:
-        cfg = self.config
-        coord_degraded = any(
-            self.partitioning.owner(r.vertex) != coordinator for r in admitted
+        stream: "_Stream",
+        hits: Dict[int, tuple],
+        refreshed: List[tuple],
+    ) -> List[float]:
+        """Serve one coordinator's share of a batch; returns the finish
+        times of its replies.
+
+        ``hits`` holds the batch's cache answers, ``(row, staleness_s,
+        served_expired)`` per vertex; each vertex this group computes
+        joins ``refreshed`` as ``(vertex, row)``, for the batch's store.
+        """
+        network = self.cluster.network
+        timeline = stream.timeline
+        owners = stream.owners
+        coord_degraded = bool(dead) and any(
+            owners[r.vertex] != coordinator for r in admitted
         )
 
         timeline.advance_at_least_until(coordinator, batch.dispatch_s)
 
         # -- ingress: the clients' requests reach the coordinator ------
         ingress_bytes = REQUEST_BYTES * len(admitted)
-        if ingress_bytes > 0:
-            timeline.advance(
-                coordinator, NET_RECV, network.wire_time(ingress_bytes),
-                num_bytes=ingress_bytes,
-            )
+        timeline.advance(
+            coordinator, NET_RECV, network.wire_time(ingress_bytes),
+            num_bytes=ingress_bytes,
+        )
 
-        # -- staleness-bounded cache probe, keyed per vertex to the ----
-        # -- arrival of the batch's oldest request for that vertex -----
-        distinct: List[int] = []
-        key_us: Dict[int, int] = {}
-        for r in admitted:
-            if r.vertex not in key_us:
-                key_us[r.vertex] = int(round(r.arrival_s * 1e6))
-                distinct.append(r.vertex)
-        cached_rows: Dict[int, np.ndarray] = {}
+        distinct = list(dict.fromkeys(r.vertex for r in admitted))
+        prediction: Dict[int, int] = {}
         staleness: Dict[int, float] = {}
         stale_if_error: Dict[int, bool] = {}
+        computed: List[int] = []
         for v in distinct:
-            # Serving an expired entry stale beats failing the request
-            # outright when the owner is down ("stale-if-error").
-            row, stamp, served_expired = self.reader.probe(
-                1, v, key_us[v],
-                allow_expired=self.partitioning.owner(v) in dead,
-            )
-            if row is not None:
-                cached_rows[v] = row
-                staleness[v] = (key_us[v] - stamp) / 1e6
-                stale_if_error[v] = served_expired
+            hit = hits.get(v)
+            if hit is None:
+                computed.append(v)
+                continue
+            row, staleness[v], stale_if_error[v] = hit
+            prediction[v] = int(row.argmax())
 
-        num_cache_hits = sum(
-            1 for r in admitted if r.vertex in cached_rows
-        )
+        num_cache_hits = sum(1 for r in admitted if r.vertex in staleness)
         if num_cache_hits:
             timeline.advance(coordinator, CPU, CACHE_LOOKUP_S * num_cache_hits)
-
-        computed = [v for v in distinct if v not in cached_rows]
-        computed_set = set(computed)
 
         # -- recompute the rest ----------------------------------------
         batch_bytes = 0.0
         mode = "cached"
         t_compute_start = timeline.now(coordinator)
         if computed:
-            mode, vertex_layers, edge_layers = self.planner.plan_batch(computed)
+            answer = stream.answers.get(computed[0]) if len(computed) == 1 else None
+            if answer is None:
+                mode, vertex_layers, edge_layers = self.planner.plan_batch(computed)
+            else:
+                mode = answer.mode
+                vertex_layers = answer.profile.vertex_layers
+                edge_layers = answer.profile.edge_layers
             if mode == "local":
-                self._charge_local(
-                    timeline, coordinator, vertex_layers, edge_layers
-                )
+                if answer is None:
+                    L = self.num_layers
+                    gpu_s = self._local_gpu_s(
+                        [len(vertex_layers[L - l]) for l in range(1, L + 1)],
+                        [len(edge_layers[L - l]) for l in range(1, L + 1)],
+                    )
+                else:
+                    gpu_s = answer.gpu_s
+                self._charge_local(timeline, coordinator, gpu_s)
             else:
                 batch_bytes = self._charge_remote(
-                    timeline, network, injector, coordinator, alive, dead,
+                    timeline, network, stream.injector, coordinator, alive, dead,
                     vertex_layers, edge_layers,
                 )
-            rows = self.closure_memo.forward(vertex_layers)
-            seed_ids = vertex_layers[0]
-            pos = np.searchsorted(seed_ids, np.array(computed, dtype=np.int64))
-            for v, p in zip(computed, pos):
-                row = rows[p]
-                cached_rows[v] = row
+            if answer is None:
+                out = self.closure_memo.forward(vertex_layers)
+                computed_rows = out[np.searchsorted(vertex_layers[0], computed)]
+                predictions = np.argmax(computed_rows, axis=1).tolist()
+            else:
+                computed_rows = [answer.row]
+                predictions = [answer.prediction]
+                stream.answered.append(answer.index)
+            for v, p, row in zip(computed, predictions, computed_rows):
+                prediction[v] = p
                 staleness[v] = 0.0
-                self.reader.refresh(1, np.array([v]), row[None, :], key_us[v])
+                refreshed.append((v, row))
         t_compute_end = timeline.now(coordinator)
 
-        timeline.record_span(
-            coordinator, "batch", batch.dispatch_s, t_compute_end,
-            size=len(admitted), mode=mode, computed=len(computed),
-            cached=len(distinct) - len(computed),
+        # -- replies: one bulk advance, then one pass for the columns --
+        computed_set = set(computed)
+        num_computed = sum(1 for r in admitted if r.vertex in computed_set)
+        per_request_bytes = batch_bytes / num_computed if num_computed else 0.0
+        ends = timeline.advance_repeated(
+            coordinator, NET_SEND, REPLY_BYTES / network.bytes_per_s,
+            len(admitted), num_bytes=REPLY_BYTES,
         )
-        if computed:
-            timeline.record_span(
-                coordinator,
-                "compute" if mode == "local" else "fetch",
-                t_compute_start, t_compute_end, mode=mode,
-                vertices=len(computed),
-            )
+        latency_s = network.latency_s
+        finishes = [end + latency_s for end in ends]
+        predictions, replies = stream.predictions, stream.replies
+        for r, finish in zip(admitted, finishes):
+            v = r.vertex
+            was_computed = v in computed_set
+            predictions[r.req_id] = prediction[v]
+            replies.append((
+                r.req_id, v, r.arrival_s, batch.dispatch_s, finish,
+                mode if was_computed else "cached", coordinator,
+                per_request_bytes if was_computed else 0.0, staleness[v],
+                False, coord_degraded or stale_if_error.get(v, False),
+            ))
 
-        # -- replies ---------------------------------------------------
-        computed_requests = [r for r in admitted if r.vertex in computed_set]
-        per_request_bytes = (
-            batch_bytes / len(computed_requests) if computed_requests else 0.0
-        )
-        reply_serialize_s = REPLY_BYTES / network.bytes_per_s
-        reply_start = timeline.now(coordinator)
-        for r in admitted:
-            timeline.advance(
-                coordinator, NET_SEND, reply_serialize_s,
-                num_bytes=REPLY_BYTES,
-            )
-            finish = timeline.now(coordinator) + network.latency_s
-            row = cached_rows[r.vertex]
-            predictions[r.req_id] = int(np.argmax(row))
-            was_computed = r.vertex in computed_set
-            record = RequestRecord(
-                req_id=r.req_id,
-                vertex=r.vertex,
-                arrival_s=r.arrival_s,
-                dispatch_s=batch.dispatch_s,
-                finish_s=finish,
-                mode=mode if was_computed else "cached",
-                worker=coordinator,
-                comm_bytes=per_request_bytes if was_computed else 0.0,
-                staleness_s=staleness[r.vertex],
-                degraded=coord_degraded or stale_if_error.get(r.vertex, False),
-            )
-            ledger.add(record)
-            insort(inflight, finish)
-            timeline.record_span(
-                coordinator, "request", r.arrival_s, finish,
-                req_id=r.req_id, vertex=r.vertex, mode=record.mode,
-            )
-        timeline.record_span(
-            coordinator, "reply", reply_start, timeline.now(coordinator),
-            replies=len(admitted),
-        )
+        if timeline.record:
+            spans = [(
+                "batch", batch.dispatch_s, t_compute_end,
+                {"size": len(admitted), "mode": mode, "computed": len(computed),
+                 "cached": len(distinct) - len(computed)},
+            )]
+            if computed:
+                spans.append((
+                    "compute" if mode == "local" else "fetch",
+                    t_compute_start, t_compute_end,
+                    {"mode": mode, "vertices": len(computed)},
+                ))
+            spans += [
+                ("request", row[2], row[4], {"req_id": row[0], "vertex": row[1], "mode": row[5]})
+                for row in replies[-len(admitted):]
+            ]
+            spans.append((
+                "reply", t_compute_end, timeline.now(coordinator),
+                {"replies": len(admitted)},
+            ))
+            timeline.record_spans(coordinator, spans)
+        return finishes
 
     # ------------------------------------------------------------------
+    def _local_gpu_s(self, vertex_sizes, edge_sizes):
+        """GPU seconds for the coordinator to recompute a closure whose
+        layer-``l`` compute set holds ``vertex_sizes[l - 1]`` vertices
+        over ``edge_sizes[l - 1]`` edges.  Sizes may be arrays (one entry
+        per closure): each entry then gets the scalar's sums, in order."""
+        gpu_s = 0.0
+        for l in range(1, self.num_layers + 1):
+            gpu_s += self.constants.vertex_cost(l) * vertex_sizes[l - 1]
+            gpu_s += self.constants.edge_cost(l) * edge_sizes[l - 1]
+        return gpu_s
+
     def _charge_local(
-        self, timeline: Timeline, coordinator: int,
-        vertex_layers, edge_layers,
+        self, timeline: Timeline, coordinator: int, gpu_s: float
     ) -> None:
         """DepCache-style: the coordinator recomputes the union closure."""
-        L = self.num_layers
-        gpu_s = 0.0
-        for l in range(1, L + 1):
-            gpu_s += self.constants.vertex_cost(l) * len(vertex_layers[L - l])
-            gpu_s += self.constants.edge_cost(l) * len(edge_layers[L - l])
         if self.faults is not None:
             gpu_s *= self.faults.gpu_factor(coordinator, timeline.now(coordinator))
         timeline.advance(coordinator, GPU, gpu_s)

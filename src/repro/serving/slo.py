@@ -9,8 +9,9 @@ simulated run: same seed, same config, bit-identical ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from collections import Counter
+from dataclasses import MISSING, dataclass, fields
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,26 +74,67 @@ class RequestRecord:
         return self.finish_s - self.arrival_s
 
 
+COLUMNS = tuple(f.name for f in fields(RequestRecord))
+_DEFAULTS = {
+    f.name: f.default for f in fields(RequestRecord) if f.default is not MISSING
+}
+
+
 class LatencyLedger:
-    """Accumulates :class:`RequestRecord` rows and summarises them."""
+    """Accumulates per-request outcomes, one column per
+    :class:`RequestRecord` field, and summarises them.
+
+    The server appends a group's replies as columns (:meth:`extend`);
+    :attr:`records` is the row view, built on first read of each row.
+    Every summary reads the columns in record order, so it equals the
+    same computation over the rows.
+    """
 
     def __init__(self):
-        self.records: List[RequestRecord] = []
+        self.columns: Dict[str, list] = {name: [] for name in COLUMNS}
+        self._rows: List[RequestRecord] = []
 
     def add(self, record: RequestRecord) -> None:
-        self.records.append(record)
+        if len(self._rows) == len(self):
+            self._rows.append(record)
+        for name in COLUMNS:
+            self.columns[name].append(getattr(record, name))
+
+    def extend(self, rows: Sequence[tuple]) -> None:
+        """Append records given as tuples of :class:`RequestRecord`'s
+        leading fields, in field order and all of one width; the fields
+        left out take their defaults."""
+        if not rows:
+            return
+        given = list(zip(*rows))
+        for i, (name, column) in enumerate(self.columns.items()):
+            column.extend(given[i] if i < len(given) else [_DEFAULTS[name]] * len(rows))
+
+    @property
+    def records(self) -> List[RequestRecord]:
+        """One :class:`RequestRecord` per request, in ledger order."""
+        start = len(self._rows)
+        if start < len(self):
+            self._rows.extend(
+                RequestRecord(*row)
+                for row in zip(*(self.columns[name][start:] for name in COLUMNS))
+            )
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["req_id"])
 
     # ------------------------------------------------------------------
     def served(self) -> List[RequestRecord]:
         return [r for r in self.records if not r.shed]
 
     def latencies_s(self) -> np.ndarray:
-        return np.array(
-            [r.latency_s for r in self.records if r.latency_s is not None]
-        )
+        c = self.columns
+        return np.array([
+            finish - arrival
+            for finish, arrival, shed in zip(c["finish_s"], c["arrival_s"], c["shed"])
+            if not shed and finish is not None
+        ])
 
     def percentile_s(self, p: float) -> float:
         lat = self.latencies_s()
@@ -117,42 +159,43 @@ class LatencyLedger:
 
     def throughput_rps(self) -> float:
         """Served requests over the span from first arrival to last reply."""
-        served = self.served()
+        c = self.columns
+        served = [f for f, shed in zip(c["finish_s"], c["shed"]) if not shed]
         if not served:
             return 0.0
-        start = min(r.arrival_s for r in self.records)
-        end = max(r.finish_s for r in served)
+        start = min(c["arrival_s"])
+        end = max(served)
         span = end - start
         return len(served) / span if span > 0 else float("inf")
 
     # ------------------------------------------------------------------
     @property
     def shed_count(self) -> int:
-        return sum(1 for r in self.records if r.shed)
+        return sum(1 for shed in self.columns["shed"] if shed)
 
     @property
     def degraded_count(self) -> int:
-        return sum(1 for r in self.records if r.degraded)
+        return sum(1 for degraded in self.columns["degraded"] if degraded)
 
     def mode_counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for r in self.records:
-            out[r.mode] = out.get(r.mode, 0) + 1
-        return out
+        return dict(Counter(self.columns["mode"]))
 
     @property
     def total_comm_bytes(self) -> float:
-        return float(sum(r.comm_bytes for r in self.records))
+        # Python's left-to-right sum, as over the rows: not np.sum,
+        # whose pairwise order rounds differently.
+        return float(sum(self.columns["comm_bytes"]))
 
     def mean_staleness_s(self) -> float:
-        stale = [r.staleness_s for r in self.records if r.mode == "cached"]
+        c = self.columns
+        stale = [s for s, mode in zip(c["staleness_s"], c["mode"]) if mode == "cached"]
         return float(np.mean(stale)) if stale else 0.0
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready summary plus the full per-request table."""
         return {
-            "num_requests": len(self.records),
+            "num_requests": len(self),
             "served": len(self.served()),
             "shed": self.shed_count,
             "degraded": self.degraded_count,

@@ -49,7 +49,7 @@ class TestStaleness:
         cache.store(1, ids, rows_for(ids, value=9.0), epoch=5)
         fresh, rows = cache.lookup(1, ids, 6)
         assert fresh.all() and (rows == 9.0).all()
-        assert cache.stamp_of(1, 3) == 5
+        assert cache.peek(1, [3])[1] == [5]
 
     def test_missing_is_miss(self):
         cache = HistoricalEmbeddingCache(1, tau=2.0)

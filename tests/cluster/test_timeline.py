@@ -1,6 +1,7 @@
 """Timeline clocks, barriers, and utilization traces."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import CPU, GPU, NET_RECV, NET_SEND, Timeline
@@ -78,6 +79,59 @@ class TestRecording:
         tl.advance(0, GPU, 1.0)
         assert not tl.intervals
         assert tl.totals[GPU][0] == pytest.approx(1.0)  # totals still kept
+
+
+class TestBulkRecording:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.floats(0.0, 1e3, allow_nan=False),
+        total=st.floats(0.0, 1e3, allow_nan=False),
+        duration=st.floats(0.0, 1e-2, allow_nan=False),
+        count=st.integers(0, 40),
+        record=st.booleans(),
+    )
+    def test_advance_repeated_is_the_advance_loop_bit_for_bit(
+        self, start, total, duration, count, record
+    ):
+        """The premise behind the one-pass serving reply: ``count``
+        repeated ``advance`` calls add ``duration`` left to right, and
+        so does ``advance_repeated`` -- clocks, totals, returned clocks
+        and recorded intervals are the same bits."""
+        loop, bulk = Timeline(2, record=record), Timeline(2, record=record)
+        for tl in (loop, bulk):
+            tl.advance_at_least_until(1, start)
+            tl.totals[NET_SEND][1] = total
+        ends = []
+        for _ in range(count):
+            loop.advance(1, NET_SEND, duration, num_bytes=64)
+            ends.append(loop.now(1))
+        got = bulk.advance_repeated(1, NET_SEND, duration, count, num_bytes=64)
+        assert [e.hex() for e in got] == [e.hex() for e in ends]
+        assert loop.clocks.tobytes() == bulk.clocks.tobytes()
+        assert loop.totals[NET_SEND].tobytes() == bulk.totals[NET_SEND].tobytes()
+        assert loop.intervals == bulk.intervals
+
+    def test_advance_repeated_validates_like_advance(self):
+        with pytest.raises(ValueError):
+            Timeline(1).advance_repeated(0, NET_SEND, -1.0, 2)
+        with pytest.raises(ValueError):
+            Timeline(1).advance_repeated(0, "quantum", 1.0, 2)
+
+    def test_record_spans_is_the_record_span_loop(self):
+        one, bulk = Timeline(2), Timeline(2)
+        spans = [
+            ("batch", 0.0, 0.5, {"size": 2}),
+            ("request", 0.25, 0.25, {}),
+            ("reply", 0.5, 2.0, {"replies": 2}),
+        ]
+        for name, start, end, args in spans:
+            one.record_span(1, name, start, end, **args)
+        bulk.record_spans(1, spans)
+        assert one.spans == bulk.spans
+        with pytest.raises(ValueError):
+            bulk.record_spans(1, [("request", 1.0, 0.5, None)])
+        with pytest.raises(ValueError):
+            bulk.record_spans(2, [("request", 0.0, 0.5, None)])
 
 
 class TestUtilization:

@@ -256,7 +256,7 @@ def test_a_new_array_empties_the_memo(change):
     vertices = sorted({r.vertex for r in requests})
 
     def rows(result):
-        return [result.cache.peek(1, v).tobytes() for v in vertices]
+        return [row.tobytes() for row in result.cache.peek(1, vertices)[0]]
 
     # Arrivals after the first stream's stamps: a modeled-cache entry
     # stamped later than a request would otherwise count as fresh.
@@ -449,9 +449,12 @@ def _stream_server(graph, arch, layers):
 
 
 def _checked_forwards(monkeypatch):
-    """Compare every batch the memo answers with the reference."""
+    """Compare every batch the memo answers with the reference, and
+    every one-seed row it hands out in bulk with that seed's forward.
+    Returns the seed count of each (1 per bulk one-seed row)."""
     forwards = []
     forward = ClosureMemo.forward
+    seed_rows = ClosureMemo.seed_rows
 
     def checked(memo, vertex_layers):
         got = forward(memo, vertex_layers)
@@ -461,7 +464,18 @@ def _checked_forwards(monkeypatch):
         forwards.append(len(vertex_layers[0]))
         return got
 
+    def checked_seed_rows(memo, seeds, heights):
+        kept, rows = seed_rows(memo, seeds, heights)
+        L = memo.model.num_layers
+        for seed, row in zip(np.asarray(seeds)[kept].tolist(), rows):
+            closure = khop_closure(memo.graph, [seed], L)[0]
+            expected = run_closure_forward(memo.model, memo.graph, closure)
+            assert row.tobytes() == expected[0].tobytes()
+            forwards.append(1)
+        return kept, rows
+
     monkeypatch.setattr(ClosureMemo, "forward", checked)
+    monkeypatch.setattr(ClosureMemo, "seed_rows", checked_seed_rows)
     return forwards
 
 

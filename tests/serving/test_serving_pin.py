@@ -67,8 +67,8 @@ def _requests(graph, n=150, seed=31):
 
 def _rows_digest(cache, vertices):
     digest = hashlib.sha256()
-    for v in sorted(set(vertices)):
-        row = cache.peek(1, v)
+    ids = sorted(set(vertices))
+    for v, row in zip(ids, cache.peek(1, ids)[0]):
         if row is not None:
             digest.update(int(v).to_bytes(8, "little"))
             digest.update(row.tobytes())
