@@ -184,6 +184,19 @@ def build_block(
 _BLOCK_CACHE_CAP = 256
 
 
+def _positions(sorted_ids: np.ndarray, ids: np.ndarray, space: int) -> np.ndarray:
+    """``np.searchsorted(sorted_ids, ids)`` where every id is one of the
+    sorted unique ``sorted_ids``, all below ``space``: each id's index,
+    read off a table indexed by id -- two linear passes, where a binary
+    search per id costs a cache miss per step (on a closure-memo fill
+    block, 17 k edges into 10 k inputs: 2.0 ms against 0.05 ms).  Only
+    the table's entries for ``sorted_ids`` are written or read.
+    """
+    table = np.empty(space, dtype=np.int64)
+    table[sorted_ids] = np.arange(len(sorted_ids))
+    return table[ids]
+
+
 def closure_block(
     graph: Graph,
     compute_vertices: np.ndarray,
@@ -206,14 +219,15 @@ def closure_block(
     them twice.
     """
     dsts, srcs, eids = in_edges
+    space = graph.num_vertices
     return LayerBlock(
         layer_index=layer_index,
         compute_vertices=compute_vertices,
         input_vertices=input_vertices,
-        edge_src_pos=np.searchsorted(input_vertices, srcs),
-        edge_dst_pos=np.searchsorted(compute_vertices, dsts),
+        edge_src_pos=_positions(input_vertices, srcs, space),
+        edge_dst_pos=_positions(compute_vertices, dsts, space),
         edge_weight=graph.edge_weight[eids],
-        compute_pos_in_inputs=np.searchsorted(input_vertices, compute_vertices),
+        compute_pos_in_inputs=_positions(input_vertices, compute_vertices, space),
         edge_src_global=srcs,
         edge_ids=eids,
     )

@@ -23,7 +23,7 @@ the graph, read from the engine's
 
 :class:`StalenessBoundedReader` is the one code path for
 bounded-staleness reads: training gathers override rows through it and
-the inference server probes per-vertex entries through it, so the
+the inference server probes each batch's vertices through it, so the
 freshness rule (serve within ``tau``, exact value on miss) cannot fork
 between the two.  :func:`run_closure_forward` is the shared
 union-closure forward; the serving layer executes batches through a

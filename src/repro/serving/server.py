@@ -383,7 +383,7 @@ class InferenceServer:
             allow_expired=[stream.owners[v] in dead for v in key_us] if dead else None,
         )
         hits = {
-            v: (row, (key_us[v] - stamp) / 1e6, expired)
+            v: (int(row.argmax()), (key_us[v] - stamp) / 1e6, expired)
             for v, row, stamp, expired in zip(key_us, rows, stamps, served_expired)
             if row is not None
         }
@@ -415,15 +415,15 @@ class InferenceServer:
         """Serve one coordinator's share of a batch; returns the finish
         times of its replies.
 
-        ``hits`` holds the batch's cache answers, ``(row, staleness_s,
-        served_expired)`` per vertex; each vertex this group computes
-        joins ``refreshed`` as ``(vertex, row)``, for the batch's store.
+        ``hits`` holds the batch's cache answers, ``(prediction,
+        staleness_s, served_expired)`` per vertex; each vertex this group
+        computes joins ``refreshed`` as ``(vertex, row)``, for the
+        batch's store.
         """
         network = self.cluster.network
         timeline = stream.timeline
-        owners = stream.owners
         coord_degraded = bool(dead) and any(
-            owners[r.vertex] != coordinator for r in admitted
+            stream.owners[r.vertex] != coordinator for r in admitted
         )
 
         timeline.advance_at_least_until(coordinator, batch.dispatch_s)
@@ -435,68 +435,76 @@ class InferenceServer:
             num_bytes=ingress_bytes,
         )
 
-        distinct = list(dict.fromkeys(r.vertex for r in admitted))
-        prediction: Dict[int, int] = {}
-        staleness: Dict[int, float] = {}
-        stale_if_error: Dict[int, bool] = {}
-        computed: List[int] = []
-        for v in distinct:
-            hit = hits.get(v)
-            if hit is None:
-                computed.append(v)
-                continue
-            row, staleness[v], stale_if_error[v] = hit
-            prediction[v] = int(row.argmax())
-
-        num_cache_hits = sum(1 for r in admitted if r.vertex in staleness)
+        # Each distinct vertex's cache answer (None: to compute), in
+        # order of first request.
+        answer: Dict[int, Optional[tuple]] = {}
+        num_cache_hits = 0
+        for r in admitted:
+            v = r.vertex
+            if v not in answer:
+                answer[v] = hits.get(v)
+            if answer[v] is not None:
+                num_cache_hits += 1
+        computed = [v for v, hit in answer.items() if hit is None]
         if num_cache_hits:
             timeline.advance(coordinator, CPU, CACHE_LOOKUP_S * num_cache_hits)
 
         # -- recompute the rest ----------------------------------------
         batch_bytes = 0.0
         mode = "cached"
+        computed_predictions: List[int] = []
         t_compute_start = timeline.now(coordinator)
         if computed:
-            answer = stream.answers.get(computed[0]) if len(computed) == 1 else None
-            if answer is None:
+            one = stream.answers.get(computed[0]) if len(computed) == 1 else None
+            if one is None:
                 mode, vertex_layers, edge_layers = self.planner.plan_batch(computed)
             else:
-                mode = answer.mode
-                vertex_layers = answer.profile.vertex_layers
-                edge_layers = answer.profile.edge_layers
+                mode = one.mode
+                vertex_layers = one.profile.vertex_layers
+                edge_layers = one.profile.edge_layers
             if mode == "local":
-                if answer is None:
+                if one is None:
                     L = self.num_layers
                     gpu_s = self._local_gpu_s(
                         [len(vertex_layers[L - l]) for l in range(1, L + 1)],
                         [len(edge_layers[L - l]) for l in range(1, L + 1)],
                     )
                 else:
-                    gpu_s = answer.gpu_s
+                    gpu_s = one.gpu_s
                 self._charge_local(timeline, coordinator, gpu_s)
             else:
                 batch_bytes = self._charge_remote(
                     timeline, network, stream.injector, coordinator, alive, dead,
                     vertex_layers, edge_layers,
                 )
-            if answer is None:
+            if one is None:
                 out = self.closure_memo.forward(vertex_layers)
                 computed_rows = out[np.searchsorted(vertex_layers[0], computed)]
-                predictions = np.argmax(computed_rows, axis=1).tolist()
+                computed_predictions = np.argmax(computed_rows, axis=1).tolist()
             else:
-                computed_rows = [answer.row]
-                predictions = [answer.prediction]
-                stream.answered.append(answer.index)
-            for v, p, row in zip(computed, predictions, computed_rows):
-                prediction[v] = p
-                staleness[v] = 0.0
-                refreshed.append((v, row))
+                computed_rows = [one.row]
+                computed_predictions = [one.prediction]
+                stream.answered.append(one.index)
+            refreshed += zip(computed, computed_rows)
         t_compute_end = timeline.now(coordinator)
 
         # -- replies: one bulk advance, then one pass for the columns --
-        computed_set = set(computed)
-        num_computed = sum(1 for r in admitted if r.vertex in computed_set)
+        # Per distinct vertex: its prediction, and its ledger row's
+        # fields from ``mode`` on.
+        num_computed = len(admitted) - num_cache_hits
         per_request_bytes = batch_bytes / num_computed if num_computed else 0.0
+        reply_of: Dict[int, tuple] = {}
+        for v, hit in answer.items():
+            if hit is not None:
+                p, staleness_s, expired = hit
+                reply_of[v] = (p, (
+                    "cached", coordinator, 0.0, staleness_s, False,
+                    coord_degraded or expired,
+                ))
+        for v, p in zip(computed, computed_predictions):
+            reply_of[v] = (
+                p, (mode, coordinator, per_request_bytes, 0.0, False, coord_degraded)
+            )
         ends = timeline.advance_repeated(
             coordinator, NET_SEND, REPLY_BYTES / network.bytes_per_s,
             len(admitted), num_bytes=REPLY_BYTES,
@@ -505,21 +513,15 @@ class InferenceServer:
         finishes = [end + latency_s for end in ends]
         predictions, replies = stream.predictions, stream.replies
         for r, finish in zip(admitted, finishes):
-            v = r.vertex
-            was_computed = v in computed_set
-            predictions[r.req_id] = prediction[v]
-            replies.append((
-                r.req_id, v, r.arrival_s, batch.dispatch_s, finish,
-                mode if was_computed else "cached", coordinator,
-                per_request_bytes if was_computed else 0.0, staleness[v],
-                False, coord_degraded or stale_if_error.get(v, False),
-            ))
+            p, tail = reply_of[r.vertex]
+            predictions[r.req_id] = p
+            replies.append((r.req_id, r.vertex, r.arrival_s, batch.dispatch_s, finish) + tail)
 
         if timeline.record:
             spans = [(
                 "batch", batch.dispatch_s, t_compute_end,
                 {"size": len(admitted), "mode": mode, "computed": len(computed),
-                 "cached": len(distinct) - len(computed)},
+                 "cached": len(answer) - len(computed)},
             )]
             if computed:
                 spans.append((

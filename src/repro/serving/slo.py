@@ -84,10 +84,12 @@ class LatencyLedger:
     """Accumulates per-request outcomes, one column per
     :class:`RequestRecord` field, and summarises them.
 
-    The server appends a group's replies as columns (:meth:`extend`);
-    :attr:`records` is the row view, built on first read of each row.
-    Every summary reads the columns in record order, so it equals the
-    same computation over the rows.
+    The server appends a ``serve()`` call's rows in one :meth:`extend`
+    and the fleet one record at a time (:meth:`add`); :attr:`records` is
+    the row view, built on first read of each row.  Every summary reads
+    the columns in record order, so it equals the same computation over
+    the rows (``total_comm_bytes`` included: Python's left-to-right
+    ``sum``, not numpy's pairwise one).
     """
 
     def __init__(self):
@@ -182,8 +184,8 @@ class LatencyLedger:
 
     @property
     def total_comm_bytes(self) -> float:
-        # Python's left-to-right sum, as over the rows: not np.sum,
-        # whose pairwise order rounds differently.
+        # Left to right, as over the rows: np.sum's pairwise order rounds
+        # differently.
         return float(sum(self.columns["comm_bytes"]))
 
     def mean_staleness_s(self) -> float:
