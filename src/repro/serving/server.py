@@ -328,7 +328,7 @@ class InferenceServer:
                 return candidate
         raise RuntimeError("no alive worker to serve on")
 
-    def _serve_batch(self, batch: MicroBatch, stream: "_Stream") -> None:
+    def _serve_batch(self, batch: MicroBatch, stream: _Stream) -> None:
         cfg = self.config
         m = self.cluster.num_workers
         dead = self._dead_workers(batch.dispatch_s)
@@ -408,7 +408,7 @@ class InferenceServer:
         coordinator: int,
         dead: set,
         alive: List[int],
-        stream: "_Stream",
+        stream: _Stream,
         hits: Dict[int, tuple],
         refreshed: List[tuple],
     ) -> List[float]:
