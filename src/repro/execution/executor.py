@@ -104,8 +104,6 @@ class StalenessBoundedReader:
         """
         fresh = self.cache.lookup(layer, ids, keys)[0].tolist()
         served_expired = [False] * len(fresh)
-        if not any(fresh) and not any(allow_expired or ()):
-            return [None] * len(fresh), [None] * len(fresh), served_expired
         rows, stamps = self.cache.peek(layer, ids)
         for i, (row, f) in enumerate(zip(rows, fresh)):
             if f:

@@ -336,24 +336,21 @@ class InferenceServer:
         inflight = stream.inflight
 
         # -- admission -------------------------------------------------
-        if cfg.slo.max_pending is None and alive:
-            admitted: List[Request] = batch.requests
-        else:
-            admitted = []
-            for r in batch.requests:
-                pending = (
-                    len(inflight) - bisect_right(inflight, r.arrival_s) + len(admitted)
-                )
-                overloaded = (
-                    cfg.slo.max_pending is not None and pending >= cfg.slo.max_pending
-                )
-                if overloaded or not alive:
-                    stream.replies.append((
-                        r.req_id, r.vertex, r.arrival_s, batch.dispatch_s,
-                        None, "shed", -1, 0.0, 0.0, True, False,
-                    ))
-                    continue
-                admitted.append(r)
+        admitted: List[Request] = []
+        for r in batch.requests:
+            pending = (
+                len(inflight) - bisect_right(inflight, r.arrival_s) + len(admitted)
+            )
+            overloaded = (
+                cfg.slo.max_pending is not None and pending >= cfg.slo.max_pending
+            )
+            if overloaded or not alive:
+                stream.replies.append((
+                    r.req_id, r.vertex, r.arrival_s, batch.dispatch_s,
+                    None, "shed", -1, 0.0, 0.0, True, False,
+                ))
+                continue
+            admitted.append(r)
         if not admitted:
             return
 
