@@ -23,8 +23,8 @@ KINDS = (GPU, CPU, NET_SEND, NET_RECV, IDLE)
 
 # Interval and Span are named tuples, not dataclasses: a run records
 # tens of thousands of them, and a tuple of plain values is built several
-# times faster and, being untracked by the garbage collector, costs its
-# collections nothing.
+# times faster, and the garbage collector stops tracking it once it has
+# seen it.
 class Interval(NamedTuple):
     """One recorded activity: worker spent [start, end) doing ``kind``."""
 
