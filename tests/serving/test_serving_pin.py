@@ -15,12 +15,12 @@ same ``--write`` before the per-request charging moved to per-group
 vectors, pins the rest of the charged clock: the per-kind, per-worker
 ``timeline.totals``, ``timeline.clocks``, a digest of every interval
 and span, and the closure memo's ``rows_served`` / ``rows_memoised`` /
-``bypassed`` counters.  Scenarios: mode {auto, local, remote} x ``tau_s`` {0, 0.05}
-on a small skewed social graph over 4 workers, plus a crashed worker
-(ring fallback + stale-if-error), ``max_pending`` shedding, a
-two-segment continuation (in order, and with the earlier arrivals
-served second under ``max_pending``), a 2-replica fleet, and a GAT
-model (the layer without a fused kernel).
+``bypassed`` counters.  Scenarios: mode {auto, local, remote} x
+``tau_s`` {0, 0.05} on a small skewed social graph over 4 workers,
+plus a crashed worker (ring fallback + stale-if-error),
+``max_pending`` shedding, a two-segment continuation (in order, and
+with the earlier arrivals served second under ``max_pending``), a
+2-replica fleet, and a GAT model (the layer without a fused kernel).
 """
 
 import dataclasses
