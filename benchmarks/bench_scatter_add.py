@@ -305,7 +305,7 @@ def measure_layer_one_epoch(repeats):
     )
     blocks = [
         closures[w].blocks[0]
-        for _, closures, _, _, _ in engine.rounds(engine.sampler, shuffle=True)
+        for _, closures, _, _, _ in engine.rounds(shuffle=True)
         for w in sorted(closures)
     ]
     layer = model.layer(1)

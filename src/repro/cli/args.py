@@ -305,7 +305,7 @@ class Setup:
             extra["batch_size"] = args.batch_size
         if args.kappa:
             extra["kappa"] = args.kappa
-        # The distdgl facade hardwires uniform sampling.
+        # DistDGL samples uniformly; only `sampled` takes --sampler.
         if engine_name == "sampled":
             extra["sampler"] = args.sampler
         return extra

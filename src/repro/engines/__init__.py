@@ -20,7 +20,6 @@ _ENGINES = {
     "hybrid4": FourWayHybridEngine,
     "roc": RocLikeEngine,
     "distdgl": SamplingEngine,
-    "sampling": SamplingEngine,
     "sampled": SampledTrainingEngine,
     "tp": TensorParallelEngine,
 }
@@ -28,7 +27,7 @@ _ENGINES = {
 
 def make_engine(name: str, graph, model, cluster, **kwargs):
     """Build an engine by registered name: depcache | depcomm | hybrid |
-    hybrid4 | tp | roc | distdgl (alias sampling) | sampled."""
+    hybrid4 | tp | roc | distdgl | sampled."""
     try:
         engine_cls = _ENGINES[name.lower()]
     except KeyError:

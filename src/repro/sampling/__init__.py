@@ -22,7 +22,6 @@ from repro.sampling.samplers import (
     SAMPLER_NAMES,
     LaborSampler,
     LadiesSampler,
-    LegacyStreamSampler,
     NeighborSampler,
     UniformFanoutSampler,
     make_sampler,
@@ -32,7 +31,6 @@ __all__ = [
     "SAMPLER_NAMES",
     "LaborSampler",
     "LadiesSampler",
-    "LegacyStreamSampler",
     "NeighborSampler",
     "ReuseState",
     "RoundTraffic",

@@ -11,14 +11,13 @@ pass, and trace spans included.  Only the sampling phase itself
 by the :class:`~repro.sampling.costs.SamplingCostModel`, whose rates
 are derived from the probed ``T_e`` constants rather than hard-coded.
 
-Determinism: with the default keyed samplers every draw is a pure
-function of ``(seed, epoch, batch, ids)``, so two engines built with
-the same seed produce bit-identical losses *and* bit-identical charged
-timelines.  Passing a
-:class:`~repro.sampling.samplers.LegacyStreamSampler` as ``sampler``
-switches to the single sequential stream the pre-subsystem DistDGL
-engine used (the ``distdgl`` façade does, to reproduce its golden
-trajectory bit for bit).
+Determinism: every sampler's draws are a pure function of ``(seed,
+epoch, batch, ids)``, so two engines built with the same seed produce
+bit-identical losses *and* bit-identical charged timelines, and a
+rollback to an earlier epoch replays the same mini-batches with no
+sampler state saved.  The ``distdgl`` baseline is this engine with
+DistDGL's defaults: it trains the same weights as ``sampled`` and is
+charged differently.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class SampledTrainingEngine(BaseEngine):
         comm: CommOptions = CommOptions.all(),
         fanouts=(10, 25),
         batch_size: int = 128,
-        sampler="uniform",
+        sampler: str = "uniform",
         kappa: float = 0.0,
         feature_cache_bytes: int = 0,
         record_timeline: bool = False,
@@ -97,9 +96,9 @@ class SampledTrainingEngine(BaseEngine):
         self.kappa = kappa
         self.seed = int(seed)
         self.rpc_accounting = bool(rpc_accounting)
-        if isinstance(sampler, str):
-            sampler = make_sampler(sampler, fanouts, seed=self.seed)
-        self.sampler: NeighborSampler = sampler
+        self.sampler: NeighborSampler = make_sampler(
+            sampler, fanouts, seed=self.seed
+        )
         # ``--cache-mb`` arrives as a CacheConfig; for sampled training
         # the budget pins hot remote *feature* rows instead of
         # historical embeddings.
@@ -138,7 +137,7 @@ class SampledTrainingEngine(BaseEngine):
         kwargs.update(
             fanouts=self.fanouts,
             batch_size=self.batch_size,
-            sampler=self.sampler,
+            sampler=self.sampler.name,
             kappa=self.kappa,
             seed=self.seed,
             rpc_accounting=self.rpc_accounting,
@@ -147,24 +146,6 @@ class SampledTrainingEngine(BaseEngine):
             ),
         )
         return kwargs
-
-    # -- sampler state (fault tolerance) -------------------------------
-    def sampler_state(self) -> Dict[str, object]:
-        """Checkpointable sampler state: the epoch counter plus whatever
-        draw state the sampler carries (None for the keyed samplers)."""
-        return {
-            "epoch": self._epoch,
-            "sampler": self.sampler.checkpoint(self._epoch),
-        }
-
-    def load_sampler_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`sampler_state` snapshot (checkpoint path)."""
-        self.sampler.restore(int(state["epoch"]), state["sampler"])
-
-    def rollback_to_epoch(self, epoch: int) -> None:
-        """Rewind the epoch counter *and* the sampler's draw state."""
-        super().rollback_to_epoch(epoch)
-        self.sampler.restore(epoch)
 
     # -- batching and sampling -----------------------------------------
     def _worker_batches(self, shuffle: bool) -> List[List[np.ndarray]]:
@@ -184,20 +165,19 @@ class SampledTrainingEngine(BaseEngine):
             )
         return batches
 
-    def rounds(self, sampler: NeighborSampler, shuffle: bool):
+    def rounds(self, shuffle: bool):
         """The next epoch, one mini-batch round at a time: sample every
-        worker's batch with ``sampler``, compile the round, run the
-        program passes.  Yields ``(round, closures, plan, program,
-        traffic)`` and touches no engine state, so the epoch loop runs
-        it on the engine's own sampler and ``explain-plan --sampled``
-        dry-runs it on a clone."""
+        worker's batch, compile the round, run the program passes.
+        Yields ``(round, closures, plan, program, traffic)`` and touches
+        no engine state, so the epoch loop and ``explain-plan
+        --sampled``'s dry run draw the same rounds."""
         worker_batches = self._worker_batches(shuffle)
         reuse = [
             ReuseState() if self.kappa > 0.0 else None for _ in worker_batches
         ]
         for r in range(max((len(b) for b in worker_batches), default=0)):
             closures = {
-                w: sampler.sample_batch(
+                w: self.sampler.sample_batch(
                     self.graph, batches[r], worker=w, epoch=self._epoch,
                     batch=r, kappa=self.kappa, state=reuse[w],
                 )
@@ -273,9 +253,7 @@ class SampledTrainingEngine(BaseEngine):
         bottom_rows, memoised = memo.rows_served, memo.rows_memoised
         remote_mask = np.zeros(self.graph.num_vertices, dtype=bool)
         t_start = self._sync()
-        for _, closures, plan, program, traffic in self.rounds(
-            self.sampler, shuffle=numeric
-        ):
+        for _, closures, plan, program, traffic in self.rounds(shuffle=numeric):
             self.plan_ = plan
             self.program_ = program
             self._charge_sampling(closures, traffic)
@@ -305,7 +283,6 @@ class SampledTrainingEngine(BaseEngine):
         self.plan_ = None
         self.program_ = None
         self._epoch += 1
-        self.sampler.checkpoint(self._epoch)
         stats["comm_bytes"] = comm_bytes
         stats["unique_remote"] = int(remote_mask.sum())
         stats["bottom_rows"] = memo.rows_served - bottom_rows

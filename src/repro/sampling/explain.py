@@ -10,7 +10,6 @@ show (seed counts, per-layer frontier growth, kappa reuse fraction).
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Dict, List
 
@@ -19,9 +18,7 @@ from repro.execution.explain import describe_layers
 
 def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
     """JSON-friendly description of the next ``num_batches`` rounds."""
-    # A sampler may carry a sequential stream; dry-run on a clone so
-    # the engine's own draw state is untouched.
-    dry_run = engine.rounds(copy.deepcopy(engine.sampler), shuffle=False)
+    dry_run = engine.rounds(shuffle=False)
     rounds: List[Dict[str, object]] = []
     for r, closures, _, program, traffic in itertools.islice(dry_run, num_batches):
         workers = []

@@ -19,14 +19,12 @@ layer's edges are drawn:
   frontier with probability proportional to squared incoming edge
   weight, edges reweighted by ``1 / (budget * p)`` to stay unbiased.
 
-:class:`LegacyStreamSampler` adapts the pre-subsystem
-``engines/sampling.py`` draw -- one sequential stream for shuffles and
-per-vertex choices -- to the same interface for the ``distdgl``
-baseline; it is the only sampler with state to checkpoint.
-
 All draws route through :mod:`repro.utils.rng` (``derive_rng`` for
-sequential streams, ``hashed_uniforms`` for keyed per-id draws); no
-sampler constructs a ``np.random`` generator directly.
+the per-(epoch, worker) shuffles and LADIES' per-layer draw,
+``hashed_uniforms`` for keyed per-id draws); no sampler constructs a
+``np.random`` generator directly.  Every draw is a pure function of
+``(seed, epoch, batch, ids)``, so a sampler has no state: a rollback
+to an earlier epoch replays its draws with nothing saved.
 
 Batch dependency (kappa) lives in the shared loop: at the bottom layer
 a hashed fraction of the frontier re-serves the previous batch's
@@ -34,15 +32,14 @@ realized neighbor lists from :class:`~repro.sampling.closure.ReuseState`
 instead of sampling fresh.  The reuse decision for vertex ``v`` is
 ``hashed_uniforms(seed, "kappa", epoch, ids=v) < kappa`` — keyed by
 epoch and vertex only — so the reused set at kappa is a subset of the
-reused set at kappa' >= kappa, and (for the keyed samplers, whose fresh
+reused set at kappa' >= kappa, and (for uniform and LABOR, whose fresh
 draws are per-id) the fetched remote rows shrink monotonically in
 kappa.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -212,20 +209,10 @@ class NeighborSampler:
         per destination in frontier order."""
         return graph.csc.select(frontier)
 
-    # -- epoch order and checkpointing ---------------------------------
+    # -- epoch order --------------------------------------------------
     def shuffle_rng(self, epoch: int, worker: int) -> np.random.Generator:
         """The generator that orders ``worker``'s seeds in ``epoch``."""
         return derive_rng(self.seed, "shuffle", epoch, worker)
-
-    def checkpoint(self, epoch: int) -> Optional[dict]:
-        """Record and return the draw state after ``epoch`` completed
-        epochs.  None here: keyed draws are pure in ``(seed, epoch,
-        batch, ids)``, so there is nothing to save or restore."""
-        return None
-
-    def restore(self, epoch: int, state: Optional[dict] = None) -> None:
-        """Return to the draw state at ``epoch`` (``state`` if given,
-        else the one :meth:`checkpoint` recorded)."""
 
 
 class UniformFanoutSampler(NeighborSampler):
@@ -348,83 +335,6 @@ class LadiesSampler(NeighborSampler):
         keep = chosen_mask[inverse]
         scale = 1.0 / (budget * p[inverse[keep]])
         return src[keep], dst[keep], eids[keep], scale
-
-
-class LegacyStreamSampler(UniformFanoutSampler):
-    """The pre-subsystem DistDGL draw order behind the sampler interface.
-
-    One sequential stream, ``derive_rng(seed)``, feeds every draw in
-    call order -- each epoch's shuffles, then one ``rng.choice`` per
-    over-fanout frontier vertex -- so a draw depends on everything drawn
-    before it.  That reproduces the ``distdgl`` golden trajectory bit
-    for bit, and it is why this sampler, unlike the keyed ones, has
-    state to checkpoint and cannot express kappa reuse.  It is an
-    adapter for that one baseline, so ``make_sampler`` does not list it.
-    """
-
-    def __init__(self, fanouts, seed: int = 0):
-        super().__init__(fanouts, seed=seed)
-        self.rng = derive_rng(self.seed)
-        # Stream position at every completed-epoch boundary, so a
-        # checkpoint restore rewinds the draw order with the weights.
-        self._epoch_states: Dict[int, dict] = {}
-        self.checkpoint(0)
-
-    def sample_batch(self, graph: Graph, seeds: np.ndarray, **kwargs):
-        if kwargs.get("kappa", 0.0) > 0.0:
-            raise ValueError(
-                "the legacy sequential stream cannot express kappa reuse"
-            )
-        return super().sample_batch(graph, seeds, **kwargs)
-
-    def _sample_layer(
-        self, graph, frontier, fanout, layer, *,
-        epoch, batch, num_seeds,
-    ) -> LayerSample:
-        # Bit-for-bit the pre-subsystem DistDGL engine loop: ascending
-        # frontier, one sequential rng.choice per high-degree vertex.
-        csc = graph.csc
-        src_parts, dst_parts, eid_parts = [], [], []
-        for v in frontier:
-            lo, hi = csc.indptr[v], csc.indptr[v + 1]
-            degree = hi - lo
-            if degree == 0:
-                continue
-            if degree <= fanout:
-                take = np.arange(lo, hi)
-            else:
-                take = lo + self.rng.choice(degree, size=fanout, replace=False)
-            src_parts.append(csc.other[take])
-            dst_parts.append(csc.key[take])
-            eid_parts.append(csc.edge_ids[take])
-        if not src_parts:
-            return _EMPTY_LAYER
-        return (
-            np.concatenate(src_parts),
-            np.concatenate(dst_parts),
-            np.concatenate(eid_parts),
-            None,
-        )
-
-    def shuffle_rng(self, epoch: int, worker: int) -> np.random.Generator:
-        return self.rng
-
-    def checkpoint(self, epoch: int) -> dict:
-        # The state getter builds a fresh dict on every read.
-        self._epoch_states[epoch] = self.rng.bit_generator.state
-        return self.rng.bit_generator.state
-
-    def restore(self, epoch: int, state: Optional[dict] = None) -> None:
-        # Without this the stream keeps the draws it made in the epochs
-        # being rolled back, so the replay would sample different
-        # mini-batches and silently diverge from an uninterrupted run.
-        self._epoch_states = {
-            e: s for e, s in self._epoch_states.items() if e <= epoch
-        }
-        if state is not None:
-            self._epoch_states[epoch] = copy.deepcopy(state)
-        if epoch in self._epoch_states:
-            self.rng.bit_generator.state = self._epoch_states[epoch]
 
 
 _SAMPLERS = {

@@ -20,7 +20,6 @@ from repro.tensor import functional
 from repro.tensor import init
 from repro.tensor import nn
 from repro.tensor import optim
-from repro.tensor import schedulers
 
 __all__ = [
     "Tensor",
@@ -30,5 +29,4 @@ __all__ = [
     "init",
     "nn",
     "optim",
-    "schedulers",
 ]

@@ -12,8 +12,9 @@ recovery discipline described in :mod:`repro.resilience.recovery`:
    re-fetches -- and rolls model + optimizer back to the last
    checkpoint;
 3. the epochs since that checkpoint are replayed.  Because optimizer
-   state is checkpointed, the replayed trajectory is bit-identical to
-   an uninterrupted run; only the modeled clock shows the damage.
+   state is checkpointed and a sampled engine's draws are keyed by
+   epoch, the replayed trajectory is bit-identical to an uninterrupted
+   run; only the modeled clock shows the damage.
 
 Under ``policy.strategy`` ``"shrink"`` (or ``"auto"`` with a permanent
 crash / blown provisioning deadline) the trainer instead swaps the
@@ -45,7 +46,7 @@ from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
 from repro.training.checkpoint import save_checkpoint
 from repro.training.trainer import DistributedTrainer, TrainingHistory
 
-_Snapshot = Tuple[int, Dict[str, np.ndarray], dict, Optional[dict]]
+_Snapshot = Tuple[int, Dict[str, np.ndarray], dict]
 
 
 class ResilientTrainer(DistributedTrainer):
@@ -101,11 +102,6 @@ class ResilientTrainer(DistributedTrainer):
     def _snapshot(self, epoch: int) -> _Snapshot:
         model_state = self.engine.model.state_dict()  # already copies
         opt_state = self.optimizer.state_dict()
-        # Sampled engines carry draw state (the legacy sequential
-        # stream's position); checkpointing it makes the replayed
-        # trajectory redraw the same mini-batches.
-        sampler_fn = getattr(self.engine, "sampler_state", None)
-        sampler_state = sampler_fn() if callable(sampler_fn) else None
         if self.checkpoint_dir is not None:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(
@@ -115,18 +111,14 @@ class ResilientTrainer(DistributedTrainer):
                 epoch=epoch,
                 engine=self.engine.name,
             )
-        return epoch, model_state, opt_state, sampler_state
+        return epoch, model_state, opt_state
 
     def _restore(self, snapshot: _Snapshot) -> int:
-        epoch, model_state, opt_state, sampler_state = snapshot
+        epoch, model_state, opt_state = snapshot
         self.engine.model.load_state_dict(model_state)
         self.optimizer.load_state_dict(opt_state)
         self.optimizer.zero_grad()
         self.engine.rollback_to_epoch(epoch)
-        if sampler_state is not None:
-            loader = getattr(self.engine, "load_sampler_state", None)
-            if callable(loader):
-                loader(sampler_state)
         return epoch
 
     recoverable = (WorkerCrashError,)

@@ -156,7 +156,7 @@ def _layer_programs(case: str):
     compiled plan, or the first two rounds of a sampled epoch."""
     if case in SAMPLED_CASES:
         engine = _sampled_engine(case)
-        rounds = engine.rounds(engine.sampler, shuffle=False)
+        rounds = engine.rounds(shuffle=False)
         for _, _, _, program, _ in itertools.islice(rounds, 2):
             yield from zip(program.layers, [None] + program.layers)
         return

@@ -8,7 +8,6 @@ import pytest
 from repro.core.model import GNNModel
 from repro.engines import make_engine
 from repro.sampling import (
-    LegacyStreamSampler,
     SampledTrainingEngine,
     describe_sampled_batches,
     render_sampled_batches,
@@ -35,7 +34,7 @@ class TestCompiledProgram:
         self, graph, cluster2, check_layer_program
     ):
         engine = _engine(graph, cluster2)
-        rounds = engine.rounds(engine.sampler, shuffle=False)
+        rounds = engine.rounds(shuffle=False)
         for _, _, _, program, _ in itertools.islice(rounds, 2):
             assert program.layers, "no layers compiled"
             for lp in program.layers:
@@ -138,13 +137,14 @@ class TestEngineSurface:
         with pytest.raises(ValueError, match="batch_size"):
             _engine(graph, cluster2, batch_size=batch_size)
 
-    def test_legacy_rng_excludes_kappa(self, graph, cluster2):
-        engine = _engine(
-            graph, cluster2, kappa=0.5,
-            sampler=LegacyStreamSampler((3, 5), seed=0),
+    def test_distdgl_reuses_rows_at_kappa(self, graph, cluster2):
+        model = GNNModel.gcn(graph.feature_dim, 12, graph.num_classes, seed=1)
+        engine = make_engine(
+            "distdgl", graph, model, cluster2, fanouts=(3, 5), batch_size=8,
+            kappa=0.5,
         )
-        with pytest.raises(ValueError, match="kappa"):
-            engine.charge_epoch()
+        engine.charge_epoch()
+        assert engine.last_epoch_stats["reused_rows"] > 0
 
     def test_misspelt_kwargs_are_rejected(self, graph, cluster2):
         # ``fanout`` / ``batchsize`` used to vanish into ``**_ignored``

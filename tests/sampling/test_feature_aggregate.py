@@ -23,7 +23,7 @@ from repro.core.model import GNNModel
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
-from repro.sampling import LegacyStreamSampler, SampledTrainingEngine
+from repro.sampling import SampledTrainingEngine
 from repro.sampling.samplers import make_sampler
 from repro.tensor import optim
 from repro.tensor.tensor import Tensor, no_grad
@@ -83,8 +83,6 @@ def social(arch, num_vertices=160, seed=0):
 def engine_of(cls, graph, arch, sampler="uniform", workers=2, **kwargs):
     kwargs.setdefault("fanouts", FANOUTS)
     kwargs.setdefault("batch_size", 16)
-    if sampler == "legacy":
-        sampler = LegacyStreamSampler(kwargs["fanouts"], seed=3)
     model = GNNModel.build(
         arch, graph.feature_dim, 8, graph.num_classes, seed=2
     )
@@ -117,10 +115,8 @@ class TestSampledDifferential:
         "sampler,kappa",
         [
             (sampler, kappa)
-            for sampler in ["uniform", "labor", "ladies", "legacy"]
+            for sampler in ["uniform", "labor", "ladies"]
             for kappa in [0.0, 0.5]
-            # The legacy stream cannot express kappa reuse.
-            if not (sampler == "legacy" and kappa > 0.0)
         ],
     )
     def test_logits_and_losses_bit_identical(self, sampler, kappa, arch):
@@ -166,11 +162,9 @@ class TestSampledDifferential:
     seed=st.integers(0, 50),
     fanout=st.integers(1, 12),
     kappa=st.sampled_from([0.0, 0.3, 0.9]),
-    sampler=st.sampled_from(["uniform", "labor", "ladies", "legacy"]),
+    sampler=st.sampled_from(["uniform", "labor", "ladies"]),
 )
 def test_full_rows_list_the_csc_run_in_order(seed, fanout, kappa, sampler):
-    if sampler == "legacy":
-        kappa = 0.0
     graph = social("gcn", num_vertices=96, seed=seed)
     engine = engine_of(
         SampledTrainingEngine, graph, "gcn", sampler, fanouts=(2, fanout),
@@ -178,7 +172,7 @@ def test_full_rows_list_the_csc_run_in_order(seed, fanout, kappa, sampler):
     )
     csc = graph.csc
     full_rows = 0
-    for _, closures, _, _, _ in engine.rounds(engine.sampler, shuffle=True):
+    for _, closures, _, _, _ in engine.rounds(shuffle=True):
         for closure in closures.values():
             block = closure.blocks[0]
             counts = np.bincount(block.edge_dst_pos, minlength=block.num_outputs)
@@ -277,7 +271,7 @@ class TestDegenerateInputs:
         engine = engine_of(Recording, graph, "gcn", **kwargs)
         sizes = [
             len(closures)
-            for _, closures, _, _, _ in engine.rounds(engine.sampler, False)
+            for _, closures, _, _, _ in engine.rounds(False)
         ]
         assert min(sizes) == 1 and max(sizes) == 2
         assert_same_run(engine, engine_of(Reference, graph, "gcn", **kwargs))

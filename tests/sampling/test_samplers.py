@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sampling import SAMPLER_NAMES, make_sampler
-from repro.sampling.samplers import LadiesSampler, LegacyStreamSampler
+from repro.sampling.samplers import LadiesSampler
 from repro.training.prep import prepare_graph
 
 
@@ -132,8 +132,3 @@ class TestValidation:
             make_sampler("uniform", (3, 0))
         with pytest.raises(ValueError, match="fanouts must be positive"):
             make_sampler("uniform", ())
-
-    def test_legacy_rng_excludes_kappa(self, graph):
-        sampler = LegacyStreamSampler((3, 5))
-        with pytest.raises(ValueError, match="kappa"):
-            sampler.sample_batch(graph, np.arange(4), kappa=0.5)

@@ -1,4 +1,4 @@
-"""Analysis reports, Chrome trace export, LR schedulers."""
+"""Analysis reports and Chrome trace export."""
 
 import json
 
@@ -15,9 +15,6 @@ from repro.cluster.timeline import Timeline
 from repro.cluster.trace import save_chrome_trace, timeline_to_chrome_trace
 from repro.graph import generators
 from repro.partition.chunk import chunk_partition
-from repro.tensor.optim import SGD
-from repro.tensor.schedulers import CosineAnnealingLR, StepLR, WarmupLR
-from repro.tensor.tensor import Tensor
 
 
 class TestGini:
@@ -104,41 +101,3 @@ class TestChromeTrace:
         trace = json.loads(path.read_text())
         assert len(trace["traceEvents"]) > 4
 
-
-class TestSchedulers:
-    def make_opt(self, lr=1.0):
-        return SGD([Tensor([0.0], requires_grad=True)], lr=lr)
-
-    def test_step_lr_decays(self):
-        sched = StepLR(self.make_opt(), step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == [1.0, 0.5, 0.5, 0.25]
-
-    def test_cosine_reaches_eta_min(self):
-        sched = CosineAnnealingLR(self.make_opt(), t_max=10, eta_min=0.1)
-        for _ in range(10):
-            last = sched.step()
-        assert last == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        sched = CosineAnnealingLR(self.make_opt(), t_max=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_warmup_ramps_then_holds(self):
-        sched = WarmupLR(self.make_opt(), warmup_epochs=4, start_factor=0.2)
-        lrs = [sched.step() for _ in range(6)]
-        assert lrs[0] < lrs[1] < lrs[2] < lrs[3] == 1.0 == lrs[5]
-
-    def test_scheduler_mutates_optimizer(self):
-        opt = self.make_opt()
-        StepLR(opt, step_size=1, gamma=0.1).step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(self.make_opt(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self.make_opt(), t_max=0)
-        with pytest.raises(ValueError):
-            WarmupLR(self.make_opt(), warmup_epochs=0)
