@@ -12,10 +12,11 @@ loops the vectorization PR rewrote:
 
 The before/after comparison is built in: ``reference_mode()``
 reinstalls the pre-vectorization implementations (per-vertex slice
-loops, ``searchsorted`` lookups, ``np.unique`` unions,
-full-candidate sampler ranking, ``intersect1d``/``setdiff1d`` set
+loops, ``searchsorted`` lookups, ``np.unique`` unions, full-candidate
+``np.lexsort`` sampler ranking, ``intersect1d``/``setdiff1d`` set
 algebra, Algorithm 4 as a heap of scalar ``t_r`` walks), kept verbatim
-from the seed revision, and every measurement runs once per mode on
+from the seed revision (the sampler ranking behind the current
+per-round hook signature), and every measurement runs once per mode on
 the same graph and seeds.  The headline asserts: the vectorized epoch
 is at least ``--min-speedup`` (default 5x) faster than the reference on
 the largest generator in the ladder, and the hybrid compile at least
@@ -50,9 +51,12 @@ from repro.sampling.engine import SampledTrainingEngine
 from repro.training.prep import prepare_graph
 from repro.utils.rng import hashed_uniforms
 
-# The seed-revision scalar greedy lives with the tests that use it as
-# their reference; one copy serves both.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "costmodel"))
+# The seed-revision scalar greedy and the lexsort rank live with the
+# tests that use them as their reference; one copy serves both.
+_TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(_TESTS / "costmodel"))
+sys.path.insert(0, str(_TESTS / "sampling"))
+from lexsort_rank import rank_within_group  # noqa: E402
 from seed_greedy import seed_partition_dependencies  # noqa: E402
 
 DATASETS = ["cora", "reddit", "social-flat", "social-skewed", "social-large"]
@@ -107,15 +111,18 @@ def _space_ref(num_vertices, *pieces):
     return ids, mask, _LookupRef(ids)
 
 
-def _sample_layer_ref(self, graph, frontier, fanout, layer, *,
+def _sample_layer_ref(self, graph, frontiers, fanout, layer, *,
                       epoch, batch, num_seeds):
-    dst, src, eids = self._candidates(graph, frontier)
-    if len(dst) == 0:
-        return S._EMPTY_LAYER
-    # Ranks EVERY candidate edge, not just the over-fanout groups.
-    r = hashed_uniforms(self.seed, "uniform", epoch, batch, layer, ids=eids)
-    keep = S._rank_within_group(dst, r) < fanout
-    return src[keep], dst[keep], eids[keep], None
+    cand = self._candidates(graph, frontiers)
+    # Ranks EVERY candidate edge, not just the over-fanout groups, with
+    # the two-key lexsort; groups are frontier positions.
+    groups = np.repeat(np.arange(len(cand.degrees)), cand.degrees)
+    r = hashed_uniforms(self.seed, "uniform", epoch, batch, layer, ids=cand.eids)
+    keep = rank_within_group(groups, r) < fanout
+    return S._split(
+        cand.src[keep], cand.dst[keep], cand.eids[keep],
+        S._prefix_at(np.minimum(cand.degrees, fanout), cand.offsets),
+    )
 
 
 def _bottom_fetch_ref(engine, closure):

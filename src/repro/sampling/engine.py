@@ -167,23 +167,25 @@ class SampledTrainingEngine(BaseEngine):
 
     def rounds(self, shuffle: bool):
         """The next epoch, one mini-batch round at a time: sample every
-        worker's batch, compile the round, run the program passes.
-        Yields ``(round, closures, plan, program, traffic)`` and touches
-        no engine state, so the epoch loop and ``explain-plan
-        --sampled``'s dry run draw the same rounds."""
+        worker's batch in one call, compile the round, run the program
+        passes.  Yields ``(round, closures, plan, program, traffic)``
+        and touches no engine state, so the epoch loop and
+        ``explain-plan --sampled``'s dry run draw the same rounds."""
         worker_batches = self._worker_batches(shuffle)
-        reuse = [
-            ReuseState() if self.kappa > 0.0 else None for _ in worker_batches
-        ]
+        reuse = (
+            {w: ReuseState() for w in range(len(worker_batches))}
+            if self.kappa > 0.0 else None
+        )
         for r in range(max((len(b) for b in worker_batches), default=0)):
-            closures = {
-                w: self.sampler.sample_batch(
-                    self.graph, batches[r], worker=w, epoch=self._epoch,
-                    batch=r, kappa=self.kappa, state=reuse[w],
-                )
-                for w, batches in enumerate(worker_batches)
-                if r < len(batches)
-            }
+            closures = self.sampler.sample_batch(
+                self.graph,
+                {
+                    w: batches[r]
+                    for w, batches in enumerate(worker_batches)
+                    if r < len(batches)
+                },
+                epoch=self._epoch, batch=r, kappa=self.kappa, state=reuse,
+            )
             plan, program, traffic = compile_round(self, closures)
             yield r, closures, plan, run_passes(program, self), traffic
 
@@ -322,9 +324,8 @@ class SampledTrainingEngine(BaseEngine):
         for batch, i in enumerate(range(0, len(targets), self.batch_size)):
             seeds = targets[i: i + self.batch_size]
             closure = self.sampler.sample_batch(
-                self.graph, seeds, epoch=self._epoch, batch=batch,
-                kappa=0.0, state=None,
-            )
+                self.graph, {0: seeds}, epoch=self._epoch, batch=batch,
+            )[0]
             logits = self._forward_closure(closure, training=False)
             rows = np.searchsorted(
                 closure.blocks[-1].compute_vertices, seeds

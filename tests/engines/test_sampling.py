@@ -21,7 +21,7 @@ def engine(small_graph, cluster2):
 class TestSampling:
     def test_fanout_bound_respected(self, engine):
         seeds = np.arange(10)
-        closure = engine.sampler.sample_batch(engine.graph, seeds, worker=0)
+        closure = engine.sampler.sample_batch(engine.graph, {0: seeds})[0]
         csc = engine.graph.csc
         top = closure.blocks[-1]
         # Each seed keeps at most fanout[0]=3 in-edges.
@@ -32,8 +32,8 @@ class TestSampling:
 
     def test_blocks_chain(self, engine):
         blocks = engine.sampler.sample_batch(
-            engine.graph, np.arange(8), worker=0
-        ).blocks
+            engine.graph, {0: np.arange(8)}
+        )[0].blocks
         assert np.array_equal(
             blocks[0].compute_vertices, blocks[1].input_vertices
         )
@@ -46,8 +46,8 @@ class TestSampling:
 
     def test_remote_rows_counted(self, engine):
         closure = engine.sampler.sample_batch(
-            engine.graph, engine.partitioning.part(0)[:8], worker=0
-        )
+            engine.graph, {0: engine.partitioning.part(0)[:8]}
+        )[0]
         owners = engine.assignment[closure.blocks[0].input_vertices]
         assert int((owners != 0).sum()) >= 0
 
@@ -75,8 +75,8 @@ class TestSampling:
     def test_sampling_nondeterministic_across_epochs(self, engine):
         def bottom_edges(epoch):
             closure = engine.sampler.sample_batch(
-                engine.graph, np.arange(8), worker=0, epoch=epoch
-            )
+                engine.graph, {0: np.arange(8)}, epoch=epoch
+            )[0]
             return closure.blocks[0].edge_ids
 
         # Draws are keyed by epoch: the same seeds redraw the same

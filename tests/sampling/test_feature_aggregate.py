@@ -281,7 +281,7 @@ class TestDegenerateInputs:
         graph = social(arch)
         sampler = make_sampler("ladies", (2, 2), seed=0)
         seeds = np.flatnonzero(graph.train_mask)[:8]
-        block = sampler.sample_batch(graph, seeds).blocks[0]
+        block = sampler.sample_batch(graph, {0: seeds})[0].blocks[0]
         assert block.edge_weight_rescaled
         assert block.edge_weight.dtype == np.float64
         layer = GNNModel.build(

@@ -35,12 +35,14 @@ class TestKappaZero:
         seeds_a, seeds_b = np.arange(12), np.arange(6, 20)
         independent = [
             make_sampler("uniform", (3, 5), seed=0).sample_batch(
-                graph, s, batch=i
-            )
+                graph, {0: s}, batch=i
+            )[0]
             for i, s in enumerate((seeds_a, seeds_b))
         ]
         threaded = [
-            sampler.sample_batch(graph, s, batch=i, kappa=0.0, state=state)
+            sampler.sample_batch(
+                graph, {0: s}, batch=i, kappa=0.0, state={0: state}
+            )[0]
             for i, s in enumerate((seeds_a, seeds_b))
         ]
         for a, b in zip(independent, threaded):
@@ -73,11 +75,11 @@ class TestReuse:
         sampler = make_sampler("uniform", (3, 5), seed=0)
         state = ReuseState()
         first = sampler.sample_batch(
-            graph, np.arange(12), batch=0, kappa=1.0, state=state
-        )
+            graph, {0: np.arange(12)}, batch=0, kappa=1.0, state={0: state}
+        )[0]
         second = sampler.sample_batch(
-            graph, np.arange(12), batch=1, kappa=1.0, state=state
-        )
+            graph, {0: np.arange(12)}, batch=1, kappa=1.0, state={0: state}
+        )[0]
         assert second.reused_vertices > 0
         bottom_first, bottom_second = first.blocks[0], second.blocks[0]
         for v in bottom_second.compute_vertices:

@@ -33,26 +33,26 @@ class TestDeterminism:
     def test_same_key_same_closure(self, graph, name):
         seeds = np.arange(12)
         a = make_sampler(name, (3, 5), seed=7).sample_batch(
-            graph, seeds, epoch=2, batch=1
-        )
+            graph, {0: seeds}, epoch=2, batch=1
+        )[0]
         b = make_sampler(name, (3, 5), seed=7).sample_batch(
-            graph, seeds, epoch=2, batch=1
-        )
+            graph, {0: seeds}, epoch=2, batch=1
+        )[0]
         assert _closures_equal(a, b)
 
     @pytest.mark.parametrize("name", SAMPLER_NAMES)
     def test_epoch_changes_draw(self, graph, name):
         seeds = np.arange(12)
         sampler = make_sampler(name, (2, 3), seed=7)
-        a = sampler.sample_batch(graph, seeds, epoch=0, batch=0)
-        b = sampler.sample_batch(graph, seeds, epoch=1, batch=0)
+        a = sampler.sample_batch(graph, {0: seeds}, epoch=0, batch=0)[0]
+        b = sampler.sample_batch(graph, {0: seeds}, epoch=1, batch=0)[0]
         assert not _closures_equal(a, b)
 
     @pytest.mark.parametrize("name", SAMPLER_NAMES)
     def test_seed_changes_draw(self, graph, name):
         seeds = np.arange(12)
-        a = make_sampler(name, (2, 3), seed=0).sample_batch(graph, seeds)
-        b = make_sampler(name, (2, 3), seed=1).sample_batch(graph, seeds)
+        a = make_sampler(name, (2, 3), seed=0).sample_batch(graph, {0: seeds})[0]
+        b = make_sampler(name, (2, 3), seed=1).sample_batch(graph, {0: seeds})[0]
         assert not _closures_equal(a, b)
 
 
@@ -61,8 +61,8 @@ class TestBounds:
     def test_fanout_never_exceeded(self, graph, name):
         fanouts = (3, 5)
         closure = make_sampler(name, fanouts, seed=0).sample_batch(
-            graph, np.arange(16)
-        )
+            graph, {0: np.arange(16)}
+        )[0]
         # blocks[l-1] computes layer l; fanouts are listed top layer first.
         for block, fanout in zip(closure.blocks, reversed(fanouts)):
             counts = np.bincount(
@@ -73,8 +73,8 @@ class TestBounds:
     def test_uniform_keeps_low_degree_vertices_whole(self, graph):
         fanout = 3
         closure = make_sampler("uniform", (fanout, 5), seed=0).sample_batch(
-            graph, np.arange(16)
-        )
+            graph, {0: np.arange(16)}
+        )[0]
         top = closure.blocks[-1]
         counts = np.bincount(top.edge_dst_pos, minlength=top.num_outputs)
         for v, c in zip(top.compute_vertices, counts):
@@ -84,7 +84,7 @@ class TestBounds:
         fanouts = (2, 3)
         seeds = np.arange(20)
         sampler = make_sampler("ladies", fanouts, seed=0)
-        closure = sampler.sample_batch(graph, seeds)
+        closure = sampler.sample_batch(graph, {0: seeds})[0]
         budget = fanouts[0] * len(seeds)
         assert len(np.unique(closure.blocks[-1].edge_src_global)) <= budget
 
@@ -93,7 +93,7 @@ class TestBounds:
         # per kept source), so the reweighted block dominates the raw
         # weights wherever sampling actually dropped candidates.
         sampler = LadiesSampler((1, 1), seed=0)
-        closure = sampler.sample_batch(graph, np.arange(24))
+        closure = sampler.sample_batch(graph, {0: np.arange(24)})[0]
         for block in closure.blocks:
             if block.num_edges:
                 raw = graph.edge_weight[block.edge_ids]
@@ -104,8 +104,8 @@ class TestClosureShape:
     @pytest.mark.parametrize("name", SAMPLER_NAMES)
     def test_blocks_chain(self, graph, name):
         closure = make_sampler(name, (3, 5), seed=0).sample_batch(
-            graph, np.arange(10)
-        )
+            graph, {0: np.arange(10)}
+        )[0]
         assert np.array_equal(
             closure.blocks[0].compute_vertices,
             closure.blocks[1].input_vertices,
@@ -115,8 +115,8 @@ class TestClosureShape:
 
     def test_frontier_sizes_match_blocks(self, graph):
         closure = make_sampler("uniform", (3, 5), seed=0).sample_batch(
-            graph, np.arange(10)
-        )
+            graph, {0: np.arange(10)}
+        )[0]
         assert closure.frontier_sizes[-1] == len(
             closure.blocks[0].input_vertices
         )
@@ -141,7 +141,7 @@ class TestValidation:
             state = ReuseState()
             for batch in range(2):
                 closure = sampler.sample_batch(
-                    graph, np.arange(12), batch=batch, kappa=0.5,
-                    state=state,
-                )
+                    graph, {0: np.arange(12)}, batch=batch, kappa=0.5,
+                    state={0: state},
+                )[0]
             assert closure.reused_vertices > 0, name
