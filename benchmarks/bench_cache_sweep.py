@@ -28,6 +28,8 @@ HIDDEN = 32
 NODES = 4
 EPOCHS = 20
 TAUS = (0.0, 2.0, 4.0, 8.0)
+# The headline's accuracy budget: 1% below the exact run.
+ACCURACY_TOLERANCE = 0.01
 
 
 def run_experiment(seed=1):
@@ -69,10 +71,10 @@ def check(result):
     assert all(a >= b - 1e-9 for a, b in zip(volumes, volumes[1:]))
 
     # Headline: >= 30% comm saved with accuracy within 1% somewhere.
-    best = best_cache_point(result, accuracy_tolerance=0.01)
+    best = best_cache_point(result, ACCURACY_TOLERANCE)
     assert best is not None
     assert best["comm_reduction"] >= 0.30, best
-    assert best["accuracy_delta"] >= -0.01, best
+    assert best["accuracy_delta"] >= -ACCURACY_TOLERANCE, best
 
 
 def test_cache_sweep(benchmark):

@@ -45,7 +45,7 @@ class MyGCNConv(GNNLayer):
         #   fetched remotely (DepComm) or recomputed locally (DepCache).
         f_src, _ = ops.scatter_to_edge(block, f_dst)      # ScatterToEdge
         msg = ops.edge_forward(block, f_src, None, self.edge_udf)  # EdgeForward
-        agg_msg = ops.gather_by_dst(block, msg, agg="sum")  # GatherByDst
+        agg_msg = ops.gather_by_dst(block, msg)  # GatherByDst
         return ops.vertex_forward(                          # VertexForward
             block, f_dst, agg_msg, self.vertex_forward
         )

@@ -12,6 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: CPU-side throughput of serialising message payloads into send
+#: buffers (bytes per second).
+CPU_PACK_BYTES_PER_S = 2.4e10
+#: Per-vertex-message overhead of a mutex-protected concurrent queue
+#: (threads contend on the lock once per enqueued message).
+MUTEX_ENQUEUE_S = 1.2e-7
+#: Per-vertex-message overhead of the lock-free position-indexed writer
+#: (the "L" optimization): each thread writes at a precomputed
+#: conflict-free offset, so no contention.
+LOCKFREE_ENQUEUE_S = 1.5e-8
+
 
 @dataclass(frozen=True)
 class NetworkProfile:
@@ -28,25 +39,15 @@ class NetworkProfile:
     congestion_factor:
         Effective slowdown when sends are not ring-scheduled and
         multiple senders share a receiver NIC.
-    cpu_pack_bytes_per_s:
-        CPU-side throughput of serialising message payloads into send
-        buffers.
-    mutex_enqueue_s:
-        Per-vertex-message overhead of a mutex-protected concurrent
-        queue (threads contend on the lock once per enqueued message).
-    lockfree_enqueue_s:
-        Per-vertex-message overhead of the lock-free position-indexed
-        writer (the "L" optimization): each thread writes at a
-        precomputed conflict-free offset, so no contention.
+
+    Packing and enqueueing run on the host CPU, so their costs are the
+    module constants above, the same on every network.
     """
 
     name: str
     bytes_per_s: float
     latency_s: float
     congestion_factor: float = 1.5
-    cpu_pack_bytes_per_s: float = 2.4e10
-    mutex_enqueue_s: float = 1.2e-7
-    lockfree_enqueue_s: float = 1.5e-8
 
     def wire_time(self, num_bytes: float, congested: bool = False) -> float:
         """Seconds on the wire for one message."""
@@ -68,8 +69,8 @@ class NetworkProfile:
         """
         if num_bytes <= 0:
             return 0.0
-        per_message = self.lockfree_enqueue_s if lock_free else self.mutex_enqueue_s
-        return num_bytes / self.cpu_pack_bytes_per_s + num_messages * per_message
+        per_message = LOCKFREE_ENQUEUE_S if lock_free else MUTEX_ENQUEUE_S
+        return num_bytes / CPU_PACK_BYTES_PER_S + num_messages * per_message
 
 
 # Aliyun ECS: 6 Gbps Ethernet between GPU instances.

@@ -235,11 +235,10 @@ class Timeline:
     # ------------------------------------------------------------------
     # Figure 13: utilization traces
     # ------------------------------------------------------------------
-    def bytes_per_window(
-        self, window: float, horizon: Optional[float] = None
-    ) -> np.ndarray:
-        """Total received bytes per window (Figure 13(c)'s network trace)."""
-        horizon = horizon or self.makespan
+    def bytes_per_window(self, window: float) -> np.ndarray:
+        """Total received bytes per window up to the makespan (Figure
+        13(c)'s network trace)."""
+        horizon = self.makespan
         if horizon <= 0:
             return np.zeros(0)
         num_windows = int(np.ceil(horizon / window))
@@ -275,9 +274,9 @@ class TotalsDiff:
 
     Holds a snapshot taken at construction; every :meth:`deltas` call
     returns what each activity kind accumulated per worker since the
-    previous call (or the snapshot) and re-anchors.  The one differ
-    behind the health monitor's EWMA factors and the ops epoch
-    observations.
+    previous call (or the snapshot) and re-anchors.  Its one reader is
+    the ops ``TimelineObserver``, whose epoch observations the health
+    monitor folds into its EWMA factors too.
     """
 
     def __init__(self, timeline: Timeline):

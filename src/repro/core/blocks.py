@@ -13,7 +13,7 @@ itself -- and therefore the numerical result -- is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -125,13 +125,11 @@ def build_block(
     graph: Graph,
     compute_vertices: np.ndarray,
     layer_index: int,
-    extra_inputs: Optional[np.ndarray] = None,
 ) -> LayerBlock:
     """Build the block computing ``h^l`` for ``compute_vertices``.
 
     The edge set is every in-edge of a compute vertex; the input space
-    is the union of those edges' sources with the compute set itself
-    (plus ``extra_inputs`` if an engine needs extra rows resident).
+    is the union of those edges' sources with the compute set itself.
 
     Results are memoised per graph in a small keyed cache: serving and
     replay rebuild the same (layer, compute set) blocks for every hot
@@ -143,25 +141,15 @@ def build_block(
     )
     if len(compute_vertices) == 0:
         raise ValueError("a block needs at least one compute vertex")
-    extra = (
-        None
-        if extra_inputs is None
-        else np.asarray(extra_inputs, dtype=np.int64)
-    )
     cache = graph.__dict__.setdefault("_block_cache", {})
-    key = (
-        int(layer_index),
-        compute_vertices.tobytes(),
-        None if extra is None else extra.tobytes(),
-    )
+    key = (int(layer_index), compute_vertices.tobytes())
     hit = cache.get(key)
     if hit is not None:
         return hit
     dsts, srcs, eids = graph.csc.select(compute_vertices)
-    pieces = [srcs, compute_vertices]
-    if extra is not None:
-        pieces.append(extra)
-    input_vertices, _, input_rows = _space(graph.num_vertices, *pieces)
+    input_vertices, _, input_rows = _space(
+        graph.num_vertices, srcs, compute_vertices
+    )
     _, _, output_rows = _space(graph.num_vertices, compute_vertices)
 
     block = LayerBlock(

@@ -134,19 +134,20 @@ class GCNConv(GNNLayer):
 class GINConv(GNNLayer):
     """Graph isomorphism layer (Xu et al. 2019).
 
-    ``h_v = MLP((1 + eps) * h_v + sum_u h_u)`` with a 2-layer MLP.
+    ``h_v = MLP((1 + eps) * h_v + sum_u h_u)`` with a 2-layer MLP and
+    the paper's fixed ``eps = 0``.
     """
+
+    eps = 0.0
 
     def __init__(
         self,
         in_dim: int,
         out_dim: int,
-        eps: float = 0.0,
         activation: str = "relu",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__(in_dim, out_dim)
-        self.eps = eps
         self.mlp1 = nn.Linear(in_dim, out_dim, rng=rng)
         self.mlp2 = nn.Linear(out_dim, out_dim, rng=rng)
         self.activation = activation
@@ -185,7 +186,6 @@ class GATConv(GNNLayer):
         self,
         in_dim: int,
         out_dim: int,
-        negative_slope: float = 0.2,
         activation: str = "relu",
         rng: Optional[np.random.Generator] = None,
     ):
@@ -194,15 +194,12 @@ class GATConv(GNNLayer):
         self.linear = nn.Linear(in_dim, out_dim, bias=False, rng=rng)
         self.attn_src = nn.Parameter(init.xavier_uniform((out_dim, 1), rng=rng))
         self.attn_dst = nn.Parameter(init.xavier_uniform((out_dim, 1), rng=rng))
-        self.negative_slope = negative_slope
         self.activation = activation
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
         projected = self.linear(h_inputs)
         z_src, z_dst = ops.scatter_to_edge(block, projected, with_dst=True)
-        scores = F.leaky_relu(
-            z_src @ self.attn_src + z_dst @ self.attn_dst, self.negative_slope
-        )
+        scores = F.leaky_relu(z_src @ self.attn_src + z_dst @ self.attn_dst)
         alpha = F.segment_softmax(scores, block.edge_dst_pos, block.num_outputs)
         weighted = z_src * alpha
         out = F.segment_sum(weighted, block.edge_dst_pos, block.num_outputs)

@@ -66,9 +66,10 @@ class MirrorExchange:
                     counts[j, i] = len(mine)
         self.counts = counts
 
-    def volume_matrix(self, dim: int, bytes_per_value: int = 4) -> np.ndarray:
-        """Byte volumes ``[sender, receiver]`` for a ``dim``-wide tensor."""
-        return self.counts.astype(np.float64) * dim * bytes_per_value
+    def volume_matrix(self, dim: int) -> np.ndarray:
+        """Byte volumes ``[sender, receiver]`` for a ``dim``-wide float32
+        tensor."""
+        return self.counts.astype(np.float64) * dim * 4
 
     @property
     def total_vertices(self) -> int:

@@ -52,17 +52,13 @@ def edge_forward(
     return fn(f_src, f_dst, block.edge_weight)
 
 
-def gather_by_dst(block: LayerBlock, messages: Tensor, agg: str = "sum") -> Tensor:
-    """Aggregate edge messages by destination vertex.
+def gather_by_dst(block: LayerBlock, messages: Tensor) -> Tensor:
+    """Sum edge messages by destination vertex.
 
-    Only commutative/associative aggregators are allowed (the paper
-    names min/max/sum); this reproduction ships sum and mean.
+    The paper allows any commutative/associative aggregator (min, max,
+    sum); every layer here that aggregates this way sums.
     """
-    if agg == "sum":
-        return F.segment_sum(messages, block.edge_dst_pos, block.num_outputs)
-    if agg == "mean":
-        return F.segment_mean(messages, block.edge_dst_pos, block.num_outputs)
-    raise ValueError(f"unsupported aggregator {agg!r} (use 'sum' or 'mean')")
+    return F.segment_sum(messages, block.edge_dst_pos, block.num_outputs)
 
 
 def fused_scatter_gather(

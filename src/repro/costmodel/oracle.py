@@ -77,6 +77,12 @@ def _evaluate(
     return total
 
 
+#: Enumeration limits: dependencies per layer, and subset combinations
+#: across layers.
+MAX_DEPS = 8
+MAX_COMBINATIONS = 1 << 17
+
+
 def oracle_partition(
     graph: Graph,
     partitioning: Partitioning,
@@ -85,14 +91,12 @@ def oracle_partition(
     constants: ProbeResult,
     memory_limit_bytes: Optional[int] = None,
     mu: float = 0.8,
-    max_deps: int = 8,
-    max_combinations: int = 1 << 17,
 ) -> OracleResult:
     """Enumerate every R/C split and return the cheapest feasible one.
 
-    Raises ``ValueError`` when any layer has more than ``max_deps``
+    Raises ``ValueError`` when any layer has more than ``MAX_DEPS``
     dependencies or the cross-layer product of subsets exceeds
-    ``max_combinations`` (the enumeration would explode).
+    ``MAX_COMBINATIONS`` (the enumeration would explode).
     """
     num_layers = len(dims) - 1
     owned = partitioning.part(worker)
@@ -101,16 +105,16 @@ def oracle_partition(
     deps = dependency_layers(graph, owned, num_layers)
     total_combinations = 1
     for d in deps:
-        if len(d) > max_deps:
+        if len(d) > MAX_DEPS:
             raise ValueError(
                 f"oracle infeasible: {len(d)} dependencies in a layer "
-                f"(limit {max_deps})"
+                f"(limit {MAX_DEPS})"
             )
         total_combinations *= 1 << len(d)
-    if total_combinations > max_combinations:
+    if total_combinations > MAX_COMBINATIONS:
         raise ValueError(
             f"oracle infeasible: {total_combinations} subset combinations "
-            f"(limit {max_combinations})"
+            f"(limit {MAX_COMBINATIONS})"
         )
 
     best_cost = np.inf

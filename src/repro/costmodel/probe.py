@@ -18,9 +18,10 @@ backward):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
+from repro.cluster.network import CPU_PACK_BYTES_PER_S
 from repro.cluster.spec import ClusterSpec
 from repro.comm.scheduler import CommOptions
 from repro.core.blocks import build_block
@@ -64,23 +65,40 @@ class ProbeResult:
         """Per-epoch seconds to communicate one layer-``layer`` input."""
         return self.t_c_layer[layer - 1]
 
+    def scaled(self, compute: float, comm: float) -> "ProbeResult":
+        """These constants on a worker whose compute runs ``compute``
+        times and whose communication runs ``comm`` times as long: the
+        one lever every re-plan pulls."""
+        return replace(
+            self,
+            t_v=self.t_v * compute,
+            t_e=self.t_e * compute,
+            t_c=self.t_c * comm,
+            t_v_layer=[t * compute for t in self.t_v_layer],
+            t_e_layer=[t * compute for t in self.t_e_layer],
+            t_c_layer=[t * comm for t in self.t_c_layer],
+        )
+
 
 # Forward + backward: backward costs roughly 2x forward for compute and
 # one reverse message for communication.
 _BACKWARD_COMPUTE = 3.0
 _BACKWARD_COMM = 2.0
 
+#: The probe graph's size and average degree.
+PROBE_VERTICES = 64
+PROBE_DEGREE = 4
+
 
 def probe_constants(
     spec: ClusterSpec,
     model: GNNModel,
-    probe_vertices: int = 64,
-    probe_degree: int = 4,
     comm: CommOptions = CommOptions.all(),
 ) -> ProbeResult:
     """Measure T_v, T_e, T_c on a small test graph.
 
-    The test graph is a small ring-of-cliques whose per-layer blocks are
+    The test graph is a small random graph (``PROBE_VERTICES`` vertices
+    of in-degree ``PROBE_DEGREE``) whose per-layer blocks are
     pushed through the device/network timing model; per-vertex and
     per-edge times are read off and normalised.  ``comm`` is the
     configuration the training run will use: probing with mutex queues
@@ -88,7 +106,7 @@ def probe_constants(
     as a real probe run on that configuration would measure.
     """
     test_graph = generators.erdos_renyi(
-        probe_vertices, probe_vertices * probe_degree, seed=7
+        PROBE_VERTICES, PROBE_VERTICES * PROBE_DEGREE, seed=7
     ).gcn_normalized()
     device = spec.device
     network = spec.network
@@ -111,7 +129,7 @@ def probe_constants(
         # packing, amortising the per-message latency over a typical
         # chunk of remote vertices.
         payload = dims[l - 1] * 4
-        amortised_latency = network.latency_s / max(probe_vertices, 1)
+        amortised_latency = network.latency_s / PROBE_VERTICES
         wire = network.wire_time(payload, congested=not comm.ring)
         pack = network.pack_time(payload, num_messages=1, lock_free=comm.lock_free)
         per_comm = (
@@ -126,7 +144,7 @@ def probe_constants(
     # one-way, latency excluded) and the per-message latency itself.
     congestion = 1.0 if comm.ring else network.congestion_factor
     t_c_byte = (
-        congestion / network.bytes_per_s + 1.0 / network.cpu_pack_bytes_per_s
+        congestion / network.bytes_per_s + 1.0 / CPU_PACK_BYTES_PER_S
     )
     t_msg = network.latency_s * congestion
     return ProbeResult(

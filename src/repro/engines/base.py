@@ -186,18 +186,17 @@ class BaseEngine:
         (health-monitor overrides win; else the cluster-wide probe)."""
         return self.constants_overrides.get(worker, self.constants)
 
-    def replan(
-        self, constants_overrides: Optional[Dict[int, ProbeResult]] = None
-    ) -> Optional[EnginePlan]:
+    def replan(self, constants_overrides: Dict[int, ProbeResult]) -> None:
         """Re-run dependency planning mid-training (online re-planning).
 
-        Discards plan and program, re-decides R/C/H sets, charges the
-        new preprocessing, barriers.  Historical caches restart cold, so
+        Installs ``constants_overrides`` (per-worker constants; workers
+        without an entry plan with the cluster-wide probe), discards
+        plan and program, re-decides R/C/H sets, charges the new
+        preprocessing, barriers.  Historical caches restart cold, so
         the next epoch refreshes -- re-planning never serves stale
         entries stamped under the old plan.
         """
-        if constants_overrides is not None:
-            self.constants_overrides = dict(constants_overrides)
+        self.constants_overrides = dict(constants_overrides)
         self.plan_ = None
         self.program_ = None
         plan = self.plan()  # None for per-round-compiled engines
@@ -208,7 +207,6 @@ class BaseEngine:
         if self._cache_active:
             self._last_refresh_epoch = None
             self._force_refresh = True
-        return plan
 
     def _spawn_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs a reshaped clone of this engine inherits."""

@@ -7,7 +7,7 @@ Reproduces the defining behaviours of DistDGL (Section 2.2, 5.3) as a
 - uniform neighborhood sampling with a (10, 25) fanout;
 - mini-batch synchronous SGD over each worker's training vertices;
 - per-batch *sampling RPCs* against the distributed graph store
-  (``rpc_accounting=True``): the id-plane round trips and payloads
+  (``rpc_accounting``): the id-plane round trips and payloads
   that keep DistDGL's GPU utilization low (Figure 13) — feature rows
   themselves are priced by the compiled exchange phase like every
   other engine;
@@ -37,6 +37,7 @@ class SamplingEngine(SampledTrainingEngine):
     """Mini-batch sampled training in the style of DistDGL."""
 
     name = "distdgl"
+    rpc_accounting = True
 
     def __init__(
         self,
@@ -46,7 +47,6 @@ class SamplingEngine(SampledTrainingEngine):
         partitioning: Optional[Partitioning] = None,
         comm: CommOptions = CommOptions.none(),
         fanouts: Tuple[int, ...] = (10, 25),
-        rpc_accounting: bool = True,
         **kwargs,
     ):
         super().__init__(
@@ -56,6 +56,5 @@ class SamplingEngine(SampledTrainingEngine):
             partitioning=partitioning,
             comm=comm,
             fanouts=fanouts,
-            rpc_accounting=rpc_accounting,
             **kwargs,
         )

@@ -4,13 +4,13 @@ The paper evaluates on web/social graphs whose relevant properties for
 the DepCache/DepComm tradeoff are vertex count, average degree, and
 degree skew.  We regenerate graphs matching those shapes:
 
-- :func:`rmat` -- recursive-matrix graphs (Chakrabarti et al.) with a
-  tunable skew, standing in for web and social networks.
+- :func:`locality_graph` -- web/social graphs whose id locality sets
+  how many dependencies are remote.
 - :func:`community` -- planted-partition graphs with dense intra-block
   connectivity and label-correlated features, standing in for Reddit
   (high average degree + homophily, so accuracy experiments converge).
-- :func:`erdos_renyi`, :func:`ring`, :func:`star`, :func:`chain`,
-  :func:`complete` -- simple shapes for tests and probing.
+- :func:`erdos_renyi`, :func:`ring`, :func:`chain` -- simple shapes
+  for tests and probing.
 
 All generators are deterministic in their ``seed``.
 """
@@ -22,6 +22,10 @@ from typing import Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
+
+#: Share of a community graph's edges that stay inside the
+#: destination's community (:func:`community`, :func:`scaled_social`).
+INTRA_FRACTION = 0.9
 
 
 def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,57 +54,6 @@ def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         first = packed[is_head] & ((1 << bits) - 1)
     first.sort()
     return src[first], dst[first]
-
-
-def rmat(
-    num_vertices: int,
-    num_edges: int,
-    a: float = 0.45,
-    b: float = 0.15,
-    c: float = 0.15,
-    seed: int = 0,
-    bidirectional: bool = False,
-) -> Graph:
-    """R-MAT generator: recursively choose a quadrant per bit of the id.
-
-    ``a + b + c + d = 1`` with ``d = 1 - a - b - c``.  The quadrant
-    weights control two properties that matter for the reproduction:
-
-    - *skew*: asymmetry between ``a`` and ``d`` concentrates edges on
-      low-id hubs (power-law-like degrees);
-    - *locality*: diagonal dominance (``a + d`` large) makes src and dst
-      share high-order id bits, so edges connect nearby ids.  Chunk
-      partitioning assigns contiguous id ranges to workers, so high
-      locality means few remote dependencies --- the property that makes
-      web graphs (Google) DepCache-friendly and social networks (Pokec)
-      DepComm-friendly.
-
-    Duplicate edges and self loops are dropped; we oversample by 25% to
-    roughly compensate.
-    """
-    d = 1.0 - a - b - c
-    if d < 0:
-        raise ValueError("rmat probabilities must sum to at most 1")
-    rng = np.random.default_rng(seed)
-    bits = max(1, int(np.ceil(np.log2(max(num_vertices, 2)))))
-    want = int(num_edges * 1.25) + 16
-    src = np.zeros(want, dtype=np.int64)
-    dst = np.zeros(want, dtype=np.int64)
-    for _ in range(bits):
-        r = rng.random(want)
-        src_bit = (r >= a + b).astype(np.int64)
-        # Quadrants: a -> (0,0), b -> (0,1), c -> (1,0), d -> (1,1).
-        dst_bit = ((r >= a) & (r < a + b) | (r >= a + b + c)).astype(np.int64)
-        src = src * 2 + src_bit
-        dst = dst * 2 + dst_bit
-    src %= num_vertices
-    dst %= num_vertices
-    src, dst = _dedup(src, dst)
-    src, dst = src[:num_edges], dst[:num_edges]
-    if bidirectional:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        src, dst = _dedup(src, dst)
-    return Graph(num_vertices, src, dst, name="rmat")
 
 
 def locality_graph(
@@ -162,13 +115,12 @@ def community(
     num_vertices: int,
     num_communities: int,
     avg_degree: float,
-    intra_fraction: float = 0.9,
     seed: int = 0,
 ) -> Graph:
     """Planted-partition graph: dense blocks with a little inter-block glue.
 
     Vertex ``v`` belongs to community ``v % num_communities``; an
-    ``intra_fraction`` of each vertex's edges land inside its community.
+    ``INTRA_FRACTION`` of each vertex's edges land inside its community.
     Labels (set by the dataset loader) follow communities, giving the
     homophily real social graphs have and letting GNN accuracy climb.
     """
@@ -190,7 +142,7 @@ def community(
             break
         draw = int(remaining * 1.5) + 16
         dst = rng.integers(0, num_vertices, size=draw)
-        intra = rng.random(draw) < intra_fraction
+        intra = rng.random(draw) < INTRA_FRACTION
         src = np.empty(draw, dtype=np.int64)
         for c in range(num_communities):
             rows = np.where(intra & (membership[dst] == c))[0]
@@ -219,7 +171,6 @@ def scaled_social(
     num_vertices: int,
     avg_degree: float = 16.0,
     num_communities: int = 32,
-    intra_fraction: float = 0.9,
     hub_exponent: float = 0.85,
     seed: int = 0,
 ) -> Graph:
@@ -229,7 +180,7 @@ def scaled_social(
     rounds), so 10-100x the catalog vertex counts stay cheap: every
     edge picks a uniform destination, then a *Zipf-weighted* source —
     a member of the destination's community with probability
-    ``intra_fraction``, a global vertex otherwise.  Vertex ``v``'s
+    ``INTRA_FRACTION``, a global vertex otherwise.  Vertex ``v``'s
     community is ``v % num_communities`` and its popularity rank is
     ``v // num_communities``, so low ids are hubs both globally and
     inside every community.
@@ -258,7 +209,7 @@ def scaled_social(
     rank = np.minimum(rank, dst_sizes - 1)
     src = rank.astype(np.int64) * num_communities + membership[dst]
     # Inter-community edges: a global Zipf draw over all vertex ids.
-    inter = rng.random(want) >= intra_fraction
+    inter = rng.random(want) >= INTRA_FRACTION
     n_inter = int(inter.sum())
     if n_inter:
         global_cdf = np.cumsum(
@@ -316,26 +267,6 @@ def chain(num_vertices: int) -> Graph:
     src = np.arange(num_vertices - 1, dtype=np.int64)
     dst = src + 1
     return Graph(num_vertices, src, dst, name="chain")
-
-
-def star(num_leaves: int, inward: bool = True) -> Graph:
-    """Star graph; ``inward=True`` points leaves at the hub (vertex 0)."""
-    leaves = np.arange(1, num_leaves + 1, dtype=np.int64)
-    hub = np.zeros(num_leaves, dtype=np.int64)
-    if inward:
-        return Graph(num_leaves + 1, leaves, hub, name="star")
-    return Graph(num_leaves + 1, hub, leaves, name="star")
-
-
-def complete(num_vertices: int) -> Graph:
-    """Complete directed graph without self loops."""
-    grid_src, grid_dst = np.meshgrid(
-        np.arange(num_vertices), np.arange(num_vertices), indexing="ij"
-    )
-    src = grid_src.reshape(-1)
-    dst = grid_dst.reshape(-1)
-    keep = src != dst
-    return Graph(num_vertices, src[keep], dst[keep], name="complete")
 
 
 def attach_features(

@@ -29,8 +29,6 @@ class Graph:
         num_vertices: int,
         src: np.ndarray,
         dst: np.ndarray,
-        features: Optional[np.ndarray] = None,
-        labels: Optional[np.ndarray] = None,
         num_classes: Optional[int] = None,
         edge_weight: Optional[np.ndarray] = None,
         name: str = "graph",
@@ -47,8 +45,9 @@ class Graph:
         self.src = src
         self.dst = dst
         self.name = name
-        self.features = features
-        self.labels = labels
+        # Filled in by generators.attach_features (or a test).
+        self.features: Optional[np.ndarray] = None
+        self.labels: Optional[np.ndarray] = None
         self.num_classes = num_classes
         self.edge_weight = (
             edge_weight.astype(np.float32)
@@ -121,12 +120,12 @@ class Graph:
             self.num_vertices,
             src,
             dst,
-            features=self.features,
-            labels=self.labels,
             num_classes=self.num_classes,
             edge_weight=weight,
             name=self.name,
         )
+        out.features = self.features
+        out.labels = self.labels
         out.train_mask = self.train_mask
         out.val_mask = self.val_mask
         out.test_mask = self.test_mask

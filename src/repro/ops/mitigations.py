@@ -109,15 +109,8 @@ def mitigate_replan(engine, verdict: Verdict) -> MitigationRecord:
         base = engine.constants
     ratio = float(verdict.evidence.get("send_ratio", 2.0))
     factor = ratio * ratio
-    overrides = {
-        w: replace(
-            base,
-            t_c=base.t_c * factor,
-            t_c_layer=[t * factor for t in base.t_c_layer],
-        )
-        for w in range(engine.cluster.num_workers)
-    }
-    engine.replan(overrides)
+    scaled = base.scaled(compute=1.0, comm=factor)
+    engine.replan({w: scaled for w in range(engine.cluster.num_workers)})
     return MitigationRecord.of(
         "replan", verdict, comm_factor=factor, send_ratio=ratio
     )

@@ -1,9 +1,9 @@
 """Chunk-based partitioning (Gemini-style contiguous id ranges).
 
 The paper's default partitioner (Section 3, "Graph Partitioning"):
-vertices are split into ``m`` contiguous id ranges.  Ranges can be
-balanced by vertex count or, like Gemini, by in-edge count so that
-workers get comparable computational load on skewed graphs.
+vertices are split into ``m`` contiguous id ranges, balanced like
+Gemini's on vertices and in-edges together so that workers get
+comparable computational load on skewed graphs.
 """
 
 from __future__ import annotations
@@ -14,32 +14,18 @@ from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
 
 
-def chunk_partition(
-    graph: Graph, num_parts: int, balance: str = "hybrid"
-) -> Partitioning:
+def chunk_partition(graph: Graph, num_parts: int) -> Partitioning:
     """Split vertex ids into ``m`` contiguous chunks.
 
-    ``balance`` selects the load measure equalised across chunks:
-
-    - ``"vertices"``: equal vertex counts;
-    - ``"edges"``: equal in-edge counts;
-    - ``"hybrid"`` (default, Gemini's choice): ``alpha * |V| + |E_in|``
-      with ``alpha`` = average degree, balancing both.
+    The chunks equalise Gemini's load ``alpha * |V| + |E_in|`` with
+    ``alpha`` = average degree, balancing vertices and edges both.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
     if num_parts > graph.num_vertices:
         raise ValueError("more parts than vertices")
     in_deg = graph.in_degrees().astype(np.float64)
-    if balance == "vertices":
-        load = np.ones(graph.num_vertices)
-    elif balance == "edges":
-        load = in_deg + 1e-9
-    elif balance == "hybrid":
-        alpha = max(graph.avg_degree, 1.0)
-        load = alpha + in_deg
-    else:
-        raise ValueError(f"unknown balance mode {balance!r}")
+    load = max(graph.avg_degree, 1.0) + in_deg
     cumulative = np.cumsum(load)
     total = cumulative[-1]
     # Boundary b_k = first vertex whose cumulative load exceeds k/m.

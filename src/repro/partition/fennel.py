@@ -13,32 +13,26 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
 
+#: The size penalty's exponent (the paper's recommended 1.5).
+GAMMA = 1.5
+#: The balance cap: no worker exceeds ``SLACK * |V| / num_parts``
+#: vertices.
+SLACK = 1.1
 
-def fennel_partition(
-    graph: Graph,
-    num_parts: int,
-    gamma: float = 1.5,
-    slack: float = 1.1,
-    order: str = "bfs",
-    seed: int = 0,
-) -> Partitioning:
-    """Stream vertices and place each on the best-scoring worker.
 
-    ``order`` controls the stream: ``"bfs"`` (default, gives Fennel its
-    locality advantage), ``"sequential"``, or ``"random"``.
-    ``slack`` is the balance cap: no worker exceeds
-    ``slack * |V| / num_parts`` vertices.
-    """
+def fennel_partition(graph: Graph, num_parts: int, seed: int = 0) -> Partitioning:
+    """Stream vertices in BFS order (which gives Fennel its locality
+    advantage) and place each on the best-scoring worker."""
     n = graph.num_vertices
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
     if num_parts > n:
         raise ValueError("more parts than vertices")
     m = graph.num_edges
-    alpha = (m * num_parts ** (gamma - 1.0)) / max(n ** gamma, 1.0) + 1e-9
-    capacity = int(np.ceil(slack * n / num_parts))
+    alpha = (m * num_parts ** (GAMMA - 1.0)) / max(n ** GAMMA, 1.0) + 1e-9
+    capacity = int(np.ceil(SLACK * n / num_parts))
 
-    stream = _stream_order(graph, order, seed)
+    stream = _bfs_order(graph, seed)
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(num_parts, dtype=np.int64)
     csr, csc = graph.csr, graph.csc
@@ -50,24 +44,13 @@ def fennel_partition(
         placed = assignment[neighbor_ids]
         placed = placed[placed >= 0]
         reward = np.bincount(placed, minlength=num_parts).astype(np.float64)
-        penalty = alpha * gamma * np.power(sizes.astype(np.float64), gamma - 1.0)
+        penalty = alpha * GAMMA * np.power(sizes.astype(np.float64), GAMMA - 1.0)
         score = reward - penalty
         score[sizes >= capacity] = -np.inf
         best = int(np.argmax(score))
         assignment[v] = best
         sizes[best] += 1
     return Partitioning(assignment, num_parts=num_parts, method="fennel")
-
-
-def _stream_order(graph: Graph, order: str, seed: int) -> np.ndarray:
-    n = graph.num_vertices
-    if order == "sequential":
-        return np.arange(n, dtype=np.int64)
-    if order == "random":
-        return np.random.default_rng(seed).permutation(n).astype(np.int64)
-    if order == "bfs":
-        return _bfs_order(graph, seed)
-    raise ValueError(f"unknown stream order {order!r}")
 
 
 def _bfs_order(graph: Graph, seed: int) -> np.ndarray:

@@ -19,14 +19,14 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
 
+#: Boundary refinement passes after the BFS growth (fewer if one moves
+#: nothing).
+REFINEMENT_PASSES = 4
+#: The balance cap: no part exceeds ``SLACK * |V| / num_parts`` vertices.
+SLACK = 1.05
 
-def metis_like_partition(
-    graph: Graph,
-    num_parts: int,
-    refinement_passes: int = 4,
-    slack: float = 1.05,
-    seed: int = 0,
-) -> Partitioning:
+
+def metis_like_partition(graph: Graph, num_parts: int, seed: int = 0) -> Partitioning:
     """Grow ``m`` BFS regions, then refine the boundary greedily."""
     n = graph.num_vertices
     if num_parts < 1:
@@ -34,8 +34,8 @@ def metis_like_partition(
     if num_parts > n:
         raise ValueError("more parts than vertices")
     assignment = _bfs_grow(graph, num_parts, seed)
-    capacity = int(np.ceil(slack * n / num_parts))
-    for _ in range(refinement_passes):
+    capacity = int(np.ceil(SLACK * n / num_parts))
+    for _ in range(REFINEMENT_PASSES):
         moved = _refine_pass(graph, assignment, num_parts, capacity)
         if moved == 0:
             break

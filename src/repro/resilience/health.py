@@ -6,18 +6,19 @@ straggler or a degraded link silently invalidates them: the probed
 ``T_c`` says communication is cheap while the real link crawls.  The
 :class:`ClusterHealthMonitor` closes the loop:
 
-1. After every epoch it reads each worker's per-kind activity deltas
-   off the timeline's :class:`~repro.cluster.timeline.TotalsDiff` (the
-   differ the ops observer shares) -- compute is ``gpu + cpu`` seconds,
-   communication is ``net_send + net_recv`` -- and normalises by the
-   cluster *median*, so a slow worker stands out relative to its peers
-   without needing a healthy baseline run.
+1. After every epoch it reads each worker's activity deltas off the
+   :class:`~repro.ops.signals.EpochObservation` that the ops
+   :class:`~repro.ops.signals.TimelineObserver` builds -- compute is
+   ``gpu + cpu`` seconds, communication is ``net_send + net_recv`` --
+   and normalises by the cluster *median*, so a slow worker stands out
+   relative to its peers without needing a healthy baseline run.
 2. The per-worker ratios are smoothed with an EWMA into effective
    slowdown factors.
 3. When a factor drifts past ``drift_threshold`` relative to the last
    re-plan, :meth:`worker_constants` scales the probed
-   :class:`~repro.costmodel.probe.ProbeResult` per worker (compute
-   factors scale ``T_v``/``T_e``, comm factors scale ``T_c``) and
+   :class:`~repro.costmodel.probe.ProbeResult` per worker
+   (:meth:`~repro.costmodel.probe.ProbeResult.scaled`: compute factors
+   scale ``T_v``/``T_e``, comm factors scale ``T_c``) and
    :meth:`repro.engines.base.BaseEngine.replan` re-runs the greedy --
    warm-started from the previous :class:`DependencyPartition`, so only
    the decision pass (not the measurement sweep) repeats.  Decisions
@@ -34,15 +35,11 @@ re-planning off and on.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.cluster.spec import ClusterSpec
-from repro.cluster.timeline import (
-    CPU, GPU, NET_RECV, NET_SEND, Timeline, TotalsDiff,
-)
 from repro.comm.scheduler import CommOptions
 from repro.costmodel.probe import ProbeResult
 from repro.resilience.faults import FaultSchedule
@@ -65,8 +62,10 @@ class ClusterHealthMonitor:
         Relative factor change (vs. the last re-plan's factors) that
         :meth:`drifted` reports as re-plan-worthy.
 
-    :meth:`drifted` stays quiet for the first ``MIN_OBSERVATIONS``
-    epochs after start or re-plan, damping the first noisy diffs.
+    The first observation only baselines: the first epoch also carries
+    the plan's one-off costs, so it is not folded.  :meth:`drifted`
+    stays quiet for the first ``MIN_OBSERVATIONS`` folded epochs after
+    start or re-plan, damping the first noisy diffs.
     """
 
     MIN_OBSERVATIONS = 2
@@ -89,25 +88,27 @@ class ClusterHealthMonitor:
         self.compute_factors = np.ones(num_workers)
         self.comm_factors = np.ones(num_workers)
         self.observations = 0
-        self._totals: Optional[TotalsDiff] = None
+        self._baselined = False
         # Factors at the last re-plan; drift is measured against these.
         self._ref_compute = np.ones(num_workers)
         self._ref_comm = np.ones(num_workers)
 
     # ------------------------------------------------------------------
-    def observe(self, timeline: Timeline) -> None:
-        """Fold one epoch's timeline deltas into the factor estimates."""
-        if timeline.num_workers != self.num_workers:
+    def observe(self, obs) -> None:
+        """Fold one epoch's :class:`~repro.ops.signals.EpochObservation`
+        into the factor estimates."""
+        if obs.num_workers != self.num_workers:
             raise ValueError(
-                f"timeline has {timeline.num_workers} workers, monitor "
+                f"observation has {obs.num_workers} workers, monitor "
                 f"expects {self.num_workers}"
             )
-        if self._totals is None:  # first sight: anchor, nothing to fold
-            self._totals = TotalsDiff(timeline)
+        if not self._baselined:
+            self._baselined = True
             return
-        d = self._totals.deltas(timeline)
-        self._fold(self.compute_factors, d[GPU] + d[CPU])
-        self._fold(self.comm_factors, d[NET_SEND] + d[NET_RECV])
+        self._fold(self.compute_factors, np.add(obs.gpu_s, obs.cpu_s))
+        self._fold(
+            self.comm_factors, np.add(obs.net_send_s, obs.net_recv_s)
+        )
         self.observations += 1
 
     def _fold(self, factors: np.ndarray, deltas: np.ndarray) -> None:
@@ -152,15 +153,7 @@ class ClusterHealthMonitor:
                 and abs(fx - 1.0) <= _OVERRIDE_EPSILON
             ):
                 continue
-            overrides[w] = replace(
-                base,
-                t_v=base.t_v * fc,
-                t_e=base.t_e * fc,
-                t_c=base.t_c * fx,
-                t_v_layer=[t * fc for t in base.t_v_layer],
-                t_e_layer=[t * fc for t in base.t_e_layer],
-                t_c_layer=[t * fx for t in base.t_c_layer],
-            )
+            overrides[w] = base.scaled(compute=fc, comm=fx)
         return overrides
 
     def maybe_replan(self, engine, check: bool = True) -> bool:
@@ -197,6 +190,7 @@ def run_replan_sweep(
     a flat dict ready for table or JSON output.
     """
     from repro.engines import make_engine
+    from repro.ops.signals import TimelineObserver
 
     if epochs < 1:
         raise ValueError("epochs must be positive")
@@ -220,13 +214,14 @@ def run_replan_sweep(
     static_ratio = static.plan().cache_ratio()
 
     adaptive = build()
+    observer = TimelineObserver(adaptive)
     monitor = ClusterHealthMonitor(
         cluster.num_workers, alpha=alpha, drift_threshold=drift_threshold
     )
     replans = 0
     for e in range(epochs):
         adaptive.charge_epoch()
-        monitor.observe(adaptive.timeline)
+        monitor.observe(observer.observe(e + 1))
         if monitor.maybe_replan(adaptive, check=(e + 1) % check_every == 0):
             replans += 1
     adaptive_makespan = adaptive.timeline.makespan

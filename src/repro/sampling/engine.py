@@ -49,6 +49,9 @@ class SampledTrainingEngine(BaseEngine):
     """Mini-batch sampled synchronous SGD over the simulated cluster."""
 
     name = "sampled"
+    # Whether each batch also pays DistDGL's sampling RPCs against the
+    # distributed graph store (the ``distdgl`` configuration does).
+    rpc_accounting = False
 
     def __init__(
         self,
@@ -68,7 +71,6 @@ class SampledTrainingEngine(BaseEngine):
         memory_limit_bytes: Optional[int] = None,
         cache_config=None,
         program_passes=None,
-        rpc_accounting: bool = False,
     ):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) != model.num_layers:
@@ -95,7 +97,6 @@ class SampledTrainingEngine(BaseEngine):
         self.batch_size = batch_size
         self.kappa = kappa
         self.seed = int(seed)
-        self.rpc_accounting = bool(rpc_accounting)
         self.sampler: NeighborSampler = make_sampler(
             sampler, fanouts, seed=self.seed
         )
@@ -140,7 +141,6 @@ class SampledTrainingEngine(BaseEngine):
             sampler=self.sampler.name,
             kappa=self.kappa,
             seed=self.seed,
-            rpc_accounting=self.rpc_accounting,
             feature_cache_bytes=(
                 self.feature_cache.capacity_bytes if self.feature_cache else 0
             ),

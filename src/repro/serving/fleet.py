@@ -122,7 +122,6 @@ class ReplicaGroup:
         constants: ProbeResult,
         faults: Optional[FaultSchedule] = None,
         record_timeline: bool = True,
-        ready_at_s: float = 0.0,
     ):
         self.replica_id = int(replica_id)
         self.server = InferenceServer(
@@ -134,7 +133,8 @@ class ReplicaGroup:
         self.ledger = LatencyLedger()
         self.predictions: Dict[int, int] = {}
         self.inflight: List[float] = []
-        self.ready_at_s = float(ready_at_s)
+        # Routable from this simulated time on (a scale-out's spin-up).
+        self.ready_at_s = 0.0
         self.healthy = True
         self.retired = False
 
@@ -233,13 +233,12 @@ class ServingFleet:
         self.predictions: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _spawn_group(self, replica_id: int, ready_at_s: float = 0.0):
+    def _spawn_group(self, replica_id: int):
         return ReplicaGroup(
             replica_id, self.graph, self.model, self.cluster,
             self.partitioning, self.config.serving, self.constants,
             faults=self._replica_faults.get(replica_id),
             record_timeline=self.record_timeline,
-            ready_at_s=ready_at_s,
         )
 
     def group(self, replica_id: int) -> ReplicaGroup:

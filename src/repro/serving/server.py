@@ -221,6 +221,20 @@ class InferenceServer:
         self.closure_memo = ClosureMemo(model, graph)
 
     # ------------------------------------------------------------------
+    def _check_vertices(self, requests: Sequence[Request]) -> None:
+        """Reject a request for a vertex the graph does not have."""
+        n = self.graph.num_vertices
+        vertices = np.fromiter(
+            (r.vertex for r in requests), dtype=np.int64, count=len(requests)
+        )
+        bad = np.flatnonzero((vertices < 0) | (vertices >= n))
+        if len(bad):
+            request = requests[int(bad[0])]
+            raise ValueError(
+                f"request {request.req_id}: vertex {request.vertex} is not a "
+                f"vertex id (the graph has {n} vertices)"
+            )
+
     def serve(
         self,
         requests: Sequence[Request],
@@ -242,6 +256,7 @@ class InferenceServer:
         so admission counts the still-pending ones by bisection whatever
         order the segments' arrivals come in.
         """
+        self._check_vertices(requests)
         cfg = self.config
         m = self.cluster.num_workers
         if timeline is None:

@@ -170,7 +170,7 @@ def run_cache_sweep(
     }
 
 
-def best_cache_point(result: Dict, accuracy_tolerance: float = 0.01) -> Optional[Dict]:
+def best_cache_point(result: Dict, accuracy_tolerance: float) -> Optional[Dict]:
     """Largest comm reduction whose accuracy stays within tolerance."""
     eligible = [
         p for p in result["points"] if p["accuracy_delta"] >= -accuracy_tolerance

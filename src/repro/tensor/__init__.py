@@ -10,12 +10,12 @@ defined here.
 Public surface:
 
 - :class:`Tensor` -- the autograd tensor.
-- :mod:`repro.tensor.nn` -- ``Module``, ``Linear``, ``Dropout`` ...
-- :mod:`repro.tensor.optim` -- ``SGD`` and ``Adam`` optimisers.
-- :func:`repro.tensor.gradcheck.gradcheck` -- numerical gradient checks.
+- :mod:`repro.tensor.nn` -- ``Module``, ``Parameter``, ``Linear``,
+  ``Dropout``.
+- :mod:`repro.tensor.optim` -- the ``Adam`` optimiser.
 """
 
-from repro.tensor.tensor import Tensor, no_grad, tensor
+from repro.tensor.tensor import Tensor, no_grad
 from repro.tensor import functional
 from repro.tensor import init
 from repro.tensor import nn
@@ -23,7 +23,6 @@ from repro.tensor import optim
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "functional",
     "init",

@@ -100,7 +100,8 @@ class FusedGatherScatter(Function):
         self.reducer = reducer
 
     def _counts(self, ndim: int, dtype) -> np.ndarray:
-        # Exactly segment_mean's divisor: bincount, clamp, broadcast.
+        # Exactly the divisor of a segment-sum-then-divide mean:
+        # bincount, clamp, broadcast.
         counts = np.bincount(
             self.segments, minlength=self.num_segments
         ).astype(dtype)
@@ -166,15 +167,6 @@ def fused_gather_scatter(
     )
 
 
-def segment_mean(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Mean of rows grouped by ``segments``; empty segments yield zeros."""
-    segments = np.asarray(segments, dtype=np.int64)
-    totals = segment_sum(x, segments, num_segments)
-    counts = np.bincount(segments, minlength=num_segments).astype(x.dtype)
-    counts = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (x.ndim - 1))
-    return totals / counts
-
-
 def segment_softmax(scores: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
     """Softmax over rows sharing a segment id (GAT attention normalisation).
 
@@ -199,28 +191,22 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
-class LeakyRelu(Function):
-    def __init__(self, *inputs, negative_slope: float):
-        super().__init__(*inputs)
-        self.negative_slope = negative_slope
+#: Slope of :func:`leaky_relu` below zero (GAT's attention scores).
+NEGATIVE_SLOPE = 0.2
 
+
+class LeakyRelu(Function):
     def forward(self, a):
         self.save_for_backward(a)
-        return np.where(a > 0, a, self.negative_slope * a)
+        return np.where(a > 0, a, NEGATIVE_SLOPE * a)
 
     def backward(self, grad):
         (a,) = self.saved
-        return (np.where(a > 0, grad, self.negative_slope * grad),)
+        return (np.where(a > 0, grad, NEGATIVE_SLOPE * grad),)
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    return LeakyRelu.apply(x, negative_slope=negative_slope)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+def leaky_relu(x: Tensor) -> Tensor:
+    return LeakyRelu.apply(x)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

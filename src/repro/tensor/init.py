@@ -20,12 +20,12 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
 
 
 def xavier_uniform(
-    shape: Tuple[int, ...], gain: float = 1.0, rng: np.random.Generator = None
+    shape: Tuple[int, ...], rng: np.random.Generator = None
 ) -> np.ndarray:
-    """Glorot & Bengio (2010) uniform initialisation."""
+    """Glorot & Bengio (2010) uniform initialisation (gain 1)."""
     rng = rng or np.random.default_rng()
     fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

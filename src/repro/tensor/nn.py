@@ -58,18 +58,12 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         self.training = mode
         for module in self._child_modules():
             module.train(mode)
         return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def _child_modules(self) -> Iterator["Module"]:
         for value in vars(self).values():
@@ -141,11 +135,6 @@ class Linear(Module):
         return flops
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
 class Dropout(Module):
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -154,78 +143,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, p=self.p, training=self.training, rng=self.rng)
-
-
-class Embedding(Module):
-    """Learnable lookup table: integer ids -> dense vectors.
-
-    Used for graphs without input features (the paper substitutes
-    random features; a learnable embedding is the trainable variant).
-    """
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        dim: int,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        super().__init__()
-        if num_embeddings <= 0 or dim <= 0:
-            raise ValueError("Embedding needs positive sizes")
-        self.num_embeddings = num_embeddings
-        self.dim = dim
-        rng = rng or np.random.default_rng()
-        self.weight = Parameter(
-            (rng.standard_normal((num_embeddings, dim)) * 0.1).astype(np.float32)
-        )
-
-    def forward(self, ids) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise IndexError("embedding id out of range")
-        return F.index_select(self.weight, ids)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension (Ba et al. 2016).
-
-    Deep GNNs (3+ layers) commonly insert this between propagation
-    layers to fight oversmoothing-induced scale drift.
-    """
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        if dim <= 0:
-            raise ValueError("LayerNorm needs a positive dim")
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Parameter(init.ones((dim,)))
-        self.beta = Parameter(init.zeros((dim,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.dim:
-            raise ValueError(
-                f"LayerNorm({self.dim}) got last dim {x.shape[-1]}"
-            )
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalised = centered / (variance + self.eps).sqrt()
-        return normalised * self.gamma + self.beta
-
-
-class Sequential(Module):
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.layers = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, i: int) -> Module:
-        return self.layers[i]

@@ -1,15 +1,15 @@
-"""Optimisers: SGD (with momentum / weight decay) and Adam.
+"""The Adam optimiser, on an :class:`Optimizer` base.
 
-Both optimisers expose ``state_dict``/``load_state_dict`` so a
-checkpoint can round-trip the *full* training state (Adam moments, step
-count, SGD velocity): resume-from-checkpoint then reproduces the exact
-parameter trajectory of an uninterrupted run, which the rollback-restart
-recovery path (:mod:`repro.training.resilient`) relies on.
+``state_dict``/``load_state_dict`` round-trip the *full* training state
+(moments and step count): a restored snapshot then reproduces the exact
+parameter trajectory of an uninterrupted run, which the
+rollback-restart recovery path (:mod:`repro.training.resilient`)
+relies on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -61,92 +61,19 @@ class Optimizer:
         return np.asarray(value).copy()
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    state_kind = "sgd"
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data = p.data - self.lr * grad
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict:
-        arrays = {
-            f"velocity_{i}": v.copy()
-            for i, v in enumerate(self._velocity)
-            if v is not None
-        }
-        return {"kind": self.state_kind, "arrays": arrays, "scalars": {}}
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        arrays = state.get("arrays", {})
-        velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-        for name, value in arrays.items():
-            if not name.startswith("velocity_"):
-                raise ValueError(f"unexpected SGD state entry {name!r}")
-            index = int(name[len("velocity_"):])
-            if not 0 <= index < len(self.params):
-                raise ValueError(
-                    f"SGD state {name!r} is out of range for "
-                    f"{len(self.params)} parameters"
-                )
-            velocity[index] = self._check_array(name, value, index)
-        self._velocity = velocity
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
     state_kind = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.001,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: Iterable[Tensor], lr: float = 0.001):
         super().__init__(params)
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -160,8 +87,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad * grad
             m_hat = self._m[i] / bias1

@@ -138,20 +138,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A tensor sharing data but cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
-    def clone(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return out
 
     def __repr__(self) -> str:
         grad_note = ", requires_grad=True" if self.requires_grad else ""
@@ -289,12 +277,10 @@ class Tensor:
             shape = tuple(shape[0])
         return Reshape.apply(self, shape=shape)
 
-    def transpose(self, axis0: int = 0, axis1: int = 1) -> "Tensor":
-        return Transpose.apply(self, axis0=axis0, axis1=axis1)
-
     @property
     def T(self) -> "Tensor":
-        return self.transpose(0, 1)
+        """The transpose of a 2-D tensor."""
+        return Transpose.apply(self)
 
     # ------------------------------------------------------------------
     # Reductions and element-wise math
@@ -330,16 +316,8 @@ class Tensor:
         """Minimum via the max machinery (ties split evenly)."""
         return -((-self).max(axis=axis, keepdims=keepdims))
 
-    def sigmoid(self) -> "Tensor":
-        return Sigmoid.apply(self)
-
     def tanh(self) -> "Tensor":
         return Tanh.apply(self)
-
-
-def tensor(data: Arrayish, requires_grad: bool = False) -> Tensor:
-    """Factory mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
 
 
 # ----------------------------------------------------------------------
@@ -472,16 +450,11 @@ class Reshape(Function):
 
 
 class Transpose(Function):
-    def __init__(self, *inputs, axis0: int, axis1: int):
-        super().__init__(*inputs)
-        self.axis0 = axis0
-        self.axis1 = axis1
-
     def forward(self, a):
-        return a.swapaxes(self.axis0, self.axis1)
+        return a.swapaxes(0, 1)
 
     def backward(self, grad):
-        return (grad.swapaxes(self.axis0, self.axis1),)
+        return (grad.swapaxes(0, 1),)
 
 
 class Sum(Function):
@@ -639,17 +612,6 @@ def minimum(a: Arrayish, b: Arrayish) -> "Tensor":
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     return -Maximum.apply(-a, -b)
-
-
-class Sigmoid(Function):
-    def forward(self, a):
-        out = 1.0 / (1.0 + np.exp(-a))
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad):
-        (out,) = self.saved
-        return (grad * out * (1.0 - out),)
 
 
 class Tanh(Function):

@@ -1,28 +1,16 @@
-"""Model checkpointing: save/load parameter state as .npz archives.
-
-A checkpoint can also carry the **optimizer state** (Adam first/second
-moments and step count, SGD velocity): pass ``optimizer=`` to both
-:func:`save_checkpoint` and :func:`load_checkpoint` and the resumed run
-reproduces the exact parameter trajectory of an uninterrupted one --
-the property the rollback-restart recovery path
-(:mod:`repro.training.resilient`) depends on.
-"""
+"""Model checkpointing: save/load parameter state as .npz archives."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.tensor.nn import Module
-from repro.tensor.optim import Optimizer
 
 _META_KEY = "__checkpoint_meta__"
-_OPT_META_KEY = "__optimizer_meta__"
-_OPT_PREFIX = "__opt__/"
-_RESERVED = (_META_KEY, _OPT_META_KEY)
 
 
 def _encode_json(payload: dict) -> np.ndarray:
@@ -33,87 +21,38 @@ def _decode_json(array: np.ndarray) -> dict:
     return json.loads(bytes(array).decode("utf-8"))
 
 
-def save_checkpoint(
-    model: Module,
-    path: Union[str, Path],
-    optimizer: Optional[Optimizer] = None,
-    **metadata,
-) -> Path:
+def save_checkpoint(model: Module, path: Union[str, Path], **metadata) -> Path:
     """Write the model's ``state_dict`` (plus JSON metadata) to ``path``.
 
     Metadata values must be JSON-serialisable (epoch counters, accuracy,
-    dataset names ...).  With ``optimizer`` given, its full state (Adam
-    moments, step count, SGD velocity) is stored alongside the
-    parameters.  Returns the resolved path (``.npz`` appended if
-    missing).
+    dataset names ...).  Returns the resolved path (``.npz`` appended
+    if missing).
     """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     state = model.state_dict()
-    for key in state:
-        if key in _RESERVED or key.startswith(_OPT_PREFIX):
-            raise ValueError(f"parameter name {key!r} is reserved")
+    if _META_KEY in state:
+        raise ValueError(f"parameter name {_META_KEY!r} is reserved")
     payload = dict(state)
     payload[_META_KEY] = _encode_json(metadata)
-    if optimizer is not None:
-        opt_state = optimizer.state_dict()
-        for name, array in opt_state["arrays"].items():
-            payload[_OPT_PREFIX + name] = array
-        payload[_OPT_META_KEY] = _encode_json(
-            {"kind": opt_state["kind"], "scalars": opt_state["scalars"]}
-        )
     np.savez(path, **payload)
     return path
 
 
-def load_checkpoint(
-    model: Module,
-    path: Union[str, Path],
-    optimizer: Optional[Optimizer] = None,
-) -> dict:
+def load_checkpoint(model: Module, path: Union[str, Path]) -> dict:
     """Load parameters from ``path`` into ``model``; returns metadata.
 
-    With ``optimizer`` given, its state is restored too; a checkpoint
-    written without optimizer state then raises ``ValueError`` (resuming
-    from it would silently diverge from the original trajectory).
     Raises ``KeyError``/``ValueError`` on parameter-name or shape
     mismatches (delegated to :meth:`Module.load_state_dict`).
     """
     path = Path(path)
     with np.load(path) as archive:
-        state = {
-            k: archive[k]
-            for k in archive.files
-            if k not in _RESERVED and not k.startswith(_OPT_PREFIX)
-        }
+        state = {k: archive[k] for k in archive.files if k != _META_KEY}
         metadata = (
             _decode_json(archive[_META_KEY])
             if _META_KEY in archive.files
             else {}
         )
-        opt_meta = (
-            _decode_json(archive[_OPT_META_KEY])
-            if _OPT_META_KEY in archive.files
-            else None
-        )
-        opt_arrays = {
-            k[len(_OPT_PREFIX):]: archive[k]
-            for k in archive.files
-            if k.startswith(_OPT_PREFIX)
-        }
     model.load_state_dict(state)
-    if optimizer is not None:
-        if opt_meta is None:
-            raise ValueError(
-                f"checkpoint {path} has no optimizer state; cannot resume "
-                "the optimizer from it"
-            )
-        optimizer.load_state_dict(
-            {
-                "kind": opt_meta["kind"],
-                "arrays": opt_arrays,
-                "scalars": opt_meta.get("scalars", {}),
-            }
-        )
     return metadata

@@ -4,7 +4,7 @@
 recovery discipline described in :mod:`repro.resilience.recovery`:
 
 1. every ``checkpoint_every`` epochs it snapshots model **and**
-   optimizer state (in memory; optionally to ``.npz`` checkpoints);
+   optimizer state in memory;
 2. when a layer barrier detects a crashed worker (the engine raises
    :class:`~repro.resilience.faults.WorkerCrashError`), it asks the
    engine to charge the re-provisioning cost to the timeline --
@@ -25,25 +25,17 @@ the checkpoint on the smaller cluster, bit-identically to a healthy run
 of that reshaped cluster from the same state.  With
 ``policy.rejoin_after_epochs`` set, the departed worker grows back in
 after that many shrunk epochs (:func:`rejoin_engine`, no rollback).
-
-An optional :class:`repro.resilience.health.ClusterHealthMonitor`
-closes the online re-planning loop: it watches per-worker timeline
-deltas each epoch and re-runs Algorithm 4 with scaled constants when
-the estimates drift.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.resilience.elastic import CrashRecovery
 from repro.resilience.faults import WorkerCrashError
-from repro.resilience.health import ClusterHealthMonitor
 from repro.resilience.recovery import RecoveryEvent, RecoveryPolicy
-from repro.training.checkpoint import save_checkpoint
 from repro.training.trainer import DistributedTrainer, TrainingHistory
 
 _Snapshot = Tuple[int, Dict[str, np.ndarray], dict]
@@ -61,32 +53,14 @@ class ResilientTrainer(DistributedTrainer):
         snapshots).
     policy:
         Checkpoint cadence and recovery parameters.
-    checkpoint_dir:
-        Optional directory; when given, every snapshot is also written
-        as ``epoch_NNNN.npz`` (with optimizer state) via
-        :func:`repro.training.checkpoint.save_checkpoint`.
-    health_monitor:
-        Optional :class:`ClusterHealthMonitor`; when given, the trainer
-        observes the timeline each epoch and re-plans the engine when
-        the monitor reports drift (online re-planning).  ``None`` (the
-        default) keeps the plan frozen -- bit-identical to pre-elastic
-        behavior.
     """
 
     def __init__(
-        self,
-        engine,
-        policy: Optional[RecoveryPolicy] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        health_monitor: Optional[ClusterHealthMonitor] = None,
-        **kwargs,
+        self, engine, policy: Optional[RecoveryPolicy] = None, **kwargs
     ):
         super().__init__(engine, **kwargs)
         self.policy = policy or RecoveryPolicy()
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.health_monitor = health_monitor
         self.recoveries: List[RecoveryEvent] = []
-        self.replans = 0
         self._recovery = CrashRecovery(self.policy)
 
     @property
@@ -102,15 +76,6 @@ class ResilientTrainer(DistributedTrainer):
     def _snapshot(self, epoch: int) -> _Snapshot:
         model_state = self.engine.model.state_dict()  # already copies
         opt_state = self.optimizer.state_dict()
-        if self.checkpoint_dir is not None:
-            self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(
-                self.engine.model,
-                self.checkpoint_dir / f"epoch_{epoch:04d}",
-                optimizer=self.optimizer,
-                epoch=epoch,
-                engine=self.engine.name,
-            )
         return epoch, model_state, opt_state
 
     def _restore(self, snapshot: _Snapshot) -> int:
@@ -143,39 +108,19 @@ class ResilientTrainer(DistributedTrainer):
         self.recoveries.append(event)
         return ckpt_epoch + 1
 
-    def _observe_health(self) -> None:
-        """Feed the health monitor; re-plan when it reports drift."""
-        monitor = self.health_monitor
-        if monitor is None:
-            return
-        timeline = self.engine.timeline
-        if monitor.num_workers != timeline.num_workers:
-            # Cluster was reshaped since the last observation; restart
-            # the estimator at the new size.
-            monitor = ClusterHealthMonitor(
-                timeline.num_workers,
-                alpha=monitor.alpha,
-                drift_threshold=monitor.drift_threshold,
-            )
-            self.health_monitor = monitor
-        monitor.observe(timeline)
-        if monitor.maybe_replan(self.engine):
-            self.replans += 1
-
     def _after_epoch(self, epoch: int) -> None:
-        """Rejoin when the policy says so, watch health, checkpoint."""
+        """Rejoin when the policy says so, then checkpoint."""
         self.engine, event = self._recovery.on_epoch_completed(
             self.engine, epoch
         )
         if event is not None:
             self.recoveries.append(event)
-        self._observe_health()
         if epoch % self.policy.checkpoint_every == 0:
             self._last_snapshot = self._snapshot(epoch)
 
     def _time_s(self, elapsed: float) -> float:
-        """Makespan since ``train()`` began: recovery, rejoin and
-        re-planning included, unlike the parent's sum of epoch times."""
+        """Makespan since ``train()`` began: recovery and rejoin
+        included, unlike the parent's sum of epoch times."""
         return self.engine.timeline.makespan - self._t_origin
 
     # ------------------------------------------------------------------

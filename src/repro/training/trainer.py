@@ -67,46 +67,23 @@ class TrainingHistory:
 
 
 class DistributedTrainer:
-    """Drives an engine for multiple epochs with an optimiser."""
+    """Drives an engine for multiple epochs with an Adam optimiser.
 
-    def __init__(
-        self,
-        engine,
-        optimizer: str = "adam",
-        lr: float = 0.01,
-        weight_decay: float = 0.0,
-    ):
-        self.engine = engine
-        params = engine.model.parameters()
-        if optimizer == "adam":
-            self.optimizer = optim.Adam(params, lr=lr, weight_decay=weight_decay)
-        elif optimizer == "sgd":
-            self.optimizer = optim.SGD(params, lr=lr, weight_decay=weight_decay)
-        else:
+    ``optimizer`` names the optimiser; Adam is the only one.
+    """
+
+    def __init__(self, engine, optimizer: str = "adam", lr: float = 0.01):
+        if optimizer != "adam":
             raise ValueError(f"unknown optimizer {optimizer!r}")
+        self.engine = engine
+        self.optimizer = optim.Adam(engine.model.parameters(), lr=lr)
 
-    def train(
-        self,
-        epochs: int,
-        eval_every: int = 0,
-        eval_mask=None,
-        target_accuracy: Optional[float] = None,
-        patience: Optional[int] = None,
-    ) -> TrainingHistory:
-        """Run ``epochs`` epochs; optionally evaluate every ``eval_every``.
-
-        Stops early once ``target_accuracy`` is reached, or -- with
-        ``patience`` set -- after that many consecutive evaluations
-        without an accuracy improvement (both need ``eval_every``).
-        """
+    def train(self, epochs: int, eval_every: int = 0) -> TrainingHistory:
+        """Run ``epochs`` epochs; optionally evaluate every ``eval_every``."""
         if epochs < 1:
             raise ValueError("epochs must be positive")
-        if patience is not None and patience < 1:
-            raise ValueError("patience must be positive")
         history = TrainingHistory(engine_name=self.engine.name)
         elapsed = 0.0
-        best_accuracy = -1.0
-        stale_evals = 0
         # Staleness-vs-accuracy guard: with a cache config, a loss
         # regression on an epoch that served stale embeddings forces the
         # next epoch to refresh (exact values) rather than letting
@@ -117,9 +94,7 @@ class DistributedTrainer:
             evaluate = eval_every and (epoch % eval_every == 0 or epoch == epochs)
             try:
                 report = self.engine.run_epoch(optimizer=self.optimizer)
-                accuracy = (
-                    self.engine.evaluate(mask=eval_mask) if evaluate else None
-                )
+                accuracy = self.engine.evaluate() if evaluate else None
             except self.recoverable as failure:
                 epoch = self._recover(failure, epoch, history)
                 continue
@@ -142,16 +117,6 @@ class DistributedTrainer:
                         loss=report.loss,
                     )
                 )
-                if target_accuracy is not None and accuracy >= target_accuracy:
-                    break
-                if patience is not None:
-                    if accuracy > best_accuracy + 1e-9:
-                        best_accuracy = accuracy
-                        stale_evals = 0
-                    else:
-                        stale_evals += 1
-                        if stale_evals >= patience:
-                            break
             epoch += 1
         return history
 

@@ -39,14 +39,13 @@ def jsonable(value):
     return value
 
 
-def write_json(path: Optional[str], payload: Dict, quiet: bool = False) -> None:
+def write_json(path: Optional[str], payload: Dict) -> None:
     """Write ``payload`` to ``path`` (no-op when ``path`` is falsy)."""
     if not path:
         return
     with open(path, "w") as fh:
         json.dump(jsonable(payload), fh, indent=2)
-    if not quiet:
-        print(f"json written to {path}")
+    print(f"json written to {path}")
 
 
 def to_payload(record) -> Dict[str, object]:

@@ -139,7 +139,7 @@ class TestUtilization:
         tl = Timeline(1)
         tl.advance(0, NET_RECV, 0.5, num_bytes=100)
         tl.advance(0, NET_RECV, 1.0, num_bytes=300)
-        received = tl.bytes_per_window(window=1.0, horizon=2.0)
+        received = tl.bytes_per_window(window=1.0)
         assert received.sum() == 400
 
     def test_empty_horizon(self):

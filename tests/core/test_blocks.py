@@ -52,10 +52,6 @@ class TestBuildBlock:
         with pytest.raises(ValueError):
             build_block(tiny_graph, np.array([], dtype=np.int64), 1)
 
-    def test_extra_inputs_included(self, tiny_graph):
-        block = build_block(tiny_graph, np.array([1]), 1, extra_inputs=np.array([4]))
-        assert 4 in block.input_vertices
-
     def test_repr(self, tiny_graph):
         assert "LayerBlock" in repr(build_block(tiny_graph, np.array([1]), 1))
 

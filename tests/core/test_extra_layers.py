@@ -7,8 +7,8 @@ from repro.core.blocks import build_block
 from repro.core.layers import SAGEConv
 from repro.core.model import GNNModel
 from repro.graph import generators
-from repro.tensor.gradcheck import gradcheck
 from repro.tensor.tensor import Tensor
+from references import gradcheck
 
 
 @pytest.fixture

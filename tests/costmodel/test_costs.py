@@ -8,6 +8,7 @@ from repro.core.model import GNNModel
 from repro.costmodel.costs import DependencyCostModel
 from repro.costmodel.probe import probe_constants
 from repro.graph import generators
+import references
 
 
 @pytest.fixture
@@ -74,7 +75,7 @@ class TestTr:
             DependencyCostModel(g, model.dims(), constants, cm.owned_mask, mu=0.0)
 
     def test_star_dep_counts_all_in_edges(self):
-        g = generators.star(4, inward=True)  # 1..4 -> 0
+        g = references.star(4, inward=True)  # 1..4 -> 0
         model = GNNModel.gcn(8, 4, 2)
         constants = probe_constants(ClusterSpec.ecs(2), model)
         owned = np.zeros(5, dtype=bool)  # nothing owned

@@ -10,6 +10,7 @@ from repro.costmodel.partitioner import partition_dependencies
 from repro.costmodel.probe import probe_constants
 from repro.graph import generators
 from repro.partition.chunk import chunk_partition
+import references
 
 
 def tiny_setting(seed, n=24, deg=2.0):
@@ -86,7 +87,7 @@ class TestOracle:
         assert starved.total_cost_s >= unlimited.total_cost_s
 
     def test_too_many_deps_rejected(self):
-        g = generators.complete(20)
+        g = references.complete(20)
         model = GNNModel.gcn(8, 4, 2)
         partitioning = chunk_partition(g, 2)
         constants = probe_constants(ClusterSpec.ecs(2), model)

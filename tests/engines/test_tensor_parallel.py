@@ -17,6 +17,7 @@ from repro.engines import make_engine
 from repro.graph import generators
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.training.prep import prepare_graph
+import references
 
 # Scale factors keeping every catalog graph test-sized.
 _SCALES = {"social-large": 0.05}
@@ -54,11 +55,9 @@ class TestSingleWorkerParity:
         assert loss_tp == pytest.approx(loss_ref, rel=1e-5, abs=1e-6)
 
     def test_loss_trajectory_tracks_reference(self):
-        from repro.tensor import optim
-
         tp, ref = _build_pair("reddit", num_workers=4)
-        opt_tp = optim.SGD(tp.model.parameters(), lr=0.05)
-        opt_ref = optim.SGD(ref.model.parameters(), lr=0.05)
+        opt_tp = references.SGD(tp.model.parameters(), lr=0.05)
+        opt_ref = references.SGD(ref.model.parameters(), lr=0.05)
         for _ in range(3):
             loss_tp = tp.run_epoch(optimizer=opt_tp).loss
             loss_ref = ref.run_epoch(optimizer=opt_ref).loss

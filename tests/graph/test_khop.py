@@ -10,6 +10,7 @@ from repro.graph.khop import (
     limited_bfs_in,
     replication_factor,
 )
+import references
 
 
 class TestKhopClosure:
@@ -24,7 +25,7 @@ class TestKhopClosure:
         assert len(edges[1]) == 2  # in-edges of {3, 4}
 
     def test_star_closure(self):
-        g = generators.star(4, inward=True)  # leaves -> hub 0
+        g = references.star(4, inward=True)  # leaves -> hub 0
         layers, edges = khop_closure(g, np.array([0]), 1)
         assert sorted(layers[1].tolist()) == [0, 1, 2, 3, 4]
         assert len(edges[0]) == 4
@@ -105,6 +106,6 @@ class TestReplicationFactor:
         assert 1.0 <= rf <= 4.0
 
     def test_dense_graph_saturates(self):
-        g = generators.complete(20)
+        g = references.complete(20)
         parts = np.array_split(np.arange(20), 4)
         assert replication_factor(g, parts, 2) == pytest.approx(4.0)

@@ -13,6 +13,7 @@ from repro.partition import (
     hash_partition,
     metis_like_partition,
 )
+import references
 
 ALL = [chunk_partition, hash_partition, fennel_partition, metis_like_partition]
 
@@ -83,23 +84,15 @@ class TestChunk:
         assert (np.diff(p.assignment) >= 0).all()
 
     def test_balance_modes(self, graph):
-        for mode in ("vertices", "edges", "hybrid"):
-            p = chunk_partition(graph, 4, balance=mode)
-            assert p.vertex_balance() <= 2.0
-
-    def test_vertices_mode_near_perfect(self, graph):
-        p = chunk_partition(graph, 4, balance="vertices")
-        assert p.vertex_balance() <= 1.05
+        # Gemini's load balances vertices and in-edges together.
+        p = chunk_partition(graph, 4)
+        assert p.vertex_balance() <= 2.0
 
     def test_edge_mode_balances_in_edges(self):
-        g = generators.star(99, inward=True)  # vertex 0 has all in-edges
-        p = chunk_partition(g, 4, balance="edges")
+        g = references.star(99, inward=True)  # vertex 0 has all in-edges
+        p = chunk_partition(g, 4)
         # The hub's chunk should be tiny, the rest split the leaves.
         assert len(p.part(0)) < 30
-
-    def test_unknown_mode(self, graph):
-        with pytest.raises(ValueError, match="balance"):
-            chunk_partition(graph, 4, balance="nope")
 
     def test_tiny_graph_every_part_nonempty(self):
         g = generators.ring(4)
@@ -115,7 +108,7 @@ class TestHash:
 
 class TestFennel:
     def test_respects_capacity(self, graph):
-        p = fennel_partition(graph, 4, slack=1.1)
+        p = fennel_partition(graph, 4)
         sizes = np.bincount(p.assignment, minlength=4)
         assert sizes.max() <= int(np.ceil(1.1 * graph.num_vertices / 4))
 
@@ -123,13 +116,6 @@ class TestFennel:
         fennel_cut = fennel_partition(graph, 4).edge_cut_fraction(graph)
         hash_cut = hash_partition(graph, 4).edge_cut_fraction(graph)
         assert fennel_cut < hash_cut
-
-    def test_stream_orders(self, graph):
-        for order in ("bfs", "sequential", "random"):
-            p = fennel_partition(graph, 3, order=order)
-            assert p.num_parts == 3
-        with pytest.raises(ValueError):
-            fennel_partition(graph, 3, order="zigzag")
 
 
 class TestMetisLike:
@@ -139,7 +125,7 @@ class TestMetisLike:
         assert metis_cut < hash_cut
 
     def test_finds_planted_communities(self):
-        g = generators.community(80, 4, 6.0, intra_fraction=0.95, seed=1)
+        g = generators.community(80, 4, 6.0, seed=1)
         p = metis_like_partition(g, 4, seed=1)
         # Cut should be far below the ~0.75 interleaved-chunk level.
         assert p.edge_cut_fraction(g) < 0.45

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cluster.timeline import CPU, GPU, NET_RECV, Timeline
 from repro.core.model import GNNModel
 from repro.costmodel.partitioner import partition_dependencies
 from repro.engines import make_engine
+from repro.ops.signals import EpochObservation, TimelineObserver
 from repro.partition import get_partitioner
 from repro.resilience import (
     ClusterHealthMonitor,
@@ -16,7 +16,7 @@ from repro.resilience import (
     StragglerFault,
     run_replan_sweep,
 )
-from repro.training import ResilientTrainer
+from repro.training import DistributedTrainer
 
 
 def build(graph, cluster, engine_name="hybrid", faults=None, seed=7):
@@ -28,19 +28,36 @@ def build(graph, cluster, engine_name="hybrid", faults=None, seed=7):
     return make_engine(engine_name, graph, model, cluster)
 
 
+def observation(epoch, compute, comm=None):
+    """One epoch's observation: ``compute`` GPU and ``comm`` receive
+    seconds per worker, nothing else."""
+    zeros = (0.0,) * len(compute)
+    return EpochObservation(
+        epoch=epoch, t_start=0.0, t_end=0.0, num_workers=len(compute),
+        gpu_s=tuple(map(float, compute)), cpu_s=zeros, net_send_s=zeros,
+        net_recv_s=zeros if comm is None else tuple(map(float, comm)),
+        idle_s=zeros,
+    )
+
+
 def feed(monitor, num_workers, compute_rows, comm_rows=None):
-    """Feed synthetic cumulative per-epoch totals into the monitor."""
-    timeline = Timeline(num_workers, record=True)
-    compute_total = np.zeros(num_workers)
-    comm_total = np.zeros(num_workers)
+    """Feed synthetic per-epoch deltas into the monitor."""
     for i, compute in enumerate(compute_rows):
-        compute_total = compute_total + np.asarray(compute, dtype=float)
-        if comm_rows is not None:
-            comm_total = comm_total + np.asarray(comm_rows[i], dtype=float)
-        timeline.totals[GPU][:] = compute_total
-        timeline.totals[CPU][:] = 0.0
-        timeline.totals[NET_RECV][:] = comm_total
-        monitor.observe(timeline)
+        assert len(compute) == num_workers
+        comm = None if comm_rows is None else comm_rows[i]
+        monitor.observe(observation(i + 1, compute, comm))
+
+
+def monitored_epochs(engine, monitor, epochs, optimizer):
+    """Train ``epochs`` epochs, re-planning whenever ``monitor`` drifts;
+    returns the number of re-plans."""
+    observer = TimelineObserver(engine)
+    replans = 0
+    for epoch in range(1, epochs + 1):
+        engine.run_epoch(optimizer=optimizer)
+        monitor.observe(observer.observe(epoch))
+        replans += monitor.maybe_replan(engine)
+    return replans
 
 
 class TestMonitorEstimates:
@@ -92,7 +109,7 @@ class TestMonitorEstimates:
     def test_rejects_wrong_timeline_size(self):
         monitor = ClusterHealthMonitor(4)
         with pytest.raises(ValueError):
-            monitor.observe(Timeline(2, record=True))
+            monitor.observe(observation(1, [1.0, 1.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -137,7 +154,7 @@ class TestReplan:
             w: [a.copy() for a in p.cached]
             for w, p in engine._dep_partitions.items()
         }
-        engine.replan()
+        engine.replan({})
         plan_after = engine.plan()
         assert plan_after.cache_ratio() == plan_before.cache_ratio()
         for w, layers in cached_before.items():
@@ -148,7 +165,7 @@ class TestReplan:
         engine = build(small_graph, cluster2)
         engine.plan()
         t_before = engine.timeline.makespan
-        engine.replan()
+        engine.replan({})
         assert engine.timeline.makespan > t_before
 
     def test_override_shifts_decisions(self, small_graph, cluster2):
@@ -197,46 +214,21 @@ class TestTrainerIntegration:
 
         Moving a dependency between the cached and communicated sets
         changes the fp32 reduction order, so the trajectories are equal
-        to float tolerance rather than bit-identical (bit-identity is
-        only promised with the monitor *disabled*).
+        to float tolerance rather than bit-identical.
         """
         baseline = build(small_graph, cluster2)
-        base_trainer = ResilientTrainer(baseline, lr=0.05)
-        base_trainer.train(6)
+        DistributedTrainer(baseline, lr=0.05).train(6)
         base_params = [p.data.copy() for p in baseline.model.parameters()]
 
         faults = FaultSchedule([
             StragglerFault(worker=0, gpu_factor=8.0, cpu_factor=8.0)
         ])
         engine = build(small_graph, cluster2, faults=faults)
-        trainer = ResilientTrainer(
-            engine, lr=0.05,
-            health_monitor=ClusterHealthMonitor(
-                2, alpha=0.8, drift_threshold=0.2
-            ),
-        )
-        trainer.train(6)
-        assert trainer.replans >= 1
+        trainer = DistributedTrainer(engine, lr=0.05)
+        monitor = ClusterHealthMonitor(2, alpha=0.8, drift_threshold=0.2)
+        assert monitored_epochs(engine, monitor, 6, trainer.optimizer) >= 1
         for a, b in zip(base_params, engine.model.parameters()):
             np.testing.assert_allclose(a, b.data, rtol=1e-4, atol=1e-6)
-
-    def test_monitor_resizes_after_shrink(self, small_graph, cluster4):
-        from repro.resilience import RecoveryPolicy, WorkerCrashFault
-
-        faults = FaultSchedule([
-            WorkerCrashFault(worker=1, at_time=0.0, permanent=True)
-        ])
-        engine = build(
-            small_graph, cluster4, engine_name="depcomm", faults=faults
-        )
-        trainer = ResilientTrainer(
-            engine, lr=0.05,
-            policy=RecoveryPolicy(checkpoint_every=2, strategy="shrink"),
-            health_monitor=ClusterHealthMonitor(4),
-        )
-        trainer.train(5)
-        assert trainer.num_workers == 3
-        assert trainer.health_monitor.num_workers == 3
 
 
 class TestReplanSweep:

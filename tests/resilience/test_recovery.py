@@ -133,20 +133,6 @@ class TestResilientTrainer:
         with pytest.raises(WorkerCrashError):
             trainer.train(3)
 
-    def test_disk_checkpoints_written(self, small_graph, cluster2, tmp_path):
-        engine = build(small_graph, cluster2)
-        trainer = ResilientTrainer(
-            engine,
-            policy=RecoveryPolicy(checkpoint_every=2),
-            checkpoint_dir=tmp_path / "ckpts",
-        )
-        trainer.train(4)
-        names = sorted(p.name for p in (tmp_path / "ckpts").iterdir())
-        assert names == [
-            "epoch_0000.npz", "epoch_0002.npz", "epoch_0004.npz"
-        ]
-
-
 class TestZeroCost:
     def test_empty_schedule_bit_identical_to_no_schedule(
         self, small_graph, cluster2

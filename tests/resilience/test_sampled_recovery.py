@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.model import GNNModel
 from repro.engines import make_engine
+from repro.ops.signals import TimelineObserver
 from repro.resilience import (
     ClusterHealthMonitor,
     FaultSchedule,
@@ -207,12 +208,14 @@ def test_sampled_engine_replans_under_health_monitor(small_graph, cluster2):
             StragglerFault(worker=0, gpu_factor=8.0, cpu_factor=8.0)
         ]),
     )
-    trainer = ResilientTrainer(
-        engine, lr=0.05,
-        health_monitor=ClusterHealthMonitor(2, alpha=0.8, drift_threshold=0.1),
-    )
-    history = trainer.train(4)
-    assert len(history.reports) == 4
-    assert trainer.replans >= 1
+    optimizer = DistributedTrainer(engine, lr=0.05).optimizer
+    observer = TimelineObserver(engine)
+    monitor = ClusterHealthMonitor(2, alpha=0.8, drift_threshold=0.1)
+    replans = 0
+    for epoch in range(1, 5):
+        engine.run_epoch(optimizer=optimizer)
+        monitor.observe(observer.observe(epoch))
+        replans += monitor.maybe_replan(engine)
+    assert replans >= 1
     assert set(engine.constants_overrides) == {0, 1}
-    assert engine.replan() is None
+    assert engine.plan() is None

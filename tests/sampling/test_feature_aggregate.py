@@ -28,6 +28,7 @@ from repro.sampling.samplers import make_sampler
 from repro.tensor import optim
 from repro.tensor.tensor import Tensor, no_grad
 from repro.training.prep import prepare_graph
+import references
 
 ARCHS = ["gcn", "gin", "sage", "gat"]
 FANOUTS = (3, 4)
@@ -248,7 +249,7 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("arch", ["gin", "sage"])
     def test_zero_in_degree_vertices(self, arch):
-        g = generators.star(10, inward=True)  # the leaves have no in-edge
+        g = references.star(10, inward=True)  # the leaves have no in-edge
         generators.attach_features(g, 5, 2, seed=0)
         layer = GNNModel.build(arch, 5, 4, 2, seed=1).layer(1)
         block = build_block(g, np.arange(g.num_vertices), 1)

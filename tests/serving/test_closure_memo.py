@@ -41,11 +41,13 @@ def _graph(seed, num_vertices=60, num_edges=240, isolated=0):
     ring = np.arange(active)
     src = np.concatenate([rng.integers(0, active, size=num_edges), ring])
     dst = np.concatenate([rng.integers(0, active, size=num_edges), (ring + 1) % active])
-    return Graph(
+    features = rng.standard_normal((num_vertices, FEATURES)).astype(np.float32)
+    graph = Graph(
         num_vertices, src, dst,
-        features=rng.standard_normal((num_vertices, FEATURES)).astype(np.float32),
         edge_weight=rng.random(len(src)).astype(np.float32),
     )
+    graph.features = features
+    return graph
 
 
 def _model(arch, layers, seed=1):
@@ -184,13 +186,14 @@ def histories(draw):
     rng = np.random.default_rng(draw(st.integers(0, 100_000)))
     num_edges = draw(st.integers(0, 4 * num_vertices))
     active = draw(st.integers(1, num_vertices))
+    src = rng.integers(0, active, size=num_edges)
+    dst = rng.integers(0, active, size=num_edges)
+    features = rng.standard_normal((num_vertices, FEATURES)).astype(np.float32)
     graph = Graph(
-        num_vertices,
-        rng.integers(0, active, size=num_edges),
-        rng.integers(0, active, size=num_edges),
-        features=rng.standard_normal((num_vertices, FEATURES)).astype(np.float32),
+        num_vertices, src, dst,
         edge_weight=rng.random(num_edges).astype(np.float32),
     )
+    graph.features = features
     model = _model(draw(st.sampled_from(ARCHS)), draw(st.integers(1, 3)))
     pool = rng.integers(0, num_vertices, size=draw(st.integers(1, 8)))
     batches = draw(st.lists(
@@ -526,11 +529,11 @@ def test_closures_taller_than_the_probe_fill_nothing(monkeypatch):
     n, fan_in = 200, executor._PROBED_HEIGHT + 10
     src = np.concatenate([rng.choice(n, fan_in, replace=False) for _ in range(n)])
     dst = np.repeat(np.arange(n), fan_in)
+    features = rng.standard_normal((n, FEATURES)).astype(np.float32)
     graph = Graph(
-        n, src, dst,
-        features=rng.standard_normal((n, FEATURES)).astype(np.float32),
-        edge_weight=rng.random(len(dst)).astype(np.float32),
+        n, src, dst, edge_weight=rng.random(len(dst)).astype(np.float32),
     )
+    graph.features = features
     server = _stream_server(graph, "gcn", 2)
     requests = generate_workload(
         WorkloadConfig(num_requests=60, rate_rps=4000.0, seed=0), n

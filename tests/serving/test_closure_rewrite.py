@@ -113,11 +113,12 @@ def graphs(draw):
     dst = rng.integers(0, active, size=num_edges)
     loops = rng.random(num_edges) < 0.1
     dst[loops] = src[loops]
+    features = rng.standard_normal((num_vertices, 5)).astype(np.float32)
     graph = Graph(
         num_vertices, src, dst,
-        features=rng.standard_normal((num_vertices, 5)).astype(np.float32),
         edge_weight=rng.random(num_edges).astype(np.float32),
     )
+    graph.features = features
     return graph, rng
 
 
@@ -142,10 +143,11 @@ def hub_graphs(draw):
     spokes = rng.integers(0, n, size=max(1, n // 3))
     src = np.concatenate([graph.src, spokes, np.full(len(spokes), hub)])
     dst = np.concatenate([graph.dst, np.full(len(spokes), hub), spokes])
-    return Graph(
-        n, src, dst, features=graph.features,
-        edge_weight=rng.random(len(src)).astype(np.float32),
-    ), rng
+    hub_graph = Graph(
+        n, src, dst, edge_weight=rng.random(len(src)).astype(np.float32),
+    )
+    hub_graph.features = graph.features
+    return hub_graph, rng
 
 
 def _planner(graph, hops, mode="auto", parts=4):

@@ -17,6 +17,7 @@ from repro.serving import (
     FleetConfig,
     InferenceServer,
     PopularityRouter,
+    Request,
     ServingConfig,
     ServingFleet,
     SLOAutoscaler,
@@ -357,3 +358,16 @@ class TestValidation:
             FleetConfig(hedge_factor=1.0)
         with pytest.raises(ValueError):
             FleetConfig(baseline_segments=0)
+
+
+def test_fleet_rejects_out_of_range_vertex(fleet_parts):
+    graph = fleet_parts[0]
+    requests = workload(graph, n=40)
+    requests[7] = Request(
+        req_id=7, vertex=graph.num_vertices, arrival_s=requests[7].arrival_s
+    )
+    with pytest.raises(
+        ValueError,
+        match=rf"request 7: vertex {graph.num_vertices} is not a vertex id",
+    ):
+        make_fleet(fleet_parts).serve(requests)

@@ -14,6 +14,7 @@ from repro.resilience.faults import (
 from repro.resilience.injector import FaultInjector
 from repro.serving import (
     InferenceServer,
+    Request,
     ServingConfig,
     SLOConfig,
     WorkloadConfig,
@@ -387,3 +388,14 @@ class TestValidation:
         wrong = hash_partition(tiny_graph, 4)
         with pytest.raises(ValueError):
             InferenceServer(graph, model, cluster, wrong)
+
+    @pytest.mark.parametrize("end", ["negative", "past-the-end"])
+    def test_rejects_out_of_range_vertex(self, serving_parts, end):
+        graph = serving_parts[0]
+        vertex = -1 if end == "negative" else graph.num_vertices
+        requests = workload(graph, n=8)
+        requests[5] = Request(req_id=5, vertex=vertex, arrival_s=requests[5].arrival_s)
+        with pytest.raises(
+            ValueError, match=rf"request 5: vertex {vertex} is not a vertex id"
+        ):
+            make_server(serving_parts).serve(requests)

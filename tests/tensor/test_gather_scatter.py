@@ -17,12 +17,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import ops
 from repro.core.blocks import LayerBlock, build_block
 from repro.core.layers import GCNConv, GINConv, SAGEConv
-from repro.graph import generators
 from repro.tensor import functional as F
 from repro.tensor import scatter
 from repro.tensor.scatter import gather_scatter_rows
 from repro.tensor.tensor import Tensor
 from repro.training.prep import prepare_graph
+import references
 
 REDUCERS = ["sum", "weighted_sum", "mean"]
 
@@ -59,7 +59,7 @@ def _chain(x: Tensor, src_pos, segments, num_segments, weights, reducer) -> Tens
     if reducer == "weighted_sum":
         messages = messages * Tensor(weights.reshape(-1, 1))
     if reducer == "mean":
-        return F.segment_mean(messages, segments, num_segments)
+        return references.segment_mean(messages, segments, num_segments)
     return F.segment_sum(messages, segments, num_segments)
 
 
@@ -344,12 +344,14 @@ def _unfused_forward(layer, block: LayerBlock, h_inputs: Tensor) -> Tensor:
     f_src, _ = ops.scatter_to_edge(block, h_inputs)
     if isinstance(layer, SAGEConv):
         messages = ops.edge_forward(block, f_src, None, lambda src, dst, w: src)
-        aggregated = ops.gather_by_dst(block, messages, agg="mean")
+        aggregated = references.segment_mean(
+            messages, block.edge_dst_pos, block.num_outputs
+        )
     else:
         messages = ops.edge_forward(
             block, f_src, None, lambda src, dst, w: src * Tensor(w.reshape(-1, 1))
         )
-        aggregated = ops.gather_by_dst(block, messages, agg="sum")
+        aggregated = ops.gather_by_dst(block, messages)
     return ops.vertex_forward(block, h_inputs, aggregated, layer.vertex)
 
 
@@ -369,7 +371,7 @@ class TestLayersMatchUnfused:
         arch = {GCNConv: "gcn", GINConv: "gin", SAGEConv: "sage"}[layer_cls]
         rng = np.random.default_rng(graph_seed)
         graph = prepare_graph(
-            generators.rmat(120, 900, seed=graph_seed, bidirectional=True), arch
+            references.rmat(120, 900, seed=graph_seed, bidirectional=True), arch
         )
         compute = rng.choice(120, size=int(rng.integers(1, 90)), replace=False)
         block = build_block(graph, compute, 1)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.tensor import functional as F
-from repro.tensor.gradcheck import gradcheck
 from repro.tensor.tensor import Tensor
+import modules
+from references import gradcheck
 
 finite_floats = st.floats(
     min_value=-10, max_value=10, allow_nan=False, allow_infinity=False, width=64
@@ -51,7 +52,7 @@ def test_mean_equals_sum_over_count(data):
 @settings(max_examples=25, deadline=None)
 @given(small_matrix())
 def test_softmax_rows_sum_to_one(data):
-    out = F.softmax(Tensor(data), axis=-1)
+    out = modules.softmax(Tensor(data), axis=-1)
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -60,7 +61,7 @@ def test_softmax_rows_sum_to_one(data):
 def test_log_softmax_consistent_with_softmax(data):
     x = Tensor(data)
     assert np.allclose(
-        F.log_softmax(x).data, np.log(F.softmax(x).data + 1e-30), atol=1e-5
+        F.log_softmax(x).data, np.log(modules.softmax(x).data + 1e-30), atol=1e-5
     )
 
 
@@ -102,17 +103,6 @@ def test_gradcheck_on_random_composite(data):
     # astride their kinks for adversarial inputs.
     x = Tensor(data, requires_grad=True)
     assert gradcheck(
-        lambda a: ((a @ a.T).sigmoid().sum(axis=1) ** 2).sum(), [x],
+        lambda a: ((a @ a.T).tanh().sum(axis=1) ** 2).sum(), [x],
         atol=5e-2, rtol=5e-2,
     )
-
-
-@settings(max_examples=20, deadline=None)
-@given(small_matrix())
-def test_detach_blocks_gradient_flow(data):
-    x = Tensor(data, requires_grad=True)
-    y = (x * 2.0).detach() * 3.0
-    z = y.sum() + (x * 1.0).sum()
-    z.backward()
-    # Only the non-detached path contributes.
-    assert np.allclose(x.grad, 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor.tensor import Tensor, no_grad, tensor
+from repro.tensor.tensor import Tensor, no_grad
 
 
 class TestConstruction:
@@ -18,23 +18,6 @@ class TestConstruction:
     def test_float64_preserved(self):
         t = Tensor(np.zeros(3, dtype=np.float64))
         assert t.dtype == np.float64
-
-    def test_factory(self):
-        t = tensor([[1.0]], requires_grad=True)
-        assert t.requires_grad
-        assert t.shape == (1, 1)
-
-    def test_detach_cuts_tape(self):
-        a = Tensor([2.0], requires_grad=True)
-        b = (a * 3.0).detach()
-        assert not b.requires_grad
-        assert b._ctx is None
-
-    def test_clone_copies_data(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = a.clone()
-        b.data[0] = 99.0
-        assert a.data[0] == 1.0
 
     def test_repr_mentions_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
@@ -180,7 +163,6 @@ class TestShapesAndReductions:
     def test_transpose(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         assert x.T.shape == (3, 2)
-        assert x.transpose(0, 1).shape == (3, 2)
 
     def test_sum_axis_keepdims(self):
         x = Tensor(np.ones((2, 3)))
@@ -216,11 +198,6 @@ class TestElementwise:
     def test_exp_log_inverse(self):
         x = Tensor([0.5, 1.5])
         assert np.allclose(x.exp().log().data, x.data, atol=1e-6)
-
-    def test_sigmoid_range(self):
-        x = Tensor(np.linspace(-5, 5, 11))
-        s = x.sigmoid().data
-        assert (s > 0).all() and (s < 1).all()
 
     def test_tanh_odd(self):
         x = Tensor([1.0])

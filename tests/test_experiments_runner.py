@@ -51,7 +51,7 @@ class TestRunner:
 
     def test_numpy_nan_cells_write_valid_json(self, tmp_path):
         out = tmp_path / "results.json"
-        write_json(str(out), {"oom_cell": np.float64("nan"), "ok": np.float32(1.5)}, quiet=True)
+        write_json(str(out), {"oom_cell": np.float64("nan"), "ok": np.float32(1.5)})
         loaded = json.loads(out.read_text(), parse_constant=_reject)
         assert loaded == {"oom_cell": "OOM", "ok": 1.5}
 

@@ -48,31 +48,6 @@ class TestTrainer:
         assert t is not None and t <= history.total_time_s
         assert history.time_to_accuracy(1.1) is None
 
-    def test_early_stop_at_target(self, engine):
-        trainer = DistributedTrainer(engine, lr=0.05)
-        history = trainer.train(epochs=100, eval_every=1, target_accuracy=0.5)
-        assert len(history.reports) < 100
-
-    def test_patience_stops_on_plateau(self, small_graph, cluster2):
-        # A zero learning rate plateaus immediately: with patience=2 the
-        # run stops after the third evaluation (first sets the best,
-        # two stale ones exhaust patience).
-        graph = prepare_graph(small_graph, "gcn")
-        model = GNNModel.gcn(graph.feature_dim, 12, graph.num_classes, seed=1)
-        stale_engine = DepCommEngine(graph, model, cluster2)
-        trainer = DistributedTrainer(stale_engine, lr=1e-12)
-        history = trainer.train(epochs=50, eval_every=1, patience=2)
-        assert len(history.reports) <= 4
-
-    def test_patience_validation(self, engine):
-        with pytest.raises(ValueError, match="patience"):
-            DistributedTrainer(engine).train(epochs=2, eval_every=1, patience=0)
-
-    def test_sgd_option(self, engine):
-        trainer = DistributedTrainer(engine, optimizer="sgd", lr=0.1)
-        history = trainer.train(epochs=3)
-        assert len(history.reports) == 3
-
     def test_unknown_optimizer(self, engine):
         with pytest.raises(ValueError):
             DistributedTrainer(engine, optimizer="lbfgs")
