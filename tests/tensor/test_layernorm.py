@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from repro.tensor.tensor import Tensor
-import modules
 from references import gradcheck
+import user_modules
 
 
 class TestLayerNorm:
     def test_output_standardised(self):
-        norm = modules.LayerNorm(8)
+        norm = user_modules.LayerNorm(8)
         x = Tensor(np.random.default_rng(0).standard_normal((5, 8)) * 10 + 3)
         out = norm(x).data
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-5)
         assert np.allclose(out.std(axis=-1), 1.0, atol=1e-3)
 
     def test_affine_parameters_apply(self):
-        norm = modules.LayerNorm(4)
+        norm = user_modules.LayerNorm(4)
         norm.gamma.data[:] = 2.0
         norm.beta.data[:] = 1.0
         x = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
@@ -25,14 +25,14 @@ class TestLayerNorm:
         assert np.allclose(out.mean(axis=-1), 1.0, atol=1e-5)
 
     def test_gradcheck(self):
-        norm = modules.LayerNorm(5)
+        norm = user_modules.LayerNorm(5)
         x = Tensor(
             np.random.default_rng(2).standard_normal((4, 5)), requires_grad=True
         )
         assert gradcheck(lambda x: (norm(x) ** 2).sum(), [x])
 
     def test_parameter_gradients(self):
-        norm = modules.LayerNorm(5)
+        norm = user_modules.LayerNorm(5)
         x = Tensor(np.random.default_rng(3).standard_normal((4, 5)))
         assert gradcheck(
             lambda g, b: (norm(x) ** 2).sum(), [norm.gamma, norm.beta]
@@ -40,14 +40,14 @@ class TestLayerNorm:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="last dim"):
-            modules.LayerNorm(4)(Tensor(np.zeros((2, 6))))
+            user_modules.LayerNorm(4)(Tensor(np.zeros((2, 6))))
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
-            modules.LayerNorm(0)
+            user_modules.LayerNorm(0)
 
     def test_discovered_parameters(self):
-        names = set(dict(modules.LayerNorm(3).named_parameters()))
+        names = set(dict(user_modules.LayerNorm(3).named_parameters()))
         assert names == {"gamma", "beta"}
 
     def test_inside_sequential_gnn_stack(self, small_graph, cluster2):
@@ -63,7 +63,7 @@ class TestLayerNorm:
             def __init__(self, in_dim, out_dim, **kw):
                 super().__init__(in_dim, out_dim)
                 self.conv = GCNConv(in_dim, out_dim, **kw)
-                self.norm = modules.LayerNorm(out_dim)
+                self.norm = user_modules.LayerNorm(out_dim)
 
             def forward(self, block: LayerBlock, h):
                 return self.norm(self.conv.forward(block, h))

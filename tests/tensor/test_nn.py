@@ -5,8 +5,8 @@ import pytest
 
 from repro.tensor import nn
 from repro.tensor.tensor import Tensor
-import modules
 from references import gradcheck
+import user_modules
 
 
 class TestParameterDiscovery:
@@ -121,7 +121,7 @@ class TestStateDict:
 
 class TestTrainEval:
     def test_train_flag_propagates(self):
-        seq = modules.Sequential(nn.Linear(2, 2), nn.Dropout(0.5), modules.ReLU())
+        seq = user_modules.Sequential(nn.Linear(2, 2), nn.Dropout(0.5), user_modules.ReLU())
         seq.train(False)
         assert not seq.layers[1].training
         seq.train()
@@ -134,7 +134,7 @@ class TestTrainEval:
         assert np.allclose(drop(x).data, 1.0)
 
     def test_sequential_forward_and_indexing(self):
-        seq = modules.Sequential(nn.Linear(3, 5), modules.ReLU(), nn.Linear(5, 2))
+        seq = user_modules.Sequential(nn.Linear(3, 5), user_modules.ReLU(), nn.Linear(5, 2))
         assert len(seq) == 3
         assert isinstance(seq[0], nn.Linear)
         out = seq(Tensor(np.ones((2, 3))))
