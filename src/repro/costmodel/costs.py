@@ -9,15 +9,16 @@ per-vertex communication cost of layer ``l``.  Both are per-epoch
 There is one subtree walk, and it is array-valued: it advances many
 roots level by level as ``(root, vertex)`` frontier pairs.  Algorithm 4
 uses it through :meth:`DependencyCostModel.measure_independent` (the
-initial sweep) and :meth:`DependencyCostModel.measure_in_order` (the
-pop loop); ``t_r`` / ``commit`` are its one-root view.
+initial sweep, which reads only cost and edges and so stops at level 1)
+and :meth:`DependencyCostModel.measure_in_order` (the pop loop, down to
+the features); ``t_r`` / ``commit`` are its one-root view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -42,14 +43,17 @@ class SubtreeBatch:
     ``fresh`` holds, per level ``k = l-1 .. 0``, the ``(root position,
     vertex)`` pairs newly computed for each root -- what
     :meth:`DependencyCostModel.commit_prefix` writes into ``V_rep``.
-    Independent batches leave it empty: their subtrees overlap, so
-    there is nothing to commit jointly.
+
+    Independent batches carry ``cost_s`` and ``new_edge_count`` only:
+    their walk stops at level 1, because level 0 (the cached features)
+    adds memory and nothing else, so ``memory_bytes`` is ``None``; and
+    their subtrees overlap, so ``fresh`` is empty.
     """
 
     layer: int
     cost_s: np.ndarray
     new_edge_count: np.ndarray
-    memory_bytes: np.ndarray
+    memory_bytes: Optional[np.ndarray] = None
     fresh: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
@@ -215,16 +219,26 @@ class DependencyCostModel:
             self.replicated[k][fresh] = True
 
     def measure_independent(self, roots: np.ndarray, layer: int) -> SubtreeBatch:
-        """Eq. 1 for every root against the *same* ``V_rep``.
+        """Eq. 1's ``cost_s`` and ``new_edge_count`` for every root
+        against the *same* ``V_rep``.
 
         Entry ``j`` equals ``t_r(roots[j], layer)`` with nothing
-        committed in between (Algorithm 4's initial sweep, lines 5-7).
+        committed in between (Algorithm 4's initial sweep, lines 5-7),
+        in those two fields; memory is checked at pop time, so the walk
+        stops at level 1 and leaves ``memory_bytes`` unset.  A layer-1
+        subtree is its root's features alone: all zeros, no walk.
         Overlapping subtrees are counted once per root, so the walk
         holds one ``(root, vertex)`` pair per reached vertex; the roots
         are taken in chunks sized from the previous chunk's peak pair
         count to keep that bounded on deep models.
         """
         roots = np.asarray(roots, dtype=np.int64)
+        if layer == 1:
+            return SubtreeBatch(
+                layer=layer,
+                cost_s=np.zeros(len(roots), dtype=np.float64),
+                new_edge_count=np.zeros(len(roots), dtype=np.int64),
+            )
         parts = []
         start, size = 0, _FIRST_CHUNK_ROOTS
         while True:
@@ -246,7 +260,6 @@ class DependencyCostModel:
             layer=layer,
             cost_s=np.concatenate([p.cost_s for p in parts]),
             new_edge_count=np.concatenate([p.new_edge_count for p in parts]),
-            memory_bytes=np.concatenate([p.memory_bytes for p in parts]),
         )
 
     def measure_in_order(self, roots: np.ndarray, layer: int) -> SubtreeBatch:
@@ -278,19 +291,31 @@ class DependencyCostModel:
 
     def _walk(self, roots: np.ndarray, layer: int, in_order: bool):
         """Level-synchronous subtree walk over ``(root position, vertex)``
-        frontier pairs; returns the batch and the peak pair count."""
+        frontier pairs; returns the batch and the peak pair count.
+
+        An in-order walk descends to level 0 and records memory and the
+        fresh pairs; an independent one stops at level 1 and records
+        cost and edges only.
+        """
         num_roots = len(roots)
         num_vertices = self.graph.num_vertices
         csc = self.graph.csc
         indptr = csc.indptr
         cost = np.zeros(num_roots, dtype=np.float64)
         new_edges = np.zeros(num_roots, dtype=np.int64)
-        memory = np.zeros(num_roots, dtype=np.int64)
+        memory = np.zeros(num_roots, dtype=np.int64) if in_order else None
         fresh: List[Tuple[np.ndarray, np.ndarray]] = []
         positions = np.arange(num_roots, dtype=np.int64)
         vertices = roots
         peak_pairs = num_roots
-        for k in range(layer - 1, -1, -1):
+        lowest = 0 if in_order else 1
+        for k in range(layer - 1, lowest - 1, -1):
+            if k < layer - 1:
+                # Descend: the level above's pairs become their in-edges'
+                # sources.
+                vertices = csc.other[csc._edge_range_index(vertices)]
+                positions = np.repeat(positions, degrees)
+                peak_pairs = max(peak_pairs, len(vertices))
             keep = ~(self.owned_mask[vertices] | self.replicated[k][vertices])
             positions, vertices = positions[keep], vertices[keep]
             if k < layer - 1:
@@ -312,7 +337,8 @@ class DependencyCostModel:
                     keys = keys[_group_starts(keys)]
                     positions = keys // num_vertices
                     vertices = keys - positions * num_vertices
-            fresh.append((positions, vertices))
+            if in_order:
+                fresh.append((positions, vertices))
             count = np.bincount(positions, minlength=num_roots)
             if k == 0:
                 # Features of the remaining frontier are cached (one-time
@@ -328,10 +354,8 @@ class DependencyCostModel:
                 + edge_count * self.constants.edge_cost(k)
             )
             new_edges += edge_count
-            memory += count * (self.dims[k] * 4) + edge_count * 12
-            vertices = csc.other[csc._edge_range_index(vertices)]
-            positions = np.repeat(positions, degrees)
-            peak_pairs = max(peak_pairs, len(vertices))
+            if in_order:
+                memory += count * (self.dims[k] * 4) + edge_count * 12
         batch = SubtreeBatch(
             layer=layer,
             cost_s=cost,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,10 +58,14 @@ class DependencyPartition:
     measured_evaluations: int = 0
     stale_cached: List[np.ndarray] = field(default_factory=list)
     cache_bytes: int = 0
-    # Per-layer ``{vertex: t_r seconds}`` that seeded the greedy's heap;
-    # a later run passes this back as ``warm_start`` to skip the initial
-    # measurement sweep (lines 5-7) when re-planning online.
-    initial_costs: List[Dict[int, float]] = field(default_factory=list)
+    # Per-layer ``(ids, t_r seconds)`` arrays that seeded the greedy's
+    # pop order (``ids`` the layer's sorted dependencies, empty where the
+    # layer was not priced); a later run passes this back as
+    # ``warm_start`` to skip the initial measurement sweep (lines 5-7)
+    # when re-planning online.
+    initial_costs: List[Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list
+    )
     # Four-way extension: this worker's per-layer tensor-parallel vote
     # and both sides of the comparison (the engine aggregates the costs
     # across workers before flipping a layer for real, so a flipped
@@ -103,20 +107,18 @@ _POP_BLOCK_GROWTH = 4
 
 
 def _warm_costs(
-    warm_costs: Optional[Dict[int, float]],
+    warm_costs: Optional[Tuple[np.ndarray, np.ndarray]],
     layer_deps: np.ndarray,
     num_vertices: int,
 ):
     """Prior ``t_r`` per dependency and the mask of those without one."""
     costs = np.zeros(len(layer_deps), dtype=np.float64)
     unknown = np.ones(len(layer_deps), dtype=bool)
-    if warm_costs:
-        prior_ids = np.fromiter(warm_costs.keys(), np.int64, len(warm_costs))
+    if warm_costs is not None:
+        prior_ids, prior_costs = warm_costs
         prior = np.zeros(num_vertices, dtype=np.float64)
         known = np.zeros(num_vertices, dtype=bool)
-        prior[prior_ids] = np.fromiter(
-            warm_costs.values(), np.float64, len(warm_costs)
-        )
+        prior[prior_ids] = prior_costs
         known[prior_ids] = True
         unknown = ~known[layer_deps]
         costs = prior[layer_deps]
@@ -217,7 +219,7 @@ def partition_dependencies(
     cached: List[np.ndarray] = []
     communicated: List[np.ndarray] = []
     stale_cached: List[np.ndarray] = []
-    initial_costs: List[Dict[int, float]] = []
+    initial_costs: List[Tuple[np.ndarray, np.ndarray]] = []
     tp_layers: List[bool] = []
     tp_cost_s: List[float] = []
     three_way_cost_s: List[float] = []
@@ -252,10 +254,10 @@ def partition_dependencies(
     for l in range(1, num_layers + 1):
         layer_deps = deps[l - 1]
         t_c = cost_model.t_c(l)
-        warm_costs: Optional[Dict[int, float]] = None
+        warm_costs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if warm_start is not None and l - 1 < len(warm_start.initial_costs):
             warm_costs = warm_start.initial_costs[l - 1]
-        layer_costs: Dict[int, float] = {}
+        layer_costs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         layer_cached_cost = 0.0
         snapshot = None
         if tp_enabled:
@@ -283,7 +285,7 @@ def partition_dependencies(
             modeled_seconds = _add_evaluations(
                 modeled_seconds, sweep.new_edge_count
             )
-            layer_costs = dict(zip(layer_deps.tolist(), costs.tolist()))
+            layer_costs = (layer_deps, costs)
 
             # Line 8-15: pop cheapest, re-measure, decide.  The heap only
             # ever pops in (cost, vertex) order and stops at the first

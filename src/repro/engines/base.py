@@ -112,6 +112,10 @@ class BaseEngine:
         )
         self.timeline: Timeline = cluster.make_timeline(record=record_timeline)
         self.mu = mu
+        if memory_limit_bytes is not None and memory_limit_bytes < 0:
+            raise ValueError(
+                f"memory_limit_bytes must be >= 0, got {memory_limit_bytes}"
+            )
         self.memory_limit_bytes = memory_limit_bytes
         # Staleness-bounded caching (the third dependency mode); no
         # config means bit-identical to the cache-free engine.

@@ -72,6 +72,16 @@ def seed_t_r(self, u, layer):
     )
 
 
+def _prior_dict(layer_prior):
+    """The ``{vertex: t_r}`` view of one layer's warm-start prior: this
+    greedy's own dict, or ``partition_dependencies``' ``(ids, t_r)``
+    arrays."""
+    if isinstance(layer_prior, dict):
+        return layer_prior
+    ids, t_r = layer_prior
+    return dict(zip(ids.tolist(), t_r.tolist()))
+
+
 def seed_commit(self, u, layer, measurement):
     levels = list(range(layer - 1, 0, -1)) + [0]
     for k, fresh in zip(levels, measurement.new_vertices):
@@ -135,7 +145,7 @@ def seed_partition_dependencies(
         t_c = cost_model.t_c(l)
         warm_costs: Optional[Dict[int, float]] = None
         if warm_start is not None and l - 1 < len(warm_start.initial_costs):
-            warm_costs = warm_start.initial_costs[l - 1]
+            warm_costs = _prior_dict(warm_start.initial_costs[l - 1])
         layer_costs: Dict[int, float] = {}
         layer_cached_cost = 0.0
         snapshot = None

@@ -78,8 +78,12 @@ def test_independent_probe_matches_scalar_loop(case, first_chunk, target):
             mock.patch.object(costs, "_TARGET_PAIRS", target):
         batch = model.measure_independent(roots, layer)
     assert len(batch.cost_s) == len(roots)
+    # The sweep reads cost and edges only; memory is checked at pop time.
+    assert batch.memory_bytes is None and batch.fresh == []
     for j, u in enumerate(roots):
-        _assert_entry(batch, j, seed_t_r(model, int(u), layer))
+        reference = seed_t_r(model, int(u), layer)
+        assert batch.cost_s[j] == reference.cost_s
+        assert batch.new_edge_count[j] == reference.new_edge_count
     for mask, mask_before in zip(model.replicated, before):
         assert np.array_equal(mask, mask_before)
 
@@ -146,7 +150,12 @@ def _assert_same_partition(got, want):
                 assert x.dtype == y.dtype, f.name
                 assert np.array_equal(x, y), f.name
             elif isinstance(y, dict):
-                assert list(x.items()) == list(y.items()), f.name
+                # ``initial_costs``: the ``(ids, t_r)`` arrays against the
+                # scalar greedy's ``{vertex: t_r}`` dict.
+                ids, t_r = x
+                assert ids.dtype == np.int64 and t_r.dtype == np.float64, f.name
+                pairs = list(zip(ids.tolist(), t_r.tolist()))
+                assert pairs == list(y.items()), f.name
             else:
                 assert x == y, f.name
 
@@ -235,11 +244,12 @@ def test_partition_matches_seed_greedy_on_every_field(grid_setting, first_block)
             )
             # Warm start: full prior costs, then a prior that misses some
             # dependencies (those fall back to a fresh measurement).
-            partial = copy.deepcopy(want)
-            for layer_costs in partial.initial_costs:
-                for u in list(layer_costs)[::3]:
-                    del layer_costs[u]
-            for prior in (want, partial):
+            partial = dataclasses.replace(got, initial_costs=[
+                (ids[np.arange(len(ids)) % 3 != 0],
+                 t_r[np.arange(len(t_r)) % 3 != 0])
+                for ids, t_r in got.initial_costs
+            ])
+            for prior in (got, partial):
                 warm = partition_dependencies(*args, warm_start=prior, **kwargs)
                 warm_ref = seed_partition_dependencies(
                     *args, warm_start=prior, **kwargs
@@ -247,6 +257,34 @@ def test_partition_matches_seed_greedy_on_every_field(grid_setting, first_block)
                 _assert_same_partition(warm, warm_ref)
     # The grid really reaches the branches it is meant to pin.
     assert flipped and stopped_on_budget
+
+
+def test_warm_start_from_another_partitioning(grid_setting):
+    """A prior planned under partitioning A seeds worker ``w`` under B:
+    some prior ids are no longer dependencies, some dependencies have
+    no prior; both greedies must still agree on every field."""
+    graph, model, partitioning, constants, loose = grid_setting
+    worker = 1
+    shifted = Partitioning(
+        np.roll(partitioning.assignment, graph.num_vertices // 8),
+        partitioning.num_parts,
+    )
+    prior = partition_dependencies(
+        graph, partitioning, worker, model.dims(), constants
+    )
+    deps = dependency_layers(graph, shifted.part(worker), model.num_layers)
+    extra = missing = 0
+    for (ids, _), layer_deps in zip(prior.initial_costs, deps):
+        extra += len(np.setdiff1d(ids, layer_deps))
+        missing += len(np.setdiff1d(layer_deps, ids))
+    assert extra and missing
+    for budget in (None, loose // 3):
+        args = (graph, shifted, worker, model.dims(), constants)
+        kwargs = dict(memory_limit_bytes=budget, warm_start=prior)
+        _assert_same_partition(
+            partition_dependencies(*args, **kwargs),
+            seed_partition_dependencies(*args, **kwargs),
+        )
 
 
 # ---------------------------------------------------------------------------

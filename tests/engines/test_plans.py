@@ -108,6 +108,15 @@ class TestHybridPlan:
         with pytest.raises(ValueError):
             build(HybridEngine, prepared, force_cache_fraction=1.5)
 
+    def test_negative_memory_budget_rejected(self, prepared):
+        with pytest.raises(ValueError, match=r"memory_limit_bytes .*-1"):
+            build(HybridEngine, prepared, memory_limit_bytes=-1)
+
+    def test_zero_memory_budget_plans_and_caches_nothing(self, prepared):
+        plan = build(HybridEngine, prepared, memory_limit_bytes=0).plan()
+        assert plan.cache_ratio() == 0.0
+        assert sum(len(c) for per_l in plan.comm_ids for c in per_l) > 0
+
 
 class TestPlanGeneralInvariants:
     @pytest.mark.parametrize("engine_cls", [DepCacheEngine, DepCommEngine, HybridEngine])
