@@ -497,11 +497,9 @@ def run_experiment(repeats=15):
     }
 
 
-def test_scatter_add_smoke(benchmark):
+def test_scatter_add_smoke():
     result = run_experiment(repeats=3)
     assert result["floor_speedup"] >= MIN_FLOOR_SPEEDUP
-    index, values, out = _case(FLOOR_SHAPE)
-    benchmark(lambda: scatter_add_rows(out, index, values))
 
 
 if __name__ == "__main__":

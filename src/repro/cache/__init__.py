@@ -12,8 +12,8 @@ of slightly stale inputs (exact again after every refresh).
 - :mod:`repro.cache.budget` -- the memory budget shared with DepCache
   closures, plus :class:`CacheConfig`.
 
-The tau/capacity grid behind ``repro cache-sweep`` and
-``benchmarks/bench_cache_sweep.py`` is
+The tau/capacity grid behind ``repro cache-sweep`` and the
+``cache_sweep`` experiment of ``benchmarks/bench_paper.py`` is
 :func:`repro.sweeps.run_cache_sweep`.
 
 Engines opt in via ``cache_config=CacheConfig(...)``; with no config

@@ -190,6 +190,8 @@ def scaled_social(
     exactly the regime where LABOR's shared per-source uniforms shrink
     the union frontier relative to independent uniform fanout.
     """
+    if num_vertices < 1:
+        raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
     if num_communities < 1:
         raise ValueError("need at least one community")
     rng = np.random.default_rng(seed)

@@ -17,8 +17,8 @@ a replacement and replays, ``shrink`` absorbs the dead partition into
 the survivors (:mod:`repro.resilience.elastic`), ``auto`` picks per
 crash.
 
-The harness backs the ``repro chaos`` CLI subcommand and
-``benchmarks/bench_chaos_resilience.py`` / ``bench_elastic.py``.
+The harness backs the ``repro chaos`` CLI subcommand and the ``chaos``
+and ``elastic`` experiments of ``benchmarks/bench_paper.py``.
 """
 
 from __future__ import annotations

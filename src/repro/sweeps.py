@@ -6,9 +6,10 @@ walks the ordered product of named axes and calls one ``cell`` function
 per point, each cell returning one JSON-ready row dict; a list of
 :class:`Column` per sweep says how those same rows render as a text
 table.  ``repro cache-sweep`` / ``sample-sweep`` / ``tp-sweep`` /
-``serve-bench`` / ``compare`` / ``chaos`` and the matching
-``benchmarks/bench_*.py`` all call the ``run_*`` functions below and
-:func:`render` with the sweep's column list.
+``serve-bench`` / ``compare`` / ``chaos`` call the ``run_*`` functions
+below and :func:`render` with the sweep's column list; the system rows
+of ``benchmarks/bench_paper.py`` (experiments ``tp``, ``cache_sweep``,
+``serving``) call the same functions, or their per-point parts.
 """
 
 from __future__ import annotations
@@ -218,6 +219,9 @@ def run_sample_sweep(
     Every point builds a fresh :class:`SampledTrainingEngine` with the
     same model seed, so rows differ only in the sampling configuration.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be positive, got {epochs}")
+
     def cell(sampler, fanout, kappa, cache):
         model = GNNModel.build(
             arch, graph.feature_dim, hidden, graph.num_classes,
@@ -402,6 +406,33 @@ TAU_COLUMNS = (
 )
 
 
+def serve_once(
+    graph, model, cluster, partitioning, requests,
+    window_s: float, max_batch: int, tau_s: float, mode: str,
+):
+    """One timeline-free :class:`InferenceServer` run over ``requests``."""
+    config = ServingConfig(
+        batch_window_s=window_s, max_batch=max_batch, tau_s=tau_s, mode=mode,
+    )
+    server = InferenceServer(
+        graph, model, cluster, partitioning, config=config,
+        record_timeline=False,
+    )
+    return server.serve(requests)
+
+
+def staleness_row(tau_s: float, result) -> Dict:
+    """One serving ``result``'s traffic, p99 and staleness (``TAU_COLUMNS``)."""
+    ledger = result.ledger
+    return {
+        "tau_s": tau_s,
+        "comm_bytes": ledger.total_comm_bytes,
+        "p99_ms": ledger.p99_s * 1e3,
+        "mean_staleness_s": ledger.mean_staleness_s(),
+        "cache_hits": result.cache.counters.hits,
+    }
+
+
 def run_serve_bench(
     graph, model, cluster, partitioning, workload, sweep_workload,
     taus: Sequence[float], batch_window_s: float, max_batch: int,
@@ -409,16 +440,7 @@ def run_serve_bench(
     """Batched vs unbatched local serving of ``workload`` at identical
     predictions, then remote (DepComm-style) serving of
     ``sweep_workload`` per staleness bound in ``taus``."""
-    def serve(requests, window_s, batch, tau_s, mode):
-        config = ServingConfig(
-            batch_window_s=window_s, max_batch=batch, tau_s=tau_s, mode=mode,
-        )
-        server = InferenceServer(
-            graph, model, cluster, partitioning, config=config,
-            record_timeline=False,
-        )
-        return server.serve(requests)
-
+    serve = functools.partial(serve_once, graph, model, cluster, partitioning)
     unbatched = serve(workload, 0.0, 1, 0.0, "local")
     batched = serve(workload, batch_window_s, max_batch, 0.0, "local")
     unbatched_rps = unbatched.ledger.throughput_rps()
@@ -426,15 +448,9 @@ def run_serve_bench(
     speedup = batched_rps / unbatched_rps if unbatched_rps else float("inf")
 
     def cell(tau):
-        result = serve(sweep_workload, batch_window_s, max_batch, tau, "remote")
-        ledger = result.ledger
-        return {
-            "tau_s": tau,
-            "comm_bytes": ledger.total_comm_bytes,
-            "p99_ms": ledger.p99_s * 1e3,
-            "mean_staleness_s": ledger.mean_staleness_s(),
-            "cache_hits": result.cache.counters.hits,
-        }
+        return staleness_row(
+            tau, serve(sweep_workload, batch_window_s, max_batch, tau, "remote"),
+        )
 
     return {
         "batching": [

@@ -205,6 +205,13 @@ class TestCommunity:
             generators.community(10, 0, 2.0)
 
 
+class TestScaledSocial:
+    @pytest.mark.parametrize("num_vertices", [0, -5])
+    def test_rejects_fewer_than_one_vertex(self, num_vertices):
+        with pytest.raises(ValueError, match=f"num_vertices .* got {num_vertices}$"):
+            generators.scaled_social(num_vertices)
+
+
 class TestAttachFeatures:
     def test_community_labels_follow_membership(self):
         g = generators.community(40, 4, 5.0, seed=0)

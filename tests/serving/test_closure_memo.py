@@ -521,7 +521,7 @@ def test_zipf_stream_whole_and_in_segments(arch, layers, monkeypatch):
 
 
 def test_closures_taller_than_the_probe_fill_nothing(monkeypatch):
-    """``bench_serving``'s shape: every requested closure is taller than
+    """The ``serving`` benchmark's shape: every requested closure is taller than
     the probed height, so the fill writes no row and every batch runs
     the reference."""
     forwards = _checked_forwards(monkeypatch)

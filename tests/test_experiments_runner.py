@@ -1,5 +1,5 @@
-"""``benchmarks/bench_paper.py``: its two cheapest experiments, its JSON, and
-EXPERIMENTS.md re-rendered from the committed ``BENCH_paper.json``."""
+"""``benchmarks/bench_paper.py``: its cheapest paper and system experiments,
+its JSON, and EXPERIMENTS.md re-rendered from the committed ``BENCH_paper.json``."""
 
 import json
 import sys
@@ -29,6 +29,11 @@ class TestRegistry:
     def test_ablations_registered(self):
         assert sum(i.startswith("ablation_") for i in bench_paper.EXPERIMENTS) == 5
 
+    def test_system_extensions_registered(self):
+        for must in ["ops", "sampling", "tp", "fleet", "serving", "chaos", "elastic",
+                     "overlap", "cache_sweep"]:
+            assert must in bench_paper.EXPERIMENTS
+
     def test_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):
             bench_paper.main(["fig99"])
@@ -41,6 +46,12 @@ class TestRunner:
         bench_paper.EXPERIMENTS["fig11"].check(rows)
         out = capsys.readouterr().out  # the printed table
         assert "Alg. 4" in out and "OOM" in out
+
+    def test_run_system_experiment(self, capsys):
+        rows = bench_paper.run("chaos")
+        bench_paper.EXPERIMENTS["chaos"].check(rows)
+        out = capsys.readouterr().out
+        assert "cpu 8x slowdown" in out and "epoch 2" in out
 
     def test_run_all_subset_writes_json(self, tmp_path, capsys):
         out = tmp_path / "results.json"

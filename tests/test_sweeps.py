@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec, FaultTargetError
 from repro.resilience import FaultSchedule, LinkDegradationFault, StragglerFault
-from repro.sweeps import Column, render, run_grid
+from repro.graph.datasets import load_dataset
+from repro.sweeps import Column, render, run_grid, run_sample_sweep
 
 
 class TestRunGrid:
@@ -28,6 +29,17 @@ class TestRunGrid:
             raise AssertionError("no point exists")
 
         assert run_grid({"a": [1, 2], "b": []}, cell) == []
+
+
+class TestSampleSweep:
+    def test_zero_epochs_is_an_error_not_a_nan_row(self):
+        with pytest.raises(ValueError, match="epochs .* got 0$"):
+            run_sample_sweep(
+                load_dataset("cora", scale=0.2), ClusterSpec.ecs(2),
+                samplers=["uniform"], fanouts=[(2, 2)], kappas=[0.0],
+                cache_mb=[0.0], arch="gcn", hidden=8, batch_size=16,
+                epochs=0, seed=0,
+            )
 
 
 class TestColumns:
