@@ -8,19 +8,24 @@ loops the vectorization PR rewrote:
   closure reuse, block building, compile, and accounting for every
   mini-batch round (the data-management epoch);
 - ``compile_s``: one full-graph hybrid plan compile -- k-hop closures,
-  block building, and program construction.
+  block building, and program construction;
+- ``load_s``: one cold start -- uncached dataset generation,
+  ``prepare_graph``, then the CSR and CSC indexes.
 
 The before/after comparison is built in: ``reference_mode()``
 reinstalls the pre-vectorization implementations (per-vertex slice
 loops, ``searchsorted`` lookups, ``np.unique`` unions, full-candidate
 ``np.lexsort`` sampler ranking, ``intersect1d``/``setdiff1d`` set
-algebra, Algorithm 4 as a heap of scalar ``t_r`` walks), kept verbatim
+algebra, Algorithm 4 as a heap of scalar ``t_r`` walks, the Zipf draw
+as one ``np.searchsorted`` and the indexes' int64 stable argsort), kept verbatim
 from the seed revision (the sampler ranking behind the current
 per-round hook signature), and every measurement runs once per mode on
 the same graph and seeds.  The headline asserts: the vectorized epoch
 is at least ``--min-speedup`` (default 5x) faster than the reference on
 the largest generator in the ladder, and the hybrid compile at least
-3x faster on ``social-large`` (measured in smoke mode too).
+3x faster on ``social-large`` (measured in smoke mode too).  Every cold
+start also asserts that both modes build array-equal graphs and
+indexes.
 
 Run ``python benchmarks/bench_hotpath.py --json BENCH_hotpath.json``
 for the full ladder up to ``social-large``, or ``--smoke`` for the CI
@@ -42,6 +47,9 @@ from repro.core import blocks as B
 from repro.core.model import GNNModel
 from repro.engines import HybridEngine
 from repro.engines import hybrid as H
+from repro.graph import adjacency as A
+from repro.graph import datasets as D
+from repro.graph import generators as G
 from repro.graph.adjacency import Adjacency
 from repro.graph.datasets import load_dataset
 from repro.sampling import closure as CL
@@ -156,6 +164,14 @@ def _replace_ref(self, src, dst, eids, scales):
     self.scales = None if scales is None else scales[order]
 
 
+def _inverse_cdf_ref(cdf, values):
+    return np.searchsorted(cdf, values)
+
+
+def _stable_argsort_ref(keys, bound):
+    return np.argsort(keys, kind="stable")
+
+
 _PATCHES = [
     (Adjacency, "select", _select_ref),
     (B, "_mask_union", _mask_union_ref),
@@ -166,6 +182,9 @@ _PATCHES = [
     # Algorithm 4 as one scalar ``t_r`` walk per measurement and per pop;
     # patched where the hybrid engine imported it by name.
     (H, "partition_dependencies", seed_partition_dependencies),
+    (G, "_inverse_cdf", _inverse_cdf_ref),
+    # Patched where Adjacency imported it by name.
+    (A, "stable_argsort", _stable_argsort_ref),
 ]
 
 
@@ -243,6 +262,47 @@ def measure_compile_pair(graph, repeats):
     return _stats(cur_runs), _stats(ref_runs)
 
 
+GRAPH_FIELDS = ("src", "dst", "edge_weight", "features", "labels",
+                "train_mask", "val_mask", "test_mask")
+INDEX_FIELDS = ("edge_ids", "key", "other", "indptr")
+
+
+def _cold_start(name):
+    # ``load_dataset`` memoises; the function that ``_build`` wraps
+    # generates afresh.
+    graph = prepare_graph(D._build.__wrapped__(D.resolve_name(name), 1.0, 0),
+                          "gcn")
+    graph.csr, graph.csc  # both indexes build on first access
+    return graph
+
+
+def _assert_same_graph(current, reference, name):
+    for field in GRAPH_FIELDS:
+        assert np.array_equal(getattr(current, field),
+                              getattr(reference, field)), (name, field)
+    for index in ("csr", "csc"):
+        for field in INDEX_FIELDS:
+            assert np.array_equal(
+                getattr(getattr(current, index), field),
+                getattr(getattr(reference, index), field),
+            ), (name, index, field)
+
+
+def measure_load_pair(name, repeats):
+    """Paired current/reference cold starts, after an untimed pair
+    whose graphs and indexes must be array-equal."""
+    current = _cold_start(name)
+    with reference_mode():
+        reference = _cold_start(name)
+    _assert_same_graph(current, reference, name)
+    cur_runs, ref_runs = [], []
+    for _ in range(repeats):
+        cur_runs.append(_timed(lambda: _cold_start(name)))
+        with reference_mode():
+            ref_runs.append(_timed(lambda: _cold_start(name)))
+    return _stats(cur_runs), _stats(ref_runs)
+
+
 def run_experiment(datasets=None, repeats=5, compile_repeats=1,
                    min_speedup=5.0):
     datasets = list(datasets or DATASETS)
@@ -251,6 +311,7 @@ def run_experiment(datasets=None, repeats=5, compile_repeats=1,
         graph = _graph(name)
         epoch, epoch_ref = measure_epoch_pair(graph, repeats)
         compile_, compile_ref = measure_compile_pair(graph, compile_repeats)
+        load, load_ref = measure_load_pair(name, repeats)
         row = {
             "dataset": name,
             "num_vertices": graph.num_vertices,
@@ -261,6 +322,9 @@ def run_experiment(datasets=None, repeats=5, compile_repeats=1,
             "compile_s": compile_,
             "compile_s_reference": compile_ref,
             "compile_speedup": compile_ref["min_s"] / compile_["min_s"],
+            "load_s": load,
+            "load_s_reference": load_ref,
+            "load_speedup": load_ref["min_s"] / load["min_s"],
         }
         rows.append(row)
         print(
@@ -269,7 +333,10 @@ def run_experiment(datasets=None, repeats=5, compile_repeats=1,
             f"{row['epoch_speedup']:.2f}x) | "
             f"compile {compile_['min_s']*1e3:8.1f} ms "
             f"(ref {compile_ref['min_s']*1e3:8.1f} ms, "
-            f"{row['compile_speedup']:.2f}x)"
+            f"{row['compile_speedup']:.2f}x) | "
+            f"load {load['min_s']*1e3:7.1f} ms "
+            f"(ref {load_ref['min_s']*1e3:7.1f} ms, "
+            f"{row['load_speedup']:.2f}x)"
         )
     largest = rows[-1]
     print(

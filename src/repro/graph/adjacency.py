@@ -13,6 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.utils.ranges import stable_argsort
+
 
 class Adjacency:
     """Edge ids grouped by a key vertex array.
@@ -30,9 +32,9 @@ class Adjacency:
     def __init__(self, key: np.ndarray, other: np.ndarray, num_vertices: int):
         if len(key) != len(other):
             raise ValueError("key and other must have equal length")
-        order = np.argsort(key, kind="stable")
         self.num_vertices = int(num_vertices)
-        self.edge_ids = order.astype(np.int64)
+        order = stable_argsort(key, self.num_vertices)
+        self.edge_ids = order.astype(np.int64, copy=False)
         self.key = key[order]
         self.other = other[order]
         counts = np.bincount(key, minlength=num_vertices)

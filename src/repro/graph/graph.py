@@ -41,6 +41,11 @@ class Graph:
             raise ValueError("src vertex id out of range")
         if len(dst) and (dst.min() < 0 or dst.max() >= num_vertices):
             raise ValueError("dst vertex id out of range")
+        if edge_weight is not None and len(edge_weight) != len(src):
+            raise ValueError(
+                f"edge_weight has {len(edge_weight)} entries for "
+                f"{len(src)} edges"
+            )
         self.num_vertices = int(num_vertices)
         self.src = src
         self.dst = dst

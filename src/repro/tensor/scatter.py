@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.ranges import expand_ranges
+from repro.utils.ranges import expand_ranges, stable_argsort
 
 # A round costs ~2 us of Python and numpy dispatch however few rows are
 # still active: below this many elements (active rows x width) it loses
@@ -53,14 +53,6 @@ ROUND_ELEMENTS = 512
 # (docs/performance.md, "Small-call path"), so the rounds must cover at
 # least this many.
 MIN_ELEMENTS = 32768
-
-
-def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of non-negative ``keys < bound``; keys that fit
-    16 bits take numpy's radix sort (~12x faster than int64 merge)."""
-    if bound <= 1 << 16:
-        keys = keys.astype(np.uint16)
-    return np.argsort(keys, kind="stable")
 
 
 def _validated(index: np.ndarray, num_rows: int, what: str = "scatter") -> np.ndarray:
@@ -149,7 +141,7 @@ def _schedule(index: np.ndarray, num_rows: int, width: int, min_elements: int):
         order = None
         grouped = index
     else:
-        order = _stable_argsort(index, num_rows)
+        order = stable_argsort(index, num_rows)
         grouped = index[order]
     is_start = np.empty(num_edges, dtype=bool)
     is_start[0] = True
@@ -157,7 +149,7 @@ def _schedule(index: np.ndarray, num_rows: int, width: int, min_elements: int):
     starts = np.flatnonzero(is_start)
     degree = np.append(starts[1:], num_edges) - starts
     top = int(degree.max())
-    rank = _stable_argsort(top - degree, top + 1)
+    rank = stable_argsort(top - degree, top + 1)
     starts, degree = starts[rank], degree[rank]
     rows = grouped[starts]
 

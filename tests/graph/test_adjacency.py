@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.adjacency import Adjacency
+from repro.utils.ranges import stable_argsort
 
 
 class TestBasics:
@@ -69,3 +70,51 @@ def test_every_edge_appears_exactly_once(data):
     original = sorted(zip(key.tolist(), other.tolist()))
     grouped = sorted(zip(adj.key.tolist(), adj.other.tolist()))
     assert original == grouped
+
+
+def _reference(key, other, num_vertices):
+    """``Adjacency``'s fields from the int64 stable argsort it used to
+    call, kept as the reference for ``stable_argsort``'s radix paths."""
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=num_vertices)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return order, key[order], other[order], indptr
+
+
+class TestMatchesStableArgsort:
+    @pytest.mark.parametrize("num_vertices", [
+        1, 300, 1 << 16,                    # one uint16 radix pass
+        (1 << 16) + 1, 300_000, 1 << 21,    # two 16-bit passes
+    ])
+    @pytest.mark.parametrize("num_edges", [0, 1, 5000])
+    def test_fields_are_array_equal(self, num_vertices, num_edges):
+        rng = np.random.default_rng(num_vertices + num_edges)
+        # Heavy duplication exercises stability; the top id exercises
+        # the widest key of the range.
+        key = rng.integers(0, num_vertices, size=num_edges)
+        key[: num_edges // 2] = rng.integers(0, 4, size=num_edges // 2) * (
+            num_vertices // 4)
+        if num_edges:
+            key[-1] = num_vertices - 1
+        other = rng.integers(0, num_vertices, size=num_edges)
+        adj = Adjacency(key, other, num_vertices)
+        order, key_sorted, other_sorted, indptr = _reference(
+            key, other, num_vertices)
+        assert adj.edge_ids.dtype == np.int64
+        for got, want in [(adj.edge_ids, order), (adj.key, key_sorted),
+                          (adj.other, other_sorted), (adj.indptr, indptr)]:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bound", [
+        1, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1, 1 << 40,
+    ])
+    def test_sort_helper_at_every_width(self, bound):
+        # Above 2**32 an Adjacency's indptr alone would need 32 GB, so
+        # the int64 path is checked on the sort helper itself.
+        rng = np.random.default_rng(bound % 1000)
+        keys = rng.integers(0, bound, size=4000)
+        keys[:2000] = rng.integers(0, bound, size=8)[rng.integers(0, 8, 2000)]
+        keys[-1] = bound - 1
+        assert np.array_equal(
+            stable_argsort(keys, bound), np.argsort(keys, kind="stable")
+        )

@@ -212,6 +212,88 @@ class TestScaledSocial:
             generators.scaled_social(num_vertices)
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("make, argument, value", [
+        (lambda: generators.locality_graph(10, -5), "num_edges", -5),
+        (lambda: generators.erdos_renyi(10, -5), "num_edges", -5),
+        (lambda: generators.locality_graph(0, 10), "num_vertices", 0),
+        (lambda: generators.erdos_renyi(0, 10), "num_vertices", 0),
+        (lambda: generators.community(0, 4, 3.0), "num_vertices", 0),
+        (lambda: generators.community(10, 0, 2.0), "num_communities", 0),
+        (lambda: generators.community(10, 2, -1.0), "avg_degree", -1.0),
+        (lambda: generators.scaled_social(100, avg_degree=-1.0),
+         "avg_degree", -1.0),
+        (lambda: generators.scaled_social(100, num_communities=0),
+         "num_communities", 0),
+    ])
+    def test_rejects_the_argument_by_name(self, make, argument, value):
+        with pytest.raises(ValueError, match=f"^{argument} must be >= .*, "
+                                             f"got {value}$"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: generators.locality_graph(10, 0),
+        lambda: generators.erdos_renyi(10, 0),
+        lambda: generators.community(10, 2, 0.0),
+        lambda: generators.scaled_social(10, avg_degree=0.0),
+    ])
+    def test_zero_edges_is_an_empty_graph(self, make):
+        g = make()
+        assert g.num_vertices == 10 and g.num_edges == 0
+
+
+class TestInverseCdf:
+    """``_inverse_cdf`` against ``np.searchsorted(..., side="left")``."""
+
+    @staticmethod
+    def _same(cdf, values):
+        got = generators._inverse_cdf(cdf, values)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        size=st.integers(1, 300),
+        spread=st.floats(0.0, 30.0),
+        num_values=st.integers(0, 500),
+    )
+    def test_random_weights(self, seed, size, spread, num_values):
+        # Weights spanning up to 2**spread in magnitude make buckets
+        # hold from zero to many entries, so the walk and the
+        # ``np.searchsorted`` tail both run.
+        rng = np.random.default_rng(seed)
+        cdf = np.cumsum(np.exp2(rng.uniform(-spread, 0.0, size)))
+        exact = np.concatenate(
+            [cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)]
+        )
+        values = np.concatenate([rng.random(num_values) * cdf[-1], [0.0],
+                                 exact[exact >= 0]])
+        self._same(cdf, rng.permutation(values))
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.85, 1.7, 6.0])
+    def test_zipf_cdf(self, exponent):
+        cdf = np.cumsum(np.arange(1, 2561, dtype=np.float64) ** -exponent)
+        values = np.random.default_rng(0).random(50_000) * cdf[-1]
+        self._same(cdf, np.concatenate([values, cdf]))
+
+    def test_saturated_cumsum_with_zero_gaps(self):
+        # 1e16 swallows every unit weight after it: a long run of equal
+        # entries, where the left insertion point is the run's head.
+        weights = np.concatenate([[1.0, 1e16], np.ones(500), [1e16]])
+        cdf = np.cumsum(weights)
+        assert (np.diff(cdf) == 0).sum() >= 500
+        values = np.concatenate([
+            cdf, np.nextafter(cdf, np.inf), np.nextafter(cdf, -np.inf),
+            np.random.default_rng(1).random(1000) * cdf[-1],
+        ])
+        self._same(cdf, values)
+
+    def test_single_entry_and_no_values(self):
+        self._same(np.array([2.5]), np.array([0.0, 1.0, 2.5]))
+        self._same(np.array([1.0, 2.0]), np.empty(0))
+
+
 class TestAttachFeatures:
     def test_community_labels_follow_membership(self):
         g = generators.community(40, 4, 5.0, seed=0)

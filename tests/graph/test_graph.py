@@ -25,6 +25,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="equal length"):
             Graph(3, np.array([0]), np.array([1, 2]))
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_rejects_edge_weight_of_the_wrong_length(self, count):
+        with pytest.raises(ValueError, match=f"^edge_weight has {count} "
+                                             "entries for 2 edges$"):
+            Graph(4, [0, 1], [1, 2], edge_weight=np.ones(count))
+
     def test_default_edge_weights_are_ones(self, tiny_graph):
         assert np.allclose(tiny_graph.edge_weight, 1.0)
 
