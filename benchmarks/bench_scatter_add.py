@@ -10,8 +10,12 @@ operations) plus a Zipf-hub index whose hub rows outlive the rounds:
   on the forward shape);
 - ``reddit_forward`` / ``reddit_backward`` / ``reddit_accumulate``:
   ``fullbatch_reddit`` aggregation at width 602, the layer-2 gather
-  adjoint (float64, unsorted) and ``LayerExecutor.accumulate``'s
-  float64-into-float32 gradient routing;
+  adjoint (unsorted) and ``LayerExecutor.accumulate``'s gradient
+  routing, all float32 as training runs them;
+- ``float64_backward`` / ``float64_accumulate``: the same two adjoint
+  shapes for a float64 model (gradcheck and float64 reference runs),
+  whose float64 gradients ``LayerExecutor.accumulate`` adds into its
+  float32 accumulator;
 - ``serve_closure_small`` / ``serve_closure_large``: ``serve_social``
   float64 closures, the most common one (below the cut-over, so this
   measures what the early exit costs) and the largest bucket;
@@ -41,8 +45,9 @@ A third table is the fused aggregation: ``gather_scatter_rows`` against
 the chain it replaced (``x[gather] * weights[:, None]`` built whole,
 then ``scatter_rows``) on the calls the layers make --
 ``aggregate_reddit_forward`` / ``aggregate_reddit_adjoint``
-(``fullbatch_reddit`` layer 1 forward and the layer-2 adjoint, float64
-gradients against float32 weights), ``aggregate_sampled_bottom``
+(``fullbatch_reddit`` layer 1 forward and the layer-2 adjoint, float32
+throughout), ``aggregate_float64_adjoint`` (that adjoint for a float64
+model: float64 gradients against float32 weights), ``aggregate_sampled_bottom``
 (``sampled_social``'s bottom block) and ``aggregate_serve_closure``
 (``serve_social``'s most common closure, under the cut-over, where the
 kernel *is* the chain plus two index checks).  Bits are equal on every
@@ -102,8 +107,10 @@ SHAPES = {
     "sampled_l0_forward": (15306, 1154, 64, "sorted", "f4", "f4"),
     "sampled_l0_backward": (15306, 14000, 64, "unsorted", "f4", "f4"),
     "reddit_forward": (6121, 75, 602, "sorted", "f4", "f4"),
-    "reddit_backward": (6670, 600, 256, "unsorted", "f8", "f8"),
-    "reddit_accumulate": (75, 75, 256, "permutation", "f4", "f8"),
+    "reddit_backward": (6670, 600, 256, "unsorted", "f4", "f4"),
+    "reddit_accumulate": (75, 75, 256, "permutation", "f4", "f4"),
+    "float64_backward": (6670, 600, 256, "unsorted", "f8", "f8"),
+    "float64_accumulate": (75, 75, 256, "permutation", "f4", "f8"),
     "serve_closure_small": (16, 1, 64, "sorted", "f8", "f8"),
     "serve_closure_large": (400, 22, 64, "sorted", "f8", "f8"),
     "zipf_hub": (20000, 2000, 64, "zipf", "f4", "f4"),
@@ -130,7 +137,8 @@ AGGREGATE_COLUMNS = (
 )
 AGGREGATE_SHAPES = {
     "aggregate_reddit_forward": (6641, 600, 75, 602, "sorted", "f4", "f4"),
-    "aggregate_reddit_adjoint": (6641, 75, 600, 256, "unsorted", "f8", "f4"),
+    "aggregate_reddit_adjoint": (6641, 75, 600, 256, "unsorted", "f4", "f4"),
+    "aggregate_float64_adjoint": (6641, 75, 600, 256, "unsorted", "f8", "f4"),
     "aggregate_sampled_bottom": (19515, 9902, 1161, 64, "sorted", "f4", "f4"),
     "aggregate_serve_closure": (17, 17, 1, 64, "sorted", "f8", "f4"),
 }

@@ -87,16 +87,29 @@ class Module:
                 f"state dict mismatch: missing={sorted(missing)}, "
                 f"unexpected={sorted(unexpected)}"
             )
+        stored = {name: np.asarray(state[name]) for name in own}
         for name, p in own.items():
-            if p.data.shape != state[name].shape:
+            if p.data.shape != stored[name].shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "
-                    f"{p.data.shape} vs {state[name].shape}"
+                    f"{p.data.shape} vs {stored[name].shape}"
                 )
-            # Keep the stored dtype: a resumed trajectory must be
-            # bit-identical to the uninterrupted one, and training can
-            # legitimately widen parameters (e.g. float64 Adam updates).
-            p.data = np.asarray(state[name]).copy()
+            check_dtype(name, stored[name], p.data)
+        for name, p in own.items():
+            p.data = stored[name].copy()
+
+
+def check_dtype(name: str, stored: np.ndarray, own: np.ndarray) -> None:
+    """Reject a checkpoint array whose dtype differs from ``own``'s.
+
+    Training never changes a parameter's dtype, so a mismatch means the
+    checkpoint belongs to another model; adopting it would silently
+    change the precision of every later step.
+    """
+    if stored.dtype != own.dtype:
+        raise ValueError(
+            f"{name}: checkpoint has {stored.dtype}, parameter is {own.dtype}"
+        )
 
 
 class Linear(Module):

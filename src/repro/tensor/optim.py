@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
+from repro.tensor.nn import check_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -50,15 +51,15 @@ class Optimizer:
             )
 
     def _check_array(self, name: str, value: np.ndarray, index: int) -> np.ndarray:
-        expected = self.params[index].data.shape
-        if value.shape != expected:
+        value = np.asarray(value)
+        own = self.params[index].data
+        if value.shape != own.shape:
             raise ValueError(
                 f"optimizer state {name!r} has shape {value.shape}, "
-                f"parameter {index} expects {expected}"
+                f"parameter {index} expects {own.shape}"
             )
-        # Keep the stored dtype: the restored trajectory must be
-        # bit-identical to the uninterrupted one.
-        return np.asarray(value).copy()
+        check_dtype(f"optimizer state {name!r}", value, own)
+        return value.copy()
 
 
 class Adam(Optimizer):
@@ -114,12 +115,10 @@ class Adam(Optimizer):
                 f"Adam state mismatch: checkpoint has {sorted(arrays)}, "
                 f"optimizer expects {sorted(expected)}"
             )
-        self._m = [
-            self._check_array(f"m_{i}", arrays[f"m_{i}"], i)
-            for i in range(len(self.params))
-        ]
-        self._v = [
-            self._check_array(f"v_{i}", arrays[f"v_{i}"], i)
-            for i in range(len(self.params))
-        ]
+        # Both lists are checked before either is assigned.
+        self._m, self._v = (
+            [self._check_array(f"{tag}_{i}", arrays[f"{tag}_{i}"], i)
+             for i in range(len(self.params))]
+            for tag in ("m", "v")
+        )
         self._step_count = int(state.get("scalars", {}).get("step_count", 0))

@@ -7,7 +7,9 @@ records the function on the implicit tape (the ``_ctx`` pointers), and
 :meth:`Tensor.backward` replays the tape in reverse topological order.
 
 Only float64/float32 numerics are supported; GNN training in this
-reproduction uses float32 to match the paper's GPU setting.
+reproduction uses float32 to match the paper's GPU setting.  A Python
+scalar operand takes the dtype of the tensors it meets (see
+:meth:`Function.apply`), so a float32 model stays float32 end to end.
 """
 
 from __future__ import annotations
@@ -52,6 +54,24 @@ def _as_array(value: Arrayish, dtype=None) -> np.ndarray:
     return array
 
 
+def _is_weak(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, np.generic)
+
+
+def _operands(inputs: Tuple[Arrayish, ...]) -> Tuple["Tensor", ...]:
+    """``inputs`` as tensors, Python scalars cast to the others' dtype."""
+    values = [
+        value if isinstance(value, Tensor) or _is_weak(value) else Tensor(value)
+        for value in inputs
+    ]
+    strong = [value.data for value in values if isinstance(value, Tensor)]
+    dtype = np.result_type(*strong) if strong else None
+    return tuple(
+        value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=dtype))
+        for value in values
+    )
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -93,9 +113,21 @@ class Function:
 
     @classmethod
     def apply(cls, *inputs: Arrayish, **kwargs) -> "Tensor":
-        tensors = tuple(
-            value if isinstance(value, Tensor) else Tensor(value) for value in inputs
-        )
+        """Record ``cls`` on the tape over ``inputs`` and return its output.
+
+        A Python ``int`` or ``float`` operand is weak, as NumPy's own
+        scalars are: it becomes an array of the result dtype of the
+        other operands, so ``x / 2.0`` and ``1.0 - x`` keep a float32
+        ``x`` float32 and a float64 one float64.  Every other operand
+        (a ``Tensor``, a NumPy array of any rank, 0-d included, or a
+        NumPy scalar such as ``np.float64(2.0)``) is strong and keeps
+        NumPy's promotion: a float64 array meeting a float32 tensor
+        makes the result float64.  With no strong operand, a float
+        becomes float64 and an int float32.
+        """
+        tensors = inputs
+        if not all(isinstance(value, Tensor) for value in inputs):
+            tensors = _operands(inputs)
         ctx = cls(*tensors, **kwargs) if kwargs else cls(*tensors)
         data = ctx.forward(*(t.data for t in tensors))
         requires = _grad_enabled() and any(t.requires_grad for t in tensors)

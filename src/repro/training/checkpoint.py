@@ -43,8 +43,8 @@ def save_checkpoint(model: Module, path: Union[str, Path], **metadata) -> Path:
 def load_checkpoint(model: Module, path: Union[str, Path]) -> dict:
     """Load parameters from ``path`` into ``model``; returns metadata.
 
-    Raises ``KeyError``/``ValueError`` on parameter-name or shape
-    mismatches (delegated to :meth:`Module.load_state_dict`).
+    Raises ``KeyError``/``ValueError`` on parameter-name, shape or
+    dtype mismatches (delegated to :meth:`Module.load_state_dict`).
     """
     path = Path(path)
     with np.load(path) as archive:

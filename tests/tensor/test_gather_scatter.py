@@ -325,7 +325,9 @@ class TestFusedOpBits:
         rng = np.random.default_rng(13)
         case = _make_case(rng, 300, 80, 100, 7, x_dtype, w_dtype, "zipf", sort, None)
         self._check(case, reducer)
-        # The loss hands float64 seeds to float32 layers.
+        # A float64 seed into float32 layers: training no longer makes
+        # one (the loss keeps its inputs' dtype), but the Function must
+        # still match the chain when a caller passes it.
         self._check(case, reducer, seed_dtype="f8")
 
     def test_tape_saves_no_array(self):

@@ -118,6 +118,20 @@ class TestStateDict:
         with pytest.raises(ValueError, match="shape mismatch"):
             layer.load_state_dict(state)
 
+    def test_dtype_mismatch_raises(self):
+        layer = nn.Linear(2, 2)
+        weight = layer.weight.data.copy()
+        state = {name: value + 1.0 for name, value in layer.state_dict().items()}
+        state["bias"] = state["bias"].astype(np.float64)
+        with pytest.raises(
+            ValueError,
+            match="^bias: checkpoint has float64, parameter is float32$",
+        ):
+            layer.load_state_dict(state)
+        # Nothing is loaded, not even the parameters checked before bias.
+        assert layer.bias.data.dtype == np.float32
+        np.testing.assert_array_equal(layer.weight.data, weight)
+
 
 class TestTrainEval:
     def test_train_flag_propagates(self):

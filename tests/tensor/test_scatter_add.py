@@ -321,10 +321,11 @@ class TestFlatSmallBlocks:
 
 
     def test_blocks_numpy_would_cast_break_even_at_a_third(self, monkeypatch):
-        # LayerExecutor.accumulate's shape on reddit, float64 into
-        # float32: below the flat cut-over, but the flat form cannot
-        # take it and numpy's casting loop is ~15x slower than the
-        # rounds there, so it must not leave through the helper.
+        # LayerExecutor.accumulate's shape on reddit for a float64 model
+        # (float32 training adds float32 rows): float64 into float32,
+        # below the flat cut-over, but the flat form cannot take it and
+        # numpy's casting loop is ~15x slower than the rounds there, so
+        # it must not leave through the helper.
         helper_calls = []
         real = scatter._add_at
         monkeypatch.setattr(

@@ -77,6 +77,23 @@ class TestOptimizerCheckpoint:
         for v_a, v_b in zip(opt._v, opt2._v):
             np.testing.assert_array_equal(v_a, v_b)
 
+    def test_optimizer_dtype_mismatch_rejected(self):
+        model = GNNModel.gcn(8, 16, 3, seed=1)
+        opt = Adam(model.parameters(), lr=0.01)
+        _take_steps(model, opt)
+        state = opt.state_dict()
+        state["arrays"]["v_1"] = state["arrays"]["v_1"].astype(np.float64)
+        opt2 = Adam(GNNModel.gcn(8, 16, 3, seed=2).parameters(), lr=0.01)
+        with pytest.raises(
+            ValueError,
+            match="^optimizer state 'v_1': checkpoint has float64, "
+            "parameter is float32$",
+        ):
+            opt2.load_state_dict(state)
+        # Nothing is loaded, not even the moments checked before v_1.
+        assert opt2._step_count == 0
+        assert all(not m.any() for m in opt2._m)
+
     def test_optimizer_kind_mismatch_rejected(self):
         model = GNNModel.gcn(8, 16, 3, seed=1)
         opt = Adam(model.parameters())
