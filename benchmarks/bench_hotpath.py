@@ -86,7 +86,7 @@ def _select_ref(self, vertices):
         return empty, empty.copy(), empty.copy()
     spans = [(self.indptr[v], self.indptr[v + 1]) for v in vertices]
     return (
-        np.concatenate([self.key[lo:hi] for lo, hi in spans]),
+        np.array([hi - lo for lo, hi in spans], dtype=np.int64),
         np.concatenate([self.other[lo:hi] for lo, hi in spans]),
         np.concatenate([self.edge_ids[lo:hi] for lo, hi in spans]),
     )
@@ -264,7 +264,7 @@ def measure_compile_pair(graph, repeats):
 
 GRAPH_FIELDS = ("src", "dst", "edge_weight", "features", "labels",
                 "train_mask", "val_mask", "test_mask")
-INDEX_FIELDS = ("edge_ids", "key", "other", "indptr")
+INDEX_FIELDS = ("edge_ids", "other", "indptr")
 
 
 def _cold_start(name):

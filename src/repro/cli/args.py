@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from repro.cache import CacheConfig
-from repro.cli.base import arg
+from repro.cli.base import UsageError, arg
 from repro.cluster.spec import ClusterSpec
 from repro.comm.scheduler import CommOptions
 from repro.core.model import GNNModel
@@ -268,9 +268,11 @@ class Setup:
 
     def __init__(self, args):
         self.args = args
-        self.graph = prepare_graph(
-            load_dataset(args.dataset, scale=args.scale), args.arch
-        )
+        try:
+            graph = load_dataset(args.dataset, scale=args.scale)
+        except ValueError as err:
+            raise UsageError(f"argument --scale: {err}") from None
+        self.graph = prepare_graph(graph, args.arch)
         self.hidden = args.hidden or spec_of(args.dataset).hidden_dim
         self.cluster = cluster_of(args)
 

@@ -313,7 +313,7 @@ class DependencyCostModel:
             if k < layer - 1:
                 # Descend: the level above's pairs become their in-edges'
                 # sources.
-                vertices = csc.other[csc._edge_range_index(vertices)]
+                vertices = csc.other[csc._runs(vertices)[1]]
                 positions = np.repeat(positions, degrees)
                 peak_pairs = max(peak_pairs, len(vertices))
             keep = ~(self.owned_mask[vertices] | self.replicated[k][vertices])

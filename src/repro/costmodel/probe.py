@@ -115,10 +115,9 @@ def probe_constants(
     t_v_layer: List[float] = []
     t_e_layer: List[float] = []
     t_c_layer: List[float] = []
-    all_vertices = list(range(test_graph.num_vertices))
+    block = build_block(test_graph, range(test_graph.num_vertices))
     for l in range(1, model.num_layers + 1):
         layer = model.layer(l)
-        block = build_block(test_graph, all_vertices, l)
         dense_s = device.dense_time(layer.dense_flops(block))
         sparse_s = device.sparse_time(layer.sparse_flops(block))
         per_vertex = dense_s / block.num_outputs * _BACKWARD_COMPUTE

@@ -134,7 +134,7 @@ def run_closure_forward(model, graph, vertex_layers) -> np.ndarray:
         for l in range(1, L + 1):
             compute_ids = vertex_layers[L - l]
             block = closure_block(
-                graph, compute_ids, input_ids, l, graph.csc.select(compute_ids)
+                graph, compute_ids, input_ids, graph.csc.select(compute_ids)
             )
             prev = model.layer(l).forward(block, Tensor(prev)).data
             input_ids = compute_ids
@@ -363,7 +363,7 @@ class ClosureMemo:
             if l == 1
             else self._stores[l - 2].read(inputs)
         )
-        block = closure_block(graph, compute, inputs, l, in_edges)
+        block = closure_block(graph, compute, inputs, in_edges)
         layer = model.layer(l)
         aggregated = ops.fused_scatter_gather(block, Tensor(x), layer.fused_reducer()).data
         h_dst = x.take(block.compute_pos_in_inputs, axis=0) if layer.vertex_reads_dst else None
@@ -402,7 +402,7 @@ class ClosureMemo:
                 if L == 1
                 else self._stores[L - 2].read(inputs)
             )
-            block = closure_block(graph, seeds, inputs, L, graph.csc.select(seeds))
+            block = closure_block(graph, seeds, inputs, graph.csc.select(seeds))
             with no_grad():
                 return model.layer(L).forward(block, Tensor(x)).data
         self.rows_memoised[-1] += count
@@ -606,8 +606,11 @@ class LayerExecutor:
             # Features are static, so a "stale" cached feature row is
             # bit-identical to a fresh fetch; no override needed.
             return engine.graph.features[ids]
-        rows = np.empty((len(ids), engine.dims[l - 1]), dtype=np.float32)
         route = engine.program_.layers[l - 1].workers[w].route
+        # In the producing layer's dtype: float32 in training, float64
+        # for a float64 model (gradcheck, the golden's reference run).
+        dtype = h_values[l - 1][route.sources[0]].dtype
+        rows = np.empty((len(ids), engine.dims[l - 1]), dtype=dtype)
         for j in route.sources:
             src_rows = route.src_rows[route.buffer.chunk_slice(j)]
             rows[route.buffer.source_rows(j)] = h_values[l - 1][j][src_rows]
@@ -751,7 +754,7 @@ class LayerExecutor:
                 plan.blocks[layer_idx][worker].num_outputs,
                 engine.dims[layer_idx + 1],
             )
-            acc = np.zeros(shape, dtype=np.float32)
+            acc = np.zeros(shape, dtype=rows.dtype)  # float64 stays float64
             grad_acc[layer_idx][worker] = acc
         scatter_add_rows(acc, positions, rows)
 

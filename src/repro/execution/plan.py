@@ -140,9 +140,6 @@ def build_engine_plan(engine) -> EnginePlan:
     stale_ids: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
     blocks: List[List[LayerBlock]] = [[None] * m for _ in range(L)]
     all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
-    # Full-graph blocks are identical for every worker of a TP layer;
-    # build each once and share the object.
-    full_blocks: Dict[int, LayerBlock] = {}
     for w in range(m):
         owned = engine.partitioning.part(w)
         need = owned
@@ -153,14 +150,13 @@ def build_engine_plan(engine) -> EnginePlan:
                 # transpose leaves full-width outputs at their owners
                 # only -- so the layer needs no dependency decisions
                 # and resets the downward closure to the owned set.
-                if l not in full_blocks:
-                    full_blocks[l] = build_block(graph, all_vertices, l)
-                blocks[l - 1][w] = full_blocks[l]
+                # One memoised full-graph block serves every worker.
+                blocks[l - 1][w] = build_block(graph, all_vertices)
                 comm_ids[l - 1][w] = empty
                 stale_ids[l - 1][w] = empty
                 need = owned
                 continue
-            block = build_block(graph, need, l)
+            block = build_block(graph, need)
             blocks[l - 1][w] = block
             remote_inputs = block.input_vertices[
                 engine.assignment[block.input_vertices] != w

@@ -35,7 +35,6 @@ class Adjacency:
         self.num_vertices = int(num_vertices)
         order = stable_argsort(key, self.num_vertices)
         self.edge_ids = order.astype(np.int64, copy=False)
-        self.key = key[order]
         self.other = other[order]
         counts = np.bincount(key, minlength=num_vertices)
         self.indptr = np.concatenate(
@@ -44,7 +43,7 @@ class Adjacency:
 
     @property
     def num_edges(self) -> int:
-        return len(self.key)
+        return len(self.other)
 
     def degree(self, vertex: int) -> int:
         return int(self.indptr[vertex + 1] - self.indptr[vertex])
@@ -59,53 +58,33 @@ class Adjacency:
 
     def neighbors_of_set(self, vertices: np.ndarray) -> np.ndarray:
         """Unique opposite endpoints over a vertex set (BFS frontier step)."""
-        if len(vertices) == 0:
-            return np.empty(0, dtype=np.int64)
-        idx = self._edge_range_index(np.asarray(vertices, dtype=np.int64))
+        _, idx = self._runs(np.asarray(vertices, dtype=np.int64))
         return np.unique(self.other[idx])
 
-    def _edge_range_index(self, vertices: np.ndarray) -> np.ndarray:
-        """Flat positions of every grouped edge of ``vertices``.
+    def _runs(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-vertex edge counts and the flat positions of every
+        grouped edge of ``vertices``.
 
-        One offset-arithmetic gather over ``indptr`` replaces the old
-        per-vertex list of slices: the i-th vertex's CSR range
-        ``[indptr[v], indptr[v+1])`` lands contiguously at output offset
-        ``cumsum(counts)[i-1]``, preserving per-vertex order.
+        One offset-arithmetic gather over ``indptr``: the i-th vertex's
+        range ``[indptr[v], indptr[v+1])`` lands contiguously at output
+        offset ``cumsum(counts)[i-1]``, preserving per-vertex order.
         """
         starts = self.indptr[vertices]
         counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
         offsets = np.cumsum(counts) - counts
-        return np.arange(total, dtype=np.int64) + np.repeat(
+        idx = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
             starts - offsets, counts
         )
+        return counts, idx
 
     def select(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All grouped edges of a vertex set.
+        """All grouped edges of a vertex set, as per-vertex runs.
 
-        Returns ``(key_vertices, other_vertices, edge_ids)`` concatenated
-        over the set, preserving per-vertex order.
+        Returns ``(counts, other_vertices, edge_ids)``: ``counts[i]`` is
+        the number of grouped edges of ``vertices[i]``, and the other two
+        are concatenated over the set in that order, preserving
+        per-vertex order.  Every edge of vertex ``v``'s run has key
+        ``v``, so the per-edge keys are ``np.repeat(vertices, counts)``.
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if len(vertices) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (
-                np.empty(0, dtype=self.key.dtype),
-                np.empty(0, dtype=self.other.dtype),
-                np.empty(0, dtype=self.edge_ids.dtype),
-            )
-        offsets = np.cumsum(counts) - counts
-        idx = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - offsets, counts
-        )
-        # The grouped key of every edge in vertex v's range IS v, so the
-        # key gather collapses to a repeat of the query vertices.
-        keys = np.repeat(vertices, counts).astype(self.key.dtype, copy=False)
-        return keys, self.other[idx], self.edge_ids[idx]
+        counts, idx = self._runs(np.asarray(vertices, dtype=np.int64))
+        return counts, self.other[idx], self.edge_ids[idx]

@@ -15,6 +15,7 @@ networks (Cora/Citeseer/Pubmed) use a preferential-attachment DAG.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -228,9 +229,13 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Graph:
     ``scale`` multiplies the vertex count (benchmarks use ``scale < 1``
     for quick runs).  Results are cached per ``(name, scale, seed)``;
     callers must not mutate the returned graph -- use
-    :meth:`Graph.gcn_normalized` and friends, which copy.
+    :meth:`Graph.gcn_normalized` and friends, which copy.  A tiny
+    positive ``scale`` gives the 16-vertex floor graph.
     """
-    return _build(resolve_name(name), float(scale), int(seed))
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive finite number, got {scale}")
+    return _build(resolve_name(name), scale, int(seed))
 
 
 def spec_of(name: str) -> DatasetSpec:

@@ -114,7 +114,6 @@ def khop_closures(graph: Graph, seeds: np.ndarray, hops: int) -> Closures:
     count = len(seeds)
     num_vertices = max(graph.num_vertices, 1)
     num_edges = max(graph.num_edges, 1)
-    indptr = graph.csc.indptr
     origin = np.arange(count, dtype=np.int64)
     frontier = seeds
     layer = origin * num_vertices + seeds
@@ -122,8 +121,8 @@ def khop_closures(graph: Graph, seeds: np.ndarray, hops: int) -> Closures:
     edge_keys: List[np.ndarray] = []
     edges = _EMPTY
     for _ in range(hops):
-        _, sources, eids = graph.csc.select(frontier)
-        by = np.repeat(origin, indptr[frontier + 1] - indptr[frontier])
+        counts, sources, eids = graph.csc.select(frontier)
+        by = np.repeat(origin, counts)
         # A seed's new edges are the in-edges of vertices it had not
         # reached, so none is in its earlier layer.
         edges = np.sort(np.concatenate([edges, by * num_edges + eids]))

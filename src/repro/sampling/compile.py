@@ -54,8 +54,8 @@ class RoundTraffic:
     per_worker_remote: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _empty_closure_block(graph, layer: int):
-    return build_block_from_edges(graph, _EMPTY, _EMPTY, _EMPTY, _EMPTY, layer)
+def _empty_closure_block(graph):
+    return build_block_from_edges(graph, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
 def _bottom_fetch(
@@ -133,7 +133,7 @@ def compile_round(
         for w in range(m):
             closure = closures.get(w)
             if closure is None:
-                row.append(_empty_closure_block(graph, l))
+                row.append(_empty_closure_block(graph))
             else:
                 row.append(closure.blocks[l - 1])
         blocks.append(row)

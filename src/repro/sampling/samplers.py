@@ -200,9 +200,7 @@ class NeighborSampler:
                     num_seeds=num_seeds,
                 )
             for i, (src, dst, eids, scale) in enumerate(samples):
-                block = build_block_from_edges(
-                    graph, frontiers[i], src, dst, eids, l
-                )
+                block = build_block_from_edges(graph, frontiers[i], src, dst, eids)
                 if scale is not None and block.num_edges:
                     block.edge_weight = block.edge_weight * scale
                     block.edge_weight_rescaled = True
@@ -303,9 +301,8 @@ class NeighborSampler:
     def _candidates(self, graph: Graph, frontiers: List[np.ndarray]) -> Candidates:
         """All in-edges of the round's frontiers in one gather."""
         frontier = np.concatenate(frontiers)
-        dst, src, eids = graph.csc.select(frontier)
-        indptr = graph.csc.indptr
-        degrees = indptr[frontier + 1] - indptr[frontier]
+        degrees, src, eids = graph.csc.select(frontier)
+        dst = np.repeat(frontier, degrees)
         offsets = np.cumsum([0] + [len(f) for f in frontiers])
         return Candidates(
             dst, src, eids, degrees, offsets,

@@ -14,7 +14,7 @@ from references import gradcheck
 @pytest.fixture
 def block_setup():
     g = generators.erdos_renyi(10, 30, seed=2).with_self_loops()
-    return g, build_block(g, np.arange(10), 1)
+    return g, build_block(g, np.arange(10))
 
 
 class TestSAGEConv:

@@ -14,7 +14,7 @@ from references import gradcheck
 @pytest.fixture
 def graph_and_block():
     g = generators.erdos_renyi(10, 30, seed=2).gcn_normalized()
-    return g, build_block(g, np.arange(10), 1)
+    return g, build_block(g, np.arange(10))
 
 
 class TestGCNConv:

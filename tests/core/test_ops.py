@@ -14,7 +14,7 @@ from references import gradcheck
 @pytest.fixture
 def star_block():
     g = references.star(3, inward=True)  # 1,2,3 -> 0
-    return g, build_block(g, np.array([0]), 1)
+    return g, build_block(g, np.array([0]))
 
 
 class TestScatterToEdge:
@@ -75,7 +75,7 @@ class TestEdgeAndVertexForward:
     def test_full_pipeline_matches_dense(self):
         """ScatterToEdge -> EdgeForward -> GatherByDst == A @ H."""
         g = generators.erdos_renyi(12, 40, seed=3).gcn_normalized()
-        block = build_block(g, np.arange(12), 1)
+        block = build_block(g, np.arange(12))
         rng = np.random.default_rng(0)
         h = Tensor(rng.standard_normal((12, 5)))
         f_src, _ = ops.scatter_to_edge(block, h)
@@ -89,7 +89,7 @@ class TestEdgeAndVertexForward:
 
     def test_pipeline_differentiable(self):
         g = generators.erdos_renyi(8, 20, seed=4).gcn_normalized()
-        block = build_block(g, np.arange(8), 1)
+        block = build_block(g, np.arange(8))
         h = Tensor(
             np.random.default_rng(1).standard_normal((8, 3)), requires_grad=True
         )

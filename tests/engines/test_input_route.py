@@ -240,7 +240,7 @@ def test_unproduced_input_row_fails_at_compile_time():
 
     engine, plan = build("depcomm")
     owned = engine.partitioning.part(1)
-    plan.blocks[0][1] = build_block(engine.graph, owned[1:], 1)
+    plan.blocks[0][1] = build_block(engine.graph, owned[1:])
     message = r"worker 1 owns input vertex \d+ but does not compute it"
     with pytest.raises(RuntimeError, match=message):
         compile_program(engine, plan)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
+from repro.core.blocks import build_block
 from repro.core.model import GNNModel
 from repro.engines import DepCacheEngine, DepCommEngine, HybridEngine
 from repro.graph.khop import dependency_layers, khop_closure
@@ -13,6 +14,12 @@ from repro.training.prep import prepare_graph
 @pytest.fixture
 def prepared(medium_graph):
     return prepare_graph(medium_graph, "gcn")
+
+
+BLOCK_FIELDS = (
+    "compute_vertices", "input_vertices", "edge_src_pos", "edge_dst_pos",
+    "edge_weight", "compute_pos_in_inputs", "edge_src_global", "edge_ids",
+)
 
 
 def build(engine_cls, graph, m=4, **kwargs):
@@ -127,6 +134,29 @@ class TestPlanGeneralInvariants:
             for w in range(4):
                 owned = engine.partitioning.part(w)
                 assert np.isin(owned, plan.blocks[l][w].compute_vertices).all()
+
+    @pytest.mark.parametrize("engine_cls", [DepCacheEngine, DepCommEngine, HybridEngine])
+    def test_equal_compute_sets_share_one_block(self, prepared, engine_cls):
+        # A block is a function of its compute set: layers that compute
+        # the same vertices hold one object, equal to a fresh build.
+        plan = build(engine_cls, prepared).plan()
+        shared = 0
+        for w in range(4):
+            lower, upper = plan.blocks[0][w], plan.blocks[1][w]
+            same = np.array_equal(lower.compute_vertices, upper.compute_vertices)
+            assert (lower is upper) == same
+            if not same:
+                continue
+            shared += 1
+            prepared.__dict__.pop("_block_cache", None)
+            fresh = build_block(prepared, upper.compute_vertices)
+            assert fresh is not upper
+            for name in BLOCK_FIELDS:
+                a, b = getattr(fresh, name), getattr(upper, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert fresh.edge_weight_rescaled == upper.edge_weight_rescaled
+        if engine_cls is DepCommEngine:
+            assert shared == 4
 
     @pytest.mark.parametrize("engine_cls", [DepCacheEngine, DepCommEngine, HybridEngine])
     def test_plan_idempotent(self, prepared, engine_cls):

@@ -31,14 +31,15 @@ class TestBasics:
         key = np.array([0, 1, 0, 2])
         other = np.array([4, 5, 6, 7])
         adj = Adjacency(key, other, 3)
-        keys, others, eids = adj.select(np.array([0, 2]))
+        counts, others, eids = adj.select(np.array([0, 2]))
+        assert counts.tolist() == [2, 1]
         assert sorted(others.tolist()) == [4, 6, 7]
         assert len(eids) == 3
 
     def test_select_empty(self):
         adj = Adjacency(np.array([0]), np.array([1]), 2)
-        keys, others, eids = adj.select(np.array([], dtype=np.int64))
-        assert len(keys) == len(others) == len(eids) == 0
+        counts, others, eids = adj.select(np.array([], dtype=np.int64))
+        assert len(counts) == len(others) == len(eids) == 0
 
     def test_neighbors_of_set_unique(self):
         key = np.array([0, 1])
@@ -65,11 +66,19 @@ def test_every_edge_appears_exactly_once(data):
     assert (np.diff(adj.indptr) >= 0).all()
     # Every original edge id shows up exactly once.
     assert sorted(adj.edge_ids.tolist()) == list(range(m))
-    # Grouped keys are sorted and edges preserved as pairs.
-    assert (np.diff(adj.key) >= 0).all()
+    # Grouped keys (read off indptr) are sorted and edges preserved as
+    # pairs.
+    grouped_key = _grouped_key(adj)
+    assert (np.diff(grouped_key) >= 0).all()
     original = sorted(zip(key.tolist(), other.tolist()))
-    grouped = sorted(zip(adj.key.tolist(), adj.other.tolist()))
+    grouped = sorted(zip(grouped_key.tolist(), adj.other.tolist()))
     assert original == grouped
+
+
+def _grouped_key(adj):
+    """Each grouped edge's key vertex: vertex ``v`` once per edge of its
+    ``indptr`` range."""
+    return np.repeat(np.arange(adj.num_vertices), np.diff(adj.indptr))
 
 
 def _reference(key, other, num_vertices):
@@ -101,7 +110,7 @@ class TestMatchesStableArgsort:
         order, key_sorted, other_sorted, indptr = _reference(
             key, other, num_vertices)
         assert adj.edge_ids.dtype == np.int64
-        for got, want in [(adj.edge_ids, order), (adj.key, key_sorted),
+        for got, want in [(adj.edge_ids, order), (_grouped_key(adj), key_sorted),
                           (adj.other, other_sorted), (adj.indptr, indptr)]:
             assert np.array_equal(got, want)
 

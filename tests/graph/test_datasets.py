@@ -54,6 +54,16 @@ class TestLoading:
         half = load_dataset("google", scale=0.5)
         assert half.num_vertices < full.num_vertices
 
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_bad_scale_raises(self, scale):
+        with pytest.raises(
+            ValueError, match=f"scale must be a positive finite number, got {float(scale)}$"
+        ):
+            load_dataset("cora", scale=scale)
+
+    def test_tiny_scale_gives_the_floor_graph(self):
+        assert load_dataset("cora", scale=1e-9).num_vertices == 16
+
     def test_cache_returns_same_object(self):
         assert load_dataset("cora", scale=0.2) is load_dataset("cora", scale=0.2)
 

@@ -64,8 +64,10 @@ class TestCsrCsc:
 
     def test_csr_csc_same_edges(self, medium_graph):
         g = medium_graph
-        csr_pairs = set(zip(g.csr.key.tolist(), g.csr.other.tolist()))
-        csc_pairs = set(zip(g.csc.other.tolist(), g.csc.key.tolist()))
+        csr_key = np.repeat(np.arange(g.num_vertices), np.diff(g.csr.indptr))
+        csc_key = np.repeat(np.arange(g.num_vertices), np.diff(g.csc.indptr))
+        csr_pairs = set(zip(csr_key.tolist(), g.csr.other.tolist()))
+        csc_pairs = set(zip(g.csc.other.tolist(), csc_key.tolist()))
         assert csr_pairs == csc_pairs
 
     def test_lazy_and_cached(self, tiny_graph):

@@ -19,11 +19,13 @@ from repro.graph.khop import khop_closure, limited_bfs_in
 
 
 def _select_reference(adj, vertices):
-    """The pre-vectorization select: one indptr slice per vertex."""
+    """The pre-vectorization select: one indptr slice per vertex, with
+    every grouped edge's key vertex read off ``indptr``."""
+    grouped_key = np.repeat(np.arange(adj.num_vertices), np.diff(adj.indptr))
     keys, others, eids = [], [], []
     for v in vertices:
         lo, hi = int(adj.indptr[v]), int(adj.indptr[v + 1])
-        keys.append(adj.key[lo:hi])
+        keys.append(grouped_key[lo:hi])
         others.append(adj.other[lo:hi])
         eids.append(adj.edge_ids[lo:hi])
     empty = np.empty(0, dtype=np.int64)
@@ -70,11 +72,33 @@ def test_select_matches_loop_reference(data):
     n, src, dst, rng = _random_graph(data)
     adj = Adjacency(src, dst, n)
     vertices = _vertex_set(data, rng, n)
-    got = adj.select(vertices)
+    counts, others, eids = adj.select(vertices)
     want = _select_reference(adj, vertices)
+    got = (np.repeat(vertices, counts), others, eids)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_select_runs_cover_isolated_repeated_and_empty_queries(data):
+    # Vertex n has no edges at all; the query repeats a vertex and
+    # always holds the isolated one, or is empty.
+    n, src, dst, rng = _random_graph(data)
+    adj = Adjacency(src, dst, n + 1)
+    vertices = _vertex_set(data, rng, n)
+    if data.draw(st.booleans()):
+        vertices = np.empty(0, dtype=np.int64)
+    elif len(vertices):
+        vertices = np.concatenate([vertices, [n], vertices[:1]])
+    counts, others, eids = adj.select(vertices)
+    assert counts.dtype == np.int64 and len(counts) == len(vertices)
+    assert np.array_equal(counts, np.diff(adj.indptr)[vertices])
+    keys, want_others, want_eids = _select_reference(adj, vertices)
+    assert np.array_equal(np.repeat(vertices, counts), keys)
+    assert np.array_equal(others, want_others)
+    assert np.array_equal(eids, want_eids)
 
 
 @settings(max_examples=60, deadline=None)

@@ -241,7 +241,7 @@ class TestDegenerateInputs:
         g.features = np.zeros((n, 64), dtype=np.float32)
         store = FeatureAggregateStore(g)
         before = resident_bytes()
-        out = store.aggregate(build_block(g, np.arange(1, 65), 1), "weighted_sum")
+        out = store.aggregate(build_block(g, np.arange(1, 65)), "weighted_sum")
         assert out.shape == (64, 64)
         assert store._known.sum() == 64
         assert store._rows.nbytes == 64 << 20
@@ -252,7 +252,7 @@ class TestDegenerateInputs:
         g = references.star(10, inward=True)  # the leaves have no in-edge
         generators.attach_features(g, 5, 2, seed=0)
         layer = GNNModel.build(arch, 5, 4, 2, seed=1).layer(1)
-        block = build_block(g, np.arange(g.num_vertices), 1)
+        block = build_block(g, np.arange(g.num_vertices))
         want = layer.forward(block, Tensor(g.features[block.input_vertices]))
         store = FeatureAggregateStore(g)
         for _ in range(2):  # cold, then every row from the store
@@ -301,7 +301,7 @@ class TestDegenerateInputs:
 
     def test_rescale_in_the_graphs_own_dtype_bypasses_too(self):
         graph = social("gcn")
-        block = build_block(graph, np.arange(20), 1)
+        block = build_block(graph, np.arange(20))
         store = FeatureAggregateStore(graph)
         own = store.aggregate(block, "weighted_sum")
         assert store._known[:20].all()
@@ -320,7 +320,7 @@ class TestInvalidation:
             "gcn", graph.feature_dim, 8, graph.num_classes, seed=2
         ).layer(1)
         store = FeatureAggregateStore(graph)
-        block = build_block(graph, np.arange(30), 1)
+        block = build_block(graph, np.arange(30))
         first = store.forward(layer, block).data
         assert store._known.sum() == 30
 

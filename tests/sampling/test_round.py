@@ -86,7 +86,8 @@ def _multigraph():
 
 def _labor_reference(sampler, graph, frontier, fanout, layer, epoch, batch):
     """LABOR as it was drawn per worker, ranked by the lexsort."""
-    dst, src, eids = graph.csc.select(frontier)
+    counts, src, eids = graph.csc.select(frontier)
+    dst = np.repeat(frontier, counts)
     csc = graph.csc
     degree = (csc.indptr[dst + 1] - csc.indptr[dst]).astype(np.float64)
     r = hashed_uniforms(sampler.seed, "labor", epoch, batch, layer, ids=src)

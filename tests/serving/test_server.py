@@ -53,7 +53,7 @@ def full_graph_logits(graph, model):
     ids = np.arange(graph.num_vertices, dtype=np.int64)
     prev = graph.features.astype(np.float64)
     for l in range(1, model.num_layers + 1):
-        block = build_block(graph, ids, l)
+        block = build_block(graph, ids)
         pos = np.searchsorted(ids, block.input_vertices)
         with no_grad():
             out = model.layer(l).forward(block, Tensor(prev[pos]))

@@ -50,7 +50,7 @@ class TestEmbedding:
         labels = (np.arange(30) % 3).astype(np.int64)
         emb = user_modules.Embedding(30, 8, rng=np.random.default_rng(0))
         conv = GCNConv(8, 3, activation="none", rng=np.random.default_rng(1))
-        block = build_block(g, np.arange(30), 1)
+        block = build_block(g, np.arange(30))
         opt = Adam(list(emb.parameters()) + list(conv.parameters()), lr=0.05)
         first = None
         for _ in range(30):

@@ -376,7 +376,7 @@ class TestLayersMatchUnfused:
             references.rmat(120, 900, seed=graph_seed, bidirectional=True), arch
         )
         compute = rng.choice(120, size=int(rng.integers(1, 90)), replace=False)
-        block = build_block(graph, compute, 1)
+        block = build_block(graph, compute)
         layer = layer_cls(9, 5, rng=np.random.default_rng(graph_seed + 10))
         rows = rng.standard_normal((block.num_inputs, 9)).astype(dtype)
         seed = rng.standard_normal((block.num_outputs, 5))
@@ -397,7 +397,6 @@ class TestNoMessageTensor:
         rng = np.random.default_rng(0)
         dst = np.sort(rng.integers(0, num_rows, size=num_edges))
         block = LayerBlock(
-            layer_index=1,
             compute_vertices=np.arange(num_rows),
             input_vertices=np.arange(num_rows),
             edge_src_pos=rng.integers(0, num_rows, size=num_edges),

@@ -69,6 +69,13 @@ class TestTrain:
         with pytest.raises(KeyError):
             main(["train", "--dataset", "nope", "--epochs", "1"])
 
+    def test_bad_scale_reported_as_usage_error(self, capsys):
+        code = main(["train", "--dataset", "cora", "--scale", "-1", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: argument --scale: scale must be a positive finite number, got -1.0\n"
+        )
+
     def test_oom_reported_as_error(self, capsys):
         code = main([
             "train", "--dataset", "reddit", "--engine", "depcache",
