@@ -268,10 +268,8 @@ INDEX_FIELDS = ("edge_ids", "other", "indptr")
 
 
 def _cold_start(name):
-    # ``load_dataset`` memoises; the function that ``_build`` wraps
-    # generates afresh.
-    graph = prepare_graph(D._build.__wrapped__(D.resolve_name(name), 1.0, 0),
-                          "gcn")
+    # ``load_dataset`` memoises; ``_build`` always generates afresh.
+    graph = prepare_graph(D._build(D.resolve_name(name), 1.0, 0), "gcn")
     graph.csr, graph.csc  # both indexes build on first access
     return graph
 

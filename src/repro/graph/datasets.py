@@ -14,10 +14,12 @@ networks (Cora/Citeseer/Pubmed) use a preferential-attachment DAG.
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -184,7 +186,25 @@ def resolve_name(name: str) -> str:
     return key
 
 
-@functools.lru_cache(maxsize=None)
+# Generated graphs by ``(name, scale, seed)``, least recently used
+# first.  They are kept while their arrays total at most
+# ``_MEMO_BYTES``: one social-large (~23 MiB) fits and two do not.  The
+# newest graph stays even when it alone is larger.
+_MEMO_BYTES = 32 << 20
+_memo: OrderedDict[Tuple[str, float, int], Graph] = OrderedDict()
+
+
+def _memo_bytes() -> int:
+    """Bytes of the arrays the memoised graphs hold as attributes (an
+    index a caller built on one, ``csr`` or ``csc``, is not counted)."""
+    return sum(
+        value.nbytes
+        for graph in _memo.values()
+        for value in vars(graph).values()
+        if isinstance(value, np.ndarray)
+    )
+
+
 def _build(name: str, scale: float, seed: int) -> Graph:
     spec = DATASETS[name]
     n = max(16, int(spec.num_vertices * scale))
@@ -227,15 +247,25 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Graph:
     """Load (generate) a catalog dataset.
 
     ``scale`` multiplies the vertex count (benchmarks use ``scale < 1``
-    for quick runs).  Results are cached per ``(name, scale, seed)``;
-    callers must not mutate the returned graph -- use
+    for quick runs).  Graphs are memoised per ``(name, scale, seed)``
+    while the memoised graphs' arrays stay within a byte bound (about
+    one social-large); past it the least recently loaded graph is
+    dropped and regenerated, bit for bit, when asked for again.  A
+    memoised graph is shared, so callers must not mutate it -- use
     :meth:`Graph.gcn_normalized` and friends, which copy.  A tiny
     positive ``scale`` gives the 16-vertex floor graph.
     """
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a positive finite number, got {scale}")
-    return _build(resolve_name(name), scale, int(seed))
+    key = (resolve_name(name), scale, int(seed))
+    graph = _memo.pop(key, None)
+    if graph is None:
+        graph = _build(*key)
+    _memo[key] = graph
+    while len(_memo) > 1 and _memo_bytes() > _MEMO_BYTES:
+        _memo.popitem(last=False)
+    return graph
 
 
 def spec_of(name: str) -> DatasetSpec:

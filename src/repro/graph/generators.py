@@ -34,6 +34,8 @@ WALK_STEPS = 4
 # Queries per walk block: a block's temporaries stay cache-sized and
 # add no resident memory next to a graph-sized draw.
 WALK_BLOCK = 1 << 15
+# Float64 noise values :func:`attach_features` draws per block.
+NOISE_BLOCK = 1 << 16
 
 
 def _require(name: str, value, low) -> None:
@@ -82,15 +84,19 @@ def _inverse_cdf(cdf: np.ndarray, values: np.ndarray) -> np.ndarray:
     return index
 
 
-def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Remove duplicate edges and self loops; the first copy of every
-    edge stays, in input order."""
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
+def _first_copies(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Positions of the first copy of every distinct edge that is not a
+    self loop, in input order."""
     num_edges = len(src)
     if num_edges == 0:
-        return src, dst
-    key = src.astype(np.int64) * (int(dst.max()) + 1) + dst
+        return np.zeros(0, dtype=np.int64)
+    key = np.multiply(src, int(dst.max()) + 1, dtype=np.int64)
+    key += dst
+    # Self loops share one key that sorts first; its run is dropped.
+    loops = src == dst
+    loop_runs = int(loops.any())
+    key[loops] = -1
+    del loops
     # ``key << bits | position`` sorts by key, then position, as plain
     # int64 -- several times faster than the stable argsort behind
     # ``np.unique(return_index=True)`` -- and the head of every key run
@@ -98,15 +104,26 @@ def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     bits = num_edges.bit_length()
     if int(key.max()).bit_length() + bits > 62:
         _, first = np.unique(key, return_index=True)
+        first = first[loop_runs:]
     else:
-        packed = (key << bits) | np.arange(num_edges)
-        packed.sort()
-        run = packed >> bits
+        key <<= bits
+        key |= np.arange(num_edges)
+        key.sort()
+        run = key >> bits
         is_head = np.empty(num_edges, dtype=bool)
-        is_head[0] = True
+        is_head[0] = not loop_runs
         np.not_equal(run[1:], run[:-1], out=is_head[1:])
-        first = packed[is_head] & ((1 << bits) - 1)
+        del run
+        key &= (1 << bits) - 1
+        first = key[is_head]
     first.sort()
+    return first
+
+
+def _dedup(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Remove duplicate edges and self loops; the first copy of every
+    edge stays, in input order."""
+    first = _first_copies(src, dst)
     return src[first], dst[first]
 
 
@@ -151,10 +168,8 @@ def locality_graph(
             src[is_global] = rng.choice(num_vertices, size=n_global, p=weights)
         else:
             src[is_global] = rng.integers(0, num_vertices, size=n_global)
-    src, dst = _dedup(src, dst)
-    return Graph(
-        num_vertices, src[:num_edges], dst[:num_edges], name="locality_graph"
-    )
+    first = _first_copies(src, dst)[:num_edges]
+    return Graph(num_vertices, src[first], dst[first], name="locality_graph")
 
 
 def erdos_renyi(num_vertices: int, num_edges: int, seed: int = 0) -> Graph:
@@ -165,8 +180,8 @@ def erdos_renyi(num_vertices: int, num_edges: int, seed: int = 0) -> Graph:
     want = int(num_edges * 1.2) + 16
     src = rng.integers(0, num_vertices, size=want)
     dst = rng.integers(0, num_vertices, size=want)
-    src, dst = _dedup(src, dst)
-    return Graph(num_vertices, src[:num_edges], dst[:num_edges], name="erdos_renyi")
+    first = _first_copies(src, dst)[:num_edges]
+    return Graph(num_vertices, src[first], dst[first], name="erdos_renyi")
 
 
 def community(
@@ -264,10 +279,19 @@ def scaled_social(
     # destination community's size.
     max_rank = int(sizes.max())
     cdf = np.cumsum(np.arange(1, max_rank + 1, dtype=np.float64) ** -hub_exponent)
-    dst_sizes = sizes[membership[dst]]
-    rank = _inverse_cdf(cdf, rng.random(want) * cdf[dst_sizes - 1])
-    rank = np.minimum(rank, dst_sizes - 1)
-    src = rank.astype(np.int64) * num_communities + membership[dst]
+    # Every per-edge array below is as long as ``dst``: each one is
+    # updated in place and dropped after its last use, so that no more
+    # than four are alive at once.
+    last = (sizes - 1)[membership[dst]]  # largest rank in dst's community
+    draw = rng.random(want)
+    draw *= cdf[last]
+    src = _inverse_cdf(cdf, draw)
+    del draw
+    # ``rank * num_communities + community``, built on the rank array.
+    np.minimum(src, last, out=src)
+    del last
+    src *= num_communities
+    src += membership[dst]
     # Inter-community edges: a global Zipf draw over all vertex ids.
     # It stays on ``np.searchsorted``: a bucket table over all n ids
     # is slower at steep exponents, and on social-large it saved ~6 ms
@@ -282,9 +306,12 @@ def scaled_social(
             global_cdf, rng.random(n_inter) * global_cdf[-1]
         )
         src[inter] = np.minimum(pick, n - 1)
-    src, dst = _dedup(src, dst)
-    target_edges = int(n * avg_degree)
-    g = Graph(n, src[:target_edges], dst[:target_edges], name="scaled_social")
+    del inter
+    first = _first_copies(src, dst)[: int(n * avg_degree)]
+    src = src[first]
+    dst = dst[first]
+    del first
+    g = Graph(n, src, dst, name="scaled_social")
     g.communities = membership
     return g
 
@@ -362,8 +389,16 @@ def attach_features(
         flip = rng.random(n) < label_noise
         labels = np.where(flip, rng.integers(0, num_classes, size=n), labels)
     means = rng.standard_normal((num_classes, feature_dim)).astype(np.float32)
-    noise = rng.standard_normal((n, feature_dim)).astype(np.float32)
-    graph.features = class_signal * means[labels] + noise
+    # ``class_signal * means[labels] + noise`` in place: the float64
+    # noise is drawn (the same stream as one draw) and rounded to
+    # float32 a block of rows at a time.
+    features = means[labels]
+    features *= class_signal
+    rows = max(1, NOISE_BLOCK // max(feature_dim, 1))
+    for lo in range(0, n, rows):
+        block = features[lo:lo + rows]
+        block += rng.standard_normal(block.shape).astype(np.float32)
+    graph.features = features
     graph.labels = labels.astype(np.int64)
     graph.num_classes = num_classes
     graph.set_split(rng=rng)

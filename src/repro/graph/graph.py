@@ -15,6 +15,9 @@ import numpy as np
 
 from repro.graph.adjacency import Adjacency
 
+# Edges per block of :meth:`Graph.gcn_normalized`'s weight product.
+WEIGHT_BLOCK = 1 << 15
+
 
 class Graph:
     """A directed graph with node features and labels.
@@ -54,8 +57,10 @@ class Graph:
         self.features: Optional[np.ndarray] = None
         self.labels: Optional[np.ndarray] = None
         self.num_classes = num_classes
+        # Like ``src`` and ``dst``, taken without a copy when it already
+        # has the stored dtype.
         self.edge_weight = (
-            edge_weight.astype(np.float32)
+            np.asarray(edge_weight, dtype=np.float32)
             if edge_weight is not None
             else np.ones(len(src), dtype=np.float32)
         )
@@ -106,27 +111,23 @@ class Graph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def with_self_loops(self) -> "Graph":
-        """Return a copy with one self-loop added to every vertex.
-
-        Existing self-loops are kept; GCN normalisation assumes each
-        vertex sees its own previous representation.
-        """
-        loops = np.arange(self.num_vertices, dtype=np.int64)
+    def _looped_edges(self):
+        """``src`` and ``dst`` with a self loop appended for every vertex
+        that has none."""
         has_loop = np.zeros(self.num_vertices, dtype=bool)
         has_loop[self.src[self.src == self.dst]] = True
-        new_loops = loops[~has_loop]
-        src = np.concatenate([self.src, new_loops])
-        dst = np.concatenate([self.dst, new_loops])
-        weight = np.concatenate(
-            [self.edge_weight, np.ones(len(new_loops), dtype=np.float32)]
-        )
+        new_loops = np.flatnonzero(~has_loop)
+        return (np.concatenate([self.src, new_loops]),
+                np.concatenate([self.dst, new_loops]))
+
+    def _derived(self, src, dst, edge_weight) -> "Graph":
+        """A graph on these edges that shares this one's node data."""
         out = Graph(
             self.num_vertices,
             src,
             dst,
             num_classes=self.num_classes,
-            edge_weight=weight,
+            edge_weight=edge_weight,
             name=self.name,
         )
         out.features = self.features
@@ -136,6 +137,17 @@ class Graph:
         out.test_mask = self.test_mask
         return out
 
+    def with_self_loops(self) -> "Graph":
+        """Return a copy with one self-loop added to every vertex.
+
+        Existing self-loops are kept; GCN normalisation assumes each
+        vertex sees its own previous representation.
+        """
+        src, dst = self._looped_edges()
+        weight = np.ones(len(src), dtype=np.float32)
+        weight[: self.num_edges] = self.edge_weight
+        return self._derived(src, dst, weight)
+
     def gcn_normalized(self) -> "Graph":
         """Self-loops + symmetric normalisation 1/sqrt(d_u * d_v).
 
@@ -143,11 +155,16 @@ class Graph:
         these edge weights so that DepCache, DepComm, and Hybrid compute
         bit-identical representations.
         """
-        g = self.with_self_loops()
-        deg = g.in_degrees().astype(np.float64)
+        src, dst = self._looped_edges()
+        deg = np.bincount(dst, minlength=self.num_vertices).astype(np.float64)
         inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-        g.edge_weight = (inv_sqrt[g.src] * inv_sqrt[g.dst]).astype(np.float32)
-        return g
+        # The float64 product, rounded to float32 a block of edges at a
+        # time: no edge-long float64 array is ever alive.
+        weight = np.empty(len(src), dtype=np.float32)
+        for lo in range(0, len(src), WEIGHT_BLOCK):
+            hi = lo + WEIGHT_BLOCK
+            weight[lo:hi] = inv_sqrt[src[lo:hi]] * inv_sqrt[dst[lo:hi]]
+        return self._derived(src, dst, weight)
 
     def set_split(
         self,
