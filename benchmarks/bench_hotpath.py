@@ -92,31 +92,20 @@ def _select_ref(self, vertices):
     )
 
 
-class _LookupRef:
-    def __init__(self, sorted_ids):
-        self.sorted_ids = sorted_ids
-
-    def __getitem__(self, ids):
-        pos = np.searchsorted(self.sorted_ids, ids)
-        if len(ids) and (
-            pos.max(initial=0) >= len(self.sorted_ids)
-            or not np.array_equal(self.sorted_ids[pos], ids)
-        ):
-            raise KeyError("id not present in block space")
-        return pos.astype(np.int64)
-
-
 def _mask_union_ref(num_vertices, *pieces):
     if not pieces:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(pieces))
 
 
-def _space_ref(num_vertices, *pieces):
-    ids = _mask_union_ref(num_vertices, *pieces)
-    mask = np.zeros(num_vertices, dtype=bool)
-    mask[ids] = True
-    return ids, mask, _LookupRef(ids)
+def _positions_ref(sorted_ids, ids):
+    pos = np.searchsorted(sorted_ids, ids)
+    if len(ids) and (
+        pos.max(initial=0) >= len(sorted_ids)
+        or not np.array_equal(sorted_ids[pos], ids)
+    ):
+        raise KeyError("id not present in block space")
+    return pos.astype(np.int64)
 
 
 def _sample_layer_ref(self, graph, frontiers, fanout, layer, *,
@@ -128,8 +117,8 @@ def _sample_layer_ref(self, graph, frontiers, fanout, layer, *,
     r = hashed_uniforms(self.seed, "uniform", epoch, batch, layer, ids=cand.eids)
     keep = rank_within_group(groups, r) < fanout
     return S._split(
-        cand.src[keep], cand.dst[keep], cand.eids[keep],
-        S._prefix_at(np.minimum(cand.degrees, fanout), cand.offsets),
+        cand.src[keep], np.minimum(cand.degrees, fanout), cand.eids[keep],
+        cand.offsets,
     )
 
 
@@ -154,7 +143,8 @@ def _bottom_fetch_ref(engine, closure):
     return remote, fetch, counts
 
 
-def _replace_ref(self, src, dst, eids, scales):
+def _replace_ref(self, vertices, counts, src, eids, scales):
+    dst = np.repeat(vertices, counts)
     order = np.argsort(dst, kind="stable")
     dst_sorted = dst[order]
     self.vertex_ids, counts = np.unique(dst_sorted, return_counts=True)
@@ -175,7 +165,7 @@ def _stable_argsort_ref(keys, bound):
 _PATCHES = [
     (Adjacency, "select", _select_ref),
     (B, "_mask_union", _mask_union_ref),
-    (B, "_space", _space_ref),
+    (B, "_positions", _positions_ref),
     (S.UniformFanoutSampler, "_sample_layer", _sample_layer_ref),
     (C, "_bottom_fetch", _bottom_fetch_ref),
     (CL.ReuseState, "replace", _replace_ref),

@@ -12,7 +12,7 @@ itself -- and therefore the numerical result -- is identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -20,13 +20,19 @@ import numpy as np
 from repro.graph.graph import Graph
 
 
-@dataclass
 class LayerBlock:
     """One layer's computation unit on one worker.
 
     A block is a function of its compute set alone: consecutive layers
     that compute the same vertices share one block (under DepComm every
     layer does), so it carries no layer number.
+
+    Edges are stored as *runs*: the edges of the ``i``-th compute vertex
+    are the ``edge_counts[i]`` consecutive entries after those of rows
+    ``0 .. i-1``, so edges are grouped by destination row, rows
+    ascending, each row in its own edge order.  Every builder keeps this
+    invariant (CSC order for a full block, the sampler's per-vertex
+    draws for a sampled one).
 
     Attributes
     ----------
@@ -37,11 +43,24 @@ class LayerBlock:
         Global ids whose layer-``l-1`` representation the block reads
         (sorted ascending; always a superset of ``compute_vertices`` so
         self terms / attention destinations are available).
+    edge_src_global / edge_ids:
+        Per-edge source vertex id and graph edge id.
+    edge_counts:
+        Per compute vertex, the length of its run of edges.
+    weight_source:
+        The graph's ``edge_weight`` when the block was built.
+
+    Derived on first read, then kept (a builder pays for none of them,
+    and a block nobody reads them from never does):
+
     edge_src_pos / edge_dst_pos:
-        Per-edge positions: source row in the *input* space, destination
-        row in the *output* (compute) space.
+        Per-edge positions: source row in the *input* space
+        (``input_vertices.searchsorted(edge_src_global)``), destination
+        row in the *output* (compute) space (``i`` repeated
+        ``edge_counts[i]`` times).
     edge_weight:
-        Per-edge scalar weights (GCN normalisation).
+        Per-edge scalar weights (GCN normalisation),
+        ``weight_source[edge_ids]``; a reweighting assigns it instead.
     compute_pos_in_inputs:
         For each compute vertex, its row in the input space (used for
         self terms and attention destinations).
@@ -52,19 +71,43 @@ class LayerBlock:
         is a constant of the graph.
     """
 
-    compute_vertices: np.ndarray
-    input_vertices: np.ndarray
-    edge_src_pos: np.ndarray
-    edge_dst_pos: np.ndarray
-    edge_weight: np.ndarray
-    compute_pos_in_inputs: np.ndarray
-    edge_src_global: np.ndarray
-    edge_ids: np.ndarray
-    edge_weight_rescaled: bool = False
+    edge_weight_rescaled = False
+
+    def __init__(
+        self,
+        compute_vertices: np.ndarray,
+        input_vertices: np.ndarray,
+        edge_src_global: np.ndarray,
+        edge_ids: np.ndarray,
+        edge_counts: np.ndarray,
+        weight_source: np.ndarray,
+    ):
+        self.compute_vertices = compute_vertices
+        self.input_vertices = input_vertices
+        self.edge_src_global = edge_src_global
+        self.edge_ids = edge_ids
+        self.edge_counts = edge_counts
+        self.weight_source = weight_source
+
+    @cached_property
+    def edge_dst_pos(self) -> np.ndarray:
+        return _run_positions(self.edge_counts)
+
+    @cached_property
+    def edge_src_pos(self) -> np.ndarray:
+        return _positions(self.input_vertices, self.edge_src_global)
+
+    @cached_property
+    def compute_pos_in_inputs(self) -> np.ndarray:
+        return _positions(self.input_vertices, self.compute_vertices)
+
+    @cached_property
+    def edge_weight(self) -> np.ndarray:
+        return self.weight_source[self.edge_ids]
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_src_pos)
+        return len(self.edge_ids)
 
     @property
     def num_inputs(self) -> int:
@@ -93,27 +136,6 @@ def _mask_union(num_vertices: int, *pieces: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _space(num_vertices: int, *pieces: np.ndarray):
-    """A sorted-unique row space: ``(ids, mask, rows)``.
-
-    ``rows`` maps a present global id to its row in ``ids`` via one
-    cumulative scan of the membership mask (``rows[id]`` is undefined
-    for absent ids — check ``mask`` first).
-    """
-    mask = np.zeros(num_vertices, dtype=bool)
-    if len(pieces) == 1 and _is_sorted_unique(pieces[0]):
-        # Already a sorted id space: skip the O(V) flatnonzero scan.
-        ids = pieces[0]
-        mask[ids] = True
-    else:
-        for piece in pieces:
-            mask[piece] = True
-        ids = np.flatnonzero(mask)
-    rows = np.empty(num_vertices, dtype=np.int64)
-    rows[ids] = np.arange(len(ids), dtype=np.int64)
-    return ids, mask, rows
-
-
 def _is_sorted_unique(ids: np.ndarray) -> bool:
     return bool(
         ids.ndim == 1
@@ -128,8 +150,7 @@ def build_block(graph: Graph, compute_vertices: np.ndarray, _layer=None) -> Laye
     The edge set is every in-edge of a compute vertex; the input space
     is the union of those edges' sources with the compute set itself.
     CSC order groups the edges by destination, so the i-th compute
-    vertex's edges are one run of ``counts[i]`` and the destination
-    positions are ``repeat(arange(n), counts)``.
+    vertex's edges are one run of ``counts[i]``.
 
     Results are memoised per graph by compute set: a plan's layers with
     equal compute sets, and serving and replay's hot request batches,
@@ -148,18 +169,13 @@ def build_block(graph: Graph, compute_vertices: np.ndarray, _layer=None) -> Laye
     if hit is not None:
         return hit
     counts, srcs, eids = graph.csc.select(compute_vertices)
-    input_vertices, _, input_rows = _space(
-        graph.num_vertices, srcs, compute_vertices
-    )
     block = LayerBlock(
-        compute_vertices=compute_vertices,
-        input_vertices=input_vertices,
-        edge_src_pos=input_rows[srcs],
-        edge_dst_pos=_run_positions(counts),
-        edge_weight=graph.edge_weight[eids],
-        compute_pos_in_inputs=input_rows[compute_vertices],
-        edge_src_global=srcs,
-        edge_ids=eids,
+        compute_vertices,
+        _mask_union(graph.num_vertices, srcs, compute_vertices),
+        srcs,
+        eids,
+        counts,
+        graph.edge_weight,
     )
     if len(cache) >= _BLOCK_CACHE_CAP:
         cache.pop(next(iter(cache)))
@@ -169,22 +185,24 @@ def build_block(graph: Graph, compute_vertices: np.ndarray, _layer=None) -> Laye
 
 def _run_positions(counts: np.ndarray) -> np.ndarray:
     """Row ``i`` repeated ``counts[i]`` times: the destination position
-    of every edge of a CSC selection of a sorted compute set."""
+    of every edge of a block (its edges are runs, rows ascending)."""
     return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
 
 _BLOCK_CACHE_CAP = 256
 
 
-def _positions(sorted_ids: np.ndarray, ids: np.ndarray, space: int) -> np.ndarray:
+def _positions(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """``np.searchsorted(sorted_ids, ids)`` where every id is one of the
-    sorted unique ``sorted_ids``, all below ``space``: each id's index,
-    read off a table indexed by id -- two linear passes, where a binary
-    search per id costs a cache miss per step (on a closure-memo fill
-    block, 17 k edges into 10 k inputs: 2.0 ms against 0.05 ms).  Only
-    the table's entries for ``sorted_ids`` are written or read.
+    sorted unique ``sorted_ids``: each id's index, read off a table
+    indexed by id -- two linear passes, where a binary search per id
+    costs a cache miss per step (on a closure-memo fill block, 17 k
+    edges into 10 k inputs: 2.0 ms against 0.05 ms).  Only the table's
+    entries for ``sorted_ids`` are written or read.
     """
-    table = np.empty(space, dtype=np.int64)
+    if len(sorted_ids) == 0:
+        return np.empty(0, dtype=np.int64)
+    table = np.empty(int(sorted_ids[-1]) + 1, dtype=np.int64)
     table[sorted_ids] = np.arange(len(sorted_ids))
     return table[ids]
 
@@ -202,24 +220,14 @@ def closure_block(
     in-edges -- consecutive ``vertex_layers`` of
     :func:`~repro.graph.khop.khop_closure`.  That *is* the input space
     :func:`build_block` derives, so the block is field for field the
-    same (same CSC edge order, hence the same per-row summation order)
-    with positions read off the two sorted arrays instead of
-    vertex-space tables.  ``in_edges`` is
-    ``graph.csc.select(compute_vertices)``, passed in so that a walk
-    which selected the edges to find ``input_vertices`` does not select
-    them twice.
+    same (same CSC edge order, hence the same per-row summation order).
+    ``in_edges`` is ``graph.csc.select(compute_vertices)``, passed in so
+    that a walk which selected the edges to find ``input_vertices`` does
+    not select them twice.
     """
     counts, srcs, eids = in_edges
-    space = graph.num_vertices
     return LayerBlock(
-        compute_vertices=compute_vertices,
-        input_vertices=input_vertices,
-        edge_src_pos=_positions(input_vertices, srcs, space),
-        edge_dst_pos=_run_positions(counts),
-        edge_weight=graph.edge_weight[eids],
-        compute_pos_in_inputs=_positions(input_vertices, compute_vertices, space),
-        edge_src_global=srcs,
-        edge_ids=eids,
+        compute_vertices, input_vertices, srcs, eids, counts, graph.edge_weight
     )
 
 
@@ -227,32 +235,39 @@ def build_block_from_edges(
     graph: Graph,
     compute_vertices: np.ndarray,
     src: np.ndarray,
-    dst: np.ndarray,
+    counts: np.ndarray,
     edge_ids: np.ndarray,
 ) -> LayerBlock:
-    """Build a block over an explicit (sampled) edge list.
+    """Build a block over an explicit (sampled) edge list, given as runs.
 
     Used by the sampling engine: the edge set is a sampled subset of the
     in-edges of ``compute_vertices`` rather than all of them.
+    ``compute_vertices`` is sorted unique, and its ``i``-th vertex's
+    edges are the ``counts[i]`` consecutive entries of ``src`` /
+    ``edge_ids`` after those of the vertices before it.
     """
+    compute_vertices = np.asarray(compute_vertices, dtype=np.int64)
     src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    compute_vertices, compute_mask, output_rows = _space(
-        graph.num_vertices, np.asarray(compute_vertices, dtype=np.int64)
-    )
-    input_vertices, _, input_rows = _space(
-        graph.num_vertices, src, compute_vertices
-    )
-    if len(dst) and not compute_mask[dst].all():
-        raise KeyError("id not present in block space")
+    if not _is_sorted_unique(compute_vertices):
+        raise ValueError("compute_vertices must be sorted unique")
+    if len(counts) != len(compute_vertices):
+        raise ValueError(
+            f"counts has {len(counts)} entries for "
+            f"{len(compute_vertices)} compute vertices"
+        )
+    if len(counts) and counts.min() < 0:
+        raise ValueError(f"counts has a negative entry ({int(counts.min())})")
+    if int(counts.sum()) != len(src):
+        raise ValueError(f"counts sums to {int(counts.sum())} for {len(src)} edges")
+    if len(edge_ids) != len(src):
+        raise ValueError(f"{len(edge_ids)} edge ids for {len(src)} edges")
     return LayerBlock(
-        compute_vertices=compute_vertices,
-        input_vertices=input_vertices,
-        edge_src_pos=input_rows[src],
-        edge_dst_pos=output_rows[dst],
-        edge_weight=graph.edge_weight[edge_ids],
-        compute_pos_in_inputs=input_rows[compute_vertices],
-        edge_src_global=src,
-        edge_ids=edge_ids,
+        compute_vertices,
+        _mask_union(graph.num_vertices, src, compute_vertices),
+        src,
+        edge_ids,
+        counts,
+        graph.edge_weight,
     )

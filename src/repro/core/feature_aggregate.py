@@ -36,10 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.blocks import LayerBlock
+from repro.core.blocks import LayerBlock, _run_positions
 from repro.graph.graph import Graph
 from repro.tensor.scatter import gather_scatter_rows
 from repro.tensor.tensor import Tensor
+from repro.utils.ranges import expand_ranges
 
 
 def same_objects(filled_from: Optional[tuple], sources: tuple) -> bool:
@@ -79,15 +80,21 @@ class FeatureAggregateStore:
 
     def aggregate(self, block: LayerBlock, reducer: str) -> np.ndarray:
         """The ``reducer`` (``"weighted_sum"`` / ``"mean"``) of the
-        feature rows of ``block``'s edges, one row per compute vertex."""
+        feature rows of ``block``'s edges, one row per compute vertex.
+
+        Only the rows it computes are read from the block: their edges
+        are their runs, their weights ``graph.edge_weight`` at their
+        edge ids."""
         vertices = block.compute_vertices
         num_rows = len(vertices)
-        src, dst = block.edge_src_global, block.edge_dst_pos
-        weights = block.edge_weight if reducer == "weighted_sum" else None
-        counts = np.bincount(dst, minlength=num_rows)
+        counts = block.edge_counts
+        weighted = reducer == "weighted_sum"
         self.rows_served += num_rows
-        if weights is not None and block.edge_weight_rescaled:
-            return self._reduce(src, dst, weights, counts, reducer)
+        if weighted and block.edge_weight_rescaled:
+            return self._reduce(
+                block.edge_src_global, block.edge_dst_pos, block.edge_weight,
+                counts, reducer,
+            )
         self._attach(reducer)
         indptr = self.graph.csc.indptr
         full = counts == indptr.take(vertices + 1) - indptr.take(vertices)
@@ -96,17 +103,18 @@ class FeatureAggregateStore:
         self.rows_memoised += hits
         if hits == num_rows:
             return self._rows.take(vertices, axis=0)
-        missing = slice(None)  # block rows to compute: all of them, or
         if hits:
-            # only the unknown ones, over their edges renumbered onto them.
-            unknown = ~known
-            missing = np.flatnonzero(unknown)
-            edges = np.flatnonzero(unknown.take(dst))
-            src = src.take(edges)
-            dst = (np.cumsum(unknown) - 1).take(dst.take(edges))
-            counts = counts.take(missing)
-            if weights is not None:
-                weights = weights.take(edges)
+            # Only the unknown rows, over their own runs renumbered.
+            missing = np.flatnonzero(~known)
+            edges = expand_ranges((np.cumsum(counts) - counts)[missing], counts[missing])
+            counts = counts[missing]
+            src = block.edge_src_global.take(edges)
+            dst = _run_positions(counts)
+            eids = block.edge_ids.take(edges)
+        else:
+            missing = slice(None)
+            src, dst, eids = block.edge_src_global, block.edge_dst_pos, block.edge_ids
+        weights = self.graph.edge_weight.take(eids) if weighted else None
         computed = self._reduce(src, dst, weights, counts, reducer)
         keep = np.flatnonzero(full[missing])
         kept = vertices[missing].take(keep)

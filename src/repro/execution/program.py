@@ -245,6 +245,9 @@ def _compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
     m = engine.cluster.num_workers
     layer = engine.model.layer(l)
     d_in = engine.dims[l - 1]
+    # owner_if_received[v]: v's owner while v is a received source of
+    # the worker in hand, ``m`` (local) otherwise; reset after each.
+    owner_if_received = None
     specs = []
     for w in range(m):
         block = plan.blocks[l - 1][w]
@@ -262,16 +265,17 @@ def _compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
             # over the wire on refresh epochs and are staged from the
             # host-resident cache otherwise, paying the same H2D copy.
             if len(comm_set) or len(stale_set):
-                received = np.zeros(engine.graph.num_vertices, dtype=bool)
-                received[comm_set] = True
-                received[stale_set] = True
-                recv_src = block.edge_src_global[
-                    received[block.edge_src_global]
-                ]
-                chunk_edges = np.bincount(
-                    engine.assignment[recv_src], minlength=m
+                if owner_if_received is None:
+                    owner_if_received = np.full(engine.graph.num_vertices, m)
+                for ids in (comm_set, stale_set):
+                    owner_if_received[ids] = engine.assignment[ids]
+                per_owner = np.bincount(
+                    owner_if_received[block.edge_src_global], minlength=m + 1
                 )
-                local_edges -= len(recv_src)
+                for ids in (comm_set, stale_set):
+                    owner_if_received[ids] = m
+                chunk_edges = per_owner[:m]
+                local_edges = int(per_owner[m])
                 chunk_vertices = (
                     plan.exchanges[l - 1].counts[:, w]
                     + plan.refresh_exchanges[l - 1].counts[:, w]

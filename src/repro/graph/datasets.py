@@ -195,14 +195,19 @@ _memo: OrderedDict[Tuple[str, float, int], Graph] = OrderedDict()
 
 
 def _memo_bytes() -> int:
-    """Bytes of the arrays the memoised graphs hold as attributes (an
-    index a caller built on one, ``csr`` or ``csc``, is not counted)."""
-    return sum(
-        value.nbytes
-        for graph in _memo.values()
-        for value in vars(graph).values()
-        if isinstance(value, np.ndarray)
-    )
+    """Bytes of the arrays the memoised graphs hold as attributes, each
+    buffer counted once, at the array that owns it: a view adds nothing
+    of its own, so unit edge weights (one float32 viewed E times) count
+    4 bytes.  An index a caller built on one, ``csr`` or ``csc``, is not
+    counted."""
+    owners = {}
+    for graph in _memo.values():
+        for value in vars(graph).values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                owners[id(value)] = value.nbytes
+    return sum(owners.values())
 
 
 def _build(name: str, scale: float, seed: int) -> Graph:

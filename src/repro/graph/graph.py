@@ -58,11 +58,12 @@ class Graph:
         self.labels: Optional[np.ndarray] = None
         self.num_classes = num_classes
         # Like ``src`` and ``dst``, taken without a copy when it already
-        # has the stored dtype.
+        # has the stored dtype.  Unit weights are one read-only float32
+        # viewed E times, not an E-long array of ones.
         self.edge_weight = (
             np.asarray(edge_weight, dtype=np.float32)
             if edge_weight is not None
-            else np.ones(len(src), dtype=np.float32)
+            else np.broadcast_to(np.float32(1.0), (len(src),))
         )
         self.train_mask: Optional[np.ndarray] = None
         self.val_mask: Optional[np.ndarray] = None

@@ -52,42 +52,31 @@ class ReuseState:
     def lists_for(
         self, vertices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Stored ``(src, dst, eids, scales)`` edges for ``vertices``
-        (each of which must satisfy :meth:`contains`)."""
+        """Stored ``(src, counts, eids, scales)`` runs for ``vertices``
+        (each of which must satisfy :meth:`contains`), one run per
+        vertex in the order given."""
         pos = np.searchsorted(self.vertex_ids, vertices)
-        lengths = self.indptr[pos + 1] - self.indptr[pos]
-        idx = expand_ranges(self.indptr[pos], lengths)
-        dst = np.repeat(vertices, lengths)
+        counts = self.indptr[pos + 1] - self.indptr[pos]
+        idx = expand_ranges(self.indptr[pos], counts)
         scales = None if self.scales is None else self.scales[idx]
-        return self.srcs[idx], dst, self.eids[idx], scales
+        return self.srcs[idx], counts, self.eids[idx], scales
 
     def replace(
         self,
+        vertices: np.ndarray,
+        counts: np.ndarray,
         src: np.ndarray,
-        dst: np.ndarray,
         eids: np.ndarray,
         scales: Optional[np.ndarray],
     ) -> None:
-        """Overwrite with this batch's realized bottom-layer sample."""
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = dst[order]
-        if len(dst_sorted):
-            # Run-length pass over the sorted array: identical to
-            # np.unique(..., return_counts=True) without the re-sort.
-            boundaries = np.flatnonzero(
-                np.concatenate(([True], dst_sorted[1:] != dst_sorted[:-1]))
-            )
-            self.vertex_ids = dst_sorted[boundaries]
-            counts = np.diff(np.concatenate((boundaries, [len(dst_sorted)])))
-        else:
-            self.vertex_ids = _EMPTY
-            counts = _EMPTY
-        self.indptr = np.concatenate(
-            ([0], np.cumsum(counts))
-        ).astype(np.int64)
-        self.srcs = src[order]
-        self.eids = eids[order]
-        self.scales = None if scales is None else scales[order]
+        """Overwrite with this batch's realized bottom-layer sample:
+        runs of ``counts[i]`` edges for the sorted ``vertices[i]``."""
+        listed = counts > 0
+        self.vertex_ids = vertices[listed]
+        self.indptr = np.concatenate(([0], np.cumsum(counts[listed])))
+        self.srcs = src
+        self.eids = eids
+        self.scales = scales
 
 
 @dataclass

@@ -53,11 +53,13 @@ import numpy as np
 from repro.core.blocks import build_block_from_edges
 from repro.graph.graph import Graph
 from repro.sampling.closure import _EMPTY, ReuseState, SampledClosure
+from repro.utils.ranges import expand_ranges
 from repro.utils.rng import derive_rng, hashed_uint64, hashed_uniforms
 
+# ``(src, counts, eids, scale-or-None)``: runs over a sorted frontier,
+# the ``i``-th vertex's kept in-edges being ``counts[i]`` consecutive
+# entries of ``src`` / ``eids`` (and of ``scale``, LADIES' reweighting).
 LayerSample = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
-
-_EMPTY_LAYER: LayerSample = (_EMPTY, _EMPTY, _EMPTY, None)
 
 # ``hashed_uniforms`` is ``(hashed_uint64 >> 11) * 2**-53``: ranking the
 # 53-bit integers ranks the uniforms, and the 11 bits above them hold a
@@ -101,25 +103,40 @@ def _prefix_at(counts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))[offsets]
 
 
-def _split(src, dst, eids, bounds) -> List[LayerSample]:
-    """One unscaled ``LayerSample`` per segment ``[bounds[i], bounds[i+1])``."""
+def _count_in_runs(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per run of ``counts`` consecutive entries, how many ``mask`` keeps."""
+    return np.diff(_prefix_at(mask, np.concatenate(([0], np.cumsum(counts)))))
+
+
+def _split(src, counts, eids, offsets) -> List[LayerSample]:
+    """One unscaled ``LayerSample`` per frontier: positions
+    ``offsets[i]:offsets[i+1]`` of ``counts`` and their edges."""
+    bounds = _prefix_at(counts, offsets)
     return [
-        (src[a:b], dst[a:b], eids[a:b], None)
-        for a, b in zip(bounds[:-1], bounds[1:])
+        (src[a:b], counts[p:q], eids[a:b], None)
+        for a, b, p, q in zip(bounds[:-1], bounds[1:], offsets[:-1], offsets[1:])
     ]
+
+
+def _interleave(at, reused: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """One array holding ``reused`` at positions ``at[0]`` and ``fresh``
+    at positions ``at[1]``."""
+    out = np.empty(len(reused) + len(fresh), np.result_type(reused, fresh))
+    out[at[0]] = reused
+    out[at[1]] = fresh
+    return out
 
 
 class Candidates(NamedTuple):
     """Every in-edge of a round's concatenated frontiers, gathered once.
 
-    Edges are grouped by frontier *position*, in position order: two
-    workers' frontiers can hold the same vertex, so a vertex id does not
-    name a group.  Worker ``i``'s frontier is positions
-    ``offsets[i]:offsets[i+1]`` and its edges are
+    Edges are runs of ``degrees[p]`` per frontier *position* ``p``, in
+    position order: two workers' frontiers can hold the same vertex, so
+    a vertex id does not name a run.  Worker ``i``'s frontier is
+    positions ``offsets[i]:offsets[i+1]`` and its edges are
     ``bounds[i]:bounds[i+1]``.
     """
 
-    dst: np.ndarray
     src: np.ndarray
     eids: np.ndarray
     degrees: np.ndarray
@@ -152,9 +169,10 @@ class NeighborSampler:
         batch: int,
         num_seeds: List[int],
     ) -> List[LayerSample]:
-        """Return one ``(src, dst, eids, scale-or-None)`` per frontier
-        of the round, with edges grouped by ``dst`` in frontier order.
-        ``num_seeds[i]`` is frontier ``i``'s worker's seed count."""
+        """Return one :data:`LayerSample` per frontier of the round:
+        each frontier vertex's kept in-edges as one run, in frontier
+        order.  ``num_seeds[i]`` is frontier ``i``'s worker's seed
+        count."""
         raise NotImplementedError
 
     # -- shared loop ---------------------------------------------------
@@ -199,14 +217,16 @@ class NeighborSampler:
                     graph, frontiers, fanout, l, epoch=epoch, batch=batch,
                     num_seeds=num_seeds,
                 )
-            for i, (src, dst, eids, scale) in enumerate(samples):
-                block = build_block_from_edges(graph, frontiers[i], src, dst, eids)
+            for i, (src, counts, eids, scale) in enumerate(samples):
+                block = build_block_from_edges(
+                    graph, frontiers[i], src, counts, eids
+                )
                 if scale is not None and block.num_edges:
                     block.edge_weight = block.edge_weight * scale
                     block.edge_weight_rescaled = True
                 blocks[i][l - 1] = block
                 if l == 1 and states[i] is not None:
-                    states[i].replace(src, dst, eids, scale)
+                    states[i].replace(frontiers[i], counts, src, eids, scale)
                 frontiers[i] = block.input_vertices
                 frontier_sizes[i].append(len(block.input_vertices))
         return {
@@ -248,7 +268,8 @@ class NeighborSampler:
     ):
         """Each worker with stored lists re-serves a hashed fraction of
         its frontier; every worker's fresh rows share one draw.  A
-        worker's edges are its reused lists first, then its fresh rows."""
+        worker's runs stay in frontier order, each vertex's run reused
+        or fresh."""
         u = hashed_uniforms(
             self.seed, "kappa", epoch, ids=np.concatenate(frontiers)
         )
@@ -274,10 +295,18 @@ class NeighborSampler:
                 reuse.append((0, 0, _EMPTY))
                 continue
             reuse_mask, eligible = masks[i]
-            src_r, dst_r, eid_r, scale_r = states[i].lists_for(
+            src_r, counts_r, eid_r, scale_r = states[i].lists_for(
                 frontiers[i][reuse_mask]
             )
-            src_f, dst_f, eid_f, scale_f = sample
+            src_f, counts_f, eid_f, scale_f = sample
+            counts = np.empty(len(frontiers[i]), dtype=np.int64)
+            counts[reuse_mask] = counts_r
+            counts[~reuse_mask] = counts_f
+            starts = np.cumsum(counts) - counts
+            at = (
+                expand_ranges(starts[reuse_mask], counts_r),
+                expand_ranges(starts[~reuse_mask], counts_f),
+            )
             if scale_r is None and scale_f is None:
                 scale = None
             else:
@@ -285,12 +314,10 @@ class NeighborSampler:
                     scale_r = np.ones(len(src_r), dtype=np.float64)
                 if scale_f is None:
                     scale_f = np.ones(len(src_f), dtype=np.float64)
-                scale = np.concatenate([scale_r, scale_f])
+                scale = _interleave(at, scale_r, scale_f)
             samples.append((
-                np.concatenate([src_r, src_f]),
-                np.concatenate([dst_r, dst_f]),
-                np.concatenate([eid_r, eid_f]),
-                scale,
+                _interleave(at, src_r, src_f), counts,
+                _interleave(at, eid_r, eid_f), scale,
             ))
             reused_srcs = np.unique(src_r) if len(src_r) else _EMPTY
             reuse.append(
@@ -300,13 +327,10 @@ class NeighborSampler:
 
     def _candidates(self, graph: Graph, frontiers: List[np.ndarray]) -> Candidates:
         """All in-edges of the round's frontiers in one gather."""
-        frontier = np.concatenate(frontiers)
-        degrees, src, eids = graph.csc.select(frontier)
-        dst = np.repeat(frontier, degrees)
+        degrees, src, eids = graph.csc.select(np.concatenate(frontiers))
         offsets = np.cumsum([0] + [len(f) for f in frontiers])
         return Candidates(
-            dst, src, eids, degrees, offsets,
-            _prefix_at(degrees, offsets),
+            src, eids, degrees, offsets, _prefix_at(degrees, offsets)
         )
 
     # -- epoch order --------------------------------------------------
@@ -332,17 +356,16 @@ class UniformFanoutSampler(NeighborSampler):
         # identical to ranking the full candidate list.
         over_groups = cand.degrees > fanout
         if not over_groups.any():
-            return _split(cand.src, cand.dst, cand.eids, cand.bounds)
+            return _split(cand.src, cand.degrees, cand.eids, cand.offsets)
         sel = np.flatnonzero(np.repeat(over_groups, cand.degrees))
         keys = hashed_uint64(
             self.seed, "uniform", epoch, batch, layer, ids=cand.eids[sel]
         ) >> _KEY_SHIFT
-        keep = np.ones(len(cand.dst), dtype=bool)
+        keep = np.ones(len(cand.src), dtype=bool)
         keep[sel] = _rank_within_runs(cand.degrees[over_groups], keys) < fanout
-        kept = np.minimum(cand.degrees, fanout)
         return _split(
-            cand.src[keep], cand.dst[keep], cand.eids[keep],
-            _prefix_at(kept, cand.offsets),
+            cand.src[keep], np.minimum(cand.degrees, fanout), cand.eids[keep],
+            cand.offsets,
         )
 
 
@@ -374,8 +397,7 @@ class LaborSampler(NeighborSampler):
         # Destinations whose accepted count is already within the fanout
         # need no ranking at all.
         accepted = np.flatnonzero(accept)
-        edge_offsets = np.concatenate(([0], np.cumsum(cand.degrees)))
-        acc_counts = np.diff(_prefix_at(accept, edge_offsets))
+        acc_counts = _count_in_runs(cand.degrees, accept)
         over_groups = acc_counts > fanout
         if over_groups.any():
             sel = np.flatnonzero(np.repeat(over_groups, acc_counts))
@@ -386,8 +408,8 @@ class LaborSampler(NeighborSampler):
             keep_mask[sel] = ranks < fanout
             accepted = accepted[keep_mask]
         return _split(
-            cand.src[accepted], cand.dst[accepted], cand.eids[accepted],
-            _prefix_at(np.minimum(acc_counts, fanout), cand.offsets),
+            cand.src[accepted], np.minimum(acc_counts, fanout),
+            cand.eids[accepted], cand.offsets,
         )
 
 
@@ -413,17 +435,20 @@ class LadiesSampler(NeighborSampler):
         cand = self._candidates(graph, frontiers)
         return [
             self._choose(
-                graph, cand.src[a:b], cand.dst[a:b], cand.eids[a:b],
+                graph, cand.src[a:b], cand.degrees[p:q], cand.eids[a:b],
                 fanout * max(n, 1), epoch, batch, layer,
             )
-            for a, b, n in zip(cand.bounds[:-1], cand.bounds[1:], num_seeds)
+            for a, b, p, q, n in zip(
+                cand.bounds[:-1], cand.bounds[1:],
+                cand.offsets[:-1], cand.offsets[1:], num_seeds,
+            )
         ]
 
     def _choose(
-        self, graph, src, dst, eids, budget, epoch, batch, layer,
+        self, graph, src, counts, eids, budget, epoch, batch, layer,
     ) -> LayerSample:
-        if len(dst) == 0:
-            return _EMPTY_LAYER
+        if len(src) == 0:
+            return src, counts, eids, None
         # Mask-based unique-with-inverse over the vertex space: same
         # sorted candidate array and inverse as np.unique, without the
         # per-layer sort.
@@ -434,7 +459,7 @@ class LadiesSampler(NeighborSampler):
         row_of[candidates] = np.arange(len(candidates), dtype=np.int64)
         inverse = row_of[src]
         if len(candidates) <= budget:
-            return src, dst, eids, None
+            return src, counts, eids, None
         w = graph.edge_weight[eids].astype(np.float64)
         weight = np.zeros(len(candidates))
         np.add.at(weight, inverse, w * w)
@@ -447,7 +472,7 @@ class LadiesSampler(NeighborSampler):
         chosen_mask[chosen] = True
         keep = chosen_mask[inverse]
         scale = 1.0 / (budget * p[inverse[keep]])
-        return src[keep], dst[keep], eids[keep], scale
+        return src[keep], _count_in_runs(counts, keep), eids[keep], scale
 
 
 _SAMPLERS = {

@@ -90,7 +90,7 @@ class TestBuildBlockFromEdges:
             tiny_graph,
             compute_vertices=np.array([1]),
             src=np.array([3]),
-            dst=np.array([1]),
+            counts=np.array([1]),
             edge_ids=np.array([1]),
         )
         assert block.num_edges == 1
@@ -99,8 +99,32 @@ class TestBuildBlockFromEdges:
     def test_compute_without_edges(self, tiny_graph):
         block = build_block_from_edges(
             tiny_graph, np.array([0, 2]),
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.zeros(2, dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
         assert block.num_edges == 0
         assert block.num_outputs == 2
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ([1], r"counts has 1 entries for 2 compute vertices"),
+            ([1, 0, 0], r"counts has 3 entries for 2 compute vertices"),
+            ([2, -1], r"counts has a negative entry \(-1\)"),
+            ([1, 1], r"counts sums to 2 for 1 edges"),
+            ([0, 0], r"counts sums to 0 for 1 edges"),
+        ],
+    )
+    def test_counts_that_do_not_fit_raise_value_error(self, tiny_graph, counts, match):
+        with pytest.raises(ValueError, match=match):
+            build_block_from_edges(
+                tiny_graph, np.array([1, 2]), np.array([3]), np.array(counts),
+                np.array([1]),
+            )
+
+    def test_unsorted_compute_vertices_raise_value_error(self, tiny_graph):
+        with pytest.raises(ValueError, match="compute_vertices must be sorted unique"):
+            build_block_from_edges(
+                tiny_graph, np.array([2, 1]), np.array([3]), np.array([1, 0]),
+                np.array([1]),
+            )

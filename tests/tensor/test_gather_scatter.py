@@ -399,13 +399,15 @@ class TestNoMessageTensor:
         block = LayerBlock(
             compute_vertices=np.arange(num_rows),
             input_vertices=np.arange(num_rows),
-            edge_src_pos=rng.integers(0, num_rows, size=num_edges),
-            edge_dst_pos=dst,
-            edge_weight=rng.random(num_edges).astype(np.float32),
-            compute_pos_in_inputs=np.arange(num_rows),
-            edge_src_global=np.zeros(0, dtype=np.int64),
+            edge_src_global=rng.integers(0, num_rows, size=num_edges),
             edge_ids=np.arange(num_edges),
+            edge_counts=np.bincount(dst, minlength=num_rows),
+            weight_source=rng.random(num_edges).astype(np.float32),
         )
+        # Derive the block's edge fields before measuring, as a block a
+        # plan has run once holds them.
+        assert np.array_equal(block.edge_dst_pos, dst)
+        _ = block.edge_src_pos, block.edge_weight
         assert num_edges * width >= scatter.MIN_ELEMENTS
         layer = GCNConv(width, width, rng=rng)
         rows = rng.standard_normal((num_rows, width)).astype(np.float32)
