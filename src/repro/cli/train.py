@@ -149,26 +149,11 @@ def analyze(args) -> Report:
     })
 
 
-PASS_FLAGS = (
-    ("overlap_pass", "overlap-exchange"),
-    ("fuse_pass", "fuse-scatter-gather"),
-)
-
-PASSES = tuple(
-    arg("--" + flag.replace("_", "-"), action="store_true",
-        help=f"apply the {name} program pass")
-    for flag, name in PASS_FLAGS
-)
-
-
 def explain_plan(args) -> Report:
     name = args.engine
     if args.sampled and name not in SAMPLED_ENGINES:
         name = "sampled"
     engine = Setup(args).engine(name)
-    engine.program_passes = tuple(
-        pass_name for flag, pass_name in PASS_FLAGS if getattr(args, flag)
-    )
     engine.plan()
     sampled = name in SAMPLED_ENGINES  # dry-run the first mini-batch round(s)
     if args.json:
@@ -232,7 +217,7 @@ COMMANDS = (
                      "(implied by a sampled engine)"),
             arg("--batches", type=int, default=1,
                 help="mini-batch rounds to render with --sampled (default 1)"),
-            SAMPLING, CACHE, PASSES, JSON,
+            SAMPLING, CACHE, JSON,
         ),
         explain_plan,
     ),

@@ -82,8 +82,8 @@ class GNNLayer(nn.Module):
         """Reducer name when this layer's Scatter/Edge/Gather triple is
         a plain segment reduction (``"weighted_sum"`` / ``"mean"``), which
         ``forward`` then runs as one kernel; ``None`` for edge-associated
-        NN computation (e.g. attention), which the fuse-scatter-gather
-        pass must leave unfused on the charged clock too."""
+        NN computation (e.g. attention).  Numerics only: the charged
+        clock prices every layer as the three steps."""
         return None
 
 

@@ -66,8 +66,8 @@ def fused_scatter_gather(
 ) -> Tensor:
     """ScatterToEdge + EdgeForward + GatherByDst as one segment kernel.
 
-    What every simple-reducer layer runs (and what
-    :func:`~repro.execution.passes.fuse_scatter_gather` prices):
+    What every simple-reducer layer runs (the charged clock still
+    prices the three steps, as the paper's system does):
     ``"weighted_sum"`` multiplies each source row by the edge weight
     before the sum (GCN/GIN message), ``"mean"`` averages the raw
     source rows (SAGE).  Bit-identical to the three-op chain, without

@@ -60,10 +60,7 @@ class BaseEngine:
 
     ``graph`` must be prepared (e.g. ``gcn_normalized()``); ``model`` is
     the shared replica; ``partitioning`` defaults to chunk-based;
-    ``comm`` selects the R/L/P optimizations; ``program_passes`` names
-    the optimization passes to run over the compiled program (none by
-    default, and none means charging is bit-identical to the pre-pass
-    engine).
+    ``comm`` selects the R/L/P optimizations.
     """
 
     name = "base"
@@ -87,7 +84,6 @@ class BaseEngine:
         mu: float = 0.8,
         memory_limit_bytes: Optional[int] = None,
         cache_config: Optional[CacheConfig] = None,
-        program_passes: Optional[Tuple[str, ...]] = None,
     ):
         if graph.features is None or graph.labels is None:
             raise ValueError("training graph needs features and labels")
@@ -104,7 +100,6 @@ class BaseEngine:
         if self.partitioning.num_parts != cluster.num_workers:
             raise ValueError("partitioning does not match cluster size")
         self.comm = comm
-        self.program_passes = tuple(program_passes or ())
         # A truthy fault schedule activates the fault-aware charging
         # paths; otherwise charging is bit-identical to fault-free.
         self.faults: Optional[FaultInjector] = (
@@ -148,12 +143,14 @@ class BaseEngine:
     # -- planning (compiles the plan into the dataflow program) ---
     def decide_dependencies(
         self, worker: int
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
-        """Split each layer's remote deps into (cached, communicated).
+    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], float]:
+        """Split each layer's remote deps into (cached, communicated,
+        stale).
 
-        Returns ``(cached_per_layer, communicated_per_layer, prep_s)``,
-        lists indexed ``[l-1]``; cache-aware engines may return a
-        4-tuple with the staleness-bounded CACHED set third.
+        Returns ``(cached_per_layer, communicated_per_layer,
+        stale_per_layer, prep_s)``, lists indexed ``[l-1]``; the stale
+        (staleness-bounded CACHED) lists are empty for an engine
+        without a historical cache.
         """
         raise NotImplementedError
 
@@ -220,7 +217,6 @@ class BaseEngine:
             mu=self.mu,
             memory_limit_bytes=self.memory_limit_bytes,
             cache_config=self.cache_config,
-            program_passes=self.program_passes,
         )
 
     def respawn(

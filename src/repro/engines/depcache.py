@@ -28,9 +28,9 @@ class DepCacheEngine(BaseEngine):
 
     def decide_dependencies(
         self, worker: int
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
+    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], float]:
         owned = self.partitioning.part(worker)
         deps = dependency_layers(self.graph, owned, self.num_layers)
         cached = [d.copy() for d in deps]
-        communicated = [np.empty(0, dtype=np.int64) for _ in deps]
-        return cached, communicated, 0.0
+        empty = [np.empty(0, dtype=np.int64) for _ in deps]
+        return cached, empty, list(empty), 0.0

@@ -93,6 +93,6 @@ class SharedMemoryEngine(BaseEngine):
 
     def decide_dependencies(
         self, worker: int
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
+    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], float]:
         empty = [np.empty(0, dtype=np.int64) for _ in range(self.num_layers)]
-        return empty, [e.copy() for e in empty], 0.0
+        return empty, list(empty), list(empty), 0.0

@@ -4,9 +4,9 @@ Compiles an :class:`~repro.execution.plan.EnginePlan` into an explicit
 per-layer dataflow :class:`~repro.execution.program.Program` (the
 paper's GetFromDepNbr -> ScatterToEdge -> EdgeForward -> GatherByDst ->
 VertexForward decomposition, Section 4) and splits execution into an
-**executor** (numeric values), an **accountant** (modeled time), and a
-**pass pipeline** (plan-level optimizations such as the Section-5.4
-comm/compute overlap).  Training engines, the inference server, and
+**executor** (numeric values), an **accountant** (modeled time), and
+one **pass** that marks where the Section-5.4 comm/compute overlap may
+fold dense time.  Training engines, the inference server, and
 replay all execute through this layer.
 """
 
@@ -23,10 +23,7 @@ from repro.execution.executor import (
     run_closure_forward,
 )
 from repro.execution.explain import describe_program, render_program
-from repro.execution.passes import (
-    PASS_REGISTRY,
-    run_passes,
-)
+from repro.execution.passes import run_passes
 from repro.execution.plan import (
     EnginePlan,
     EpochReport,
@@ -37,7 +34,6 @@ from repro.execution.program import (
     ComputeSpec,
     EdgeForwardStep,
     ExchangePhase,
-    FusedScatterGatherStep,
     GatherByDstStep,
     GetFromDepNbrStep,
     InputRoute,
@@ -66,14 +62,12 @@ __all__ = [
     "EpochReport",
     "ExchangePhase",
     "FeatureSliceAllToAllStep",
-    "FusedScatterGatherStep",
     "GatherByDstStep",
     "GetFromDepNbrStep",
     "InputRoute",
     "LayerAccountant",
     "LayerExecutor",
     "LayerProgram",
-    "PASS_REGISTRY",
     "Program",
     "ScatterToEdgeStep",
     "StalenessBoundedReader",

@@ -17,7 +17,7 @@ filtering, the shared-memory variants' residency and chunk sizing).
 The compiled :class:`~repro.execution.program.Program` is the one
 description the charges read: charge-time methods take a layer index
 and look up ``engine.program_.layers[l - 1]`` (exchange volumes, refresh
-share, pass annotations, ``post_exchange``, the ``ComputeSpec``).  Only
+share, overlap marks, ``post_exchange``, the ``ComputeSpec``).  Only
 the plan-time hooks (``forward_volumes``, ``max_chunk_edges``,
 ``account_resident_extras``, :func:`account_memory`) take the plan --
 they run before a Program exists.  Seconds are evaluated at *charge
@@ -25,12 +25,12 @@ time* against ``engine._device(w)`` (the device view under straggler
 faults), never baked into the IR.
 
 The overlap pass (paper Section 5.4) surfaces here: when
-:func:`.passes.overlap_exchange` marked a worker's exchange as
-foldable, :meth:`LayerAccountant.charge_forward_layer` overlaps that
-worker's VertexForward (dense) time with the exchange's communication
-window -- the GPU total charged is unchanged, the wall-clock shrinks by
-at most the window's idle slack, and the folded share is visible in the
-trace as a GPU interval inside the window plus an ``overlap`` span.
+:func:`.passes.run_passes` marked a worker's exchange as foldable,
+:meth:`LayerAccountant.charge_forward_layer` overlaps that worker's
+VertexForward (dense) time with the exchange's communication window --
+the GPU total charged is unchanged, the wall-clock shrinks by at most
+the window's idle slack, and the folded share is visible in the trace
+as a GPU interval inside the window plus an ``overlap`` span.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ HOST_MEMORY_BYTES = 230 * 1024 * 1024
 # Fraction of a layer's forward compute charged again during backward.
 BACKWARD_MULTIPLIER = 2.0
 
-# Charged sparse-flops multiplier of a layer the fuse-scatter-gather
-# pass fused (GCN, GIN and SAGE alike): the E x d per-edge message is
-# never materialised, so 3 of GCN's 4 per-edge/dim ops remain (gather,
-# multiply, scatter-add).
-FUSED_FLOPS_FACTOR = 0.75
-
 
 class LayerAccountant:
     """Charges one engine's execution to its cluster timeline."""
@@ -76,20 +70,14 @@ class LayerAccountant:
         chunk_compute = np.zeros((m, m))
         local_compute = np.zeros(m)
         dense = np.zeros(m)
-        lp = self._layer(l)
-        specs = lp.compute_specs
-        # Fused layers skip the materialised per-edge intermediate, so
-        # the charged sparse time shrinks (the IR's counts stay as-is).
-        sparse_factor = (
-            FUSED_FLOPS_FACTOR if lp.fused_reducer is not None else 1.0
-        )
+        specs = self._layer(l).compute_specs
         for w in range(m):
             device = engine._device(w)
             spec = specs[w]
             dense[w] = device.dense_time(spec.dense_flops)
             if spec.num_edges == 0:
                 continue
-            per_edge = sparse_factor * spec.sparse_flops / spec.num_edges
+            per_edge = spec.sparse_flops / spec.num_edges
             for j in range(m):
                 count = int(spec.chunk_edges[j])
                 if count == 0:
@@ -183,7 +171,7 @@ class LayerAccountant:
         return stats
 
     def _fold_flags(self, l: int) -> Optional[np.ndarray]:
-        """Pass-written fold markers for this layer (None = charge as-is)."""
+        """The layer's overlap marks (None = nothing marked)."""
         lp = self._layer(l)
         # TP layers fold the dense into the unslice (post) exchange --
         # the phase whose window precedes the owned-rows VertexForward.

@@ -2,7 +2,7 @@
 
 Backs the ``repro explain-plan`` CLI command: :func:`describe_program`
 produces a JSON-friendly dict of the per-layer, per-worker dataflow
-(step kinds, vertex counts, bytes, exchange volumes, applied passes),
+(step kinds, vertex counts, bytes, exchange volumes, overlap marks),
 :func:`render_program` a terminal layout of the same thing.
 """
 
@@ -21,21 +21,8 @@ def step_dict(step) -> Dict[str, object]:
     return d
 
 
-def _edge_step(wk: Dict[str, object]) -> Dict[str, object]:
-    """The sparse step of a worker tuple, fused or not.
-
-    Unfused tuples carry Scatter -> EdgeForward -> GatherByDst at indices
-    1..3; the fuse-scatter-gather pass collapses them into one
-    ``fused_scatter_gather`` step, so look the step up by kind.
-    """
-    for step in wk["steps"]:
-        if step["kind"] in ("edge_forward", "fused_scatter_gather"):
-            return step
-    raise ValueError("worker program has no sparse step")
-
-
 def describe_layers(program: Program) -> List[Dict[str, object]]:
-    """Every layer of ``program`` -- exchange, pass annotations and the
+    """Every layer of ``program`` -- exchange, overlap marks and the
     per-worker steps -- as JSON-friendly dicts (full-batch plans and
     sampled rounds render through this one description)."""
     layers = []
@@ -64,7 +51,6 @@ def describe_layers(program: Program) -> List[Dict[str, object]]:
             ),
             "refresh_entries": int(ex.refresh_entries),
             "bytes_per_message": float(ex.bytes_per_message),
-            "fused_reducer": lp.fused_reducer,
             "workers": workers,
         })
     return layers
@@ -79,7 +65,6 @@ def describe_program(engine) -> Dict[str, object]:
         "num_workers": program.num_workers,
         "num_layers": program.num_layers,
         "dims": list(program.dims),
-        "passes": list(program.passes),
         "layers": describe_layers(program),
     }
 
@@ -92,9 +77,6 @@ def render_program(engine) -> str:
         f"program: engine={desc['engine']} workers={desc['num_workers']} "
         f"layers={desc['num_layers']} dims={desc['dims']}"
     )
-    lines.append(
-        "passes: " + (", ".join(desc["passes"]) if desc["passes"] else "(none)")
-    )
     for layer in desc["layers"]:
         if layer.get("tensor_parallel"):
             lines.append(
@@ -104,7 +86,7 @@ def render_program(engine) -> str:
             )
             for wk in layer["workers"]:
                 sl = wk["steps"][0]
-                edge = _edge_step(wk)
+                edge = wk["steps"][2]
                 vertex = wk["steps"][-1]
                 flags = ["fold-dense"] if wk["fold_dense"] else []
                 suffix = f"  [{', '.join(flags)}]" if flags else ""
@@ -129,14 +111,7 @@ def render_program(engine) -> str:
         for wk in layer["workers"]:
             gather = wk["steps"][0]
             vertex = wk["steps"][-1]
-            edge = _edge_step(wk)
-            if edge["kind"] == "fused_scatter_gather":
-                sparse = (
-                    f"FusedScatterGather(edges={edge['num_edges']} "
-                    f"reducer={edge['reducer']})"
-                )
-            else:
-                sparse = f"Scatter/Edge/Gather(edges={edge['num_edges']})"
+            edge = wk["steps"][2]
             flags = []
             if wk["fold_dense"]:
                 flags.append("fold-dense")
@@ -150,7 +125,7 @@ def render_program(engine) -> str:
                 f"cached={gather['num_cached']} "
                 f"recompute={gather['num_recompute']} "
                 f"fetch_bytes={gather['fetch_bytes']}) -> "
-                f"{sparse} -> "
+                f"Scatter/Edge/Gather(edges={edge['num_edges']}) -> "
                 f"VertexForward(out={vertex['num_outputs']})"
                 f" chunks={wk['recv_chunks']}{suffix}"
             )

@@ -8,8 +8,8 @@ cache (``H_i^l``), and which are recomputed from cached subtrees
 (``R_i^l``).  :func:`build_engine_plan` derives the plan top-down from
 ``engine.decide_dependencies`` -- the *only* method the strategies
 implement -- and :mod:`repro.execution.program` then compiles the plan
-into the explicit per-layer dataflow program the executor, accountant,
-and pass pipeline consume.
+into the explicit per-layer dataflow program the executor, accountant
+and overlap pass consume.
 """
 
 from __future__ import annotations
@@ -111,14 +111,8 @@ def build_engine_plan(engine) -> EnginePlan:
     decisions: List[Dict[int, np.ndarray]] = [dict() for _ in range(L)]
     stale_decisions: List[Dict[int, np.ndarray]] = [dict() for _ in range(L)]
     preprocessing = 0.0
-    empty = np.empty(0, dtype=np.int64)
     for w in range(m):
-        result = engine.decide_dependencies(w)
-        if len(result) == 4:
-            cached, communicated, stale, prep_s = result
-        else:
-            cached, communicated, prep_s = result
-            stale = [empty] * L
+        cached, communicated, stale, prep_s = engine.decide_dependencies(w)
         preprocessing = max(preprocessing, prep_s)  # workers run in parallel
         for l in range(L):
             cached_all[l].append(cached[l])
@@ -140,6 +134,7 @@ def build_engine_plan(engine) -> EnginePlan:
     stale_ids: List[List[np.ndarray]] = [[None] * m for _ in range(L)]
     blocks: List[List[LayerBlock]] = [[None] * m for _ in range(L)]
     all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
     for w in range(m):
         owned = engine.partitioning.part(w)
         need = owned

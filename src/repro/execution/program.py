@@ -18,7 +18,7 @@ synchronisation.  The IR holds time-invariant quantities only (counts,
 flops, byte volumes); the accountant reads them from the compiled
 program and evaluates them against the device profile *at charge
 time*, so straggler faults and online re-planning see current hardware,
-and optimization passes (:mod:`.passes`) annotate the IR instead of
+and the overlap pass (:mod:`.passes`) annotates the IR instead of
 patching engine code.
 
 :func:`compile_program` adds the one thing only the full-batch executor
@@ -86,24 +86,6 @@ class GatherByDstStep:
 
 
 @dataclass(frozen=True)
-class FusedScatterGatherStep:
-    """Scatter + EdgeForward + GatherByDst lowered to one segment kernel.
-
-    Written by :func:`.passes.fuse_scatter_gather` for layers whose
-    edge function is a simple (weighted-)sum or mean reducer: the three
-    edge-sized steps collapse into a single segment reduction, skipping
-    the materialised per-edge intermediate.  ``reducer`` names the
-    fused kernel (``"weighted_sum"`` / ``"mean"``).
-    """
-
-    kind = "fused_scatter_gather"
-    num_edges: int
-    num_outputs: int
-    sparse_flops: float
-    reducer: str
-
-
-@dataclass(frozen=True)
 class VertexForwardStep:
     """Per-vertex NN op (the dense share of the layer)."""
 
@@ -145,7 +127,7 @@ class ExchangePhase:
     transposes) -- nothing re-derives them from the plan.
     ``fold_dense[w]`` is pass-written metadata: when set, the accountant
     may fold worker ``w``'s VertexForward time into this exchange's
-    communication window (see :func:`.passes.overlap_exchange`).
+    communication window (see :func:`.passes.run_passes`).
     """
 
     layer: int
@@ -161,8 +143,8 @@ class ExchangePhase:
 
     def recv_chunks(self, worker: int) -> int:
         """Incoming chunks (distinct senders) for ``worker``."""
-        col = self.volumes[:, worker]
-        return int(sum(1 for j in range(len(col)) if j != worker and col[j] > 0))
+        sends = self.volumes[:, worker] > 0
+        return int(sends.sum() - sends[worker])
 
     def total_bytes(self) -> int:
         off = ~np.eye(self.volumes.shape[0], dtype=bool)
@@ -216,9 +198,6 @@ class LayerProgram:
     exchange: ExchangePhase
     workers: List[WorkerLayerProgram]
     post_exchange: Optional[ExchangePhase] = None
-    # Pass-written: reducer name when the layer's Scatter/Edge/Gather
-    # triple was lowered to a FusedScatterGatherStep, else None.
-    fused_reducer: Optional[str] = None
 
     @property
     def is_tp(self) -> bool:
@@ -237,7 +216,6 @@ class Program:
     num_workers: int
     dims: List[int]
     layers: List[LayerProgram]
-    passes: List[str] = field(default_factory=list)
 
 
 def _compute_specs(engine, plan: EnginePlan, l: int) -> List[ComputeSpec]:
@@ -406,7 +384,7 @@ def _input_routes(engine, plan: EnginePlan, l: int):
 def compile_program(engine, plan: EnginePlan) -> Program:
     """Compile ``plan`` into the explicit per-layer dataflow program:
     :func:`compile_layers` plus the :class:`InputRoute` of every block
-    the executor gathers.  Optimization passes are applied separately
+    the executor gathers.  The overlap marks are written separately
     (:func:`.passes.run_passes`).
     """
     layers = compile_layers(engine, plan)

@@ -209,7 +209,7 @@ def build_tp_layer_program(engine, plan: EnginePlan, l: int) -> LayerProgram:
 def tp_charge_forward_layer(accountant, l: int) -> ExchangeStats:
     """Charge one TP layer's forward: phase A + sliced aggregation,
     phase B, then the owned-rows dense (fold-aware via the shared
-    ``_charge_dense``, so the overlap-exchange pass composes)."""
+    ``_charge_dense``, so the overlap marks apply here too)."""
     engine = accountant.engine
     timeline = engine.timeline
     m = engine.cluster.num_workers

@@ -202,19 +202,3 @@ def limited_bfs_in(
                 vertex_steps.append(np.empty(0, dtype=np.int64))
             break
     return vertex_steps, edge_steps
-
-
-def replication_factor(
-    graph: Graph, parts: Sequence[np.ndarray], hops: int
-) -> float:
-    """Average number of workers holding each vertex under DepCache.
-
-    A replication factor of 1.0 means no redundancy; ``m`` means every
-    worker caches the whole graph (what happens on dense graphs like
-    Reddit, and why DepCache loses there).
-    """
-    total = 0
-    for part in parts:
-        layers, _ = khop_closure(graph, part, hops)
-        total += len(layers[-1])
-    return total / max(graph.num_vertices, 1)

@@ -21,12 +21,13 @@ from typing import Dict
 from repro.cluster.trace import timeline_to_chrome_trace
 from repro.ops.harness import OpsRunResult
 
-#: Bump when the bundle layout changes incompatibly.
-SCHEMA_VERSION = 1
+#: Bump when the bundle layout changes incompatibly (2: training traces
+#: carry the overlap marks' ``overlap`` spans).
+SCHEMA_VERSION = 2
 
 
 def bundle_from_result(result: OpsRunResult) -> Dict[str, object]:
-    """Flatten one run into the schema-1 bundle dict.
+    """Flatten one run into the bundle dict.
 
     Every part is already plain JSON data: the records' ``to_dict``
     payloads, the spec, and the ledger rows hold builtin scalars only

@@ -5,7 +5,7 @@ interface, a batch-dependency knob kappa that re-serves a hashed
 fraction of the previous mini-batch's realized neighbor lists, a
 static degree-pinned feature cache, and a per-round compiler that
 lowers every mini-batch onto the typed Program IR so the accountant,
-passes, traces, and ops signals price sampled training exactly like
+overlap marks, traces, and ops signals price sampled training exactly like
 full-batch training.
 """
 

@@ -101,8 +101,8 @@ def compile_round(
 ) -> Tuple[EnginePlan, Program, RoundTraffic]:
     """Compile one round of per-worker sampled closures.
 
-    Returns ``(plan, program, traffic)``; the program has *not* yet had
-    passes applied (callers run :func:`repro.execution.run_passes`).
+    Returns ``(plan, program, traffic)``; the program's overlap marks
+    are not written yet (callers run :func:`repro.execution.run_passes`).
     """
     m = engine.cluster.num_workers
     L = engine.num_layers

@@ -6,7 +6,7 @@ round's closures compile (:mod:`repro.sampling.compile`) to an
 ``EnginePlan`` + ``Program`` installed as the engine's current plan,
 and the engine's accountant (``charge_forward_layer`` and friends)
 prices them through ``run_exchange`` — faults, retries, the overlap
-pass, and trace spans included.  Only the sampling phase itself
+marks, and trace spans included.  Only the sampling phase itself
 (CPU draw time + optional DistDGL-style id-plane RPC rounds) is charged
 by the :class:`~repro.sampling.costs.SamplingCostModel`, whose rates
 are derived from the probed ``T_e`` constants rather than hard-coded.
@@ -70,7 +70,6 @@ class SampledTrainingEngine(BaseEngine):
         mu: float = 0.8,
         memory_limit_bytes: Optional[int] = None,
         cache_config=None,
-        program_passes=None,
     ):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) != model.num_layers:
@@ -91,7 +90,6 @@ class SampledTrainingEngine(BaseEngine):
             mu=mu,
             memory_limit_bytes=memory_limit_bytes,
             cache_config=None,
-            program_passes=program_passes,
         )
         self.fanouts = fanouts
         self.batch_size = batch_size
@@ -167,8 +165,8 @@ class SampledTrainingEngine(BaseEngine):
 
     def rounds(self, shuffle: bool):
         """The next epoch, one mini-batch round at a time: sample every
-        worker's batch in one call, compile the round, run the program
-        passes.  Yields ``(round, closures, plan, program, traffic)``
+        worker's batch in one call, compile the round, mark its overlap
+        windows.  Yields ``(round, closures, plan, program, traffic)``
         and touches no engine state, so the epoch loop and
         ``explain-plan --sampled``'s dry run draw the same rounds."""
         worker_batches = self._worker_batches(shuffle)

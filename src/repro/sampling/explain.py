@@ -36,7 +36,6 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
         rounds.append({
             "round": r,
             "workers": workers,
-            "passes": list(program.passes),
             "layers": describe_layers(program),
             "traffic": {
                 "remote_rows": traffic.remote_rows,
@@ -73,11 +72,6 @@ def render_sampled_batches(engine, num_batches: int = 1) -> str:
             f"round {rnd['round']}: fetch {t['fetch_rows']} rows "
             f"(remote {t['remote_rows']}, reused {t['reused_rows']}, "
             f"pinned {t['pinned_rows']}, saved {t['saved_bytes']} B)"
-            + (
-                f"  passes: {', '.join(rnd['passes'])}"
-                if rnd["passes"]
-                else ""
-            )
         )
         for wk in rnd["workers"]:
             sizes = " -> ".join(str(s) for s in wk["frontier_sizes"])

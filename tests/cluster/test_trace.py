@@ -153,9 +153,10 @@ class TestOperationalSpanExport:
             cluster = cluster.with_faults(faults)
         return DepCommEngine(
             graph, model, cluster,
-            record_timeline=True, program_passes=("overlap-exchange",),
+            record_timeline=True,
             # P optimization off => the exchange window is pure comm,
-            # so the pass is guaranteed positive slack to fold into.
+            # so the overlap marks are guaranteed positive slack to
+            # fold into.
             comm=CommOptions(ring=True, lock_free=True, overlap=False),
         )
 

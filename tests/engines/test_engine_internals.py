@@ -93,8 +93,12 @@ class TestAdversarialSubclass:
                 deps = dependency_layers(
                     self.graph, self.partitioning.part(worker), self.num_layers
                 )
-                # Everything in both sets.
-                return [d.copy() for d in deps], [d.copy() for d in deps], 0.0
+                # Everything in both sets; nothing served stale.
+                empty = [np.empty(0, dtype=np.int64) for _ in deps]
+                return (
+                    [d.copy() for d in deps], [d.copy() for d in deps],
+                    empty, 0.0,
+                )
 
         model = GNNModel.gcn(graph.feature_dim, 8, graph.num_classes, seed=2)
         sloppy = SloppyEngine(graph, model, cluster4)

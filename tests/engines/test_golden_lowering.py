@@ -12,12 +12,12 @@ lowering and the Program-reading accountant changed no step, no byte
 and no charged second.  The explain dicts may *gain* keys; a recorded
 key may not move.
 
-The ``-passes`` cases were recorded with four passes.  When the
-``ring-reorder`` and ``chunk-pipeline`` passes were deleted, their
-``pipeline_depth`` / ``ring_order`` keys went with them, and the charged
-seconds of ``roc-passes`` and ``sampled-uniform-k0.5-c0-passes`` (the two
-cases those passes moved) were re-recorded with the two remaining
-passes on the tree that still had all four.
+When the overlap marks became part of every compiled Program (no
+pass is optional any more), the ``-passes`` cases went, because they
+duplicated the plain ones, and the plain cases were re-recorded: the
+explain JSON lost its ``passes`` and ``fused_reducer`` keys, gained
+the marks, and the charged seconds of the cases with a receiver of
+2+ chunks went down.
 """
 
 import itertools
@@ -29,9 +29,6 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "golden_lowering.json"
 
-ALL_PASSES = (
-    "overlap-exchange", "fuse-scatter-gather",
-)
 FEATURE_CACHE_BYTES = int(0.05 * 1024 * 1024)
 
 SAMPLED_CASES = [
@@ -39,12 +36,8 @@ SAMPLED_CASES = [
     for sampler in ("uniform", "labor", "ladies")
     for kappa in (0.0, 0.5, 1.0)
     for cache in (0, FEATURE_CACHE_BYTES)
-] + ["sampled-uniform-k0.5-c0-passes", "distdgl"]
-FULLBATCH_CASES = [
-    f"{name}{suffix}"
-    for name in ("tp", "hybrid4", "roc")
-    for suffix in ("", "-passes")
-]
+] + ["distdgl"]
+FULLBATCH_CASES = ["tp", "hybrid4", "roc"]
 CASES = SAMPLED_CASES + FULLBATCH_CASES
 
 
@@ -59,12 +52,11 @@ def _sampled_engine(case: str):
     model = GNNModel.gcn(graph.feature_dim, 16, graph.num_classes, seed=1)
     kwargs = dict(fanouts=(3, 5), batch_size=16, seed=0)
     if case != "distdgl":
-        _, sampler, kappa, cache, *passes = case.split("-")
+        _, sampler, kappa, cache = case.split("-")
         kwargs.update(
             sampler=sampler,
             kappa=float(kappa[1:]),
             feature_cache_bytes=int(cache[1:]),
-            program_passes=ALL_PASSES if passes else (),
         )
     name = "distdgl" if case == "distdgl" else "sampled"
     return make_engine(name, graph, model, ClusterSpec.ecs(2), **kwargs)
@@ -85,11 +77,7 @@ def _fullbatch_engine(case: str, **kwargs):
     generators.attach_features(g, 64, 16, seed=1, class_signal=0.6)
     graph = prepare_graph(g, "gcn")
     model = GNNModel.build("gcn", 64, 256, 16, num_layers=2, seed=0)
-    name, *passes = case.split("-")
-    return make_engine(
-        name, graph, model, ClusterSpec.ecs(4),
-        program_passes=ALL_PASSES if passes else (), **kwargs,
-    )
+    return make_engine(case, graph, model, ClusterSpec.ecs(4), **kwargs)
 
 
 def _jsonable(value):
@@ -172,7 +160,7 @@ def _layer_programs(case: str):
 
 @pytest.mark.parametrize("case", [
     "depcache", "depcomm", "depcomm-cached", "hybrid", "hybrid4", "tp",
-    "roc", "hybrid4-passes", "sampled-labor-k0.5-c52428", "distdgl",
+    "roc", "sampled-labor-k0.5-c52428", "distdgl",
 ])
 def test_every_layer_program_is_structurally_sound(case, check_layer_program):
     layers = list(_layer_programs(case))

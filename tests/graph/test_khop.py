@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_dependencies
 from repro.graph import generators
 from repro.graph.khop import (
     dependency_layers,
     khop_closure,
     limited_bfs_in,
-    replication_factor,
 )
+from repro.partition.base import Partitioning
 import references
 
 
@@ -93,6 +94,17 @@ class TestLimitedBfs:
             step_set = set(step.tolist())
             assert not (step_set & seen)
             seen |= step_set
+
+
+def replication_factor(graph, parts, hops):
+    """``analyze_dependencies``' replication factor of ``parts``."""
+    assignment = np.empty(graph.num_vertices, dtype=np.int64)
+    for w, part in enumerate(parts):
+        assignment[part] = w
+    report = analyze_dependencies(
+        graph, Partitioning(assignment, len(parts)), num_layers=hops
+    )
+    return report.replication_factor
 
 
 class TestReplicationFactor:

@@ -48,10 +48,10 @@ class TestRun:
         assert entry["grade"]["overall"] > 0.5
         assert entry["aborted"] is False
 
-    def test_bundle_is_schema_one(self, recorded):
+    def test_bundle_is_schema_two(self, recorded):
         _, bundle, _ = recorded
         data = json.loads(bundle.read_text())
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["problem"]["name"] == "train-cache-thrash"
         assert data["observations"]
         assert data["trace"]["traceEvents"]

@@ -6,7 +6,9 @@
 holds key paths only -- no values -- so it does not depend on the numpy
 version; value-level identity is what ``test_replay.py`` checks.
 Re-record only for an intended bundle-schema change (which also bumps
-``SCHEMA_VERSION``).
+``SCHEMA_VERSION``).  Re-recorded at schema 2, when every compiled
+Program gained its overlap marks and training traces their ``overlap``
+spans (``args.layer`` / ``args.saved_s``).
 """
 
 import json

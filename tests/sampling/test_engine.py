@@ -48,12 +48,17 @@ class TestCompiledProgram:
         for upper in layers[1:]:
             assert upper["exchange_bytes"] == 0
 
-    def test_overlap_pass_applies_to_sampled_programs(self, graph, cluster2):
-        engine = _engine(
-            graph, cluster2, program_passes=("overlap-exchange",)
-        )
-        desc = describe_sampled_batches(engine, num_batches=1)
-        assert "overlap-exchange" in desc["rounds"][0]["passes"]
+    def test_overlap_pass_applies_to_sampled_programs(self, graph, cluster4):
+        # Every round's Program is marked: exactly the receivers of 2+
+        # bottom-layer chunks may fold their dense time.
+        engine = _engine(graph, cluster4)
+        desc = describe_sampled_batches(engine, num_batches=2)
+        marked = 0
+        for rnd in desc["rounds"]:
+            for wk in rnd["layers"][0]["workers"]:
+                assert wk["fold_dense"] == (wk["recv_chunks"] >= 2)
+                marked += wk["fold_dense"]
+        assert marked
 
     def test_render_mentions_every_worker(self, graph, cluster2):
         engine = _engine(graph, cluster2)

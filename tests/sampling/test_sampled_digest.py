@@ -3,12 +3,15 @@
 For each sampler at kappa 0 and 0.5, two epochs of rounds on a small
 catalog graph are hashed: every closure's bookkeeping and every block
 field (the derived ones included, read through their attributes) and
-every compiled round ``Program`` after its passes; then two training
-epochs add their losses and charged times.  ``DIGESTS`` were recorded
-with the blocks built from an explicit per-edge ``dst`` list, where
+every compiled round ``Program`` with its overlap marks; then two
+training epochs add their losses and charged times.  The blocks were
+first pinned while built from an explicit per-edge ``dst`` list, where
 kappa reuse listed a worker's reused rows before its fresh ones; the
 hash sorts each bottom block's edges stably by destination row first,
 so it pins the rows' own edge order and not how rows interleave.
+``DIGESTS`` were re-recorded once when every round's Program gained
+its overlap marks: blocks, the rest of each Program, losses and bytes
+were checked unchanged part by part, and only charged times went down.
 
 Re-record (``PYTHONPATH=src python tests/sampling/test_sampled_digest.py``
 prints the table) only for an intended change of what is sampled.
@@ -44,12 +47,12 @@ CLOSURE_FIELDS = (
 )
 
 DIGESTS = {
-    "uniform@0.0": "c7177e72c8babd4b28d10fbf7804ab4b21a2715ec7cdf5e6652286e463f349e0",
-    "uniform@0.5": "60d46ea19dc30e391d4b856af97f4ae644d96727e9037008e49dd54e4b6cc13d",
-    "labor@0.0": "781059191e1f4bb7bdc6c793de205b7864400fb1abde644ade9555f538dec1c1",
-    "labor@0.5": "1528fac8748390750f477f43cc0d81404d2c4f855d03645711a445f1d630ed56",
-    "ladies@0.0": "88c0366b5bbfb8a322b7b4ef41279b3bf9b93dfbf09e115f0e9f0cf2a160c2e6",
-    "ladies@0.5": "18b641a7c66dd1d359b581ab50686bac609321584518b71c042eddb06c986b0a",
+    "uniform@0.0": "382e9b1e0b784803b7402c114f3fbc76ccddccd0be0d8271ed59f0abe30bdb26",
+    "uniform@0.5": "e6d2dfd9df3ab96c516fd44c61ddc1f42cf3bd09d9dab0949ec2fc89c30a9784",
+    "labor@0.0": "3c1a7d61cb180df442222a0f3d89174ca0977400892bb5fee7639a4ab7af920e",
+    "labor@0.5": "00eae6223014a1874db2da6d3ebb6997c8759692a104e2b79f92379aadf4083e",
+    "ladies@0.0": "89c435fbbf9ebddc20cf8b5e97f50abbcfe8806423012cce27c6d6c4cb86a6a1",
+    "ladies@0.5": "4fbba4c8a2cdf8a01df8d7aae677e7711c5c7a0194b75b71351f7938d7809ea8",
 }
 
 

@@ -378,37 +378,41 @@ class TestSampleSweepCli:
 
 
 class TestExplainPassFlagsCli:
-    BASE = ["explain-plan", "--dataset", "cora", "--scale", "0.5",
-            "--nodes", "2"]
+    """The flags the overlap pass writes, as explain-plan shows them."""
+
+    BASE = ["explain-plan", "--dataset", "cora", "--scale", "0.5"]
 
     def test_renders_pass_annotations(self, capsys):
-        assert main(self.BASE + ["--fuse-pass", "--overlap-pass"]) == 0
+        # 4 workers: DepComm receivers of 2+ chunks are marked.
+        assert main(self.BASE + ["--nodes", "4", "--engine", "depcomm"]) == 0
         out = capsys.readouterr().out
-        assert "passes: overlap-exchange, fuse-scatter-gather" in out
-        assert "FusedScatterGather(" in out
-        assert "reducer=weighted_sum" in out
-        assert "Scatter/Edge/Gather" not in out
+        assert "[fold-dense]" in out
+        assert "passes:" not in out
+        assert "Scatter/Edge/Gather" in out
 
     def test_json_carries_pass_annotations(self, capsys, tmp_path):
         import json
 
         target = tmp_path / "program.json"
         assert main(self.BASE + [
-            "--fuse-pass", "--overlap-pass", "--json", str(target),
+            "--nodes", "4", "--engine", "depcomm", "--json", str(target),
         ]) == 0
         payload = json.loads(target.read_text())
-        assert payload["passes"] == ["overlap-exchange", "fuse-scatter-gather"]
-        layers = payload["layers"]
-        assert all(l["fused_reducer"] == "weighted_sum" for l in layers)
-        kinds = [s["kind"] for s in layers[0]["workers"][0]["steps"]]
-        assert "fused_scatter_gather" in kinds
+        assert "passes" not in payload
+        workers = [w for l in payload["layers"] for w in l["workers"]]
+        assert any(w["fold_dense"] for w in workers)
+        for w in workers:
+            assert w["fold_dense"] == (w["recv_chunks"] >= 2)
+            kinds = [s["kind"] for s in w["steps"]]
+            assert "edge_forward" in kinds
 
     def test_default_run_has_no_annotations(self, capsys):
-        assert main(list(self.BASE)) == 0
+        # 2 workers: every receiver has at most one chunk, so nothing
+        # is marked.
+        assert main(self.BASE + ["--nodes", "2"]) == 0
         out = capsys.readouterr().out
-        assert "passes: (none)" in out
+        assert "fold-dense" not in out
         assert "Scatter/Edge/Gather" in out
-        assert "FusedScatterGather(" not in out
 
 
 class TestExplainSampledCli:
