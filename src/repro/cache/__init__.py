@@ -8,9 +8,9 @@ epochs, amortizing the communication cost to ``t_c / tau`` at the price
 of slightly stale inputs (exact again after every refresh).
 
 - :mod:`repro.cache.historical` -- the per-layer, epoch-stamped store;
-- :mod:`repro.cache.policies` -- admission/eviction rankings;
 - :mod:`repro.cache.budget` -- the memory budget shared with DepCache
-  closures, plus :class:`CacheConfig`.
+  closures, the one admission rank (:func:`rank_candidates`), plus
+  :class:`CacheConfig`.
 
 The tau/capacity grid behind ``repro cache-sweep`` and the
 ``cache_sweep`` experiment of ``benchmarks/bench_paper.py`` is
@@ -20,27 +20,19 @@ Engines opt in via ``cache_config=CacheConfig(...)``; with no config
 every code path is bit-identical to the cache-free implementation.
 """
 
-from repro.cache.budget import CACHE_MEMORY_LABEL, CacheBudget, CacheConfig
-from repro.cache.historical import CacheCounters, HistoricalEmbeddingCache
-from repro.cache.policies import (
-    AdmissionPolicy,
-    ExpectationPolicy,
-    LRUPolicy,
-    StaticDegreeTopK,
-    get_policy,
-    make_policy,
+from repro.cache.budget import (
+    CACHE_MEMORY_LABEL,
+    CacheBudget,
+    CacheConfig,
+    rank_candidates,
 )
+from repro.cache.historical import CacheCounters, HistoricalEmbeddingCache
 
 __all__ = [
     "CACHE_MEMORY_LABEL",
-    "AdmissionPolicy",
     "CacheBudget",
     "CacheConfig",
     "CacheCounters",
-    "ExpectationPolicy",
     "HistoricalEmbeddingCache",
-    "LRUPolicy",
-    "StaticDegreeTopK",
-    "get_policy",
-    "make_policy",
+    "rank_candidates",
 ]

@@ -6,7 +6,8 @@ replicated dependency subtrees.  The caching subsystem draws from the
 byte granted to a historical-embedding entry is a byte the greedy can
 no longer spend on a closure, and vice versa.  ``CacheBudget`` is the
 gatekeeper for the cache's side of that split, with an optional
-``capacity_bytes`` cap on the cache's share.
+``capacity_bytes`` cap on the cache's share; :func:`rank_candidates`
+orders the candidates it admits a prefix of.
 """
 
 from __future__ import annotations
@@ -33,23 +34,16 @@ class CacheConfig:
         identical to no cache), ``inf`` fetches once and serves forever;
         the greedy cost model only *chooses* CACHED when ``tau >= 2``
         makes the amortized cost ``t_c / tau`` strictly cheaper.
-    policy:
-        Admission policy name (``degree`` | ``lru`` | ``expectation``).
     capacity_bytes:
         Optional cap on the cache's share of the worker budget ``S``
         (``None`` = bounded only by ``S`` itself).
-    fanout:
-        Expected neighborhood-expansion fanout for the expectation
-        policy (``None`` = full-batch exact access counts).
 
     The trainer's staleness-vs-accuracy guard may force a refresh epoch
     when the loss regresses; it is on whenever a config is set.
     """
 
     tau: float = 4.0
-    policy: str = "expectation"
     capacity_bytes: Optional[int] = None
-    fanout: Optional[int] = None
 
     def __post_init__(self):
         if self.tau < 0:
@@ -130,3 +124,23 @@ class CacheBudget:
                 break
             taken.append(int(u))
         return np.asarray(sorted(taken), dtype=np.int64)
+
+
+def rank_candidates(
+    graph, assignment: np.ndarray, worker: int, candidates
+) -> np.ndarray:
+    """``candidates`` best-first for a cache slot on ``worker``.
+
+    A candidate ranks by how many of the worker's own vertices read it
+    (its out-edges into the partition: every one is exercised every
+    full-batch epoch), ties broken by id.  The rank decides only *which*
+    rows are served stale: every entry of a layer costs the same bytes
+    and saves exactly one row's fetch, so the budget alone fixes how
+    many are admitted and with it every byte moved.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if len(candidates) == 0:
+        return candidates
+    src = graph.src[assignment[graph.dst] == worker]
+    consumers = np.bincount(src, minlength=graph.num_vertices)
+    return candidates[np.lexsort((candidates, -consumers[candidates]))]

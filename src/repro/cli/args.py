@@ -169,19 +169,12 @@ SAMPLING = (
         help="mini-batch seed count (default 128)"),
 )
 
-CACHE_POLICY = arg(
-    "--cache-policy", default="expectation",
-    choices=["degree", "lru", "expectation"],
-    help="cache admission policy (default %(default)s)",
-)
-
 CACHE = (
     arg("--tau", type=float, default=None,
         help="staleness bound for the historical-embedding cache in epochs "
              "('inf' allowed); omit for no cache"),
     arg("--cache-mb", type=float, default=None,
         help="cache capacity cap in MB (default unbounded)"),
-    CACHE_POLICY,
 )
 
 FAULT_SEED = arg("--fault-seed", type=int, default=0,
@@ -292,9 +285,7 @@ class Setup:
         capacity = None
         if args.cache_mb is not None:
             capacity = int(args.cache_mb * 1024 * 1024)
-        return CacheConfig(
-            tau=args.tau, policy=args.cache_policy, capacity_bytes=capacity
-        )
+        return CacheConfig(tau=args.tau, capacity_bytes=capacity)
 
     def sampling(self, engine_name: str) -> dict:
         """The SAMPLING flags a sampled engine takes (else nothing)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro import sweeps
 from repro.cli.args import (
-    CACHE_POLICY, CLUSTER, CRASHES, FAULTS, JSON, MODEL, SAMPLING, Setup,
+    CLUSTER, CRASHES, FAULTS, JSON, MODEL, SAMPLING, Setup,
     cluster_of, csv, fanout_groups, sampler,
 )
 from repro.cli.base import Command, Report, arg, echo
@@ -22,7 +22,7 @@ def cache_sweep(args) -> Report:
     result = sweeps.run_cache_sweep(
         setup.graph, setup.model, setup.cluster, taus=args.taus,
         epochs=args.epochs, engine_name=args.engine, capacities=capacities,
-        policy=args.cache_policy, lr=args.lr,
+        lr=args.lr,
     )
     base = result["baseline"]
     best = sweeps.best_cache_point(result, args.accuracy_tolerance)
@@ -128,7 +128,6 @@ COMMANDS = (
             arg("--capacity-mb", type=csv(float), default=None,
                 help="comma-separated capacity caps in MB (default: "
                      "unbounded only)"),
-            CACHE_POLICY,
             arg("--accuracy-tolerance", type=float, default=0.01,
                 help="accuracy drop tolerated when picking the best point "
                      "(default %(default)s)"),

@@ -15,9 +15,9 @@ served from a staleness-bounded historical-embedding cache and
 re-fetched every ``tau`` epochs, at amortized cost ``t_c / tau``
 (:meth:`DependencyCostModel.t_cached`).  CACHED is only ever chosen
 when it is *strictly* cheaper than DepComm (``tau >= 2``) and the
-admission policy's ranking fits the worker's remaining share of the
-memory budget ``S``, which replicated closures and cache entries
-draw from jointly.
+candidate's place in :func:`repro.cache.budget.rank_candidates` fits
+the worker's remaining share of the memory budget ``S``, which
+replicated closures and cache entries draw from jointly.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.budget import CacheBudget, CacheConfig
-from repro.cache.policies import make_policy
+from repro.cache.budget import CacheBudget, CacheConfig, rank_candidates
 from repro.cluster.memory import MemoryTracker
 from repro.costmodel.costs import DependencyCostModel, TensorParallelCostInputs
 from repro.costmodel.probe import _BACKWARD_COMM, ProbeResult
@@ -162,9 +161,9 @@ def _select_stale_cached(
     # Strict-dominance gate: amortized fetch must beat per-epoch fetch.
     if not cost_model.t_cached(layer, cache.tau) < cost_model.t_c(layer):
         return np.empty(0, dtype=np.int64)
-    policy = make_policy(cache, graph, partitioning, worker)
     return cache_budget.admit_prefix(
-        policy.rank(candidates, layer), cost_model.cache_entry_bytes(layer)
+        rank_candidates(graph, partitioning.assignment, worker, candidates),
+        cost_model.cache_entry_bytes(layer),
     )
 
 

@@ -8,8 +8,8 @@ ROC/DistGNN/Dorylus (here with NeutronStar's chunked, ring-scheduled,
 overlapped communication unless the options say otherwise).
 
 With a :class:`repro.cache.CacheConfig`, an explicit cache mode is
-layered on top: the admission policy ranks each layer's remote
-dependencies and the :class:`repro.cache.CacheBudget` admits a prefix
+layered on top: :func:`repro.cache.budget.rank_candidates` ranks each
+layer's remote dependencies and the :class:`repro.cache.CacheBudget` admits a prefix
 into the staleness-bounded CACHED set (served from the historical
 cache, re-fetched every ``tau`` epochs).  Unlike the hybrid greedy --
 which only picks CACHED when it strictly amortizes -- this user-driven
@@ -24,8 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.cache.budget import CacheBudget
-from repro.cache.policies import make_policy
+from repro.cache.budget import CacheBudget, rank_candidates
 from repro.engines.base import BaseEngine
 from repro.graph.khop import dependency_layers
 
@@ -47,12 +46,11 @@ class DepCommEngine(BaseEngine):
         communicated = [d.copy() for d in deps]
         if self.cache_config is not None:
             budget = CacheBudget.for_config(self.cache_config)
-            policy = make_policy(
-                self.cache_config, self.graph, self.partitioning, worker
-            )
+            assignment = self.partitioning.assignment
             for l in range(1, self.num_layers + 1):
-                stale[l - 1] = budget.admit_prefix(
-                    policy.rank(deps[l - 1], l), self.dims[l - 1] * 4
+                ranked = rank_candidates(
+                    self.graph, assignment, worker, deps[l - 1]
                 )
+                stale[l - 1] = budget.admit_prefix(ranked, self.dims[l - 1] * 4)
                 communicated[l - 1] = np.setdiff1d(deps[l - 1], stale[l - 1])
         return cached, communicated, stale, 0.0

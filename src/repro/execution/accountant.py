@@ -159,15 +159,21 @@ class LayerAccountant:
 
             return tp_charge_forward_layer(self, l)
         chunk_compute, local_compute, dense = self.layer_compute_split(l)
+        cache = self.cache_traffic(l, backward=False)
         stats = self._exchange(
             lp.exchange.volumes,
             lp.exchange.bytes_per_message,
             chunk_compute=chunk_compute,
             local_compute=local_compute,
-            cache=self.cache_traffic(l, backward=False),
+            cache=cache,
         )
         self.engine._forward_stats.append(stats)
-        self._charge_dense(l, dense, stats, lp.exchange.volumes)
+        # A refresh epoch moves the stale-cached share through the same
+        # window, so the window is measured from the sum run_exchange sent.
+        window = lp.exchange.volumes
+        if cache is not None and cache.refresh:
+            window = window + cache.volumes
+        self._charge_dense(l, dense, stats, window)
         return stats
 
     def _fold_flags(self, l: int) -> Optional[np.ndarray]:

@@ -30,9 +30,10 @@ def run_passes(program: Program, engine) -> Program:
     """Mark the exchanges whose comm window may absorb VertexForward
     time, and return ``program``.
 
-    Folding is legal only when a worker receives 2+ chunks: with a
-    single incoming chunk there is no post-fill window (the GPU can
-    start nothing until the only chunk lands), so single-chunk
+    Folding is legal only when a worker receives 2+ chunks, fetch and
+    refresh shares counted together (:meth:`ExchangePhase.recv_chunks`):
+    with a single incoming chunk there is no post-fill window (the GPU
+    can start nothing until the only chunk lands), so single-chunk
     receivers are left unmarked.  For a tensor-parallel layer the dense
     work runs after the *unslice* transpose, so that is the window that
     can absorb it; the pre-aggregation slice exchange cannot.  The marks

@@ -142,8 +142,10 @@ class ExchangePhase:
             self.fold_dense = np.zeros(self.volumes.shape[0], dtype=bool)
 
     def recv_chunks(self, worker: int) -> int:
-        """Incoming chunks (distinct senders) for ``worker``."""
-        sends = self.volumes[:, worker] > 0
+        """Incoming chunks (distinct senders) for ``worker``, counting
+        the refresh share: a refresh epoch moves it through the same
+        exchange window as the fetch share."""
+        sends = (self.volumes[:, worker] + self.refresh_volumes[:, worker]) > 0
         return int(sends.sum() - sends[worker])
 
     def total_bytes(self) -> int:

@@ -113,7 +113,6 @@ def run_cache_sweep(
     epochs: int,
     engine_name: str,
     capacities: Sequence[Optional[int]] = (None,),
-    policy: str = "expectation",
     lr: float = 0.01,
 ) -> Dict:
     """Train the (capacity, tau) grid and compare against no cache.
@@ -138,7 +137,7 @@ def run_cache_sweep(
 
     def cell(capacity, tau):
         history, comm, accuracy = train(
-            CacheConfig(tau=tau, policy=policy, capacity_bytes=capacity)
+            CacheConfig(tau=tau, capacity_bytes=capacity)
         )
         reports = history.reports
         hits = sum(r.cache_hits for r in reports)

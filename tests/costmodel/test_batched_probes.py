@@ -221,7 +221,7 @@ def test_partition_matches_seed_greedy_on_every_field(grid_setting, first_block)
     worker = 1
     budgets = [None, 0, loose // 3, loose * 2]
     fractions = [None, 0.0, 0.35, 1.0]
-    caches = [None, CacheConfig(tau=3.0, policy="degree")]
+    caches = [None, CacheConfig(tau=3.0)]
     # A TP price low enough to flip a layer, and one that never wins.
     tps = [None, _tp_inputs(graph, partitioning, worker, 1e3),
            _tp_inputs(graph, partitioning, worker, 1e-3)]

@@ -79,12 +79,12 @@ class TestAmortizedCost:
 
 class TestGreedyNeverCachesAtTauOne:
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 500), st.sampled_from(["degree", "expectation"]))
-    def test_tau_one_yields_empty_stale_sets(self, seed, policy):
+    @given(st.integers(0, 500))
+    def test_tau_one_yields_empty_stale_sets(self, seed):
         g, partitioning, worker = random_setting(seed)
         result = partition_dependencies(
             g, partitioning, worker, MODEL.dims(), CONSTANTS,
-            cache=CacheConfig(tau=1.0, policy=policy),
+            cache=CacheConfig(tau=1.0),
         )
         assert all(len(h) == 0 for h in result.stale_cached)
         assert result.cache_bytes == 0

@@ -8,7 +8,10 @@ version; value-level identity is what ``test_replay.py`` checks.
 Re-record only for an intended bundle-schema change (which also bumps
 ``SCHEMA_VERSION``).  Re-recorded at schema 2, when every compiled
 Program gained its overlap marks and training traces their ``overlap``
-spans (``args.layer`` / ``args.saved_s``).
+spans (``args.layer`` / ``args.saved_s``).  Re-recorded again, still at
+schema 2, when the marks began counting refresh traffic: the
+``train-cache-thrash`` bundle's trace now carries those same ``overlap``
+spans, which schema 2 already defines, so no new key path exists.
 """
 
 import json
