@@ -5,7 +5,7 @@ seconds), this one measures **real host wall-clock** of the two hot
 loops the vectorization PR rewrote:
 
 - ``epoch_s``: one sampled-training ``charge_epoch`` -- sampling,
-  closure reuse, block building, compile, and accounting for every
+  block building, compile, and accounting for every
   mini-batch round (the data-management epoch);
 - ``compile_s``: one full-graph hybrid plan compile -- k-hop closures,
   block building, and program construction;
@@ -52,7 +52,6 @@ from repro.graph import datasets as D
 from repro.graph import generators as G
 from repro.graph.adjacency import Adjacency
 from repro.graph.datasets import load_dataset
-from repro.sampling import closure as CL
 from repro.sampling import compile as C
 from repro.sampling import samplers as S
 from repro.sampling.engine import SampledTrainingEngine
@@ -122,36 +121,15 @@ def _sample_layer_ref(self, graph, frontiers, fanout, layer, *,
     )
 
 
-def _bottom_fetch_ref(engine, closure):
+def _bottom_fetch_ref(engine, closure, resident):
     w = closure.worker
     inputs = closure.blocks[0].input_vertices
     remote = inputs[engine.assignment[inputs] != w]
-    covered = (
-        np.intersect1d(remote, closure.reused_srcs)
-        if len(closure.reused_srcs)
-        else C._EMPTY
-    )
-    rest = np.setdiff1d(remote, covered)
+    rest = remote
     if engine.feature_cache is not None:
-        pinned = np.intersect1d(rest, engine.feature_cache.pinned_for(w))
-        fetch = np.setdiff1d(rest, pinned)
-    else:
-        pinned = C._EMPTY
-        fetch = rest
-    counts = {"remote": len(remote), "reused": len(covered),
-              "pinned": len(pinned), "fetch": len(fetch)}
-    return remote, fetch, counts
-
-
-def _replace_ref(self, vertices, counts, src, eids, scales):
-    dst = np.repeat(vertices, counts)
-    order = np.argsort(dst, kind="stable")
-    dst_sorted = dst[order]
-    self.vertex_ids, counts = np.unique(dst_sorted, return_counts=True)
-    self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    self.srcs = src[order]
-    self.eids = eids[order]
-    self.scales = None if scales is None else scales[order]
+        rest = np.setdiff1d(remote, engine.feature_cache.pinned_for(w))
+    fetch = np.setdiff1d(rest, resident)
+    return remote, fetch, len(remote) - len(rest), len(rest) - len(fetch)
 
 
 def _inverse_cdf_ref(cdf, values):
@@ -168,7 +146,6 @@ _PATCHES = [
     (B, "_positions", _positions_ref),
     (S.UniformFanoutSampler, "_sample_layer", _sample_layer_ref),
     (C, "_bottom_fetch", _bottom_fetch_ref),
-    (CL.ReuseState, "replace", _replace_ref),
     # Algorithm 4 as one scalar ``t_r`` walk per measurement and per pop;
     # patched where the hybrid engine imported it by name.
     (H, "partition_dependencies", seed_partition_dependencies),

@@ -775,7 +775,11 @@ def _answers(predictions: Mapping[int, int]) -> str:
     return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:12]
 
 
-SOCIAL_STATS = ("unique_remote", "comm_bytes", "fetched_rows", "reused_rows", "sampled_edges")
+SOCIAL_STATS = ("unique_remote", "comm_bytes", "fetched_rows", "resident_rows", "sampled_edges")
+KAPPAS = (1, 4, 16, 64)
+# The kappa rows' batch: 32 rounds per worker per epoch, so every kappa
+# of the axis cuts the epoch into a different number of blocks.
+KAPPA_BATCH = 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -793,8 +797,8 @@ def sampled_epochs(config):
     """``(sampler, kappa)`` on 4 nodes; sampler ``None`` is full-batch Hybrid.
 
     ``kappa=None``: the first charged epoch, then 8 trained epochs and the
-    test accuracy.  A ``kappa``: the second charged epoch (reuse needs one
-    epoch of history), untrained.
+    test accuracy.  A ``kappa``: the first charged epoch at batch
+    ``KAPPA_BATCH``, untrained.
     """
     sampler, kappa = config
     graph = _social_40k()
@@ -805,10 +809,9 @@ def sampled_epochs(config):
     else:
         # Fanouts below the average degree, so sampling prunes.
         engine = make_engine("sampled", graph, model, cluster, fanouts=(4, 8),
-                             batch_size=512, seed=0, sampler=sampler,
-                             **({} if kappa is None else {"kappa": kappa}))
-    for _ in range(1 if kappa is None else 2):
-        epoch_s = engine.charge_epoch()
+                             batch_size=512 if kappa is None else KAPPA_BATCH,
+                             seed=0, sampler=sampler, kappa=kappa or 1)
+    epoch_s = engine.charge_epoch()
     stats = getattr(engine, "last_epoch_stats", None) or {}
     accuracy = None
     if kappa is None:
@@ -821,17 +824,17 @@ def sampled_epochs(config):
 
 
 @experiment("sampling", "Sampled mini-batch training: full batch vs sampled, LABOR vs "
-            "uniform, kappa reuse (scaled-social 40960, GCN, 4-node ECS, fanouts (4, 8), "
-            "batch 512)",
+            "uniform, kappa-blocks sharing their draws (scaled-social 40960, GCN, 4-node "
+            "ECS, fanouts (4, 8), batch 512; kappa rows batch 16)",
             {"config": ((None, None), ("uniform", None), ("labor", None))
-             + tuple(("uniform", kappa) for kappa in (0.0, 0.25, 0.5, 0.75, 1.0))},
+             + tuple((s, kappa) for s in ("uniform", "labor") for kappa in KAPPAS)},
             sampled_epochs,
-            (Column("training", "sampler"), Column("kappa", "kappa", _fmt("{:g}")), EPOCH,
+            (Column("training", "sampler"), Column("kappa", "kappa", _fmt("{}")), EPOCH,
              Column("accuracy", "accuracy", _fmt("{:.2%}")),
              Column("uniq remote", "unique_remote", _fmt("{}")),
              Column("comm KB", "comm_bytes", _fmt(kb)),
              Column("fetched", "fetched_rows", _fmt("{}")),
-             Column("reused", "reused_rows", _fmt("{}"))))
+             Column("resident", "resident_rows", _fmt("{}"))))
 def check_sampling(rows):
     results = _nest(rows, "sampler", "kappa")
     full, uniform, labor = (results[s][None] for s in ("full batch", "uniform", "labor"))
@@ -840,10 +843,14 @@ def check_sampling(rows):
     assert full["accuracy"] - uniform["accuracy"] <= 0.02
     # Shared coin flips shrink the union frontier at identical fanout.
     assert 1.0 - labor["unique_remote"] / uniform["unique_remote"] >= 0.20
-    # kappa only ever removes traffic, and actually removes some.
-    volumes = [r["comm_bytes"] for kappa, r in results["uniform"].items() if kappa is not None]
-    assert all(a >= b for a, b in zip(volumes, volumes[1:])), volumes
-    assert volumes[-1] < volumes[0], volumes
+    # The rounds of a kappa-block share their draws, so they overlap and
+    # fetch less than independent rounds; LABOR, whose draws are per
+    # source, fetches less with every longer block.
+    for sampler in ("uniform", "labor"):
+        fetched = [results[sampler][kappa]["fetched_rows"] for kappa in KAPPAS]
+        assert all(f < fetched[0] for f in fetched[1:]), (sampler, fetched)
+    fetched = [results["labor"][kappa]["fetched_rows"] for kappa in KAPPAS]
+    assert all(a > b for a, b in zip(fetched, fetched[1:])), fetched
 
 
 def tensor_parallel(hub_exponent: float, hidden: int):

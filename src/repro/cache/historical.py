@@ -163,9 +163,6 @@ class HistoricalEmbeddingCache:
             [None if e is None else e.stamp for e in entries],
         )
 
-    def contains(self, layer: int, vertex: int) -> bool:
-        return (layer, int(vertex)) in self._entries
-
     def invalidate(self) -> None:
         """Drop every entry (e.g. after a crash re-provision)."""
         self._entries.clear()

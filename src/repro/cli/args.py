@@ -56,6 +56,14 @@ def sampler(text):
     return text
 
 
+@named("non-negative integer")
+def non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 @named("FANOUT,...[;FANOUT,...]")
 def fanout_groups(text):
     """``'10,25;5,10'`` -> ``((10, 25), (5, 10))``, seed layer first."""
@@ -162,9 +170,9 @@ SAMPLING = (
     arg("--fanouts", type=fanout_groups, default=None,
         help="comma-separated per-layer fanouts, seed layer first, e.g. "
              "'10,25' (default: the engine's)"),
-    arg("--kappa", type=float, default=0.0,
-        help="batch-dependency knob: fraction of the previous batch's "
-             "sampled closure reused (default 0 = independent batches)"),
+    arg("--kappa", type=non_negative, default=1,
+        help="batch dependency: consecutive rounds that share their "
+             "random draws (default 1 = independent rounds; 0 means 1)"),
     arg("--batch-size", type=int, default=None,
         help="mini-batch seed count (default 128)"),
 )
@@ -174,7 +182,8 @@ CACHE = (
         help="staleness bound for the historical-embedding cache in epochs "
              "('inf' allowed); omit for no cache"),
     arg("--cache-mb", type=float, default=None,
-        help="cache capacity cap in MB (default unbounded)"),
+        help="cache capacity cap in MB (default unbounded); a sampled "
+             "engine pins this many MB of remote feature rows"),
 )
 
 FAULT_SEED = arg("--fault-seed", type=int, default=0,
@@ -278,7 +287,8 @@ class Setup:
         )
 
     def cache_config(self):
-        """The CACHE flags as a CacheConfig (None = no cache)."""
+        """The CACHE flags as a full-batch engine's CacheConfig (None =
+        no cache)."""
         args = self.args
         if getattr(args, "tau", None) is None:
             return None
@@ -288,26 +298,29 @@ class Setup:
         return CacheConfig(tau=args.tau, capacity_bytes=capacity)
 
     def sampling(self, engine_name: str) -> dict:
-        """The SAMPLING flags a sampled engine takes (else nothing)."""
+        """The SAMPLING flags (and ``--cache-mb``, the feature cache's
+        size) a sampled engine takes (else nothing)."""
         if engine_name not in SAMPLED_ENGINES:
             return {}
-        args, extra = self.args, {}
+        args = self.args
+        extra = {"kappa": args.kappa}
         if args.fanouts:
             extra["fanouts"] = args.fanouts[0]
         if args.batch_size is not None:
             extra["batch_size"] = args.batch_size
-        if args.kappa:
-            extra["kappa"] = args.kappa
+        if getattr(args, "cache_mb", None) is not None:
+            extra["feature_cache_bytes"] = int(args.cache_mb * 1024 * 1024)
         # DistDGL samples uniformly; only `sampled` takes --sampler.
         if engine_name == "sampled":
             extra["sampler"] = args.sampler
         return extra
 
     def engine(self, name: str):
+        kwargs = (self.sampling(name) if name in SAMPLED_ENGINES
+                  else {"cache_config": self.cache_config()})
         return make_engine(
             name, self.graph, self.model(), self.cluster,
-            comm=CommOptions.all(), cache_config=self.cache_config(),
-            **self.sampling(name),
+            comm=CommOptions.all(), **kwargs,
         )
 
     def partitioning(self):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro import sweeps
 from repro.cli.args import (
     CLUSTER, CRASHES, FAULTS, JSON, MODEL, SAMPLING, Setup,
-    cluster_of, csv, fanout_groups, sampler,
+    cluster_of, csv, fanout_groups, non_negative, sampler,
 )
 from repro.cli.base import Command, Report, arg, echo
 from repro.resilience import (
@@ -139,7 +139,7 @@ COMMANDS = (
         "sample-sweep",
         "sweep sampler x fanout x kappa x feature-cache capacity",
         "sample-sweep --dataset reddit --samplers uniform,labor "
-        "--fanouts '10,25;5,10' --kappas 0,0.5",
+        "--fanouts '10,25;5,10' --kappas 1,4",
         (
             MODEL, CLUSTER,
             arg("--samplers", type=csv(sampler), default="uniform,labor,ladies",
@@ -147,8 +147,9 @@ COMMANDS = (
             arg("--fanouts", type=fanout_groups, default="10,25",
                 help="semicolon-separated fanout groups, e.g. '10,25;5,10' "
                      "(default '%(default)s')"),
-            arg("--kappas", type=csv(float), default="0",
-                help="comma-separated kappa values in [0,1]"),
+            arg("--kappas", type=csv(non_negative), default="1",
+                help="comma-separated kappa values: consecutive rounds "
+                     "that share their draws"),
             arg("--cache-mb", type=csv(float), default="0",
                 help="comma-separated static feature-cache capacities in MB "
                      "(0 = no cache)"),

@@ -176,7 +176,6 @@ def partition_dependencies(
     memory_limit_bytes: Optional[int] = None,
     mu: float = 0.8,
     force_cache_fraction: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
     cache: Optional[CacheConfig] = None,
     warm_start: Optional[DependencyPartition] = None,
     tp: Optional[TensorParallelCostInputs] = None,

@@ -12,7 +12,9 @@ Reproduces the defining behaviours of DistDGL (Section 2.2, 5.3) as a
   themselves are priced by the compiled exchange phase like every
   other engine;
 - none of NeutronStar's communication optimisations
-  (``CommOptions.none()``);
+  (``CommOptions.none()``), and no feature cache: every round fetches
+  every remote feature row, held from the previous round or not
+  (``keeps_resident_rows``);
 - an accuracy ceiling below full-batch training (Figure 14), because
   only a sampled subset of neighbors participates.
 
@@ -38,6 +40,7 @@ class SamplingEngine(SampledTrainingEngine):
 
     name = "distdgl"
     rpc_accounting = True
+    keeps_resident_rows = False
 
     def __init__(
         self,

@@ -1,16 +1,16 @@
 """Sampled mini-batch training as a first-class subsystem.
 
 Samplers (uniform fanout / LABOR / LADIES) behind one seeded
-interface, a batch-dependency knob kappa that re-serves a hashed
-fraction of the previous mini-batch's realized neighbor lists, a
-static degree-pinned feature cache, and a per-round compiler that
-lowers every mini-batch onto the typed Program IR so the accountant,
-overlap marks, traces, and ops signals price sampled training exactly like
-full-batch training.
+interface, a batch-dependency key kappa (the kappa consecutive rounds
+of one block share their draws), a static degree-pinned feature cache,
+and a per-round compiler that fetches only the remote rows a worker
+does not already hold and lowers every mini-batch onto the typed
+Program IR, so the accountant, overlap marks, traces, and ops signals
+price sampled training exactly like full-batch training.
 """
 
 from repro.sampling.cache import StaticFeatureCache
-from repro.sampling.closure import ReuseState, SampledClosure
+from repro.sampling.closure import SampledClosure
 from repro.sampling.compile import RoundTraffic, compile_round
 from repro.sampling.costs import SamplingCostModel
 from repro.sampling.engine import SampledTrainingEngine
@@ -32,7 +32,6 @@ __all__ = [
     "LaborSampler",
     "LadiesSampler",
     "NeighborSampler",
-    "ReuseState",
     "RoundTraffic",
     "SampledClosure",
     "SampledTrainingEngine",

@@ -3,7 +3,7 @@
 :func:`compile_round` takes the closures every worker sampled for the
 current round and produces the same ``(EnginePlan, Program)`` pair a
 full-batch engine builds once at plan time: it splits each worker's
-bottom-layer remote inputs into fetched / reuse-covered / pinned rows,
+bottom-layer remote inputs into pinned / resident / fetched rows,
 fills the round's ``EnginePlan`` with the sampled blocks and that fetch
 list, and hands the plan to the shared lowering
 (:func:`repro.execution.program.compile_layers`).  There is no sampled
@@ -18,15 +18,15 @@ and the plan says so: only layer 1 moves data (remote *feature* rows
 for the bottom block's inputs); upper layers compute on activations
 produced locally by the layer below, so their ``comm_ids`` and
 exchanges are empty.  The layer-1 fetch list is the remote frontier
-minus rows credited to the batch-dependency reuse (kappa: sources
-covered by re-served neighbor lists are still resident from the
-previous round) and minus rows pinned in the static feature cache.
+minus rows pinned in the static feature cache and minus rows the
+worker already holds: its remote bottom rows of its previous round in
+the epoch (``resident``), which the caller passes in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -43,14 +43,14 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class RoundTraffic:
     """Feature-plane bookkeeping for one compiled round."""
 
-    remote_rows: int = 0  # unique remote bottom inputs, all workers
+    remote_rows: int = 0  # remote bottom inputs, summed over workers
     fetch_rows: int = 0  # rows actually exchanged
-    reused_rows: int = 0  # rows credited to kappa reuse
+    resident_rows: int = 0  # rows held from the worker's previous round
     pinned_rows: int = 0  # rows served by the static feature cache
-    saved_bytes: int = 0  # feature bytes reuse + cache kept off the wire
+    saved_bytes: int = 0  # feature bytes residency + cache kept off the wire
     per_worker_fetch: Dict[int, int] = field(default_factory=dict)
-    # Each worker's remote bottom inputs (sorted unique ids), so the
-    # epoch loop's unique-remote count does not split them again.
+    # Each worker's remote bottom inputs (sorted unique ids): the epoch
+    # loop's unique-remote count and the next round's resident rows.
     per_worker_remote: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -58,51 +58,43 @@ def _empty_closure_block(graph):
     return build_block_from_edges(graph, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
 
 
+def _drop(ids: np.ndarray, held: np.ndarray, num_vertices: int) -> np.ndarray:
+    """``ids`` without the ones in ``held``, in order.  A vertex-space
+    mask takes a third of a ``searchsorted`` membership test's time."""
+    if not len(held) or not len(ids):
+        return ids
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[held] = True
+    return ids[~mask[ids]]
+
+
 def _bottom_fetch(
-    engine, closure: SampledClosure
-) -> Tuple[np.ndarray, np.ndarray, dict]:
-    """Split one worker's bottom-layer remote inputs into fetched /
-    reuse-covered / cache-pinned rows; returns ``(remote, fetch,
-    counts)``."""
+    engine, closure: SampledClosure, resident: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Split one worker's bottom-layer remote inputs: the rows pinned in
+    the feature cache, then those of the rest in ``resident``, then the
+    rows fetched.  Returns ``(remote, fetch, num_pinned, num_resident)``."""
     w = closure.worker
+    n = engine.graph.num_vertices
     inputs = closure.blocks[0].input_vertices
     remote = inputs[engine.assignment[inputs] != w]
-    # ``remote`` is sorted unique, so mask membership splits reproduce
-    # intersect1d/setdiff1d element-identically without re-sorting.
-    if len(closure.reused_srcs):
-        reused_mask = np.zeros(engine.graph.num_vertices, dtype=bool)
-        reused_mask[closure.reused_srcs] = True
-        in_reused = reused_mask[remote]
-        covered = remote[in_reused]
-        rest = remote[~in_reused]
-    else:
-        covered = _EMPTY
-        rest = remote
-    if engine.feature_cache is not None:
-        pinned_mask = np.zeros(engine.graph.num_vertices, dtype=bool)
-        pinned_mask[engine.feature_cache.pinned_for(w)] = True
-        in_pinned = pinned_mask[rest]
-        pinned = rest[in_pinned]
-        fetch = rest[~in_pinned]
-    else:
-        pinned = _EMPTY
-        fetch = rest
-    counts = {
-        "remote": len(remote),
-        "reused": len(covered),
-        "pinned": len(pinned),
-        "fetch": len(fetch),
-    }
-    return remote, fetch, counts
+    cache = engine.feature_cache
+    rest = remote if cache is None else _drop(remote, cache.pinned_for(w), n)
+    fetch = _drop(rest, resident, n)
+    return remote, fetch, len(remote) - len(rest), len(rest) - len(fetch)
 
 
 def compile_round(
-    engine, closures: Dict[int, SampledClosure]
+    engine,
+    closures: Dict[int, SampledClosure],
+    resident: Mapping[int, np.ndarray],
 ) -> Tuple[EnginePlan, Program, RoundTraffic]:
     """Compile one round of per-worker sampled closures.
 
-    Returns ``(plan, program, traffic)``; the program's overlap marks
-    are not written yet (callers run :func:`repro.execution.run_passes`).
+    ``resident`` maps a worker to the remote rows it holds; a worker it
+    does not name holds none.  Returns ``(plan,
+    program, traffic)``; the program's overlap marks are not written yet
+    (callers run :func:`repro.execution.run_passes`).
     """
     m = engine.cluster.num_workers
     L = engine.num_layers
@@ -112,15 +104,17 @@ def compile_round(
     traffic = RoundTraffic()
     d0 = engine.dims[0]
     for w, closure in closures.items():
-        remote, fetch, counts = _bottom_fetch(engine, closure)
+        remote, fetch, num_pinned, num_resident = _bottom_fetch(
+            engine, closure, resident.get(w, _EMPTY)
+        )
         fetch_lists[w] = fetch
         traffic.per_worker_remote[w] = remote
-        traffic.remote_rows += counts["remote"]
-        traffic.reused_rows += counts["reused"]
-        traffic.pinned_rows += counts["pinned"]
-        traffic.fetch_rows += counts["fetch"]
-        traffic.per_worker_fetch[w] = counts["fetch"]
-        traffic.saved_bytes += (counts["reused"] + counts["pinned"]) * d0 * 4
+        traffic.remote_rows += len(remote)
+        traffic.resident_rows += num_resident
+        traffic.pinned_rows += num_pinned
+        traffic.fetch_rows += len(fetch)
+        traffic.per_worker_fetch[w] = len(fetch)
+        traffic.saved_bytes += (num_resident + num_pinned) * d0 * 4
 
     empty_lists = [_EMPTY] * m
     bottom_exchange = MirrorExchange(engine.assignment, fetch_lists, m)
@@ -149,9 +143,10 @@ def compile_round(
 
     layers = compile_layers(engine, plan)
     # Nothing is recomputed in a sampled round: a remote input row that
-    # is not on the wire is already resident (reuse-covered, pinned, or
-    # produced by the layer below), so the gather step books what the
-    # full-batch lowering calls a recompute as a cached read.
+    # is not on the wire is already resident (held from the previous
+    # round, pinned, or produced by the layer below), so the gather step
+    # books what the full-batch lowering calls a recompute as a cached
+    # read.
     for lp in layers:
         row_bytes = engine.dims[lp.layer - 1] * 4
         for wp in lp.workers:

@@ -37,7 +37,7 @@ from repro.execution.passes import run_passes
 from repro.graph.graph import Graph
 from repro.partition.base import Partitioning
 from repro.sampling.cache import StaticFeatureCache
-from repro.sampling.closure import ReuseState, SampledClosure
+from repro.sampling.closure import SampledClosure
 from repro.sampling.compile import compile_round
 from repro.sampling.costs import SamplingCostModel
 from repro.sampling.samplers import NeighborSampler, make_sampler
@@ -52,6 +52,10 @@ class SampledTrainingEngine(BaseEngine):
     # Whether each batch also pays DistDGL's sampling RPCs against the
     # distributed graph store (the ``distdgl`` configuration does).
     rpc_accounting = False
+    # Whether a worker keeps its previous round's remote feature rows
+    # and fetches only the rest (``distdgl`` models no feature cache:
+    # it fetches every remote row every round).
+    keeps_resident_rows = True
 
     def __init__(
         self,
@@ -63,13 +67,12 @@ class SampledTrainingEngine(BaseEngine):
         fanouts=(10, 25),
         batch_size: int = 128,
         sampler: str = "uniform",
-        kappa: float = 0.0,
+        kappa: int = 1,
         feature_cache_bytes: int = 0,
         record_timeline: bool = False,
         seed: int = 0,
         mu: float = 0.8,
         memory_limit_bytes: Optional[int] = None,
-        cache_config=None,
     ):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) != model.num_layers:
@@ -77,9 +80,8 @@ class SampledTrainingEngine(BaseEngine):
         batch_size = int(batch_size)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        kappa = float(kappa)
-        if not 0.0 <= kappa <= 1.0:
-            raise ValueError(f"kappa must be in [0, 1], got {kappa}")
+        if kappa < 0 or kappa != int(kappa):
+            raise ValueError(f"kappa must be a non-negative integer, got {kappa}")
         super().__init__(
             graph,
             model,
@@ -89,24 +91,15 @@ class SampledTrainingEngine(BaseEngine):
             record_timeline=record_timeline,
             mu=mu,
             memory_limit_bytes=memory_limit_bytes,
-            cache_config=None,
         )
         self.fanouts = fanouts
         self.batch_size = batch_size
-        self.kappa = kappa
+        # Consecutive rounds that share their draws; 0 is an alias of 1.
+        self.kappa = max(int(kappa), 1)
         self.seed = int(seed)
         self.sampler: NeighborSampler = make_sampler(
             sampler, fanouts, seed=self.seed
         )
-        # ``--cache-mb`` arrives as a CacheConfig; for sampled training
-        # the budget pins hot remote *feature* rows instead of
-        # historical embeddings.
-        if (
-            not feature_cache_bytes
-            and cache_config is not None
-            and getattr(cache_config, "capacity_bytes", 0)
-        ):
-            feature_cache_bytes = cache_config.capacity_bytes
         self.feature_cache = (
             StaticFeatureCache(graph, self.assignment, int(feature_cache_bytes))
             if feature_cache_bytes
@@ -133,6 +126,7 @@ class SampledTrainingEngine(BaseEngine):
 
     def _spawn_kwargs(self):
         kwargs = super()._spawn_kwargs()
+        del kwargs["cache_config"]  # the feature cache is sized in bytes
         kwargs.update(
             fanouts=self.fanouts,
             batch_size=self.batch_size,
@@ -168,12 +162,14 @@ class SampledTrainingEngine(BaseEngine):
         worker's batch in one call, compile the round, mark its overlap
         windows.  Yields ``(round, closures, plan, program, traffic)``
         and touches no engine state, so the epoch loop and
-        ``explain-plan --sampled``'s dry run draw the same rounds."""
+        ``explain-plan --sampled``'s dry run draw the same rounds.
+
+        The ``kappa`` rounds of one block (one ``r // kappa``) draw with
+        one key.  A worker that ``keeps_resident_rows`` fetches only the
+        remote rows it did not hold in its previous round.
+        """
         worker_batches = self._worker_batches(shuffle)
-        reuse = (
-            {w: ReuseState() for w in range(len(worker_batches))}
-            if self.kappa > 0.0 else None
-        )
+        resident: Dict[int, np.ndarray] = {}
         for r in range(max((len(b) for b in worker_batches), default=0)):
             closures = self.sampler.sample_batch(
                 self.graph,
@@ -182,9 +178,11 @@ class SampledTrainingEngine(BaseEngine):
                     for w, batches in enumerate(worker_batches)
                     if r < len(batches)
                 },
-                epoch=self._epoch, batch=r, kappa=self.kappa, state=reuse,
+                epoch=self._epoch, batch=r // self.kappa,
             )
-            plan, program, traffic = compile_round(self, closures)
+            plan, program, traffic = compile_round(self, closures, resident)
+            if self.keeps_resident_rows:
+                resident.update(traffic.per_worker_remote)
             yield r, closures, plan, run_passes(program, self), traffic
 
     # -- charging ------------------------------------------------------
@@ -246,7 +244,7 @@ class SampledTrainingEngine(BaseEngine):
         loss_terms = 0
         stats = {
             "sampled_edges": 0, "remote_rows": 0, "fetched_rows": 0,
-            "reused_rows": 0, "pinned_rows": 0, "saved_bytes": 0,
+            "resident_rows": 0, "pinned_rows": 0, "saved_bytes": 0,
             "num_batches": 0,
         }
         memo = self.feature_aggregates
@@ -269,7 +267,7 @@ class SampledTrainingEngine(BaseEngine):
             stats["num_batches"] += len(closures)
             stats["remote_rows"] += traffic.remote_rows
             stats["fetched_rows"] += traffic.fetch_rows
-            stats["reused_rows"] += traffic.reused_rows
+            stats["resident_rows"] += traffic.resident_rows
             stats["pinned_rows"] += traffic.pinned_rows
             stats["saved_bytes"] += traffic.saved_bytes
             for w, closure in closures.items():
@@ -297,7 +295,7 @@ class SampledTrainingEngine(BaseEngine):
             forward_time_s=0.0,
             backward_time_s=0.0,
             allreduce_time_s=0.0,
-            cache_hits=stats["reused_rows"] + stats["pinned_rows"],
+            cache_hits=stats["resident_rows"] + stats["pinned_rows"],
             cache_misses=stats["fetched_rows"],
             comm_saved_bytes=stats["saved_bytes"],
         )

@@ -5,7 +5,7 @@ prints.  Sampled programs exist per mini-batch, so this module dry-runs
 the first round(s) of the next epoch — deterministic batch order, no
 shuffling, no timeline charges, engine state untouched — and renders
 each round's compiled Program next to the sampling facts the IR cannot
-show (seed counts, per-layer frontier growth, kappa reuse fraction).
+show (seed counts, per-layer frontier growth, resident and pinned rows).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
                 "num_seeds": int(len(closure.seeds)),
                 "frontier_sizes": [int(x) for x in closure.frontier_sizes],
                 "sampled_edges": int(closure.num_sampled_edges),
-                "reused_vertices": int(closure.reused_vertices),
-                "reuse_fraction": float(closure.reuse_fraction),
                 "fetch_rows": int(traffic.per_worker_fetch.get(w, 0)),
             })
         rounds.append({
@@ -40,7 +38,7 @@ def describe_sampled_batches(engine, num_batches: int = 1) -> Dict[str, object]:
             "traffic": {
                 "remote_rows": traffic.remote_rows,
                 "fetch_rows": traffic.fetch_rows,
-                "reused_rows": traffic.reused_rows,
+                "resident_rows": traffic.resident_rows,
                 "pinned_rows": traffic.pinned_rows,
                 "saved_bytes": traffic.saved_bytes,
             },
@@ -70,7 +68,7 @@ def render_sampled_batches(engine, num_batches: int = 1) -> str:
         t = rnd["traffic"]
         lines.append(
             f"round {rnd['round']}: fetch {t['fetch_rows']} rows "
-            f"(remote {t['remote_rows']}, reused {t['reused_rows']}, "
+            f"(remote {t['remote_rows']}, resident {t['resident_rows']}, "
             f"pinned {t['pinned_rows']}, saved {t['saved_bytes']} B)"
         )
         for wk in rnd["workers"]:
@@ -78,7 +76,6 @@ def render_sampled_batches(engine, num_batches: int = 1) -> str:
             lines.append(
                 f"  worker {wk['worker']}: seeds={wk['num_seeds']} "
                 f"frontier {sizes} edges={wk['sampled_edges']} "
-                f"reuse={wk['reuse_fraction']:.2f} "
                 f"fetch={wk['fetch_rows']}"
             )
         for layer in rnd["layers"]:

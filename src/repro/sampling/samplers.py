@@ -28,20 +28,16 @@ whether it is drawn alone or with its round.
 
 All draws route through :mod:`repro.utils.rng` (``derive_rng`` for
 the per-(epoch, worker) shuffles and LADIES' per-layer draw,
-``hashed_uniforms`` for keyed per-id draws); no sampler constructs a
+``hashed_uint64`` for keyed per-id draws); no sampler constructs a
 ``np.random`` generator directly.  Every draw is a pure function of
 ``(seed, epoch, batch, ids)``, so a sampler has no state: a rollback
 to an earlier epoch replays its draws with nothing saved.
 
-Batch dependency (kappa) lives in the shared loop: at the bottom layer
-a hashed fraction of the frontier re-serves the previous batch's
-realized neighbor lists from :class:`~repro.sampling.closure.ReuseState`
-instead of sampling fresh.  The reuse decision for vertex ``v`` is
-``hashed_uniforms(seed, "kappa", epoch, ids=v) < kappa`` — keyed by
-epoch and vertex only — so the reused set at kappa is a subset of the
-reused set at kappa' >= kappa, and (for uniform and LABOR, whose fresh
-draws are per-id) the fetched remote rows shrink monotonically in
-kappa.
+Batch dependency (kappa) needs nothing from a sampler: the engine
+passes ``batch = round // kappa``, so the kappa consecutive rounds of
+one block draw with one key, and a vertex that reappears at a layer
+within the block keeps the neighbours it drew before (LADIES, which
+draws over the union frontier, shares the stream but not the lists).
 """
 
 from __future__ import annotations
@@ -52,9 +48,8 @@ import numpy as np
 
 from repro.core.blocks import build_block_from_edges
 from repro.graph.graph import Graph
-from repro.sampling.closure import _EMPTY, ReuseState, SampledClosure
-from repro.utils.ranges import expand_ranges
-from repro.utils.rng import derive_rng, hashed_uint64, hashed_uniforms
+from repro.sampling.closure import SampledClosure
+from repro.utils.rng import derive_rng, hashed_uint64
 
 # ``(src, counts, eids, scale-or-None)``: runs over a sorted frontier,
 # the ``i``-th vertex's kept in-edges being ``counts[i]`` consecutive
@@ -118,15 +113,6 @@ def _split(src, counts, eids, offsets) -> List[LayerSample]:
     ]
 
 
-def _interleave(at, reused: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """One array holding ``reused`` at positions ``at[0]`` and ``fresh``
-    at positions ``at[1]``."""
-    out = np.empty(len(reused) + len(fresh), np.result_type(reused, fresh))
-    out[at[0]] = reused
-    out[at[1]] = fresh
-    return out
-
-
 class Candidates(NamedTuple):
     """Every in-edge of a round's concatenated frontiers, gathered once.
 
@@ -183,14 +169,10 @@ class NeighborSampler:
         *,
         epoch: int = 0,
         batch: int = 0,
-        kappa: float = 0.0,
-        state: Optional[Mapping[int, ReuseState]] = None,
     ) -> Dict[int, SampledClosure]:
         """Sample round ``batch``: ``{worker: seeds}`` in,
         ``{worker: SampledClosure}`` out, in the mapping's order.
 
-        ``state`` maps a worker to its :class:`ReuseState` (kappa reuse
-        at the bottom layer); a worker it does not name reuses nothing.
         No draw is keyed by the worker, so a worker's closure is the
         same whether it is sampled alone or with its round.
         """
@@ -198,35 +180,24 @@ class NeighborSampler:
         if not workers:
             return {}
         seed_ids = [self._checked_seeds(graph, w, seeds[w]) for w in workers]
-        states = [None if state is None else state.get(w) for w in workers]
         frontiers = [np.unique(s) for s in seed_ids]
         num_seeds = [len(f) for f in frontiers]
         num_layers = len(self.fanouts)
         blocks = [[None] * num_layers for _ in workers]
         frontier_sizes = [[n] for n in num_seeds]
-        reuse = [(0, 0, _EMPTY)] * len(workers)
         for l in range(num_layers, 0, -1):
-            fanout = self.fanouts[num_layers - l]
-            if l == 1 and kappa > 0.0:
-                samples, reuse = self._bottom_with_reuse(
-                    graph, frontiers, fanout, epoch, batch, kappa, states,
-                    num_seeds,
-                )
-            else:
-                samples = self._sample_layer(
-                    graph, frontiers, fanout, l, epoch=epoch, batch=batch,
-                    num_seeds=num_seeds,
-                )
+            samples = self._sample_layer(
+                graph, frontiers, self.fanouts[num_layers - l], l,
+                epoch=epoch, batch=batch, num_seeds=num_seeds,
+            )
             for i, (src, counts, eids, scale) in enumerate(samples):
                 block = build_block_from_edges(
                     graph, frontiers[i], src, counts, eids
                 )
-                if scale is not None and block.num_edges:
+                if scale is not None:
                     block.edge_weight = block.edge_weight * scale
                     block.edge_weight_rescaled = True
                 blocks[i][l - 1] = block
-                if l == 1 and states[i] is not None:
-                    states[i].replace(frontiers[i], counts, src, eids, scale)
                 frontiers[i] = block.input_vertices
                 frontier_sizes[i].append(len(block.input_vertices))
         return {
@@ -236,9 +207,6 @@ class NeighborSampler:
                 blocks=blocks[i],
                 num_sampled_edges=sum(b.num_edges for b in blocks[i]),
                 frontier_sizes=frontier_sizes[i],
-                reused_vertices=reuse[i][0],
-                reuse_eligible=reuse[i][1],
-                reused_srcs=reuse[i][2],
             )
             for i, w in enumerate(workers)
         }
@@ -253,77 +221,6 @@ class NeighborSampler:
                 f"(the graph has {graph.num_vertices} vertices)"
             )
         return seeds
-
-    # -- kappa reuse at the bottom layer -------------------------------
-    def _bottom_with_reuse(
-        self,
-        graph: Graph,
-        frontiers: List[np.ndarray],
-        fanout: int,
-        epoch: int,
-        batch: int,
-        kappa: float,
-        states: List[Optional[ReuseState]],
-        num_seeds: List[int],
-    ):
-        """Each worker with stored lists re-serves a hashed fraction of
-        its frontier; every worker's fresh rows share one draw.  A
-        worker's runs stay in frontier order, each vertex's run reused
-        or fresh."""
-        u = hashed_uniforms(
-            self.seed, "kappa", epoch, ids=np.concatenate(frontiers)
-        )
-        offsets = np.cumsum([0] + [len(f) for f in frontiers])
-        masks, fresh = [], []
-        for i, (frontier, state) in enumerate(zip(frontiers, states)):
-            if state is None or not state.has_lists:
-                masks.append(None)
-                fresh.append(frontier)
-                continue
-            eligible = state.contains(frontier)
-            reuse_mask = eligible & (u[offsets[i]: offsets[i + 1]] < kappa)
-            masks.append((reuse_mask, eligible))
-            fresh.append(frontier[~reuse_mask])
-        fresh_samples = self._sample_layer(
-            graph, fresh, fanout, 1, epoch=epoch, batch=batch,
-            num_seeds=num_seeds,
-        )
-        samples, reuse = [], []
-        for i, sample in enumerate(fresh_samples):
-            if masks[i] is None:
-                samples.append(sample)
-                reuse.append((0, 0, _EMPTY))
-                continue
-            reuse_mask, eligible = masks[i]
-            src_r, counts_r, eid_r, scale_r = states[i].lists_for(
-                frontiers[i][reuse_mask]
-            )
-            src_f, counts_f, eid_f, scale_f = sample
-            counts = np.empty(len(frontiers[i]), dtype=np.int64)
-            counts[reuse_mask] = counts_r
-            counts[~reuse_mask] = counts_f
-            starts = np.cumsum(counts) - counts
-            at = (
-                expand_ranges(starts[reuse_mask], counts_r),
-                expand_ranges(starts[~reuse_mask], counts_f),
-            )
-            if scale_r is None and scale_f is None:
-                scale = None
-            else:
-                if scale_r is None:
-                    scale_r = np.ones(len(src_r), dtype=np.float64)
-                if scale_f is None:
-                    scale_f = np.ones(len(src_f), dtype=np.float64)
-                scale = _interleave(at, scale_r, scale_f)
-            samples.append((
-                _interleave(at, src_r, src_f), counts,
-                _interleave(at, eid_r, eid_f), scale,
-            ))
-            reused_srcs = np.unique(src_r) if len(src_r) else _EMPTY
-            reuse.append(
-                (int(reuse_mask.sum()), int(eligible.sum()), reused_srcs)
-            )
-        return samples, reuse
 
     def _candidates(self, graph: Graph, frontiers: List[np.ndarray]) -> Candidates:
         """All in-edges of the round's frontiers in one gather."""
@@ -471,7 +368,8 @@ class LadiesSampler(NeighborSampler):
         chosen_mask = np.zeros(len(candidates), dtype=bool)
         chosen_mask[chosen] = True
         keep = chosen_mask[inverse]
-        scale = 1.0 / (budget * p[inverse[keep]])
+        # Priced in float64, applied in the weights' own dtype.
+        scale = (1.0 / (budget * p[inverse[keep]])).astype(graph.edge_weight.dtype)
         return src[keep], _count_in_runs(counts, keep), eids[keep], scale
 
 

@@ -183,20 +183,20 @@ def best_cache_point(result: Dict, accuracy_tolerance: float) -> Optional[Dict]:
 SAMPLE_COLUMNS = (
     Column("sampler", "sampler"),
     Column("fanouts", "fanouts", lambda f: ",".join(str(x) for x in f)),
-    Column("kappa", "kappa", "{:g}"),
+    Column("kappa", "kappa"),
     Column("cache MB", "cache_mb", "{:g}"),
     Column("epoch ms", "epoch_s", ms),
     Column("comm KB", "comm_bytes", kb),
     Column("edges", "sampled_edges"),
     Column("uniq remote", "unique_remote"),
     Column("fetched", "fetched_rows"),
-    Column("reused", "reused_rows"),
+    Column("resident", "resident_rows"),
     Column("pinned", "pinned_rows"),
 )
 
 _SAMPLE_COUNTERS = (
     "comm_bytes", "sampled_edges", "remote_rows", "fetched_rows",
-    "reused_rows", "pinned_rows", "unique_remote", "saved_bytes",
+    "resident_rows", "pinned_rows", "unique_remote", "saved_bytes",
 )
 
 
@@ -205,7 +205,7 @@ def run_sample_sweep(
     cluster: ClusterSpec,
     samplers: Sequence[str],
     fanouts: Sequence[Sequence[int]],
-    kappas: Sequence[float],
+    kappas: Sequence[int],
     cache_mb: Sequence[float],
     arch: str,
     hidden: int,
@@ -237,7 +237,7 @@ def run_sample_sweep(
             "dataset": graph.name,
             "sampler": sampler,
             "fanouts": list(fanout),
-            "kappa": float(kappa),
+            "kappa": int(kappa),
             "cache_mb": float(cache),
             "epoch_s": float(np.mean(times)),
         }

@@ -59,9 +59,10 @@ def derive_uniform(seed: int, *stream: StreamPart) -> float:
 # Samplers need a uniform *per vertex or edge id* that does not depend
 # on how many draws happened before it: LABOR requires all candidate
 # lists that contain vertex ``u`` to see the *same* uniform for ``u``,
-# and the batch-dependency knob needs reuse decisions that are nested
-# across kappa values.  A sequential generator cannot provide either,
-# so these helpers hash ``(stream path, id)`` through splitmix64.
+# and the rounds of one batch-dependency block must draw the same
+# uniform for an id whichever other ids they hold.  A sequential
+# generator cannot provide either, so these helpers hash
+# ``(stream path, id)`` through splitmix64.
 
 _U64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -101,8 +102,7 @@ def hashed_uniforms(seed: int, *stream: StreamPart, ids) -> np.ndarray:
 
     Unlike ``derive_rng(...).random(n)`` the value for a given id is
     independent of every other id in the batch and of call order, which
-    is what makes LABOR's shared per-vertex uniforms and nested-in-kappa
-    reuse sets possible.
+    is what makes LABOR's shared per-vertex uniforms possible.
     """
     return (hashed_uint64(seed, *stream, ids=ids) >> np.uint64(11)) * float(
         2.0**-53

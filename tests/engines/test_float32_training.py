@@ -20,11 +20,13 @@ from repro.graph.datasets import load_dataset
 from repro.tensor import optim
 from repro.training.prep import prepare_graph
 
+# ``sampled`` samples uniformly; LABOR and LADIES get a case each (a
+# LADIES rescale once widened every weight it touched to float64).
 ENGINES = [
     "depcache", "depcomm", "hybrid", "hybrid4", "tp", "roc",
-    "shared-memory", "sampled", "distdgl",
+    "shared-memory", "sampled", "sampled-labor", "sampled-ladies", "distdgl",
 ]
-SAMPLED = ("sampled", "distdgl")
+SAMPLED = ("sampled", "sampled-labor", "sampled-ladies", "distdgl")
 
 
 def _engine(name, arch):
@@ -32,8 +34,11 @@ def _engine(name, arch):
     model = GNNModel.build(arch, graph.feature_dim, 8, graph.num_classes, seed=1)
     if name == "shared-memory":
         return SharedMemoryEngine(graph, model)
-    # Small batches give the sampled engines several rounds per epoch.
-    kwargs = {"batch_size": 16} if name in SAMPLED else {}
+    # Small batches give the sampled engines several rounds per epoch,
+    # and fanouts under the degrees make every sampler prune.
+    kwargs = {"batch_size": 16, "fanouts": (3, 5)} if name in SAMPLED else {}
+    if name.startswith("sampled-"):
+        name, kwargs["sampler"] = name.split("-")
     return make_engine(name, graph, model, ClusterSpec.ecs(2), **kwargs)
 
 

@@ -1,7 +1,7 @@
 """Every block stores its edges as runs, and derives the rest on read.
 
 For every builder -- :func:`build_block`, :func:`closure_block` and
-each sampler's blocks, LADIES and kappa reuse included -- a block's
+each sampler's blocks, LADIES' reweighted ones included -- a block's
 edges are grouped by destination row, rows ascending, and each field
 that is derived on first read equals its eager formula.  A
 fused-reducer sampled epoch reads its bottom blocks only through the
@@ -17,7 +17,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.blocks import build_block, closure_block
 from repro.core.model import GNNModel
 from repro.graph.graph import Graph
-from repro.sampling import SAMPLER_NAMES, ReuseState, SampledTrainingEngine, make_sampler
+from repro.sampling import SAMPLER_NAMES, SampledTrainingEngine, make_sampler
 from repro.tensor import optim
 from repro.training.prep import prepare_graph
 
@@ -85,25 +85,14 @@ def _spy_on_samples(sampler):
     """Record the ``LayerSample`` list each layer of ``sample_batch``
     builds its blocks from (top layer first)."""
     layers = []
-    sample_layer, bottom = sampler._sample_layer, sampler._bottom_with_reuse
-    inside_bottom = []
+    sample_layer = sampler._sample_layer
 
     def spy_layer(*args, **kwargs):
         samples = sample_layer(*args, **kwargs)
-        if not inside_bottom:
-            layers.append(samples)
+        layers.append(samples)
         return samples
 
-    def spy_bottom(*args, **kwargs):
-        inside_bottom.append(True)
-        try:
-            samples, reuse = bottom(*args, **kwargs)
-        finally:
-            inside_bottom.pop()
-        layers.append(samples)
-        return samples, reuse
-
-    sampler._sample_layer, sampler._bottom_with_reuse = spy_layer, spy_bottom
+    sampler._sample_layer = spy_layer
     return layers
 
 
@@ -111,27 +100,25 @@ def _spy_on_samples(sampler):
 @given(
     graph=graphs(),
     name=st.sampled_from(SAMPLER_NAMES),
-    kappa=st.sampled_from([0.0, 0.5, 1.0]),
     num_workers=st.integers(1, 3),
     data=st.data(),
 )
-def test_sampled_blocks_are_runs(graph, name, kappa, num_workers, data):
+def test_sampled_blocks_are_runs(graph, name, num_workers, data):
     sampler = make_sampler(name, (2, 3), seed=data.draw(st.integers(0, 3)))
     layers = _spy_on_samples(sampler)
-    state = {w: ReuseState() for w in range(num_workers)}
     for batch in range(3):
         seeds = {w: _subset(data.draw, graph.num_vertices) for w in range(num_workers)}
         layers.clear()
-        closures = sampler.sample_batch(
-            graph, seeds, epoch=1, batch=batch, kappa=kappa, state=state,
-        )
+        closures = sampler.sample_batch(graph, seeds, epoch=1, batch=batch)
         assert len(layers) == 2
         for w, closure in closures.items():
             for l, block in enumerate(closure.blocks):
                 src, counts, eids, scale = layers[len(layers) - 1 - l][w]
                 assert np.array_equal(block.edge_counts, counts)
                 assert np.array_equal(block.edge_ids, eids)
-                assert block.edge_weight_rescaled == (scale is not None and len(eids) > 0)
+                # A rescale always comes with kept edges to rescale.
+                assert scale is None or len(eids) > 0
+                assert block.edge_weight_rescaled == (scale is not None)
                 _assert_runs(graph, block, scale)
 
 
@@ -142,7 +129,7 @@ def test_a_fused_reducer_epoch_never_derives_bottom_positions(small_graph, name)
     assert model.layer(1).fused_reducer()
     engine = SampledTrainingEngine(
         graph, model, ClusterSpec.ecs(2), fanouts=(3, 5), batch_size=8,
-        sampler=name, kappa=0.5,
+        sampler=name, kappa=2,
     )
     seen = []
     train_round = engine._train_round

@@ -132,8 +132,10 @@ class TestEngineSurface:
             _engine(graph, cluster2, fanouts=(3,))
 
     def test_kappa_range_checked(self, graph, cluster2):
-        with pytest.raises(ValueError, match="kappa"):
-            _engine(graph, cluster2, kappa=1.5)
+        # Kappa counts rounds: a fraction or a negative count is no kappa.
+        for bad in (1.5, 0.5, -1):
+            with pytest.raises(ValueError, match="kappa"):
+                _engine(graph, cluster2, kappa=bad)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_checked(self, graph, cluster2, batch_size):
@@ -142,14 +144,22 @@ class TestEngineSurface:
         with pytest.raises(ValueError, match="batch_size"):
             _engine(graph, cluster2, batch_size=batch_size)
 
-    def test_distdgl_reuses_rows_at_kappa(self, graph, cluster2):
+    def test_distdgl_fetches_every_remote_row(self, graph, cluster2):
+        # DistDGL keeps no feature cache: what the sampled engine holds
+        # from a worker's previous round, distdgl fetches again.
         model = GNNModel.gcn(graph.feature_dim, 12, graph.num_classes, seed=1)
-        engine = make_engine(
+        distdgl = make_engine(
             "distdgl", graph, model, cluster2, fanouts=(3, 5), batch_size=8,
-            kappa=0.5,
         )
-        engine.charge_epoch()
-        assert engine.last_epoch_stats["reused_rows"] > 0
+        sampled = _engine(graph, cluster2, comm=distdgl.comm)
+        for engine in (distdgl, sampled):
+            engine.charge_epoch()
+        held, fetched = distdgl.last_epoch_stats, sampled.last_epoch_stats
+        assert held["resident_rows"] == 0
+        assert held["fetched_rows"] == held["remote_rows"]
+        assert fetched["remote_rows"] == held["remote_rows"]
+        assert 0 < fetched["resident_rows"]
+        assert fetched["fetched_rows"] + fetched["resident_rows"] == held["remote_rows"]
 
     def test_misspelt_kwargs_are_rejected(self, graph, cluster2):
         # ``fanout`` / ``batchsize`` used to vanish into ``**_ignored``

@@ -5,7 +5,7 @@
 layer.  That chain is kept here as the reference: through
 :class:`~repro.core.feature_aggregate.FeatureAggregateStore` every
 closure's logits and every epoch loss must carry the same bits and the
-same float dtype, for every sampler, with and without kappa reuse,
+same float dtype, for every sampler, with and without kappa-blocks,
 warm store or cold.  The property the store relies on -- a bottom row
 with as many edges as the vertex's in-degree lists exactly its CSC run,
 in CSC order -- is checked over graphs, fanouts and kappa, and the
@@ -117,7 +117,7 @@ class TestSampledDifferential:
         [
             (sampler, kappa)
             for sampler in ["uniform", "labor", "ladies"]
-            for kappa in [0.0, 0.5]
+            for kappa in [0.0, 4]
         ],
     )
     def test_logits_and_losses_bit_identical(self, sampler, kappa, arch):
@@ -162,7 +162,7 @@ class TestSampledDifferential:
 @given(
     seed=st.integers(0, 50),
     fanout=st.integers(1, 12),
-    kappa=st.sampled_from([0.0, 0.3, 0.9]),
+    kappa=st.sampled_from([0, 1, 4]),
     sampler=st.sampled_from(["uniform", "labor", "ladies"]),
 )
 def test_full_rows_list_the_csc_run_in_order(seed, fanout, kappa, sampler):
@@ -284,7 +284,8 @@ class TestDegenerateInputs:
         seeds = np.flatnonzero(graph.train_mask)[:8]
         block = sampler.sample_batch(graph, {0: seeds})[0].blocks[0]
         assert block.edge_weight_rescaled
-        assert block.edge_weight.dtype == np.float64
+        # The rescale is applied in the weights' own dtype.
+        assert block.edge_weight.dtype == graph.edge_weight.dtype == np.float32
         layer = GNNModel.build(
             arch, graph.feature_dim, 8, graph.num_classes, seed=2
         ).layer(1)
@@ -296,7 +297,7 @@ class TestDegenerateInputs:
         assert got.data.dtype == want.data.dtype
         assert got.data.tobytes() == want.data.tobytes()
         if arch == "gcn":
-            assert got.data.dtype == np.float64
+            assert got.data.dtype == np.float32
             assert store._rows is None and store.rows_memoised == 0
 
     def test_rescale_in_the_graphs_own_dtype_bypasses_too(self):

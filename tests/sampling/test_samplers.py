@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sampling import SAMPLER_NAMES, ReuseState, make_sampler
+from repro.sampling import SAMPLER_NAMES, make_sampler
 from repro.sampling.samplers import LadiesSampler
 from repro.training.prep import prepare_graph
 
@@ -132,16 +132,3 @@ class TestValidation:
             make_sampler("uniform", (3, 0))
         with pytest.raises(ValueError, match="fanouts must be positive"):
             make_sampler("uniform", ())
-
-    def test_every_sampler_accepts_kappa(self, graph):
-        # No registered sampler refuses batch dependency: each one
-        # re-serves part of the previous batch's bottom layer.
-        for name in SAMPLER_NAMES:
-            sampler = make_sampler(name, (3, 5), seed=0)
-            state = ReuseState()
-            for batch in range(2):
-                closure = sampler.sample_batch(
-                    graph, {0: np.arange(12)}, batch=batch, kappa=0.5,
-                    state={0: state},
-                )[0]
-            assert closure.reused_vertices > 0, name

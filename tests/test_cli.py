@@ -359,7 +359,7 @@ class TestSampleSweepCli:
         assert main([
             "sample-sweep", "--dataset", "reddit", "--scale", "0.5",
             "--nodes", "2", "--samplers", "uniform,labor",
-            "--fanouts", "3,5;2,4", "--kappas", "0,0.5",
+            "--fanouts", "3,5;2,4", "--kappas", "1,4",
             "--batch-size", "32", "--epochs", "1", "--json", str(target),
         ]) == 0
         out = capsys.readouterr().out
@@ -446,10 +446,33 @@ class TestTrainSampledCli:
         assert main([
             "train", "--dataset", "reddit", "--scale", "0.5", "--nodes", "2",
             "--engine", "sampled", "--sampler", "labor", "--fanouts", "3,5",
-            "--kappa", "0.5", "--batch-size", "16", "--epochs", "2",
+            "--kappa", "2", "--batch-size", "16", "--epochs", "2",
             "--eval-every", "2",
         ]) == 0
         assert "best accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("engine", ["sampled", "distdgl"])
+    def test_cache_mb_sizes_the_feature_cache_without_tau(
+        self, engine, tmp_path
+    ):
+        # --cache-mb once reached a sampled engine only with --tau, which
+        # means nothing to it; alone it was dropped without a word.
+        import json
+
+        def epoch_s(*flags):
+            target = tmp_path / "train.json"
+            assert main([
+                "train", "--dataset", "cora", "--scale", "0.3",
+                "--nodes", "2", "--engine", engine, "--fanouts", "3,5",
+                "--batch-size", "16", "--epochs", "1", "--eval-every", "1",
+                "--json", str(target), *flags,
+            ]) == 0
+            return json.loads(target.read_text())["avg_epoch_time_s"]
+
+        uncached = epoch_s()
+        cached = epoch_s("--cache-mb", "4")
+        assert cached < uncached
+        assert epoch_s("--cache-mb", "4", "--tau", "4") == cached
 
 
 class TestParser:

@@ -38,7 +38,7 @@ CASES = {
     ],
     "train-sampled": [
         "train", *_TINY, "--engine", "sampled", "--sampler", "labor",
-        "--fanouts", "3,5", "--kappa", "0.5", "--batch-size", "16",
+        "--fanouts", "3,5", "--kappa", "2", "--batch-size", "16",
         "--epochs", "1", "--eval-every", "1",
         "--checkpoint", "{tmp}/ckpt",
     ],
@@ -99,7 +99,7 @@ CASES = {
     "explain-plan-sampled": [
         "explain-plan", "--dataset", "cora", "--scale", "0.2",
         "--nodes", "2", "--sampled", "--sampler", "labor",
-        "--fanouts", "3,5", "--kappa", "0.5", "--batch-size", "16",
+        "--fanouts", "3,5", "--kappa", "2", "--batch-size", "16",
         "--batches", "2",
     ],
     "explain-plan-sampled-json": [
@@ -110,7 +110,7 @@ CASES = {
     "sample-sweep": [
         "sample-sweep", "--dataset", "cora", "--scale", "0.2",
         "--nodes", "2", "--samplers", "uniform,labor", "--fanouts", "3,5",
-        "--kappas", "0,1", "--cache-mb", "0,0.01", "--batch-size", "32",
+        "--kappas", "1,4", "--cache-mb", "0,0.01", "--batch-size", "32",
         "--epochs", "1", "--json", "{tmp}/sample_sweep.json",
     ],
     "tp-sweep": [
@@ -246,8 +246,10 @@ def test_payloads_keep_the_shapes_ci_used_to_assert(transcripts):
     assert all(r["epoch_s"] > 0 and r["sampled_edges"] > 0 for r in rows)
     comm = {(r["sampler"], r["kappa"], r["cache_mb"]): r["comm_bytes"]
             for r in rows}
-    for sampler, _, cache in comm:
-        assert comm[sampler, 1.0, cache] <= comm[sampler, 0.0, cache], comm
+    # A LABOR kappa-block shares its per-source draws, so its rounds
+    # overlap: fewer rows to fetch than with independent rounds.
+    for cache in (0.0, 0.01):
+        assert comm["labor", 4, cache] < comm["labor", 1, cache], comm
 
     sweep = payload["tp-sweep"]
     cells = {(r["hub_exponent"], r["hidden"]): r for r in sweep["rows"]}
@@ -345,6 +347,8 @@ _CORA = ["--dataset", "cora", "--scale", "0.05", "--nodes", "2"]
     (["fleet", *_CORA, "--crash-replica", "4:0.005"], "--crash-replica"),
     (["fleet", *_CORA, "--replicas", "2", "--max-replicas", "1",
       "--straggle-replica", "2:4"], "--straggle-replica"),
+    (["train", *_CORA, "--engine", "sampled", "--kappa", "0.5"], "--kappa"),
+    (["sample-sweep", *_CORA, "--kappas", "1,-4"], "--kappas"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(argv, named, capsys):
     try:

@@ -71,9 +71,9 @@ class TestHashedUniforms:
 
     def test_pure_function_of_id(self):
         """Each id's draw is independent of which other ids share the
-        call -- the property kappa's nested-reuse argument rests on."""
-        full = hashed_uniforms(3, "kappa", 1, ids=np.arange(50))
-        subset = hashed_uniforms(3, "kappa", 1, ids=np.arange(10, 20))
+        call -- what lets the rounds of a kappa-block share their draws."""
+        full = hashed_uniforms(3, "uniform", 1, ids=np.arange(50))
+        subset = hashed_uniforms(3, "uniform", 1, ids=np.arange(10, 20))
         assert np.array_equal(full[10:20], subset)
 
     def test_roughly_uniform(self):
