@@ -316,6 +316,11 @@ class Setup:
         return extra
 
     def engine(self, name: str):
+        if name in SAMPLED_ENGINES and getattr(self.args, "tau", None) is not None:
+            raise UsageError(
+                f"argument --tau: the {name} engine has no historical "
+                "embedding cache (--cache-mb sizes its feature cache)"
+            )
         kwargs = (self.sampling(name) if name in SAMPLED_ENGINES
                   else {"cache_config": self.cache_config()})
         return make_engine(

@@ -14,6 +14,14 @@ with edge-associated NN computation (GAT) spell the three ops out.
 Layers also *account* for their work -- dense FLOPs (NN ops), sparse
 FLOPs (graph ops), and resident edge-tensor bytes -- which is what the
 cluster simulator charges to the timeline and the memory model.
+
+The host and the clock need not run a layer in the same order.  A
+:class:`GCNConv` above layer 1 whose output is narrower than its input
+multiplies by its weight first and aggregates the narrower product
+(:attr:`GNNLayer.multiplies_first`; the same function, since the
+aggregate is linear), as DGL's ``GraphConv`` does.  The accounting
+methods always price the paper's order (aggregate, then transform), so
+the order the host picks moves host seconds and never charged ones.
 """
 
 from __future__ import annotations
@@ -43,6 +51,16 @@ class GNNLayer(nn.Module):
     # -- numerical execution ------------------------------------------
     # Whether :meth:`vertex` reads the destination's own previous row.
     vertex_reads_dst = True
+    # Whether the layer's inputs are raw features: layer 1 of a
+    # :class:`~repro.core.model.GNNModel`, or a layer used on its own.
+    # The model clears it on every layer above the first.
+    reads_features = True
+
+    @property
+    def multiplies_first(self) -> bool:
+        """Whether :meth:`forward` multiplies by the weight before it
+        aggregates (see :class:`GCNConv`); the paper's order otherwise."""
+        return False
 
     def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
         """A fused-reducer layer is its aggregate, then :meth:`vertex`;
@@ -92,7 +110,14 @@ class GCNConv(GNNLayer):
 
     ``h_v = act(W @ sum_u w_uv * h_u)`` over in-neighbors ``u`` (with
     self loops and symmetric normalisation in the edge weights).
-    Mirrors the paper's Figure 5 example implementation.
+
+    The clock prices the paper's Figure 5 order, aggregate then
+    transform, always.  The host runs that order at layer 1, whose
+    aggregate of raw features is memoised as a constant of the graph,
+    and wherever the output is no narrower than the input.  Above layer
+    1 a narrowing layer multiplies first -- ``act(sum_u w_uv * (h_u @
+    W) + b)``, the same function over ``out_dim`` columns instead of
+    ``in_dim`` -- so its aggregation kernel moves fewer columns.
     """
 
     def __init__(
@@ -108,16 +133,37 @@ class GCNConv(GNNLayer):
 
     vertex_reads_dst = False
 
+    @property
+    def multiplies_first(self) -> bool:
+        return not self.reads_features and self.out_dim < self.in_dim
+
+    def forward(self, block: LayerBlock, h_inputs: Tensor) -> Tensor:
+        if not self.multiplies_first:
+            return super().forward(block, h_inputs)
+        aggregated = ops.fused_scatter_gather(
+            block, self.project(h_inputs), "weighted_sum"
+        )
+        return self.finish(aggregated)
+
     def vertex(self, h_dst: Optional[Tensor], aggregated: Tensor) -> Tensor:
-        out = self.linear(aggregated)
-        if self.activation == "relu":
-            out = out.relu()
-        return out
+        return self._activate(self.linear(aggregated))
+
+    def project(self, h: Tensor) -> Tensor:
+        """A multiply-first layer's product, ``h @ W``, row by row."""
+        return h @ self.linear.weight
+
+    def finish(self, aggregated: Tensor) -> Tensor:
+        """A multiply-first layer after its aggregate: bias, activation."""
+        return self._activate(aggregated + self.linear.bias)
+
+    def _activate(self, out: Tensor) -> Tensor:
+        return out.relu() if self.activation == "relu" else out
 
     def fused_reducer(self) -> Optional[str]:
         return "weighted_sum"
 
     def dense_flops(self, block: LayerBlock) -> float:
+        # The paper's order in either host order: one product per output.
         return float(self.linear.flops(block.num_outputs))
 
     def sparse_flops(self, block: LayerBlock) -> float:

@@ -32,6 +32,9 @@ class GNNModel(nn.Module):
                     f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
                 )
         self.layers = list(layers)
+        # Only layer 1 reads the raw features (see GCNConv's host order).
+        for i, layer in enumerate(self.layers):
+            layer.reads_features = i == 0
 
     @property
     def num_layers(self) -> int:

@@ -181,21 +181,17 @@ def _chunks(count: int, height: int) -> List[np.ndarray]:
     return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _gemm_rows(
-    layer, h_dst: Optional[np.ndarray], aggregated: np.ndarray, height: int
-) -> np.ndarray:
-    """``layer.vertex`` over the rows, each row the bytes any product of
-    2 to ``height`` rows gives it: the rows run in products of at most
-    ``height``, and a lone row runs twice (a one-row product rounds
-    differently)."""
-    out = np.empty((len(aggregated), layer.out_dim))
-    for run in _chunks(len(aggregated), height):
+def _gemm_rows(fn, height: int, *arrays: Optional[np.ndarray]) -> np.ndarray:
+    """``fn`` over the rows of ``arrays`` (a ``None`` stays ``None``),
+    each row the bytes any product of 2 to ``height`` rows gives it: the
+    rows run in products of at most ``height``, and a lone row runs
+    twice (a one-row product rounds differently)."""
+    pieces = []
+    for run in _chunks(len(arrays[-1]), height):
         rows = run.repeat(2) if len(run) == 1 else run
-        out[run] = layer.vertex(
-            None if h_dst is None else Tensor(h_dst.take(rows, axis=0)),
-            Tensor(aggregated.take(rows, axis=0)),
-        ).data[:len(run)]
-    return out
+        out = fn(*(None if a is None else Tensor(a.take(rows, axis=0)) for a in arrays))
+        pieces.append(out.data[:len(run)])
+    return np.concatenate(pieces)
 
 
 def _one_row_rows(
@@ -256,15 +252,19 @@ class ClosureMemo:
     :meth:`fill` computes, bottom-up, every (layer, vertex) row that the
     given one-seed closures need and no earlier fill made (the server
     calls it once per ``serve()`` with every requested vertex), in
-    blocks of ``_FILL_ROWS``, each vertex half in products no taller
-    than the layer's probed height.  :meth:`forward` then returns
+    blocks of ``_FILL_ROWS``, each weight product no taller than the
+    layer's probed height.  :meth:`forward` then returns
     :func:`run_closure_forward`'s rows for a batch, byte for byte, by
-    lookup.  The top layer's product height is the batch's seed count,
-    so its rows are kept twice: the gemm row a batch of 2 up to the
-    top's probed height of seeds gets, and the one-row-product row a
-    one-seed batch gets, made for every seed by one stacked ``(n, 1,
-    d)`` product.  A taller batch runs the top layer over the kept rows
-    below, as the reference does.
+    lookup.  A layer's product runs over its own rows, or, where it
+    multiplies first (:attr:`~repro.core.layers.GNNLayer.multiplies_first`),
+    over its input rows.  A top layer that multiplies first is kept
+    once, like the layers below.  Otherwise the top's product height is
+    the batch's seed count, so its rows are kept twice: the gemm row a
+    batch of 2 up to the top's probed height of seeds gets, and the
+    one-row-product row a one-seed batch gets, made for every seed by
+    one stacked ``(n, 1, d)`` product.  A batch whose top product is
+    taller runs the top layer over the kept rows below, as the
+    reference does.
 
     Why the bytes match (docs/serving.md, "Frozen weights"): a fused
     aggregate row is the row's own in-edges summed in CSC order,
@@ -277,11 +277,12 @@ class ClosureMemo:
     top's one-row products is exact (if not, a one-seed batch runs its
     top layer too).  The fill skips a seed whose own closure has a layer
     below the top one row tall (an isolated seed: its one-seed batch
-    runs that layer as a one-row product) or taller than its probed
-    height.  A batch runs :func:`run_closure_forward` if the model has a
-    layer without a fused reducer (GAT: the fill keeps nothing), if a
-    seed was not filled, or if its union closure has a layer below the
-    top taller than its probed height.
+    runs that layer as a one-row product) or a product below the top
+    taller than its probed height.  A batch runs
+    :func:`run_closure_forward` if the model has a layer without a fused
+    reducer (GAT: the fill keeps nothing), if a seed was not filled, or
+    if its union closure has a product below the top taller than its
+    probed height.
 
     Rows are invalidated by identity, like
     :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: while
@@ -304,12 +305,19 @@ class ClosureMemo:
         self.rows_served = [0] * L
         self.rows_memoised = [0] * L
         self.bypassed = 0
-        self._fused = all(
-            model.layer(l).fused_reducer() is not None for l in range(1, L + 1)
-        )
+        layers = [model.layer(l) for l in range(1, L + 1)]
+        self._fused = all(layer.fused_reducer() is not None for layer in layers)
+        self._top_first = layers[-1].multiplies_first
+        # Per layer, the closure layer its product runs over, as a column
+        # of a closure's heights (``[..., l - 1]``: its layer-``l`` rows).
+        # Layer 1 never multiplies first: its inputs are the features.
+        self._product_of = [
+            l - 2 if layer.multiplies_first else l - 1 for l, layer in enumerate(layers, 1)
+        ]
         self._params = model.parameters()
         self._filled_from: Optional[tuple] = None
-        # Per layer, its gemm rows; then the top's one-row-product rows.
+        # Per layer, its gemm rows; then the top's one-row-product rows
+        # where those stack exactly.
         self._stores: Optional[List[_RowStore]] = None
         self._filled: Optional[np.ndarray] = None
         self._exact_to: List[int] = []
@@ -323,8 +331,7 @@ class ClosureMemo:
         """
         if not self._fused:
             return
-        model, graph = self.model, self.graph
-        L = model.num_layers
+        L = self.model.num_layers
         below_top = range(1, L)
         fits = [
             c for c in closures
@@ -333,11 +340,11 @@ class ClosureMemo:
         if not fits:
             return
         self._attach()
-        fits = [
-            c for c in fits
-            if not self._filled[c[0][0]]
-            and all(len(c[L - l]) <= self._exact_to[l - 1] for l in below_top)
-        ]
+        heights = np.array(
+            [[len(c[L - l]) for l in range(1, L + 1)] for c in fits]
+        ).reshape(-1, L)
+        keep = self._fits_below_top(heights) & ~self._filled[[c[0][0] for c in fits]]
+        fits = [c for c, k in zip(fits, keep.tolist()) if k]
         if not fits:
             return
         with no_grad():
@@ -345,7 +352,7 @@ class ClosureMemo:
                 store = self._stores[l - 1]
                 compute = sorted_unique(np.concatenate([c[L - l] for c in fits]))
                 compute = compute[~store.known(compute)]
-                for kept in [store, self._stores[L]] if l == L else [store]:
+                for kept in self._stores[l - 1:] if l == L else [store]:
                     kept.reserve(len(compute))
                 for start in range(0, len(compute), _FILL_ROWS):
                     self._fill_rows(l, compute[start:start + _FILL_ROWS])
@@ -365,11 +372,19 @@ class ClosureMemo:
         )
         block = closure_block(graph, compute, inputs, in_edges)
         layer = model.layer(l)
+        height = self._exact_to[l - 1]
+        if layer.multiplies_first:
+            # The product runs over the input rows, whatever the batch;
+            # the aggregate, the bias and the activation are row-wise.
+            projected = Tensor(_gemm_rows(layer.project, height, x))
+            aggregated = ops.fused_scatter_gather(block, projected, layer.fused_reducer())
+            self._stores[l - 1].write(compute, layer.finish(aggregated).data)
+            return
         aggregated = ops.fused_scatter_gather(block, Tensor(x), layer.fused_reducer()).data
         h_dst = x.take(block.compute_pos_in_inputs, axis=0) if layer.vertex_reads_dst else None
-        if l < L or self._exact_to[-1] > 1:
+        if l < L or height > 1:
             self._stores[l - 1].write(
-                compute, _gemm_rows(layer, h_dst, aggregated, self._exact_to[l - 1])
+                compute, _gemm_rows(layer.vertex, height, h_dst, aggregated)
             )
         if l == L and self._stacks:
             self._stores[L].write(compute, _one_row_rows(layer, h_dst, aggregated))
@@ -382,18 +397,19 @@ class ClosureMemo:
         for l in range(L):
             self.rows_served[l] += heights[l]
         seeds = vertex_layers[0]
+        products = [heights[c] for c in self._product_of]
         if not self._holds(seeds) or any(
-            h > top for h, top in zip(heights[:-1], self._exact_to)
+            h > top for h, top in zip(products[:-1], self._exact_to)
         ):
             self.bypassed += 1
             return run_closure_forward(model, graph, vertex_layers)
         for l in range(L - 1):
             self.rows_memoised[l] += heights[l]
         count = heights[-1]
-        if count == 1 and self._stacks:
-            rows = self._stores[L].read(seeds)
-        elif 1 < count <= self._exact_to[-1]:
+        if 1 < products[-1] <= self._exact_to[-1]:
             rows = self._stores[L - 1].read(seeds)
+        elif count == 1 and self._stacks:
+            rows = self._stores[L].read(seeds)
         else:
             # The reference's own top block, over the kept rows below.
             inputs = vertex_layers[1]
@@ -417,19 +433,25 @@ class ClosureMemo:
         ``heights[i, l - 1]`` is the layer-``l`` height of ``seeds[i]``'s
         closure.  Returns ``(kept, rows)``: ``kept[i]`` whether
         ``forward`` of that closure reads its answer from the memo (the
-        seed was filled from today's arrays, no layer below the top is
-        taller than its probed height, and the top's one-row products
-        stack exactly), and ``rows`` those answers, byte for byte, in
+        seed was filled from today's arrays, no product below the top is
+        taller than its probed height, and the top's rows are kept for a
+        one-seed batch), and ``rows`` those answers, byte for byte, in
         seed order.  Nothing is counted; :meth:`count_reads` does that
         for the closures actually answered from these rows.
         """
         L = self.model.num_layers
         seeds = np.asarray(seeds, dtype=np.int64)
-        if not (self._stacks and same_objects(self._filled_from, self._sources())):
+        heights = np.asarray(heights)
+        if not (
+            (self._top_first or self._stacks)
+            and same_objects(self._filled_from, self._sources())
+        ):
             return np.zeros(len(seeds), dtype=bool), np.empty((0, self.model.layer(L).out_dim))
-        kept = self._filled[seeds] & (
-            heights[:, :-1] <= np.asarray(self._exact_to[:-1])
-        ).all(axis=1)
+        kept = self._filled[seeds] & self._fits_below_top(heights)
+        if self._top_first:
+            # Its product ran over the top's input rows: the gemm rows.
+            kept &= heights[:, L - 2] <= self._exact_to[-1]
+            return kept, self._stores[L - 1].read(seeds[kept])
         return kept, self._stores[L].read(seeds[kept])
 
     def count_reads(self, heights: np.ndarray) -> None:
@@ -439,6 +461,13 @@ class ClosureMemo:
         for l, height in enumerate(np.asarray(heights).tolist()):
             self.rows_served[l] += height
             self.rows_memoised[l] += height
+
+    def _fits_below_top(self, heights: np.ndarray) -> np.ndarray:
+        """Per closure (``heights[i, l - 1]``: its layer-``l`` rows),
+        whether every product below the top is no taller than its
+        layer's probed height, as :meth:`forward` checks one."""
+        products = heights[:, self._product_of[:-1]]
+        return (products <= np.asarray(self._exact_to[:-1], dtype=np.int64)).all(axis=1)
 
     def _sources(self) -> tuple:
         graph = self.graph
@@ -459,11 +488,6 @@ class ClosureMemo:
         if same_objects(self._filled_from, sources):
             return
         L = model.num_layers
-        self._stores = [
-            _RowStore(graph.num_vertices, model.layer(l).out_dim)
-            for l in (*range(1, L + 1), L)
-        ]
-        self._filled = np.zeros(graph.num_vertices, dtype=bool)
 
         def weights(l):
             return [p.data for p in model.layer(l).parameters() if p.data.ndim == 2]
@@ -472,7 +496,13 @@ class ClosureMemo:
             min(map(_row_exact_to, weights(l)), default=_PROBED_HEIGHT)
             for l in range(1, L + 1)
         ]
-        self._stacks = all(map(_stacks_rows, weights(L)))
+        # A top that multiplies first has no one-row products.
+        self._stacks = not self._top_first and all(map(_stacks_rows, weights(L)))
+        self._stores = [
+            _RowStore(graph.num_vertices, model.layer(l).out_dim)
+            for l in (*range(1, L + 1), *([L] if self._stacks else []))
+        ]
+        self._filled = np.zeros(graph.num_vertices, dtype=bool)
         self._filled_from = sources
 
 

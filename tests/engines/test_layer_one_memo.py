@@ -60,13 +60,13 @@ def reference_forward(self, plan, training):
     return h_values, in_tensors, out_tensors
 
 
-def build(name, arch):
+def build(name, arch, features=12, hidden=8):
     g = generators.scaled_social(
         120, avg_degree=6.0, num_communities=4, hub_exponent=1.1, seed=0
     )
-    generators.attach_features(g, 12, 4, seed=1, class_signal=0.8)
+    generators.attach_features(g, features, 4, seed=1, class_signal=0.8)
     graph = prepare_graph(g, arch)
-    model = GNNModel.build(arch, graph.feature_dim, 8, graph.num_classes, seed=2)
+    model = GNNModel.build(arch, graph.feature_dim, hidden, graph.num_classes, seed=2)
     if name == "shared-memory":
         return SharedMemoryEngine(graph, model)
     engine = make_engine(name, graph, model, ClusterSpec.ecs(4))
@@ -117,3 +117,20 @@ def test_losses_hex_identical(name, arch, monkeypatch):
             [b.compute_vertices for b in got_engine.plan().blocks[0]]
         ))
     )
+
+
+@pytest.mark.parametrize("name", ["depcache", "hybrid", "tp"])
+def test_a_narrowing_layer_one_keeps_the_paper_order(name, monkeypatch):
+    """Reddit's 602 -> 256 -> classes GCN: layer 1 narrows but reads the
+    features, so it aggregates first -- the order its memoised aggregate
+    holds -- while layer 2 multiplies first.  The reference runs layer 1
+    through ``layer.forward``, so a layer 1 that multiplied first would
+    differ from the store's rows here."""
+    engine = build(name, "gcn", features=602, hidden=256)
+    layers = engine.model.layers
+    assert layers[0].in_dim > layers[0].out_dim > layers[1].out_dim
+    assert [layer.multiplies_first for layer in layers] == [False, True]
+    got = train(engine)
+    assert engine.feature_aggregates.rows_memoised > 0
+    monkeypatch.setattr(LayerExecutor, "forward", reference_forward)
+    assert got == train(build(name, "gcn", features=602, hidden=256))

@@ -9,7 +9,9 @@ Its losses and eval accuracy were re-recorded once, exactly, when
 distdgl moved from its own sequential RNG stream to the keyed
 ``uniform`` sampler, and the losses once more when a Python scalar on
 the tape stopped widening the model to float64 (relative change at
-most 3.7e-7).
+most 3.7e-7), and again when the 12 -> 4 GCN layer 2 started
+multiplying by its weight before aggregating (relative change at most
+3.3e-8; eval accuracy unchanged).
 
 distdgl is the ``sampled`` engine with DistDGL's defaults, so at the
 same seed, fanouts and batch size the two train the same weights and

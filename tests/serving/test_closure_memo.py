@@ -54,6 +54,17 @@ def _model(arch, layers, seed=1):
     return GNNModel.build(arch, FEATURES, 16, 5, num_layers=layers, seed=seed)
 
 
+def _narrowing_gcn(seed=1):
+    """GCN 12 -> 16 -> 8 -> 5: layer 2, below the top, multiplies first,
+    and so does the top."""
+    rng = np.random.default_rng(seed)
+    return GNNModel([
+        GCNConv(FEATURES, 16, rng=rng),
+        GCNConv(16, 8, rng=rng),
+        GCNConv(8, 5, activation="none", rng=rng),
+    ])
+
+
 def _closure(memo, v):
     return khop_closure(memo.graph, [v], memo.model.num_layers)[0]
 
@@ -94,15 +105,17 @@ class TestMatchesReference:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_one_unknown_row(self, arch, monkeypatch):
         """A fill whose layer below the top has exactly one unknown row
-        runs its vertex half over the row twice, and still matches."""
+        runs its vertex half over the row twice, and still matches.  A
+        top that multiplies first (GCN's 16 -> 5) runs its product over
+        the new top row's input rows instead."""
         graph = _graph(2)
         memo = ClosureMemo(_model(arch, 2), graph)
         calls = []
         gemm_rows = executor._gemm_rows
 
-        def spy(layer, h_dst, aggregated, height):
-            calls.append((layer, len(aggregated)))
-            return gemm_rows(layer, h_dst, aggregated, height)
+        def spy(fn, height, *arrays):
+            calls.append((fn.__self__, len(arrays[-1])))
+            return gemm_rows(fn, height, *arrays)
 
         monkeypatch.setattr(executor, "_gemm_rows", spy)
         _fill(memo, [[3, 7, 11]])
@@ -115,8 +128,12 @@ class TestMatchesReference:
         )
         calls.clear()
         _fill(memo, [[lone]])
-        # Its one new layer-1 row, then its own gemm top row: both alone.
-        assert calls == [(memo.model.layer(1), 1), (memo.model.layer(2), 1)]
+        # Its one new layer-1 row, then its own gemm top row: both alone,
+        # unless the top's product runs over its inputs.
+        top = memo.model.layer(2)
+        top_rows = len(_closure(memo, lone)[1]) if top.multiplies_first else 1
+        assert top.multiplies_first == (arch == "gcn")
+        assert calls == [(memo.model.layer(1), 1), (top, top_rows)]
         _serve(memo, [lone, 3])
         _serve(memo, [lone])  # alone: the one-row-product top row
         assert memo.bypassed == 0
@@ -142,6 +159,17 @@ class TestMatchesReference:
         _serve(one_layer, [isolated, 3])
         assert one_layer.bypassed == 0
         assert one_layer.rows_memoised == one_layer.rows_served == [3]
+
+    def test_a_layer_below_the_top_that_multiplies_first(self):
+        model = _narrowing_gcn()
+        assert [layer.multiplies_first for layer in model.layers] == [False, True, True]
+        memo = ClosureMemo(model, _graph(0))
+        _fill(memo, SEQUENCE)
+        for seeds in SEQUENCE:
+            _serve(memo, seeds)
+        assert memo.bypassed == 0
+        assert memo.rows_memoised == memo.rows_served
+        assert len(memo._stores) == 3  # no one-row-product store
 
     def test_layers_without_a_fused_reducer_bypass(self):
         graph = _graph(4)
@@ -194,7 +222,8 @@ def histories(draw):
         edge_weight=rng.random(num_edges).astype(np.float32),
     )
     graph.features = features
-    model = _model(draw(st.sampled_from(ARCHS)), draw(st.integers(1, 3)))
+    arch = draw(st.sampled_from(ARCHS + ("narrowing gcn",)))
+    model = _narrowing_gcn() if arch == "narrowing gcn" else _model(arch, draw(st.integers(1, 3)))
     pool = rng.integers(0, num_vertices, size=draw(st.integers(1, 8)))
     batches = draw(st.lists(
         st.lists(st.sampled_from(pool.tolist()), min_size=1, max_size=5),
@@ -284,9 +313,18 @@ class _TallProductsDiffer(np.ndarray):
     under a BLAS that changes path at that height (a stacked one-row
     product is one row tall)."""
 
+    exact_to = 3
+
     def __rmatmul__(self, rows):
         out = rows @ self.view(np.ndarray)
-        return out * 1.5 if rows.shape[-2] > 3 else out
+        return out * 1.5 if rows.shape[-2] > self.exact_to else out
+
+
+class _TallerProductsDiffer(_TallProductsDiffer):
+    """The same at 13 rows: a top that multiplies first runs its product
+    over its input rows, which outnumber the seeds."""
+
+    exact_to = 13
 
 
 class _LastRowDiffers(np.ndarray):
@@ -301,15 +339,18 @@ class _LastRowDiffers(np.ndarray):
 
 def _count_bypasses(memo, batches):
     """How many of ``batches`` the memo's rule sends to the reference: a
-    seed whose own closure has a layer below the top one row tall or
-    taller than its probed height, or a union closure layer below the
-    top taller than its probed height."""
+    seed whose own closure has a layer below the top one row tall or a
+    product below the top taller than its probed height, or a union
+    closure with such a product.  A layer's product runs over its own
+    rows, or over its input rows where it multiplies first."""
     L = memo.model.num_layers
 
     def too_tall(vertex_layers, lowest):
-        heights = [len(vertex_layers[L - l]) for l in range(1, L)]
+        rows = [len(vertex_layers[L - l]) for l in range(L + 1)]  # per layer
         return any(
-            not lowest <= h <= top for h, top in zip(heights, memo._exact_to)
+            rows[l] < lowest
+            or rows[l - 1 if memo.model.layer(l).multiplies_first else l] > top
+            for l, top in zip(range(1, L), memo._exact_to)
         )
 
     return sum(
@@ -351,18 +392,29 @@ class TestProbedHeights:
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_top_weight_that_is_not_row_exact(self, arch):
-        """A top weight exact to 3 rows: batches of up to 3 seeds look
-        their top rows up, taller ones run the top layer, and all match."""
+        """A top weight exact to a few rows: batches whose top product is
+        no taller look their top rows up, taller ones run the top layer,
+        and all match.  The top's product runs over the seeds, or over
+        its input rows where it multiplies first (GCN's 16 -> 5)."""
         model = _model(arch, 2)
-        _break_last_weight(model, 2, _TallProductsDiffer)
+        top_first = model.layer(2).multiplies_first
+        assert top_first == (arch == "gcn")
+        weight_cls = _TallerProductsDiffer if top_first else _TallProductsDiffer
+        _break_last_weight(model, 2, weight_cls)
         memo = ClosureMemo(model, _graph(0))
         _fill(memo, SEQUENCE)
         for seeds in SEQUENCE:
             _serve(memo, seeds)
-        assert memo._exact_to[1] == 3 and memo._stacks
+        assert memo._exact_to[1] == weight_cls.exact_to
+        assert memo._stacks == (not top_first)  # no one-row products to stack
         assert memo.bypassed == 0
         assert memo.rows_memoised[0] == memo.rows_served[0]
-        assert memo.rows_memoised[1] == sum(len(b) for b in SEQUENCE if len(b) <= 3)
+
+        def top_product(seeds):
+            return len(khop_closure(memo.graph, seeds, 2)[0][1 if top_first else 0])
+
+        looked_up = [b for b in SEQUENCE if top_product(b) <= weight_cls.exact_to]
+        assert 0 < memo.rows_memoised[1] == sum(len(b) for b in looked_up)
         assert memo.rows_memoised[1] < memo.rows_served[1]
         # Where stacking is not exact either, one-seed batches run it too.
         _break_last_weight(model, 2, _LastRowDiffers)
@@ -373,6 +425,20 @@ class TestProbedHeights:
         assert memo._exact_to[1] == 1 and not memo._stacks
         assert memo.bypassed == 0
         assert memo.rows_memoised[1] == 0
+
+    def test_a_product_over_input_rows_that_is_not_row_exact(self):
+        """A layer below the top that multiplies first, with a weight
+        exact to 13 rows: its product runs over its input rows (the
+        layer-1 set), so the rule reads their height, not its own."""
+        model = _narrowing_gcn()
+        _break_last_weight(model, 2, _TallerProductsDiffer)
+        memo = ClosureMemo(model, _graph(7, num_edges=60))
+        _fill(memo, SEQUENCE)
+        for seeds in SEQUENCE:
+            _serve(memo, seeds)
+        assert memo._exact_to[1] == 13
+        assert 0 < memo.bypassed == _count_bypasses(memo, SEQUENCE) < len(SEQUENCE)
+        assert memo.rows_memoised[1] > 0
 
     def test_reddit_dimensions(self):
         """``repro serve --dataset reddit --hidden 128`` runs a 602 -> 128

@@ -342,8 +342,12 @@ class TestFusedOpBits:
 
 # -- layers -------------------------------------------------------------
 def _unfused_forward(layer, block: LayerBlock, h_inputs: Tensor) -> Tensor:
-    """The layers' forward before the kernel: one tape node per op."""
-    f_src, _ = ops.scatter_to_edge(block, h_inputs)
+    """The layers' forward before the kernel: one tape node per op, in
+    the layer's own order (a GCN layer that multiplies first scatters
+    ``h @ W`` and adds its bias after the sum)."""
+    first = layer.multiplies_first
+    sources = h_inputs @ layer.linear.weight if first else h_inputs
+    f_src, _ = ops.scatter_to_edge(block, sources)
     if isinstance(layer, SAGEConv):
         messages = ops.edge_forward(block, f_src, None, lambda src, dst, w: src)
         aggregated = references.segment_mean(
@@ -354,6 +358,8 @@ def _unfused_forward(layer, block: LayerBlock, h_inputs: Tensor) -> Tensor:
             block, f_src, None, lambda src, dst, w: src * Tensor(w.reshape(-1, 1))
         )
         aggregated = ops.gather_by_dst(block, messages)
+    if first:
+        return (aggregated + layer.linear.bias).relu()
     return ops.vertex_forward(block, h_inputs, aggregated, layer.vertex)
 
 
@@ -366,10 +372,12 @@ def _layer_grads(forward, layer, block, rows, seed):
 
 
 class TestLayersMatchUnfused:
-    @pytest.mark.parametrize("layer_cls", [GCNConv, GINConv, SAGEConv])
-    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forward_and_backward_bits(self, constants, layer_cls, graph_seed, dtype):
+    """Each fused layer is the unfused chain in its own order, bit for
+    bit: the paper's order for a layer on its own (as at layer 1), and
+    for a narrowing GCN layer above layer 1, product first."""
+
+    @staticmethod
+    def _check(layer_cls, graph_seed, dtype, reads_features):
         arch = {GCNConv: "gcn", GINConv: "gin", SAGEConv: "sage"}[layer_cls]
         rng = np.random.default_rng(graph_seed)
         graph = prepare_graph(
@@ -378,6 +386,8 @@ class TestLayersMatchUnfused:
         compute = rng.choice(120, size=int(rng.integers(1, 90)), replace=False)
         block = build_block(graph, compute)
         layer = layer_cls(9, 5, rng=np.random.default_rng(graph_seed + 10))
+        layer.reads_features = reads_features
+        assert layer.multiplies_first == (layer_cls is GCNConv and not reads_features)
         rows = rng.standard_normal((block.num_inputs, 9)).astype(dtype)
         seed = rng.standard_normal((block.num_outputs, 5))
         got = _layer_grads(layer.forward, layer, block, rows, seed)
@@ -388,12 +398,88 @@ class TestLayersMatchUnfused:
         for g, e in zip(got, expected):
             _same(g, e)
 
+    @pytest.mark.parametrize("layer_cls", [GCNConv, GINConv, SAGEConv])
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_bits(self, constants, layer_cls, graph_seed, dtype):
+        self._check(layer_cls, graph_seed, dtype, reads_features=True)
+
+    @pytest.mark.parametrize("layer_cls", [GCNConv, GINConv, SAGEConv])
+    @pytest.mark.parametrize("graph_seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_above_layer_one(self, constants, layer_cls, graph_seed, dtype):
+        """GCN 9 -> 5 multiplies first; GIN and SAGE keep their order."""
+        self._check(layer_cls, graph_seed, dtype, reads_features=False)
+
+
+# 600 generated cases differed by at most 4.1e-7 (float32) and 1.6e-15
+# (float64) of the largest magnitude.
+_ORDER_TOLERANCE = {np.float32: 1e-5, np.float64: 1e-13}
+
+
+@st.composite
+def narrowing_gcn_cases(draw):
+    """A random block of a random graph, and a GCN layer narrower out
+    than in with its input rows and output seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 100_000)))
+    num_vertices = draw(st.integers(2, 60))
+    graph = prepare_graph(
+        references.rmat(num_vertices, draw(st.integers(0, 6 * num_vertices)),
+                        seed=int(rng.integers(1 << 30))),
+        "gcn",
+    )
+    compute = rng.choice(
+        num_vertices, size=draw(st.integers(1, num_vertices)), replace=False
+    )
+    block = build_block(graph, compute)
+    in_dim = draw(st.integers(2, 48))
+    out_dim = draw(st.integers(1, in_dim - 1))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layer = GCNConv(
+        in_dim, out_dim, activation=draw(st.sampled_from(["relu", "none"])),
+        rng=np.random.default_rng(int(rng.integers(1 << 30))),
+    )
+    layer.linear.bias.data = rng.standard_normal(out_dim).astype(np.float32)
+    rows = rng.standard_normal((block.num_inputs, in_dim)).astype(dtype)
+    seed = rng.standard_normal((block.num_outputs, out_dim)).astype(dtype)
+    return block, layer, rows, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=narrowing_gcn_cases())
+def test_both_orders_are_the_same_model(case):
+    """The multiply-first and aggregate-first forwards of one GCN layer
+    agree, value and every gradient, to 1e-5 in float32 and 1e-13 in
+    float64 times each array's largest magnitude (at least 1): the order
+    is a host choice, not another model."""
+    block, layer, rows, seed = case
+    results = []
+    for reads_features in (True, False):
+        layer.reads_features = reads_features
+        assert layer.multiplies_first is not reads_features
+        results.append(_layer_grads(layer.forward, layer, block, rows, seed))
+    tolerance = _ORDER_TOLERANCE[rows.dtype.type]
+    for paper, first in zip(*results):
+        assert paper.dtype == first.dtype and paper.shape == first.shape
+        scale = max(float(np.abs(paper).max(initial=0.0)), 1.0)
+        np.testing.assert_allclose(first, paper, rtol=0, atol=tolerance * scale)
+
 
 class TestNoMessageTensor:
     def test_gcn_layer_peak_stays_under_one_message_array(self):
         # 32768 edges x 64 float32 = 8 MB of messages, were they built;
         # inputs, outputs and gradients are 512 rows each (128 KB).
-        num_edges, num_rows, width = 32768, 512, 64
+        self._check(in_width=64, out_width=64, reads_features=True)
+
+    def test_narrowing_gcn_layer_peak_stays_under_one_message_array(self):
+        # Product first: were the messages built they would be 32768 x
+        # 64 (8 MB), the 128-wide ones (16 MB) never arising either.
+        self._check(in_width=128, out_width=64, reads_features=False)
+
+    @staticmethod
+    def _check(in_width, out_width, reads_features):
+        num_edges, num_rows = 32768, 512
+        width = min(in_width, out_width)
         rng = np.random.default_rng(0)
         dst = np.sort(rng.integers(0, num_rows, size=num_edges))
         block = LayerBlock(
@@ -409,9 +495,11 @@ class TestNoMessageTensor:
         assert np.array_equal(block.edge_dst_pos, dst)
         _ = block.edge_src_pos, block.edge_weight
         assert num_edges * width >= scatter.MIN_ELEMENTS
-        layer = GCNConv(width, width, rng=rng)
-        rows = rng.standard_normal((num_rows, width)).astype(np.float32)
-        seed = rng.standard_normal((num_rows, width)).astype(np.float32)
+        layer = GCNConv(in_width, out_width, rng=rng)
+        layer.reads_features = reads_features
+        assert layer.multiplies_first == (out_width < in_width)
+        rows = rng.standard_normal((num_rows, in_width)).astype(np.float32)
+        seed = rng.standard_normal((num_rows, out_width)).astype(np.float32)
         message_bytes = num_edges * width * 4
 
         tracemalloc.start()

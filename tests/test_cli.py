@@ -453,26 +453,34 @@ class TestTrainSampledCli:
 
     @pytest.mark.parametrize("engine", ["sampled", "distdgl"])
     def test_cache_mb_sizes_the_feature_cache_without_tau(
-        self, engine, tmp_path
+        self, engine, tmp_path, capsys
     ):
         # --cache-mb once reached a sampled engine only with --tau, which
         # means nothing to it; alone it was dropped without a word.
         import json
 
-        def epoch_s(*flags):
-            target = tmp_path / "train.json"
-            assert main([
+        target = tmp_path / "train.json"
+
+        def train(*flags):
+            return main([
                 "train", "--dataset", "cora", "--scale", "0.3",
                 "--nodes", "2", "--engine", engine, "--fanouts", "3,5",
                 "--batch-size", "16", "--epochs", "1", "--eval-every", "1",
                 "--json", str(target), *flags,
-            ]) == 0
+            ])
+
+        def epoch_s(*flags):
+            assert train(*flags) == 0
             return json.loads(target.read_text())["avg_epoch_time_s"]
 
         uncached = epoch_s()
         cached = epoch_s("--cache-mb", "4")
         assert cached < uncached
-        assert epoch_s("--cache-mb", "4", "--tau", "4") == cached
+        # --tau (the historical cache's bound) means nothing to a sampled
+        # engine, so it is refused rather than dropped.
+        capsys.readouterr()
+        assert train("--cache-mb", "4", "--tau", "4") == 2
+        assert "--tau" in capsys.readouterr().err
 
 
 class TestParser:

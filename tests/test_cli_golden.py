@@ -110,7 +110,7 @@ CASES = {
     "sample-sweep": [
         "sample-sweep", "--dataset", "cora", "--scale", "0.2",
         "--nodes", "2", "--samplers", "uniform,labor", "--fanouts", "3,5",
-        "--kappas", "1,4", "--cache-mb", "0,0.01", "--batch-size", "32",
+        "--kappas", "1,4", "--cache-mb", "0,0.016", "--batch-size", "32",
         "--epochs", "1", "--json", "{tmp}/sample_sweep.json",
     ],
     "tp-sweep": [
@@ -248,8 +248,15 @@ def test_payloads_keep_the_shapes_ci_used_to_assert(transcripts):
             for r in rows}
     # A LABOR kappa-block shares its per-source draws, so its rounds
     # overlap: fewer rows to fetch than with independent rounds.
-    for cache in (0.0, 0.01):
+    for cache in (0.0, 0.016):
         assert comm["labor", 4, cache] < comm["labor", 1, cache], comm
+    # 0.016 MB is the smallest capacity, in steps of 0.001 MB, whose
+    # pinned rows are remote bottom inputs in every cell here: each
+    # cached row pins some and fetches less than its uncached twin.
+    for r in rows:
+        if r["cache_mb"]:
+            assert r["pinned_rows"] > 0, r
+            assert r["comm_bytes"] < comm[r["sampler"], r["kappa"], 0.0], r
 
     sweep = payload["tp-sweep"]
     cells = {(r["hub_exponent"], r["hidden"]): r for r in sweep["rows"]}
@@ -349,6 +356,7 @@ _CORA = ["--dataset", "cora", "--scale", "0.05", "--nodes", "2"]
       "--straggle-replica", "2:4"], "--straggle-replica"),
     (["train", *_CORA, "--engine", "sampled", "--kappa", "0.5"], "--kappa"),
     (["sample-sweep", *_CORA, "--kappas", "1,-4"], "--kappas"),
+    (["train", *_CORA, "--engine", "distdgl", "--tau", "4"], "--tau"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(argv, named, capsys):
     try:
