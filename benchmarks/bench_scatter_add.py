@@ -54,7 +54,28 @@ kernel *is* the chain plus two index checks).  Bits are equal on every
 row, the reddit forward shape is at least 1.3x faster, and no row is
 more than 10 % slower.
 
-A fourth row is the layer above the kernel: one ``sampled_social``
+A fourth table is plan reuse, on the two calls ``fullbatch_reddit``
+makes every epoch today (seed 0; layer 1 reads the memo and layer 2
+multiplies first, so it aggregates 8 wide): ``plan_reddit_forward``,
+6 641 edges from 600 inputs into 75 rows, sorted, and
+``plan_reddit_adjoint``, the same edges into 600 rows, unsorted.  Each
+is timed two ways, interleaved: a fresh plan per call (what a block
+aggregated once pays) and the block's kept plan (every later epoch),
+plus the kept plan with ``CHUNK_ELEMENTS`` set to 0 (one ``take`` per
+round), for information.  Both results are bit-equal to ``np.add.at``,
+and the kept plan is at least ``MIN_PLAN_REUSE_SPEEDUP`` faster than a
+fresh one on both rows.
+
+Rows that no longer match a call the workloads make: ``reddit_forward``
+and ``aggregate_reddit_forward`` (layer 1 reads the memoised aggregate),
+``reddit_backward``, ``float64_backward``, ``aggregate_reddit_adjoint``
+and ``aggregate_float64_adjoint`` (layer 2 multiplies first and
+aggregates 8 wide, not 256), and ``reddit_accumulate`` /
+``float64_accumulate`` (``LayerExecutor.accumulate`` adds a route
+chunk's rows directly, as no position repeats).  They are kept as the
+kernel's trajectory on those shapes.
+
+A fifth row is the layer above the kernel: one ``sampled_social``
 epoch's layer-1 forwards (seed 0: 195 bottom blocks of ``social-large``
 at fanouts 10,25) through
 :class:`~repro.core.feature_aggregate.FeatureAggregateStore` against
@@ -96,6 +117,7 @@ MIN_FLAT_SPEEDUP = 2.0
 AGGREGATE_FLOOR_SHAPE = "aggregate_reddit_forward"
 MIN_AGGREGATE_SPEEDUP = 1.3
 MIN_WARM_STORE_SPEEDUP = 3.0
+MIN_PLAN_REUSE_SPEEDUP = 1.25
 # Below the cut-over: asserted never to schedule rounds, not timed.
 UNDER_CUTOVER = ("serve_closure_small", "aggregate_serve_closure")
 # One timing sample loops the call until it has run about this long, so
@@ -141,6 +163,13 @@ AGGREGATE_SHAPES = {
     "aggregate_float64_adjoint": (6641, 75, 600, 256, "unsorted", "f8", "f4"),
     "aggregate_sampled_bottom": (19515, 9902, 1161, 64, "sorted", "f4", "f4"),
     "aggregate_serve_closure": (17, 17, 1, 64, "sorted", "f8", "f4"),
+}
+
+# Seed-0 layer-2 calls of fullbatch_reddit, the same columns: a block's
+# kept plan against a fresh one.
+PLAN_SHAPES = {
+    "plan_reddit_forward": (6641, 600, 75, 8, "sorted", "f4", "f4"),
+    "plan_reddit_adjoint": (6641, 75, 600, 8, "unsorted", "f4", "f4"),
 }
 
 
@@ -270,11 +299,8 @@ def _chain(x, gather, index, weights, num_rows):
     return scatter_rows(index, x[gather] * weights.reshape(-1, 1), num_rows)
 
 
-def measure_aggregate(name, repeats):
-    """Interleaved kernel / chain per-call seconds on one layer call."""
-    num_edges, num_inputs, num_rows, width, kind, x_dtype, w_dtype = (
-        AGGREGATE_SHAPES[name]
-    )
+def _aggregate_args(shape):
+    num_edges, num_inputs, num_rows, width, kind, x_dtype, w_dtype = shape
     rng = np.random.default_rng(0)
     x = rng.standard_normal((num_inputs, width)).astype(x_dtype)
     gather = rng.integers(0, num_inputs, size=num_edges)
@@ -282,11 +308,55 @@ def measure_aggregate(name, repeats):
     if kind == "sorted":
         index = np.sort(index)
     weights = rng.random(num_edges).astype(w_dtype)
-    args = (x, gather, index, weights, num_rows)
+    return x, gather, index, weights, num_rows
+
+
+def measure_aggregate(name, repeats):
+    """Interleaved kernel / chain per-call seconds on one layer call."""
+    args = _aggregate_args(AGGREGATE_SHAPES[name])
     got, expected = gather_scatter_rows(*args), _chain(*args)
     bit_equal = got.dtype == expected.dtype and _bit_equal(got, expected)
     kernel, chain = _interleaved([gather_scatter_rows, _chain], args, repeats)
     return bit_equal, kernel, chain, _schedule_calls(gather_scatter_rows, *args)
+
+
+def _unchunked(fn):
+    """``fn`` with every round gathering its own messages."""
+    def run(*args):
+        saved = scatter.CHUNK_ELEMENTS
+        scatter.CHUNK_ELEMENTS = 0
+        try:
+            return fn(*args)
+        finally:
+            scatter.CHUNK_ELEMENTS = saved
+    return run
+
+
+def measure_plan(name, repeats):
+    """Interleaved fresh-plan / kept-plan / kept-unchunked per-call
+    seconds on one layer call, and bit-equality with ``np.add.at``."""
+    x, gather, index, weights, num_rows = _aggregate_args(PLAN_SHAPES[name])
+    expected = np.zeros((num_rows, x.shape[1]), dtype=np.result_type(x, weights))
+    np.add.at(expected, index, x[gather] * weights.reshape(-1, 1))
+    kept, unchunked = {}, {}
+
+    def fresh(*args):
+        return gather_scatter_rows(*args)
+
+    def reused(*args):
+        return gather_scatter_rows(*args, kept)
+
+    @_unchunked
+    def reused_unchunked(*args):
+        return gather_scatter_rows(*args, unchunked)
+
+    args = (x, gather, index, weights, num_rows)
+    results = [fn(*args) for fn in (fresh, reused, reused, reused_unchunked)]
+    bit_equal = all(
+        got.dtype == expected.dtype and _bit_equal(got, expected) for got in results
+    )
+    times = _interleaved([fresh, reused, reused_unchunked], args, repeats)
+    return bit_equal, times, _schedule_calls(reused, *args)
 
 
 def _layer_one_chain(layer, features, blocks):
@@ -432,6 +502,28 @@ def run_experiment(repeats=15):
             f"{'' if bit_equal else '  BITS DIFFER'}"
         )
 
+    plans = []
+    for name, shape in PLAN_SHAPES.items():
+        bit_equal, (fresh, reused, unchunked), scheduled = measure_plan(name, repeats)
+        row = {
+            "shape": name,
+            **dict(zip(AGGREGATE_COLUMNS, shape)),
+            "bit_equal": bit_equal,
+            "fresh_plan_s": fresh,
+            "kept_plan_s": reused,
+            "kept_plan_unchunked_s": unchunked,
+            "reuse_speedup": fresh["min_s"] / reused["min_s"],
+            "chunk_speedup": unchunked["min_s"] / reused["min_s"],
+            "kept_plan_schedule_calls": scheduled,
+        }
+        plans.append(row)
+        print(
+            f"{name:>26}: kept plan {reused['min_s']*1e6:8.1f} us "
+            f"(fresh {fresh['min_s']*1e6:8.1f} us, {row['reuse_speedup']:.2f}x; "
+            f"unchunked {unchunked['min_s']*1e6:8.1f} us)"
+            f"{'' if bit_equal else '  BITS DIFFER'}"
+        )
+
     layer_one = measure_layer_one_epoch(repeats)
     print(
         f"{layer_one['shape']:>26}: store warm {layer_one['warm_s']['min_s']*1e3:8.1f} ms"
@@ -453,8 +545,16 @@ def run_experiment(repeats=15):
         f"{AGGREGATE_FLOOR_SHAPE}: {aggregate_speedup:.2f}x "
         f"(floor {MIN_AGGREGATE_SPEEDUP:.1f}x)"
     )
-    for row in rows + cutover + aggregate + [layer_one]:
+    for row in rows + cutover + aggregate + plans + [layer_one]:
         assert row["bit_equal"], f"{row['shape']}: result differs from the reference"
+    for row in plans:
+        assert row["kept_plan_schedule_calls"] == 0, (
+            f"{row['shape']}: a kept plan scheduled its rounds again"
+        )
+        assert row["reuse_speedup"] >= MIN_PLAN_REUSE_SPEEDUP, (
+            f"{row['shape']}: kept plan {row['reuse_speedup']:.2f}x a fresh one, "
+            f"below the {MIN_PLAN_REUSE_SPEEDUP:.2f}x floor"
+        )
     assert layer_one["cold_speedup"] * MAX_SLOWDOWN >= 1.0, (
         f"cold store {1.0 / layer_one['cold_speedup']:.2f}x slower than the chain"
     )
@@ -487,6 +587,9 @@ def run_experiment(repeats=15):
         "shapes": rows,
         "cutover": cutover,
         "aggregate": aggregate,
+        "plans": plans,
+        "min_plan_reuse_speedup": MIN_PLAN_REUSE_SPEEDUP,
+        "chunk_elements": scatter.CHUNK_ELEMENTS,
         "layer_one_epoch": layer_one,
         "min_warm_store_speedup": MIN_WARM_STORE_SPEEDUP,
         "aggregate_floor_shape": AGGREGATE_FLOOR_SHAPE,

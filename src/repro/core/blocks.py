@@ -64,6 +64,14 @@ class LayerBlock:
     compute_pos_in_inputs:
         For each compute vertex, its row in the input space (used for
         self terms and attention destinations).
+    scatter_plans:
+        The aggregation kernel's plans, forward and adjoint (two dicts
+        keyed by row width and whether the edges are weighted; see
+        :class:`~repro.tensor.scatter.ScatterPlan`): each is built on
+        the first aggregation that needs it and reused by every later
+        one, as the paper's send buffer is laid out once.  A plan is
+        rebuilt when ``edge_weight`` is reassigned (it holds the weights
+        it gathered) or the kernel's cut-over constants change.
     edge_weight_rescaled:
         Set by whoever folds a per-edge factor into ``edge_weight`` (the
         samplers' LADIES rescale): the weights are then no longer
@@ -104,6 +112,10 @@ class LayerBlock:
     @cached_property
     def edge_weight(self) -> np.ndarray:
         return self.weight_source[self.edge_ids]
+
+    @cached_property
+    def scatter_plans(self) -> Tuple[dict, dict]:
+        return {}, {}
 
     @property
     def num_edges(self) -> int:

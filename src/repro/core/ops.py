@@ -72,7 +72,9 @@ def fused_scatter_gather(
     before the sum (GCN/GIN message), ``"mean"`` averages the raw
     source rows (SAGE).  Bit-identical to the three-op chain, without
     its E x d message tensor -- see
-    :class:`repro.tensor.functional.FusedGatherScatter`.
+    :class:`repro.tensor.functional.FusedGatherScatter`.  The kernel's
+    plans are kept on the block, so a block aggregated again (every
+    full-batch epoch) reuses its layout.
     """
     return F.fused_gather_scatter(
         h_inputs,
@@ -81,6 +83,7 @@ def fused_scatter_gather(
         block.num_outputs,
         weights=block.edge_weight if reducer == "weighted_sum" else None,
         reducer=reducer,
+        plans=block.scatter_plans,
     )
 
 

@@ -45,7 +45,6 @@ from repro.core.blocks import LayerBlock, closure_block
 from repro.core.feature_aggregate import same_objects
 from repro.execution.plan import EnginePlan, EpochReport
 from repro.tensor import functional as F
-from repro.tensor.scatter import scatter_add_rows
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.ranges import sorted_unique
 
@@ -786,7 +785,10 @@ class LayerExecutor:
             )
             acc = np.zeros(shape, dtype=rows.dtype)  # float64 stays float64
             grad_acc[layer_idx][worker] = acc
-        scatter_add_rows(acc, positions, rows)
+        # A route chunk lists each position once (compile_program builds
+        # it from a position index), so this is one addition per cell,
+        # as np.add.at would make.
+        acc[positions] += rows
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self, mask: Optional[np.ndarray] = None) -> float:

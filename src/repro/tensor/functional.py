@@ -12,7 +12,7 @@ adjoint, as :func:`fused_gather_scatter`: one kernel, no E x d tensor.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +80,9 @@ class FusedGatherScatter(Function):
     so neither direction builds the per-edge tensor and the tape saves
     only a shape and a dtype.  Every output cell receives the additions
     the op chain performs, in edge order, so value and gradient are
-    bit-identical to it.
+    bit-identical to it.  ``plans``, when given, is a pair of dicts
+    where the forward and the adjoint keep their kernel plans (see
+    :func:`~repro.tensor.scatter.gather_scatter_rows`).
     """
 
     def __init__(
@@ -91,6 +93,7 @@ class FusedGatherScatter(Function):
         num_segments: int,
         weights: Optional[np.ndarray],
         reducer: str,
+        plans: Optional[Tuple[dict, dict]] = None,
     ):
         super().__init__(*inputs)
         self.src_pos = src_pos
@@ -98,6 +101,7 @@ class FusedGatherScatter(Function):
         self.num_segments = num_segments
         self.weights = weights
         self.reducer = reducer
+        self.plans = plans or (None, None)
 
     def _counts(self, ndim: int, dtype) -> np.ndarray:
         # Exactly the divisor of a segment-sum-then-divide mean:
@@ -111,7 +115,8 @@ class FusedGatherScatter(Function):
 
     def forward(self, x):
         out = gather_scatter_rows(
-            x, self.src_pos, self.segments, self.weights, self.num_segments
+            x, self.src_pos, self.segments, self.weights, self.num_segments,
+            self.plans[0],
         )
         # The divisor's dtype follows the *message* rows (what SegmentSum
         # sees in the op chain, weight promotion included), not the input.
@@ -126,7 +131,8 @@ class FusedGatherScatter(Function):
             grad = grad / self._counts(len(shape), dtype)
         return (
             gather_scatter_rows(
-                grad, self.segments, self.src_pos, self.weights, shape[0]
+                grad, self.segments, self.src_pos, self.weights, shape[0],
+                self.plans[1],
             ),
         )
 
@@ -138,9 +144,12 @@ def fused_gather_scatter(
     num_segments: int,
     weights: Optional[np.ndarray] = None,
     reducer: str = "sum",
+    plans: Optional[Tuple[dict, dict]] = None,
 ) -> Tensor:
     """One-kernel ``x[src_pos] (* weights)`` summed (or meaned) by
-    ``segments`` -- the fused Scatter/Edge/Gather step."""
+    ``segments`` -- the fused Scatter/Edge/Gather step.  ``plans``: the
+    forward's and the adjoint's kept kernel plans, for a caller that
+    aggregates the same edges again."""
     if reducer not in ("sum", "weighted_sum", "mean"):
         raise ValueError(f"unsupported fused reducer {reducer!r}")
     if reducer == "weighted_sum" and weights is None:
@@ -164,6 +173,7 @@ def fused_gather_scatter(
         num_segments=num_segments,
         weights=weights,
         reducer=reducer,
+        plans=plans,
     )
 
 

@@ -7,11 +7,24 @@ adjoint in :mod:`repro.tensor` used to bottom out in it.
 :func:`scatter_add_rows` computes the same result -- the same bits --
 from whole-row numpy operations on large blocks, and through
 ``np.add.at``'s own indexed 1-D loop (:func:`_add_at`) on small ones.
-:func:`gather_scatter_rows` is the same rounds (:func:`_schedule`,
-:func:`_ranked_rounds`) over values that are never stored: the message
-``x[gather[e]] * weights[e]`` of edge ``e`` is formed in the round that
-adds it, so a layer's aggregation and its adjoint allocate no E x d
-array.
+:func:`gather_scatter_rows` is the same rounds over values that are
+never stored: the message ``x[gather[e]] * weights[e]`` of edge ``e``
+is formed in the round that adds it, so a layer's aggregation and its
+adjoint allocate no E x d array.
+
+The plan.  What the rounds need from an edge list -- the rows ranked by
+degree, how many are active in each round, the round-ordered sources
+``gather[edges]`` and scales ``weights[edges]``, the hub tail -- is a
+:class:`ScatterPlan`, built by :func:`_schedule` and :func:`_plan` and
+run by :func:`_ranked_rounds`.  A call without ``plans`` builds one and
+drops it.  A caller that aggregates the same edges again (a layer block,
+every full-batch epoch) passes the dict the block keeps its plans in,
+and every call after the first runs the kept plan: no validation,
+grouping, ranking or re-gathering of the fixed edge list, as the
+paper's send buffer is laid out once and not per epoch.  A plan is
+matched to the ``gather`` / ``index`` / ``weights`` arrays it was built
+from and to the cut-over constants of its build; anything else builds a
+new one.
 
 Why the bits match.  ``np.add.at(out, index, values)`` applies
 ``out[index[e]] += values[e]`` for ``e = 0, 1, ...``, so each output
@@ -20,14 +33,24 @@ The kernel stable-groups the edges by row, which keeps that per-row
 order, and then runs *rounds*: round ``k`` adds the ``k``-th edge of
 every row that has more than ``k`` edges.  Rows are ranked by degree
 descending, so the rows still active in round ``k`` are a contiguous
-prefix of the accumulator and the round is one row gather plus one
-contiguous in-place add.  Every element still sees exactly the
-additions ``np.add.at`` performs, in the same order, starting from the
-same ``out`` value (so ``0.0 + -0.0`` and NaN/inf propagation match
-too); only the interleaving *between* rows differs, and rows never
-interact.  Forming a round's addends from ``x`` instead of reading them
-from a stored array changes nothing an element sees: the product is
-the same two operands in the same dtype either way.
+prefix of the accumulator and the round is one contiguous in-place add
+(the messages of several consecutive rounds are gathered together, up
+to ``CHUNK_ELEMENTS``).  Every element still sees exactly the additions
+``np.add.at`` performs, in the same order, starting from the same
+``out`` value (so ``0.0 + -0.0``, infinities and a NaN match too);
+only the interleaving *between* rows differs, and rows never interact.
+Forming a round's addends from ``x`` instead of reading them from a
+stored array changes nothing an element sees: the product is the same
+two operands in the same dtype either way, and a kept plan's sources
+and scales are the very entries a fresh one would gather.
+
+Where the bits are not promised: the payload of a NaN that meets
+another NaN of a different payload.  IEEE 754 leaves open which
+payload an addition of two NaNs returns, and numpy's per-element loop
+and the vectorised add do not pick the same one: where ``np.nan`` and
+the ``inf - inf`` NaN meet in a cell, the result is NaN either way but
+its bits differ from ``np.add.at``'s (in 100 of 100 random inputs).
+Inputs with NaNs of one payload match bit for bit.
 
 ``np.add.reduceat`` and ``sum(axis=0)`` are deliberately not used:
 numpy reduces pairwise there, which changes the low bits of most
@@ -53,6 +76,10 @@ ROUND_ELEMENTS = 512
 # (docs/performance.md, "Small-call path"), so the rounds must cover at
 # least this many.
 MIN_ELEMENTS = 32768
+# The rounds of one chunk have their messages gathered and weighted by
+# one ``take`` and one ``multiply``, so a round is then a single
+# in-place add: at width 8, three numpy calls per round become one.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _validated(index: np.ndarray, num_rows: int, what: str = "scatter") -> np.ndarray:
@@ -113,13 +140,9 @@ def _add_at(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     np.add.at(out, index, values)
 
 
-def _messages(x, gather, weights, edges=None) -> np.ndarray:
-    """Rows ``edges`` (default: all) of ``x[gather] * weights[:, None]``,
-    built for those edges only; ``gather`` / ``weights`` of ``None``
-    stand for the identity / no weighting."""
-    if edges is not None:
-        gather = edges if gather is None else gather.take(edges)
-        weights = None if weights is None else weights.take(edges)
+def _messages(x, gather, weights) -> np.ndarray:
+    """``x[gather] * weights[:, None]``; ``gather`` / ``weights`` of
+    ``None`` stand for the identity / no weighting."""
     rows = x if gather is None else x.take(gather, axis=0)
     return rows if weights is None else rows * weights.reshape(-1, 1)
 
@@ -173,37 +196,114 @@ def _schedule(index: np.ndarray, num_rows: int, width: int, min_elements: int):
     return rows, active.tolist(), edges, tail
 
 
-def _ranked_rounds(out, index, x, gather, weights, min_elements: int) -> bool:
-    """``np.add.at(out, index, x[gather] * weights[:, None])`` by ranked
-    rounds, the message array never built: each round takes its rows
-    straight from ``x``.  ``index`` and ``gather`` are validated 1-D
-    integer arrays, ``x`` 2-D rows; with ``weights``, ``out`` has the
-    product's dtype.  Returns ``False``, ``out`` untouched, when the
-    rounds would cover fewer than ``min_elements``."""
-    plan = _schedule(index, out.shape[0], x.shape[1], min_elements)
-    if plan is None:
-        return False
-    rows, active, edges, tail = plan
-    sources = edges if gather is None else gather.take(edges)
-    scales = None if weights is None else weights.take(edges).reshape(-1, 1)
+class ScatterPlan:
+    """The ranked rounds of one aggregation, laid out once.
+
+    What :func:`_ranked_rounds` reads, for one ``(gather, index,
+    weights)`` triple at one row width: ``rows`` ranked by degree, the
+    round-ordered ``sources = gather[edges]`` and ``scales =
+    weights[edges]``, the rounds grouped into ``chunks`` of ``(begin,
+    end, active counts)`` whose messages are gathered together, and the
+    hub tail's ``tail_index`` / ``tail_gather`` / ``tail_weights``.
+    ``rows is None`` marks a flat plan: the rounds would not pay, so the
+    block goes to :func:`_add_at` whole.  The edge order itself is not
+    kept once ``sources`` and ``scales`` are derived.
+
+    A plan is valid for the arrays it was built from (held by identity,
+    as validated) under the cut-over constants of its build; :meth:`fits`
+    is how a kept plan is checked before it is run again.
+    """
+
+    __slots__ = (
+        "gather", "index", "weights", "constants", "rows", "chunks",
+        "sources", "scales", "tail_index", "tail_gather", "tail_weights",
+    )
+
+    def __init__(self, gather, index, weights):
+        self.gather, self.index, self.weights = gather, index, weights
+        self.constants = (MIN_ELEMENTS, ROUND_ELEMENTS)
+        self.rows = self.chunks = self.sources = self.scales = None
+        self.tail_index = self.tail_gather = self.tail_weights = None
+
+    def fits(self, gather, index, weights) -> bool:
+        """Whether the plan is still the layout of these arrays."""
+        return (
+            self.gather is gather
+            and self.index is index
+            and self.weights is weights
+            and self.constants == (MIN_ELEMENTS, ROUND_ELEMENTS)
+        )
+
+
+def _narrow(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``ids`` (all below ``bound``) as int32 when that holds them."""
+    return ids.astype(np.int32) if bound <= np.iinfo(np.int32).max else ids
+
+
+def _chunks(active, width: int):
+    """Consecutive rounds grouped so that each group's messages hold at
+    most ``CHUNK_ELEMENTS`` elements (a round larger than that alone)."""
+    chunks, begin, counts, size = [], 0, [], 0
+    for m in active:
+        if counts and (size + m) * width > CHUNK_ELEMENTS:
+            chunks.append((begin, begin + size, counts))
+            begin, counts, size = begin + size, [], 0
+        counts.append(m)
+        size += m
+    chunks.append((begin, begin + size, counts))
+    return chunks
+
+
+def _plan(gather, index, weights, num_inputs: int, num_rows: int, width: int,
+          min_elements: int) -> ScatterPlan:
+    """The plan of summing ``x[gather] * weights[:, None]`` by ``index``
+    over rows of ``width`` elements (``gather`` of ``None``: the rows of
+    ``x`` in edge order); both indices are validated."""
+    plan = ScatterPlan(gather, index, weights)
+    schedule = _schedule(index, num_rows, width, min_elements)
+    if schedule is None:
+        return plan
+    rows, active, edges, tail = schedule
+    plan.rows = _narrow(rows, num_rows)
+    plan.chunks = _chunks(active, width)
+    if gather is None:
+        plan.sources = _narrow(edges, len(index))
+    else:
+        plan.sources = _narrow(gather.take(edges), num_inputs)
+    if weights is not None:
+        plan.scales = weights.take(edges).reshape(-1, 1)
+    if len(tail):
+        plan.tail_index = index.take(tail)
+        plan.tail_gather = tail if gather is None else gather.take(tail)
+        if weights is not None:
+            plan.tail_weights = weights.take(tail)
+    return plan
+
+
+def _ranked_rounds(out: np.ndarray, plan: ScatterPlan, x: np.ndarray) -> None:
+    """``np.add.at(out, index, x[gather] * weights[:, None])`` by the
+    plan's ranked rounds, the message array never built: each chunk of
+    rounds takes its rows straight from ``x`` and each round is one
+    contiguous in-place add.  ``x`` is 2-D rows of the plan's width;
+    with weights, ``out`` has the product's dtype."""
     # The product overwrites the gathered rows when it keeps their dtype.
     in_place = x.dtype == out.dtype
-
-    acc = out.take(rows, axis=0)
-    begin = 0
-    for m in active:
-        part = x.take(sources[begin:begin + m], axis=0)
+    sources, scales = plan.sources, plan.scales
+    acc = out.take(plan.rows, axis=0)
+    for begin, end, counts in plan.chunks:
+        part = x.take(sources[begin:end], axis=0)
         if scales is not None:
             part = np.multiply(
-                part, scales[begin:begin + m], out=part if in_place else None
+                part, scales[begin:end], out=part if in_place else None
             )
-        acc[:m] += part
-        begin += m
-    out[rows] = acc
+        offset = 0
+        for m in counts:
+            acc[:m] += part[offset:offset + m]
+            offset += m
+    out[plan.rows] = acc
 
-    if len(tail):
-        _add_at(out, index[tail], _messages(x, gather, weights, tail))
-    return True
+    if plan.tail_index is not None:
+        _add_at(out, plan.tail_index, _messages(x, plan.tail_gather, plan.tail_weights))
 
 
 def scatter_add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
@@ -236,8 +336,11 @@ def scatter_add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> 
     if index.size == 0:
         return
     index = _validated(index, out.shape[0])
-    if not _ranked_rounds(out, index, values, None, None, min_elements):
+    plan = _plan(None, index, None, 0, out.shape[0], values.shape[1], min_elements)
+    if plan.rows is None:
         _add_at(out, index, values)
+    else:
+        _ranked_rounds(out, plan, values)
 
 
 def gather_scatter_rows(
@@ -246,6 +349,7 @@ def gather_scatter_rows(
     scatter: np.ndarray,
     weights: Optional[np.ndarray],
     num_rows: int,
+    plans: Optional[dict] = None,
 ) -> np.ndarray:
     """``x[gather] * weights[:, None]`` summed by ``scatter`` into a
     fresh ``(num_rows, ...)`` array -- gather, weight and reduce as one
@@ -257,6 +361,11 @@ def gather_scatter_rows(
     Only what the rounds do not take is materialised: the hub tail, and
     whole blocks under the cut-over.  An out-of-range ``gather`` or
     ``scatter`` entry raises ``IndexError`` before anything is written.
+
+    ``plans``, when given, is where the caller keeps this aggregation's
+    :class:`ScatterPlan` per ``(width, weighted)``: a plan that still
+    :meth:`~ScatterPlan.fits` is run again, any other is rebuilt and
+    stored there.  Without it a plan is built for the call and dropped.
     """
     shape = (num_rows,) + x.shape[1:]
     num_edges = len(gather)
@@ -267,13 +376,25 @@ def gather_scatter_rows(
         out = np.zeros(shape, dtype=messages.dtype)
         _add_at(out, scatter, messages)
         return out
-    # Checked up front: a bad entry would otherwise surface rounds in.
-    gather = _validated(gather, len(x), "gather")
-    scatter = _validated(scatter, num_rows)
+    key = (x.shape[1], weights is not None)
+    plan = None if plans is None else plans.get(key)
+    if plan is None or not plan.fits(gather, scatter, weights):
+        # Checked up front: a bad entry would otherwise surface rounds in.
+        # Valid block positions come back as the same arrays, so the
+        # plan they key is found again.
+        gather = _validated(gather, len(x), "gather")
+        scatter = _validated(scatter, num_rows)
+        plan = _plan(
+            gather, scatter, weights, len(x), num_rows, x.shape[1], MIN_ELEMENTS
+        )
+        if plans is not None:
+            plans[key] = plan
     dtype = x.dtype if weights is None else np.result_type(x.dtype, weights.dtype)
     out = np.zeros(shape, dtype=dtype)
-    if not _ranked_rounds(out, scatter, x, gather, weights, MIN_ELEMENTS):
+    if plan.rows is None:
         _add_at(out, scatter, _messages(x, gather, weights))
+    else:
+        _ranked_rounds(out, plan, x)
     return out
 
 

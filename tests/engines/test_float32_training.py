@@ -6,6 +6,12 @@ tape (the loss's ``/ float(n)``, GAT's ``+ 1e-16``) once made the loss
 float64, and from the first optimizer step on every gradient, Adam
 moment and parameter with it; ``parameter_bytes()`` then grew and every
 later all-reduce was charged at 8 bytes per parameter.
+
+The other half of the dtype contract: a float64 model (gradcheck, the
+golden's float64 reference) stays float64.  Its parameters, gradients,
+Adam moments and the executor's gradient accumulators must not be
+narrowed to float32 anywhere; ``LayerExecutor.accumulate`` once built
+its accumulators in float32 whatever the rows it added.
 """
 
 import numpy as np
@@ -16,6 +22,7 @@ from repro.cluster.timeline import NET_SEND
 from repro.core.layers import LAYER_TYPES
 from repro.core.model import GNNModel
 from repro.engines import SharedMemoryEngine, make_engine
+from repro.execution.executor import LayerExecutor
 from repro.graph.datasets import load_dataset
 from repro.tensor import optim
 from repro.training.prep import prepare_graph
@@ -29,9 +36,11 @@ ENGINES = [
 SAMPLED = ("sampled", "sampled-labor", "sampled-ladies", "distdgl")
 
 
-def _engine(name, arch):
+def _engine(name, arch, dtype=np.float32):
     graph = prepare_graph(load_dataset("cora", scale=0.1, seed=0), arch)
     model = GNNModel.build(arch, graph.feature_dim, 8, graph.num_classes, seed=1)
+    for p in model.parameters():
+        p.data = p.data.astype(dtype)
     if name == "shared-memory":
         return SharedMemoryEngine(graph, model)
     # Small batches give the sampled engines several rounds per epoch,
@@ -86,3 +95,40 @@ def test_two_epochs_stay_float32(name, arch, monkeypatch):
         assert len(rounds) > 2
         assert rounds[0] == rounds[-1]
         assert {(kind, n) for kind, _, n in rounds[-1]} == {(NET_SEND, before)}
+
+
+def _record_accumulators(monkeypatch):
+    """Every gradient accumulator ``LayerExecutor.accumulate`` has
+    added rows into, read after each call."""
+    accumulators = []
+    accumulate = LayerExecutor.accumulate
+
+    def recording(self, plan, grad_acc, layer_idx, worker, positions, rows):
+        accumulate(self, plan, grad_acc, layer_idx, worker, positions, rows)
+        accumulators.extend(a for a in grad_acc[layer_idx] if a is not None)
+
+    monkeypatch.setattr(LayerExecutor, "accumulate", recording)
+    return accumulators
+
+
+@pytest.mark.parametrize("arch", sorted(LAYER_TYPES))
+@pytest.mark.parametrize("name", ENGINES)
+def test_two_epochs_stay_float64(name, arch, monkeypatch):
+    engine = _engine(name, arch, np.float64)
+    model = engine.model
+    before = model.parameter_bytes()
+    accumulators = _record_accumulators(monkeypatch)
+    optimizer = optim.Adam(model.parameters(), lr=0.01)
+    for _ in range(2):
+        engine.run_epoch(optimizer=optimizer)
+    engine.run_epoch()  # no step, so the gradients stay to be read
+    for p in model.parameters():
+        assert p.data.dtype == np.float64
+        assert p.grad.dtype == np.float64
+    for moment in optimizer._m + optimizer._v:
+        assert moment.dtype == np.float64
+    assert model.parameter_bytes() == before
+    # Every full-batch engine routes layer-2 input gradients through
+    # the executor; the sampled engines do not.
+    assert bool(accumulators) == (name not in SAMPLED)
+    assert all(a.dtype == np.float64 for a in accumulators)

@@ -20,6 +20,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.core.model import GNNModel
 from repro.engines import make_engine
 from repro.graph import generators
+from repro.partition import get_partitioner
 from repro.training.prep import prepare_graph
 
 # name -> (registered engine, engine kwargs, forced tp_layers or None)
@@ -38,7 +39,7 @@ CASES = {
 }
 
 
-def build(case, num_vertices=96, workers=4, seed=0, hidden=8):
+def build(case, num_vertices=96, workers=4, seed=0, hidden=8, partitioner=None):
     name, kwargs, tp_layers = CASES[case]
     g = generators.scaled_social(
         num_vertices, avg_degree=6.0, num_communities=4, hub_exponent=1.1,
@@ -50,6 +51,8 @@ def build(case, num_vertices=96, workers=4, seed=0, hidden=8):
         "gcn", graph.feature_dim, hidden, graph.num_classes, num_layers=3,
         seed=0,
     )
+    if partitioner is not None:
+        kwargs = {**kwargs, "partitioning": get_partitioner(partitioner)(graph, workers)}
     engine = make_engine(name, graph, model, ClusterSpec.ecs(workers), **kwargs)
     if tp_layers is not None:
         engine._choose_tp_layers = lambda: list(tp_layers)
@@ -214,6 +217,53 @@ def test_property_route_equals_dense_gather(
 ):
     engine, plan = build(case, num_vertices, workers, seed)
     check_engine(engine, plan, check_layer_program, case != "roc", seed)
+
+
+def check_chunks_list_positions_once(engine):
+    """``LayerExecutor.accumulate`` adds a chunk's rows by ``acc[positions]
+    += rows``, which is ``np.add.at`` only while no position repeats."""
+    for lp in engine.program_.layers:
+        for wp in lp.workers:
+            if wp.route is None:
+                continue
+            for j in wp.route.sources:
+                positions = wp.route.src_rows[wp.route.buffer.chunk_slice(j)]
+                assert len(np.unique(positions)) == len(positions), (
+                    f"layer {lp.layer} worker {wp.worker}: chunk from {j} "
+                    "lists a position twice"
+                )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=st.sampled_from(list(CASES)),
+    partitioner=st.sampled_from(["chunk", "hash", "fennel", "metis"]),
+    num_vertices=st.integers(24, 80),
+    workers=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_property_route_chunks_list_each_position_once(
+    case, partitioner, num_vertices, workers, seed
+):
+    engine, _ = build(case, num_vertices, workers, seed, partitioner=partitioner)
+    check_chunks_list_positions_once(engine)
+    if engine._cache_active:
+        # A stale-cache epoch runs the posted subset of each chunk.
+        engine.run_epoch()
+        check_chunks_list_positions_once(engine)
+
+
+def test_a_repeated_position_fails_the_uniqueness_check():
+    engine, _ = build("hybrid")
+    route = next(
+        wp.route for lp in engine.program_.layers for wp in lp.workers
+        if wp.route is not None and len(wp.route.src_rows) > 1
+    )
+    chunk = route.buffer.chunk_slice(route.sources[0])
+    assert chunk.stop - chunk.start > 1
+    route.src_rows[chunk.start + 1] = route.src_rows[chunk.start]
+    with pytest.raises(AssertionError, match="lists a position twice"):
+        check_chunks_list_positions_once(engine)
 
 
 def test_mirror_above_tp_reads_in_place_but_charges_the_exchange():

@@ -3,9 +3,16 @@
 ``tests/data/golden_serving_paths.json`` was recorded at the commit
 *before* the serving hot path was rewritten (planner-built closures,
 closure-built blocks, the flat small-block scatter) with
-``python tests/serving/test_serving_pin.py --write``; the rewrite must
-reproduce it unmodified.  Floats are stored as ``float.hex()`` so the
-comparison is on bits, not on a printed rounding.
+``python tests/serving/test_serving_pin.py --write``, and the rewrite
+reproduced it unmodified.  It was re-recorded once since, when a
+narrowing GCN layer above layer 1 started multiplying by its weight
+before aggregating: the cached rows are the top layer's float64 rows,
+so their bytes follow that order, and the ``rows_sha256`` of the 11 GCN
+scenarios moved (the product now runs over the top's input rows, not
+the batch's seeds, so the rows no longer depend on the batching).
+Every other field, the GAT scenario and ``golden_serving_clock.json``
+did not move.  Floats are stored as ``float.hex()`` so the comparison
+is on bits, not on a printed rounding.
 
 Pinned per scenario: every :class:`RequestRecord` field, the
 predictions, the cache counters, a digest of the embedding rows the
