@@ -66,14 +66,26 @@ round), for information.  Both results are bit-equal to ``np.add.at``,
 and the kept plan is at least ``MIN_PLAN_REUSE_SPEEDUP`` faster than a
 fresh one on both rows.
 
-Rows that no longer match a call the workloads make: ``reddit_forward``
-and ``aggregate_reddit_forward`` (layer 1 reads the memoised aggregate),
-``reddit_backward``, ``float64_backward``, ``aggregate_reddit_adjoint``
-and ``aggregate_float64_adjoint`` (layer 2 multiplies first and
-aggregates 8 wide, not 256), and ``reddit_accumulate`` /
-``float64_accumulate`` (``LayerExecutor.accumulate`` adds a route
-chunk's rows directly, as no position repeats).  They are kept as the
-kernel's trajectory on those shapes.
+Rows that no longer match a call the workloads make (seed 0, recorded
+by wrapping both kernels):
+
+- every row of the first table: ``scatter_add_rows`` is now reached
+  only by the adjoint of the loss rows' gather (at most 128 indices,
+  16 wide, under the cut-over).  Reddit's layer 1 reads the memoised
+  aggregate and layer 2 aggregates 8 wide through
+  ``gather_scatter_rows``, the sampled bottom goes through the layer-1
+  store, ``LayerExecutor.accumulate`` adds a route chunk's rows
+  directly (no position repeats), and ``serve_social`` serves every
+  seed-0 request from the closure memo;
+- ``aggregate_reddit_adjoint`` and ``aggregate_float64_adjoint``:
+  layer 2 multiplies first and aggregates 8 wide, not 256;
+- ``aggregate_serve_closure``: the memo's fills are blocks of ~17.5 k
+  edges into 1 024 rows, and no closure is aggregated on its own.
+
+``aggregate_reddit_forward`` is still epoch 0's layer-1 memo fill on
+one worker, and ``aggregate_sampled_bottom`` approximates the layer-1
+store's cold fill (which gathers from all 40 960 feature rows, not the
+closure's 9 902).  The rows are kept as the kernel's trajectory.
 
 A fifth row is the layer above the kernel: one ``sampled_social``
 epoch's layer-1 forwards (seed 0: 195 bottom blocks of ``social-large``
@@ -339,9 +351,7 @@ def measure_plan(name, repeats):
     expected = np.zeros((num_rows, x.shape[1]), dtype=np.result_type(x, weights))
     np.add.at(expected, index, x[gather] * weights.reshape(-1, 1))
     kept, unchunked = {}, {}
-
-    def fresh(*args):
-        return gather_scatter_rows(*args)
+    fresh = gather_scatter_rows
 
     def reused(*args):
         return gather_scatter_rows(*args, kept)
@@ -355,7 +365,9 @@ def measure_plan(name, repeats):
     bit_equal = all(
         got.dtype == expected.dtype and _bit_equal(got, expected) for got in results
     )
-    times = _interleaved([fresh, reused, reused_unchunked], args, repeats)
+    # Samples are ~5 ms: even --smoke takes enough of them for the
+    # min-vs-min ratio to shed a noisy neighbour.
+    times = _interleaved([fresh, reused, reused_unchunked], args, max(repeats, 9))
     return bit_equal, times, _schedule_calls(reused, *args)
 
 
