@@ -25,22 +25,21 @@ the graph, read from the engine's
 bounded-staleness reads: training gathers override rows through it and
 the inference server probes each batch's vertices through it, so the
 freshness rule (serve within ``tau``, exact value on miss) cannot fork
-between the two.  :func:`run_closure_forward` is the shared
-union-closure forward; the serving layer executes batches through a
-:class:`ClosureMemo`, which returns the same rows by lookup after
-computing, once per request stream, each (layer, vertex) row of its
-frozen model that the stream's closures need, wherever a probe shows
-that BLAS multiplies the layer's weights row by row.
+between the two.  :func:`run_closure_forward` is the union-closure
+forward of one batch; the serving layer answers from a
+:class:`ClosureMemo` instead, which computes, once per request stream,
+each (layer, vertex) row of its frozen model that the stream's
+closures need, with the same per-layer call, so a served row is a
+lookup.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import ops
 from repro.core.blocks import LayerBlock, closure_block
 from repro.core.feature_aggregate import same_objects
 from repro.execution.plan import EnginePlan, EpochReport
@@ -173,195 +172,63 @@ class _RowStore:
         self.used = end
 
 
-def _chunks(count: int, height: int) -> List[np.ndarray]:
-    """``0..count-1`` in even runs of at most ``height``."""
-    pieces = -(-count // height)
-    bounds = (np.arange(pieces + 1) * count // pieces).tolist()
-    return [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _gemm_rows(fn, height: int, *arrays: Optional[np.ndarray]) -> np.ndarray:
-    """``fn`` over the rows of ``arrays`` (a ``None`` stays ``None``),
-    each row the bytes any product of 2 to ``height`` rows gives it: the
-    rows run in products of at most ``height``, and a lone row runs
-    twice (a one-row product rounds differently)."""
-    pieces = []
-    for run in _chunks(len(arrays[-1]), height):
-        rows = run.repeat(2) if len(run) == 1 else run
-        out = fn(*(None if a is None else Tensor(a.take(rows, axis=0)) for a in arrays))
-        pieces.append(out.data[:len(run)])
-    return np.concatenate(pieces)
-
-
-def _one_row_rows(
-    layer, h_dst: Optional[np.ndarray], aggregated: np.ndarray
-) -> np.ndarray:
-    """``layer.vertex`` over each row alone, as a one-seed batch's top
-    layer runs it: every row's one-row product, stacked into one
-    ``(n, 1, d)`` product."""
-    count = len(aggregated)
-    stacked = layer.vertex(
-        None if h_dst is None else Tensor(h_dst.reshape(count, 1, -1)),
-        Tensor(aggregated.reshape(count, 1, -1)),
-    ).data
-    return stacked.reshape(count, -1)
-
-
-# ClosureMemo keeps a seed only if every layer of its closure below the
-# top is at most this tall, and probes each weight at every height up to it.
-_PROBED_HEIGHT = 128
 # Rows per fill block: bounds a block's float64 input rows to a few MB
 # while each array call still covers many rows.
 _FILL_ROWS = 1024
 
 
-def _row_exact_to(weight: np.ndarray) -> int:
-    """How tall a product ``rows @ weight`` stays row by row on this
-    machine's BLAS: the largest ``n <= _PROBED_HEIGHT`` such that at
-    every height from 2 to ``n`` each row comes out the same bytes as in
-    a two-row product, whatever its position (1 if none).  The rows are
-    float64 from a fixed seed, as the closure forward multiplies them; a
-    height or position that takes another BLAS path rounds differently."""
-    rows = np.random.default_rng(0).standard_normal((_PROBED_HEIGHT, weight.shape[0]))
-    pairs = np.concatenate([
-        rows[i:i + 2] @ weight for i in range(0, _PROBED_HEIGHT, 2)
-    ])
-    if (rows[[1, 0]] @ weight).tobytes() != pairs[[1, 0]].tobytes():
-        return 1
-    for n in range(3, _PROBED_HEIGHT + 1):
-        if (rows[:n] @ weight).tobytes() != pairs[:n].tobytes():
-            return n - 1
-    return _PROBED_HEIGHT
-
-
-def _stacks_rows(weight: np.ndarray) -> bool:
-    """Whether a stacked ``(n, 1, d) @ weight`` gives each row the bytes
-    of its own one-row product on this machine's BLAS."""
-    rows = np.random.default_rng(0).standard_normal((_PROBED_HEIGHT, 1, weight.shape[0]))
-    stacked = rows @ weight
-    return all(
-        (rows[i] @ weight).tobytes() == stacked[i].tobytes()
-        for i in range(_PROBED_HEIGHT)
-    )
-
-
 class ClosureMemo:
-    """Exact per-(layer, vertex) rows of a frozen model, filled per stream.
+    """Per-(layer, vertex) rows of a frozen model, filled per stream.
 
     :meth:`fill` computes, bottom-up, every (layer, vertex) row that the
     given one-seed closures need and no earlier fill made (the server
     calls it once per ``serve()`` with every requested vertex), in
-    blocks of ``_FILL_ROWS``, each weight product no taller than the
-    layer's probed height.  :meth:`forward` then returns
-    :func:`run_closure_forward`'s rows for a batch, byte for byte, by
-    lookup.  A layer's product runs over its own rows, or, where it
-    multiplies first (:attr:`~repro.core.layers.GNNLayer.multiplies_first`),
-    over its input rows.  A top layer that multiplies first is kept
-    once, like the layers below.  Otherwise the top's product height is
-    the batch's seed count, so its rows are kept twice: the gemm row a
-    batch of 2 up to the top's probed height of seeds gets, and the
-    one-row-product row a one-seed batch gets, made for every seed by
-    one stacked ``(n, 1, d)`` product.  A batch whose top product is
-    taller runs the top layer over the kept rows below, as the
-    reference does.
-
-    Why the bytes match (docs/serving.md, "Frozen weights"): a fused
-    aggregate row is the row's own in-edges summed in CSC order,
-    whatever else the block holds; the rest of a GCN / GIN / SAGE layer
-    is row-wise apart from its products with 2-D parameters; and a
-    product row is row-wise where BLAS takes one path at every height
-    and position.  That depends on the machine and the shape, so the
-    first fill probes every weight: :func:`_row_exact_to` gives each
-    layer's probed height, :func:`_stacks_rows` whether stacking the
-    top's one-row products is exact (if not, a one-seed batch runs its
-    top layer too).  The fill skips a seed whose own closure has a layer
-    below the top one row tall (an isolated seed: its one-seed batch
-    runs that layer as a one-row product) or a product below the top
-    taller than its probed height.  A batch runs
-    :func:`run_closure_forward` if the model has a layer without a fused
-    reducer (GAT: the fill keeps nothing), if a seed was not filled, or
-    if its union closure has a product below the top taller than its
-    probed height.
+    blocks of ``_FILL_ROWS`` rows, each one ``layer.forward`` over a
+    :func:`~repro.core.blocks.closure_block` -- the call
+    :func:`run_closure_forward` makes, so every architecture takes the
+    one path.  :meth:`rows` then reads the top-layer rows of filled
+    vertices.  A vertex's row is computed once, so its bytes are the
+    same whichever batch, mode or segment reads it; they lie within
+    rounding of :func:`run_closure_forward` over any closure holding it
+    (docs/serving.md, "Frozen weights").
 
     Rows are invalidated by identity, like
-    :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: while
+    :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: when
     ``graph.features`` / ``graph.edge_weight`` or a parameter's ``.data``
-    is not the object the rows were computed from, every batch bypasses,
-    and the next fill starts empty and probes again.  In-place mutation
-    is unsupported.  Nothing is allocated before the first fill with a
-    seed it can keep.
-
-    ``rows_served[l - 1]`` counts the layer-``l`` rows the closure
-    forward computes for the batches served, ``rows_memoised[l - 1]``
-    how many of them were read from the memo instead, and ``bypassed``
-    the batches run by :func:`run_closure_forward`.
+    is not the object the rows were computed from, the next fill starts
+    empty.  In-place mutation is unsupported.
     """
 
     def __init__(self, model, graph):
         self.model = model
         self.graph = graph
-        L = model.num_layers
-        self.rows_served = [0] * L
-        self.rows_memoised = [0] * L
-        self.bypassed = 0
-        layers = [model.layer(l) for l in range(1, L + 1)]
-        self._fused = all(layer.fused_reducer() is not None for layer in layers)
-        self._top_first = layers[-1].multiplies_first
-        # Per layer, the closure layer its product runs over, as a column
-        # of a closure's heights (``[..., l - 1]``: its layer-``l`` rows).
-        # Layer 1 never multiplies first: its inputs are the features.
-        self._product_of = [
-            l - 2 if layer.multiplies_first else l - 1 for l, layer in enumerate(layers, 1)
-        ]
         self._params = model.parameters()
         self._filled_from: Optional[tuple] = None
-        # Per layer, its gemm rows; then the top's one-row-product rows
-        # where those stack exactly.
-        self._stores: Optional[List[_RowStore]] = None
-        self._filled: Optional[np.ndarray] = None
-        self._exact_to: List[int] = []
-        self._stacks = False
+        self._stores: List[_RowStore] = []
 
-    def fill(self, closures: Iterable[Sequence[np.ndarray]]) -> None:
+    def fill(self, closures: Sequence[Sequence[np.ndarray]]) -> None:
         """Compute every row the given one-seed closures need.
 
         ``closures`` holds each seed's ``vertex_layers``, what
         ``khop_closure(graph, [seed], L)[0]`` returns.
         """
-        if not self._fused:
+        self._attach()
+        if not closures:
             return
         L = self.model.num_layers
-        below_top = range(1, L)
-        fits = [
-            c for c in closures
-            if all(1 < len(c[L - l]) <= _PROBED_HEIGHT for l in below_top)
-        ]
-        if not fits:
-            return
-        self._attach()
-        heights = np.array(
-            [[len(c[L - l]) for l in range(1, L + 1)] for c in fits]
-        ).reshape(-1, L)
-        keep = self._fits_below_top(heights) & ~self._filled[[c[0][0] for c in fits]]
-        fits = [c for c, k in zip(fits, keep.tolist()) if k]
-        if not fits:
-            return
         with no_grad():
             for l in range(1, L + 1):
                 store = self._stores[l - 1]
-                compute = sorted_unique(np.concatenate([c[L - l] for c in fits]))
+                compute = sorted_unique(np.concatenate([c[L - l] for c in closures]))
                 compute = compute[~store.known(compute)]
-                for kept in self._stores[l - 1:] if l == L else [store]:
-                    kept.reserve(len(compute))
+                store.reserve(len(compute))
                 for start in range(0, len(compute), _FILL_ROWS):
                     self._fill_rows(l, compute[start:start + _FILL_ROWS])
-            self._filled[np.concatenate([c[0] for c in fits])] = True
 
     def _fill_rows(self, l: int, compute: np.ndarray) -> None:
         """Compute and keep layer ``l``'s rows of ``compute``, sorted
         unique, whose inputs are kept (or are features)."""
-        model, graph = self.model, self.graph
-        L = model.num_layers
+        graph = self.graph
         in_edges = graph.csc.select(compute)
         inputs = sorted_unique(np.concatenate([in_edges[1], compute]))
         x = (
@@ -370,138 +237,27 @@ class ClosureMemo:
             else self._stores[l - 2].read(inputs)
         )
         block = closure_block(graph, compute, inputs, in_edges)
-        layer = model.layer(l)
-        height = self._exact_to[l - 1]
-        if layer.multiplies_first:
-            # The product runs over the input rows, whatever the batch;
-            # the aggregate, the bias and the activation are row-wise.
-            projected = Tensor(_gemm_rows(layer.project, height, x))
-            aggregated = ops.fused_scatter_gather(block, projected, layer.fused_reducer())
-            self._stores[l - 1].write(compute, layer.finish(aggregated).data)
-            return
-        aggregated = ops.fused_scatter_gather(block, Tensor(x), layer.fused_reducer()).data
-        h_dst = x.take(block.compute_pos_in_inputs, axis=0) if layer.vertex_reads_dst else None
-        if l < L or height > 1:
-            self._stores[l - 1].write(
-                compute, _gemm_rows(layer.vertex, height, h_dst, aggregated)
-            )
-        if l == L and self._stacks:
-            self._stores[L].write(compute, _one_row_rows(layer, h_dst, aggregated))
+        self._stores[l - 1].write(compute, self.model.layer(l).forward(block, Tensor(x)).data)
 
-    def forward(self, vertex_layers) -> np.ndarray:
-        """``run_closure_forward(model, graph, vertex_layers)``."""
-        model, graph = self.model, self.graph
-        L = model.num_layers
-        heights = [len(vertex_layers[L - l]) for l in range(1, L + 1)]
-        for l in range(L):
-            self.rows_served[l] += heights[l]
-        seeds = vertex_layers[0]
-        products = [heights[c] for c in self._product_of]
-        if not self._holds(seeds) or any(
-            h > top for h, top in zip(products[:-1], self._exact_to)
-        ):
-            self.bypassed += 1
-            return run_closure_forward(model, graph, vertex_layers)
-        for l in range(L - 1):
-            self.rows_memoised[l] += heights[l]
-        count = heights[-1]
-        if 1 < products[-1] <= self._exact_to[-1]:
-            rows = self._stores[L - 1].read(seeds)
-        elif count == 1 and self._stacks:
-            rows = self._stores[L].read(seeds)
-        else:
-            # The reference's own top block, over the kept rows below.
-            inputs = vertex_layers[1]
-            x = (
-                graph.features[inputs].astype(np.float64)
-                if L == 1
-                else self._stores[L - 2].read(inputs)
-            )
-            block = closure_block(graph, seeds, inputs, graph.csc.select(seeds))
-            with no_grad():
-                return model.layer(L).forward(block, Tensor(x)).data
-        self.rows_memoised[-1] += count
-        return rows
-
-    def seed_rows(
-        self, seeds: np.ndarray, heights: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The rows :meth:`forward` reads from the memo for one-seed
-        closures, in one call.
-
-        ``heights[i, l - 1]`` is the layer-``l`` height of ``seeds[i]``'s
-        closure.  Returns ``(kept, rows)``: ``kept[i]`` whether
-        ``forward`` of that closure reads its answer from the memo (the
-        seed was filled from today's arrays, no product below the top is
-        taller than its probed height, and the top's rows are kept for a
-        one-seed batch), and ``rows`` those answers, byte for byte, in
-        seed order.  Nothing is counted; :meth:`count_reads` does that
-        for the closures actually answered from these rows.
-        """
-        L = self.model.num_layers
-        seeds = np.asarray(seeds, dtype=np.int64)
-        heights = np.asarray(heights)
-        if not (
-            (self._top_first or self._stacks)
-            and same_objects(self._filled_from, self._sources())
-        ):
-            return np.zeros(len(seeds), dtype=bool), np.empty((0, self.model.layer(L).out_dim))
-        kept = self._filled[seeds] & self._fits_below_top(heights)
-        if self._top_first:
-            # Its product ran over the top's input rows: the gemm rows.
-            kept &= heights[:, L - 2] <= self._exact_to[-1]
-            return kept, self._stores[L - 1].read(seeds[kept])
-        return kept, self._stores[L].read(seeds[kept])
-
-    def count_reads(self, heights: np.ndarray) -> None:
-        """Count one-seed closures answered from :meth:`seed_rows` as
-        :meth:`forward` would have: ``heights`` is their per-layer
-        heights summed, every row of them served and memoised."""
-        for l, height in enumerate(np.asarray(heights).tolist()):
-            self.rows_served[l] += height
-            self.rows_memoised[l] += height
-
-    def _fits_below_top(self, heights: np.ndarray) -> np.ndarray:
-        """Per closure (``heights[i, l - 1]``: its layer-``l`` rows),
-        whether every product below the top is no taller than its
-        layer's probed height, as :meth:`forward` checks one."""
-        products = heights[:, self._product_of[:-1]]
-        return (products <= np.asarray(self._exact_to[:-1], dtype=np.int64)).all(axis=1)
+    def rows(self, seeds: np.ndarray) -> np.ndarray:
+        """The top-layer rows of ``seeds``, in order; each seed's closure
+        was passed to :meth:`fill` since the arrays last changed."""
+        return self._stores[-1].read(seeds)
 
     def _sources(self) -> tuple:
         graph = self.graph
         return (graph.features, graph.edge_weight, *(p.data for p in self._params))
 
-    def _holds(self, seeds: np.ndarray) -> bool:
-        """Whether every seed was filled from today's arrays."""
-        return (
-            same_objects(self._filled_from, self._sources())
-            and bool(self._filled[seeds].all())
-        )
-
     def _attach(self) -> None:
-        """Start empty, and probe each layer, on first use and again
-        whenever an array the rows were computed from is not today's."""
-        model, graph = self.model, self.graph
+        """Start empty on first use, and again whenever an array the
+        rows were computed from is not today's."""
         sources = self._sources()
         if same_objects(self._filled_from, sources):
             return
-        L = model.num_layers
-
-        def weights(l):
-            return [p.data for p in model.layer(l).parameters() if p.data.ndim == 2]
-
-        self._exact_to = [
-            min(map(_row_exact_to, weights(l)), default=_PROBED_HEIGHT)
-            for l in range(1, L + 1)
-        ]
-        # A top that multiplies first has no one-row products.
-        self._stacks = not self._top_first and all(map(_stacks_rows, weights(L)))
         self._stores = [
-            _RowStore(graph.num_vertices, model.layer(l).out_dim)
-            for l in (*range(1, L + 1), *([L] if self._stacks else []))
+            _RowStore(self.graph.num_vertices, self.model.layer(l).out_dim)
+            for l in range(1, self.model.num_layers + 1)
         ]
-        self._filled = np.zeros(graph.num_vertices, dtype=bool)
         self._filled_from = sources
 
 

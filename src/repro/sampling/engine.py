@@ -71,8 +71,6 @@ class SampledTrainingEngine(BaseEngine):
         feature_cache_bytes: int = 0,
         record_timeline: bool = False,
         seed: int = 0,
-        mu: float = 0.8,
-        memory_limit_bytes: Optional[int] = None,
     ):
         fanouts = tuple(int(f) for f in fanouts)
         if len(fanouts) != model.num_layers:
@@ -89,8 +87,6 @@ class SampledTrainingEngine(BaseEngine):
             partitioning=partitioning,
             comm=comm,
             record_timeline=record_timeline,
-            mu=mu,
-            memory_limit_bytes=memory_limit_bytes,
         )
         self.fanouts = fanouts
         self.batch_size = batch_size
@@ -126,7 +122,10 @@ class SampledTrainingEngine(BaseEngine):
 
     def _spawn_kwargs(self):
         kwargs = super()._spawn_kwargs()
-        del kwargs["cache_config"]  # the feature cache is sized in bytes
+        # The feature cache is sized in bytes, and no plan reads Eq. 3's
+        # mu or a memory budget.
+        for unread in ("cache_config", "mu", "memory_limit_bytes"):
+            del kwargs[unread]
         kwargs.update(
             fanouts=self.fanouts,
             batch_size=self.batch_size,

@@ -31,18 +31,17 @@ the predictions.  On the host, ``serve()`` sees its whole
 request stream before the first batch, so it prices every requested
 vertex's closure up front (:meth:`RequestPlanner.profiles`) and has a
 :class:`~repro.execution.executor.ClosureMemo` compute every row those
-closures need once: the model is frozen, so a batch's forward becomes a
-lookup of byte-identical rows, while the modeled clock still charges
-the whole closure.  Where the memo cannot show that its rows are the
-closure forward's bytes, it runs that forward instead.  Everything else
-a group computes without the clock is also done up front: each
-requested vertex's answer as a group's only computed vertex (its mode,
-local GPU seconds, row and prediction), so such a group -- most of
-them, on a Zipf stream -- plans and runs nothing.  The clock is then
-charged per group: one cache probe and one store per batch, one bulk
-advance for a group's replies, and one ledger append per ``serve()``
-call, each bit-equal to the per-request loop it replaced
-(docs/serving.md, "Request lifecycle").
+closures need once: the model is frozen, so a vertex's answer is its
+memoised top-layer row and that row's argmax, the same bytes whatever
+batch serves it, while the modeled clock still charges the whole
+closure.  Everything else a group computes without the clock is also
+done up front: each requested vertex's mode and local GPU seconds as a
+group's only computed vertex, so such a group -- most of them, on a
+Zipf stream -- plans nothing; a larger group plans its union closure
+only to charge it.  The clock is then charged per group: one cache
+probe and one store per batch, one bulk advance for a group's replies,
+and one ledger append per ``serve()`` call, each bit-equal to the
+per-request loop it replaced (docs/serving.md, "Request lifecycle").
 
 When a :class:`~repro.resilience.faults.FaultSchedule` marks workers
 crashed, serving degrades instead of failing: a dead coordinator is
@@ -141,14 +140,13 @@ class ServingResult:
 
 
 class _OneVertex(NamedTuple):
-    """A vertex's answer as the only computed vertex of a group."""
+    """A vertex's answer, and its charge as a group's only computed vertex."""
 
     mode: str
     gpu_s: float  # the local recompute, before any fault slow-down
     row: np.ndarray
     prediction: int
     profile: ClosureProfile
-    index: int  # row of the stream's heights table, for the memo's counters
 
 
 @dataclass
@@ -156,9 +154,7 @@ class _Stream:
     """One ``serve()`` call's state, shared by its batches.
 
     ``replies`` holds the call's ledger rows, shed ones included, in
-    ledger order (tuples of :class:`RequestRecord`'s leading fields);
-    ``answered`` the heights-table row of each group answered from
-    ``answers``.
+    ledger order (tuples of :class:`RequestRecord`'s leading fields).
     """
 
     timeline: Timeline
@@ -168,7 +164,6 @@ class _Stream:
     owners: Dict[int, int]
     answers: Dict[int, _OneVertex]
     replies: List[tuple] = field(default_factory=list)
-    answered: List[int] = field(default_factory=list)
 
 
 class InferenceServer:
@@ -265,13 +260,13 @@ class InferenceServer:
         batches = batcher.batches(requests)
 
         # The whole stream is known before the first batch runs, so every
-        # requested vertex's closure and price, every row the memo can
-        # keep for those closures, and each vertex's answer as a group's
-        # only computed vertex are computed here in a few vectorised
-        # calls; a batch then only charges the clock and looks rows up.
+        # requested vertex's closure and price, every row the memo needs
+        # for those closures, and each vertex's answer are computed here
+        # in a few vectorised calls; a batch then only charges the clock
+        # and looks answers up.
         profiles = self.planner.profiles(sorted({r.vertex for r in requests}))
         self.closure_memo.fill([p.vertex_layers for p in profiles])
-        answers, heights = self._one_vertex_answers(profiles)
+        answers = self._one_vertex_answers(profiles)
         if ledger is None:
             ledger = LatencyLedger()
         stream = _Stream(
@@ -285,8 +280,6 @@ class InferenceServer:
         for batch in batches:
             self._serve_batch(batch, stream)
         ledger.extend(stream.replies)
-        if stream.answered:
-            self.closure_memo.count_reads(heights[stream.answered].sum(axis=0))
         return ServingResult(
             ledger=ledger,
             predictions=stream.predictions,
@@ -295,15 +288,11 @@ class InferenceServer:
             cache=self.cache,
         )
 
-    def _one_vertex_answers(self, profiles):
-        """Each profiled vertex's clock-independent answer as the only
-        computed vertex of a group, and its closure's per-layer heights.
-
-        For a vertex whose one-seed forward the memo answers by lookup,
-        the answer holds what ``plan_batch([v])``, ``_local_gpu_s`` and
-        ``closure_memo.forward`` would return for it, value for value,
-        and the row's argmax.  Other vertices get no answer: their
-        groups plan and run as any larger group does.
+    def _one_vertex_answers(self, profiles) -> Dict[int, _OneVertex]:
+        """Each profiled vertex's answer: its memoised top-layer row and
+        that row's argmax, whichever group computes it, and the mode and
+        local GPU seconds ``plan_batch([v])`` and ``_local_gpu_s`` give
+        a group whose only computed vertex it is, value for value.
         """
         L = self.num_layers
 
@@ -316,18 +305,16 @@ class InferenceServer:
         seeds = np.array([p.vertex for p in profiles], dtype=np.int64)
         vertex_sizes = sizes([p.vertex_layers for p in profiles])
         edge_sizes = sizes([p.edge_layers for p in profiles])
-        kept, rows = self.closure_memo.seed_rows(seeds, vertex_sizes)
+        rows = self.closure_memo.rows(seeds)
         modes = self.planner.modes(profiles)
         gpu_s = self._local_gpu_s(vertex_sizes.T, edge_sizes.T).tolist()
-        answers = {
-            int(seeds[i]): _OneVertex(
-                modes[i], gpu_s[i], row, prediction, profiles[i], i
-            )
-            for i, row, prediction in zip(
-                np.flatnonzero(kept).tolist(), rows, np.argmax(rows, axis=1).tolist()
+        predictions = np.argmax(rows, axis=1).tolist()
+        return {
+            v: _OneVertex(mode, s, row, prediction, profile)
+            for v, mode, s, row, prediction, profile in zip(
+                seeds.tolist(), modes, gpu_s, rows, predictions, profiles
             )
         }
-        return answers, vertex_sizes
 
     # ------------------------------------------------------------------
     def _dead_workers(self, t: float) -> set:
@@ -464,10 +451,9 @@ class InferenceServer:
         # -- recompute the rest ----------------------------------------
         batch_bytes = 0.0
         mode = "cached"
-        computed_predictions: List[int] = []
         t_compute_start = timeline.now(coordinator)
         if computed:
-            one = stream.answers.get(computed[0]) if len(computed) == 1 else None
+            one = stream.answers[computed[0]] if len(computed) == 1 else None
             if one is None:
                 mode, vertex_layers, edge_layers = self.planner.plan_batch(computed)
             else:
@@ -489,15 +475,7 @@ class InferenceServer:
                     timeline, network, stream.injector, coordinator, alive, dead,
                     vertex_layers, edge_layers,
                 )
-            if one is None:
-                out = self.closure_memo.forward(vertex_layers)
-                computed_rows = out[np.searchsorted(vertex_layers[0], computed)]
-                computed_predictions = np.argmax(computed_rows, axis=1).tolist()
-            else:
-                computed_rows = [one.row]
-                computed_predictions = [one.prediction]
-                stream.answered.append(one.index)
-            refreshed += zip(computed, computed_rows)
+            refreshed += ((v, stream.answers[v].row) for v in computed)
         t_compute_end = timeline.now(coordinator)
 
         # -- replies: one bulk advance, then one pass for the columns --
@@ -513,10 +491,10 @@ class InferenceServer:
                     "cached", coordinator, 0.0, staleness_s, False,
                     coord_degraded or expired,
                 ))
-        for v, p in zip(computed, computed_predictions):
-            reply_of[v] = (
-                p, (mode, coordinator, per_request_bytes, 0.0, False, coord_degraded)
-            )
+        for v in computed:
+            reply_of[v] = (stream.answers[v].prediction, (
+                mode, coordinator, per_request_bytes, 0.0, False, coord_degraded,
+            ))
         ends = timeline.advance_repeated(
             coordinator, NET_SEND, REPLY_BYTES / network.bytes_per_s,
             len(admitted), num_bytes=REPLY_BYTES,

@@ -169,6 +169,12 @@ class TestEngineSurface:
             make_engine("sampled", graph, model, cluster2, fanout=(3, 5))
         with pytest.raises(TypeError, match="batchsize"):
             make_engine("sampled", graph, model, cluster2, batchsize=7)
+        # Accepted once and never read: no sampled plan has a mu or a
+        # memory budget.
+        with pytest.raises(TypeError, match="'mu'"):
+            make_engine("sampled", graph, model, cluster2, mu=0.5)
+        with pytest.raises(TypeError, match="memory_limit_bytes"):
+            make_engine("sampled", graph, model, cluster2, memory_limit_bytes=1 << 20)
 
     def test_respawn_accepts_the_inherited_kwargs(self, graph, cluster2):
         for name in ("sampled", "distdgl"):

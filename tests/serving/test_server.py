@@ -126,6 +126,33 @@ class TestSegmentedServing:
         assert state["predictions"] == one.predictions
         assert state["timeline"].makespan == one.timeline.makespan
 
+    def test_empty_stream(self, serving_parts):
+        result = make_server(serving_parts).serve([])
+        assert result.num_batches == 0
+        assert result.ledger.records == [] and result.predictions == {}
+        assert result.makespan_s == 0.0
+
+    def test_empty_segment_continues_a_stream(self, serving_parts):
+        """A zero-request segment between two served ones changes
+        nothing: no batch, no record, no clock advance."""
+        graph = serving_parts[0]
+        requests = workload(graph)
+        one = make_server(serving_parts).serve(requests)
+        server = make_server(serving_parts)
+        first = server.serve(requests[:30])
+        state = dict(
+            timeline=first.timeline, ledger=first.ledger,
+            predictions=first.predictions, inflight=[],
+        )
+        clocks = first.timeline.clocks.copy()
+        empty = server.serve([], **state)
+        assert empty.num_batches == 0
+        assert (empty.timeline.clocks == clocks).all()
+        assert len(empty.ledger.records) == 30
+        last = server.serve(requests[30:], **state)
+        assert last.predictions == one.predictions
+        assert sorted(r.req_id for r in last.ledger.records) == [r.req_id for r in requests]
+
     def test_segmented_equals_one_shot_under_faults(self, serving_parts):
         from repro.resilience.faults import StragglerFault
 

@@ -11,7 +11,14 @@ so their bytes follow that order, and the ``rows_sha256`` of the 11 GCN
 scenarios moved (the product now runs over the top's input rows, not
 the batch's seeds, so the rows no longer depend on the batching).
 Every other field, the GAT scenario and ``golden_serving_clock.json``
-did not move.  Floats are stored as ``float.hex()`` so the comparison
+did not move.  It was re-recorded a second time when the serving
+closure memo became the definition of an answer (each (layer, vertex)
+row computed once, in fill blocks, and every served row read from it):
+only the ``gat`` scenario's ``rows_sha256`` moved, since GAT batches
+had run their own union-closure forward until then; its predictions
+and records did not.  The clock pin lost its ``memo`` counter blocks,
+which went with the memo's per-batch bypass; every charged field stayed
+bit-identical.  Floats are stored as ``float.hex()`` so the comparison
 is on bits, not on a printed rounding.
 
 Pinned per scenario: every :class:`RequestRecord` field, the
@@ -20,9 +27,8 @@ cache holds (the numeric forward's raw bytes), ``num_batches`` and the
 makespan.  ``tests/data/golden_serving_clock.json``, recorded by the
 same ``--write`` before the per-request charging moved to per-group
 vectors, pins the rest of the charged clock: the per-kind, per-worker
-``timeline.totals``, ``timeline.clocks``, a digest of every interval
-and span, and the closure memo's ``rows_served`` / ``rows_memoised`` /
-``bypassed`` counters.  Scenarios: mode {auto, local, remote} x
+``timeline.totals``, ``timeline.clocks`` and a digest of every
+interval and span.  Scenarios: mode {auto, local, remote} x
 ``tau_s`` {0, 0.05} on a small skewed social graph over 4 workers,
 plus a crashed worker (ring fallback + stale-if-error),
 ``max_pending`` shedding, a two-segment continuation (in order, and
@@ -124,8 +130,7 @@ def _sha256(obj):
 
 
 def _clock_payload(server, timeline):
-    """The charged clock beyond the makespan, and the memo's counters."""
-    memo = server.closure_memo
+    """The charged clock beyond the makespan."""
     return {
         "totals": {kind: timeline.totals[kind].tolist() for kind in sorted(timeline.totals)},
         "clocks": timeline.clocks.tolist(),
@@ -135,11 +140,6 @@ def _clock_payload(server, timeline):
         "spans_sha256": _sha256([
             [s.worker, s.name, s.start, s.end, s.args] for s in timeline.spans
         ]),
-        "memo": {
-            "rows_served": list(memo.rows_served),
-            "rows_memoised": list(memo.rows_memoised),
-            "bypassed": memo.bypassed,
-        },
     }
 
 
