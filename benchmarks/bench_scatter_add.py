@@ -48,9 +48,12 @@ then ``scatter_rows``) on the calls the layers make --
 (``fullbatch_reddit`` layer 1 forward and the layer-2 adjoint, float32
 throughout), ``aggregate_float64_adjoint`` (that adjoint for a float64
 model: float64 gradients against float32 weights), ``aggregate_sampled_bottom``
-(``sampled_social``'s bottom block) and ``aggregate_serve_closure``
+(``sampled_social``'s bottom block), ``aggregate_serve_closure``
 (``serve_social``'s most common closure, under the cut-over, where the
-kernel *is* the chain plus two index checks).  Bits are equal on every
+kernel *is* the chain plus two index checks) and ``aggregate_serve_fill``
+(the serving memo's layer-1 fill block today: float32 feature rows by
+global id times float64 weights, so the product is not formed in place,
+17 448 edges from 40 960 rows into 1 024).  Bits are equal on every
 row, the reddit forward shape is at least 1.3x faster, and no row is
 more than 10 % slower.
 
@@ -80,7 +83,9 @@ by wrapping both kernels):
 - ``aggregate_reddit_adjoint`` and ``aggregate_float64_adjoint``:
   layer 2 multiplies first and aggregates 8 wide, not 256;
 - ``aggregate_serve_closure``: the memo's fills are blocks of ~17.5 k
-  edges into 1 024 rows, and no closure is aggregated on its own.
+  edges into 1 024 rows, and no closure is aggregated on its own (its
+  layer-1 fill is ``aggregate_serve_fill``; the layer-2 fill blocks
+  aggregate float64 rows of the memo, 16 wide).
 
 ``aggregate_reddit_forward`` is still epoch 0's layer-1 memo fill on
 one worker, and ``aggregate_sampled_bottom`` approximates the layer-1
@@ -175,6 +180,7 @@ AGGREGATE_SHAPES = {
     "aggregate_float64_adjoint": (6641, 75, 600, 256, "unsorted", "f8", "f4"),
     "aggregate_sampled_bottom": (19515, 9902, 1161, 64, "sorted", "f4", "f4"),
     "aggregate_serve_closure": (17, 17, 1, 64, "sorted", "f8", "f4"),
+    "aggregate_serve_fill": (17448, 40960, 1024, 64, "sorted", "f4", "f8"),
 }
 
 # Seed-0 layer-2 calls of fullbatch_reddit, the same columns: a block's

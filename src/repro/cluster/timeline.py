@@ -22,9 +22,13 @@ KINDS = (GPU, CPU, NET_SEND, NET_RECV, IDLE)
 
 
 # Interval and Span are named tuples, not dataclasses: a run records
-# tens of thousands of them, and a tuple of plain values is built several
-# times faster, and the garbage collector stops tracking it once it has
-# seen it.
+# tens of thousands of them, and a tuple is built several times faster.
+# (The garbage collector keeps tracking them: it untracks exact tuples
+# only, not subclasses.)  The recorders build them with
+# ``_tuple_new(Interval, fields)``: the same tuple as
+# ``Interval(*fields)``, without the named tuple's Python-level
+# ``__new__``.
+_tuple_new = tuple.__new__
 class Interval(NamedTuple):
     """One recorded activity: worker spent [start, end) doing ``kind``."""
 
@@ -93,9 +97,9 @@ class Timeline:
         self.clocks[worker] = start + duration
         self.totals[kind][worker] += duration
         if self.record:
-            self.intervals.append(
-                Interval(worker, kind, float(start), float(start + duration), num_bytes)
-            )
+            self.intervals.append(_tuple_new(
+                Interval, (worker, kind, float(start), float(start + duration), num_bytes)
+            ))
 
     def advance_repeated(
         self, worker: int, kind: str, duration: float, count: int,
@@ -116,16 +120,19 @@ class Timeline:
         if duration == 0 or count == 0:
             return [clock] * count
         total = float(self.totals[kind][worker])
-        ends = []
+        starts = [clock]
         for _ in range(count):
-            start = clock
             clock += duration
             total += duration
-            ends.append(clock)
-            if self.record:
-                self.intervals.append(Interval(worker, kind, start, clock, num_bytes))
+            starts.append(clock)
         self.clocks[worker] = clock
         self.totals[kind][worker] = total
+        ends = starts[1:]
+        if self.record:
+            self.intervals += [
+                _tuple_new(Interval, (worker, kind, start, end, num_bytes))
+                for start, end in zip(starts, ends)
+            ]
         return ends
 
     def advance_at_least_until(
@@ -200,17 +207,20 @@ class Timeline:
         spans: Sequence[Tuple[str, float, float, Optional[Dict[str, object]]]],
     ) -> None:
         """``record_span(worker, name, start, end, **args)`` for each
-        ``(name, start, end, args)`` in turn, in one call."""
+        ``(name, start, end, args)`` in turn, in one call.  Every span is
+        checked before any is kept, and each is checked and built in one
+        pass."""
         if not 0 <= worker < self.num_workers:
             raise ValueError(f"worker {worker} not in 0..{self.num_workers - 1}")
-        for _, start, end, _ in spans:
+        built = []
+        for name, start, end, args in spans:
             if end < start:
                 raise ValueError(f"span must have end >= start, got [{start}, {end})")
-        if self.record:
-            self.spans.extend(
-                Span(worker, name, float(start), float(end), args or None)
-                for name, start, end, args in spans
+            built.append(
+                _tuple_new(Span, (worker, name, float(start), float(end), args or None))
             )
+        if self.record:
+            self.spans += built
 
     def barrier(self, workers: Optional[Sequence[int]] = None) -> float:
         """Synchronise clocks to the max (BSP superstep boundary).

@@ -54,6 +54,16 @@ def same_objects(filled_from: Optional[tuple], sources: tuple) -> bool:
     )
 
 
+def reduce_features(features, src, dst, weights, counts, reducer: str) -> np.ndarray:
+    """``FusedGatherScatter.forward`` over global source ids: the
+    ``reducer`` of ``features[src]`` (times ``weights``, if given) by
+    ``dst``, one row per ``counts`` entry (a row's edge count)."""
+    out = gather_scatter_rows(features, src, dst, weights, len(counts))
+    if reducer == "mean":
+        out = out / np.maximum(counts.astype(out.dtype), 1.0).reshape(-1, 1)
+    return out
+
+
 class FeatureAggregateStore:
     """Layer-1 aggregates of one graph's raw features, filled on use."""
 
@@ -91,9 +101,9 @@ class FeatureAggregateStore:
         weighted = reducer == "weighted_sum"
         self.rows_served += num_rows
         if weighted and block.edge_weight_rescaled:
-            return self._reduce(
-                block.edge_src_global, block.edge_dst_pos, block.edge_weight,
-                counts, reducer,
+            return reduce_features(
+                self.graph.features, block.edge_src_global, block.edge_dst_pos,
+                block.edge_weight, counts, reducer,
             )
         self._attach(reducer)
         indptr = self.graph.csc.indptr
@@ -115,7 +125,7 @@ class FeatureAggregateStore:
             missing = slice(None)
             src, dst, eids = block.edge_src_global, block.edge_dst_pos, block.edge_ids
         weights = self.graph.edge_weight.take(eids) if weighted else None
-        computed = self._reduce(src, dst, weights, counts, reducer)
+        computed = reduce_features(self.graph.features, src, dst, weights, counts, reducer)
         keep = np.flatnonzero(full[missing])
         kept = vertices[missing].take(keep)
         self._rows[kept] = computed.take(keep, axis=0)
@@ -125,15 +135,6 @@ class FeatureAggregateStore:
         # One gather for the known rows; the others' slots are overwritten.
         out = self._rows.take(vertices, axis=0)
         out[missing] = computed
-        return out
-
-    def _reduce(self, src, dst, weights, counts, reducer: str) -> np.ndarray:
-        """``FusedGatherScatter.forward`` over global source ids."""
-        out = gather_scatter_rows(
-            self.graph.features, src, dst, weights, len(counts)
-        )
-        if reducer == "mean":
-            out = out / np.maximum(counts.astype(out.dtype), 1.0).reshape(-1, 1)
         return out
 
     def _attach(self, reducer: str) -> None:

@@ -29,8 +29,9 @@ between the two.  :func:`run_closure_forward` is the union-closure
 forward of one batch; the serving layer answers from a
 :class:`ClosureMemo` instead, which computes, once per request stream,
 each (layer, vertex) row of its frozen model that the stream's
-closures need, with the same per-layer call, so a served row is a
-lookup.
+closures need, with the same per-layer call -- except layer 1 of a
+fused-reducer model, aggregated straight from the features by global
+id, as the layer-1 store does -- so a served row is a lookup.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.blocks import LayerBlock, closure_block
-from repro.core.feature_aggregate import same_objects
+from repro.core.blocks import LayerBlock, _run_positions, closure_block
+from repro.core.feature_aggregate import reduce_features, same_objects
 from repro.execution.plan import EnginePlan, EpochReport
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
@@ -185,12 +186,15 @@ class ClosureMemo:
     calls it once per ``serve()`` with every requested vertex), in
     blocks of ``_FILL_ROWS`` rows, each one ``layer.forward`` over a
     :func:`~repro.core.blocks.closure_block` -- the call
-    :func:`run_closure_forward` makes, so every architecture takes the
-    one path.  :meth:`rows` then reads the top-layer rows of filled
-    vertices.  A vertex's row is computed once, so its bytes are the
-    same whichever batch, mode or segment reads it; they lie within
-    rounding of :func:`run_closure_forward` over any closure holding it
-    (docs/serving.md, "Frozen weights").
+    :func:`run_closure_forward` makes.  Layer 1 of a fused-reducer
+    layer (GCN, GIN, SAGE) instead aggregates straight from
+    ``graph.features`` by global source id and calls ``layer.vertex``
+    (:meth:`_feature_rows`), the same bytes without copying the input
+    rows; GAT's layer 1 takes the block path.  :meth:`rows` then reads
+    the top-layer rows of filled vertices.  A vertex's row is computed
+    once, so its bytes are the same whichever batch, mode or segment
+    reads it; they lie within rounding of :func:`run_closure_forward`
+    over any closure holding it (docs/serving.md, "Frozen weights").
 
     Rows are invalidated by identity, like
     :class:`~repro.core.feature_aggregate.FeatureAggregateStore`: when
@@ -209,8 +213,9 @@ class ClosureMemo:
     def fill(self, closures: Sequence[Sequence[np.ndarray]]) -> None:
         """Compute every row the given one-seed closures need.
 
-        ``closures`` holds each seed's ``vertex_layers``, what
-        ``khop_closure(graph, [seed], L)[0]`` returns.
+        ``closures`` holds each seed's ``vertex_layers``: at least the L
+        compute layers of ``khop_closure(graph, [seed], L)[0]`` (the
+        input set, if present, is not read).
         """
         self._attach()
         if not closures:
@@ -229,15 +234,46 @@ class ClosureMemo:
         """Compute and keep layer ``l``'s rows of ``compute``, sorted
         unique, whose inputs are kept (or are features)."""
         graph = self.graph
+        layer = self.model.layer(l)
         in_edges = graph.csc.select(compute)
-        inputs = sorted_unique(np.concatenate([in_edges[1], compute]))
-        x = (
-            graph.features[inputs].astype(np.float64)
-            if l == 1
-            else self._stores[l - 2].read(inputs)
+        if l == 1 and layer.fused_reducer():
+            out = self._feature_rows(layer, compute, in_edges)
+        else:
+            inputs = sorted_unique(np.concatenate([in_edges[1], compute]))
+            x = (
+                graph.features[inputs].astype(np.float64)
+                if l == 1
+                else self._stores[l - 2].read(inputs)
+            )
+            out = layer.forward(closure_block(graph, compute, inputs, in_edges), Tensor(x))
+        self._stores[l - 1].write(compute, out.data)
+
+    def _feature_rows(self, layer, compute: np.ndarray, in_edges) -> Tensor:
+        """Layer 1 of a fused-reducer model, aggregated straight from
+        ``graph.features`` by global source id, then ``layer.vertex``:
+        the sampled engine's layer-1 rule, with no input rows copied.
+
+        The weights are cast to float64 (ones for a mean), so a float32
+        row times its weight is the exact float64 product the block path
+        forms from float64 rows, and each row sums its products in the
+        same CSC order: the rows keep their bytes."""
+        graph = self.graph
+        counts, src, eids = in_edges
+        reducer = layer.fused_reducer()
+        weights = (
+            graph.edge_weight.take(eids).astype(np.float64)
+            if reducer == "weighted_sum"
+            else np.ones(len(eids))
         )
-        block = closure_block(graph, compute, inputs, in_edges)
-        self._stores[l - 1].write(compute, self.model.layer(l).forward(block, Tensor(x)).data)
+        aggregated = reduce_features(
+            graph.features, src, _run_positions(counts), weights, counts, reducer
+        )
+        h_dst = (
+            Tensor(graph.features[compute].astype(np.float64))
+            if layer.vertex_reads_dst
+            else None
+        )
+        return layer.vertex(h_dst, Tensor(aggregated))
 
     def rows(self, seeds: np.ndarray) -> np.ndarray:
         """The top-layer rows of ``seeds``, in order; each seed's closure

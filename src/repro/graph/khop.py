@@ -10,7 +10,9 @@ Two walks.  :func:`khop_closure` walks one vertex set (a partition)
 with boolean masks over the vertex space.  :func:`khop_closures` walks
 many seeds at once, each on its own: its frontiers are (seed, vertex)
 keys, deduplicated by one sort per hop, so a stream of requests costs a
-few array calls per hop instead of a few per seed.
+few array calls per hop instead of a few per seed.  It stops at the
+last compute layer (nothing that prices or charges a closure reads its
+input set) and hands each layer's in-edges over as CSC runs, unsorted.
 """
 
 from __future__ import annotations
@@ -63,26 +65,29 @@ def khop_closure(
 
 
 class Closures(NamedTuple):
-    """Every seed's :func:`khop_closure`, packed hop by hop.
+    """Every seed's compute layers and their in-edges, packed layer by layer.
 
-    ``seeds`` is sorted unique.  Seed ``seeds[i]``'s ``vertex_layers[t]``
-    is ``vertex_ids[t][vertex_ptr[t][i]:vertex_ptr[t][i + 1]]``, and its
-    ``edge_layers[t]`` the same run of ``edge_ids[t]`` by ``edge_ptr[t]``.
-    The id arrays are read-only, so every run is too.
+    ``seeds`` is sorted unique.  Seed ``seeds[i]``'s layer ``t`` (for
+    ``t < hops``) is ``vertex_ids[t][vertex_ptr[t][i]:vertex_ptr[t][i + 1]]``,
+    its ``khop_closure(graph, [seed], hops)`` ``vertex_layers[t]``.
+    ``in_edges[t]`` is ``graph.csc.select(vertex_ids[t])``: each compute
+    vertex's in-edge count, then the sources and ids of those edges,
+    vertex by vertex.  A seed's vertices are one run, so its edges are
+    one run too: its ``edge_layers[t]``, in CSC order.  The vertex id
+    arrays are read-only, so every run is too.
     """
 
     seeds: np.ndarray
     vertex_ptr: List[np.ndarray]
     vertex_ids: List[np.ndarray]
-    edge_ptr: List[np.ndarray]
-    edge_ids: List[np.ndarray]
+    in_edges: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def layers(self) -> Iterator[Tuple[List[np.ndarray], List[np.ndarray]]]:
-        """``khop_closure(graph, [seed], hops)`` of each seed, in order."""
-        vertex_runs = [_runs(ids, ptr) for ids, ptr in zip(self.vertex_ids, self.vertex_ptr)]
-        edge_runs = [_runs(ids, ptr) for ids, ptr in zip(self.edge_ids, self.edge_ptr)]
+    def layers(self) -> Iterator[List[np.ndarray]]:
+        """Each seed's compute layers, ``khop_closure(graph, [seed],
+        hops)[0][:hops]``, in order."""
+        runs = [_runs(ids, ptr) for ids, ptr in zip(self.vertex_ids, self.vertex_ptr)]
         for i in range(len(self.seeds)):
-            yield [runs[i] for runs in vertex_runs], [runs[i] for runs in edge_runs]
+            yield [layer_runs[i] for layer_runs in runs]
 
 
 def _runs(ids: np.ndarray, ptr: np.ndarray) -> List[np.ndarray]:
@@ -90,54 +95,41 @@ def _runs(ids: np.ndarray, ptr: np.ndarray) -> List[np.ndarray]:
     return [ids[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _packed(keys: np.ndarray, space: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Seed-major ``seed * space + id`` keys as (per-seed offsets, ids)."""
-    ids = keys % space
-    ids.flags.writeable = False
-    return np.searchsorted(keys, np.arange(count + 1) * space), ids
-
-
 def khop_closures(graph: Graph, seeds: np.ndarray, hops: int) -> Closures:
-    """:func:`khop_closure` of each seed on its own, all walked at once.
+    """The compute layers of :func:`khop_closure` for each seed on its
+    own, all walked at once, with their in-edges: ``vertex_layers[:hops]``
+    and the edges of every ``edge_layers[t]``, but not the input set
+    ``vertex_layers[hops]``.
 
-    A frontier entry is a key ``i * V + v``: vertex ``v``, reached from
-    ``seeds[i]``.  One ``csc.select`` per hop expands every seed's
-    frontier, and one sort merges the (seed, source) keys it reaches
-    into the layer so far; the keys the layer did not hold are the next
-    frontier.  Keys sort seed-major, so each layer is every seed's
-    sorted run in seed order, element for element what the one-seed
-    walk returns.
+    A layer entry is a key ``i * V + v``: vertex ``v``, reached from
+    ``seeds[i]``.  One ``csc.select`` per hop reads the in-edges of
+    every seed's layer, and one sort merges the (seed, source) keys they
+    reach into the next layer.  The last hop only selects: its sources
+    would be the input set.  Keys sort seed-major, so each layer is
+    every seed's sorted run in seed order, element for element what the
+    one-seed walk returns.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     count = len(seeds)
     num_vertices = max(graph.num_vertices, 1)
-    num_edges = max(graph.num_edges, 1)
-    origin = np.arange(count, dtype=np.int64)
-    frontier = seeds
-    layer = origin * num_vertices + seeds
-    vertex_keys = [layer]
-    edge_keys: List[np.ndarray] = []
-    edges = _EMPTY
-    for _ in range(hops):
-        counts, sources, eids = graph.csc.select(frontier)
-        by = np.repeat(origin, counts)
-        # A seed's new edges are the in-edges of vertices it had not
-        # reached, so none is in its earlier layer.
-        edges = np.sort(np.concatenate([edges, by * num_edges + eids]))
-        edge_keys.append(edges)
-        grown = sorted_unique(np.concatenate([layer, by * num_vertices + sources]))
-        fresh = np.ones(len(grown), dtype=bool)
-        fresh[np.searchsorted(grown, layer)] = False
-        layer = grown
-        vertex_keys.append(layer)
-        origin, frontier = np.divmod(layer[fresh], num_vertices)
-    vertex_ptr, vertex_ids = zip(*(_packed(k, num_vertices, count) for k in vertex_keys))
-    edge_ptr, edge_ids = (
-        zip(*(_packed(k, num_edges, count) for k in edge_keys)) if hops else ((), ())
-    )
-    return Closures(seeds, list(vertex_ptr), list(vertex_ids), list(edge_ptr), list(edge_ids))
+    layer = np.arange(count, dtype=np.int64) * num_vertices + seeds
+    vertex_ptr: List[np.ndarray] = []
+    vertex_ids: List[np.ndarray] = []
+    in_edges: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for hop in range(hops):
+        origin, ids = np.divmod(layer, num_vertices)
+        ids.flags.writeable = False
+        vertex_ptr.append(np.searchsorted(layer, np.arange(count + 1) * num_vertices))
+        vertex_ids.append(ids)
+        in_edges.append(graph.csc.select(ids))
+        if hop < hops - 1:
+            counts, sources, _ = in_edges[-1]
+            layer = sorted_unique(
+                np.concatenate([layer, np.repeat(origin, counts) * num_vertices + sources])
+            )
+    return Closures(seeds, vertex_ptr, vertex_ids, in_edges)
 
 
 def dependency_layers(

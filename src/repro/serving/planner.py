@@ -16,10 +16,12 @@ walks and prices many vertices in one vectorised pass, which is how the
 server profiles a whole request stream up front.  The planner is also
 the only place a serving closure is built:
 :meth:`RequestPlanner.plan_batch` answers a micro-batch with its mode
-*and* its union closure, merged from the memoized per-vertex closures,
-so the server never walks the graph for a vertex twice (the paper's
-DepCache retrieves a dependency's k-hop closure once and recomputes
-from the replica).
+*and* its union compute layers, merged from the memoized per-vertex
+closures, so the server never walks the graph for a vertex twice (the
+paper's DepCache retrieves a dependency's k-hop closure once and
+recomputes from the replica).  Edges are never kept: a layer's in-edges
+are its vertices' CSC runs, so an edge count is a sum of in-degrees and
+whoever needs the edges themselves selects them.
 """
 
 from __future__ import annotations
@@ -47,33 +49,36 @@ _PROFILE_GROUP = 256
 class ClosureProfile:
     """Memoized k-hop closure of one vertex, priced both ways.
 
-    ``vertex_layers`` / ``edge_layers`` follow the
+    ``vertex_layers`` holds the L compute layers, in the
     :func:`~repro.graph.khop.khop_closure` convention: layer ``l``
-    (1-based) computes ``vertex_layers[L - l]`` over
-    ``edge_layers[L - l]``.
+    (1-based) computes ``vertex_layers[L - l]`` over its in-edges.  The
+    input set ``vertex_layers[L]`` is not kept; nothing reads it.
     """
 
     vertex: int
     owner: int
     vertex_layers: Tuple[np.ndarray, ...]
-    edge_layers: Tuple[np.ndarray, ...]
     local_cost_s: float
     remote_cost_s: float
-    cross_inputs: int  # closure inputs not owned by ``owner``
 
 
 class BatchPlan(NamedTuple):
     """How one deduped micro-batch executes, and over what.
 
-    ``vertex_layers`` / ``edge_layers`` are the batch's union closure,
-    array for array what ``khop_closure(graph, vertices, L)`` returns.
-    The arrays are read-only: a one-vertex batch is handed the
-    planner's memoized layers themselves.
+    ``vertex_layers`` are the batch's union compute layers, array for
+    array ``khop_closure(graph, vertices, L)[0][:L]``.  The arrays are
+    read-only: a one-vertex batch is handed the planner's memoized
+    layers themselves.
     """
 
     mode: str
     vertex_layers: Sequence[np.ndarray]
-    edge_layers: Sequence[np.ndarray]
+
+
+def in_degrees(graph: Graph, vertices: np.ndarray) -> np.ndarray:
+    """Each vertex's in-edge count: its CSC run's length."""
+    indptr = graph.csc.indptr
+    return indptr.take(vertices + 1) - indptr.take(vertices)
 
 
 def _merged(layers: List[np.ndarray]) -> np.ndarray:
@@ -139,11 +144,9 @@ class RequestPlanner:
         assignment = self.partitioning.assignment
         by_seed = np.arange(count, dtype=np.int64)
 
-        def largest_share(owners_by_seed: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            """Per seed, the most of its entries one part owns."""
-            shares = np.bincount(
-                owners_by_seed * parts + owners, minlength=count * parts
-            )
+        def largest_share(owners_by_seed: np.ndarray, weights=None) -> np.ndarray:
+            """Per seed, the most of its entries (or weights) one part owns."""
+            shares = np.bincount(owners_by_seed, weights, minlength=count * parts)
             return shares.reshape(count, parts).max(axis=1)
 
         # Local: the owner recomputes the whole closure serially.  Remote:
@@ -153,52 +156,46 @@ class RequestPlanner:
         # Per seed, the sums run in the order of the one-vertex formula.
         local = np.zeros(count)
         remote = np.zeros(count)
-        cross_total = np.zeros(count, dtype=np.int64)
+        num_vertices = np.int64(self.graph.num_vertices)
         for l in range(1, L + 1):
             compute = closures.vertex_ids[L - l]
-            edges = closures.edge_ids[L - l]
-            compute_sizes = np.diff(closures.vertex_ptr[L - l])
-            edge_sizes = np.diff(closures.edge_ptr[L - l])
+            vertex_ptr = closures.vertex_ptr[L - l]
+            in_degree, src, _ = closures.in_edges[L - l]
+            compute_sizes = np.diff(vertex_ptr)
+            edge_sizes = np.diff(np.append(0, np.cumsum(in_degree))[vertex_ptr])
             local += self.constants.vertex_cost(l) * compute_sizes
             local += self.constants.edge_cost(l) * edge_sizes
 
-            compute_seed = np.repeat(by_seed, compute_sizes)
-            remote += self.constants.vertex_cost(l) * largest_share(
-                compute_seed, assignment[compute]
-            )
-            edge_seed = np.repeat(by_seed, edge_sizes)
-            src = self.graph.src[edges]
-            dst_owner = assignment[self.graph.dst[edges]]
-            remote += self.constants.edge_cost(l) * largest_share(edge_seed, dst_owner)
+            owner = assignment[compute]
+            seed_owner = np.repeat(by_seed, compute_sizes) * parts + owner
+            remote += self.constants.vertex_cost(l) * largest_share(seed_owner)
+            # A compute vertex brings its in-edges to its owner's share:
+            # integer sums, exact in float64.
+            remote += self.constants.edge_cost(l) * largest_share(seed_owner, in_degree)
             # Inputs crossing an ownership boundary at this layer: unique
-            # (source, destination owner) pairs per seed.
-            crossing = assignment[src] != dst_owner
-            pair_space = np.int64(self.graph.num_vertices) * parts
+            # (source, destination owner) pairs per seed, keyed
+            # ``(seed * parts + owner) * V + source``.
+            crossing = assignment[src] != np.repeat(owner, in_degree)
             pairs = sorted_unique(
-                edge_seed[crossing] * pair_space
-                + src[crossing] * np.int64(parts)
-                + dst_owner[crossing]
+                np.repeat(seed_owner, in_degree)[crossing] * num_vertices + src[crossing]
             )
-            cross = np.bincount(pairs // pair_space, minlength=count)
-            cross_total += cross
+            cross = np.bincount(pairs // (num_vertices * parts), minlength=count)
             remote += self.constants.comm_cost(l) * cross
             remote += 2.0 * self.network.latency_s
 
         owners = assignment[seeds].tolist()
-        for i, (vertex_layers, edge_layers) in enumerate(closures.layers()):
+        for i, vertex_layers in enumerate(closures.layers()):
             vertex = int(seeds[i])
             self._profiles[vertex] = ClosureProfile(
                 vertex=vertex,
                 owner=owners[i],
                 vertex_layers=tuple(vertex_layers),
-                edge_layers=tuple(edge_layers),
                 local_cost_s=float(local[i]),
                 remote_cost_s=float(remote[i]),
-                cross_inputs=int(cross_total[i]),
             )
 
     def plan_batch(self, vertices: Sequence[int]) -> BatchPlan:
-        """Mode and union closure of a deduped micro-batch.
+        """Mode and union compute layers of a deduped micro-batch.
 
         A batch executes one way or the other as a unit (its union
         closure shares frontiers), so the decision sums the memoized
@@ -206,10 +203,8 @@ class RequestPlanner:
         upper bound on both sides that errs identically, which is what
         a relative comparison needs.
 
-        The closure is merged, not walked: ``vertex_layers[t]`` of a
-        union of seeds is the union of the seeds' ``vertex_layers[t]``,
-        and ``edge_layers[t]`` is the in-edge set of ``vertex_layers[t]``
-        so it merges the same way.
+        The layers are merged, not walked: ``vertex_layers[t]`` of a
+        union of seeds is the union of the seeds' ``vertex_layers[t]``.
 
         Every mode profiles (and memoizes) each distinct vertex: a
         forced ``local`` / ``remote`` planner ignores the prices but
@@ -223,10 +218,6 @@ class RequestPlanner:
             ),
             [
                 _merged([p.vertex_layers[t] for p in profiles])
-                for t in range(self.num_layers + 1)
-            ],
-            [
-                _merged([p.edge_layers[t] for p in profiles])
                 for t in range(self.num_layers)
             ],
         )

@@ -35,13 +35,16 @@ closures need once: the model is frozen, so a vertex's answer is its
 memoised top-layer row and that row's argmax, the same bytes whatever
 batch serves it, while the modeled clock still charges the whole
 closure.  Everything else a group computes without the clock is also
-done up front: each requested vertex's mode and local GPU seconds as a
-group's only computed vertex, so such a group -- most of them, on a
-Zipf stream -- plans nothing; a larger group plans its union closure
-only to charge it.  The clock is then charged per group: one cache
-probe and one store per batch, one bulk advance for a group's replies,
-and one ledger append per ``serve()`` call, each bit-equal to the
-per-request loop it replaced (docs/serving.md, "Request lifecycle").
+done up front: each requested vertex's mode as a group's only computed
+vertex, whose local GPU seconds are its profile's local price, so such
+a group -- most of them, on a Zipf stream -- plans nothing.  A larger
+group merges its compute layers only to charge them: a local charge
+reads their sizes and in-degree sums, a remote one selects each
+layer's in-edges from the CSC.  The clock is then charged per group:
+one cache probe and one store per batch, one bulk advance for a
+group's replies, and one ledger append per ``serve()`` call, each
+bit-equal to the per-request loop it replaced (docs/serving.md,
+"Request lifecycle").
 
 When a :class:`~repro.resilience.faults.FaultSchedule` marks workers
 crashed, serving degrades instead of failing: a dead coordinator is
@@ -54,6 +57,7 @@ answers carry ``degraded=True`` in the ledger.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence
@@ -77,7 +81,7 @@ from repro.partition.base import Partitioning
 from repro.resilience.faults import FaultSchedule
 from repro.resilience.injector import FaultInjector
 from repro.serving.batcher import MicroBatch, MicroBatcher
-from repro.serving.planner import ClosureProfile, RequestPlanner
+from repro.serving.planner import ClosureProfile, RequestPlanner, in_degrees
 from repro.serving.slo import LatencyLedger, SLOConfig
 from repro.serving.workload import Request
 
@@ -98,8 +102,12 @@ class ServingConfig:
 
     ``tau_s`` bounds how stale a served historical embedding may be, in
     seconds of simulated time (0 disables the cache: every request
-    recomputes).  ``mode`` forces local/remote recompute or lets the
-    planner pick per batch.
+    recomputes; ``inf`` never expires an entry).  ``mode`` forces
+    local/remote recompute or lets the planner pick per batch.  A value
+    that would change the run without failing it is rejected here: a
+    NaN window or bound (NaN compares false to every time), an infinite
+    window (a partial batch would dispatch at infinity), a negative
+    window or a batch cap below one.
     """
 
     batch_window_s: float = 0.002
@@ -111,8 +119,14 @@ class ServingConfig:
     def __post_init__(self):
         if self.mode not in _SERVE_MODES:
             raise ValueError(f"mode must be one of {_SERVE_MODES}, got {self.mode!r}")
-        if self.tau_s < 0:
-            raise ValueError("tau_s must be >= 0")
+        if not 0 <= self.batch_window_s < math.inf:
+            raise ValueError(
+                f"batch_window_s must be finite and >= 0, got {self.batch_window_s!r}"
+            )
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch!r}")
+        if not self.tau_s >= 0:
+            raise ValueError(f"tau_s must be >= 0, got {self.tau_s!r}")
 
 
 @dataclass
@@ -140,10 +154,11 @@ class ServingResult:
 
 
 class _OneVertex(NamedTuple):
-    """A vertex's answer, and its charge as a group's only computed vertex."""
+    """A vertex's answer, and its mode as a group's only computed vertex
+    (whose local GPU seconds, before any fault slow-down, are its
+    profile's ``local_cost_s``: ``_local_gpu_s``'s sums in its order)."""
 
     mode: str
-    gpu_s: float  # the local recompute, before any fault slow-down
     row: np.ndarray
     prediction: int
     profile: ClosureProfile
@@ -290,29 +305,17 @@ class InferenceServer:
 
     def _one_vertex_answers(self, profiles) -> Dict[int, _OneVertex]:
         """Each profiled vertex's answer: its memoised top-layer row and
-        that row's argmax, whichever group computes it, and the mode and
-        local GPU seconds ``plan_batch([v])`` and ``_local_gpu_s`` give
-        a group whose only computed vertex it is, value for value.
+        that row's argmax, whichever group computes it, and the mode
+        ``plan_batch([v])`` gives a group whose only computed vertex it is.
         """
-        L = self.num_layers
-
-        def sizes(layers):
-            return np.array(
-                [[len(p_layers[L - l]) for l in range(1, L + 1)] for p_layers in layers],
-                dtype=np.int64,
-            ).reshape(-1, L)
-
         seeds = np.array([p.vertex for p in profiles], dtype=np.int64)
-        vertex_sizes = sizes([p.vertex_layers for p in profiles])
-        edge_sizes = sizes([p.edge_layers for p in profiles])
         rows = self.closure_memo.rows(seeds)
         modes = self.planner.modes(profiles)
-        gpu_s = self._local_gpu_s(vertex_sizes.T, edge_sizes.T).tolist()
         predictions = np.argmax(rows, axis=1).tolist()
         return {
-            v: _OneVertex(mode, s, row, prediction, profile)
-            for v, mode, s, row, prediction, profile in zip(
-                seeds.tolist(), modes, gpu_s, rows, predictions, profiles
+            v: _OneVertex(mode, row, prediction, profile)
+            for v, mode, row, prediction, profile in zip(
+                seeds.tolist(), modes, rows, predictions, profiles
             )
         }
 
@@ -455,25 +458,20 @@ class InferenceServer:
         if computed:
             one = stream.answers[computed[0]] if len(computed) == 1 else None
             if one is None:
-                mode, vertex_layers, edge_layers = self.planner.plan_batch(computed)
+                mode, vertex_layers = self.planner.plan_batch(computed)
             else:
-                mode = one.mode
-                vertex_layers = one.profile.vertex_layers
-                edge_layers = one.profile.edge_layers
+                mode, vertex_layers = one.mode, one.profile.vertex_layers
             if mode == "local":
-                if one is None:
-                    L = self.num_layers
-                    gpu_s = self._local_gpu_s(
-                        [len(vertex_layers[L - l]) for l in range(1, L + 1)],
-                        [len(edge_layers[L - l]) for l in range(1, L + 1)],
-                    )
-                else:
-                    gpu_s = one.gpu_s
+                gpu_s = (
+                    self._local_gpu_s(vertex_layers)
+                    if one is None
+                    else one.profile.local_cost_s
+                )
                 self._charge_local(timeline, coordinator, gpu_s)
             else:
                 batch_bytes = self._charge_remote(
                     timeline, network, stream.injector, coordinator, alive, dead,
-                    vertex_layers, edge_layers,
+                    vertex_layers,
                 )
             refreshed += ((v, stream.answers[v].row) for v in computed)
         t_compute_end = timeline.now(coordinator)
@@ -531,15 +529,16 @@ class InferenceServer:
         return finishes
 
     # ------------------------------------------------------------------
-    def _local_gpu_s(self, vertex_sizes, edge_sizes):
-        """GPU seconds for the coordinator to recompute a closure whose
-        layer-``l`` compute set holds ``vertex_sizes[l - 1]`` vertices
-        over ``edge_sizes[l - 1]`` edges.  Sizes may be arrays (one entry
-        per closure): each entry then gets the scalar's sums, in order."""
+    def _local_gpu_s(self, vertex_layers) -> float:
+        """GPU seconds for the coordinator to recompute a closure with
+        these compute layers: per layer, its vertices and their in-edges
+        (the planner's local price, summed in the same order)."""
+        L = self.num_layers
         gpu_s = 0.0
-        for l in range(1, self.num_layers + 1):
-            gpu_s += self.constants.vertex_cost(l) * vertex_sizes[l - 1]
-            gpu_s += self.constants.edge_cost(l) * edge_sizes[l - 1]
+        for l in range(1, L + 1):
+            compute = vertex_layers[L - l]
+            gpu_s += self.constants.vertex_cost(l) * len(compute)
+            gpu_s += self.constants.edge_cost(l) * int(in_degrees(self.graph, compute).sum())
         return gpu_s
 
     def _charge_local(
@@ -559,7 +558,6 @@ class InferenceServer:
         alive: List[int],
         dead: set,
         vertex_layers,
-        edge_layers,
     ) -> float:
         """DepComm-style: a distributed forward over the union closure.
 
@@ -567,7 +565,9 @@ class InferenceServer:
         worker computes its owned share of the layer's compute set
         (dead workers' shares fold into the coordinator) and boundary
         representations cross the wire once per unique (source, dest
-        worker) pair.  Returns the total exchanged bytes.
+        worker) pair.  A layer's edges are its compute set's CSC runs;
+        owner counts and unique pairs do not depend on their order.
+        Returns the total exchanged bytes.
         """
         L = self.num_layers
         m = self.cluster.num_workers
@@ -587,9 +587,9 @@ class InferenceServer:
 
         for l in range(1, L + 1):
             compute = vertex_layers[L - l]
-            edges = edge_layers[L - l]
+            counts, src, _ = self.graph.csc.select(compute)
             v_owner = live_owner(assignment[compute])
-            e_owner = live_owner(assignment[self.graph.dst[edges]])
+            e_owner = np.repeat(v_owner, counts)
             local_compute = (
                 self.constants.vertex_cost(l)
                 * np.bincount(v_owner, minlength=m).astype(np.float64)
@@ -598,7 +598,6 @@ class InferenceServer:
             )
             # One representation crosses per unique (src, dest-worker)
             # pair -- the frontier dedup micro-batching buys.
-            src = self.graph.src[edges]
             src_owner = live_owner(assignment[src])
             dst_owner = e_owner
             crossing = src_owner != dst_owner

@@ -6,14 +6,17 @@ not close:
 - ``khop_closure`` must equal ``mask_khop_closure`` below, the
   vertex-space mask walk kept once as the reference (the
   ``tests/costmodel/seed_greedy.py`` pattern), and the per-seed
-  ``khop_closures`` must equal ``khop_closure`` seed by seed.
+  ``khop_closures`` must equal ``khop_closure`` seed by seed: its
+  compute layers array for array, and each layer's in-edges (CSC runs)
+  as ``csc.select`` of the layer, whose ids sort to ``edge_layers[t]``.
 - ``RequestPlanner.profiles`` walks and prices many vertices in one
   vectorised pass: each profile must equal ``reference_profile`` below,
   the one-vertex walk and pricing loop it replaced, prices compared by
-  ``float.hex()``.
+  ``float.hex()`` (the remote price holds the cross-boundary term, so
+  this is also the check of that term).
 - ``RequestPlanner.plan_batch`` merges memoized per-vertex closures
-  instead of walking the union: it must equal ``khop_closure`` on the
-  union, array for array.
+  instead of walking the union: its layers must equal ``khop_closure``
+  on the union's compute layers, array for array.
 - ``closure_block`` reads a block off two consecutive closure layers
   instead of calling ``build_block``: every field must match.
 """
@@ -74,7 +77,6 @@ def reference_profile(planner, vertex):
         local += planner.constants.vertex_cost(l) * len(vertex_layers[L - l])
         local += planner.constants.edge_cost(l) * len(edge_layers[L - l])
     remote = 0.0
-    cross_total = 0
     for l in range(1, L + 1):
         compute = vertex_layers[L - l]
         edges = edge_layers[L - l]
@@ -86,10 +88,9 @@ def reference_profile(planner, vertex):
         remote += planner.constants.edge_cost(l) * int(edge_shares.max())
         crossing = assignment[src] != dst_owner
         cross = len(sorted_unique(src[crossing] * np.int64(parts) + dst_owner[crossing]))
-        cross_total += cross
         remote += planner.constants.comm_cost(l) * cross
         remote += 2.0 * planner.network.latency_s
-    return (vertex_layers, edge_layers), local, remote, cross_total
+    return (vertex_layers, edge_layers), local, remote
 
 
 def _assert_same_closure(got, expected):
@@ -98,6 +99,10 @@ def _assert_same_closure(got, expected):
         for a, b in zip(got_layers, expected_layers):
             assert a.dtype == b.dtype == np.int64
             assert np.array_equal(a, b)
+
+
+def _assert_same_layers(got, expected):
+    _assert_same_closure([got], [expected])
 
 
 @st.composite
@@ -188,12 +193,34 @@ class TestKhopAgainstMaskReference:
         seeds = rng.integers(0, graph.num_vertices, size=data.draw(st.integers(0, 12)))
         closures = khop_closures(graph, seeds, hops)
         assert np.array_equal(closures.seeds, np.unique(seeds))
-        for seed, (vertex_layers, edge_layers) in zip(closures.seeds, closures.layers()):
-            expected = khop_closure(graph, [seed], hops)
-            _assert_same_closure((vertex_layers, edge_layers), expected)
-            assert len(vertex_layers) == hops + 1 and len(edge_layers) == hops
-            for layer in vertex_layers + edge_layers:
-                assert not layer.flags.writeable
+        assert len(closures.vertex_ptr) == len(closures.vertex_ids) == hops
+        assert len(closures.in_edges) == hops
+        for t in range(hops):
+            ids, ptr = closures.vertex_ids[t], closures.vertex_ptr[t]
+            assert not ids.flags.writeable
+            assert ptr[0] == 0 and ptr[-1] == len(ids)
+            # A layer's in-edges are its CSC runs, array for array.
+            for a, b in zip(closures.in_edges[t], graph.csc.select(ids)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        per_seed = list(closures.layers())
+        assert len(per_seed) == len(closures.seeds)
+        for i, (seed, vertex_layers) in enumerate(zip(closures.seeds, per_seed)):
+            expected_vertices, expected_edges = khop_closure(graph, [seed], hops)
+            _assert_same_layers(vertex_layers, expected_vertices[:hops])
+            for t in range(hops):
+                assert not vertex_layers[t].flags.writeable
+                # The seed's edge run: its vertices' in-edges, in CSC
+                # order, the one-seed walk's edge layer once sorted.
+                counts, sources, eids = closures.in_edges[t]
+                bounds = np.append(0, np.cumsum(counts))[closures.vertex_ptr[t]]
+                run = slice(bounds[i], bounds[i + 1])
+                assert np.array_equal(np.sort(eids[run]), expected_edges[t])
+                assert np.array_equal(sources[run], graph.src[eids[run]])
+                assert np.array_equal(
+                    np.repeat(vertex_layers[t], counts[closures.vertex_ptr[t][i]:
+                                                       closures.vertex_ptr[t][i + 1]]),
+                    graph.dst[eids[run]],
+                )
 
 
 class TestPlannerClosure:
@@ -204,9 +231,10 @@ class TestPlannerClosure:
         planner = _planner(graph, hops, mode)
         distinct = list(dict.fromkeys(seeds))  # the server's dedupe
         plan = planner.plan_batch(distinct)
-        _assert_same_closure(
-            (plan.vertex_layers, plan.edge_layers),
-            khop_closure(graph, np.array(distinct, dtype=np.int64), hops),
+        assert len(plan) == 2
+        _assert_same_layers(
+            plan.vertex_layers,
+            khop_closure(graph, np.array(distinct, dtype=np.int64), hops)[0][:hops],
         )
         assert plan.mode == planner.choose_batch(distinct)
         if mode != "auto":
@@ -240,24 +268,21 @@ class TestPlannerClosure:
         # Unsorted, with duplicates, and a second call repeating the first.
         for query in (data.draw(vertices), data.draw(vertices)):
             for vertex, profile in zip(query, planner.profiles(query)):
-                closure, local, remote, cross = reference_profile(planner, vertex)
+                (vertex_layers, _), local, remote = reference_profile(planner, vertex)
                 assert profile.vertex == vertex
                 assert profile.owner == planner.partitioning.owner(vertex)
-                _assert_same_closure(
-                    (profile.vertex_layers, profile.edge_layers), closure
-                )
+                _assert_same_layers(profile.vertex_layers, vertex_layers[:hops])
                 assert profile.local_cost_s.hex() == float(local).hex()
                 assert profile.remote_cost_s.hex() == float(remote).hex()
-                assert profile.cross_inputs == cross
                 assert profile is planner.profile(vertex)
 
     @pytest.mark.parametrize("mode", ["auto", "local", "remote"])
     def test_empty_batch_plans_to_empty_layers(self, small_graph, mode):
         planner = _planner(small_graph, 2, mode)
         plan = planner.plan_batch([])
-        _assert_same_closure(
-            (plan.vertex_layers, plan.edge_layers),
-            khop_closure(small_graph, np.empty(0, dtype=np.int64), 2),
+        _assert_same_layers(
+            plan.vertex_layers,
+            khop_closure(small_graph, np.empty(0, dtype=np.int64), 2)[0][:2],
         )
         assert planner.choose_batch([]) == ("local" if mode == "auto" else mode)
 
@@ -266,7 +291,7 @@ class TestPlannerClosure:
         planner = _planner(small_graph, 2)
         for batch in ([3], [3, 5]):
             plan = planner.plan_batch(batch)
-            for layer in list(plan.vertex_layers) + list(plan.edge_layers):
+            for layer in plan.vertex_layers:
                 with pytest.raises(ValueError, match="read-only"):
                     layer[:1] = 0
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.model import GNNModel
 from repro.costmodel.probe import probe_constants
+from repro.graph.khop import khop_closure
 from repro.partition.chunk import chunk_partition
 from repro.partition.hashing import hash_partition
 from repro.serving.planner import RequestPlanner
@@ -40,7 +41,8 @@ class TestProfiles:
         p = planner.profile(5)
         assert p.vertex == 5
         assert p.owner == partitioning.owner(5)
-        assert len(p.vertex_layers) == model.num_layers + 1
+        # The compute layers only: the input set is not kept.
+        assert len(p.vertex_layers) == model.num_layers
         assert list(p.vertex_layers[0]) == [5]
         assert p.local_cost_s > 0
         assert p.remote_cost_s > 0
@@ -51,7 +53,17 @@ class TestProfiles:
         to cross, so remote pays pure latency overhead."""
         planner = build(planner_parts, num_parts=1)
         p = planner.profile(0)
-        assert p.cross_inputs == 0
+        # Every layer's compute and edges sit on the one part, and no
+        # input crosses a boundary: remote is local plus latency only.
+        L = planner.num_layers
+        vertex_layers, edge_layers = khop_closure(planner.graph, [0], L)
+        remote = 0.0
+        for l in range(1, L + 1):
+            remote += planner.constants.vertex_cost(l) * len(vertex_layers[L - l])
+            remote += planner.constants.edge_cost(l) * len(edge_layers[L - l])
+            remote += planner.constants.comm_cost(l) * 0
+            remote += 2.0 * planner.network.latency_s
+        assert p.remote_cost_s.hex() == remote.hex()
         assert p.local_cost_s <= p.remote_cost_s
 
 

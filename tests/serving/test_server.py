@@ -401,6 +401,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             SLOConfig(max_pending=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau_s", float("nan")),  # turned the cache off: every answer local
+        ("batch_window_s", float("nan")),  # one batch per request, p99 NaN
+        ("batch_window_s", -1.0),  # failed only inside serve()
+        ("batch_window_s", float("inf")),  # a partial batch never dispatched
+        ("max_batch", 0),  # failed only inside serve()
+    ])
+    def test_rejects_values_that_change_the_run(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            ServingConfig(**{field: value})
+
+    def test_infinite_tau_never_expires(self, serving_parts):
+        graph = serving_parts[0]
+        requests = workload(graph, n=60)
+        forever = make_server(serving_parts, ServingConfig(tau_s=float("inf")))
+        bounded = make_server(serving_parts, ServingConfig(tau_s=10.0))
+        # Ten simulated seconds outlast the stream, so both read the same.
+        assert forever.serve(requests).ledger.mode_counts() == (
+            bounded.serve(requests).ledger.mode_counts()
+        )
+        assert forever.cache.counters.expirations == 0
+
     def test_rejects_featureless_graph(self, serving_parts, small_graph):
         graph, model, cluster, partitioning = serving_parts
         import copy
